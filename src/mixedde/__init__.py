@@ -23,11 +23,11 @@ from .criteria import (ALL_CONDITION_IDS, Certificate, FeasibilityRegion,
                        check_divergence, check_sys30, check_thm_A_explicit,
                        check_thm_B_explicit, subequation_one_over_e_note,
                        sweep_region, sys30_values)
-from .gridfn import GridFunction, integrate, integrate_flagged, sup_window
+from .gridfn import GridFunction
 from .model import (IVP, Bounds, CoefficientExpr, ExprSyntaxError, ProblemSpec,
                     ValidationReport, extract_bounds, parse_expr, read_ivp,
                     read_spec, validate_spec)
-from .simulate import Trajectory, classify_trajectory, equation_residual, relax, residual
+from .simulate import Trajectory, classify_trajectory, equation_residual, relax
 
 __version__ = "0.1.0"
 
@@ -42,9 +42,9 @@ __all__ = [
     "check_cor_3_1", "check_divergence", "check_sys30", "check_thm_A_explicit",
     "check_thm_B_explicit", "subequation_one_over_e_note", "sweep_region",
     "sys30_values",
-    "GridFunction", "integrate", "integrate_flagged", "sup_window",
+    "GridFunction",
     "IVP", "Bounds", "CoefficientExpr", "ExprSyntaxError", "ProblemSpec",
     "ValidationReport", "extract_bounds", "parse_expr", "read_ivp", "read_spec",
     "validate_spec",
-    "Trajectory", "classify_trajectory", "equation_residual", "relax", "residual",
+    "Trajectory", "classify_trajectory", "equation_residual", "relax",
 ]

@@ -25,14 +25,13 @@ import numpy as np
 
 from . import charroots
 from .gridfn import GridFunction
-from .model import Bounds, ProblemSpec, extract_bounds
+from .model import Bounds, ProblemSpec, SampledProblem, extract_bounds
 from .simulate import equation_residual
 
 __all__ = [
     "GeneratingCandidate",
     "ConstructionResult",
     "IterationKernel",
-    "iteration_kernel",
     "ineq_residual_delay",
     "ineq_residual_advance",
     "iterate_delay",
@@ -106,19 +105,16 @@ class IterationKernel:
                  step: float, case: str):
         if case not in _CASES:
             raise ValueError(f"case must be one of {_CASES}")
-        t1, T = window
-        if not T > t1:
-            raise ValueError("window must be nonempty")
-        cells = max(1, int(math.ceil((T - t1) / step - 1e-9)))
+        self.sampled = SampledProblem(spec, window, step)
         self.case = case
-        self.t1 = t1
+        self.t1 = window[0]
         self.step = step
-        self.ts = t1 + step * np.arange(cells + 1)
-        self.a_vals = np.asarray(spec.a(self.ts), dtype=float)
-        self.b_vals = np.asarray(spec.b(self.ts), dtype=float)
+        self.ts = self.sampled.ts
+        self.a_vals = self.sampled.a
+        self.b_vals = self.sampled.b
         # u vanishes before t1, so delay integrals start no earlier than t1
-        self.g_lo = np.maximum(np.asarray(spec.g(self.ts), dtype=float), t1)
-        self.h_vals = np.asarray(spec.h(self.ts), dtype=float)
+        self.g_lo = np.maximum(self.sampled.g, self.t1)
+        self.h_vals = self.sampled.h
         self.extrapolates = bool(np.any(self.h_vals > self.ts[-1] + 1e-12 * step))
 
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
@@ -129,11 +125,6 @@ class IterationKernel:
         if self.case == "delay":
             return self.a_vals * np.exp(int_delay) - self.b_vals * np.exp(-int_advance)
         return self.b_vals * np.exp(int_advance) - self.a_vals * np.exp(-int_delay)
-
-
-def iteration_kernel(spec: ProblemSpec, window: tuple[float, float],
-                     step: float, case: str) -> IterationKernel:
-    return IterationKernel(spec, window, step, case)
 
 
 def _require_pattern(spec: ProblemSpec, who: str) -> None:
@@ -207,10 +198,8 @@ def _iterate(u0: GeneratingCandidate, spec: ProblemSpec, window: tuple[float, fl
     defect = float(np.max(np.abs(kernel.apply(u) - u)))
     sign = "decreasing" if case == "delay" else "increasing"
     x = synthesize_solution(u_limit, sign, kernel.t1)
-    tau = float(np.max(kernel.ts - np.asarray(spec.g(kernel.ts), dtype=float)))
-    sigma = float(np.max(kernel.h_vals - kernel.ts))
-    eq_res = equation_residual(x, spec, margin_left=max(tau, 0.0),
-                               margin_right=max(sigma, 0.0))
+    eq_res = equation_residual(x, spec, margin_left=kernel.sampled.tau,
+                               margin_right=kernel.sampled.sigma)
     caveats = (CAVEAT_EXTRAPOLATED,) if kernel.extrapolates else ()
     return ConstructionResult(u_limit, x, iterations, defect, eq_res, converged, caveats)
 
@@ -291,14 +280,13 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
                    u0: GeneratingCandidate | None = None) -> ConstructionResult:
     """Construct a positive monotone solution trying default seeds in order.
 
-    Picks the dominant case from the sampled coefficients, then tries
-    u0 = dominant coefficient, u0 = constant characteristic-envelope root,
-    u0 = e * dominant coefficient, and finally a user-supplied candidate.
+    Picks the dominant case from a and b on the iteration's own window grid,
+    then tries u0 = dominant coefficient, u0 = constant characteristic-envelope
+    root, u0 = e * dominant coefficient, and finally a user-supplied candidate.
     """
     _require_pattern(spec, "auto_construct")
-    t1, T = window
-    ts = np.linspace(t1, T, 2001)
-    gap = spec.a(ts) - spec.b(ts)
+    sampled = SampledProblem(spec, window, step)
+    gap = sampled.a - sampled.b
     if float(np.min(gap)) >= -_NEG_TOL:
         case = "delay"
     elif float(np.max(gap)) <= _NEG_TOL:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import charroots
 from .gridfn import GridFunction
-from .model import Bounds, ProblemSpec, extract_bounds
+from .model import Bounds, ProblemSpec, SampledProblem, extract_bounds
 
 __all__ = [
     "Certificate",
@@ -43,7 +43,6 @@ __all__ = [
     "FAILS",
     "INAPPLICABLE",
     "CAVEAT_WINDOW_LIMITED",
-    "CAVEAT_EXTRAPOLATED",
     "CAVEAT_EQUICONTINUITY",
     "check_cor_1_2",
     "check_cor_1_3",
@@ -65,7 +64,6 @@ FAILS = "fails_on_window"
 INAPPLICABLE = "inapplicable"
 
 CAVEAT_WINDOW_LIMITED = "window-limited"
-CAVEAT_EXTRAPOLATED = "extrapolation-flagged"
 CAVEAT_EQUICONTINUITY = "unverified-equicontinuity"
 
 ALL_CONDITION_IDS = (
@@ -129,48 +127,8 @@ def _inapplicable(condition_id: str, window: tuple[float, float],
     return Certificate(condition_id, INAPPLICABLE, window, {"reason": reason})
 
 
-# ---------------------------------------------------------------------------
-# Shared window machinery
-# ---------------------------------------------------------------------------
-
-class _Context:
-    """Coefficient grids on an extended window so every deviated integral
-    stays inside the sampled domain."""
-
-    def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
-        t1, T = window
-        if not T > t1:
-            raise ValueError("window must be nonempty")
-        self.spec = spec
-        self.window = (t1, T)
-        self.step = step
-        cells = max(1, int(math.ceil((T - t1) / step - 1e-9)))
-        self.ts = t1 + step * np.arange(cells + 1)
-        self.g_ts = np.asarray(spec.g(self.ts), dtype=float)
-        self.h_ts = np.asarray(spec.h(self.ts), dtype=float)
-        self.a_ts = np.asarray(spec.a(self.ts), dtype=float)
-        self.b_ts = np.asarray(spec.b(self.ts), dtype=float)
-        self.tau = max(float(np.max(self.ts - self.g_ts)), 0.0)
-        self.sigma = max(float(np.max(self.h_ts - self.ts)), 0.0)
-        ext_lo = t1 - 2.0 * self.tau - step
-        ext_hi = T + 2.0 * self.sigma + step
-        self.a_grid = GridFunction.from_callable(spec.a, ext_lo, ext_hi, step)
-        self.b_grid = GridFunction.from_callable(spec.b, ext_lo, ext_hi, step)
-        self.cum_a = self.a_grid.cumulative()
-        self.cum_b = self.b_grid.cumulative()
-
-    def int_a_over_delay(self) -> np.ndarray:
-        """int_{g(t)}^{t} a per window node."""
-        return self.cum_a(self.ts) - self.cum_a(self.g_ts)
-
-    def int_a_over_advance(self) -> np.ndarray:
-        return self.cum_a(self.h_ts) - self.cum_a(self.ts)
-
-    def int_b_over_delay(self) -> np.ndarray:
-        return self.cum_b(self.ts) - self.cum_b(self.g_ts)
-
-    def int_b_over_advance(self) -> np.ndarray:
-        return self.cum_b(self.h_ts) - self.cum_b(self.ts)
+def _needs(pattern: tuple[int, int]) -> str:
+    return f"needs sign pattern delta1={pattern[0]:+d}, delta2={pattern[1]:+d}"
 
 
 def _sup_witness(ts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -185,15 +143,18 @@ def _sup_witness(ts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 def check_cor_1_2(spec: ProblemSpec, window: tuple[float, float],
                   step: float = 1e-3) -> Certificate:
     """Pointwise test: a >= b and b(t) >= a(t)*(e^{int_g^t a} - 1)*e^{int_t^h a}."""
-    if spec.sign_pattern != (1, -1):
-        return _inapplicable("COR_1_2", window, "needs sign pattern delta1=+1, delta2=-1")
-    ctx = _Context(spec, window, step)
-    rhs = ctx.a_ts * np.expm1(ctx.int_a_over_delay()) * np.exp(ctx.int_a_over_advance())
-    margin, t_at = _sup_witness(ctx.ts, rhs - ctx.b_ts)
-    gap = float(np.min(ctx.a_ts - ctx.b_ts))
+    return _cor_1_2(SampledProblem(spec, window, step))
+
+
+def _cor_1_2(sp: SampledProblem) -> Certificate:
+    if sp.spec.sign_pattern != (1, -1):
+        return _inapplicable("COR_1_2", sp.window, _needs((1, -1)))
+    rhs = sp.a * np.expm1(sp.int_a_over_delay()) * np.exp(sp.int_a_over_advance())
+    margin, t_at = _sup_witness(sp.ts, rhs - sp.b)
+    gap = float(np.min(sp.a - sp.b))
     ok = gap >= -_SLACK and margin <= _SLACK
     witness = {"sup_rhs_minus_b": margin, "t_at_sup": t_at, "min_a_minus_b": gap}
-    return Certificate("COR_1_2", HOLDS if ok else FAILS, window, witness,
+    return Certificate("COR_1_2", HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED,))
 
 
@@ -201,13 +162,17 @@ def check_cor_1_3(spec: ProblemSpec, window: tuple[float, float],
                   step: float = 1e-3,
                   scan: tuple[float, float] = (-60.0, 60.0)) -> Certificate:
     """Characteristic-root test on the envelope constants (a2 on top, b1 below)."""
-    if spec.sign_pattern != (1, -1):
-        return _inapplicable("COR_1_3", window, "needs sign pattern delta1=+1, delta2=-1")
-    ctx = _Context(spec, window, step)
-    if float(np.min(ctx.a_ts - ctx.b_ts)) < -_SLACK:
+    return _cor_1_3(SampledProblem(spec, window, step), scan)
+
+
+def _cor_1_3(sp: SampledProblem, scan: tuple[float, float]) -> Certificate:
+    window = sp.window
+    if sp.spec.sign_pattern != (1, -1):
+        return _inapplicable("COR_1_3", window, _needs((1, -1)))
+    if float(np.min(sp.a - sp.b)) < -_SLACK:
         return _inapplicable("COR_1_3", window,
                              "envelope hypothesis b(t) <= a(t) fails on the window")
-    bounds = extract_bounds(spec, window)
+    bounds = extract_bounds(sp.spec, window)
     if bounds.b1 <= 0.0:
         return _inapplicable("COR_1_3", window,
                              "needs a positive lower envelope for b")
@@ -225,16 +190,18 @@ def check_cor_1_3(spec: ProblemSpec, window: tuple[float, float],
 def check_cor_1_4_remark(spec: ProblemSpec, window: tuple[float, float],
                          step: float = 1e-3) -> Certificate:
     """1/e test for the delayed part: a >= b and sup_t int_g^t a <= 1/e."""
-    if spec.sign_pattern != (1, -1):
-        return _inapplicable("COR_1_4_REMARK", window,
-                             "needs sign pattern delta1=+1, delta2=-1")
-    ctx = _Context(spec, window, step)
-    sup, t_at = _sup_witness(ctx.ts, ctx.int_a_over_delay())
-    gap = float(np.min(ctx.a_ts - ctx.b_ts))
+    return _cor_1_4_remark(SampledProblem(spec, window, step))
+
+
+def _cor_1_4_remark(sp: SampledProblem) -> Certificate:
+    if sp.spec.sign_pattern != (1, -1):
+        return _inapplicable("COR_1_4_REMARK", sp.window, _needs((1, -1)))
+    sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay())
+    gap = float(np.min(sp.a - sp.b))
     ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
     witness = {"sup_delay_integral": sup, "t_at_sup": t_at,
                "one_over_e": ONE_OVER_E, "min_a_minus_b": gap}
-    return Certificate("COR_1_4_REMARK", HOLDS if ok else FAILS, window, witness,
+    return Certificate("COR_1_4_REMARK", HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED,))
 
 
@@ -246,16 +213,19 @@ def check_cor_2_x(spec: ProblemSpec, window: tuple[float, float],
                   step: float = 1e-3,
                   scan: tuple[float, float] = (-60.0, 60.0)) -> list[Certificate]:
     """COR_2_2, COR_2_3 and COR_2_4_REMARK: mirror images of the 1.x checks."""
-    if spec.sign_pattern != (1, -1):
-        reason = "needs sign pattern delta1=+1, delta2=-1"
-        return [_inapplicable(c, window, reason)
+    return _cor_2_x(SampledProblem(spec, window, step), scan)
+
+
+def _cor_2_x(sp: SampledProblem, scan: tuple[float, float]) -> list[Certificate]:
+    window = sp.window
+    if sp.spec.sign_pattern != (1, -1):
+        return [_inapplicable(c, window, _needs((1, -1)))
                 for c in ("COR_2_2", "COR_2_3", "COR_2_4_REMARK")]
-    ctx = _Context(spec, window, step)
-    gap = float(np.min(ctx.b_ts - ctx.a_ts))
+    gap = float(np.min(sp.b - sp.a))
     out = []
 
-    rhs = ctx.b_ts * np.expm1(ctx.int_b_over_advance()) * np.exp(ctx.int_b_over_delay())
-    margin, t_at = _sup_witness(ctx.ts, rhs - ctx.a_ts)
+    rhs = sp.b * np.expm1(sp.int_b_over_advance()) * np.exp(sp.int_b_over_delay())
+    margin, t_at = _sup_witness(sp.ts, rhs - sp.a)
     ok = gap >= -_SLACK and margin <= _SLACK
     out.append(Certificate(
         "COR_2_2", HOLDS if ok else FAILS, window,
@@ -266,7 +236,7 @@ def check_cor_2_x(spec: ProblemSpec, window: tuple[float, float],
         out.append(_inapplicable("COR_2_3", window,
                                  "envelope hypothesis a(t) <= b(t) fails on the window"))
     else:
-        bounds = extract_bounds(spec, window)
+        bounds = extract_bounds(sp.spec, window)
         if bounds.a1 <= 0.0:
             out.append(_inapplicable("COR_2_3", window,
                                      "needs a positive lower envelope for a"))
@@ -285,7 +255,7 @@ def check_cor_2_x(spec: ProblemSpec, window: tuple[float, float],
                 out.append(Certificate("COR_2_3", HOLDS, window, witness,
                                        (CAVEAT_WINDOW_LIMITED,)))
 
-    sup, t_at = _sup_witness(ctx.ts, ctx.int_b_over_advance())
+    sup, t_at = _sup_witness(sp.ts, sp.int_b_over_advance())
     ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
     out.append(Certificate(
         "COR_2_4_REMARK", HOLDS if ok else FAILS, window,
@@ -302,38 +272,42 @@ def check_cor_2_x(spec: ProblemSpec, window: tuple[float, float],
 def check_thm_A_explicit(spec: ProblemSpec, window: tuple[float, float],
                          step: float = 1e-3) -> Certificate:
     """sup_t int_g^t a(s) e^{int_{g(s)}^{s} b} ds < 1/e for the (+,+) pattern."""
-    if spec.sign_pattern != (1, 1):
-        return _inapplicable("THM_A_EXPLICIT", window,
-                             "needs sign pattern delta1=+1, delta2=+1")
-    ctx = _Context(spec, window, step)
-    t1, T = window
+    return _thm_A_explicit(SampledProblem(spec, window, step))
+
+
+def _thm_A_explicit(sp: SampledProblem) -> Certificate:
+    if sp.spec.sign_pattern != (1, 1):
+        return _inapplicable("THM_A_EXPLICIT", sp.window, _needs((1, 1)))
+    spec, (t1, T), step = sp.spec, sp.window, sp.step
     w_grid = GridFunction.from_callable(
-        lambda s: spec.a(s) * np.exp(ctx.cum_b(s) - ctx.cum_b(spec.g(s))),
-        t1 - ctx.tau - step, T, step)
+        lambda s: spec.a(s) * np.exp(sp.cum_b(s) - sp.cum_b(spec.g(s))),
+        t1 - sp.tau - step, T, step)
     cum_w = w_grid.cumulative()
-    sup, t_at = _sup_witness(ctx.ts, cum_w(ctx.ts) - cum_w(ctx.g_ts))
+    sup, t_at = _sup_witness(sp.ts, cum_w(sp.ts) - cum_w(sp.g))
     ok = sup <= ONE_OVER_E - _STRICT_MARGIN
     witness = {"sup_nested_integral": sup, "t_at_sup": t_at, "one_over_e": ONE_OVER_E}
-    return Certificate("THM_A_EXPLICIT", HOLDS if ok else FAILS, window, witness,
+    return Certificate("THM_A_EXPLICIT", HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED, CAVEAT_EQUICONTINUITY))
 
 
 def check_thm_B_explicit(spec: ProblemSpec, window: tuple[float, float],
                          step: float = 1e-3) -> Certificate:
     """sup_t int_t^h b(s) e^{int_{s}^{h(s)} a} ds < 1/e for the (-,-) pattern."""
-    if spec.sign_pattern != (-1, -1):
-        return _inapplicable("THM_B_EXPLICIT", window,
-                             "needs sign pattern delta1=-1, delta2=-1")
-    ctx = _Context(spec, window, step)
-    t1, T = window
+    return _thm_B_explicit(SampledProblem(spec, window, step))
+
+
+def _thm_B_explicit(sp: SampledProblem) -> Certificate:
+    if sp.spec.sign_pattern != (-1, -1):
+        return _inapplicable("THM_B_EXPLICIT", sp.window, _needs((-1, -1)))
+    spec, (t1, T), step = sp.spec, sp.window, sp.step
     w_grid = GridFunction.from_callable(
-        lambda s: spec.b(s) * np.exp(ctx.cum_a(spec.h(s)) - ctx.cum_a(s)),
-        t1, T + ctx.sigma + step, step)
+        lambda s: spec.b(s) * np.exp(sp.cum_a(spec.h(s)) - sp.cum_a(s)),
+        t1, T + sp.sigma + step, step)
     cum_w = w_grid.cumulative()
-    sup, t_at = _sup_witness(ctx.ts, cum_w(ctx.h_ts) - cum_w(ctx.ts))
+    sup, t_at = _sup_witness(sp.ts, cum_w(sp.h) - cum_w(sp.ts))
     ok = sup <= ONE_OVER_E - _STRICT_MARGIN
     witness = {"sup_nested_integral": sup, "t_at_sup": t_at, "one_over_e": ONE_OVER_E}
-    return Certificate("THM_B_EXPLICIT", HOLDS if ok else FAILS, window, witness,
+    return Certificate("THM_B_EXPLICIT", HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED, CAVEAT_EQUICONTINUITY))
 
 
@@ -553,20 +527,21 @@ def check_divergence(spec: ProblemSpec, window: tuple[float, float],
     """
     if condition_id not in ("COR_1_5", "COR_1_6", "COR_2_5"):
         raise ValueError(f"unsupported divergence condition {condition_id!r}")
-    if spec.sign_pattern != (1, -1):
-        return _inapplicable(condition_id, window,
-                             "needs sign pattern delta1=+1, delta2=-1")
-    ctx = _Context(spec, window, step)
+    return _divergence(SampledProblem(spec, window, step), condition_id, threshold)
+
+
+def _divergence(sp: SampledProblem, condition_id: str, threshold: float) -> Certificate:
+    window = sp.window
+    if sp.spec.sign_pattern != (1, -1):
+        return _inapplicable(condition_id, window, _needs((1, -1)))
     delay_side = condition_id in ("COR_1_5", "COR_1_6")
-    gap = ctx.a_ts - ctx.b_ts if delay_side else ctx.b_ts - ctx.a_ts
+    gap = sp.a - sp.b if delay_side else sp.b - sp.a
     if float(np.min(gap)) < -_SLACK:
         need = "a(t) >= b(t)" if delay_side else "b(t) >= a(t)"
         return _inapplicable(condition_id, window,
                              f"dominance hypothesis {need} fails on the window")
     t1, T = window
-    diff = spec.a - spec.b if delay_side else spec.b - spec.a
-    grid = GridFunction.from_callable(diff, t1, T, step)
-    cum = grid.cumulative()
+    cum = GridFunction(t1, sp.step, gap).cumulative()
     checkpoints = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
     integrals = tuple(float(cum(c) - cum(t1)) for c in checkpoints)
     increasing = all(b > a for a, b in zip(integrals, integrals[1:]))
@@ -574,7 +549,7 @@ def check_divergence(spec: ProblemSpec, window: tuple[float, float],
     witness = {"checkpoints": tuple(zip(checkpoints, integrals)),
                "threshold": threshold}
     if condition_id == "COR_1_6":
-        sup, t_at = _sup_witness(ctx.ts, ctx.int_a_over_delay())
+        sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay())
         witness["sup_delay_integral"] = sup
         ok = ok and sup <= ONE_OVER_E + _SLACK
     return Certificate(condition_id, HOLDS if ok else FAILS, window, witness,
@@ -592,9 +567,9 @@ def subequation_one_over_e_note(spec: ProblemSpec, window: tuple[float, float],
     When a sup exceeds 1/e, the corresponding sub-equation is not certified by
     its 1/e test (informational; says nothing about the mixed equation).
     """
-    ctx = _Context(spec, window, step)
-    sup_delay = float(np.max(ctx.int_a_over_delay()))
-    sup_advance = float(np.max(ctx.int_b_over_advance()))
+    sp = SampledProblem(spec, window, step)
+    sup_delay = float(np.max(sp.int_a_over_delay()))
+    sup_advance = float(np.max(sp.int_b_over_advance()))
     return {
         "delay_integral_sup": sup_delay,
         "advance_integral_sup": sup_advance,
@@ -610,36 +585,24 @@ def check_all(spec: ProblemSpec, window: tuple[float, float], step: float = 1e-3
     """Run every condition; mismatched sign patterns yield inapplicable verdicts.
 
     Conditions are independent sufficient tests and never short-circuit each
-    other; the list is returned in the fixed catalog order.
+    other; the list is returned in the fixed catalog order. All window checks
+    read one SampledProblem, which rejects non-finite samples for every pattern.
     """
-    pattern = spec.sign_pattern
-    out: list[Certificate] = []
+    sp = SampledProblem(spec, window, step)
+    out = [_cor_1_2(sp), _cor_1_3(sp, scan), _cor_1_4_remark(sp),
+           _divergence(sp, "COR_1_5", divergence_threshold),
+           _divergence(sp, "COR_1_6", divergence_threshold),
+           *_cor_2_x(sp, scan),
+           _divergence(sp, "COR_2_5", divergence_threshold),
+           _thm_A_explicit(sp), _thm_B_explicit(sp)]
 
-    if pattern == (1, -1):
-        out.append(check_cor_1_2(spec, window, step))
-        out.append(check_cor_1_3(spec, window, step, scan))
-        out.append(check_cor_1_4_remark(spec, window, step))
-        out.append(check_divergence(spec, window, "COR_1_5", divergence_threshold, step))
-        out.append(check_divergence(spec, window, "COR_1_6", divergence_threshold, step))
-        out.extend(check_cor_2_x(spec, window, step, scan))
-        out.append(check_divergence(spec, window, "COR_2_5", divergence_threshold, step))
-    else:
-        reason = "needs sign pattern delta1=+1, delta2=-1"
-        for cid in ("COR_1_2", "COR_1_3", "COR_1_4_REMARK", "COR_1_5", "COR_1_6",
-                    "COR_2_2", "COR_2_3", "COR_2_4_REMARK", "COR_2_5"):
-            out.append(_inapplicable(cid, window, reason))
-
-    out.append(check_thm_A_explicit(spec, window, step))
-    out.append(check_thm_B_explicit(spec, window, step))
-
-    if pattern == (-1, 1):
+    if spec.sign_pattern == (-1, 1):
         bounds = extract_bounds(spec, window)
         out.extend(check_cor_3_1(bounds))
         out.append(check_sys30(bounds))
     else:
-        reason = "needs sign pattern delta1=-1, delta2=+1"
         for cid in ("COR_3_1_C1", "COR_3_1_C2", "SYS_30_FEASIBLE"):
-            out.append(_inapplicable(cid, window, reason))
+            out.append(_inapplicable(cid, window, _needs((-1, 1))))
 
     order = {cid: i for i, cid in enumerate(ALL_CONDITION_IDS)}
     out.sort(key=lambda c: order[c.condition_id])

@@ -18,9 +18,6 @@ import numpy as np
 __all__ = [
     "GridFunction",
     "CumulativeIntegral",
-    "integrate",
-    "integrate_flagged",
-    "sup_window",
 ]
 
 
@@ -198,16 +195,3 @@ class CumulativeIntegral:
         if tt.ndim == 0:
             return float(out)
         return out
-
-
-def integrate(f: GridFunction, lo: float, hi: float) -> float:
-    """Composite trapezoid over [lo, hi] with interpolated endpoint values."""
-    return f.integrate(lo, hi)
-
-
-def integrate_flagged(f: GridFunction, lo: float, hi: float) -> tuple[float, bool]:
-    return f.integrate_flagged(lo, hi)
-
-
-def sup_window(f: GridFunction, lo: float, hi: float) -> float:
-    return f.sup_window(lo, hi)

@@ -1,4 +1,4 @@
-"""Equation model: coefficient expressions, problem specs, hypothesis checks, envelope bounds.
+"""Equation model: expressions, specs, hypothesis checks, envelope bounds, window sampling.
 
 The equation under study is
 
@@ -20,9 +20,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+
+from .gridfn import CumulativeIntegral, GridFunction
 
 __all__ = [
     "CoefficientExpr",
@@ -32,6 +35,7 @@ __all__ = [
     "Bounds",
     "HypothesisCheck",
     "ValidationReport",
+    "SampledProblem",
     "parse_expr",
     "validate_spec",
     "extract_bounds",
@@ -317,6 +321,82 @@ class Bounds:
             raise ValueError("envelope bounds out of order")
         if self.tau < 0 or self.sigma < 0:
             raise ValueError("tau and sigma must be nonnegative")
+
+
+# ---------------------------------------------------------------------------
+# Window sampling
+# ---------------------------------------------------------------------------
+
+def _require_finite(name: str, vals, ts: np.ndarray) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"{name}(t) is not finite at t={float(ts[bad[0]]):.6g}")
+    return vals
+
+
+class SampledProblem:
+    """a, b, g, h sampled once on the window grid ts = t1 + k*step, k = 0..cells.
+
+    Certificate checks, the iteration kernel and the direct integrator read
+    their samples from one instance per window. The cumulative integrals of a
+    and b on the grid widened by 2*tau + step and 2*sigma + step, enough for
+    every deviated integral, are built on first use. A step that is not
+    positive and finite, and any non-finite sample, raise ValueError.
+    """
+
+    def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
+        t1, T = window
+        if not (step > 0 and math.isfinite(step)):
+            raise ValueError("step must be positive and finite")
+        if not (math.isfinite(t1) and math.isfinite(T) and T > t1):
+            raise ValueError("window must be finite and nonempty")
+        self.spec = spec
+        self.window = (t1, T)
+        self.step = step
+        cells = max(1, int(math.ceil((T - t1) / step - 1e-9)))
+        self.ts = t1 + step * np.arange(cells + 1)
+        self.a, self.b, self.g, self.h = (
+            _require_finite(name, getattr(spec, name)(self.ts), self.ts)
+            for name in "abgh")
+
+    @cached_property
+    def tau(self) -> float:
+        """Largest delay t - g(t) on the grid, at least 0."""
+        return max(float(np.max(self.ts - self.g)), 0.0)
+
+    @cached_property
+    def sigma(self) -> float:
+        """Largest advance h(t) - t on the grid, at least 0."""
+        return max(float(np.max(self.h - self.ts)), 0.0)
+
+    def _extended_cumulative(self, name: str, fn: CoefficientExpr) -> CumulativeIntegral:
+        t1, T = self.window
+        grid = GridFunction.from_callable(fn, t1 - 2.0 * self.tau - self.step,
+                                          T + 2.0 * self.sigma + self.step, self.step)
+        _require_finite(name, grid.values, grid.times())
+        return grid.cumulative()
+
+    @cached_property
+    def cum_a(self) -> CumulativeIntegral:
+        return self._extended_cumulative("a", self.spec.a)
+
+    @cached_property
+    def cum_b(self) -> CumulativeIntegral:
+        return self._extended_cumulative("b", self.spec.b)
+
+    def int_a_over_delay(self) -> np.ndarray:
+        """int_{g(t)}^{t} a per window node."""
+        return self.cum_a(self.ts) - self.cum_a(self.g)
+
+    def int_a_over_advance(self) -> np.ndarray:
+        return self.cum_a(self.h) - self.cum_a(self.ts)
+
+    def int_b_over_delay(self) -> np.ndarray:
+        return self.cum_b(self.ts) - self.cum_b(self.g)
+
+    def int_b_over_advance(self) -> np.ndarray:
+        return self.cum_b(self.h) - self.cum_b(self.ts)
 
 
 # ---------------------------------------------------------------------------

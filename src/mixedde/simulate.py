@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import GridFunction
-from .model import IVP, ProblemSpec
+from .model import IVP, ProblemSpec, SampledProblem
 
 __all__ = [
     "Trajectory",
     "relax",
     "classify_trajectory",
-    "residual",
     "equation_residual",
 ]
 
@@ -38,12 +37,6 @@ class Trajectory:
     converged: bool
     residual_history: tuple[float, ...] = ()
     caveats: tuple[str, ...] = ()
-
-
-def _sample_margins(spec: ProblemSpec, ts: np.ndarray) -> tuple[float, float]:
-    tau = float(np.max(ts - spec.g(ts)))
-    sigma = float(np.max(spec.h(ts) - ts))
-    return max(tau, 0.0), max(sigma, 0.0)
 
 
 def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
@@ -67,23 +60,17 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     t0 = spec.t0
     if not T > t0:
         raise ValueError("horizon T must exceed t0")
-    if not step > 0:
-        raise ValueError("step must be positive")
     if max_sweeps < 1:
         raise ValueError("need at least one sweep")
     if tol is None:
         tol = 1e-10 * max(abs(ivp.x0), 1.0)
 
-    probe = t0 + step * np.arange(int(math.ceil((T - t0) / step - 1e-9)) + 1)
-    tau, sigma = _sample_margins(spec, probe)
-    cells = int(math.ceil((T + sigma - t0) / step - 1e-9))
-    n = cells + 1
-    ts = t0 + step * np.arange(n)
-
-    a_vals = np.asarray(spec.a(ts), dtype=float)
-    b_vals = np.asarray(spec.b(ts), dtype=float)
-    g_vals = np.asarray(spec.g(ts), dtype=float)
-    h_vals = np.asarray(spec.h(ts), dtype=float)
+    # nodes run sigma past T, so every advanced argument up to T is on the grid
+    reported = SampledProblem(spec, (t0, T), step)
+    sampled = SampledProblem(spec, (t0, T + reported.sigma), step)
+    ts, a_vals, b_vals = sampled.ts, sampled.a, sampled.b
+    g_vals, h_vals = sampled.g, sampled.h
+    n = len(ts)
 
     caveats = []
     delays = ts - g_vals
@@ -97,8 +84,10 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     apos = np.clip((h_vals - t0) / step, idx, float(n - 1))  # advanced, clamped at horizon
 
     hist = [0.0] * n
-    for i in np.flatnonzero(dpos < 0.0):
-        hist[int(i)] = float(ivp.phi(g_vals[int(i)]))
+    for i in np.flatnonzero(dpos < 0.0).tolist():
+        hist[i] = float(ivp.phi(g_vals[i]))
+        if not math.isfinite(hist[i]):
+            raise ValueError(f"history phi is not finite at t={g_vals[i]:.6g}")
 
     dpos_l = dpos.tolist()
     apos_l = apos.tolist()
@@ -107,11 +96,6 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
 
     half = 0.5 * step
     x0 = float(ivp.x0)
-
-    def seed() -> list[float]:
-        start = [float(ivp.phi(t)) if t < t0 else x0 for t in ts]
-        start[0] = x0
-        return start
 
     zeros = [0.0] * n
 
@@ -198,7 +182,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
             # (the forward scheme has no fixed point to converge to here)
             caveats.append(CAVEAT_AMPLIFYING)
     min_weight = 1.0 / 64.0
-    x_prev = seed()
+    x_prev = [x0] * n  # sweep 0: every node lies at or after t0
     history: list[float] = []
     converged = False
     sweeps = 0
@@ -207,14 +191,16 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     while sweeps < max_sweeps:
         sweeps += 1
         raw = sweep(x_prev)
-        # the reported residual is the raw sweep defect, independent of damping
-        delta = max(abs(u - v) for u, v in zip(raw, x_prev))
+        # the reported residual is the raw sweep defect, independent of
+        # damping; np.max propagates a NaN, which Python's max would skip
+        delta = float(np.max(np.abs(np.subtract(raw, x_prev))))
         history.append(delta)
         if not advanced_coupling:
             # no advanced term: the first sweep is already the fixed point
             x_prev = raw
-            converged = True
-            history[-1] = 0.0
+            converged = math.isfinite(delta)
+            if converged:
+                history[-1] = 0.0
             break
         if delta <= tol:
             x_prev = raw
@@ -227,7 +213,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
             weight = max(0.5 * weight, min_weight)
             grow_streak = 0
             if not all(math.isfinite(v) for v in x_prev):
-                x_prev = seed()
+                x_prev = [x0] * n
                 continue
         if weight < 1.0:
             x_prev = [(1.0 - weight) * u + weight * v for u, v in zip(x_prev, raw)]
@@ -237,8 +223,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     if weight < 1.0:
         caveats.append(f"damped-sweeps-{weight:g}")
 
-    n_report = int(math.ceil((T - t0) / step - 1e-9)) + 1
-    traj_x = GridFunction(t0, step, np.asarray(x_prev[:n_report]))
+    traj_x = GridFunction(t0, step, np.asarray(x_prev[:len(reported.ts)]))
     eq_res = equation_residual(traj_x, spec)
     return Trajectory(
         x=traj_x,
@@ -259,12 +244,13 @@ def equation_residual(x: GridFunction, spec: ProblemSpec,
     x' by central differences; margins of width tau (left) and sigma (right)
     are excluded so every deviated argument stays inside the trajectory's grid.
     """
-    ts = x.times()
-    tau, sigma = _sample_margins(spec, ts)
+    # half a cell short of t_end, so rounding cannot add a node to x's grid
+    sampled = SampledProblem(spec, (x.t_start, x.t_end - 0.5 * x.step), x.step)
+    ts = sampled.ts
     if margin_left is None:
-        margin_left = tau
+        margin_left = sampled.tau
     if margin_right is None:
-        margin_right = sigma
+        margin_right = sampled.sigma
     lo = x.t_start + margin_left - 1e-9 * x.step
     hi = x.t_end - margin_right + 1e-9 * x.step
     inner = np.flatnonzero((ts >= lo) & (ts <= hi))
@@ -273,16 +259,10 @@ def equation_residual(x: GridFunction, spec: ProblemSpec,
         raise ValueError("window too short: no interior nodes outside the margins")
     v = x.values
     dx = (v[inner + 1] - v[inner - 1]) / (2.0 * x.step)
-    tt = ts[inner]
-    xg = np.interp(spec.g(tt), ts, v)
-    xh = np.interp(spec.h(tt), ts, v)
-    res = dx + spec.delta1 * spec.a(tt) * xg + spec.delta2 * spec.b(tt) * xh
+    xg = np.interp(sampled.g[inner], ts, v)
+    xh = np.interp(sampled.h[inner], ts, v)
+    res = dx + spec.delta1 * sampled.a[inner] * xg + spec.delta2 * sampled.b[inner] * xh
     return float(np.max(np.abs(res)))
-
-
-def residual(tr: Trajectory, spec: ProblemSpec) -> float:
-    """Equation residual of a converged trajectory."""
-    return equation_residual(tr.x, spec)
 
 
 def classify_trajectory(tr: Trajectory, t_from: float,

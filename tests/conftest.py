@@ -14,6 +14,16 @@ EX3_PROBE = (1.9004548649617536, 2.475429785460149)
 EX2_I100 = 5.016101169220552                  # int_0^100 (a - b)
 
 
+# the paper's example problems, as overrides of the spec_fields defaults
+EXAMPLES = {
+    "ex1": {},
+    "ex2": dict(a="1.375+0.025*sin(t)", b="1.325+0.025*cos(t)"),
+    "ex3": dict(a="1.3+0.1*sin(t)", b="1.7+0.1*cos(t)",
+                g="t-0.1-0.1*cos(t)", h="t+0.2+0.1*sin(t)", delta1=-1, delta2=1),
+    "ex4": dict(a="1", b="1", g="t-0.2", h="t+0.3", delta1=-1, delta2=1),
+}
+
+
 def spec_fields(**kw) -> dict:
     doc = {"a": "1.4", "b": "1.3", "g": "t-0.3", "h": "t+0.3",
            "delta1": 1, "delta2": -1, "t0": 0.0}
@@ -35,14 +45,12 @@ def ex1_spec() -> ProblemSpec:
 
 @pytest.fixture
 def ex2_spec() -> ProblemSpec:
-    return make_spec(a="1.375+0.025*sin(t)", b="1.325+0.025*cos(t)")
+    return make_spec(**EXAMPLES["ex2"])
 
 
 @pytest.fixture
 def ex3_spec() -> ProblemSpec:
-    return make_spec(a="1.3+0.1*sin(t)", b="1.7+0.1*cos(t)",
-                     g="t-0.1-0.1*cos(t)", h="t+0.2+0.1*sin(t)",
-                     delta1=-1, delta2=1)
+    return make_spec(**EXAMPLES["ex3"])
 
 
 def write_spec_file(path, **kw) -> str:

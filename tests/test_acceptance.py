@@ -11,9 +11,8 @@ import pytest
 
 from mixedde.charroots import CharProblem, find_real_roots
 from mixedde.cli import main
-from mixedde.construct import (GeneratingCandidate, auto_construct,
-                               ineq_residual_delay, iteration_kernel,
-                               iterate_delay)
+from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
+                               ineq_residual_delay, iterate_delay)
 from mixedde.criteria import (check_cor_1_2, check_cor_1_3, check_cor_1_4_remark,
                               check_cor_2_x, check_divergence, check_sys30,
                               subequation_one_over_e_note, sweep_region,
@@ -128,7 +127,7 @@ def test_criterion_07_monotone_iteration_property():
     ok = True
     for _ in range(50):
         spec = _random_delay_dominant(rng)
-        kernel = iteration_kernel(spec, (0.0, 6.0), STEP, "delay")
+        kernel = IterationKernel(spec, (0.0, 6.0), STEP, "delay")
         floor = kernel.a_vals - kernel.b_vals
         u = kernel.a_vals.copy()
         for _ in range(200):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mixedde
 from mixedde.cli import main
 
 from conftest import write_spec_file
@@ -163,3 +168,27 @@ def test_exit_codes_are_contained(tmp_path, ex1_file):
                  ["roots", bad], ["region", bad], ["simulate", bad],
                  ["check", ex1_file, "--T", "20"]):
         assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["check", "construct"])
+@pytest.mark.parametrize("step", ["0", "-0.001", "nan", "inf"])
+def test_bad_step_exits_two(ex1_file, command, step, capsys):
+    assert main([command, ex1_file, "--step", step]) == 2
+    assert "step must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "simulate"])
+@pytest.mark.parametrize("a", ["1e400", "exp(exp(t))"])
+def test_non_finite_coefficient_exits_two(tmp_path, command, a, capsys):
+    path = write_spec_file(tmp_path / "huge.json", a=a)
+    assert main([command, path, "--step", "0.004"]) == 2
+    assert "a(t) is not finite" in capsys.readouterr().err
+
+
+def test_module_entry_point(ex1_file):
+    src = str(Path(mixedde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "mixedde.cli", "check", ex1_file,
+                           "--step", "0"], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "step must be positive and finite" in done.stderr

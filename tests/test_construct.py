@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mixedde.construct import (GeneratingCandidate, auto_construct,
+from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
                                ineq_residual_advance, ineq_residual_delay,
-                               iteration_kernel, iterate_advance, iterate_delay,
+                               iterate_advance, iterate_delay,
                                synthesize_solution, witness_candidate)
 from mixedde.gridfn import GridFunction
 from mixedde.simulate import equation_residual
@@ -194,7 +194,7 @@ def random_delay_dominant_spec(rng):
 
 def drive_monotone(spec, window, case, seed_fn, tol=1e-8, max_iter=200):
     """Run the map directly, asserting the monotone-descent chain per step."""
-    kernel = iteration_kernel(spec, window, 2e-3, case)
+    kernel = IterationKernel(spec, window, 2e-3, case)
     floor = (kernel.a_vals - kernel.b_vals if case == "delay"
              else kernel.b_vals - kernel.a_vals)
     u = np.asarray(seed_fn(kernel.ts), dtype=float)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mixedde import criteria
 from mixedde.construct import iterate_advance, iterate_delay, witness_candidate
 from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
                               CAVEAT_WINDOW_LIMITED, check_all, check_cor_1_2,
@@ -485,3 +486,17 @@ def test_subequation_note(ex1_spec):
     assert note["advance_integral_sup"] == pytest.approx(0.39, abs=1e-12)
     assert not note["delay_certified"]
     assert not note["advance_certified"]
+
+
+def test_check_all_samples_the_window_once(ex2_spec, monkeypatch):
+    built = []
+
+    class Counting(criteria.SampledProblem):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(criteria, "SampledProblem", Counting)
+    certs = check_all(ex2_spec, (0.0, 30.0))
+    assert len(built) == 1
+    assert [c.condition_id for c in certs] == list(ALL_CONDITION_IDS)

@@ -1,0 +1,64 @@
+"""Golden reports: CLI output on the paper's example problems, byte for byte.
+
+Each case runs `mixedde.cli.main` in-process on an example written from
+`conftest.EXAMPLES` and compares stdout with `tests/golden/<name>`. A change
+that alters a report on purpose regenerates the affected file in the same
+diff (`PYTHONPATH=src python tests/test_golden.py`) and says so in
+CHANGES.md; any other difference is a regression.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from mixedde.cli import main
+
+from conftest import EXAMPLES, spec_fields
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (subcommand, example, extra argv, expected exit code)
+CASES = {
+    "check_ex1.txt": ("check", "ex1", [], 0),
+    "check_ex2.txt": ("check", "ex2", [], 0),
+    "check_ex3.txt": ("check", "ex3", [], 0),
+    "check_ex2.csv": ("check", "ex2", ["--format", "csv"], 0),
+    "construct_ex1_T20.txt": ("construct", "ex1", ["--T", "20"], 0),
+    "construct_ex2_T20.txt": ("construct", "ex2", ["--T", "20"], 0),
+    "roots_ex1.txt": ("roots", "ex1", [], 0),
+    "roots_ex4.txt": ("roots", "ex4", [], 0),
+    "region_ex3_xy.txt": ("region", "ex3", ["--axes", "x,y"], 0),
+    "region_ex4_ab.csv": ("region", "ex4",
+                          ["--axes", "a,b", "--res", "0.5", "--format", "csv"], 0),
+    "simulate_ex1.txt": ("simulate", "ex1", ["--T", "2", "--step", "0.004"], 0),
+    "simulate_ex3.txt": ("simulate", "ex3", ["--T", "2", "--step", "0.004"], 0),
+}
+
+
+def run_case(name: str, workdir: Path) -> tuple[int, str]:
+    command, example, extra, _ = CASES[name]
+    path = workdir / f"{example}.json"
+    path.write_text(json.dumps(spec_fields(**EXAMPLES[example])))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, str(path), *extra])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name, tmp_path):
+    code, text = run_case(name, tmp_path)
+    assert code == CASES[name][3]
+    assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            code, text = run_case(name, Path(tmp))
+            (GOLDEN / name).write_text(text, encoding="utf-8")
+            print(f"{name}: exit {code}")

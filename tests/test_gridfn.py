@@ -4,22 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from mixedde.gridfn import GridFunction, integrate, integrate_flagged, sup_window
+from mixedde.gridfn import GridFunction
 
 
 def test_constant_integrand():
     f = GridFunction.constant(1.0, 0.0, 10.0, 0.01)
-    assert integrate(f, 2.5, 3.5) == pytest.approx(1.0, abs=1e-12)
+    assert f.integrate(2.5, 3.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_affine_exact():
     f = GridFunction.from_callable(lambda t: t, 0.0, 2.0, 0.01)
-    assert integrate(f, 0.0, 2.0) == pytest.approx(2.0, abs=1e-12)
+    assert f.integrate(0.0, 2.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sine_quadrature():
     f = GridFunction.from_callable(np.sin, 0.0, math.pi, 1e-3)
-    assert integrate(f, 0.0, math.pi) == pytest.approx(2.0, abs=1e-5)
+    assert f.integrate(0.0, math.pi) == pytest.approx(2.0, abs=1e-5)
 
 
 def test_bounds_out_of_order():
@@ -30,10 +30,10 @@ def test_bounds_out_of_order():
 
 def test_extrapolation_flag():
     f = GridFunction.constant(2.0, 0.0, 1.0, 0.1)
-    value, flagged = integrate_flagged(f, -1.0, 2.0)
+    value, flagged = f.integrate_flagged(-1.0, 2.0)
     assert flagged
     assert value == pytest.approx(6.0, abs=1e-12)  # clamped constant
-    _, flagged = integrate_flagged(f, 0.2, 0.8)
+    _, flagged = f.integrate_flagged(0.2, 0.8)
     assert not flagged
 
 
@@ -48,11 +48,11 @@ def test_interpolation_and_clamping():
 
 def test_sup_window_cases():
     f = GridFunction.from_callable(np.cos, 0.0, 2 * math.pi, 1e-3)
-    assert sup_window(f, 0.0, 2 * math.pi) == pytest.approx(1.0, abs=1e-6)
+    assert f.sup_window(0.0, 2 * math.pi) == pytest.approx(1.0, abs=1e-6)
     g = GridFunction.constant(0.39, -5.0, 5.0, 0.1)
-    assert sup_window(g, -1.0, 1.0) == pytest.approx(0.39)
+    assert g.sup_window(-1.0, 1.0) == pytest.approx(0.39)
     h = GridFunction.from_callable(lambda t: t, 0.0, 1.0, 0.01)
-    assert sup_window(h, 0.25, 0.75) == pytest.approx(0.75)
+    assert h.sup_window(0.25, 0.75) == pytest.approx(0.75)
 
 
 def test_sup_window_empty_overlap():

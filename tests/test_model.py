@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mixedde.model import (Bounds, CoefficientExpr, ExprSyntaxError, ProblemSpec,
-                           extract_bounds, parse_expr, read_ivp, read_spec,
-                           validate_spec)
+                           SampledProblem, extract_bounds, parse_expr, read_ivp,
+                           read_spec, validate_spec)
 
 from conftest import make_spec, spec_fields
 
@@ -207,3 +207,16 @@ def test_read_spec_errors(tmp_path):
     badexpr.write_text(json.dumps(spec_fields(a="log(t)")))
     with pytest.raises(ValueError):
         read_spec(str(badexpr))
+
+
+def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):
+    for step in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            SampledProblem(ex1_spec, (0.0, 1.0), step)
+    with pytest.raises(ValueError, match=r"a\(t\) is not finite at t=0\b"):
+        SampledProblem(make_spec(a="1e400"), (0.0, 1.0), 1e-3)
+    # exp(exp(t)) overflows past t = log(log(max float)) = 6.5654, which only
+    # the extended grid behind the cumulative integral of a reaches
+    sp = SampledProblem(make_spec(a="exp(exp(t))"), (0.0, 6.5), 1e-3)
+    with pytest.raises(ValueError, match=r"a\(t\) is not finite at t=6.56"):
+        sp.cum_a

@@ -5,9 +5,8 @@ import pytest
 
 from mixedde.construct import GeneratingCandidate, iterate_delay
 from mixedde.gridfn import GridFunction
-from mixedde.model import IVP, parse_expr
-from mixedde.simulate import (Trajectory, classify_trajectory, equation_residual,
-                              relax, residual)
+from mixedde.model import IVP, CoefficientExpr, parse_expr
+from mixedde.simulate import Trajectory, classify_trajectory, equation_residual, relax
 
 from conftest import LAM2, make_spec
 
@@ -91,7 +90,7 @@ def test_classify_start_time_restriction():
 def test_residual_zero_solution():
     spec = make_spec()
     tr = _constant_trajectory(np.zeros(2001), step=0.005)
-    assert residual(tr, spec) == 0.0
+    assert equation_residual(tr.x, spec) == 0.0
 
 
 def test_residual_margin_guard():
@@ -149,3 +148,16 @@ def test_coarse_step_flagged(ex1_spec):
     ivp = IVP(ex1_spec, parse_expr("1"), 1.0)
     tr = relax(ivp, 3.0, 0.5, tol=1e-6)
     assert "step-larger-than-min-delay" in tr.caveats
+
+
+def test_relax_rejects_non_finite_history(ex1_spec):
+    with pytest.raises(ValueError, match="history phi is not finite"):
+        relax(IVP(ex1_spec, lambda t: math.nan, 1.0), 2.0, 0.004)
+
+
+def test_relax_overflowing_sweeps_do_not_converge():
+    # finite but huge: the sweeps overflow to inf and then NaN
+    ivp = IVP(make_spec(a="1e300"), CoefficientExpr.const(1.0), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = relax(ivp, 2.0, 0.004, max_sweeps=30)
+    assert not tr.converged
