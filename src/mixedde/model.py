@@ -338,11 +338,11 @@ def _require_finite(name: str, vals, ts: np.ndarray) -> np.ndarray:
 class SampledProblem:
     """a, b, g, h sampled once on the window grid ts = t1 + k*step, k = 0..cells.
 
-    Certificate checks, the iteration kernel and the direct integrator read
-    their samples from one instance per window. The cumulative integrals of a
-    and b on the grid widened by 2*tau + step and 2*sigma + step, enough for
-    every deviated integral, are built on first use. A step that is not
-    positive and finite, and any non-finite sample, raise ValueError.
+    Certificate checks, the iteration kernel, relax and equation_residual take
+    their samples from it. The cumulative integrals of a and b on the grid
+    widened by 2*tau + step and 2*sigma + step, enough for every deviated
+    integral, are built on first use. A step that is not positive and finite,
+    and any non-finite sample, raise ValueError.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
@@ -370,20 +370,20 @@ class SampledProblem:
         """Largest advance h(t) - t on the grid, at least 0."""
         return max(float(np.max(self.h - self.ts)), 0.0)
 
-    def _extended_cumulative(self, name: str, fn: CoefficientExpr) -> CumulativeIntegral:
+    def _extended_cumulative(self, name: str) -> CumulativeIntegral:
         t1, T = self.window
-        grid = GridFunction.from_callable(fn, t1 - 2.0 * self.tau - self.step,
-                                          T + 2.0 * self.sigma + self.step, self.step)
+        lo, hi = t1 - 2.0 * self.tau - self.step, T + 2.0 * self.sigma + self.step
+        grid = GridFunction.from_callable(getattr(self.spec, name), lo, hi, self.step)
         _require_finite(name, grid.values, grid.times())
         return grid.cumulative()
 
     @cached_property
     def cum_a(self) -> CumulativeIntegral:
-        return self._extended_cumulative("a", self.spec.a)
+        return self._extended_cumulative("a")
 
     @cached_property
     def cum_b(self) -> CumulativeIntegral:
-        return self._extended_cumulative("b", self.spec.b)
+        return self._extended_cumulative("b")
 
     def int_a_over_delay(self) -> np.ndarray:
         """int_{g(t)}^{t} a per window node."""

@@ -65,34 +65,33 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     if tol is None:
         tol = 1e-10 * max(abs(ivp.x0), 1.0)
 
+    sampled = SampledProblem(spec, (t0, T), step)
+    n_report = len(sampled.ts)
     # nodes run sigma past T, so every advanced argument up to T is on the grid
-    reported = SampledProblem(spec, (t0, T), step)
-    sampled = SampledProblem(spec, (t0, T + reported.sigma), step)
-    ts, a_vals, b_vals = sampled.ts, sampled.a, sampled.b
-    g_vals, h_vals = sampled.g, sampled.h
-    n = len(ts)
+    sampled = SampledProblem(spec, (t0, T + sampled.sigma), step)
+    n = len(sampled.ts)
 
     caveats = []
-    delays = ts - g_vals
+    delays = sampled.ts - sampled.g
     positive = delays[delays > 1e-12]
     if positive.size and step > float(np.min(positive)):
         caveats.append(CAVEAT_COARSE_STEP)
 
     # Grid positions of the deviated arguments, in units of step.
     idx = np.arange(n, dtype=float)
-    dpos = np.minimum((g_vals - t0) / step, idx)   # delayed, never ahead of its node
-    apos = np.clip((h_vals - t0) / step, idx, float(n - 1))  # advanced, clamped at horizon
+    dpos = np.minimum((sampled.g - t0) / step, idx)   # delayed, never ahead of its node
+    apos = np.clip((sampled.h - t0) / step, idx, float(n - 1))  # advanced, clamped at horizon
 
     hist = [0.0] * n
     for i in np.flatnonzero(dpos < 0.0).tolist():
-        hist[i] = float(ivp.phi(g_vals[i]))
+        hist[i] = float(ivp.phi(sampled.g[i]))
         if not math.isfinite(hist[i]):
-            raise ValueError(f"history phi is not finite at t={g_vals[i]:.6g}")
+            raise ValueError(f"history phi is not finite at t={sampled.g[i]:.6g}")
 
     dpos_l = dpos.tolist()
     apos_l = apos.tolist()
-    ca = (-float(spec.delta1) * a_vals).tolist()
-    cb = (-float(spec.delta2) * b_vals).tolist()
+    ca = (-float(spec.delta1) * sampled.a).tolist()
+    cb = (-float(spec.delta2) * sampled.b).tolist()
 
     half = 0.5 * step
     x0 = float(ivp.x0)
@@ -167,7 +166,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
                 break
         return mu
 
-    advanced_coupling = bool(np.any(b_vals != 0.0))
+    advanced_coupling = bool(np.any(sampled.b != 0.0))
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping weight must be in (0, 1]")
     weight = damping
@@ -223,7 +222,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     if weight < 1.0:
         caveats.append(f"damped-sweeps-{weight:g}")
 
-    traj_x = GridFunction(t0, step, np.asarray(x_prev[:len(reported.ts)]))
+    traj_x = GridFunction(t0, step, np.asarray(x_prev[:n_report]))
     eq_res = equation_residual(traj_x, spec)
     return Trajectory(
         x=traj_x,
