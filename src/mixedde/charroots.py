@@ -48,6 +48,8 @@ class CharProblem:
     convention: str = "minus_exponent"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.tau, self.sigma))):
+            raise ValueError("a, b, tau and sigma must be finite")
         if self.a < 0 or self.b < 0:
             raise ValueError("coefficients a, b must be nonnegative")
         if self.tau < 0 or self.sigma < 0:

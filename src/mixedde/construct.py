@@ -23,10 +23,10 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from . import charroots
+from . import criteria
 from .gridfn import GridFunction
-from .model import Bounds, ProblemSpec, SampledProblem, extract_bounds
-from .simulate import equation_residual
+from .model import ProblemSpec, SampledProblem
+from .simulate import _equation_residual
 
 __all__ = [
     "GeneratingCandidate",
@@ -99,29 +99,27 @@ class ConstructionResult:
 
 
 class IterationKernel:
-    """One application of the generating-function map, vectorised over the grid."""
+    """One application of the generating-function map on a sampled window grid."""
 
-    def __init__(self, spec: ProblemSpec, window: tuple[float, float],
-                 step: float, case: str):
+    def __init__(self, sampled: SampledProblem, case: str):
         if case not in _CASES:
             raise ValueError(f"case must be one of {_CASES}")
-        self.sampled = SampledProblem(spec, window, step)
+        self.sampled = sampled
         self.case = case
-        self.t1 = window[0]
-        self.step = step
-        self.ts = self.sampled.ts
-        self.a_vals = self.sampled.a
-        self.b_vals = self.sampled.b
+        self.t1 = sampled.window[0]
+        self.step = sampled.step
+        self.ts = sampled.ts
+        self.a_vals = sampled.a
+        self.b_vals = sampled.b
         # u vanishes before t1, so delay integrals start no earlier than t1
-        self.g_lo = np.maximum(self.sampled.g, self.t1)
-        self.h_vals = self.sampled.h
-        self.extrapolates = bool(np.any(self.h_vals > self.ts[-1] + 1e-12 * step))
+        self.g_lo = np.maximum(sampled.g, self.t1)
+        self.extrapolates = bool(np.any(sampled.h > self.ts[-1] + 1e-12 * self.step))
 
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
         cum = GridFunction(self.t1, self.step, u_vals).cumulative()
         at_nodes = cum(self.ts)
         int_delay = at_nodes - cum(self.g_lo)
-        int_advance = cum(self.h_vals) - at_nodes
+        int_advance = cum(self.sampled.h) - at_nodes
         if self.case == "delay":
             return self.a_vals * np.exp(int_delay) - self.b_vals * np.exp(-int_advance)
         return self.b_vals * np.exp(int_advance) - self.a_vals * np.exp(-int_delay)
@@ -162,13 +160,11 @@ def ineq_residual_advance(u: GeneratingCandidate, spec: ProblemSpec, t: float) -
     return float(spec.b(t)) * math.exp(adv) - float(spec.a(t)) * math.exp(-d) - u.u(t)
 
 
-def _iterate(u0: GeneratingCandidate, spec: ProblemSpec, window: tuple[float, float],
-             tol: float, max_iter: int, case: str) -> ConstructionResult:
-    _require_pattern(spec, f"iterate_{case}")
+def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
+             max_iter: int) -> ConstructionResult:
+    case = kernel.case
     if u0.case != case:
         raise ValueError(f"candidate is for the {u0.case} case, not {case}")
-    kernel = IterationKernel(spec, window, u0.u.step, case)
-
     dom = kernel.a_vals - kernel.b_vals if case == "delay" else kernel.b_vals - kernel.a_vals
     if float(np.min(dom)) < -_NEG_TOL:
         i = int(np.argmin(dom))
@@ -198,8 +194,7 @@ def _iterate(u0: GeneratingCandidate, spec: ProblemSpec, window: tuple[float, fl
     defect = float(np.max(np.abs(kernel.apply(u) - u)))
     sign = "decreasing" if case == "delay" else "increasing"
     x = synthesize_solution(u_limit, sign, kernel.t1)
-    eq_res = equation_residual(x, spec, margin_left=kernel.sampled.tau,
-                               margin_right=kernel.sampled.sigma)
+    eq_res = _equation_residual(x, kernel.sampled)  # x lies on the kernel's grid
     caveats = (CAVEAT_EXTRAPOLATED,) if kernel.extrapolates else ()
     return ConstructionResult(u_limit, x, iterations, defect, eq_res, converged, caveats)
 
@@ -208,14 +203,18 @@ def iterate_delay(u0: GeneratingCandidate, spec: ProblemSpec,
                   window: tuple[float, float], tol: float = 1e-8,
                   max_iter: int = 10000) -> ConstructionResult:
     """Monotone iteration for the delay-dominant case (a >= b); x nonincreasing."""
-    return _iterate(u0, spec, window, tol, max_iter, "delay")
+    _require_pattern(spec, "iterate_delay")
+    kernel = IterationKernel(SampledProblem(spec, window, u0.u.step), "delay")
+    return _iterate(kernel, u0, tol, max_iter)
 
 
 def iterate_advance(u0: GeneratingCandidate, spec: ProblemSpec,
                     window: tuple[float, float], tol: float = 1e-8,
                     max_iter: int = 10000) -> ConstructionResult:
     """Monotone iteration for the advance-dominant case (b >= a); x nondecreasing."""
-    return _iterate(u0, spec, window, tol, max_iter, "advance")
+    _require_pattern(spec, "iterate_advance")
+    kernel = IterationKernel(SampledProblem(spec, window, u0.u.step), "advance")
+    return _iterate(kernel, u0, tol, max_iter)
 
 
 def synthesize_solution(u: GridFunction, sign: str, t1: float) -> GridFunction:
@@ -261,28 +260,16 @@ def witness_candidate(condition_id: str, spec: ProblemSpec,
     raise ValueError(f"no constructive witness for {condition_id}")
 
 
-def _envelope_root(bounds: Bounds, case: str) -> float | None:
-    if case == "delay":
-        if bounds.b1 <= 0:
-            return None
-        p = charroots.CharProblem(bounds.a2, bounds.b1, bounds.tau, bounds.sigma,
-                                  1, -1, "minus_exponent")
-    else:
-        if bounds.a1 <= 0:
-            return None
-        p = charroots.CharProblem(bounds.a1, bounds.b2, bounds.tau, bounds.sigma,
-                                  1, -1, "plus_exponent")
-    return charroots.positive_root_exists(p)
-
-
 def auto_construct(spec: ProblemSpec, window: tuple[float, float],
                    step: float = 1e-3, tol: float = 1e-8, max_iter: int = 10000,
                    u0: GeneratingCandidate | None = None) -> ConstructionResult:
     """Construct a positive monotone solution trying default seeds in order.
 
-    Picks the dominant case from a and b on the iteration's own window grid,
+    Samples the window once, picks the dominant case from a and b on that grid,
     then tries u0 = dominant coefficient, u0 = constant characteristic-envelope
     root, u0 = e * dominant coefficient, and finally a user-supplied candidate.
+    Seeds on the grid's step share one kernel; a user candidate with another
+    step is iterated on a grid of its own step.
     """
     _require_pattern(spec, "auto_construct")
     sampled = SampledProblem(spec, window, step)
@@ -298,20 +285,23 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     seeds: list[GeneratingCandidate] = []
     base = "COR_1_2" if case == "delay" else "COR_2_2"
     seeds.append(witness_candidate(base, spec, window, step))
-    lam = _envelope_root(extract_bounds(spec, window), case)
-    if lam is not None:
-        seeds.append(witness_candidate("COR_1_3" if case == "delay" else "COR_2_3",
-                                       spec, window, step, lam=lam))
+    root = criteria._cor_x_3(sampled, case)
+    if root.holds:
+        seeds.append(witness_candidate(root.condition_id, spec, window, step,
+                                       lam=root.witness["lambda"]))
     remark = "COR_1_4_REMARK" if case == "delay" else "COR_2_4_REMARK"
     seeds.append(witness_candidate(remark, spec, window, step))
     if u0 is not None:
         seeds.append(u0)
 
+    kernel = IterationKernel(sampled, case)
     run = iterate_delay if case == "delay" else iterate_advance
     last_error: Exception | None = None
     for seed in seeds:
         try:
-            return run(seed, spec, window, tol=tol, max_iter=max_iter)
+            if seed.u.step != step:
+                return run(seed, spec, window, tol=tol, max_iter=max_iter)
+            return _iterate(kernel, seed, tol, max_iter)
         except ValueError as exc:
             last_error = exc
     raise ValueError(f"no admissible starter candidate found: {last_error}")

@@ -77,6 +77,7 @@ ONE_OVER_E = 1.0 / math.e
 _STRICT_MARGIN = 1e-9     # strict "< 1/e" tested as <= 1/e - margin
 _SLACK = 1e-12            # nonstrict comparisons absorb this much grid noise
 _WITNESS_SLACK = 1e-12
+_MAX_CELLS = 10**6        # sweep_region grid size, checked before allocating
 
 
 @dataclass(frozen=True)
@@ -137,24 +138,30 @@ def _sup_witness(ts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Delay-dominant family (pattern +, -)
+# Dominant-coefficient families (pattern +, -): case "delay" is a >= b
+# (COR_1_x), case "advance" is b >= a (COR_2_x, the mirror images)
 # ---------------------------------------------------------------------------
 
 def check_cor_1_2(spec: ProblemSpec, window: tuple[float, float],
                   step: float = 1e-3) -> Certificate:
     """Pointwise test: a >= b and b(t) >= a(t)*(e^{int_g^t a} - 1)*e^{int_t^h a}."""
-    return _cor_1_2(SampledProblem(spec, window, step))
+    return _cor_x_2(SampledProblem(spec, window, step), "delay")
 
 
-def _cor_1_2(sp: SampledProblem) -> Certificate:
+def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
+    delay = case == "delay"
+    condition_id = "COR_1_2" if delay else "COR_2_2"
+    m, o = ("a", "b") if delay else ("b", "a")  # dominant and other coefficient
     if sp.spec.sign_pattern != (1, -1):
-        return _inapplicable("COR_1_2", sp.window, _needs((1, -1)))
-    rhs = sp.a * np.expm1(sp.int_a_over_delay()) * np.exp(sp.int_a_over_advance())
-    margin, t_at = _sup_witness(sp.ts, rhs - sp.b)
-    gap = float(np.min(sp.a - sp.b))
+        return _inapplicable(condition_id, sp.window, _needs((1, -1)))
+    main, other = getattr(sp, m), getattr(sp, o)
+    back, ahead = ((sp.int_a_over_delay(), sp.int_a_over_advance()) if delay
+                   else (sp.int_b_over_advance(), sp.int_b_over_delay()))
+    margin, t_at = _sup_witness(sp.ts, main * np.expm1(back) * np.exp(ahead) - other)
+    gap = float(np.min(main - other))
     ok = gap >= -_SLACK and margin <= _SLACK
-    witness = {"sup_rhs_minus_b": margin, "t_at_sup": t_at, "min_a_minus_b": gap}
-    return Certificate("COR_1_2", HOLDS if ok else FAILS, sp.window, witness,
+    witness = {f"sup_rhs_minus_{o}": margin, "t_at_sup": t_at, f"min_{m}_minus_{o}": gap}
+    return Certificate(condition_id, HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED,))
 
 
@@ -162,107 +169,65 @@ def check_cor_1_3(spec: ProblemSpec, window: tuple[float, float],
                   step: float = 1e-3,
                   scan: tuple[float, float] = (-60.0, 60.0)) -> Certificate:
     """Characteristic-root test on the envelope constants (a2 on top, b1 below)."""
-    return _cor_1_3(SampledProblem(spec, window, step), scan)
+    return _cor_x_3(SampledProblem(spec, window, step), "delay", scan)
 
 
-def _cor_1_3(sp: SampledProblem, scan: tuple[float, float]) -> Certificate:
-    window = sp.window
+def _cor_x_3(sp: SampledProblem, case: str,
+             scan: tuple[float, float] = (-60.0, 60.0)) -> Certificate:
+    """The root found is the witness; the advance case uses the envelope a1, b2."""
+    delay = case == "delay"
+    condition_id, window = ("COR_1_3" if delay else "COR_2_3"), sp.window
     if sp.spec.sign_pattern != (1, -1):
-        return _inapplicable("COR_1_3", window, _needs((1, -1)))
-    if float(np.min(sp.a - sp.b)) < -_SLACK:
-        return _inapplicable("COR_1_3", window,
-                             "envelope hypothesis b(t) <= a(t) fails on the window")
+        return _inapplicable(condition_id, window, _needs((1, -1)))
+    if float(np.min(sp.a - sp.b if delay else sp.b - sp.a)) < -_SLACK:
+        need = "b(t) <= a(t)" if delay else "a(t) <= b(t)"
+        return _inapplicable(condition_id, window,
+                             f"envelope hypothesis {need} fails on the window")
     bounds = extract_bounds(sp.spec, window)
-    if bounds.b1 <= 0.0:
-        return _inapplicable("COR_1_3", window,
-                             "needs a positive lower envelope for b")
-    problem = charroots.CharProblem(bounds.a2, bounds.b1, bounds.tau, bounds.sigma,
-                                    1, -1, "minus_exponent")
+    a, b = (bounds.a2, bounds.b1) if delay else (bounds.a1, bounds.b2)
+    if (b if delay else a) <= 0.0:
+        return _inapplicable(condition_id, window,
+                             f"needs a positive lower envelope for {'b' if delay else 'a'}")
+    problem = charroots.CharProblem(a, b, bounds.tau, bounds.sigma, 1, -1,
+                                    "minus_exponent" if delay else "plus_exponent")
     root = charroots.positive_root_exists(problem, scan=scan)
-    witness = {"a": bounds.a2, "b": bounds.b1, "tau": bounds.tau, "sigma": bounds.sigma}
+    witness = {"a": a, "b": b, "tau": bounds.tau, "sigma": bounds.sigma}
     if root is None:
         witness.update({"scan_lo": scan[0], "scan_hi": scan[1]})
-        return Certificate("COR_1_3", FAILS, window, witness, (CAVEAT_WINDOW_LIMITED,))
+        return Certificate(condition_id, FAILS, window, witness, (CAVEAT_WINDOW_LIMITED,))
     witness["lambda"] = root
-    return Certificate("COR_1_3", HOLDS, window, witness, (CAVEAT_WINDOW_LIMITED,))
+    return Certificate(condition_id, HOLDS, window, witness, (CAVEAT_WINDOW_LIMITED,))
 
 
 def check_cor_1_4_remark(spec: ProblemSpec, window: tuple[float, float],
                          step: float = 1e-3) -> Certificate:
     """1/e test for the delayed part: a >= b and sup_t int_g^t a <= 1/e."""
-    return _cor_1_4_remark(SampledProblem(spec, window, step))
+    return _cor_x_4_remark(SampledProblem(spec, window, step), "delay")
 
 
-def _cor_1_4_remark(sp: SampledProblem) -> Certificate:
+def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
+    delay = case == "delay"
+    condition_id = "COR_1_4_REMARK" if delay else "COR_2_4_REMARK"
+    m, o = ("a", "b") if delay else ("b", "a")
     if sp.spec.sign_pattern != (1, -1):
-        return _inapplicable("COR_1_4_REMARK", sp.window, _needs((1, -1)))
-    sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay())
-    gap = float(np.min(sp.a - sp.b))
+        return _inapplicable(condition_id, sp.window, _needs((1, -1)))
+    sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay() if delay
+                             else sp.int_b_over_advance())
+    gap = float(np.min(getattr(sp, m) - getattr(sp, o)))
     ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
-    witness = {"sup_delay_integral": sup, "t_at_sup": t_at,
-               "one_over_e": ONE_OVER_E, "min_a_minus_b": gap}
-    return Certificate("COR_1_4_REMARK", HOLDS if ok else FAILS, sp.window, witness,
+    witness = {f"sup_{case}_integral": sup, "t_at_sup": t_at,
+               "one_over_e": ONE_OVER_E, f"min_{m}_minus_{o}": gap}
+    return Certificate(condition_id, HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED,))
 
-
-# ---------------------------------------------------------------------------
-# Advance-dominant family (pattern +, - with b >= a)
-# ---------------------------------------------------------------------------
 
 def check_cor_2_x(spec: ProblemSpec, window: tuple[float, float],
                   step: float = 1e-3,
                   scan: tuple[float, float] = (-60.0, 60.0)) -> list[Certificate]:
     """COR_2_2, COR_2_3 and COR_2_4_REMARK: mirror images of the 1.x checks."""
-    return _cor_2_x(SampledProblem(spec, window, step), scan)
-
-
-def _cor_2_x(sp: SampledProblem, scan: tuple[float, float]) -> list[Certificate]:
-    window = sp.window
-    if sp.spec.sign_pattern != (1, -1):
-        return [_inapplicable(c, window, _needs((1, -1)))
-                for c in ("COR_2_2", "COR_2_3", "COR_2_4_REMARK")]
-    gap = float(np.min(sp.b - sp.a))
-    out = []
-
-    rhs = sp.b * np.expm1(sp.int_b_over_advance()) * np.exp(sp.int_b_over_delay())
-    margin, t_at = _sup_witness(sp.ts, rhs - sp.a)
-    ok = gap >= -_SLACK and margin <= _SLACK
-    out.append(Certificate(
-        "COR_2_2", HOLDS if ok else FAILS, window,
-        {"sup_rhs_minus_a": margin, "t_at_sup": t_at, "min_b_minus_a": gap},
-        (CAVEAT_WINDOW_LIMITED,)))
-
-    if gap < -_SLACK:
-        out.append(_inapplicable("COR_2_3", window,
-                                 "envelope hypothesis a(t) <= b(t) fails on the window"))
-    else:
-        bounds = extract_bounds(sp.spec, window)
-        if bounds.a1 <= 0.0:
-            out.append(_inapplicable("COR_2_3", window,
-                                     "needs a positive lower envelope for a"))
-        else:
-            problem = charroots.CharProblem(bounds.a1, bounds.b2, bounds.tau,
-                                            bounds.sigma, 1, -1, "plus_exponent")
-            root = charroots.positive_root_exists(problem, scan=scan)
-            witness = {"a": bounds.a1, "b": bounds.b2,
-                       "tau": bounds.tau, "sigma": bounds.sigma}
-            if root is None:
-                witness.update({"scan_lo": scan[0], "scan_hi": scan[1]})
-                out.append(Certificate("COR_2_3", FAILS, window, witness,
-                                       (CAVEAT_WINDOW_LIMITED,)))
-            else:
-                witness["lambda"] = root
-                out.append(Certificate("COR_2_3", HOLDS, window, witness,
-                                       (CAVEAT_WINDOW_LIMITED,)))
-
-    sup, t_at = _sup_witness(sp.ts, sp.int_b_over_advance())
-    ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
-    out.append(Certificate(
-        "COR_2_4_REMARK", HOLDS if ok else FAILS, window,
-        {"sup_advance_integral": sup, "t_at_sup": t_at,
-         "one_over_e": ONE_OVER_E, "min_b_minus_a": gap},
-        (CAVEAT_WINDOW_LIMITED,)))
-    return out
+    sp = SampledProblem(spec, window, step)
+    return [_cor_x_2(sp, "advance"), _cor_x_3(sp, "advance", scan),
+            _cor_x_4_remark(sp, "advance")]
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +440,17 @@ def sweep_region(bounds_template: Bounds, axis1: str, axis2: str,
     axes ("x", "y"): fix the bounds, test the system's two inequalities on an
     (x, y) grid directly. axes ("a", "b"): sweep constant coefficients with the
     template's tau/sigma, running check_sys30 per cell; also emits the
-    reference indicator a*tau + b*sigma < 1/e.
+    reference indicator a*tau + b*sigma < 1/e. Grids of more than _MAX_CELLS
+    cells raise ValueError before anything is allocated.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not (resolution > 0 and math.isfinite(resolution)):
+        raise ValueError("resolution must be positive and finite")
     axes = (axis1, axis2)
-    vals1 = _axis_values(ranges[0], resolution)
-    vals2 = _axis_values(ranges[1], resolution)
+    counts = [_axis_count(rng, resolution) for rng in ranges]
+    if counts[0] * counts[1] > _MAX_CELLS:
+        raise ValueError(f"{counts[0]} x {counts[1]} cells exceed the limit of "
+                         f"{_MAX_CELLS}; use a coarser resolution")
+    vals1, vals2 = (lo + resolution * np.arange(n) for (lo, _), n in zip(ranges, counts))
     if axes == ("x", "y"):
         gv = bounds_template.a2 * np.exp(vals2 * bounds_template.tau) \
             - bounds_template.b1 * np.exp(-vals2 * bounds_template.sigma)
@@ -504,12 +473,11 @@ def sweep_region(bounds_template: Bounds, axis1: str, axis2: str,
     raise ValueError("axes must be ('x', 'y') or ('a', 'b')")
 
 
-def _axis_values(rng: tuple[float, float], resolution: float) -> np.ndarray:
+def _axis_count(rng: tuple[float, float], resolution: float) -> int:
     lo, hi = rng
-    if hi < lo:
-        raise ValueError("axis range out of order")
-    count = int(math.floor((hi - lo) / resolution + 0.5)) + 1
-    return lo + resolution * np.arange(count)
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi >= lo):
+        raise ValueError("axis range must be finite and in order")
+    return int(math.floor((hi - lo) / resolution + 0.5)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +536,12 @@ def subequation_one_over_e_note(spec: ProblemSpec, window: tuple[float, float],
     its 1/e test (informational; says nothing about the mixed equation).
     """
     sp = SampledProblem(spec, window, step)
-    sup_delay = float(np.max(sp.int_a_over_delay()))
-    sup_advance = float(np.max(sp.int_b_over_advance()))
+    return _one_over_e_note(float(np.max(sp.int_a_over_delay())),
+                            float(np.max(sp.int_b_over_advance())))
+
+
+def _one_over_e_note(sup_delay: float, sup_advance: float) -> dict:
+    """The note from the sups that COR_1_4_REMARK and COR_2_4_REMARK report."""
     return {
         "delay_integral_sup": sup_delay,
         "advance_integral_sup": sup_advance,
@@ -589,10 +561,12 @@ def check_all(spec: ProblemSpec, window: tuple[float, float], step: float = 1e-3
     read one SampledProblem, which rejects non-finite samples for every pattern.
     """
     sp = SampledProblem(spec, window, step)
-    out = [_cor_1_2(sp), _cor_1_3(sp, scan), _cor_1_4_remark(sp),
+    out = [_cor_x_2(sp, "delay"), _cor_x_3(sp, "delay", scan),
+           _cor_x_4_remark(sp, "delay"),
            _divergence(sp, "COR_1_5", divergence_threshold),
            _divergence(sp, "COR_1_6", divergence_threshold),
-           *_cor_2_x(sp, scan),
+           _cor_x_2(sp, "advance"), _cor_x_3(sp, "advance", scan),
+           _cor_x_4_remark(sp, "advance"),
            _divergence(sp, "COR_2_5", divergence_threshold),
            _thm_A_explicit(sp), _thm_B_explicit(sp)]
 

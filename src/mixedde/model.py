@@ -45,6 +45,7 @@ __all__ = [
 
 _KINDS = ("const", "t", "add", "sub", "mul", "neg", "sin", "cos", "exp")
 _FUNCTIONS = {"sin", "cos", "exp"}
+_MAX_DEPTH = 100  # parsed trees and brackets nest at most this deep
 
 
 class ExprSyntaxError(ValueError):
@@ -71,6 +72,8 @@ class CoefficientExpr:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
+        # leaves have depth 1; the parser bounds it
+        object.__setattr__(self, "_depth", 1 + max((a._depth for a in self.args), default=0))
 
     # -- constructors ----------------------------------------------------------
 
@@ -164,6 +167,7 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.brackets = 0  # currently open '(' of groups and function calls
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -191,8 +195,8 @@ class _Tokens:
 def parse_expr(text: str) -> CoefficientExpr:
     """Parse expression text into a CoefficientExpr.
 
-    Raises ExprSyntaxError with the offending position on malformed input or
-    an unknown function name.
+    Raises ExprSyntaxError with the offending position on malformed input, an
+    unknown function name, or nesting deeper than _MAX_DEPTH.
     """
     toks = _Tokens(text)
     expr = _parse_sum(toks)
@@ -202,14 +206,21 @@ def parse_expr(text: str) -> CoefficientExpr:
     return expr
 
 
+def _node(kind: str, pos: int, *args: CoefficientExpr) -> CoefficientExpr:
+    node = CoefficientExpr(kind, args=args)
+    if node._depth > _MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels", pos)
+    return node
+
+
 def _parse_sum(toks: _Tokens) -> CoefficientExpr:
     node = _parse_term(toks)
     while True:
-        kind, tok, _ = toks.peek()
+        kind, tok, pos = toks.peek()
         if kind == "op" and tok in "+-":
             toks.take()
             rhs = _parse_term(toks)
-            node = CoefficientExpr("add" if tok == "+" else "sub", args=(node, rhs))
+            node = _node("add" if tok == "+" else "sub", pos, node, rhs)
         else:
             return node
 
@@ -217,12 +228,25 @@ def _parse_sum(toks: _Tokens) -> CoefficientExpr:
 def _parse_term(toks: _Tokens) -> CoefficientExpr:
     node = _parse_factor(toks)
     while True:
-        kind, tok, _ = toks.peek()
+        kind, tok, pos = toks.peek()
         if kind == "op" and tok == "*":
             toks.take()
-            node = CoefficientExpr("mul", args=(node, _parse_factor(toks)))
+            node = _node("mul", pos, node, _parse_factor(toks))
         else:
             return node
+
+
+def _parse_group(toks: _Tokens, pos: int, closing: str) -> CoefficientExpr:
+    """The expression after the '(' at pos, up to and including its ')'."""
+    toks.brackets += 1
+    if toks.brackets > _MAX_DEPTH:
+        raise ExprSyntaxError(f"brackets nested deeper than {_MAX_DEPTH} levels", pos)
+    inner = _parse_sum(toks)
+    k, p, ppos = toks.take()
+    if not (k == "op" and p == ")"):
+        raise ExprSyntaxError(closing, ppos)
+    toks.brackets -= 1
+    return inner
 
 
 def _parse_factor(toks: _Tokens) -> CoefficientExpr:
@@ -236,20 +260,23 @@ def _parse_factor(toks: _Tokens) -> CoefficientExpr:
             k, p, ppos = toks.take()
             if not (k == "op" and p == "("):
                 raise ExprSyntaxError(f"expected '(' after {tok!r}", ppos)
-            inner = _parse_sum(toks)
-            k, p, ppos = toks.take()
-            if not (k == "op" and p == ")"):
-                raise ExprSyntaxError("expected ')' to close function argument", ppos)
-            return CoefficientExpr(tok, args=(inner,))
+            inner = _parse_group(toks, ppos, "expected ')' to close function argument")
+            return _node(tok, pos, inner)
         raise ExprSyntaxError(f"unknown function or variable {tok!r}", pos)
     if kind == "op" and tok == "(":
-        inner = _parse_sum(toks)
-        k, p, ppos = toks.take()
-        if not (k == "op" and p == ")"):
-            raise ExprSyntaxError("expected ')'", ppos)
-        return inner
+        return _parse_group(toks, pos, "expected ')'")
     if kind == "op" and tok == "-":
-        return CoefficientExpr("neg", args=(_parse_factor(toks),))
+        # a run of signs is read in a loop, not by recursion
+        signs = 1
+        while toks.peek()[:2] == ("op", "-"):
+            toks.take()
+            signs += 1
+        node = _parse_factor(toks)
+        if node.kind == "const":  # a negated number is a number
+            node, signs = CoefficientExpr.const(-node.value), signs - 1
+        for _ in range(signs):
+            node = _node("neg", pos, node)
+        return node
     if kind == "end":
         raise ExprSyntaxError("unexpected end of input", pos)
     raise ExprSyntaxError(f"unexpected {tok!r}", pos)

@@ -40,7 +40,7 @@ class Trajectory:
 
 
 def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
-          max_sweeps: int = 200, damping: float = 1.0) -> Trajectory:
+          max_sweeps: int = 200) -> Trajectory:
     """Iterated forward integration of the IVP on [t0, T].
 
     Sweep 0 is the constant x0 (with phi before t0); sweep k+1 re-integrates
@@ -65,10 +65,9 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     if tol is None:
         tol = 1e-10 * max(abs(ivp.x0), 1.0)
 
-    sampled = SampledProblem(spec, (t0, T), step)
-    n_report = len(sampled.ts)
+    report = SampledProblem(spec, (t0, T), step)
     # nodes run sigma past T, so every advanced argument up to T is on the grid
-    sampled = SampledProblem(spec, (t0, T + sampled.sigma), step)
+    sampled = SampledProblem(spec, (t0, T + report.sigma), step)
     n = len(sampled.ts)
 
     caveats = []
@@ -167,15 +166,13 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
         return mu
 
     advanced_coupling = bool(np.any(sampled.b != 0.0))
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping weight must be in (0, 1]")
-    weight = damping
+    weight = 1.0
     if advanced_coupling and max_sweeps > 1:
         mu = dominant_gain()
         if mu < -0.9:
             # sign-alternating amplification: averaging with weight
             # 1/(1 + 1.15|mu|) pushes the leading mode inside the unit disk
-            weight = min(weight, 1.0 / (1.0 + 1.15 * abs(mu)))
+            weight = 1.0 / (1.0 + 1.15 * abs(mu))
         elif mu > 1.02:
             # positive amplification: no sweep averaging can stabilize it
             # (the forward scheme has no fixed point to converge to here)
@@ -222,8 +219,8 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     if weight < 1.0:
         caveats.append(f"damped-sweeps-{weight:g}")
 
-    traj_x = GridFunction(t0, step, np.asarray(x_prev[:n_report]))
-    eq_res = equation_residual(traj_x, spec)
+    traj_x = GridFunction(t0, step, np.asarray(x_prev[:len(report.ts)]))
+    eq_res = _equation_residual(traj_x, report)
     return Trajectory(
         x=traj_x,
         relaxation_iterations=sweeps,
@@ -235,23 +232,22 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     )
 
 
-def equation_residual(x: GridFunction, spec: ProblemSpec,
-                      margin_left: float | None = None,
-                      margin_right: float | None = None) -> float:
+def equation_residual(x: GridFunction, spec: ProblemSpec) -> float:
     """Max |x' + delta1*a*x(g) + delta2*b*x(h)| over interior nodes.
 
     x' by central differences; margins of width tau (left) and sigma (right)
     are excluded so every deviated argument stays inside the trajectory's grid.
     """
     # half a cell short of t_end, so rounding cannot add a node to x's grid
-    sampled = SampledProblem(spec, (x.t_start, x.t_end - 0.5 * x.step), x.step)
-    ts = sampled.ts
-    if margin_left is None:
-        margin_left = sampled.tau
-    if margin_right is None:
-        margin_right = sampled.sigma
-    lo = x.t_start + margin_left - 1e-9 * x.step
-    hi = x.t_end - margin_right + 1e-9 * x.step
+    return _equation_residual(
+        x, SampledProblem(spec, (x.t_start, x.t_end - 0.5 * x.step), x.step))
+
+
+def _equation_residual(x: GridFunction, sampled: SampledProblem) -> float:
+    """equation_residual with the problem already sampled on x's grid."""
+    spec, ts = sampled.spec, sampled.ts
+    lo = x.t_start + sampled.tau - 1e-9 * x.step
+    hi = x.t_end - sampled.sigma + 1e-9 * x.step
     inner = np.flatnonzero((ts >= lo) & (ts <= hi))
     inner = inner[(inner >= 1) & (inner <= len(ts) - 2)]
     if inner.size == 0:

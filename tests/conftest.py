@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mixedde import ProblemSpec, parse_expr
+from mixedde import ProblemSpec, construct, criteria, model, parse_expr, simulate
 
 # frozen oracle values (independent computation: closed forms and bracketed
 # bisection at 1e-14, see individual tests for the defining equations)
@@ -56,3 +56,18 @@ def ex3_spec() -> ProblemSpec:
 def write_spec_file(path, **kw) -> str:
     path.write_text(json.dumps(spec_fields(**kw)))
     return str(path)
+
+
+@pytest.fixture
+def sampled_builds(monkeypatch) -> list:
+    """Arguments of every SampledProblem built while the test runs."""
+    built = []
+
+    class Counting(model.SampledProblem):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    for module in (model, criteria, construct, simulate):
+        monkeypatch.setattr(module, "SampledProblem", Counting)
+    return built

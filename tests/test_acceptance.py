@@ -18,7 +18,7 @@ from mixedde.criteria import (check_cor_1_2, check_cor_1_3, check_cor_1_4_remark
                               subequation_one_over_e_note, sweep_region,
                               sys30_values)
 from mixedde.gridfn import GridFunction
-from mixedde.model import IVP, Bounds, ProblemSpec, parse_expr
+from mixedde.model import IVP, Bounds, ProblemSpec, SampledProblem, parse_expr
 from mixedde.simulate import classify_trajectory, equation_residual, relax
 
 from conftest import make_spec, write_spec_file
@@ -127,7 +127,7 @@ def test_criterion_07_monotone_iteration_property():
     ok = True
     for _ in range(50):
         spec = _random_delay_dominant(rng)
-        kernel = IterationKernel(spec, (0.0, 6.0), STEP, "delay")
+        kernel = IterationKernel(SampledProblem(spec, (0.0, 6.0), STEP), "delay")
         floor = kernel.a_vals - kernel.b_vals
         u = kernel.a_vals.copy()
         for _ in range(200):

@@ -185,6 +185,38 @@ def test_non_finite_coefficient_exits_two(tmp_path, command, a, capsys):
     assert "a(t) is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["roots", "--a", "1", "--b", "1", "--tau", "nan", "--sigma", "0.3"], "must be finite"),
+    (["roots", "--a", "inf", "--b", "1", "--tau", "0.3", "--sigma", "0.3"], "must be finite"),
+    (["roots", "--a", "1", "--b", "inf", "--tau", "0.3", "--sigma", "0.3"], "must be finite"),
+    (["roots", "--a", "1", "--b", "1", "--tau", "0.3", "--sigma", "nan"], "must be finite"),
+    (["region", "{ex3}", "--res", "nan"], "resolution must be positive and finite"),
+    (["region", "{ex3}", "--res", "inf"], "resolution must be positive and finite"),
+    (["region", "{ex3}", "--res", "0"], "resolution must be positive and finite"),
+    (["region", "{ex3}", "--hi1", "inf"], "axis range must be finite"),
+    # 1201 x 1601 cells
+    (["region", "{ex3}", "--res", "0.005"], "exceed the limit"),
+    (["check", "{deep}"], "deeper than"),
+    (["validate", "{signs}"], "deeper than"),
+    (["construct", "{sum}"], "deeper than"),
+], ids=["roots-tau-nan", "roots-a-inf", "roots-b-inf", "roots-sigma-nan",
+        "region-res-nan", "region-res-inf", "region-res-0", "region-hi-inf",
+        "region-too-many-cells", "check-brackets", "validate-signs", "construct-sum"])
+def test_out_of_range_input_exits_two(tmp_path, ex3_file, argv, message, capsys):
+    files = {"ex3": ex3_file,
+             "deep": write_spec_file(tmp_path / "deep.json", a="(" * 400 + "1" + ")" * 400),
+             "signs": write_spec_file(tmp_path / "signs.json", a="-" * 3000 + "1"),
+             "sum": write_spec_file(tmp_path / "sum.json", a="1.4" + "+0" * 3000)}
+    assert main([arg.format(**files) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_check_samples_the_window_once(ex2_file, sampled_builds, capsys):
+    assert main(["check", ex2_file]) == 0
+    assert [args[1:] for args in sampled_builds] == [((0.0, 100.0), 1e-3)]
+    assert "note: pure sub-equation" in capsys.readouterr().out
+
+
 def test_module_entry_point(ex1_file):
     src = str(Path(mixedde.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from mixedde import construct
 from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
                                ineq_residual_advance, ineq_residual_delay,
                                iterate_advance, iterate_delay,
                                synthesize_solution, witness_candidate)
 from mixedde.gridfn import GridFunction
+from mixedde.model import SampledProblem
 from mixedde.simulate import equation_residual
 
 from conftest import EX1_INEQ_VALUE, EX2_RESIDUAL_T0, LAM2, make_spec
@@ -194,7 +196,7 @@ def random_delay_dominant_spec(rng):
 
 def drive_monotone(spec, window, case, seed_fn, tol=1e-8, max_iter=200):
     """Run the map directly, asserting the monotone-descent chain per step."""
-    kernel = IterationKernel(spec, window, 2e-3, case)
+    kernel = IterationKernel(SampledProblem(spec, window, 2e-3), case)
     floor = (kernel.a_vals - kernel.b_vals if case == "delay"
              else kernel.b_vals - kernel.a_vals)
     u = np.asarray(seed_fn(kernel.ts), dtype=float)
@@ -300,3 +302,17 @@ def test_construction_csv_and_summary(ex1_spec):
     assert set(s) == {"iterations", "max_ineq_residual", "max_eq_residual",
                       "converged", "caveats"}
     assert "extrapolation-flagged" in s["caveats"]  # h(t) peeks past the window
+
+
+def test_auto_construct_samples_the_window_once(ex1_spec, sampled_builds, monkeypatch):
+    kernels = []
+
+    class Counting(IterationKernel):
+        def __init__(self, *args):
+            kernels.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(construct, "IterationKernel", Counting)
+    result = auto_construct(ex1_spec, (0.0, 20.0))
+    assert result.converged
+    assert len(sampled_builds) == 1 and len(kernels) == 1

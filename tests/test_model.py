@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mixedde.model import (Bounds, CoefficientExpr, ExprSyntaxError, ProblemSpec,
-                           SampledProblem, extract_bounds, parse_expr, read_ivp,
-                           read_spec, validate_spec)
+from mixedde.model import (_MAX_DEPTH, Bounds, CoefficientExpr, ExprSyntaxError,
+                           ProblemSpec, SampledProblem, extract_bounds, parse_expr,
+                           read_ivp, read_spec, validate_spec)
 
 from conftest import make_spec, spec_fields
 
@@ -72,6 +74,74 @@ def test_print_parse_roundtrip_evaluation():
         v2 = back(pts)
         ok = np.isfinite(v1)
         assert np.all(np.abs(v1[ok] - v2[ok]) <= 1e-12 * np.maximum(1.0, np.abs(v1[ok])))
+
+
+_T = CoefficientExpr.var_t()
+_LEAVES = st.one_of(st.just(_T), st.floats(allow_nan=False, allow_infinity=False)
+                    .map(CoefficientExpr.const))
+_UNARY = ("neg", "sin", "cos", "exp")
+_BINARY = ("add", "sub", "mul")
+
+
+def _depth(e: CoefficientExpr) -> int:
+    return 1 + max((_depth(a) for a in e.args), default=0)
+
+
+@st.composite
+def _chains(draw, depth: int, leaves=_LEAVES) -> CoefficientExpr:
+    """A tree exactly depth levels deep: nodes stacked on a leaf, the other
+    operand of each binary node a leaf."""
+    node = draw(leaves)
+    for _ in range(depth - 1):
+        kind = draw(st.sampled_from(_UNARY + _BINARY))
+        if kind in _UNARY:
+            node = CoefficientExpr(kind, args=(node,))
+        else:
+            other = draw(_LEAVES)
+            node = CoefficientExpr(kind, args=(node, other) if draw(st.booleans())
+                                   else (other, node))
+    return node
+
+
+_BUSHY = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.builds(lambda k, a: CoefficientExpr(k, args=(a,)), st.sampled_from(_UNARY), kids),
+    st.builds(lambda k, a, b: CoefficientExpr(k, args=(a, b)),
+              st.sampled_from(_BINARY), kids, kids)), max_leaves=24)
+
+
+def _sines(leaf: CoefficientExpr, depth: int) -> CoefficientExpr:
+    for _ in range(depth - 1):
+        leaf = CoefficientExpr("sin", args=(leaf,))
+    return leaf
+
+
+@settings(deadline=None, database=None)
+@given(st.one_of(_BUSHY, st.integers(1, _MAX_DEPTH).flatmap(_chains)))
+@example(_sines(CoefficientExpr.const(-5.0), _MAX_DEPTH))  # prints as sin(...(-5.0)...)
+def test_roundtrip_property_within_depth_limit(e):
+    assert _depth(e) <= _MAX_DEPTH
+    pts = np.linspace(-20.0, 20.0, 41)
+    np.testing.assert_array_equal(parse_expr(str(e))(pts), e(pts))
+
+
+# over t, printing keeps every level; a negated constant at the bottom would
+# parse back as one constant, a level shallower
+@settings(deadline=None, database=None, max_examples=30)
+@given(_chains(_MAX_DEPTH + 1, leaves=st.just(_T)))
+def test_tree_past_depth_limit_rejected(e):
+    with pytest.raises(ExprSyntaxError, match="deeper than"):
+        parse_expr(str(e))
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * 400 + "1" + ")" * 400, _MAX_DEPTH),
+    ("-" * 3000 + "1", 0),
+    ("1.4" + "+0" * 3000, 3 + 2 * (_MAX_DEPTH - 1)),  # the '+' making it too deep
+], ids=["brackets", "signs", "sum"])
+def test_deep_expressions_rejected_with_position(text, position):
+    with pytest.raises(ExprSyntaxError, match="deeper than") as err:
+        parse_expr(text)
+    assert err.value.position == position
 
 
 def test_vectorized_evaluation_matches_scalar():

@@ -140,8 +140,6 @@ def test_relax_argument_validation(ex1_spec):
         relax(ivp, -1.0, 1e-3)
     with pytest.raises(ValueError):
         relax(ivp, 5.0, -1e-3)
-    with pytest.raises(ValueError):
-        relax(ivp, 5.0, 1e-3, damping=1.5)
 
 
 def test_coarse_step_flagged(ex1_spec):
@@ -161,3 +159,9 @@ def test_relax_overflowing_sweeps_do_not_converge():
     with np.errstate(over="ignore", invalid="ignore"):
         tr = relax(ivp, 2.0, 0.004, max_sweeps=30)
     assert not tr.converged
+
+
+def test_relax_samples_report_and_node_grids_once(ex1_spec, sampled_builds):
+    relax(IVP(ex1_spec, parse_expr("1"), 1.0), 10.0, 0.004)
+    assert [args[1:] for args in sampled_builds] == [((0.0, 10.0), 0.004),
+                                                     ((0.0, 10.3), 0.004)]
