@@ -113,10 +113,7 @@ def cmd_check(args) -> int:
             for cert in certs:
                 out.write(_certificate_block(cert) + "\n")
             if spec.sign_pattern == (1, -1):
-                witness = {c.condition_id: c.witness for c in certs}
-                note = criteria._one_over_e_note(
-                    witness["COR_1_4_REMARK"]["sup_delay_integral"],
-                    witness["COR_2_4_REMARK"]["sup_advance_integral"])
+                note = criteria._one_over_e_note(certs)
                 out.write("note: pure sub-equation 1/e diagnostics\n")
                 out.write(f"  delay: sup integral {_fmt(note['delay_integral_sup'])}"
                           f" vs 1/e {_fmt(note['one_over_e'])}"

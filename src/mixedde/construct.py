@@ -295,12 +295,11 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
         seeds.append(u0)
 
     kernel = IterationKernel(sampled, case)
-    run = iterate_delay if case == "delay" else iterate_advance
     last_error: Exception | None = None
     for seed in seeds:
         try:
             if seed.u.step != step:
-                return run(seed, spec, window, tol=tol, max_iter=max_iter)
+                kernel = IterationKernel(SampledProblem(spec, window, seed.u.step), case)
             return _iterate(kernel, seed, tol, max_iter)
         except ValueError as exc:
             last_error = exc

@@ -477,7 +477,11 @@ def _axis_count(rng: tuple[float, float], resolution: float) -> int:
     lo, hi = rng
     if not (math.isfinite(lo) and math.isfinite(hi) and hi >= lo):
         raise ValueError("axis range must be finite and in order")
-    return int(math.floor((hi - lo) / resolution + 0.5)) + 1
+    spans = (hi - lo) / resolution
+    if not spans < _MAX_CELLS:
+        raise ValueError(f"axis [{lo}, {hi}] at resolution {resolution} exceeds "
+                         f"the limit of {_MAX_CELLS} cells")
+    return int(math.floor(spans + 0.5)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +540,18 @@ def subequation_one_over_e_note(spec: ProblemSpec, window: tuple[float, float],
     its 1/e test (informational; says nothing about the mixed equation).
     """
     sp = SampledProblem(spec, window, step)
-    return _one_over_e_note(float(np.max(sp.int_a_over_delay())),
-                            float(np.max(sp.int_b_over_advance())))
+    return _note_from_sups(float(np.max(sp.int_a_over_delay())),
+                           float(np.max(sp.int_b_over_advance())))
 
 
-def _one_over_e_note(sup_delay: float, sup_advance: float) -> dict:
-    """The note from the sups that COR_1_4_REMARK and COR_2_4_REMARK report."""
+def _one_over_e_note(certs: list[Certificate]) -> dict:
+    """The note from the sups that check_all's two 1/e remarks already report."""
+    witness = {c.condition_id: c.witness for c in certs}
+    return _note_from_sups(witness["COR_1_4_REMARK"]["sup_delay_integral"],
+                           witness["COR_2_4_REMARK"]["sup_advance_integral"])
+
+
+def _note_from_sups(sup_delay: float, sup_advance: float) -> dict:
     return {
         "delay_integral_sup": sup_delay,
         "advance_integral_sup": sup_advance,

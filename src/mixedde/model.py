@@ -45,7 +45,7 @@ __all__ = [
 
 _KINDS = ("const", "t", "add", "sub", "mul", "neg", "sin", "cos", "exp")
 _FUNCTIONS = {"sin", "cos", "exp"}
-_MAX_DEPTH = 100  # parsed trees and brackets nest at most this deep
+_MAX_DEPTH = 150  # parsed trees and brackets nest at most this deep
 
 
 class ExprSyntaxError(ValueError):

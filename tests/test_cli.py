@@ -194,13 +194,17 @@ def test_non_finite_coefficient_exits_two(tmp_path, command, a, capsys):
     (["region", "{ex3}", "--res", "inf"], "resolution must be positive and finite"),
     (["region", "{ex3}", "--res", "0"], "resolution must be positive and finite"),
     (["region", "{ex3}", "--hi1", "inf"], "axis range must be finite"),
+    # finite inputs whose cell count per axis overflows to inf
+    (["region", "{ex3}", "--res", "1e-320"], "the limit of"),
+    (["region", "{ex3}", "--lo1=-1e308", "--hi1", "1e308"], "the limit of"),
     # 1201 x 1601 cells
-    (["region", "{ex3}", "--res", "0.005"], "exceed the limit"),
+    (["region", "{ex3}", "--res", "0.005"], "the limit of"),
     (["check", "{deep}"], "deeper than"),
     (["validate", "{signs}"], "deeper than"),
     (["construct", "{sum}"], "deeper than"),
 ], ids=["roots-tau-nan", "roots-a-inf", "roots-b-inf", "roots-sigma-nan",
         "region-res-nan", "region-res-inf", "region-res-0", "region-hi-inf",
+        "region-res-subnormal", "region-span-overflow",
         "region-too-many-cells", "check-brackets", "validate-signs", "construct-sum"])
 def test_out_of_range_input_exits_two(tmp_path, ex3_file, argv, message, capsys):
     files = {"ex3": ex3_file,

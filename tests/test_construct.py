@@ -316,3 +316,16 @@ def test_auto_construct_samples_the_window_once(ex1_spec, sampled_builds, monkey
     result = auto_construct(ex1_spec, (0.0, 20.0))
     assert result.converged
     assert len(sampled_builds) == 1 and len(kernels) == 1
+
+
+def test_auto_construct_iterates_a_user_seed_on_its_own_grid(ex1_spec, monkeypatch):
+    # every default seed is for the wrong case, so only the user's can succeed
+    monkeypatch.setattr(construct, "witness_candidate",
+                        lambda cid, spec, window, step, lam=None:
+                        const_candidate(0.0, "advance", window, step))
+    seed = const_candidate(1.0, window=(0.0, 2.0), step=2 * STEP)
+    result = auto_construct(ex1_spec, (0.0, 2.0), step=STEP, u0=seed)
+    assert result.u_limit.step == 2 * STEP and len(result.u_limit.values) == 1001
+    alone = iterate_delay(seed, ex1_spec, (0.0, 2.0))
+    np.testing.assert_array_equal(result.u_limit.values, alone.u_limit.values)
+    assert result.max_eq_residual == alone.max_eq_residual

@@ -109,15 +109,16 @@ _BUSHY = st.recursive(_LEAVES, lambda kids: st.one_of(
               st.sampled_from(_BINARY), kids, kids)), max_leaves=24)
 
 
-def _sines(leaf: CoefficientExpr, depth: int) -> CoefficientExpr:
+def _stack(kind: str, leaf: CoefficientExpr, depth: int) -> CoefficientExpr:
     for _ in range(depth - 1):
-        leaf = CoefficientExpr("sin", args=(leaf,))
+        leaf = CoefficientExpr(kind, args=(leaf,))
     return leaf
 
 
 @settings(deadline=None, database=None)
 @given(st.one_of(_BUSHY, st.integers(1, _MAX_DEPTH).flatmap(_chains)))
-@example(_sines(CoefficientExpr.const(-5.0), _MAX_DEPTH))  # prints as sin(...(-5.0)...)
+@example(_stack("sin", CoefficientExpr.const(-5.0), _MAX_DEPTH))  # sin(...(-5.0)...)
+@example(_stack("neg", _T, _MAX_DEPTH))  # (-(-...t)), the costliest to parse back
 def test_roundtrip_property_within_depth_limit(e):
     assert _depth(e) <= _MAX_DEPTH
     pts = np.linspace(-20.0, 20.0, 41)
@@ -131,6 +132,15 @@ def test_roundtrip_property_within_depth_limit(e):
 def test_tree_past_depth_limit_rejected(e):
     with pytest.raises(ExprSyntaxError, match="deeper than"):
         parse_expr(str(e))
+
+
+@pytest.mark.parametrize("terms", [101, _MAX_DEPTH])
+def test_flat_sums_and_products_up_to_the_depth_limit_parse(terms):
+    # a flat chain of n terms is a left-deep tree n levels deep
+    assert parse_expr("+".join(["1"] * terms))(0.0) == terms
+    assert parse_expr("*".join(["t"] * terms))(1.0) == 1.0
+    with pytest.raises(ExprSyntaxError, match="deeper than"):
+        parse_expr("+".join(["1"] * (_MAX_DEPTH + 1)))
 
 
 @pytest.mark.parametrize("text, position", [
