@@ -14,8 +14,7 @@ integration (waveform relaxation).
 from .charroots import (CharProblem, CharRootSet, SolutionClassification,
                         classify_solutions, find_real_roots, positive_root_exists)
 from .construct import (ConstructionResult, GeneratingCandidate, auto_construct,
-                        ineq_residual_advance, ineq_residual_delay,
-                        iterate_advance, iterate_delay, synthesize_solution,
+                        ineq_residual, iterate, synthesize_solution,
                         witness_candidate)
 from .criteria import (ALL_CONDITION_IDS, Certificate, FeasibilityRegion,
                        check_all, check_cor_1_2, check_cor_1_3,
@@ -35,8 +34,7 @@ __all__ = [
     "CharProblem", "CharRootSet", "SolutionClassification",
     "classify_solutions", "find_real_roots", "positive_root_exists",
     "ConstructionResult", "GeneratingCandidate", "auto_construct",
-    "ineq_residual_advance", "ineq_residual_delay", "iterate_advance",
-    "iterate_delay", "synthesize_solution", "witness_candidate",
+    "ineq_residual", "iterate", "synthesize_solution", "witness_candidate",
     "ALL_CONDITION_IDS", "Certificate", "FeasibilityRegion", "check_all",
     "check_cor_1_2", "check_cor_1_3", "check_cor_1_4_remark", "check_cor_2_x",
     "check_cor_3_1", "check_divergence", "check_sys30", "check_thm_A_explicit",

@@ -20,6 +20,8 @@ from typing import TextIO
 
 import numpy as np
 
+from .gridfn import check_grid_size
+
 __all__ = [
     "CharProblem",
     "CharRootSet",
@@ -35,6 +37,8 @@ _EXP_CAP = 700.0  # e^700 is finite; saturate instead of overflowing
 _ROOT_RESIDUAL_TARGET = 1e-12
 _MAX_BISECTIONS = 200
 _TANGENCY_DIP = 1e-6
+_SCAN_STEP = 1e-3
+DEFAULT_SCAN = (-60.0, 60.0)
 
 
 @dataclass(frozen=True)
@@ -128,18 +132,21 @@ def _bisect(p: CharProblem, x1: float, x2: float) -> float:
     return best_x
 
 
-def find_real_roots(p: CharProblem, scan: tuple[float, float] = (-60.0, 60.0),
-                    max_roots: int = 32, scan_step: float = 1e-3) -> CharRootSet:
-    """Sign-change scan over the interval followed by bisection per bracket.
+def find_real_roots(p: CharProblem, scan: tuple[float, float] = DEFAULT_SCAN,
+                    max_roots: int = 32) -> CharRootSet:
+    """Sign-change scan over the interval at step 1e-3, then bisection per bracket.
 
     Repeated roots at tangencies are found only if the scan sees a sign
     change; cells where |F| dips below 1e-6 without one are reported in
-    tangency_suspected.
+    tangency_suspected. A scan of more than MAX_GRID_POINTS points raises
+    ValueError before anything is allocated.
     """
     lo, hi = scan
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError("scan interval must be finite and nonempty")
-    n = int(math.ceil((hi - lo) / scan_step)) + 1
+    spans = (hi - lo) / _SCAN_STEP
+    check_grid_size(spans, f"a scan over [{lo:g}, {hi:g}] at step {_SCAN_STEP:g}")
+    n = int(math.ceil(spans)) + 1
     grid = np.linspace(lo, hi, n)
     vals = p.value(grid)
 
@@ -169,18 +176,16 @@ def find_real_roots(p: CharProblem, scan: tuple[float, float] = (-60.0, 60.0),
                 ((vals[interior + 1] > 0) == (vals[interior] > 0)) & (vals[interior] != 0.0)
     sus = grid[interior[local_min & small & same_sign]]
     sus = tuple(float(s) for s in sus
-                if all(abs(s - r) > 10 * scan_step for r in deduped))
+                if all(abs(s - r) > 10 * _SCAN_STEP for r in deduped))
 
     residuals = tuple(abs(p.value(r)) for r in deduped)
     tags = tuple(_classify_exponent(p.solution_exponent(r)) for r in deduped)
     return CharRootSet(tuple(deduped), residuals, tags, (lo, hi), truncated, sus)
 
 
-def positive_root_exists(p: CharProblem, scan: tuple[float, float] = (-60.0, 60.0),
-                         scan_step: float = 1e-3) -> float | None:
-    """Smallest root above 1e-12 in the scan interval, or None."""
-    rs = find_real_roots(p, scan=scan, scan_step=scan_step)
-    for r in rs.roots:
+def positive_root_exists(p: CharProblem) -> float | None:
+    """Smallest root above 1e-12 in DEFAULT_SCAN, or None."""
+    for r in find_real_roots(p).roots:
         if r > 1e-12:
             return r
     return None

@@ -113,7 +113,7 @@ def cmd_check(args) -> int:
             for cert in certs:
                 out.write(_certificate_block(cert) + "\n")
             if spec.sign_pattern == (1, -1):
-                note = criteria._one_over_e_note(certs)
+                note = criteria.subequation_one_over_e_note(certs)
                 out.write("note: pure sub-equation 1/e diagnostics\n")
                 out.write(f"  delay: sup integral {_fmt(note['delay_integral_sup'])}"
                           f" vs 1/e {_fmt(note['one_over_e'])}"

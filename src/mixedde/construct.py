@@ -32,10 +32,8 @@ __all__ = [
     "GeneratingCandidate",
     "ConstructionResult",
     "IterationKernel",
-    "ineq_residual_delay",
-    "ineq_residual_advance",
-    "iterate_delay",
-    "iterate_advance",
+    "ineq_residual",
+    "iterate",
     "synthesize_solution",
     "witness_candidate",
     "auto_construct",
@@ -138,33 +136,26 @@ def _candidate_values(u0: GeneratingCandidate, kernel: IterationKernel) -> np.nd
     return np.asarray(u0.u(kernel.ts), dtype=float)
 
 
-def ineq_residual_delay(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
-    """a(t)*e^{int_g^t u} - b(t)*e^{-int_t^h u} - u(t); nonpositive = inequality holds."""
-    _require_pattern(spec, "ineq_residual_delay")
+def ineq_residual(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
+    """The inequality residual of u at t; nonpositive = inequality holds.
+
+    delay case:   a(t)*e^{int_g^t u} - b(t)*e^{-int_t^h u} - u(t)
+    advance case: b(t)*e^{int_t^h u} - a(t)*e^{-int_g^t u} - u(t)
+    """
+    _require_pattern(spec, "ineq_residual")
     if t < u.t1:
         raise ValueError("t must not precede the candidate's activation time")
-    lo = max(float(spec.g(t)), u.t1)
-    d = u.u.integrate(lo, t)
+    d = u.u.integrate(max(float(spec.g(t)), u.t1), t)
     adv = u.u.integrate(t, float(spec.h(t)))
-    return float(spec.a(t)) * math.exp(d) - float(spec.b(t)) * math.exp(-adv) - u.u(t)
-
-
-def ineq_residual_advance(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
-    """b(t)*e^{int_t^h u} - a(t)*e^{-int_g^t u} - u(t); nonpositive = inequality holds."""
-    _require_pattern(spec, "ineq_residual_advance")
-    if t < u.t1:
-        raise ValueError("t must not precede the candidate's activation time")
-    lo = max(float(spec.g(t)), u.t1)
-    d = u.u.integrate(lo, t)
-    adv = u.u.integrate(t, float(spec.h(t)))
-    return float(spec.b(t)) * math.exp(adv) - float(spec.a(t)) * math.exp(-d) - u.u(t)
+    a, b = float(spec.a(t)), float(spec.b(t))
+    if u.case == "delay":
+        return a * math.exp(d) - b * math.exp(-adv) - u.u(t)
+    return b * math.exp(adv) - a * math.exp(-d) - u.u(t)
 
 
 def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
              max_iter: int) -> ConstructionResult:
     case = kernel.case
-    if u0.case != case:
-        raise ValueError(f"candidate is for the {u0.case} case, not {case}")
     dom = kernel.a_vals - kernel.b_vals if case == "delay" else kernel.b_vals - kernel.a_vals
     if float(np.min(dom)) < -_NEG_TOL:
         i = int(np.argmin(dom))
@@ -199,21 +190,15 @@ def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
     return ConstructionResult(u_limit, x, iterations, defect, eq_res, converged, caveats)
 
 
-def iterate_delay(u0: GeneratingCandidate, spec: ProblemSpec,
-                  window: tuple[float, float], tol: float = 1e-8,
-                  max_iter: int = 10000) -> ConstructionResult:
-    """Monotone iteration for the delay-dominant case (a >= b); x nonincreasing."""
-    _require_pattern(spec, "iterate_delay")
-    kernel = IterationKernel(SampledProblem(spec, window, u0.u.step), "delay")
-    return _iterate(kernel, u0, tol, max_iter)
+def iterate(u0: GeneratingCandidate, spec: ProblemSpec, window: tuple[float, float],
+            tol: float = 1e-8, max_iter: int = 10000) -> ConstructionResult:
+    """Monotone iteration from the supersolution u0 on a grid of u0's step.
 
-
-def iterate_advance(u0: GeneratingCandidate, spec: ProblemSpec,
-                    window: tuple[float, float], tol: float = 1e-8,
-                    max_iter: int = 10000) -> ConstructionResult:
-    """Monotone iteration for the advance-dominant case (b >= a); x nondecreasing."""
-    _require_pattern(spec, "iterate_advance")
-    kernel = IterationKernel(SampledProblem(spec, window, u0.u.step), "advance")
+    u0.case picks the map: "delay" needs a >= b and gives a nonincreasing x,
+    "advance" needs b >= a and gives a nondecreasing x.
+    """
+    _require_pattern(spec, "iterate")
+    kernel = IterationKernel(SampledProblem(spec, window, u0.u.step), u0.case)
     return _iterate(kernel, u0, tol, max_iter)
 
 
@@ -261,15 +246,14 @@ def witness_candidate(condition_id: str, spec: ProblemSpec,
 
 
 def auto_construct(spec: ProblemSpec, window: tuple[float, float],
-                   step: float = 1e-3, tol: float = 1e-8, max_iter: int = 10000,
-                   u0: GeneratingCandidate | None = None) -> ConstructionResult:
+                   step: float = 1e-3, tol: float = 1e-8,
+                   max_iter: int = 10000) -> ConstructionResult:
     """Construct a positive monotone solution trying default seeds in order.
 
     Samples the window once, picks the dominant case from a and b on that grid,
-    then tries u0 = dominant coefficient, u0 = constant characteristic-envelope
-    root, u0 = e * dominant coefficient, and finally a user-supplied candidate.
-    Seeds on the grid's step share one kernel; a user candidate with another
-    step is iterated on a grid of its own step.
+    then runs u0 = dominant coefficient, u0 = constant characteristic-envelope
+    root and u0 = e * dominant coefficient through one kernel. A caller with a
+    seed of its own uses `iterate`.
     """
     _require_pattern(spec, "auto_construct")
     sampled = SampledProblem(spec, window, step)
@@ -291,15 +275,11 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
                                        lam=root.witness["lambda"]))
     remark = "COR_1_4_REMARK" if case == "delay" else "COR_2_4_REMARK"
     seeds.append(witness_candidate(remark, spec, window, step))
-    if u0 is not None:
-        seeds.append(u0)
 
     kernel = IterationKernel(sampled, case)
     last_error: Exception | None = None
     for seed in seeds:
         try:
-            if seed.u.step != step:
-                kernel = IterationKernel(SampledProblem(spec, window, seed.u.step), case)
             return _iterate(kernel, seed, tol, max_iter)
         except ValueError as exc:
             last_error = exc

@@ -78,6 +78,8 @@ _STRICT_MARGIN = 1e-9     # strict "< 1/e" tested as <= 1/e - margin
 _SLACK = 1e-12            # nonstrict comparisons absorb this much grid noise
 _WITNESS_SLACK = 1e-12
 _MAX_CELLS = 10**6        # sweep_region grid size, checked before allocating
+_SYS30_MAX = 50.0         # check_sys30 searches x, y in (0, _SYS30_MAX]
+_SYS30_RESOLUTION = 0.01  # spacing of check_sys30's fallback grid
 
 
 @dataclass(frozen=True)
@@ -166,14 +168,12 @@ def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
 
 
 def check_cor_1_3(spec: ProblemSpec, window: tuple[float, float],
-                  step: float = 1e-3,
-                  scan: tuple[float, float] = (-60.0, 60.0)) -> Certificate:
+                  step: float = 1e-3) -> Certificate:
     """Characteristic-root test on the envelope constants (a2 on top, b1 below)."""
-    return _cor_x_3(SampledProblem(spec, window, step), "delay", scan)
+    return _cor_x_3(SampledProblem(spec, window, step), "delay")
 
 
-def _cor_x_3(sp: SampledProblem, case: str,
-             scan: tuple[float, float] = (-60.0, 60.0)) -> Certificate:
+def _cor_x_3(sp: SampledProblem, case: str) -> Certificate:
     """The root found is the witness; the advance case uses the envelope a1, b2."""
     delay = case == "delay"
     condition_id, window = ("COR_1_3" if delay else "COR_2_3"), sp.window
@@ -190,10 +190,10 @@ def _cor_x_3(sp: SampledProblem, case: str,
                              f"needs a positive lower envelope for {'b' if delay else 'a'}")
     problem = charroots.CharProblem(a, b, bounds.tau, bounds.sigma, 1, -1,
                                     "minus_exponent" if delay else "plus_exponent")
-    root = charroots.positive_root_exists(problem, scan=scan)
+    root = charroots.positive_root_exists(problem)
     witness = {"a": a, "b": b, "tau": bounds.tau, "sigma": bounds.sigma}
     if root is None:
-        witness.update({"scan_lo": scan[0], "scan_hi": scan[1]})
+        witness.update(scan_lo=charroots.DEFAULT_SCAN[0], scan_hi=charroots.DEFAULT_SCAN[1])
         return Certificate(condition_id, FAILS, window, witness, (CAVEAT_WINDOW_LIMITED,))
     witness["lambda"] = root
     return Certificate(condition_id, HOLDS, window, witness, (CAVEAT_WINDOW_LIMITED,))
@@ -222,11 +222,10 @@ def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
 
 
 def check_cor_2_x(spec: ProblemSpec, window: tuple[float, float],
-                  step: float = 1e-3,
-                  scan: tuple[float, float] = (-60.0, 60.0)) -> list[Certificate]:
+                  step: float = 1e-3) -> list[Certificate]:
     """COR_2_2, COR_2_3 and COR_2_4_REMARK: mirror images of the 1.x checks."""
     sp = SampledProblem(spec, window, step)
-    return [_cor_x_2(sp, "advance"), _cor_x_3(sp, "advance", scan),
+    return [_cor_x_2(sp, "advance"), _cor_x_3(sp, "advance"),
             _cor_x_4_remark(sp, "advance")]
 
 
@@ -323,14 +322,14 @@ def _sys30_witness_ok(bounds: Bounds, x: float, y: float) -> bool:
     return gv <= x + _WITNESS_SLACK and fv <= y + _WITNESS_SLACK
 
 
-def _g_inverse_vec(bounds: Bounds, xs: np.ndarray, y_max: float) -> np.ndarray:
+def _g_inverse_vec(bounds: Bounds, xs: np.ndarray) -> np.ndarray:
     """Invert the increasing map y -> a2 e^{y tau} - b1 e^{-y sigma} by bisection.
 
-    Saturates at y_max when the target exceeds g(y_max); that only ever
-    underestimates the inverse, so feasibility is never overclaimed.
+    Saturates at _SYS30_MAX when the target exceeds g(_SYS30_MAX); that only
+    ever underestimates the inverse, so feasibility is never overclaimed.
     """
     lo = np.zeros_like(xs)
-    hi = np.full_like(xs, y_max)
+    hi = np.full_like(xs, _SYS30_MAX)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         gv = bounds.a2 * np.exp(mid * bounds.tau) - bounds.b1 * np.exp(-mid * bounds.sigma)
@@ -340,14 +339,13 @@ def _g_inverse_vec(bounds: Bounds, xs: np.ndarray, y_max: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def check_sys30(bounds: Bounds, x_max: float = 50.0, y_max: float = 50.0,
-                sweep_resolution: float = 0.01) -> Certificate:
+def check_sys30(bounds: Bounds) -> Certificate:
     """Search for x, y > 0 with a2 e^{y tau} - b1 e^{-y sigma} <= x and
     b2 e^{x sigma} - a1 e^{-x tau} <= y.
 
     First the monotone-inversion route from the closed-form analysis (scan the
     slack g^{-1}(x) - f(x) over x, bisecting the inverse); if that finds
-    nothing, a rectangular grid sweep over (0, x_max] x (0, y_max].
+    nothing, a square grid sweep over (0, 50]^2 at spacing 0.01.
     """
     window = bounds.window
     caveats = (CAVEAT_WINDOW_LIMITED, CAVEAT_EQUICONTINUITY)
@@ -369,12 +367,12 @@ def check_sys30(bounds: Bounds, x_max: float = 50.0, y_max: float = 50.0,
     # monotone-inversion route
     g0 = bounds.a2 - bounds.b1
     x_lo = max(g0, 0.0) + 1e-9
-    if x_lo < x_max:
+    if x_lo < _SYS30_MAX:
         xs = np.unique(np.concatenate([
-            np.geomspace(x_lo, x_max, 160),
-            np.linspace(x_lo, x_max, 480),
+            np.geomspace(x_lo, _SYS30_MAX, 160),
+            np.linspace(x_lo, _SYS30_MAX, 480),
         ]))
-        ginv = _g_inverse_vec(bounds, xs, y_max)
+        ginv = _g_inverse_vec(bounds, xs)
         fx = bounds.b2 * np.exp(xs * bounds.sigma) - bounds.a1 * np.exp(-xs * bounds.tau)
         slack = ginv - fx
         k = int(np.argmax(slack))
@@ -386,15 +384,13 @@ def check_sys30(bounds: Bounds, x_max: float = 50.0, y_max: float = 50.0,
             if after.size:
                 j = k + int(after[0])
                 extra["boundary_x"] = _bisect_slack_root(
-                    bounds, float(xs[j - 1]), float(xs[j]), y_max)
+                    bounds, float(xs[j - 1]), float(xs[j]))
             if _sys30_witness_ok(bounds, x_st, y_st):
                 return holds(x_st, y_st, "monotone-inversion", extra)
 
-    # fallback rectangular sweep
-    count = int(math.floor((x_max - sweep_resolution) / sweep_resolution + 0.5)) + 1
-    xs = sweep_resolution * (1.0 + np.arange(count))
-    ys = xs.copy() if y_max == x_max else sweep_resolution * (
-        1.0 + np.arange(int(math.floor((y_max - sweep_resolution) / sweep_resolution + 0.5)) + 1))
+    # fallback sweep over one grid for both x and y
+    res = _SYS30_RESOLUTION
+    xs = ys = res * (1.0 + np.arange(int(math.floor((_SYS30_MAX - res) / res + 0.5)) + 1))
     fxs = bounds.b2 * np.exp(xs * bounds.sigma) - bounds.a1 * np.exp(-xs * bounds.tau)
     gys = bounds.a2 * np.exp(ys * bounds.tau) - bounds.b1 * np.exp(-ys * bounds.sigma)
     idx = np.searchsorted(xs, gys, side="left")
@@ -408,14 +404,14 @@ def check_sys30(bounds: Bounds, x_max: float = 50.0, y_max: float = 50.0,
             return holds(x_st, y_st, "grid-sweep")
     return Certificate(
         "SYS_30_FEASIBLE", FAILS, window,
-        {"searched_x_max": x_max, "searched_y_max": y_max,
-         "resolution": sweep_resolution}, caveats)
+        {"searched_x_max": _SYS30_MAX, "searched_y_max": _SYS30_MAX, "resolution": res},
+        caveats)
 
 
-def _bisect_slack_root(bounds: Bounds, x1: float, x2: float, y_max: float) -> float:
+def _bisect_slack_root(bounds: Bounds, x1: float, x2: float) -> float:
     """Boundary of the feasible x-range: root of g^{-1}(x) - f(x)."""
     def slack(x: float) -> float:
-        ginv = float(_g_inverse_vec(bounds, np.asarray([x]), y_max)[0])
+        ginv = float(_g_inverse_vec(bounds, np.asarray([x]))[0])
         fv = bounds.b2 * math.exp(x * bounds.sigma) - bounds.a1 * math.exp(-x * bounds.tau)
         return ginv - fv
 
@@ -532,26 +528,21 @@ def _divergence(sp: SampledProblem, condition_id: str, threshold: float) -> Cert
 # Informational note and the master runner
 # ---------------------------------------------------------------------------
 
-def subequation_one_over_e_note(spec: ProblemSpec, window: tuple[float, float],
-                                step: float = 1e-3) -> dict:
+def subequation_one_over_e_note(certs: list[Certificate]) -> dict:
     """1/e diagnostics for the pure-delay and pure-advance sub-equations.
 
-    When a sup exceeds 1/e, the corresponding sub-equation is not certified by
-    its 1/e test (informational; says nothing about the mixed equation).
+    Reads the sups that check_all's COR_1_4_REMARK and COR_2_4_REMARK report;
+    raises ValueError when those two are missing or inapplicable. When a sup
+    exceeds 1/e, the corresponding sub-equation is not certified by its 1/e
+    test (informational; says nothing about the mixed equation).
     """
-    sp = SampledProblem(spec, window, step)
-    return _note_from_sups(float(np.max(sp.int_a_over_delay())),
-                           float(np.max(sp.int_b_over_advance())))
-
-
-def _one_over_e_note(certs: list[Certificate]) -> dict:
-    """The note from the sups that check_all's two 1/e remarks already report."""
-    witness = {c.condition_id: c.witness for c in certs}
-    return _note_from_sups(witness["COR_1_4_REMARK"]["sup_delay_integral"],
-                           witness["COR_2_4_REMARK"]["sup_advance_integral"])
-
-
-def _note_from_sups(sup_delay: float, sup_advance: float) -> dict:
+    witness = {c.condition_id: c.witness for c in certs if c.verdict != INAPPLICABLE}
+    try:
+        sup_delay = witness["COR_1_4_REMARK"]["sup_delay_integral"]
+        sup_advance = witness["COR_2_4_REMARK"]["sup_advance_integral"]
+    except KeyError:
+        raise ValueError("the 1/e note needs applicable COR_1_4_REMARK and "
+                         "COR_2_4_REMARK certificates") from None
     return {
         "delay_integral_sup": sup_delay,
         "advance_integral_sup": sup_advance,
@@ -562,8 +553,7 @@ def _note_from_sups(sup_delay: float, sup_advance: float) -> dict:
 
 
 def check_all(spec: ProblemSpec, window: tuple[float, float], step: float = 1e-3,
-              divergence_threshold: float = 5.0,
-              scan: tuple[float, float] = (-60.0, 60.0)) -> list[Certificate]:
+              divergence_threshold: float = 5.0) -> list[Certificate]:
     """Run every condition; mismatched sign patterns yield inapplicable verdicts.
 
     Conditions are independent sufficient tests and never short-circuit each
@@ -571,11 +561,11 @@ def check_all(spec: ProblemSpec, window: tuple[float, float], step: float = 1e-3
     read one SampledProblem, which rejects non-finite samples for every pattern.
     """
     sp = SampledProblem(spec, window, step)
-    out = [_cor_x_2(sp, "delay"), _cor_x_3(sp, "delay", scan),
+    out = [_cor_x_2(sp, "delay"), _cor_x_3(sp, "delay"),
            _cor_x_4_remark(sp, "delay"),
            _divergence(sp, "COR_1_5", divergence_threshold),
            _divergence(sp, "COR_1_6", divergence_threshold),
-           _cor_x_2(sp, "advance"), _cor_x_3(sp, "advance", scan),
+           _cor_x_2(sp, "advance"), _cor_x_3(sp, "advance"),
            _cor_x_4_remark(sp, "advance"),
            _divergence(sp, "COR_2_5", divergence_threshold),
            _thm_A_explicit(sp), _thm_B_explicit(sp)]

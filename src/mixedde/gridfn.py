@@ -1,7 +1,8 @@
-"""Uniform-grid sampled functions: linear interpolation, trapezoid integration, window suprema.
+"""Uniform-grid sampled functions: linear interpolation and trapezoid integration.
 
 All integral expressions of the library (the delay integrals over [g(t), t] and
-the advance integrals over [t, h(t)]) reduce to `integrate` on a GridFunction.
+the advance integrals over [t, h(t)]) reduce to integrals of a GridFunction's
+interpolant: `integrate` for one, a `CumulativeIntegral` for many at once.
 Linear interpolation plus trapezoid quadrature is used deliberately: it
 preserves pointwise order (f <= g on nodes implies the same for integrals),
 which the monotone iterations rely on.
@@ -20,13 +21,30 @@ __all__ = [
     "CumulativeIntegral",
 ]
 
+MAX_GRID_POINTS = 10**7  # largest user-sized 1-D grid, checked before allocating
+
+
+def check_grid_size(spans: float, what: str) -> None:
+    """ValueError unless a grid of `spans` cells has at most MAX_GRID_POINTS nodes."""
+    if not spans <= MAX_GRID_POINTS - 1:  # also rejects inf and nan
+        raise ValueError(f"{what} exceeds the limit of {MAX_GRID_POINTS} points")
+
+
+def grid_cells(t_start: float, t_end: float, step: float) -> int:
+    """Cells of the uniform grid from t_start whose last node is >= t_end."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
+    spans = (t_end - t_start) / step
+    check_grid_size(spans, f"a grid over [{t_start:g}, {t_end:g}] at step {step:g}")
+    return max(1, int(math.ceil(spans - 1e-9)))
+
 
 @dataclass(frozen=True)
 class GridFunction:
     """A function sampled at t_start + k*step, evaluated by linear interpolation.
 
     Evaluation outside [t_start, t_end] clamps to the nearest endpoint value;
-    use `covers` to detect when a query actually left the grid.
+    `integrate_flagged` reports when an integral left the grid.
     """
 
     t_start: float
@@ -50,7 +68,7 @@ class GridFunction:
         """Sample fn on a uniform grid whose last node is >= t_end."""
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
-        cells = max(1, int(math.ceil((t_end - t_start) / step - 1e-9)))
+        cells = grid_cells(t_start, t_end, step)
         ts = t_start + step * np.arange(cells + 1)
         try:
             vals = np.asarray(fn(ts), dtype=float)
@@ -63,8 +81,7 @@ class GridFunction:
     @classmethod
     def constant(cls, value: float, t_start: float, t_end: float,
                  step: float) -> "GridFunction":
-        cells = max(1, int(math.ceil((t_end - t_start) / step - 1e-9)))
-        return cls(t_start, step, np.full(cells + 1, float(value)))
+        return cls(t_start, step, np.full(grid_cells(t_start, t_end, step) + 1, float(value)))
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         """Same grid, new samples."""
@@ -78,10 +95,6 @@ class GridFunction:
 
     def times(self) -> np.ndarray:
         return self.t_start + self.step * np.arange(len(self.values))
-
-    def covers(self, lo: float, hi: float | None = None) -> bool:
-        hi = lo if hi is None else hi
-        return lo >= self.t_start - 1e-12 * self.step and hi <= self.t_end + 1e-12 * self.step
 
     # -- evaluation ------------------------------------------------------------
 
@@ -133,25 +146,6 @@ class GridFunction:
 
     def cumulative(self) -> "CumulativeIntegral":
         return CumulativeIntegral(self)
-
-    # -- window supremum ---------------------------------------------------------
-
-    def sup_window(self, lo: float, hi: float) -> float:
-        """Max of the interpolant over [lo, hi]: node values plus interpolated ends."""
-        if lo > hi:
-            raise ValueError(f"window out of order: {lo} > {hi}")
-        t0, tend = self.t_start, self.t_end
-        if hi < t0 or lo > tend:
-            raise ValueError("window does not overlap the grid domain")
-        a, b = max(lo, t0), min(hi, tend)
-        best = max(self(a), self(b))
-        j0 = int(math.ceil((a - t0) / self.step - 1e-12))
-        j1 = int(math.floor((b - t0) / self.step + 1e-12))
-        j0 = max(j0, 0)
-        j1 = min(j1, len(self.values) - 1)
-        if j0 <= j1:
-            best = max(best, float(np.max(self.values[j0:j1 + 1])))
-        return best
 
     # -- export ------------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gridfn import CumulativeIntegral, GridFunction
+from .gridfn import CumulativeIntegral, GridFunction, check_grid_size, grid_cells
 
 __all__ = [
     "CoefficientExpr",
@@ -46,6 +46,7 @@ __all__ = [
 _KINDS = ("const", "t", "add", "sub", "mul", "neg", "sin", "cos", "exp")
 _FUNCTIONS = {"sin", "cos", "exp"}
 _MAX_DEPTH = 150  # parsed trees and brackets nest at most this deep
+_INFLATION = 1e-6  # relative outward margin of sampled envelope bounds
 
 
 class ExprSyntaxError(ValueError):
@@ -369,20 +370,18 @@ class SampledProblem:
     their samples from it. The cumulative integrals of a and b on the grid
     widened by 2*tau + step and 2*sigma + step, enough for every deviated
     integral, are built on first use. A step that is not positive and finite,
-    and any non-finite sample, raise ValueError.
+    a grid of more than MAX_GRID_POINTS nodes, and any non-finite sample raise
+    ValueError.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
         t1, T = window
-        if not (step > 0 and math.isfinite(step)):
-            raise ValueError("step must be positive and finite")
         if not (math.isfinite(t1) and math.isfinite(T) and T > t1):
             raise ValueError("window must be finite and nonempty")
         self.spec = spec
         self.window = (t1, T)
         self.step = step
-        cells = max(1, int(math.ceil((T - t1) / step - 1e-9)))
-        self.ts = t1 + step * np.arange(cells + 1)
+        self.ts = t1 + step * np.arange(grid_cells(t1, T, step) + 1)
         self.a, self.b, self.g, self.h = (
             _require_finite(name, getattr(spec, name)(self.ts), self.ts)
             for name in "abgh")
@@ -464,6 +463,7 @@ def validate_spec(spec: ProblemSpec, window: tuple[float, float],
         raise ValueError("validation window must be nonempty")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    check_grid_size(samples - 1, f"sampling {samples} points")
     ts = np.linspace(lo, hi, samples)
     checks = []
     for name, vals, ok in (
@@ -564,12 +564,12 @@ def _exact_range(e: CoefficientExpr, lo: float, hi: float) -> tuple[float, float
 
 
 def extract_bounds(spec: ProblemSpec, window: tuple[float, float],
-                   samples: int = 10001, inflation: float | None = None) -> Bounds:
+                   samples: int = 10001) -> Bounds:
     """Envelope constants for the autonomous-style criteria.
 
     Ranges of a, b, t-g(t) and h(t)-t over the window. Expressions affine in
     {1, t, sin t, cos t} get closed-form extrema (no inflation); anything else
-    is sampled and inflated outward by a relative margin (default 1e-6).
+    is sampled and inflated outward by the relative margin _INFLATION.
     Assumes validate_spec passed on the window.
     """
     lo, hi = window
@@ -577,7 +577,6 @@ def extract_bounds(spec: ProblemSpec, window: tuple[float, float],
         raise ValueError("window must be nonempty")
     if samples < 2:
         raise ValueError("window too short: need at least 2 samples")
-    rel = 1e-6 if inflation is None else inflation
     t = CoefficientExpr.var_t()
     ranges = {}
     all_exact = True
@@ -590,8 +589,8 @@ def extract_bounds(spec: ProblemSpec, window: tuple[float, float],
         all_exact = False
         vals = expr(np.linspace(lo, hi, samples))
         vlo, vhi = float(np.min(vals)), float(np.max(vals))
-        pad_lo = rel * max(1.0, abs(vlo))
-        pad_hi = rel * max(1.0, abs(vhi))
+        pad_lo = _INFLATION * max(1.0, abs(vlo))
+        pad_hi = _INFLATION * max(1.0, abs(vhi))
         ranges[key] = (vlo - pad_lo, vhi + pad_hi)
     return Bounds(
         a1=ranges["a"][0], a2=ranges["a"][1],
@@ -620,6 +619,14 @@ def _load_document(path: str) -> dict:
     return doc
 
 
+def _number(doc: dict, field: str, origin: str, default: float | None = None) -> float:
+    value = doc.get(field, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} in {origin!r} must be a number, got {value!r}") from None
+
+
 def _spec_from_document(doc: dict, origin: str) -> ProblemSpec:
     for field in ("a", "b", "g", "h", "delta1", "delta2", "t0"):
         if field not in doc:
@@ -632,7 +639,7 @@ def _spec_from_document(doc: dict, origin: str) -> ProblemSpec:
     if d1 not in (-1, 1) or d2 not in (-1, 1):
         raise ValueError(f"delta1/delta2 in {origin!r} must be +1 or -1")
     return ProblemSpec(exprs["a"], exprs["b"], exprs["g"], exprs["h"],
-                       int(d1), int(d2), float(doc["t0"]))
+                       int(d1), int(d2), _number(doc, "t0", origin))
 
 
 def read_spec(path: str) -> ProblemSpec:
@@ -644,7 +651,7 @@ def read_ivp(path: str) -> IVP:
     """Load spec file plus initial data; phi defaults to the constant x0, x0 to 1."""
     doc = _load_document(path)
     spec = _spec_from_document(doc, path)
-    x0 = float(doc.get("x0", 1.0))
+    x0 = _number(doc, "x0", path, 1.0)
     if "phi" in doc:
         try:
             phi = parse_expr(str(doc["phi"]))

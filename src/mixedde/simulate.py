@@ -26,6 +26,7 @@ __all__ = [
 
 CAVEAT_COARSE_STEP = "step-larger-than-min-delay"
 CAVEAT_AMPLIFYING = "amplifying-advance-feedback"
+_SIGN_TOL = 1e-9  # classify_trajectory's sign threshold, relative to max|x|
 
 
 @dataclass(frozen=True)
@@ -260,11 +261,10 @@ def _equation_residual(x: GridFunction, sampled: SampledProblem) -> float:
     return float(np.max(np.abs(res)))
 
 
-def classify_trajectory(tr: Trajectory, t_from: float,
-                        sign_tol: float = 1e-9) -> str:
+def classify_trajectory(tr: Trajectory, t_from: float) -> str:
     """oscillatory | nonoscillatory_positive | nonoscillatory_negative | undetermined.
 
-    The sign threshold is sign_tol * max|x| on [t_from, end]; a trajectory that
+    The sign threshold is 1e-9 * max|x| on [t_from, end]; a trajectory that
     dips below the threshold without an actual sign change is undetermined.
     """
     x = tr.x
@@ -274,7 +274,7 @@ def classify_trajectory(tr: Trajectory, t_from: float,
     seg = x.values[ts >= t_from - 1e-12]
     if seg.size == 0:
         seg = x.values[-1:]
-    eps = sign_tol * float(np.max(np.abs(seg)))
+    eps = _SIGN_TOL * float(np.max(np.abs(seg)))
     m, mx = float(np.min(seg)), float(np.max(seg))
     if m >= eps and eps > 0:
         return "nonoscillatory_positive"

@@ -12,8 +12,8 @@ import pytest
 from mixedde.charroots import CharProblem, find_real_roots
 from mixedde.cli import main
 from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
-                               ineq_residual_delay, iterate_delay)
-from mixedde.criteria import (check_cor_1_2, check_cor_1_3, check_cor_1_4_remark,
+                               ineq_residual, iterate)
+from mixedde.criteria import (check_all, check_cor_1_2, check_cor_1_3, check_cor_1_4_remark,
                               check_cor_2_x, check_divergence, check_sys30,
                               subequation_one_over_e_note, sweep_region,
                               sys30_values)
@@ -33,7 +33,7 @@ def _report(num: int, description: str, ok: bool) -> None:
 
 def test_criterion_01_example1_inequality_value(ex1_spec):
     u = GeneratingCandidate.constant(1.0, "delay", (0.0, 10.0), STEP)
-    value = ineq_residual_delay(u, ex1_spec, 5.0) + 1.0
+    value = ineq_residual(u, ex1_spec, 5.0) + 1.0
     _report(1, "inequality value 0.9267 +- 1e-3 with u = 1",
             abs(value - 0.9267) <= 1e-3)
 
@@ -48,7 +48,7 @@ def test_criterion_02_example1_characteristic_roots():
 
 
 def test_criterion_03_example1_subequation_note(ex1_spec):
-    note = subequation_one_over_e_note(ex1_spec, (0.0, 100.0), STEP)
+    note = subequation_one_over_e_note(check_all(ex1_spec, (0.0, 100.0), STEP))
     ok = (abs(note["advance_integral_sup"] - 0.39) <= 1e-12
           and note["advance_integral_sup"] > 1.0 / math.e
           and abs(note["delay_integral_sup"] - 0.42) <= 1e-12
@@ -62,8 +62,8 @@ def test_criterion_04_example2_pipeline(ex2_spec, tmp_path):
                            a="1.375+0.025*sin(t)", b="1.325+0.025*cos(t)")
     exit_code = main(["check", path, "--out", str(tmp_path / "report.txt")])
     window = (0.0, 20.0)
-    built = iterate_delay(GeneratingCandidate.constant(1.0, "delay", window, STEP),
-                          ex2_spec, window)
+    built = iterate(GeneratingCandidate.constant(1.0, "delay", window, STEP),
+                    ex2_spec, window)
     divergence = check_divergence(ex2_spec, (0.0, 100.0), "COR_1_5", step=STEP)
     i100 = dict(divergence.witness["checkpoints"])[100.0]
     ok = (exit_code == 0

@@ -202,10 +202,21 @@ def test_non_finite_coefficient_exits_two(tmp_path, command, a, capsys):
     (["check", "{deep}"], "deeper than"),
     (["validate", "{signs}"], "deeper than"),
     (["construct", "{sum}"], "deeper than"),
+    # 1-D grids over the point limit, each rejected before allocating: about
+    # 1e305 and 1.2e10 scan points, 1e11 nodes, 2e9 samples (16 GB)
+    (["roots", "--a", "1", "--b", "1", "--tau", "0.3", "--sigma", "0.3",
+      "--scan-hi", "1e300"], "the limit of"),
+    (["roots", "--a", "1", "--b", "1", "--tau", "0.3", "--sigma", "0.3",
+      "--scan-hi", "1e7"], "the limit of"),
+    (["check", "{ex3}", "--step", "1e-9"], "the limit of"),
+    (["simulate", "{ex3}", "--step", "1e-9"], "the limit of"),
+    (["validate", "{ex3}", "--samples", "2000000000"], "the limit of"),
 ], ids=["roots-tau-nan", "roots-a-inf", "roots-b-inf", "roots-sigma-nan",
         "region-res-nan", "region-res-inf", "region-res-0", "region-hi-inf",
         "region-res-subnormal", "region-span-overflow",
-        "region-too-many-cells", "check-brackets", "validate-signs", "construct-sum"])
+        "region-too-many-cells", "check-brackets", "validate-signs", "construct-sum",
+        "roots-scan-overflow", "roots-scan-too-long", "check-too-many-nodes",
+        "simulate-too-many-nodes", "validate-too-many-samples"])
 def test_out_of_range_input_exits_two(tmp_path, ex3_file, argv, message, capsys):
     files = {"ex3": ex3_file,
              "deep": write_spec_file(tmp_path / "deep.json", a="(" * 400 + "1" + ")" * 400),
@@ -213,6 +224,18 @@ def test_out_of_range_input_exits_two(tmp_path, ex3_file, argv, message, capsys)
              "sum": write_spec_file(tmp_path / "sum.json", a="1.4" + "+0" * 3000)}
     assert main([arg.format(**files) for arg in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("validate", "t0", None), ("check", "t0", None), ("simulate", "t0", None),
+    ("validate", "t0", [1]), ("check", "t0", "zero"), ("simulate", "x0", None),
+    ("simulate", "x0", [1]), ("simulate", "x0", {"x": 1}),
+], ids=["validate-t0-null", "check-t0-null", "simulate-t0-null", "validate-t0-list",
+        "check-t0-text", "simulate-x0-null", "simulate-x0-list", "simulate-x0-object"])
+def test_non_numeric_t0_or_x0_exits_two(tmp_path, command, field, value, capsys):
+    path = write_spec_file(tmp_path / "bad.json", **{field: value})
+    assert main([command, path, "--T", "2"]) == 2
+    assert f"error: {field} in {path!r} must be a number" in capsys.readouterr().err
 
 
 def test_check_samples_the_window_once(ex2_file, sampled_builds, capsys):

@@ -6,9 +6,8 @@ import pytest
 
 from mixedde import construct
 from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
-                               ineq_residual_advance, ineq_residual_delay,
-                               iterate_advance, iterate_delay,
-                               synthesize_solution, witness_candidate)
+                               ineq_residual, iterate, synthesize_solution,
+                               witness_candidate)
 from mixedde.gridfn import GridFunction
 from mixedde.model import SampledProblem
 from mixedde.simulate import equation_residual
@@ -26,55 +25,55 @@ def const_candidate(value, case="delay", window=(0.0, 10.0), step=STEP):
 
 def test_delay_residual_example1(ex1_spec):
     u = const_candidate(1.0)
-    r = ineq_residual_delay(u, ex1_spec, 5.0)
+    r = ineq_residual(u, ex1_spec, 5.0)
     assert r == pytest.approx(EX1_INEQ_VALUE - 1.0, abs=1e-12)
 
 
 def test_delay_residual_equality_case():
     spec = make_spec(a="0.7", b="0", g="t", h="t+0.5")
     u = GeneratingCandidate.from_callable(spec.a, "delay", (0.0, 10.0), STEP)
-    assert ineq_residual_delay(u, spec, 4.0) == pytest.approx(0.0, abs=1e-12)
+    assert ineq_residual(u, spec, 4.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delay_residual_example2_full_history(ex2_spec):
     # candidate active well before t = 0 so both integrals are full there
     u = const_candidate(1.0, window=(-1.0, 10.0))
-    r = ineq_residual_delay(u, ex2_spec, 0.0)
+    r = ineq_residual(u, ex2_spec, 0.0)
     assert r == pytest.approx(EX2_RESIDUAL_T0, abs=1e-9)
 
 
 def test_advance_residual_equality_case():
     spec = make_spec(a="0", b="0.7", g="t-0.5", h="t")
     u = GeneratingCandidate.from_callable(spec.b, "advance", (0.0, 10.0), STEP)
-    assert ineq_residual_advance(u, spec, 4.0) == pytest.approx(0.0, abs=1e-12)
+    assert ineq_residual(u, spec, 4.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_advance_residual_at_characteristic_root():
     # lambda solves l + 1*e^{-0.1 l} - 1.05*e^{0.1 l} = 0 (bisection oracle)
     lam = 0.06289443262240785
     spec = make_spec(a="1", b="1.05", g="t-0.1", h="t+0.1")
-    u = const_candidate(lam)
-    assert ineq_residual_advance(u, spec, 5.0) == pytest.approx(0.0, abs=1e-9)
+    u = const_candidate(lam, "advance")
+    assert ineq_residual(u, spec, 5.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_advance_residual_zero_candidate():
     spec = make_spec(a="1", b="1.2")
-    u = const_candidate(0.0)
-    assert ineq_residual_advance(u, spec, 5.0) == pytest.approx(0.2, abs=1e-12)
+    u = const_candidate(0.0, "advance")
+    assert ineq_residual(u, spec, 5.0) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_residual_sign_pattern_guard(ex3_spec):
     u = const_candidate(1.0)
     with pytest.raises(ValueError):
-        ineq_residual_delay(u, ex3_spec, 1.0)
+        ineq_residual(u, ex3_spec, 1.0)
     with pytest.raises(ValueError):
-        ineq_residual_advance(u, ex3_spec, 1.0)
+        ineq_residual(const_candidate(1.0, "advance"), ex3_spec, 1.0)
 
 
 # -- monotone iterations -------------------------------------------------------
 
 def test_iterate_delay_example1(ex1_spec):
-    res = iterate_delay(const_candidate(1.0), ex1_spec, (0.0, 10.0))
+    res = iterate(const_candidate(1.0), ex1_spec, (0.0, 10.0))
     assert res.converged
     ts = res.u_limit.times()
     mid = (ts >= 3.0) & (ts <= 7.0)
@@ -91,15 +90,15 @@ def test_iterate_delay_example1(ex1_spec):
 def test_iterate_delay_pure_delay_fixed_seed():
     spec = make_spec(a="0.8", b="0", g="t", h="t+0.3")
     u0 = GeneratingCandidate.from_callable(spec.a, "delay", (0.0, 5.0), STEP)
-    res = iterate_delay(u0, spec, (0.0, 5.0))
+    res = iterate(u0, spec, (0.0, 5.0))
     assert res.converged
     assert res.iterations == 1
     assert np.max(np.abs(res.u_limit.values - 0.8)) <= 1e-12
 
 
 def test_iterate_delay_example2(ex2_spec):
-    res = iterate_delay(const_candidate(1.0, window=(0.0, 20.0)), ex2_spec,
-                        (0.0, 20.0))
+    res = iterate(const_candidate(1.0, window=(0.0, 20.0)), ex2_spec,
+                  (0.0, 20.0))
     assert res.converged
     assert np.all(res.x.values > 0)
     assert np.all(np.diff(res.x.values) <= 1e-12)
@@ -109,19 +108,19 @@ def test_iterate_delay_example2(ex2_spec):
 
 def test_iterate_delay_rejects_bad_seed(ex1_spec):
     with pytest.raises(ValueError, match="supersolution"):
-        iterate_delay(const_candidate(0.01), ex1_spec, (0.0, 10.0))
+        iterate(const_candidate(0.01), ex1_spec, (0.0, 10.0))
 
 
 def test_iterate_delay_rejects_wrong_dominance():
     spec = make_spec(a="1", b="1.2", h="t+0.1")
     with pytest.raises(ValueError, match="dominance"):
-        iterate_delay(const_candidate(2.0), spec, (0.0, 5.0))
+        iterate(const_candidate(2.0), spec, (0.0, 5.0))
 
 
 def test_iterate_advance_pure_advance_fixed_seed():
     spec = make_spec(a="0", b="0.6", g="t-0.3", h="t")
     u0 = GeneratingCandidate.from_callable(spec.b, "advance", (0.0, 5.0), STEP)
-    res = iterate_advance(u0, spec, (0.0, 5.0))
+    res = iterate(u0, spec, (0.0, 5.0))
     assert res.converged
     assert res.iterations == 1
     assert np.max(np.abs(res.u_limit.values - 0.6)) <= 1e-12
@@ -131,8 +130,8 @@ def test_iterate_advance_constant_fixed_point():
     # root of l + 1.2 e^{-0.2 l} - 1.3 e^{0.1 l} (bisection oracle)
     lam = 0.15804760708022156
     spec = make_spec(a="1.2", b="1.3", g="t-0.2", h="t+0.1")
-    res = iterate_advance(const_candidate(lam, "advance"), spec, (0.0, 10.0),
-                          tol=1e-8)
+    res = iterate(const_candidate(lam, "advance"), spec, (0.0, 10.0),
+                  tol=1e-8)
     assert res.converged
     ts = res.u_limit.times()
     # away from the activation transient on the left and the clamped horizon
@@ -143,12 +142,7 @@ def test_iterate_advance_constant_fixed_point():
 
 def test_iterate_advance_rejects_delay_dominant(ex1_spec):
     with pytest.raises(ValueError, match="dominance"):
-        iterate_advance(const_candidate(1.0, "advance"), ex1_spec, (0.0, 10.0))
-
-
-def test_case_mismatch_rejected(ex1_spec):
-    with pytest.raises(ValueError, match="case"):
-        iterate_delay(const_candidate(1.0, "advance"), ex1_spec, (0.0, 10.0))
+        iterate(const_candidate(1.0, "advance"), ex1_spec, (0.0, 10.0))
 
 
 # -- solution synthesis ---------------------------------------------------------
@@ -231,14 +225,14 @@ def test_monotone_descent_advance_random():
 
 def test_fixed_point_defect_bound(ex1_spec):
     tol = 1e-8
-    res = iterate_delay(const_candidate(1.0), ex1_spec, (0.0, 10.0), tol=tol)
+    res = iterate(const_candidate(1.0), ex1_spec, (0.0, 10.0), tol=tol)
     assert res.max_ineq_residual <= 2 * tol
 
 
 def test_zero_limit_bound(ex2_spec):
     # x(T) <= exp(-int (a-b)) when the gap integral accumulates
     window = (0.0, 20.0)
-    res = iterate_delay(const_candidate(1.0, window=window), ex2_spec, window)
+    res = iterate(const_candidate(1.0, window=window), ex2_spec, window)
     ts = np.linspace(*window, 20001)
     gap = np.trapezoid(ex2_spec.a(ts) - ex2_spec.b(ts), ts)
     assert res.x.values[-1] <= math.exp(-gap) + 1e-6
@@ -250,7 +244,7 @@ def test_equation_residual_shrinks_with_step(ex1_spec):
     resids = []
     for step in (4e-3, 2e-3):
         u0 = GeneratingCandidate.constant(1.0, "delay", (0.0, 6.0), step)
-        res = iterate_delay(u0, ex1_spec, (0.0, 6.0), tol=1e-11)
+        res = iterate(u0, ex1_spec, (0.0, 6.0), tol=1e-11)
         resids.append(res.max_eq_residual)
     assert resids[1] <= 0.7 * resids[0]
 
@@ -291,8 +285,8 @@ def test_auto_construct_rejects_mixed_dominance():
 
 
 def test_construction_csv_and_summary(ex1_spec):
-    res = iterate_delay(const_candidate(1.0, window=(0.0, 2.0)), ex1_spec,
-                        (0.0, 2.0))
+    res = iterate(const_candidate(1.0, window=(0.0, 2.0)), ex1_spec,
+                  (0.0, 2.0))
     buf = io.StringIO()
     res.to_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -317,15 +311,3 @@ def test_auto_construct_samples_the_window_once(ex1_spec, sampled_builds, monkey
     assert result.converged
     assert len(sampled_builds) == 1 and len(kernels) == 1
 
-
-def test_auto_construct_iterates_a_user_seed_on_its_own_grid(ex1_spec, monkeypatch):
-    # every default seed is for the wrong case, so only the user's can succeed
-    monkeypatch.setattr(construct, "witness_candidate",
-                        lambda cid, spec, window, step, lam=None:
-                        const_candidate(0.0, "advance", window, step))
-    seed = const_candidate(1.0, window=(0.0, 2.0), step=2 * STEP)
-    result = auto_construct(ex1_spec, (0.0, 2.0), step=STEP, u0=seed)
-    assert result.u_limit.step == 2 * STEP and len(result.u_limit.values) == 1001
-    alone = iterate_delay(seed, ex1_spec, (0.0, 2.0))
-    np.testing.assert_array_equal(result.u_limit.values, alone.u_limit.values)
-    assert result.max_eq_residual == alone.max_eq_residual

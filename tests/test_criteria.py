@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mixedde import criteria
-from mixedde.construct import iterate_advance, iterate_delay, witness_candidate
+from mixedde.construct import iterate, witness_candidate
 from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
                               CAVEAT_WINDOW_LIMITED, check_all, check_cor_1_2,
                               check_cor_1_3, check_cor_1_4_remark, check_cor_2_x,
@@ -431,7 +431,7 @@ def test_certificates_are_constructive(ex1_spec, ex2_spec):
                 continue
             lam = (cert.witness or {}).get("lambda")
             seed = witness_candidate(cid, spec, window, step, lam=lam)
-            result = iterate_delay(seed, spec, window, tol=1e-8)
+            result = iterate(seed, spec, window, tol=1e-8)
             assert result.converged, cid
             assert result.max_eq_residual <= 1e-3
 
@@ -446,7 +446,7 @@ def test_advance_certificates_are_constructive():
             continue
         lam = (cert.witness or {}).get("lambda")
         seed = witness_candidate(cid, spec, window, step, lam=lam)
-        result = iterate_advance(seed, spec, window, tol=1e-8)
+        result = iterate(seed, spec, window, tol=1e-8)
         assert result.converged, cid
         assert result.max_eq_residual <= 1e-3
 
@@ -481,11 +481,18 @@ def test_check_all_same_sign_pattern():
 
 
 def test_subequation_note(ex1_spec):
-    note = subequation_one_over_e_note(ex1_spec, (0.0, 100.0))
+    note = subequation_one_over_e_note(check_all(ex1_spec, (0.0, 100.0)))
     assert note["delay_integral_sup"] == pytest.approx(0.42, abs=1e-12)
     assert note["advance_integral_sup"] == pytest.approx(0.39, abs=1e-12)
     assert not note["delay_certified"]
     assert not note["advance_certified"]
+
+
+def test_subequation_note_needs_the_two_applicable_remarks(ex3_spec):
+    with pytest.raises(ValueError, match="COR_1_4_REMARK"):
+        subequation_one_over_e_note(check_all(ex3_spec, (0.0, 10.0)))
+    with pytest.raises(ValueError, match="COR_1_4_REMARK"):
+        subequation_one_over_e_note([])
 
 
 def test_check_all_samples_the_window_once(ex2_spec, monkeypatch):

@@ -42,23 +42,6 @@ def test_interpolation_and_clamping():
     assert f(0.25) == pytest.approx(0.5)
     assert f(-3.0) == 0.0
     assert f(99.0) == 0.0
-    assert f.covers(0.0, 1.0)
-    assert not f.covers(-0.1)
-
-
-def test_sup_window_cases():
-    f = GridFunction.from_callable(np.cos, 0.0, 2 * math.pi, 1e-3)
-    assert f.sup_window(0.0, 2 * math.pi) == pytest.approx(1.0, abs=1e-6)
-    g = GridFunction.constant(0.39, -5.0, 5.0, 0.1)
-    assert g.sup_window(-1.0, 1.0) == pytest.approx(0.39)
-    h = GridFunction.from_callable(lambda t: t, 0.0, 1.0, 0.01)
-    assert h.sup_window(0.25, 0.75) == pytest.approx(0.75)
-
-
-def test_sup_window_empty_overlap():
-    f = GridFunction.constant(1.0, 0.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        f.sup_window(2.0, 3.0)
 
 
 def test_additivity_property():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixedde.gridfn import MAX_GRID_POINTS, GridFunction, grid_cells
 from mixedde.model import (_MAX_DEPTH, Bounds, CoefficientExpr, ExprSyntaxError,
                            ProblemSpec, SampledProblem, extract_bounds, parse_expr,
                            read_ivp, read_spec, validate_spec)
@@ -287,6 +288,22 @@ def test_read_spec_errors(tmp_path):
     badexpr.write_text(json.dumps(spec_fields(a="log(t)")))
     with pytest.raises(ValueError):
         read_spec(str(badexpr))
+
+
+def test_grid_sizes_and_steps_are_checked_before_allocating(ex1_spec):
+    assert grid_cells(0.0, MAX_GRID_POINTS - 1.0, 1.0) == MAX_GRID_POINTS - 1
+    for t_end in (MAX_GRID_POINTS, math.inf):
+        with pytest.raises(ValueError, match="the limit of"):
+            grid_cells(0.0, t_end, 1.0)
+    with pytest.raises(ValueError, match="the limit of"):
+        SampledProblem(ex1_spec, (0.0, 1e300), 1.0)
+    with pytest.raises(ValueError, match="the limit of"):
+        GridFunction.constant(0.0, 0.0, 1e10, 1.0)
+    for step in (0.0, math.nan):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            GridFunction.constant(0.0, 0.0, 1.0, step)
+    with pytest.raises(ValueError, match="the limit of"):
+        validate_spec(ex1_spec, (0.0, 1.0), MAX_GRID_POINTS + 1)
 
 
 def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixedde.construct import GeneratingCandidate, iterate_delay
+from mixedde.construct import GeneratingCandidate, iterate
 from mixedde.gridfn import GridFunction
 from mixedde.model import IVP, CoefficientExpr, parse_expr
 from mixedde.simulate import Trajectory, classify_trajectory, equation_residual, relax
@@ -121,8 +121,8 @@ def test_relax_order_on_smooth_problem(ex1_spec):
 def test_cross_validation_with_construct(ex1_spec):
     tol = 1e-6
     window = (0.0, 15.0)
-    built = iterate_delay(GeneratingCandidate.constant(1.0, "delay", window, 1e-3),
-                          ex1_spec, window, tol=tol)
+    built = iterate(GeneratingCandidate.constant(1.0, "delay", window, 1e-3),
+                    ex1_spec, window, tol=tol)
     assert built.converged
     ivp = IVP(ex1_spec, built.x, float(built.x(0.0)))
     tr = relax(ivp, 12.0, 1e-3)
