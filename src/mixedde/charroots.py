@@ -66,14 +66,11 @@ class CharProblem:
     def value(self, lam):
         """Characteristic function, saturating instead of overflowing."""
         lam_arr = np.asarray(lam, dtype=float)
-        if self.convention == "minus_exponent":
-            e1 = np.exp(np.minimum(lam_arr * self.tau, _EXP_CAP))
-            e2 = np.exp(np.minimum(-lam_arr * self.sigma, _EXP_CAP))
-            out = -lam_arr + self.delta1 * self.a * e1 + self.delta2 * self.b * e2
-        else:
-            e1 = np.exp(np.minimum(-lam_arr * self.tau, _EXP_CAP))
-            e2 = np.exp(np.minimum(lam_arr * self.sigma, _EXP_CAP))
-            out = lam_arr + self.delta1 * self.a * e1 + self.delta2 * self.b * e2
+        sign = -1.0 if self.convention == "minus_exponent" else 1.0
+        e1 = np.exp(np.minimum(-sign * lam_arr * self.tau, _EXP_CAP))
+        e2 = np.exp(np.minimum(sign * lam_arr * self.sigma, _EXP_CAP))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge a or b gives +-inf
+            out = sign * lam_arr + self.delta1 * self.a * e1 + self.delta2 * self.b * e2
         if lam_arr.ndim == 0:
             return float(out)
         return out
@@ -153,7 +150,7 @@ def find_real_roots(p: CharProblem, scan: tuple[float, float] = DEFAULT_SCAN,
     roots: list[float] = []
     exact = np.flatnonzero(vals == 0.0)
     roots.extend(float(grid[i]) for i in exact)
-    change = np.flatnonzero((vals[:-1] * vals[1:]) < 0.0)
+    change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
     for i in change:
         roots.append(_bisect(p, float(grid[i]), float(grid[i + 1])))
     roots.sort()

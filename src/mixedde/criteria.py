@@ -159,7 +159,8 @@ def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
     main, other = getattr(sp, m), getattr(sp, o)
     back, ahead = ((sp.int_a_over_delay(), sp.int_a_over_advance()) if delay
                    else (sp.int_b_over_advance(), sp.int_b_over_delay()))
-    margin, t_at = _sup_witness(sp.ts, main * np.expm1(back) * np.exp(ahead) - other)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow saturates to inf
+        margin, t_at = _sup_witness(sp.ts, main * np.expm1(back) * np.exp(ahead) - other)
     gap = float(np.min(main - other))
     ok = gap >= -_SLACK and margin <= _SLACK
     witness = {f"sup_rhs_minus_{o}": margin, "t_at_sup": t_at, f"min_{m}_minus_{o}": gap}
@@ -279,10 +280,14 @@ def _thm_B_explicit(sp: SampledProblem) -> Certificate:
 # Opposite pattern (-, +): the two-exponential inequality system
 # ---------------------------------------------------------------------------
 
-def sys30_values(bounds: Bounds, x: float, y: float) -> tuple[float, float]:
-    """Left-hand sides (a2 e^{y tau} - b1 e^{-y sigma}, b2 e^{x sigma} - a1 e^{-x tau})."""
-    gv = bounds.a2 * math.exp(y * bounds.tau) - bounds.b1 * math.exp(-y * bounds.sigma)
-    fv = bounds.b2 * math.exp(x * bounds.sigma) - bounds.a1 * math.exp(-x * bounds.tau)
+def sys30_values(bounds: Bounds, x, y):
+    """(g(y), f(x)) = (a2 e^{y tau} - b1 e^{-y sigma}, b2 e^{x sigma} - a1 e^{-x tau}),
+    elementwise; the only place either side of the system is written. An
+    exponential that overflows saturates its side to inf without a warning."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gv = bounds.a2 * np.exp(y * bounds.tau) - bounds.b1 * np.exp(-y * bounds.sigma)
+        fv = bounds.b2 * np.exp(x * bounds.sigma) - bounds.a1 * np.exp(-x * bounds.tau)
     return gv, fv
 
 
@@ -323,7 +328,7 @@ def _sys30_witness_ok(bounds: Bounds, x: float, y: float) -> bool:
 
 
 def _g_inverse_vec(bounds: Bounds, xs: np.ndarray) -> np.ndarray:
-    """Invert the increasing map y -> a2 e^{y tau} - b1 e^{-y sigma} by bisection.
+    """Invert the increasing map y -> g(y) of sys30_values by bisection.
 
     Saturates at _SYS30_MAX when the target exceeds g(_SYS30_MAX); that only
     ever underestimates the inverse, so feasibility is never overclaimed.
@@ -332,7 +337,7 @@ def _g_inverse_vec(bounds: Bounds, xs: np.ndarray) -> np.ndarray:
     hi = np.full_like(xs, _SYS30_MAX)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        gv = bounds.a2 * np.exp(mid * bounds.tau) - bounds.b1 * np.exp(-mid * bounds.sigma)
+        gv, _ = sys30_values(bounds, 0.0, mid)
         too_big = gv > xs
         hi = np.where(too_big, mid, hi)
         lo = np.where(too_big, lo, mid)
@@ -340,8 +345,7 @@ def _g_inverse_vec(bounds: Bounds, xs: np.ndarray) -> np.ndarray:
 
 
 def check_sys30(bounds: Bounds) -> Certificate:
-    """Search for x, y > 0 with a2 e^{y tau} - b1 e^{-y sigma} <= x and
-    b2 e^{x sigma} - a1 e^{-x tau} <= y.
+    """Search for x, y > 0 with g(y) <= x and f(x) <= y, the sides of sys30_values.
 
     First the monotone-inversion route from the closed-form analysis (scan the
     slack g^{-1}(x) - f(x) over x, bisecting the inverse); if that finds
@@ -352,8 +356,8 @@ def check_sys30(bounds: Bounds) -> Certificate:
 
     def holds(x: float, y: float, route: str, extra: dict | None = None) -> Certificate:
         gv, fv = sys30_values(bounds, x, y)
-        witness = {"x": x, "y": y, "constraint_delay_side": gv,
-                   "constraint_advance_side": fv, "route": route}
+        witness = {"x": x, "y": y, "constraint_delay_side": float(gv),
+                   "constraint_advance_side": float(fv), "route": route}
         if extra:
             witness.update(extra)
         return Certificate("SYS_30_FEASIBLE", HOLDS, window, witness, caveats)
@@ -373,7 +377,7 @@ def check_sys30(bounds: Bounds) -> Certificate:
             np.linspace(x_lo, _SYS30_MAX, 480),
         ]))
         ginv = _g_inverse_vec(bounds, xs)
-        fx = bounds.b2 * np.exp(xs * bounds.sigma) - bounds.a1 * np.exp(-xs * bounds.tau)
+        _, fx = sys30_values(bounds, xs, 0.0)
         slack = ginv - fx
         k = int(np.argmax(slack))
         if slack[k] > 0.0:
@@ -391,8 +395,7 @@ def check_sys30(bounds: Bounds) -> Certificate:
     # fallback sweep over one grid for both x and y
     res = _SYS30_RESOLUTION
     xs = ys = res * (1.0 + np.arange(int(math.floor((_SYS30_MAX - res) / res + 0.5)) + 1))
-    fxs = bounds.b2 * np.exp(xs * bounds.sigma) - bounds.a1 * np.exp(-xs * bounds.tau)
-    gys = bounds.a2 * np.exp(ys * bounds.tau) - bounds.b1 * np.exp(-ys * bounds.sigma)
+    gys, fxs = sys30_values(bounds, xs, ys)
     idx = np.searchsorted(xs, gys, side="left")
     usable = idx < len(xs)
     cand = np.clip(idx, 0, len(xs) - 1)
@@ -409,18 +412,21 @@ def check_sys30(bounds: Bounds) -> Certificate:
 
 
 def _bisect_slack_root(bounds: Bounds, x1: float, x2: float) -> float:
-    """Boundary of the feasible x-range: root of g^{-1}(x) - f(x)."""
-    def slack(x: float) -> float:
-        ginv = float(_g_inverse_vec(bounds, np.asarray([x]))[0])
-        fv = bounds.b2 * math.exp(x * bounds.sigma) - bounds.a1 * math.exp(-x * bounds.tau)
-        return ginv - fv
+    """Boundary of the feasible x-range: sign change of the slack g^{-1}(x) - f(x).
 
-    s1 = slack(x1)
+    The slack is positive exactly when f(x) < _SYS30_MAX and g(f(x)) < x,
+    because g increases and _g_inverse_vec saturates at _SYS30_MAX.
+    """
+    def slack_positive(x: float) -> bool:
+        _, fv = sys30_values(bounds, x, 0.0)
+        gv, _ = sys30_values(bounds, x, fv)
+        return bool(fv < _SYS30_MAX and gv < x)
+
+    positive_at_x1 = slack_positive(x1)
     for _ in range(60):
         xm = 0.5 * (x1 + x2)
-        sm = slack(xm)
-        if (sm > 0) == (s1 > 0):
-            x1, s1 = xm, sm
+        if slack_positive(xm) == positive_at_x1:
+            x1 = xm
         else:
             x2 = xm
         if x2 - x1 <= 1e-10 * max(1.0, abs(xm)):
@@ -448,10 +454,7 @@ def sweep_region(bounds_template: Bounds, axis1: str, axis2: str,
                          f"{_MAX_CELLS}; use a coarser resolution")
     vals1, vals2 = (lo + resolution * np.arange(n) for (lo, _), n in zip(ranges, counts))
     if axes == ("x", "y"):
-        gv = bounds_template.a2 * np.exp(vals2 * bounds_template.tau) \
-            - bounds_template.b1 * np.exp(-vals2 * bounds_template.sigma)
-        fv = bounds_template.b2 * np.exp(vals1 * bounds_template.sigma) \
-            - bounds_template.a1 * np.exp(-vals1 * bounds_template.tau)
+        gv, fv = sys30_values(bounds_template, vals1, vals2)
         feas = (gv[None, :] <= vals1[:, None]) & (fv[:, None] <= vals2[None, :])
         return FeasibilityRegion("x", "y", vals1, vals2, feas)
     if axes == ("a", "b"):
@@ -577,7 +580,4 @@ def check_all(spec: ProblemSpec, window: tuple[float, float], step: float = 1e-3
     else:
         for cid in ("COR_3_1_C1", "COR_3_1_C2", "SYS_30_FEASIBLE"):
             out.append(_inapplicable(cid, window, _needs((-1, 1))))
-
-    order = {cid: i for i, cid in enumerate(ALL_CONDITION_IDS)}
-    out.sort(key=lambda c: order[c.condition_id])
     return out

@@ -456,7 +456,8 @@ def validate_spec(spec: ProblemSpec, window: tuple[float, float],
     """Sampling check of the standing hypotheses: a, b >= 0 and g <= t <= h.
 
     A pass is evidence at the sampling fidelity, not a proof; the first
-    violating sample point is reported per failed hypothesis.
+    violating sample point is reported per failed hypothesis. A non-finite
+    sample of a, b, g or h raises ValueError.
     """
     lo, hi = window
     if not hi > lo:
@@ -465,12 +466,13 @@ def validate_spec(spec: ProblemSpec, window: tuple[float, float],
         raise ValueError("need at least 2 samples")
     check_grid_size(samples - 1, f"sampling {samples} points")
     ts = np.linspace(lo, hi, samples)
+    a, b, g, h = (_require_finite(name, getattr(spec, name)(ts), ts) for name in "abgh")
     checks = []
     for name, vals, ok in (
-        ("a_nonnegative", spec.a(ts), lambda v: v >= 0),
-        ("b_nonnegative", spec.b(ts), lambda v: v >= 0),
-        ("g_is_delay", spec.g(ts) - ts, lambda v: v <= 0),
-        ("h_is_advance", spec.h(ts) - ts, lambda v: v >= 0),
+        ("a_nonnegative", a, lambda v: v >= 0),
+        ("b_nonnegative", b, lambda v: v >= 0),
+        ("g_is_delay", g - ts, lambda v: v <= 0),
+        ("h_is_advance", h - ts, lambda v: v >= 0),
     ):
         bad = np.flatnonzero(~ok(vals))
         if bad.size:

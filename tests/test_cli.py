@@ -9,7 +9,7 @@ import pytest
 import mixedde
 from mixedde.cli import main
 
-from conftest import write_spec_file
+from conftest import EXAMPLES, write_spec_file
 
 
 @pytest.fixture
@@ -177,12 +177,44 @@ def test_bad_step_exits_two(ex1_file, command, step, capsys):
     assert "step must be positive and finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["check", "construct", "simulate"])
+def _step_option(command):
+    return [] if command == "validate" else ["--step", "0.004"]
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "simulate", "validate"])
 @pytest.mark.parametrize("a", ["1e400", "exp(exp(t))"])
 def test_non_finite_coefficient_exits_two(tmp_path, command, a, capsys):
     path = write_spec_file(tmp_path / "huge.json", a=a)
-    assert main([command, path, "--step", "0.004"]) == 2
+    assert main([command, path, *_step_option(command)]) == 2
     assert "a(t) is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "simulate", "validate"])
+def test_non_finite_deviation_exits_two(tmp_path, command, capsys):
+    path = write_spec_file(tmp_path / "far.json", g="t-1e400")
+    assert main([command, path, *_step_option(command)]) == 2
+    assert "g(t) is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code, line", [
+    (["check", "{huge_a}"], 0, "witness: sup_rhs_minus_b=inf t_at_sup=0 min_a_minus_b=1e+300"),
+    (["check", "{long_advance}"], 1,
+     "witness: searched_x_max=50 searched_y_max=50 resolution=0.01"),
+    (["roots", "--a", "1e300", "--b", "1", "--tau", "0.3", "--sigma", "0.3"], 1,
+     "no real roots found"),
+    (["roots", "--a", "1", "--b", "1e300", "--tau", "0.3", "--sigma", "20"], 0,
+     "root: 34.0284129456 residual=3.45607986674e-10 class=decaying"),
+], ids=["check-huge-a", "check-long-advance", "roots-huge-a", "roots-huge-b"])
+def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code, line,
+                                                             capsys):
+    files = {"huge_a": write_spec_file(tmp_path / "huge.json", a="1e300"),
+             "long_advance": write_spec_file(tmp_path / "ex4.json",
+                                             **{**EXAMPLES["ex4"], "h": "t+20"})}
+    assert main([arg.format(**files) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert line in out.splitlines()
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv, message", [

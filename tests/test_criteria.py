@@ -15,7 +15,7 @@ from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
                               sys30_values)
 from mixedde.model import Bounds
 
-from conftest import EX2_I100, EX3_PROBE, make_spec
+from conftest import EX2_I100, EX3_PROBE, EXAMPLES, make_spec
 
 WINDOW = (0.0, 40.0)
 ONE_OVER_E = 1.0 / math.e
@@ -223,6 +223,86 @@ def test_sys30_degenerate_deviations():
     bounds = Bounds(1.0, 2.0, 0.5, 3.0, 0.0, 0.0, WINDOW)
     cert = check_sys30(bounds)
     assert cert.holds
+    assert cert.witness["route"] == "degenerate"
+
+
+def test_sys30_grid_sweep_route():
+    # the slack g^{-1}(x) - f(x) is positive nowhere on the inversion grid, so
+    # the witness comes from the fallback sweep
+    bounds = Bounds(0.2513596460413849, 0.27675102216363634, 8.663073427091012,
+                    13.739350761356066, 0.0, 4.37807035104346, WINDOW)
+    cert = check_sys30(bounds)
+    assert cert.holds
+    assert cert.witness["route"] == "grid-sweep"
+    assert (cert.witness["x"], cert.witness["y"]) == pytest.approx((0.28, 46.56), abs=1e-12)
+
+
+def _nested_inverse_slack(bounds, x):
+    """g^{-1}(x) - f(x), inverting g by an 80-step bisection on [0, 50]."""
+    lo, hi = 0.0, 50.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        gv = bounds.a2 * math.exp(mid * bounds.tau) - bounds.b1 * math.exp(-mid * bounds.sigma)
+        if gv > x:
+            hi = mid
+        else:
+            lo = mid
+    fv = bounds.b2 * math.exp(x * bounds.sigma) - bounds.a1 * math.exp(-x * bounds.tau)
+    return 0.5 * (lo + hi) - fv
+
+
+def _nested_inverse_boundary(bounds, x1, x2):
+    """The boundary bisection as first written: one inversion of g per probe."""
+    s1 = _nested_inverse_slack(bounds, x1)
+    for _ in range(60):
+        xm = 0.5 * (x1 + x2)
+        sm = _nested_inverse_slack(bounds, xm)
+        if (sm > 0) == (s1 > 0):
+            x1, s1 = xm, sm
+        else:
+            x2 = xm
+        if x2 - x1 <= 1e-10 * max(1.0, abs(xm)):
+            break
+    return 0.5 * (x1 + x2)
+
+
+def test_sys30_boundary_matches_the_nested_inverse(monkeypatch):
+    brackets = []
+    bisect = criteria._bisect_slack_root
+
+    def recording(bounds, x1, x2):
+        brackets.append((bounds, x1, x2))
+        return bisect(bounds, x1, x2)
+
+    monkeypatch.setattr(criteria, "_bisect_slack_root", recording)
+    rng = np.random.default_rng(30)
+    boundaries = []
+    for _ in range(60):
+        a1, a2 = np.sort(rng.uniform(0.05, 3.0, size=2))
+        b1, b2 = np.sort(rng.uniform(0.05, 3.0, size=2))
+        bounds = Bounds(float(a1), float(a2), float(b1), float(b2),
+                        float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.3)), WINDOW)
+        cert = check_sys30(bounds)
+        if cert.holds and "boundary_x" in cert.witness:
+            boundaries.append(cert.witness["boundary_x"])
+            assert brackets[-1][0] is bounds
+    assert len(boundaries) == len(brackets) >= 20
+    for x, (bounds, x1, x2) in zip(boundaries, brackets):
+        assert x == pytest.approx(_nested_inverse_boundary(bounds, x1, x2), rel=1e-12, abs=0)
+        dx = 1e-9 * max(1.0, x)
+        assert _nested_inverse_slack(bounds, x - dx) > 0
+        assert _nested_inverse_slack(bounds, x + dx) < 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bounds, boundary_x", [
+    (Bounds(1.0, 1.0, 0.01, 0.01, 20.0, 0.3, WINDOW), 7.75743043085242),
+    (Bounds(0.01, 0.01, 1.0, 1.0, 0.3, 20.0, WINDOW), 0.10249502102605282),
+], ids=["long-delay", "long-advance"])
+def test_sys30_boundary_with_overflowing_exponentials(bounds, boundary_x):
+    cert = check_sys30(bounds)
+    assert cert.witness["route"] == "monotone-inversion"
+    assert cert.witness["boundary_x"] == pytest.approx(boundary_x, rel=1e-12, abs=0)
 
 
 def test_sys30_infeasible():
@@ -462,6 +542,16 @@ def test_check_all_order_and_routing(ex1_spec):
     assert by_id["THM_A_EXPLICIT"].verdict == "inapplicable"
     assert by_id["SYS_30_FEASIBLE"].verdict == "inapplicable"
     assert "reason" in by_id["SYS_30_FEASIBLE"].witness
+
+
+@pytest.mark.parametrize("overrides", [
+    EXAMPLES["ex3"],
+    dict(a="0.3", b="0.1", g="t-0.4", h="t+0.2", delta2=1),
+    dict(a="0.3", b="0.1", g="t-0.4", h="t+0.2", delta1=-1),
+], ids=["minus-plus", "plus-plus", "minus-minus"])
+def test_check_all_order_for_the_other_sign_patterns(overrides):
+    certs = check_all(make_spec(**overrides), WINDOW)
+    assert tuple(c.condition_id for c in certs) == ALL_CONDITION_IDS
 
 
 def test_check_all_example3(ex3_spec):
