@@ -14,7 +14,9 @@ Naming of the condition catalog:
                                        x' + a x(g) - b x(h) = 0 with a >= b
   COR_2_2 / COR_2_4_REMARK / COR_2_3   mirrored tests for b >= a
   COR_1_5 / COR_1_6 / COR_2_5          divergent-integral refinements pinning
-                                       the limit of the constructed solution
+                                       the limit of the constructed solution;
+                                       in check_all, applicable only where a
+                                       base test of the same case holds
   THM_A_EXPLICIT / THM_B_EXPLICIT      nested 1/e integral tests for the
                                        same-sign patterns (+,+) and (-,-)
   COR_3_1_C1 / COR_3_1_C2 / SYS_30_FEASIBLE
@@ -244,15 +246,10 @@ def _thm_A_explicit(sp: SampledProblem) -> Certificate:
     if sp.spec.sign_pattern != (1, 1):
         return _inapplicable("THM_A_EXPLICIT", sp.window, _needs((1, 1)))
     spec, (t1, T), step = sp.spec, sp.window, sp.step
-    w_grid = GridFunction.from_callable(
+    return _nested_one_over_e(
+        "THM_A_EXPLICIT", sp,
         lambda s: spec.a(s) * np.exp(sp.cum_b(s) - sp.cum_b(spec.g(s))),
-        t1 - sp.tau - step, T, step)
-    cum_w = w_grid.cumulative()
-    sup, t_at = _sup_witness(sp.ts, cum_w(sp.ts) - cum_w(sp.g))
-    ok = sup <= ONE_OVER_E - _STRICT_MARGIN
-    witness = {"sup_nested_integral": sup, "t_at_sup": t_at, "one_over_e": ONE_OVER_E}
-    return Certificate("THM_A_EXPLICIT", HOLDS if ok else FAILS, sp.window, witness,
-                       (CAVEAT_WINDOW_LIMITED, CAVEAT_EQUICONTINUITY))
+        (t1 - sp.tau - step, T), sp.g, sp.ts)
 
 
 def check_thm_B_explicit(spec: ProblemSpec, window: tuple[float, float],
@@ -265,14 +262,28 @@ def _thm_B_explicit(sp: SampledProblem) -> Certificate:
     if sp.spec.sign_pattern != (-1, -1):
         return _inapplicable("THM_B_EXPLICIT", sp.window, _needs((-1, -1)))
     spec, (t1, T), step = sp.spec, sp.window, sp.step
-    w_grid = GridFunction.from_callable(
+    return _nested_one_over_e(
+        "THM_B_EXPLICIT", sp,
         lambda s: spec.b(s) * np.exp(sp.cum_a(spec.h(s)) - sp.cum_a(s)),
-        t1, T + sp.sigma + step, step)
-    cum_w = w_grid.cumulative()
-    sup, t_at = _sup_witness(sp.ts, cum_w(sp.h) - cum_w(sp.ts))
+        (t1, T + sp.sigma + step), sp.ts, sp.h)
+
+
+def _nested_one_over_e(condition_id: str, sp: SampledProblem, weight,
+                       span: tuple[float, float], lower: np.ndarray,
+                       upper: np.ndarray) -> Certificate:
+    """sup over the window of int_lower^upper weight <= 1/e - margin.
+
+    weight is sampled on span. Where it overflows, the nested integral
+    saturates to inf, which fails the test; numpy prints no warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cum_w = GridFunction.from_callable(weight, *span, sp.step).cumulative()
+        nested = cum_w(upper) - cum_w(lower)
+    nested[~np.isfinite(nested)] = np.inf
+    sup, t_at = _sup_witness(sp.ts, nested)
     ok = sup <= ONE_OVER_E - _STRICT_MARGIN
     witness = {"sup_nested_integral": sup, "t_at_sup": t_at, "one_over_e": ONE_OVER_E}
-    return Certificate("THM_B_EXPLICIT", HOLDS if ok else FAILS, sp.window, witness,
+    return Certificate(condition_id, HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED, CAVEAT_EQUICONTINUITY))
 
 
@@ -527,6 +538,20 @@ def _divergence(sp: SampledProblem, condition_id: str, threshold: float) -> Cert
                        (CAVEAT_WINDOW_LIMITED,))
 
 
+def _refinement(sp: SampledProblem, condition_id: str, threshold: float,
+                bases: list[Certificate]) -> Certificate:
+    """The divergence condition, inapplicable unless one of bases holds.
+
+    A divergent gap integral pins the limit of a solution some base
+    certificate constructs; on its own it does not show that one exists.
+    """
+    cert = _divergence(sp, condition_id, threshold)
+    if cert.verdict == INAPPLICABLE or any(b.holds for b in bases):
+        return cert
+    names = "/".join(b.condition_id for b in bases)
+    return _inapplicable(condition_id, sp.window, f"needs one of {names} to hold")
+
+
 # ---------------------------------------------------------------------------
 # Informational note and the master runner
 # ---------------------------------------------------------------------------
@@ -560,18 +585,18 @@ def check_all(spec: ProblemSpec, window: tuple[float, float], step: float = 1e-3
     """Run every condition; mismatched sign patterns yield inapplicable verdicts.
 
     Conditions are independent sufficient tests and never short-circuit each
-    other; the list is returned in the fixed catalog order. All window checks
-    read one SampledProblem, which rejects non-finite samples for every pattern.
+    other, except that a divergent-integral refinement is inapplicable unless a
+    base certificate of its case holds; the list is returned in the fixed
+    catalog order. All window checks read one SampledProblem, which rejects
+    non-finite samples for every pattern.
     """
     sp = SampledProblem(spec, window, step)
-    out = [_cor_x_2(sp, "delay"), _cor_x_3(sp, "delay"),
-           _cor_x_4_remark(sp, "delay"),
-           _divergence(sp, "COR_1_5", divergence_threshold),
-           _divergence(sp, "COR_1_6", divergence_threshold),
-           _cor_x_2(sp, "advance"), _cor_x_3(sp, "advance"),
-           _cor_x_4_remark(sp, "advance"),
-           _divergence(sp, "COR_2_5", divergence_threshold),
-           _thm_A_explicit(sp), _thm_B_explicit(sp)]
+    out = []
+    for case, refinements in (("delay", ("COR_1_5", "COR_1_6")), ("advance", ("COR_2_5",))):
+        bases = [_cor_x_2(sp, case), _cor_x_3(sp, case), _cor_x_4_remark(sp, case)]
+        out += bases
+        out += [_refinement(sp, cid, divergence_threshold, bases) for cid in refinements]
+    out += [_thm_A_explicit(sp), _thm_B_explicit(sp)]
 
     if spec.sign_pattern == (-1, 1):
         bounds = extract_bounds(spec, window)

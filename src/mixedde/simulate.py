@@ -5,6 +5,17 @@ integrates forward with Heun's method, taking delayed values from the sweep
 being built and advanced values from the previous sweep's trajectory
 (continued as a constant past its horizon). Sweeps repeat until the trajectory
 stops changing. Convergence diagnostics are reported, never a uniqueness claim.
+
+A sweep advances by the method of steps (Bellen & Zennaro, *Numerical Methods
+for Delay Differential Equations*, 2003). The advanced values all come from the
+previous sweep, so they are read for the whole grid at once. A run of nodes
+whose delayed arguments all fall at or before the run's first node needs
+nothing else from the sweep being built, so its Heun increments are formed
+with array operations and added in node order by a cumulative sum. Every node
+gets the same floating-point operations, in the same order, as a node-by-node
+loop would give it, so the trajectory is bit-identical to that loop's. Short
+runs, and nodes whose delay is under one step (where Heun's second stage reads
+its own predictor), are stepped one node at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +40,158 @@ CAVEAT_AMPLIFYING = "amplifying-advance-feedback"
 _SIGN_TOL = 1e-9  # classify_trajectory's sign threshold, relative to max|x|
 
 
+# A vectorised run costs about a dozen numpy calls, about as much as stepping a
+# dozen nodes in Python; shorter runs are stepped one node at a time.
+_MIN_RUN = 12
+
+
+class _HeunSweep:
+    """One relax sweep on a sampled grid: the previous sweep x_prev -> the next.
+
+    Node i+1 gets x[i] + step/2 * (F[i] + F[i+1]) with
+    F[k] = ca[k]*x(g_k) + cb[k]*x_prev(h_k); a deviated value between nodes is
+    read by linear interpolation, x(g) is the history where g_k < t0, and
+    x_prev stays at its last value past the horizon. Where the delay is under
+    one step, the second stage reads x(g) from the Euler predictor instead.
+
+    The read geometry is fixed, so the grid is split once into a plan: runs
+    [s, e] in which every node after s reads x(g) at or before node s, advanced
+    with array operations, and the nodes between them, stepped one at a time.
+    Either way each node gets the same operations in the same order, so the
+    result does not depend on the plan.
+    """
+
+    def __init__(self, sampled: SampledProblem):
+        spec, step = sampled.spec, sampled.step
+        n = len(sampled.ts)
+        t0 = sampled.window[0]
+        # grid positions of the deviated arguments, in units of step
+        idx = np.arange(n, dtype=float)
+        dpos = np.minimum((sampled.g - t0) / step, idx)   # delayed, never ahead of its node
+        apos = np.clip((sampled.h - t0) / step, idx, float(n - 1))  # advanced, clamped at horizon
+        self.n, self.step, self.half = n, step, 0.5 * step
+        ca = -float(spec.delta1) * sampled.a
+        self._cb = -float(spec.delta2) * sampled.b
+        past = dpos < 0.0
+        self.history_nodes = np.flatnonzero(past)
+
+        aj = apos.astype(np.intp)
+        self._a_w = apos - aj
+        self._a_clamp = aj >= n - 1
+        self._a_j = np.minimum(aj, n - 2)
+        self._a_j1 = self._a_j + 1
+
+        # x(g) of node k is read from buf[_d_j[k]] (and buf[_d_j1[k]] unless
+        # _d_exact[k]), where a sweep's buffer holds [x | history]
+        dj = np.where(past, 0.0, dpos).astype(np.intp)
+        w = np.where(past, 0.0, dpos - dj)
+        exact = w == 0.0
+        j = np.where(past, n + np.arange(n), dj)
+        self._d_j, self._d_j1, self._d_w, self._d_exact = (
+            j, np.where(exact, j, j + 1), w, exact)
+        self._ca, self._dpos_l, self._ca_l = ca, dpos.tolist(), ca.tolist()
+        # the last and the first node that x(g) of node k reads (none for history)
+        need = np.where(past, 0, np.where(exact, dj, dj + 1))
+        lowest = np.where(past, np.arange(n), dj)
+        self._plan = self._plan_runs(need.tolist(), lowest)
+
+    def _plan_runs(self, need: list[int], lowest: np.ndarray) -> list[tuple]:
+        """(s, e, lo, run) in grid order, covering every step 0 -> n-1 once.
+
+        run holds the read arrays of a vectorised run [s, e]; it is None for a
+        stretch stepped node by node, whose reads start at node lo.
+        """
+        def stepped(s: int, e: int) -> tuple:
+            return s, e, min(s, int(np.min(lowest[s:e + 1]))), None
+
+        n, plan = self.n, []
+        s, first = 0, None
+        while s < n - 1:
+            e = s + 1
+            while e < n and need[e] <= s:
+                e += 1
+            e -= 1
+            if e - s < _MIN_RUN:
+                first = s if first is None else first
+                s = max(e, s + 1)
+                continue
+            if first is not None:
+                plan.append(stepped(first, s))
+                first = None
+            nodes = slice(s, e + 1)
+            exact = self._d_exact[nodes]
+            plan.append((s, e, s, (self._d_j[nodes], self._d_j1[nodes], self._d_w[nodes],
+                                   exact if exact.any() else None, self._ca[nodes])))
+            s = e
+        if first is not None:
+            plan.append(stepped(first, s))
+        return plan
+
+    def __call__(self, x_prev: np.ndarray, x_init: float, hist: np.ndarray) -> np.ndarray:
+        """The sweep after x_prev, from x(t0) = x_init and the history values
+        hist[k] at history_nodes (other entries of hist are not read)."""
+        n = self.n
+        buf = np.empty(2 * n)
+        buf[n:] = hist
+        buf[0] = x_init
+        half = self.half
+        with np.errstate(over="ignore", invalid="ignore"):
+            aj = self._a_j
+            xh = x_prev[aj] + self._a_w * (x_prev[self._a_j1] - x_prev[aj])
+            xh[self._a_clamp] = x_prev[n - 1]
+            cbxh = self._cb * xh
+            for s, e, lo, run in self._plan:
+                if run is None:
+                    self._step_nodes(buf, cbxh, s, e, lo)
+                    continue
+                j, j1, w, exact, ca = run
+                xj = buf[j]
+                xg = xj + w * (buf[j1] - xj)
+                if exact is not None:  # a node read exactly takes the node's value
+                    xg = np.where(exact, xj, xg)
+                f = ca * xg + cbxh[s:e + 1]
+                d = half * (f[:-1] + f[1:])
+                d[0] += buf[s]
+                np.add.accumulate(d, out=buf[s + 1:e + 1])  # in node order, as a loop adds
+        return buf[:n]
+
+    def _step_nodes(self, buf: np.ndarray, cbxh: np.ndarray, s: int, e: int,
+                    lo: int) -> None:
+        """Heun steps s -> e one node at a time, on a local list of nodes lo..e."""
+        n, step, half = self.n, self.step, self.half
+        dp, ca = self._dpos_l, self._ca_l
+        x = buf[lo:e + 1].tolist()
+        hl = buf[n + s:n + e + 1].tolist()
+        cbl = cbxh[s:e + 1].tolist()
+        for i in range(s, e):
+            xi = x[i - lo]
+            # stage 1 at ts[i]
+            p = dp[i]
+            if p < 0.0:
+                xg = hl[i - s]
+            else:
+                j = int(p)
+                w = p - j
+                j -= lo
+                xg = x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])
+            k1 = ca[i] * xg + cbl[i - s]
+            pred = xi + step * k1
+            # stage 2 at ts[i+1]
+            p = dp[i + 1]
+            if p < 0.0:
+                xg = hl[i + 1 - s]
+            elif p > i:
+                xg = xi + (p - i) * (pred - xi)
+            else:
+                j = int(p)
+                w = p - j
+                j -= lo
+                xg = x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])
+            k2 = ca[i + 1] * xg + cbl[i + 1 - s]
+            x[i + 1 - lo] = xi + half * (k1 + k2)
+        buf[s + 1:e + 1] = x[s + 1 - lo:]
+
+
 @dataclass(frozen=True)
 class Trajectory:
     x: GridFunction
@@ -48,6 +211,14 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     x' = -delta1*a*x(g) - delta2*b*x(h) by Heun's method, reading x(g) from the
     nodes already computed this sweep and x(h) from sweep k. Stops when the
     max node change drops below tol (default 1e-10 * max(|x0|, 1)).
+
+    Each sweep runs by the method of steps (_HeunSweep): all advanced values
+    are read from sweep k at once, and each run of nodes that reads x(g) only
+    at or before its first node is advanced with array operations, its Heun
+    increments added in node order by a cumulative sum. Those are the same
+    floating-point operations, in the same order, as stepping node by node, so
+    the sweeps, and hence every trajectory and report, are bit-identical to
+    that loop's. The run plan is made once per call.
 
     When the advance coupling makes the pure iteration amplify with a
     sign-alternating leading mode (gain measured by a short power iteration on
@@ -77,69 +248,14 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     if positive.size and step > float(np.min(positive)):
         caveats.append(CAVEAT_COARSE_STEP)
 
-    # Grid positions of the deviated arguments, in units of step.
-    idx = np.arange(n, dtype=float)
-    dpos = np.minimum((sampled.g - t0) / step, idx)   # delayed, never ahead of its node
-    apos = np.clip((sampled.h - t0) / step, idx, float(n - 1))  # advanced, clamped at horizon
-
-    hist = [0.0] * n
-    for i in np.flatnonzero(dpos < 0.0).tolist():
+    sweep = _HeunSweep(sampled)
+    hist = np.zeros(n)
+    for i in sweep.history_nodes.tolist():
         hist[i] = float(ivp.phi(sampled.g[i]))
         if not math.isfinite(hist[i]):
             raise ValueError(f"history phi is not finite at t={sampled.g[i]:.6g}")
-
-    dpos_l = dpos.tolist()
-    apos_l = apos.tolist()
-    ca = (-float(spec.delta1) * sampled.a).tolist()
-    cb = (-float(spec.delta2) * sampled.b).tolist()
-
-    half = 0.5 * step
     x0 = float(ivp.x0)
-
-    zeros = [0.0] * n
-
-    def sweep(x_prev: list[float], x_init: float = x0,
-              hist_l: list[float] | None = None) -> list[float]:
-        hl = hist if hist_l is None else hist_l
-        x = [0.0] * n
-        x[0] = x_init
-        for i in range(n - 1):
-            xi = x[i]
-            # stage 1 at ts[i]
-            p = dpos_l[i]
-            if p < 0.0:
-                xg = hl[i]
-            else:
-                j = int(p)
-                w = p - j
-                xg = x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])
-            q = apos_l[i]
-            j = int(q)
-            if j >= n - 1:
-                xh = x_prev[n - 1]
-            else:
-                xh = x_prev[j] + (q - j) * (x_prev[j + 1] - x_prev[j])
-            k1 = ca[i] * xg + cb[i] * xh
-            pred = xi + step * k1
-            # stage 2 at ts[i+1]
-            p = dpos_l[i + 1]
-            if p < 0.0:
-                xg = hl[i + 1]
-            elif p > i:
-                xg = xi + (p - i) * (pred - xi)
-            else:
-                j = int(p)
-                w = p - j
-                xg = x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])
-            q = apos_l[i + 1]
-            j = int(q)
-            if j >= n - 1:
-                xh = x_prev[n - 1]
-            else:
-                xh = x_prev[j] + (q - j) * (x_prev[j + 1] - x_prev[j])
-            k2 = ca[i + 1] * xg + cb[i + 1] * xh
-            x[i + 1] = xi + half * (k1 + k2)
-        return x
+    zeros = np.zeros(n)
 
     def dominant_gain(max_iters: int = 48) -> float:
         """Rayleigh estimate of the sweep map's leading error-mode gain.
@@ -153,7 +269,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
         e[0] = 0.0
         mu = 0.0
         for k in range(max_iters):
-            ke = np.asarray(sweep(e.tolist(), 0.0, zeros))
+            ke = sweep(e, 0.0, zeros)
             denom = float(e @ e)
             if denom == 0.0 or not np.all(np.isfinite(ke)):
                 break
@@ -179,7 +295,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
             # (the forward scheme has no fixed point to converge to here)
             caveats.append(CAVEAT_AMPLIFYING)
     min_weight = 1.0 / 64.0
-    x_prev = [x0] * n  # sweep 0: every node lies at or after t0
+    x_prev = np.full(n, x0)  # sweep 0: every node lies at or after t0
     history: list[float] = []
     converged = False
     sweeps = 0
@@ -187,7 +303,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
 
     while sweeps < max_sweeps:
         sweeps += 1
-        raw = sweep(x_prev)
+        raw = sweep(x_prev, x0, hist)
         # the reported residual is the raw sweep defect, independent of
         # damping; np.max propagates a NaN, which Python's max would skip
         delta = float(np.max(np.abs(np.subtract(raw, x_prev))))
@@ -209,18 +325,19 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
             # safety net for drift past the measured gain: damp harder
             weight = max(0.5 * weight, min_weight)
             grow_streak = 0
-            if not all(math.isfinite(v) for v in x_prev):
-                x_prev = [x0] * n
+            if not np.all(np.isfinite(x_prev)):
+                x_prev = np.full(n, x0)
                 continue
         if weight < 1.0:
-            x_prev = [(1.0 - weight) * u + weight * v for u, v in zip(x_prev, raw)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_prev = (1.0 - weight) * x_prev + weight * raw
         else:
             x_prev = raw
 
     if weight < 1.0:
         caveats.append(f"damped-sweeps-{weight:g}")
 
-    traj_x = GridFunction(t0, step, np.asarray(x_prev[:len(report.ts)]))
+    traj_x = GridFunction(t0, step, x_prev[:len(report.ts)].copy())
     eq_res = _equation_residual(traj_x, report)
     return Trajectory(
         x=traj_x,

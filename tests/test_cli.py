@@ -54,6 +54,20 @@ def test_check_example3_exit_zero(ex3_file, capsys):
     assert "condition: SYS_30_FEASIBLE\nverdict: holds_on_window" in out
 
 
+def test_check_divergence_alone_certifies_nothing(tmp_path, capsys):
+    # the gap integral diverges, yet no real characteristic root exists
+    fields = dict(a="1.8160707492126158", b="1.0896741165408745",
+                  g="t-0.4014528289067837", h="t+0.039266814684880864")
+    path = write_spec_file(tmp_path / "refinement.json", **fields)
+    assert main(["check", path, "--T", "100"]) == 1
+    out = capsys.readouterr().out
+    assert ("condition: COR_1_5\nverdict: inapplicable\nwindow: 0 .. 100\n"
+            "witness: reason=needs one of COR_1_2/COR_1_3/COR_1_4_REMARK to hold") in out
+    assert "holds_on_window" not in out
+    assert main(["roots", path]) == 1
+    assert "no real roots found" in capsys.readouterr().out
+
+
 def test_check_trivial_zero_equation(tmp_path, capsys):
     path = write_spec_file(tmp_path / "zero.json", a="0", b="0", g="t", h="t")
     assert main(["check", path, "--T", "20"]) == 0
@@ -198,19 +212,30 @@ def test_non_finite_deviation_exits_two(tmp_path, command, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, code, line", [
-    (["check", "{huge_a}"], 0, "witness: sup_rhs_minus_b=inf t_at_sup=0 min_a_minus_b=1e+300"),
+    # exit 1: only COR_1_5 held here, and it needs a holding base certificate
+    (["check", "{huge_a}"], 1, "witness: sup_rhs_minus_b=inf t_at_sup=0 min_a_minus_b=1e+300"),
     (["check", "{long_advance}"], 1,
      "witness: searched_x_max=50 searched_y_max=50 resolution=0.01"),
     (["roots", "--a", "1e300", "--b", "1", "--tau", "0.3", "--sigma", "0.3"], 1,
      "no real roots found"),
     (["roots", "--a", "1", "--b", "1e300", "--tau", "0.3", "--sigma", "20"], 0,
      "root: 34.0284129456 residual=3.45607986674e-10 class=decaying"),
-], ids=["check-huge-a", "check-long-advance", "roots-huge-a", "roots-huge-b"])
+    (["check", "{huge_b_plus_plus}", "--T", "20"], 1,
+     "witness: sup_nested_integral=inf t_at_sup=0 one_over_e=0.367879441171"),
+    (["check", "{huge_a_minus_minus}", "--T", "20"], 1,
+     "witness: sup_nested_integral=inf t_at_sup=0 one_over_e=0.367879441171"),
+], ids=["check-huge-a", "check-long-advance", "roots-huge-a", "roots-huge-b",
+        "check-thm-a-huge-b", "check-thm-b-huge-a"])
 def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code, line,
                                                              capsys):
+    same_sign = dict(g="t-0.4", h="t+0.2")
     files = {"huge_a": write_spec_file(tmp_path / "huge.json", a="1e300"),
              "long_advance": write_spec_file(tmp_path / "ex4.json",
-                                             **{**EXAMPLES["ex4"], "h": "t+20"})}
+                                             **{**EXAMPLES["ex4"], "h": "t+20"}),
+             "huge_b_plus_plus": write_spec_file(tmp_path / "pp.json", a="0.3", b="1e300",
+                                                 delta2=1, **same_sign),
+             "huge_a_minus_minus": write_spec_file(tmp_path / "mm.json", a="1e300", b="0.3",
+                                                   delta1=-1, delta2=-1, **same_sign)}
     assert main([arg.format(**files) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert line in out.splitlines()

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ def test_thm_b_mirror():
     assert cert.witness["sup_nested_integral"] == pytest.approx(
         0.244280551632034, abs=1e-7)
     assert check_thm_B_explicit(make_spec(), WINDOW).verdict == "inapplicable"
+
+
+@pytest.mark.parametrize("check, overrides", [
+    (check_thm_A_explicit, dict(a="0.3", b="1e300", g="t-0.4", h="t+0.2", delta2=1)),
+    (check_thm_B_explicit, dict(a="1e300", b="0.3", g="t-0.4", h="t+0.2",
+                                delta1=-1, delta2=-1)),
+], ids=["thm-a-huge-b", "thm-b-huge-a"])
+def test_thm_nested_integral_saturates_on_overflow(check, overrides):
+    # the weight's exponential overflows; the integral saturates to inf and fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = check(make_spec(**overrides), (0.0, 20.0))
+    assert cert.verdict == "fails_on_window"
+    assert cert.witness["sup_nested_integral"] == math.inf
+    assert cert.witness["t_at_sup"] == 0.0
 
 
 # -- COR_3_1 --------------------------------------------------------------------
@@ -552,6 +568,39 @@ def test_check_all_order_and_routing(ex1_spec):
 def test_check_all_order_for_the_other_sign_patterns(overrides):
     certs = check_all(make_spec(**overrides), WINDOW)
     assert tuple(c.condition_id for c in certs) == ALL_CONDITION_IDS
+
+
+# (+,-) constant specs whose characteristic function has no real root: the gap
+# integral diverges, but no base certificate of that case holds
+_REFINEMENT_ONLY = {
+    "delay": dict(a="1.8160707492126158", b="1.0896741165408745",
+                  g="t-0.4014528289067837", h="t+0.039266814684880864"),
+    "advance": dict(a="1.0896741165408745", b="1.8160707492126158",
+                    g="t-0.039266814684880864", h="t+0.4014528289067837"),
+}
+
+
+@pytest.mark.parametrize("case, refinements, bases", [
+    ("delay", ("COR_1_5", "COR_1_6"), "COR_1_2/COR_1_3/COR_1_4_REMARK"),
+    ("advance", ("COR_2_5",), "COR_2_2/COR_2_3/COR_2_4_REMARK"),
+], ids=["delay", "advance"])
+def test_check_all_refinements_need_a_base_certificate(case, refinements, bases):
+    spec = make_spec(**_REFINEMENT_ONLY[case])
+    certs = check_all(spec, (0.0, 100.0))
+    assert not any(c.holds for c in certs)
+    by_id = {c.condition_id: c for c in certs}
+    for cid in refinements:
+        assert by_id[cid].verdict == "inapplicable"
+        assert by_id[cid].witness["reason"] == f"needs one of {bases} to hold"
+    # called on its own, the divergence check keeps reporting the integral
+    assert check_divergence(spec, (0.0, 100.0), refinements[0]).holds
+
+
+def test_check_all_keeps_refinements_behind_a_holding_base(ex2_spec):
+    by_id = {c.condition_id: c for c in check_all(ex2_spec, (0.0, 100.0))}
+    assert by_id["COR_1_2"].holds
+    assert by_id["COR_1_5"] == check_divergence(ex2_spec, (0.0, 100.0), "COR_1_5")
+    assert by_id["COR_1_6"] == check_divergence(ex2_spec, (0.0, 100.0), "COR_1_6")
 
 
 def test_check_all_example3(ex3_spec):

@@ -104,10 +104,21 @@ def _chains(draw, depth: int, leaves=_LEAVES) -> CoefficientExpr:
     return node
 
 
-_BUSHY = st.recursive(_LEAVES, lambda kids: st.one_of(
-    st.builds(lambda k, a: CoefficientExpr(k, args=(a,)), st.sampled_from(_UNARY), kids),
-    st.builds(lambda k, a, b: CoefficientExpr(k, args=(a, b)),
-              st.sampled_from(_BINARY), kids, kids)), max_leaves=24)
+def _unary(kind: str, arg: CoefficientExpr) -> CoefficientExpr:
+    return CoefficientExpr(kind, args=(arg,))
+
+
+def _binary(kind: str, left: CoefficientExpr, right: CoefficientExpr) -> CoefficientExpr:
+    return CoefficientExpr(kind, args=(left, right))
+
+
+def extend(kids):
+    """One more level of a random tree over the subtrees kids."""
+    return st.one_of(st.builds(_unary, st.sampled_from(_UNARY), kids),
+                     st.builds(_binary, st.sampled_from(_BINARY), kids, kids))
+
+
+_BUSHY = st.recursive(_LEAVES, extend, max_leaves=24)
 
 
 def _stack(kind: str, leaf: CoefficientExpr, depth: int) -> CoefficientExpr:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedde.construct import GeneratingCandidate, iterate
 from mixedde.gridfn import GridFunction
-from mixedde.model import IVP, CoefficientExpr, parse_expr
-from mixedde.simulate import Trajectory, classify_trajectory, equation_residual, relax
+from mixedde.model import IVP, CoefficientExpr, SampledProblem, parse_expr
+from mixedde.simulate import (_MIN_RUN, Trajectory, _HeunSweep, classify_trajectory,
+                              equation_residual, relax)
 
-from conftest import LAM2, make_spec
+from conftest import EXAMPLES, LAM2, make_spec
 
 
 def test_ode_reduction_single_sweep():
@@ -165,3 +168,154 @@ def test_relax_samples_report_and_node_grids_once(ex1_spec, sampled_builds):
     relax(IVP(ex1_spec, parse_expr("1"), 1.0), 10.0, 0.004)
     assert [args[1:] for args in sampled_builds] == [((0.0, 10.0), 0.004),
                                                      ((0.0, 10.3), 0.004)]
+
+
+# -- the method-of-steps sweep against the node-by-node loop it replaced ----------------
+
+def _loop_sweep(sampled, x_prev, x_init, hl):
+    """The node-by-node Heun sweep that _HeunSweep replaced, kept as its oracle:
+    the read geometry and the loop body are copied verbatim from that version."""
+    spec, step = sampled.spec, sampled.step
+    t0, n = sampled.window[0], len(sampled.ts)
+    idx = np.arange(n, dtype=float)
+    dpos = np.minimum((sampled.g - t0) / step, idx)   # delayed, never ahead of its node
+    apos = np.clip((sampled.h - t0) / step, idx, float(n - 1))  # advanced, clamped at horizon
+    dpos_l = dpos.tolist()
+    apos_l = apos.tolist()
+    ca = (-float(spec.delta1) * sampled.a).tolist()
+    cb = (-float(spec.delta2) * sampled.b).tolist()
+    half = 0.5 * step
+
+    x = [0.0] * n
+    x[0] = x_init
+    for i in range(n - 1):
+        xi = x[i]
+        # stage 1 at ts[i]
+        p = dpos_l[i]
+        if p < 0.0:
+            xg = hl[i]
+        else:
+            j = int(p)
+            w = p - j
+            xg = x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])
+        q = apos_l[i]
+        j = int(q)
+        if j >= n - 1:
+            xh = x_prev[n - 1]
+        else:
+            xh = x_prev[j] + (q - j) * (x_prev[j + 1] - x_prev[j])
+        k1 = ca[i] * xg + cb[i] * xh
+        pred = xi + step * k1
+        # stage 2 at ts[i+1]
+        p = dpos_l[i + 1]
+        if p < 0.0:
+            xg = hl[i + 1]
+        elif p > i:
+            xg = xi + (p - i) * (pred - xi)
+        else:
+            j = int(p)
+            w = p - j
+            xg = x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])
+        q = apos_l[i + 1]
+        j = int(q)
+        if j >= n - 1:
+            xh = x_prev[n - 1]
+        else:
+            xh = x_prev[j] + (q - j) * (x_prev[j + 1] - x_prev[j])
+        k2 = ca[i + 1] * xg + cb[i + 1] * xh
+        x[i + 1] = xi + half * (k1 + k2)
+    return x
+
+
+def _assert_sweeps_identical(sampled, x_prev, x_init, phi):
+    """Both sweeps, with history phi and with the homogeneous data (0, 0)."""
+    sweep = _HeunSweep(sampled)
+    hist = np.zeros(len(sampled.ts))
+    hist[sweep.history_nodes] = phi(sampled.g[sweep.history_nodes])
+    for init, past in ((x_init, hist), (0.0, np.zeros_like(hist))):
+        got = sweep(x_prev, init, past)
+        want = np.asarray(_loop_sweep(sampled, x_prev.tolist(), init, past.tolist()))
+        # bit patterns, so that signed zeros count too
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _delays(step):
+    """Delay expressions t - g(t): zero, under one step, exact multiples of the
+    (dyadic) step, arbitrary constants, and cos-varying ones reaching zero."""
+    return st.one_of(
+        st.just("0"),
+        st.floats(0.05, 0.95).map(lambda f: repr(f * step)),
+        st.integers(1, 40).map(lambda m: repr(m * step)),
+        st.floats(0.0, 0.6).map(repr),
+        st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 1.0), st.floats(0.5, 3.0)).map(
+            lambda c: f"{c[0]!r}+{c[0] * c[1]!r}*cos({c[2]!r}*t)"),
+    )
+
+
+@st.composite
+def _sweep_cases(draw):
+    step = draw(st.sampled_from([2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 0.01]))
+    delay = draw(_delays(step))
+    advance = draw(st.one_of(st.floats(0.0, 0.6).map(repr),
+                             st.floats(0.0, 0.3).map(lambda s: f"{s!r}+{s!r}*sin(t)")))
+    spec = make_spec(a=draw(st.sampled_from(["1.4", "1.3+0.1*sin(t)", "0.2"])),
+                     b=draw(st.sampled_from(["1.3", "1.7+0.1*cos(t)", "0"])),
+                     g=f"t-({delay})", h=f"t+({advance})",
+                     delta1=draw(st.sampled_from([1, -1])),
+                     delta2=draw(st.sampled_from([1, -1])))
+    T = draw(st.floats(0.5, 4.0))
+    return spec, T, step, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_sweep_cases())
+def test_sweep_matches_the_node_by_node_loop_exactly(case):
+    spec, T, step, seed = case
+    sampled = SampledProblem(spec, (0.0, T), step)
+    rng = np.random.default_rng(seed)
+    x_prev = rng.standard_normal(len(sampled.ts))
+    _assert_sweeps_identical(sampled, x_prev, float(rng.standard_normal()),
+                             parse_expr("cos(3*t)+0.5*t"))
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2", "ex3"])
+def test_sweep_matches_the_loop_on_the_examples(example):
+    sampled = SampledProblem(make_spec(**EXAMPLES[example]), (0.0, 10.3), 0.004)
+    x_prev = np.random.default_rng(7).uniform(-1.0, 2.0, len(sampled.ts))
+    _assert_sweeps_identical(sampled, x_prev, 1.0, parse_expr("1"))
+
+
+def _check_plan(sweep):
+    """Returns the nodes stepped one at a time; asserts the plan covers every
+    step once, in order, with every vectorised run valid."""
+    dpos = np.asarray(sweep._dpos_l)
+    need = np.where(dpos < 0.0, 0, np.ceil(dpos))
+    stepped, at = [], 0
+    for s, e, lo, run in sweep._plan:
+        assert s == at and e > s
+        if run is None:
+            assert lo <= s
+            stepped.extend(range(s + 1, e + 1))
+        else:
+            assert e - s >= _MIN_RUN
+            assert np.all(need[s + 1:e + 1] <= s)
+        at = e
+    assert at == sweep.n - 1
+    return np.asarray(stepped, dtype=int)
+
+
+def test_sweep_plan_vectorises_constant_delays():
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex1"]), (0.0, 10.3), 0.004)
+    assert _check_plan(_HeunSweep(sampled)).size == 0
+
+
+def test_sweep_plan_steps_the_predictor_nodes_one_at_a_time(ex3_spec):
+    # ex3's delay 0.1 + 0.1 cos t vanishes at t = pi and 3 pi
+    sampled = SampledProblem(ex3_spec, (0.0, 10.4), 0.004)
+    sweep = _HeunSweep(sampled)
+    stepped = _check_plan(sweep)
+    k = np.arange(1, sweep.n)
+    predictor = k[np.asarray(sweep._dpos_l)[1:] > k - 1]
+    assert predictor.size > 0
+    assert np.all(np.isin(predictor, stepped))
+    assert stepped.size < sweep.n // 2
