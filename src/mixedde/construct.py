@@ -252,8 +252,10 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
 
     Samples the window once, picks the dominant case from a and b on that grid,
     then runs u0 = dominant coefficient, u0 = constant characteristic-envelope
-    root and u0 = e * dominant coefficient through one kernel. A caller with a
-    seed of its own uses `iterate`.
+    root and u0 = e * dominant coefficient through one kernel. Each seed is
+    built only after the one before it fails, so the envelope bounds and the
+    root scan behind the second seed cost nothing when the first converges. A
+    caller with a seed of its own uses `iterate`.
     """
     _require_pattern(spec, "auto_construct")
     sampled = SampledProblem(spec, window, step)
@@ -266,19 +268,20 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
         raise ValueError("neither dominance hypothesis holds: a-b changes sign "
                          "on the window")
 
-    seeds: list[GeneratingCandidate] = []
-    base = "COR_1_2" if case == "delay" else "COR_2_2"
-    seeds.append(witness_candidate(base, spec, window, step))
-    root = criteria._cor_x_3(sampled, case)
-    if root.holds:
-        seeds.append(witness_candidate(root.condition_id, spec, window, step,
-                                       lam=root.witness["lambda"]))
-    remark = "COR_1_4_REMARK" if case == "delay" else "COR_2_4_REMARK"
-    seeds.append(witness_candidate(remark, spec, window, step))
+    base, remark = (("COR_1_2", "COR_1_4_REMARK") if case == "delay"
+                    else ("COR_2_2", "COR_2_4_REMARK"))
+
+    def seeds():
+        yield witness_candidate(base, spec, window, step)
+        root = criteria._cor_x_3(sampled, case)
+        if root.holds:
+            yield witness_candidate(root.condition_id, spec, window, step,
+                                    lam=root.witness["lambda"])
+        yield witness_candidate(remark, spec, window, step)
 
     kernel = IterationKernel(sampled, case)
     last_error: Exception | None = None
-    for seed in seeds:
+    for seed in seeds():
         try:
             return _iterate(kernel, seed, tol, max_iter)
         except ValueError as exc:

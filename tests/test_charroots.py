@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
-from mixedde.charroots import (CharProblem, classify_solutions, find_real_roots,
-                               positive_root_exists, write_roots_csv)
+from mixedde import charroots
+from mixedde.charroots import (CharProblem, CharRootSet, classify_solutions,
+                               find_real_roots, positive_root_exists, write_roots_csv)
+from mixedde.gridfn import check_grid_size
 
 from conftest import EX1_ROOTS
 
@@ -127,3 +131,96 @@ def test_roots_csv():
     assert lines[0] == "root,residual,class"
     assert len(lines) == 4
     assert lines[1].endswith("growing")
+
+
+# -- the scan against its fancy-indexed predecessor ------------------------------
+
+def _fancy_index_scan(p: CharProblem, scan=charroots.DEFAULT_SCAN,
+                      max_roots: int = 32) -> CharRootSet:
+    """The scan as first written (sign products, an index array and fancy-indexed
+    neighbours), kept as the oracle the sliced scan must reproduce exactly."""
+    lo, hi = scan
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError("scan interval must be finite and nonempty")
+    spans = (hi - lo) / charroots._SCAN_STEP
+    check_grid_size(spans, f"a scan over [{lo:g}, {hi:g}] at step {charroots._SCAN_STEP:g}")
+    n = int(math.ceil(spans)) + 1
+    grid = np.linspace(lo, hi, n)
+    vals = p.value(grid)
+
+    roots: list[float] = []
+    exact = np.flatnonzero(vals == 0.0)
+    roots.extend(float(grid[i]) for i in exact)
+    change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    for i in change:
+        roots.append(charroots._bisect(p, float(grid[i]), float(grid[i + 1])))
+    roots.sort()
+
+    deduped: list[float] = []
+    for r in roots:
+        if not deduped or r - deduped[-1] > 1e-9:
+            deduped.append(r)
+
+    truncated = len(deduped) > max_roots
+    deduped = deduped[:max_roots]
+
+    absv = np.abs(vals)
+    interior = np.arange(1, n - 1)
+    local_min = (absv[interior] <= absv[interior - 1]) & (absv[interior] <= absv[interior + 1])
+    small = absv[interior] < charroots._TANGENCY_DIP
+    same_sign = ((vals[interior - 1] > 0) == (vals[interior] > 0)) & \
+                ((vals[interior + 1] > 0) == (vals[interior] > 0)) & (vals[interior] != 0.0)
+    sus = grid[interior[local_min & small & same_sign]]
+    sus = tuple(float(s) for s in sus
+                if all(abs(s - r) > 10 * charroots._SCAN_STEP for r in deduped))
+
+    residuals = tuple(abs(p.value(r)) for r in deduped)
+    tags = tuple(charroots._classify_exponent(p.solution_exponent(r)) for r in deduped)
+    return CharRootSet(tuple(deduped), residuals, tags, (lo, hi), truncated, sus)
+
+
+_COEFFICIENTS = st.one_of(st.just(0.0), st.floats(0.0, 5.0),
+                          st.sampled_from([1e10, 1e100, 1e300]), st.floats(0.0, 1e300))
+_SHIFTS = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@st.composite
+def _scan_cases(draw):
+    p = CharProblem(draw(_COEFFICIENTS), draw(_COEFFICIENTS), draw(_SHIFTS), draw(_SHIFTS),
+                    draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1])),
+                    draw(st.sampled_from(["plus_exponent", "minus_exponent"])))
+    kw = {}
+    if draw(st.booleans()):
+        lo = draw(st.floats(-80.0, 70.0))
+        kw["scan"] = (lo, lo + draw(st.floats(0.01, 40.0)))
+    if draw(st.booleans()):
+        kw["max_roots"] = draw(st.integers(1, 3))
+    return p, kw
+
+
+# a*tau = 1/e: the pure-delay double root l = 1/tau
+_DOUBLE = CharProblem(1.0 / (math.e * 0.3), 0.0, 0.3, 0.0, 1, -1, "minus_exponent")
+# the near-tangency of test_tangency_suspected_flag
+_NEAR = CharProblem(1.4904737285986343 + 1e-7 * math.exp(-0.3 * 1.8332069502372645),
+                    1.3, 0.3, 0.3, 1, -1, "minus_exponent")
+# a double root at l = 2^20, where rounding leaves F exactly 0 or tied between nodes
+_FLAT = CharProblem(2.0**20 / math.e, 0.0, 2.0**-20, 0.0, 1, -1, "minus_exponent")
+# ex1 retuned to cross 1e-7 past or before the node l = 3: the root max_roots=2 drops
+_NODE = [CharProblem(a, 1.3, 0.3, 0.3, 1, -1, "minus_exponent")
+         for a in (1.4345975250822427, 1.4345975427374764)]
+
+
+@seed(20091)
+@settings(max_examples=80, deadline=None, database=None)
+@given(_scan_cases())
+@example((_DOUBLE, {}))
+@example((_NEAR, {}))
+@example((ex1_problem(), {"max_roots": 2}))
+@example((CharProblem(1e300, 1e300, 1.0, 1.0, 1, -1, "minus_exponent"), {}))
+@example((_FLAT, {"scan": (2.0**20 - 0.05, 2.0**20 + 0.05), "max_roots": 3}))
+@example((_NODE[0], {"max_roots": 2}))
+@example((_NODE[1], {"max_roots": 2}))
+def test_scan_matches_the_fancy_indexed_scan_exactly(case):
+    p, kw = case
+    # repr round-trips every non-nan float64, so equal reprs mean equal bit patterns
+    assert repr(find_real_roots(p, **kw)) == repr(_fancy_index_scan(p, **kw))

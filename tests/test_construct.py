@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from mixedde import construct
+from mixedde import charroots, construct
 from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
                                ineq_residual, iterate, synthesize_solution,
                                witness_candidate)
+from mixedde.criteria import check_cor_1_3
 from mixedde.gridfn import GridFunction
 from mixedde.model import SampledProblem
 from mixedde.simulate import equation_residual
@@ -311,3 +312,43 @@ def test_auto_construct_samples_the_window_once(ex1_spec, sampled_builds, monkey
     assert result.converged
     assert len(sampled_builds) == 1 and len(kernels) == 1
 
+
+
+def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, monkeypatch):
+    scans = []
+    real_scan = charroots.find_real_roots
+
+    def counting(*args, **kw):
+        scans.append(args)
+        return real_scan(*args, **kw)
+
+    monkeypatch.setattr(charroots, "find_real_roots", counting)
+    assert auto_construct(ex1_spec, (0.0, 10.0)).converged  # on the COR_1_2 seed
+    assert scans == []
+
+
+def test_auto_construct_builds_the_root_seed_after_the_first_fails(ex1_spec, monkeypatch):
+    window = (0.0, 10.0)
+    tried = []
+    real_iterate = construct._iterate
+
+    def first_fails(kernel, seed, tol, max_iter):
+        tried.append(seed)
+        if len(tried) == 1:
+            raise ValueError("first seed rejected")
+        return real_iterate(kernel, seed, tol, max_iter)
+
+    monkeypatch.setattr(construct, "_iterate", first_fails)
+    result = auto_construct(ex1_spec, window)
+    monkeypatch.undo()
+
+    lam = check_cor_1_3(ex1_spec, window).witness["lambda"]
+    assert lam == pytest.approx(LAM2, abs=1e-9)
+    assert len(tried) == 2 and tried[1].case == "delay"
+    assert np.all(tried[1].u.values == lam)  # the constant envelope-root candidate
+    direct = iterate(witness_candidate("COR_1_3", ex1_spec, window, STEP, lam=lam),
+                     ex1_spec, window)
+    assert result.iterations == direct.iterations
+    assert np.array_equal(result.u_limit.values, direct.u_limit.values)
+    assert np.array_equal(result.x.values, direct.x.values)
+    assert result.summary() == direct.summary()

@@ -1,17 +1,19 @@
 """Property-based tests: exit codes under fuzzed spec documents, quadrature
-additivity, and the monotone-iteration invariants behind the construction."""
+additivity, the monotone-iteration invariants behind the construction, and
+agreement between the certificates and the characteristic roots."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
+from mixedde.charroots import CharProblem, find_real_roots
 from mixedde.cli import main
 from mixedde.construct import IterationKernel
-from mixedde.criteria import check_cor_1_2
+from mixedde.criteria import check_all, check_cor_1_2
 from mixedde.gridfn import GridFunction
 from mixedde.model import SampledProblem
 
@@ -108,3 +110,28 @@ def test_monotone_iteration_invariants(spec_and_gap):
         if np.max(np.abs(v - u)) <= 1e-12:
             break
         u = v
+
+
+# -- certificates against characteristic roots -------------------------------------
+
+@st.composite
+def _constant_specs(draw):
+    a, b = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
+    tau, sigma = draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 0.6))
+    d1, d2 = draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1]))
+    spec = make_spec(a=repr(a), b=repr(b), g=f"t-{tau!r}", h=f"t+{sigma!r}",
+                     delta1=d1, delta2=d2)
+    return spec, CharProblem(a, b, tau, sigma, d1, d2)
+
+
+@seed(1982)
+@settings(deadline=None, database=None, max_examples=200)
+@given(_constant_specs())
+def test_a_holding_certificate_implies_a_real_characteristic_root(spec_and_problem):
+    """With constant coefficients a nonoscillatory solution exists exactly when
+    the characteristic function has a real root (Ladas & Stavroulakis 1982), so
+    no sufficient condition may hold on a spec whose scan finds none."""
+    spec, problem = spec_and_problem
+    held = [c.condition_id for c in check_all(spec, (0.0, 10.0)) if c.holds]
+    if held:
+        assert find_real_roots(problem).roots, f"{held} hold but no real root exists"
