@@ -11,8 +11,7 @@ feasibility problems, and cross-validates constructions by direct numerical
 integration (waveform relaxation).
 """
 
-from .charroots import (CharProblem, CharRootSet, SolutionClassification,
-                        classify_solutions, find_real_roots, positive_root_exists)
+from .charroots import CharProblem, CharRootSet, find_real_roots, positive_root_exists
 from .construct import (ConstructionResult, GeneratingCandidate, auto_construct,
                         ineq_residual, iterate, synthesize_solution,
                         witness_candidate)
@@ -31,8 +30,7 @@ from .simulate import Trajectory, classify_trajectory, equation_residual, relax
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharProblem", "CharRootSet", "SolutionClassification",
-    "classify_solutions", "find_real_roots", "positive_root_exists",
+    "CharProblem", "CharRootSet", "find_real_roots", "positive_root_exists",
     "ConstructionResult", "GeneratingCandidate", "auto_construct",
     "ineq_residual", "iterate", "synthesize_solution", "witness_candidate",
     "ALL_CONDITION_IDS", "Certificate", "FeasibilityRegion", "check_all",

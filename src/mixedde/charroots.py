@@ -25,10 +25,8 @@ from .gridfn import check_grid_size
 __all__ = [
     "CharProblem",
     "CharRootSet",
-    "SolutionClassification",
     "find_real_roots",
     "positive_root_exists",
-    "classify_solutions",
     "write_roots_csv",
 ]
 
@@ -90,13 +88,6 @@ class CharRootSet:
     tangency_suspected: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class SolutionClassification:
-    modes: tuple[tuple[float, float, str], ...]  # (root, exponent, tag)
-    has_decaying_positive_solution: bool
-    has_growing_positive_solution: bool
-
-
 def _classify_exponent(exponent: float, tol: float = 1e-12) -> str:
     if exponent > tol:
         return "growing"
@@ -138,12 +129,14 @@ def find_real_roots(p: CharProblem, scan: tuple[float, float] = DEFAULT_SCAN,
     masks of basic slices. Scalar bisection runs only inside the sign-change
     brackets. Repeated roots at tangencies are found only if the scan sees a sign
     change; cells where |F| dips below 1e-6 without one are reported in
-    tangency_suspected. A scan of more than MAX_GRID_POINTS points raises
-    ValueError before anything is allocated.
+    tangency_suspected. max_roots below 1, or a scan of more than
+    MAX_GRID_POINTS points, raises ValueError before anything is allocated.
     """
     lo, hi = scan
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError("scan interval must be finite and nonempty")
+    if max_roots < 1:
+        raise ValueError("max_roots must be at least 1")
     spans = (hi - lo) / _SCAN_STEP
     check_grid_size(spans, f"a scan over [{lo:g}, {hi:g}] at step {_SCAN_STEP:g}")
     n = int(math.ceil(spans)) + 1
@@ -189,22 +182,6 @@ def positive_root_exists(p: CharProblem) -> float | None:
         if r > 1e-12:
             return r
     return None
-
-
-def classify_solutions(rs: CharRootSet, p: CharProblem) -> SolutionClassification:
-    """Tag each root's exponential solution as growing/decaying/constant."""
-    if not rs.roots:
-        raise ValueError("root set is empty")
-    modes = []
-    for r in rs.roots:
-        ex = p.solution_exponent(r)
-        modes.append((r, ex, _classify_exponent(ex)))
-    tags = [m[2] for m in modes]
-    return SolutionClassification(
-        modes=tuple(modes),
-        has_decaying_positive_solution="decaying" in tags,
-        has_growing_positive_solution="growing" in tags,
-    )
 
 
 def write_roots_csv(rs: CharRootSet, dest: TextIO) -> None:

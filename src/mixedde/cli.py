@@ -61,8 +61,8 @@ def _certificates_csv(certs: list[criteria.Certificate], dest) -> None:
 def _window(spec: model.ProblemSpec, args) -> tuple[float, float]:
     t1 = spec.t0 if args.t1 is None else args.t1
     T = t1 + 100.0 if args.T is None else args.T
-    if not T > t1:
-        raise ValueError("--T must exceed --t1")
+    if not -np.inf < t1 < T < np.inf:  # also False for NaN
+        raise ValueError("--t1 and --T must be finite, and --T must exceed --t1")
     return (t1, T)
 
 
@@ -133,12 +133,11 @@ def cmd_construct(args) -> int:
         if args.format == "csv":
             result.to_csv(out)
         else:
-            s = result.summary()
-            out.write(f"converged: {_fmt(s['converged'])}\n")
-            out.write(f"iterations: {s['iterations']}\n")
-            out.write(f"max_ineq_residual: {_fmt(s['max_ineq_residual'])}\n")
-            out.write(f"max_eq_residual: {_fmt(s['max_eq_residual'])}\n")
-            out.write(f"caveats: {' '.join(s['caveats']) or '-'}\n")
+            out.write(f"converged: {_fmt(result.converged)}\n")
+            out.write(f"iterations: {result.iterations}\n")
+            out.write(f"max_ineq_residual: {_fmt(result.max_ineq_residual)}\n")
+            out.write(f"max_eq_residual: {_fmt(result.max_eq_residual)}\n")
+            out.write(f"caveats: {' '.join(result.caveats) or '-'}\n")
             out.write(f"x_end: {_fmt(float(result.x.values[-1]))}\n")
     return 0 if result.converged else 1
 

@@ -46,11 +46,10 @@ _NEG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GeneratingCandidate:
-    """A nonnegative u on [t1, T], understood to vanish for t < t1."""
+    """A nonnegative u on [t1, T] with t1 = u.t_start, understood to vanish before t1."""
 
     u: GridFunction
     case: str  # "delay" (nonincreasing solutions) or "advance" (nondecreasing)
-    t1: float
 
     def __post_init__(self):
         if self.case not in _CASES:
@@ -61,14 +60,12 @@ class GeneratingCandidate:
     @classmethod
     def constant(cls, value: float, case: str, window: tuple[float, float],
                  step: float) -> "GeneratingCandidate":
-        t1, T = window
-        return cls(GridFunction.constant(value, t1, T, step), case, t1)
+        return cls(GridFunction.constant(value, *window, step), case)
 
     @classmethod
     def from_callable(cls, fn: Callable, case: str, window: tuple[float, float],
                       step: float) -> "GeneratingCandidate":
-        t1, T = window
-        return cls(GridFunction.from_callable(fn, t1, T, step), case, t1)
+        return cls(GridFunction.from_callable(fn, *window, step), case)
 
 
 @dataclass(frozen=True)
@@ -80,15 +77,6 @@ class ConstructionResult:
     max_eq_residual: float
     converged: bool
     caveats: tuple[str, ...] = ()
-
-    def summary(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "max_ineq_residual": self.max_ineq_residual,
-            "max_eq_residual": self.max_eq_residual,
-            "converged": self.converged,
-            "caveats": list(self.caveats),
-        }
 
     def to_csv(self, dest: TextIO) -> None:
         dest.write("t,u,x\n")
@@ -130,8 +118,15 @@ def _require_pattern(spec: ProblemSpec, who: str) -> None:
             f"got {spec.sign_pattern}")
 
 
+def _require_stopping_rule(tol: float, max_iter: int) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def _candidate_values(u0: GeneratingCandidate, kernel: IterationKernel) -> np.ndarray:
-    if abs(u0.t1 - kernel.t1) > 1e-9 * kernel.step:
+    if abs(u0.u.t_start - kernel.t1) > 1e-9 * kernel.step:
         raise ValueError("candidate activation time must match the window start")
     return np.asarray(u0.u(kernel.ts), dtype=float)
 
@@ -143,9 +138,9 @@ def ineq_residual(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
     advance case: b(t)*e^{int_t^h u} - a(t)*e^{-int_g^t u} - u(t)
     """
     _require_pattern(spec, "ineq_residual")
-    if t < u.t1:
+    if t < u.u.t_start:
         raise ValueError("t must not precede the candidate's activation time")
-    d = u.u.integrate(max(float(spec.g(t)), u.t1), t)
+    d = u.u.integrate(max(float(spec.g(t)), u.u.t_start), t)
     adv = u.u.integrate(t, float(spec.h(t)))
     a, b = float(spec.a(t)), float(spec.b(t))
     if u.case == "delay":
@@ -183,8 +178,7 @@ def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
 
     u_limit = GridFunction(kernel.t1, kernel.step, u)
     defect = float(np.max(np.abs(kernel.apply(u) - u)))
-    sign = "decreasing" if case == "delay" else "increasing"
-    x = synthesize_solution(u_limit, sign, kernel.t1)
+    x = synthesize_solution(u_limit, case)
     eq_res = _equation_residual(x, kernel.sampled)  # x lies on the kernel's grid
     caveats = (CAVEAT_EXTRAPOLATED,) if kernel.extrapolates else ()
     return ConstructionResult(u_limit, x, iterations, defect, eq_res, converged, caveats)
@@ -195,23 +189,26 @@ def iterate(u0: GeneratingCandidate, spec: ProblemSpec, window: tuple[float, flo
     """Monotone iteration from the supersolution u0 on a grid of u0's step.
 
     u0.case picks the map: "delay" needs a >= b and gives a nonincreasing x,
-    "advance" needs b >= a and gives a nondecreasing x.
+    "advance" needs b >= a and gives a nondecreasing x. tol must be positive
+    and finite and max_iter at least 1, or ValueError is raised.
     """
     _require_pattern(spec, "iterate")
+    _require_stopping_rule(tol, max_iter)
     kernel = IterationKernel(SampledProblem(spec, window, u0.u.step), u0.case)
     return _iterate(kernel, u0, tol, max_iter)
 
 
-def synthesize_solution(u: GridFunction, sign: str, t1: float) -> GridFunction:
-    """x(t) = exp(-/+ int_{t1}^{t} u), normalized to x(t1) = 1."""
-    if sign not in ("decreasing", "increasing"):
-        raise ValueError("sign must be 'decreasing' or 'increasing'")
+def synthesize_solution(u: GridFunction, case: str) -> GridFunction:
+    """x(t) = exp(-/+ int_{t1}^{t} u) on u's grid with t1 = u.t_start, so x(t1) = 1;
+    the sign is minus (x nonincreasing) for case "delay", plus for "advance"."""
+    if case not in _CASES:
+        raise ValueError(f"case must be one of {_CASES}")
     if float(np.min(u.values)) < -_NEG_TOL:
         raise ValueError("u must be nonnegative")
     cum = u.cumulative()
-    integral = cum(u.times()) - cum(t1)
-    vals = np.exp(-integral) if sign == "decreasing" else np.exp(integral)
-    return u.with_values(vals)
+    integral = cum(u.times()) - cum(u.t_start)
+    vals = np.exp(-integral) if case == "delay" else np.exp(integral)
+    return GridFunction(u.t_start, u.step, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +252,11 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     root and u0 = e * dominant coefficient through one kernel. Each seed is
     built only after the one before it fails, so the envelope bounds and the
     root scan behind the second seed cost nothing when the first converges. A
-    caller with a seed of its own uses `iterate`.
+    caller with a seed of its own uses `iterate`. tol and max_iter are checked
+    as in `iterate`, once, before any seed is tried.
     """
     _require_pattern(spec, "auto_construct")
+    _require_stopping_rule(tol, max_iter)
     sampled = SampledProblem(spec, window, step)
     gap = sampled.a - sampled.b
     if float(np.min(gap)) >= -_NEG_TOL:

@@ -506,9 +506,12 @@ def check_divergence(spec: ProblemSpec, window: tuple[float, float],
     I(T') = int_{t1}^{T'} (a-b) (or (b-a) for COR_2_5) at the four quarter
     checkpoints must be increasing and exceed the threshold at the window end.
     COR_1_6 additionally requires the delayed 1/e test. Always window-limited.
+    A threshold that is not finite raises ValueError.
     """
     if condition_id not in ("COR_1_5", "COR_1_6", "COR_2_5"):
         raise ValueError(f"unsupported divergence condition {condition_id!r}")
+    if not math.isfinite(threshold):
+        raise ValueError("divergence threshold must be finite")
     return _divergence(SampledProblem(spec, window, step), condition_id, threshold)
 
 
@@ -588,8 +591,11 @@ def check_all(spec: ProblemSpec, window: tuple[float, float], step: float = 1e-3
     other, except that a divergent-integral refinement is inapplicable unless a
     base certificate of its case holds; the list is returned in the fixed
     catalog order. All window checks read one SampledProblem, which rejects
-    non-finite samples for every pattern.
+    non-finite samples for every pattern. A divergence_threshold that is not
+    finite raises ValueError before anything is sampled.
     """
+    if not math.isfinite(divergence_threshold):
+        raise ValueError("divergence threshold must be finite")
     sp = SampledProblem(spec, window, step)
     out = []
     for case, refinements in (("delay", ("COR_1_5", "COR_1_6")), ("advance", ("COR_2_5",))):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -65,27 +65,21 @@ class GridFunction:
     @classmethod
     def from_callable(cls, fn: Callable, t_start: float, t_end: float,
                       step: float) -> "GridFunction":
-        """Sample fn on a uniform grid whose last node is >= t_end."""
+        """Sample fn, called once on the array of nodes of a uniform grid whose last
+        node is >= t_end; a result of another shape raises ValueError."""
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
         cells = grid_cells(t_start, t_end, step)
         ts = t_start + step * np.arange(cells + 1)
-        try:
-            vals = np.asarray(fn(ts), dtype=float)
-            if vals.shape != ts.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(fn(t)) for t in ts])
+        vals = np.asarray(fn(ts), dtype=float)
+        if vals.shape != ts.shape:
+            raise ValueError(f"fn returned shape {vals.shape} on {ts.size} grid nodes")
         return cls(t_start, step, vals)
 
     @classmethod
     def constant(cls, value: float, t_start: float, t_end: float,
                  step: float) -> "GridFunction":
         return cls(t_start, step, np.full(grid_cells(t_start, t_end, step) + 1, float(value)))
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        """Same grid, new samples."""
-        return GridFunction(self.t_start, self.step, values)
 
     # -- geometry --------------------------------------------------------------
 
@@ -146,14 +140,6 @@ class GridFunction:
 
     def cumulative(self) -> "CumulativeIntegral":
         return CumulativeIntegral(self)
-
-    # -- export ------------------------------------------------------------------
-
-    def to_csv(self, dest: TextIO) -> None:
-        """Two columns t,value, one row per node."""
-        dest.write("t,value\n")
-        for t, v in zip(self.times(), self.values):
-            dest.write(f"{float(t)!r},{float(v)!r}\n")
 
 
 class CumulativeIntegral:

@@ -210,7 +210,8 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     Sweep 0 is the constant x0 (with phi before t0); sweep k+1 re-integrates
     x' = -delta1*a*x(g) - delta2*b*x(h) by Heun's method, reading x(g) from the
     nodes already computed this sweep and x(h) from sweep k. Stops when the
-    max node change drops below tol (default 1e-10 * max(|x0|, 1)).
+    max node change drops below tol (default 1e-10 * max(|x0|, 1)); an explicit
+    tol that is not positive and finite raises ValueError.
 
     Each sweep runs by the method of steps (_HeunSweep): all advanced values
     are read from sweep k at once, and each run of nodes that reads x(g) only
@@ -236,6 +237,8 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
         raise ValueError("need at least one sweep")
     if tol is None:
         tol = 1e-10 * max(abs(ivp.x0), 1.0)
+    elif not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
 
     report = SampledProblem(spec, (t0, T), step)
     # nodes run sigma past T, so every advanced argument up to T is on the grid
@@ -383,9 +386,10 @@ def classify_trajectory(tr: Trajectory, t_from: float) -> str:
 
     The sign threshold is 1e-9 * max|x| on [t_from, end]; a trajectory that
     dips below the threshold without an actual sign change is undetermined.
+    A t_from outside [start, end] of the trajectory, or NaN, raises ValueError.
     """
     x = tr.x
-    if t_from < x.t_start - 1e-12 or t_from > x.t_end + 1e-12:
+    if not x.t_start - 1e-12 <= t_from <= x.t_end + 1e-12:  # False for NaN
         raise ValueError("t_from outside the trajectory domain")
     ts = x.times()
     seg = x.values[ts >= t_from - 1e-12]

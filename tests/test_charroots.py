@@ -7,8 +7,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedde import charroots
-from mixedde.charroots import (CharProblem, CharRootSet, classify_solutions,
-                               find_real_roots, positive_root_exists, write_roots_csv)
+from mixedde.charroots import (CharProblem, CharRootSet, find_real_roots,
+                               positive_root_exists, write_roots_csv)
 from mixedde.gridfn import check_grid_size
 
 from conftest import EX1_ROOTS
@@ -47,8 +47,7 @@ def test_mixed_pattern_has_root():
 def test_mixed_pattern_decaying_when_b_dominates():
     p = CharProblem(1.0, 2.0, 0.5, 0.5, -1, 1, "plus_exponent")
     rs = find_real_roots(p)
-    summary = classify_solutions(rs, p)
-    assert summary.has_decaying_positive_solution
+    assert "decaying" in rs.classifications
     assert rs.roots[0] == pytest.approx(-0.4066110115124433, abs=1e-6)
 
 
@@ -88,16 +87,7 @@ def test_classify_root_zero_constant():
     p = CharProblem(1.0, 1.0, 0.2, 0.2, -1, 1, "plus_exponent")
     rs = find_real_roots(p)
     assert 0.0 in rs.roots  # a = b makes lambda = 0 a root
-    summary = classify_solutions(rs, p)
-    assert any(tag == "constant" for _, _, tag in summary.modes)
-
-
-def test_classify_empty_set_raises():
-    p = CharProblem(1.4, 0.0, 0.3, 0.0, 1, -1, "minus_exponent")
-    rs = find_real_roots(p, scan=(0.5, 1.0))
-    assert rs.roots == ()
-    with pytest.raises(ValueError):
-        classify_solutions(rs, p)
+    assert rs.classifications[rs.roots.index(0.0)] == "constant"
 
 
 def test_truncation_flag():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mixedde
-from mixedde.cli import main
+from mixedde.cli import _build_parser, main
 
 from conftest import EXAMPLES, write_spec_file
 
@@ -268,19 +269,78 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
     (["check", "{ex3}", "--step", "1e-9"], "the limit of"),
     (["simulate", "{ex3}", "--step", "1e-9"], "the limit of"),
     (["validate", "{ex3}", "--samples", "2000000000"], "the limit of"),
+    # out-of-range numeric options, rejected by the library functions behind them
+    (["construct", "{ex1}", "--T", "2", "--tol", "inf"], "tol must be positive and finite"),
+    (["construct", "{ex1}", "--T", "2", "--tol", "nan"], "tol must be positive and finite"),
+    (["construct", "{ex1}", "--T", "2", "--max-iter=-3"], "max_iter must be at least 1"),
+    (["simulate", "{ex1}", "--T", "1", "--tol", "inf"], "tol must be positive and finite"),
+    (["simulate", "{ex1}", "--T", "1", "--tol", "nan"], "tol must be positive and finite"),
+    (["simulate", "{ex1}", "--T", "1", "--tol=-inf"], "tol must be positive and finite"),
+    (["simulate", "{ex1}", "--T", "1", "--step", "0.01", "--t-from", "nan"],
+     "t_from outside the trajectory domain"),
+    (["roots", "{ex1}", "--max-roots", "0"], "max_roots must be at least 1"),
+    (["roots", "{ex1}", "--max-roots=-1"], "max_roots must be at least 1"),
+    (["check", "{ex1}", "--T", "2", "--threshold", "nan"], "threshold must be finite"),
+    (["check", "{ex1}", "--T", "2", "--threshold", "inf"], "threshold must be finite"),
+    (["check", "{ex1}", "--T", "2", "--threshold=-inf"], "threshold must be finite"),
 ], ids=["roots-tau-nan", "roots-a-inf", "roots-b-inf", "roots-sigma-nan",
         "region-res-nan", "region-res-inf", "region-res-0", "region-hi-inf",
         "region-res-subnormal", "region-span-overflow",
         "region-too-many-cells", "check-brackets", "validate-signs", "construct-sum",
         "roots-scan-overflow", "roots-scan-too-long", "check-too-many-nodes",
-        "simulate-too-many-nodes", "validate-too-many-samples"])
-def test_out_of_range_input_exits_two(tmp_path, ex3_file, argv, message, capsys):
-    files = {"ex3": ex3_file,
+        "simulate-too-many-nodes", "validate-too-many-samples",
+        "construct-tol-inf", "construct-tol-nan", "construct-max-iter-negative",
+        "simulate-tol-inf", "simulate-tol-nan", "simulate-tol-minus-inf",
+        "simulate-t-from-nan", "roots-max-roots-0", "roots-max-roots-negative",
+        "check-threshold-nan", "check-threshold-inf", "check-threshold-minus-inf"])
+def test_out_of_range_input_exits_two(tmp_path, ex1_file, ex3_file, argv, message, capsys):
+    files = {"ex1": ex1_file, "ex3": ex3_file,
              "deep": write_spec_file(tmp_path / "deep.json", a="(" * 400 + "1" + ")" * 400),
              "signs": write_spec_file(tmp_path / "signs.json", a="-" * 3000 + "1"),
              "sum": write_spec_file(tmp_path / "sum.json", a="1.4" + "+0" * 3000)}
     assert main([arg.format(**files) for arg in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def _options(kind: type) -> list[tuple[str, str]]:
+    """(subcommand, option) for every option parsed as kind, choices excluded."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, parser in sub.choices.items() for action in parser._actions
+            if action.type is kind and action.choices is None]
+
+
+# short windows and coarse steps; the swept option is appended, and argparse
+# keeps its last occurrence
+_SWEEP_BASES = {
+    "validate": ["validate", "{ex1}", "--T", "2", "--samples", "101"],
+    "check": ["check", "{ex1}", "--T", "2", "--step", "0.01"],
+    "construct": ["construct", "{ex1}", "--T", "2", "--step", "0.01"],
+    "roots": ["roots", "--a", "1.4", "--b", "1.3", "--tau", "0.3", "--sigma", "0.3"],
+    "region": ["region", "{ex3}", "--T", "2", "--res", "0.5"],
+    "simulate": ["simulate", "{ex1}", "--T", "1", "--step", "0.01"],
+}
+_WINDOW_OPTIONS = ("--t1", "--T")  # roots reads the window only from a spec file
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, option, value", [
+    *((cmd, opt, v) for cmd, opt in _options(float) for v in ("nan", "inf", "-inf")),
+    *((cmd, opt, v) for cmd, opt in _options(int) for v in ("0", "-1")),
+])
+def test_argv_sweep_rejects_non_finite_and_non_positive_options(
+        ex1_file, ex3_file, command, option, value, capsys):
+    base = _SWEEP_BASES[command]
+    if command == "roots" and option in _WINDOW_OPTIONS:
+        base = ["roots", "{ex1}"]
+    argv = [arg.format(ex1=ex1_file, ex3=ex3_file) for arg in base]
+    try:
+        code = main([*argv, f"{option}={value}"])
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    assert code == 2
+    assert any("error:" in line for line in capsys.readouterr().err.splitlines())
 
 
 @pytest.mark.parametrize("command, field, value", [

@@ -150,26 +150,36 @@ def test_iterate_advance_rejects_delay_dominant(ex1_spec):
 
 def test_synthesize_zero():
     u = GridFunction.constant(0.0, 0.0, 5.0, 0.01)
-    x = synthesize_solution(u, "decreasing", 0.0)
+    x = synthesize_solution(u, "delay")
     assert np.all(x.values == 1.0)
 
 
 def test_synthesize_constant_rate():
     u = GridFunction.constant(0.5436, 0.0, 5.0, STEP)
-    x = synthesize_solution(u, "decreasing", 0.0)
+    x = synthesize_solution(u, "delay")
     assert x(5.0) == pytest.approx(math.exp(-2.718), abs=1e-3)
 
 
 def test_synthesize_linear_rate():
     u = GridFunction.from_callable(lambda t: t, 0.0, 2.0, STEP)
-    x = synthesize_solution(u, "decreasing", 0.0)
+    x = synthesize_solution(u, "delay")
     assert x(2.0) == pytest.approx(math.exp(-2.0), abs=1e-4)
 
 
 def test_synthesize_rejects_negative():
     u = GridFunction.constant(-0.1, 0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
-        synthesize_solution(u, "decreasing", 0.0)
+        synthesize_solution(u, "delay")
+
+
+def test_synthesize_advance_grows_from_the_grid_start():
+    u = GridFunction.constant(0.5, 1.0, 3.0, STEP)
+    x = synthesize_solution(u, "advance")
+    assert (x.t_start, x.step) == (u.t_start, u.step)
+    assert x(1.0) == 1.0
+    assert x(3.0) == pytest.approx(math.e, abs=1e-12)
+    with pytest.raises(ValueError, match="case"):
+        synthesize_solution(u, "increasing")
 
 
 # -- iteration properties --------------------------------------------------------
@@ -293,10 +303,7 @@ def test_construction_csv_and_summary(ex1_spec):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,u,x"
     assert len(lines) == len(res.x.values) + 1
-    s = res.summary()
-    assert set(s) == {"iterations", "max_ineq_residual", "max_eq_residual",
-                      "converged", "caveats"}
-    assert "extrapolation-flagged" in s["caveats"]  # h(t) peeks past the window
+    assert res.caveats == ("extrapolation-flagged",)  # h(t) peeks past the window
 
 
 def test_auto_construct_samples_the_window_once(ex1_spec, sampled_builds, monkeypatch):
@@ -351,4 +358,6 @@ def test_auto_construct_builds_the_root_seed_after_the_first_fails(ex1_spec, mon
     assert result.iterations == direct.iterations
     assert np.array_equal(result.u_limit.values, direct.u_limit.values)
     assert np.array_equal(result.x.values, direct.x.values)
-    assert result.summary() == direct.summary()
+    for field in ("iterations", "max_ineq_residual", "max_eq_residual", "converged",
+                  "caveats"):
+        assert getattr(result, field) == getattr(direct, field)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -15,6 +14,29 @@ def test_constant_integrand():
 def test_affine_exact():
     f = GridFunction.from_callable(lambda t: t, 0.0, 2.0, 0.01)
     assert f.integrate(0.0, 2.0) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_from_callable_evaluates_once_on_the_grid_array():
+    calls = []
+
+    def fn(t):
+        calls.append(np.shape(t))
+        return np.cos(t)
+
+    f = GridFunction.from_callable(fn, 0.0, 1.0, 0.25)
+    assert calls == [(5,)]
+    assert np.array_equal(f.values, np.cos(0.25 * np.arange(5)))
+    with pytest.raises(ValueError, match="shape"):
+        GridFunction.from_callable(lambda t: 1.0, 0.0, 1.0, 0.25)
+
+    def failing(t):
+        calls.append(np.shape(t))
+        raise ValueError("fn's own error")
+
+    calls.clear()
+    with pytest.raises(ValueError, match="own error"):
+        GridFunction.from_callable(failing, 0.0, 1.0, 0.25)
+    assert calls == [(5,)]  # not retried point by point
 
 
 def test_sine_quadrature():
@@ -103,16 +125,6 @@ def test_cumulative_matches_integrate():
     # linear continuation outside the grid matches clamped integration
     assert cum(f.t_end + 0.5) == pytest.approx(
         f.integrate(1.0, f.t_end) + 0.5 * vals[-1])
-
-
-def test_csv_export():
-    f = GridFunction(0.0, 0.5, np.array([1.0, 2.0, 3.0]))
-    buf = io.StringIO()
-    f.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,value"
-    assert lines[1] == "0.0,1.0"
-    assert len(lines) == 4
 
 
 def test_too_few_values():
