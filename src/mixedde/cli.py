@@ -15,6 +15,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import charroots, construct, criteria, model, simulate
+from .gridfn import grid_cells
 
 __all__ = ["main"]
 
@@ -222,10 +223,14 @@ def cmd_region(args) -> int:
 
 def cmd_simulate(args) -> int:
     ivp = model.read_ivp(args.spec)
-    T = args.T if args.T is not None else ivp.spec.t0 + 10.0
+    t0 = ivp.spec.t0
+    T = args.T if args.T is not None else t0 + 10.0
+    t_from = args.t_from if args.t_from is not None else t0
+    if args.t_from is not None and T > t0:  # classify_trajectory's check, before relax
+        if not t0 - 1e-12 <= t_from <= t0 + args.step * grid_cells(t0, T, args.step) + 1e-12:
+            raise ValueError("t_from outside the trajectory domain")
     traj = simulate.relax(ivp, T, args.step, tol=args.tol,
                           max_sweeps=args.max_sweeps)
-    t_from = args.t_from if args.t_from is not None else ivp.spec.t0
     label = simulate.classify_trajectory(traj, t_from)
     with _open_out(args.out) as out:
         if args.format == "csv":

@@ -24,7 +24,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import criteria
-from .gridfn import GridFunction
+from .gridfn import GridFunction, GridPoints
 from .model import ProblemSpec, SampledProblem
 from .simulate import _equation_residual
 
@@ -92,23 +92,21 @@ class IterationKernel:
             raise ValueError(f"case must be one of {_CASES}")
         self.sampled = sampled
         self.case = case
-        self.t1 = sampled.window[0]
-        self.step = sampled.step
-        self.ts = sampled.ts
-        self.a_vals = sampled.a
-        self.b_vals = sampled.b
-        # u vanishes before t1, so delay integrals start no earlier than t1
-        self.g_lo = np.maximum(sampled.g, self.t1)
-        self.extrapolates = bool(np.any(sampled.h > self.ts[-1] + 1e-12 * self.step))
+        t1, step, ts = sampled.window[0], sampled.step, sampled.ts
+        # u vanishes before t1, so delay integrals start no earlier than t1;
+        # u lives on the window grid, so each point set is placed on it once
+        self._points = tuple(GridPoints(t1, step, ts.size, t)
+                             for t in (ts, np.maximum(sampled.g, t1), sampled.h))
+        self.extrapolates = bool(np.any(sampled.h > ts[-1] + 1e-12 * step))
 
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
-        cum = GridFunction(self.t1, self.step, u_vals).cumulative()
-        at_nodes = cum(self.ts)
-        int_delay = at_nodes - cum(self.g_lo)
-        int_advance = cum(self.sampled.h) - at_nodes
+        sp = self.sampled
+        cum = GridFunction(sp.window[0], sp.step, u_vals).cumulative()
+        at_nodes, at_g, at_h = (cum.at(p) for p in self._points)
+        int_delay, int_advance = at_nodes - at_g, at_h - at_nodes
         if self.case == "delay":
-            return self.a_vals * np.exp(int_delay) - self.b_vals * np.exp(-int_advance)
-        return self.b_vals * np.exp(int_advance) - self.a_vals * np.exp(-int_delay)
+            return sp.a * np.exp(int_delay) - sp.b * np.exp(-int_advance)
+        return sp.b * np.exp(int_advance) - sp.a * np.exp(-int_delay)
 
 
 def _require_pattern(spec: ProblemSpec, who: str) -> None:
@@ -125,10 +123,10 @@ def _require_stopping_rule(tol: float, max_iter: int) -> None:
         raise ValueError("max_iter must be at least 1")
 
 
-def _candidate_values(u0: GeneratingCandidate, kernel: IterationKernel) -> np.ndarray:
-    if abs(u0.u.t_start - kernel.t1) > 1e-9 * kernel.step:
+def _candidate_values(u0: GeneratingCandidate, sp: SampledProblem) -> np.ndarray:
+    if abs(u0.u.t_start - sp.window[0]) > 1e-9 * sp.step:
         raise ValueError("candidate activation time must match the window start")
-    return np.asarray(u0.u(kernel.ts), dtype=float)
+    return np.asarray(u0.u(sp.ts), dtype=float)
 
 
 def ineq_residual(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
@@ -150,21 +148,21 @@ def ineq_residual(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
 
 def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
              max_iter: int) -> ConstructionResult:
-    case = kernel.case
-    dom = kernel.a_vals - kernel.b_vals if case == "delay" else kernel.b_vals - kernel.a_vals
+    case, sp = kernel.case, kernel.sampled
+    dom = sp.a - sp.b if case == "delay" else sp.b - sp.a
     if float(np.min(dom)) < -_NEG_TOL:
         i = int(np.argmin(dom))
         need = "a(t) >= b(t)" if case == "delay" else "b(t) >= a(t)"
-        raise ValueError(f"dominance hypothesis {need} fails at t={kernel.ts[i]:.6g}")
+        raise ValueError(f"dominance hypothesis {need} fails at t={sp.ts[i]:.6g}")
 
-    u_prev = _candidate_values(u0, kernel)
+    u_prev = _candidate_values(u0, sp)
     first = kernel.apply(u_prev)
     worst = float(np.max(first - u_prev))
     if worst > tol:
         i = int(np.argmax(first - u_prev))
         raise ValueError(
             f"u0 is not a supersolution: inequality residual {worst:.3e} > {tol:.1e} "
-            f"at t={kernel.ts[i]:.6g}")
+            f"at t={sp.ts[i]:.6g}")
 
     u = first
     iterations = 1
@@ -176,10 +174,10 @@ def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
         u = nxt
     converged = delta <= tol
 
-    u_limit = GridFunction(kernel.t1, kernel.step, u)
+    u_limit = GridFunction(sp.window[0], sp.step, u)
     defect = float(np.max(np.abs(kernel.apply(u) - u)))
     x = synthesize_solution(u_limit, case)
-    eq_res = _equation_residual(x, kernel.sampled)  # x lies on the kernel's grid
+    eq_res = _equation_residual(x, sp)  # x lies on the kernel's grid
     caveats = (CAVEAT_EXTRAPOLATED,) if kernel.extrapolates else ()
     return ConstructionResult(u_limit, x, iterations, defect, eq_res, converged, caveats)
 

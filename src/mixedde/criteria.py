@@ -159,8 +159,8 @@ def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
     if sp.spec.sign_pattern != (1, -1):
         return _inapplicable(condition_id, sp.window, _needs((1, -1)))
     main, other = getattr(sp, m), getattr(sp, o)
-    back, ahead = ((sp.int_a_over_delay(), sp.int_a_over_advance()) if delay
-                   else (sp.int_b_over_advance(), sp.int_b_over_delay()))
+    back, ahead = ((sp.int_a_over_delay, sp.int_a_over_advance) if delay
+                   else (sp.int_b_over_advance, sp.int_b_over_delay))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow saturates to inf
         margin, t_at = _sup_witness(sp.ts, main * np.expm1(back) * np.exp(ahead) - other)
     gap = float(np.min(main - other))
@@ -214,8 +214,8 @@ def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
     m, o = ("a", "b") if delay else ("b", "a")
     if sp.spec.sign_pattern != (1, -1):
         return _inapplicable(condition_id, sp.window, _needs((1, -1)))
-    sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay() if delay
-                             else sp.int_b_over_advance())
+    sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay if delay
+                             else sp.int_b_over_advance)
     gap = float(np.min(getattr(sp, m) - getattr(sp, o)))
     ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
     witness = {f"sup_{case}_integral": sup, "t_at_sup": t_at,
@@ -534,7 +534,7 @@ def _divergence(sp: SampledProblem, condition_id: str, threshold: float) -> Cert
     witness = {"checkpoints": tuple(zip(checkpoints, integrals)),
                "threshold": threshold}
     if condition_id == "COR_1_6":
-        sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay())
+        sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay)
         witness["sup_delay_integral"] = sup
         ok = ok and sup <= ONE_OVER_E + _SLACK
     return Certificate(condition_id, HOLDS if ok else FAILS, window, witness,

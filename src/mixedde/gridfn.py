@@ -142,12 +142,27 @@ class GridFunction:
         return CumulativeIntegral(self)
 
 
+class GridPoints:
+    """Where each point of t, flattened, falls on the grid t_start + k*step, k < size:
+    cell idx and offset frac, and the indices and values of the points off the grid."""
+
+    def __init__(self, t_start: float, step: float, size: int, t):
+        tt = np.asarray(t, dtype=float).ravel()
+        self.grid = (t_start, step, size)
+        pos = (tt - t_start) / step
+        self.idx = np.clip(np.floor(pos).astype(int), 0, size - 2)
+        self.frac = pos - self.idx
+        self.below, self.above = np.flatnonzero(pos < 0.0), np.flatnonzero(pos > size - 1.0)
+        self.t_below, self.t_above = tt[self.below], tt[self.above]
+
+
 class CumulativeIntegral:
     """Running integral C(t) = int_{t_start}^{t} of a GridFunction's interpolant.
 
     Exact for the interpolant (quadratic inside each cell); outside the grid it
     continues linearly with the clamped endpoint value, matching the clamping
-    convention of GridFunction. Vectorised over numpy arrays.
+    convention of GridFunction. Vectorised over numpy arrays. A call places t on
+    the grid (GridPoints) and runs `at`, which callers reusing the points call.
     """
 
     def __init__(self, f: GridFunction):
@@ -155,23 +170,25 @@ class CumulativeIntegral:
         v = f.values
         # extended-precision accumulation: differences of far-apart node sums
         # (the short deviated integrals) must stay accurate to ~1e-13
-        cells = 0.5 * (v[:-1].astype(np.longdouble) + v[1:]) * np.longdouble(f.step)
-        nodes = np.concatenate(([np.longdouble(0.0)], np.cumsum(cells)))
+        cells = v[:-1].astype(np.longdouble)
+        cells += v[1:]
+        cells *= 0.5
+        cells *= np.longdouble(f.step)
+        nodes = np.zeros(len(v), dtype=np.longdouble)
+        np.cumsum(cells, out=nodes[1:])
         self._nodes = nodes.astype(float)
 
     def __call__(self, t):
         f = self.f
-        tt = np.asarray(t, dtype=float)
-        v = f.values
-        pos = (tt - f.t_start) / f.step
-        idx = np.clip(np.floor(pos).astype(int), 0, len(v) - 2)
-        frac = pos - idx
-        inside = self._nodes[idx] + f.step * (
-            v[idx] * frac + 0.5 * (v[idx + 1] - v[idx]) * frac * frac
-        )
-        below = v[0] * (tt - f.t_start)
-        above = self._nodes[-1] + v[-1] * (tt - f.t_end)
-        out = np.where(pos < 0.0, below, np.where(pos > len(v) - 1.0, above, inside))
-        if tt.ndim == 0:
-            return float(out)
+        out = self.at(GridPoints(f.t_start, f.step, len(f.values), t)).reshape(np.shape(t))
+        return float(out) if out.ndim == 0 else out
+
+    def at(self, p: GridPoints) -> np.ndarray:
+        f, v, nodes = self.f, self.f.values, self._nodes
+        if p.grid != (f.t_start, f.step, len(v)):
+            raise ValueError("points were placed on another grid")
+        idx, frac = p.idx, p.frac
+        out = nodes[idx] + f.step * (v[idx] * frac + 0.5 * (v[idx + 1] - v[idx]) * frac * frac)
+        out[p.below] = v[0] * (p.t_below - f.t_start)
+        out[p.above] = nodes[-1] + v[-1] * (p.t_above - f.t_end)
         return out

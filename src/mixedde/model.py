@@ -368,10 +368,11 @@ class SampledProblem:
 
     Certificate checks, the iteration kernel, relax and equation_residual take
     their samples from it. The cumulative integrals of a and b on the grid
-    widened by 2*tau + step and 2*sigma + step, enough for every deviated
-    integral, are built on first use. A step that is not positive and finite,
-    a grid of more than MAX_GRID_POINTS nodes, and any non-finite sample raise
-    ValueError.
+    widened by 2*tau + step and 2*sigma + step (enough for every deviated
+    integral) and the four deviated integrals per window node are built once,
+    on first use, so their points are placed on each grid once. A step that is
+    not positive and finite, a grid of more than MAX_GRID_POINTS nodes, and any
+    non-finite sample raise ValueError.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
@@ -411,16 +412,20 @@ class SampledProblem:
     def cum_b(self) -> CumulativeIntegral:
         return self._extended_cumulative("b")
 
+    @cached_property
     def int_a_over_delay(self) -> np.ndarray:
         """int_{g(t)}^{t} a per window node."""
         return self.cum_a(self.ts) - self.cum_a(self.g)
 
+    @cached_property
     def int_a_over_advance(self) -> np.ndarray:
         return self.cum_a(self.h) - self.cum_a(self.ts)
 
+    @cached_property
     def int_b_over_delay(self) -> np.ndarray:
         return self.cum_b(self.ts) - self.cum_b(self.g)
 
+    @cached_property
     def int_b_over_advance(self) -> np.ndarray:
         return self.cum_b(self.h) - self.cum_b(self.ts)
 

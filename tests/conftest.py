@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mixedde import ProblemSpec, construct, criteria, model, parse_expr, simulate
@@ -71,3 +72,38 @@ def sampled_builds(monkeypatch) -> list:
     for module in (model, criteria, construct, simulate):
         monkeypatch.setattr(module, "SampledProblem", Counting)
     return built
+
+
+# -- CumulativeIntegral as first written, the oracle of its placed evaluation ----
+
+def _where_nodes(f):
+    """Node sums of CumulativeIntegral.__init__ as first written (temporaries)."""
+    v = f.values
+    cells = 0.5 * (v[:-1].astype(np.longdouble) + v[1:]) * np.longdouble(f.step)
+    nodes = np.concatenate(([np.longdouble(0.0)], np.cumsum(cells)))
+    return nodes.astype(float)
+
+
+def _where_eval(self, t):
+    """CumulativeIntegral.__call__ as first written (two full-array np.where
+    passes, positions recomputed per call), kept as the oracle of `at`."""
+    f = self.f
+    tt = np.asarray(t, dtype=float)
+    v = f.values
+    pos = (tt - f.t_start) / f.step
+    idx = np.clip(np.floor(pos).astype(int), 0, len(v) - 2)
+    frac = pos - idx
+    inside = self._nodes[idx] + f.step * (
+        v[idx] * frac + 0.5 * (v[idx + 1] - v[idx]) * frac * frac
+    )
+    below = v[0] * (tt - f.t_start)
+    above = self._nodes[-1] + v[-1] * (tt - f.t_end)
+    out = np.where(pos < 0.0, below, np.where(pos > len(v) - 1.0, above, inside))
+    if tt.ndim == 0:
+        return float(out)
+    return out
+
+
+def _bits(x):
+    """Bit patterns, so that signed zeros and NaN payloads count too."""
+    return np.asarray(x, dtype=float).view(np.int64)

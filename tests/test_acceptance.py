@@ -128,8 +128,8 @@ def test_criterion_07_monotone_iteration_property():
     for _ in range(50):
         spec = _random_delay_dominant(rng)
         kernel = IterationKernel(SampledProblem(spec, (0.0, 6.0), STEP), "delay")
-        floor = kernel.a_vals - kernel.b_vals
-        u = kernel.a_vals.copy()
+        floor = kernel.sampled.a - kernel.sampled.b
+        u = kernel.sampled.a.copy()
         for _ in range(200):
             v = kernel.apply(u)
             if not (np.all(v >= 0.0) and np.all(v <= u + 1e-9)

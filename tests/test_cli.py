@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mixedde
+from mixedde import simulate
 from mixedde.cli import _build_parser, main
 
 from conftest import EXAMPLES, write_spec_file
@@ -368,3 +369,17 @@ def test_module_entry_point(ex1_file):
                            "--step", "0"], env=env, capture_output=True, text=True)
     assert done.returncode == 2
     assert "step must be positive and finite" in done.stderr
+
+
+def test_out_of_range_t_from_is_rejected_before_relax(ex1_file, monkeypatch, capsys):
+    def no_relax(*args, **kwargs):
+        raise AssertionError("relax ran")
+
+    monkeypatch.setattr(simulate, "relax", no_relax)
+    for t_from in ("1e9", "-0.5", "10.01"):
+        assert main(["simulate", ex1_file, f"--t-from={t_from}"]) == 2
+        assert "error: t_from outside the trajectory domain" in capsys.readouterr().err
+    # the domain's own ends, up to the 1e-12 slack, still reach relax
+    for t_from in ("0", "10", "-1e-13", "10.0000000000001"):
+        with pytest.raises(AssertionError, match="relax ran"):
+            main(["simulate", ex1_file, f"--t-from={t_from}"])

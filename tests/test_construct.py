@@ -1,5 +1,6 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from mixedde.gridfn import GridFunction
 from mixedde.model import SampledProblem
 from mixedde.simulate import equation_residual
 
-from conftest import EX1_INEQ_VALUE, EX2_RESIDUAL_T0, LAM2, make_spec
+from conftest import (EX1_INEQ_VALUE, EX2_RESIDUAL_T0, EXAMPLES, LAM2, _bits, _where_eval,
+                      _where_nodes, make_spec)
 
 STEP = 1e-3
 
@@ -202,9 +204,9 @@ def random_delay_dominant_spec(rng):
 def drive_monotone(spec, window, case, seed_fn, tol=1e-8, max_iter=200):
     """Run the map directly, asserting the monotone-descent chain per step."""
     kernel = IterationKernel(SampledProblem(spec, window, 2e-3), case)
-    floor = (kernel.a_vals - kernel.b_vals if case == "delay"
-             else kernel.b_vals - kernel.a_vals)
-    u = np.asarray(seed_fn(kernel.ts), dtype=float)
+    floor = (kernel.sampled.a - kernel.sampled.b if case == "delay"
+             else kernel.sampled.b - kernel.sampled.a)
+    u = np.asarray(seed_fn(kernel.sampled.ts), dtype=float)
     for _ in range(max_iter):
         v = kernel.apply(u)
         assert np.all(v >= 0.0)
@@ -361,3 +363,31 @@ def test_auto_construct_builds_the_root_seed_after_the_first_fails(ex1_spec, mon
     for field in ("iterations", "max_ineq_residual", "max_eq_residual", "converged",
                   "caveats"):
         assert getattr(result, field) == getattr(direct, field)
+
+
+# -- the kernel against its per-call np.where predecessor ---------------------
+
+def _where_apply(sampled, case, u_vals):
+    """IterationKernel.apply as first written: fresh node sums with temporaries
+    and a fresh np.where evaluation at each of its three point sets per call."""
+    t1 = sampled.window[0]
+    f = GridFunction(t1, sampled.step, u_vals)
+    cum = SimpleNamespace(f=f, _nodes=_where_nodes(f))
+    at_nodes = _where_eval(cum, sampled.ts)
+    int_delay = at_nodes - _where_eval(cum, np.maximum(sampled.g, t1))
+    int_advance = _where_eval(cum, sampled.h) - at_nodes
+    if case == "delay":
+        return sampled.a * np.exp(int_delay) - sampled.b * np.exp(-int_advance)
+    return sampled.b * np.exp(int_advance) - sampled.a * np.exp(-int_delay)
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2", "ex3"])
+@pytest.mark.parametrize("case", ["delay", "advance"])
+def test_kernel_iterates_are_bit_identical_to_where_apply(example, case):
+    sampled = SampledProblem(make_spec(**EXAMPLES[example]), (0.5, 12.0), 2e-3)
+    kernel = IterationKernel(sampled, case)
+    u = want = sampled.a if case == "delay" else sampled.b
+    for _ in range(30):
+        u, want = kernel.apply(u), _where_apply(sampled, case, want)
+        np.testing.assert_array_equal(_bits(u), _bits(want))
+    assert np.all(np.isfinite(u))

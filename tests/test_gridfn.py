@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from mixedde.gridfn import GridFunction
+from mixedde.gridfn import GridFunction, GridPoints
+
+from conftest import _bits, _where_eval, _where_nodes
 
 
 def test_constant_integrand():
@@ -132,3 +136,50 @@ def test_too_few_values():
         GridFunction(0.0, 0.1, np.array([1.0]))
     with pytest.raises(ValueError):
         GridFunction(0.0, -0.1, np.array([1.0, 2.0]))
+
+
+# -- placed evaluation against the np.where evaluation it replaced -------------
+
+@st.composite
+def _grids_and_points(draw):
+    size = draw(st.integers(2, 60))
+    t_start = draw(st.one_of(st.just(0.0), st.floats(-50.0, 50.0)))
+    step = draw(st.one_of(st.sampled_from([2.0 ** -7, 1e-3, 0.01, 0.3]),
+                          st.floats(1e-4, 5.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = GridFunction(t_start, step, rng.normal(scale=10.0, size=size))
+    span = f.t_end - t_start
+    pts = np.concatenate([
+        t_start - span * rng.uniform(0.0, 2.0, size=5),        # below
+        rng.uniform(t_start, f.t_end, size=20),                # inside
+        f.t_end + span * rng.uniform(0.0, 2.0, size=5),        # above
+        t_start + step * rng.integers(0, size, size=8),        # exact nodes
+        [t_start, f.t_end, np.nextafter(t_start, -np.inf), np.nextafter(f.t_end, np.inf)],
+    ])
+    return f, rng.permutation(pts)
+
+
+@seed(20099)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_grids_and_points())
+def test_placed_evaluation_is_bit_identical_to_where_evaluation(case):
+    f, pts = case
+    cum = f.cumulative()
+    np.testing.assert_array_equal(_bits(cum._nodes), _bits(_where_nodes(f)))
+    want = _where_eval(cum, pts)
+    placed = GridPoints(f.t_start, f.step, len(f.values), pts)
+    np.testing.assert_array_equal(_bits(cum.at(placed)), _bits(want))
+    np.testing.assert_array_equal(_bits(cum(pts)), _bits(want))
+    grid = pts[:36].reshape(6, 6)
+    np.testing.assert_array_equal(_bits(cum(grid)), _bits(_where_eval(cum, grid)))
+    for x in pts[::4]:
+        for arg in (float(x), np.float64(x), np.array(x)):
+            got = cum(arg)
+            assert type(got) is float
+            assert _bits(got) == _bits(_where_eval(cum, arg))
+
+
+def test_points_placed_on_another_grid_are_rejected():
+    cum = GridFunction(0.0, 0.1, np.ones(5)).cumulative()
+    with pytest.raises(ValueError, match="another grid"):
+        cum.at(GridPoints(0.0, 0.1, 6, [0.2]))

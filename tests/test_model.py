@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixedde.gridfn import MAX_GRID_POINTS, GridFunction, grid_cells
+from mixedde.gridfn import MAX_GRID_POINTS, CumulativeIntegral, GridFunction, grid_cells
 from mixedde.model import (_MAX_DEPTH, Bounds, CoefficientExpr, ExprSyntaxError,
                            ProblemSpec, SampledProblem, extract_bounds, parse_expr,
                            read_ivp, read_spec, validate_spec)
@@ -328,3 +328,19 @@ def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):
     sp = SampledProblem(make_spec(a="exp(exp(t))"), (0.0, 6.5), 1e-3)
     with pytest.raises(ValueError, match=r"a\(t\) is not finite at t=6.56"):
         sp.cum_a
+
+
+def test_deviated_integrals_are_computed_once_per_sampled_problem(ex1_spec, monkeypatch):
+    sp = SampledProblem(ex1_spec, (0.0, 5.0), 1e-3)
+    want = sp.cum_a(sp.ts) - sp.cum_a(sp.g)
+    calls = []
+    evaluate = CumulativeIntegral.__call__
+    monkeypatch.setattr(CumulativeIntegral, "__call__",
+                        lambda self, t: calls.append(t) or evaluate(self, t))
+    first = sp.int_a_over_delay
+    assert len(calls) == 2
+    assert sp.int_a_over_delay is first
+    assert len(calls) == 2
+    np.testing.assert_array_equal(first, want)
+    assert SampledProblem(ex1_spec, (0.0, 5.0), 1e-3).int_a_over_delay is not first
+    assert len(calls) == 4

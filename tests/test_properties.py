@@ -101,7 +101,7 @@ def test_monotone_iteration_invariants(spec_and_gap):
     window, step = (0.0, 3.0), 0.01
     assume(check_cor_1_2(spec, window, step).holds)
     kernel = IterationKernel(SampledProblem(spec, window, step), "delay")
-    u = kernel.a_vals.copy()  # the COR_1_2 witness u_0 = a
+    u = kernel.sampled.a.copy()  # the COR_1_2 witness u_0 = a
     for _ in range(100):
         v = kernel.apply(u)
         assert np.all(v >= -1e-12)
