@@ -36,6 +36,7 @@ _ROOT_RESIDUAL_TARGET = 1e-12
 _MAX_BISECTIONS = 200
 _TANGENCY_DIP = 1e-6
 _SCAN_STEP = 1e-3
+_ZERO_EXPONENT = 1e-12  # solution exponents within this of 0 classify as constant
 DEFAULT_SCAN = (-60.0, 60.0)
 
 
@@ -88,10 +89,10 @@ class CharRootSet:
     tangency_suspected: tuple[float, ...] = ()
 
 
-def _classify_exponent(exponent: float, tol: float = 1e-12) -> str:
-    if exponent > tol:
+def _classify_exponent(exponent: float) -> str:
+    if exponent > _ZERO_EXPONENT:
         return "growing"
-    if exponent < -tol:
+    if exponent < -_ZERO_EXPONENT:
         return "decaying"
     return "constant"
 

@@ -43,8 +43,8 @@ def grid_cells(t_start: float, t_end: float, step: float) -> int:
 class GridFunction:
     """A function sampled at t_start + k*step, evaluated by linear interpolation.
 
-    Evaluation outside [t_start, t_end] clamps to the nearest endpoint value;
-    `integrate_flagged` reports when an integral left the grid.
+    Evaluation outside [t_start, t_end] clamps to the nearest endpoint value,
+    and so does `integrate` on the parts of its interval off the grid.
     """
 
     t_start: float
@@ -101,17 +101,13 @@ class GridFunction:
 
     # -- quadrature ------------------------------------------------------------
 
-    def integrate_flagged(self, lo: float, hi: float) -> tuple[float, bool]:
-        """Integral of the interpolant over [lo, hi], plus an extrapolation flag.
-
-        Portions of [lo, hi] outside the grid are integrated with the clamped
-        endpoint value; the flag reports that this happened.
-        """
+    def integrate(self, lo: float, hi: float) -> float:
+        """Integral of the interpolant over [lo, hi]; portions of [lo, hi]
+        outside the grid are integrated with the clamped endpoint value."""
         if lo > hi:
             raise ValueError(f"integration bounds out of order: {lo} > {hi}")
         t0, tend = self.t_start, self.t_end
         v = self.values
-        flagged = lo < t0 - 1e-12 * self.step or hi > tend + 1e-12 * self.step
         total = 0.0
         if lo < t0:
             total += (min(hi, t0) - lo) * v[0]
@@ -120,10 +116,7 @@ class GridFunction:
         a, b = max(lo, t0), min(hi, tend)
         if a < b:
             total += self._integrate_core(a, b)
-        return total, flagged
-
-    def integrate(self, lo: float, hi: float) -> float:
-        return self.integrate_flagged(lo, hi)[0]
+        return total
 
     def _integrate_core(self, lo: float, hi: float) -> float:
         # lo, hi guaranteed inside [t_start, t_end]
@@ -170,12 +163,12 @@ class CumulativeIntegral:
         v = f.values
         # extended-precision accumulation: differences of far-apart node sums
         # (the short deviated integrals) must stay accurate to ~1e-13
-        cells = v[:-1].astype(np.longdouble)
-        cells += v[1:]
+        nodes = np.zeros(len(v), dtype=np.longdouble)
+        cells = nodes[1:]
+        np.add(v[:-1], v[1:], out=cells, dtype=np.longdouble)
         cells *= 0.5
         cells *= np.longdouble(f.step)
-        nodes = np.zeros(len(v), dtype=np.longdouble)
-        np.cumsum(cells, out=nodes[1:])
+        np.cumsum(cells, out=cells)
         self._nodes = nodes.astype(float)
 
     def __call__(self, t):

@@ -12,16 +12,21 @@ grammar below, which keeps evaluation total on the whole real line:
     term   := factor ('*' factor)*
     factor := number | 't' | fn '(' expr ')' | '(' expr ')' | '-' factor
     fn     := sin | cos | exp
+
+Besides the leaves const and t, the node kinds are the rows of `_OPERATORS`,
+the one list of operator kinds, which evaluation, printing, constant folding
+and the parser's function names all read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,10 +48,27 @@ __all__ = [
     "read_ivp",
 ]
 
-_KINDS = ("const", "t", "add", "sub", "mul", "neg", "sin", "cos", "exp")
-_FUNCTIONS = {"sin", "cos", "exp"}
+
+class _Operator(NamedTuple):
+    array: Callable  # numpy function, applied to the evaluated arguments
+    scalar: Callable  # the same on Python floats, for constant folding
+    form: str  # printed form, a format string over the printed arguments
+
+
+_OPERATORS = {
+    "add": _Operator(np.add, operator.add, "({}+{})"),
+    "sub": _Operator(np.subtract, operator.sub, "({}-{})"),
+    "mul": _Operator(np.multiply, operator.mul, "({}*{})"),
+    "neg": _Operator(np.negative, operator.neg, "(-{})"),
+    "sin": _Operator(np.sin, math.sin, "sin({})"),
+    "cos": _Operator(np.cos, math.cos, "cos({})"),
+    "exp": _Operator(np.exp, math.exp, "exp({})"),
+}
+# operators printed as calls are the function names the parser accepts
+_FUNCTIONS = frozenset(k for k, op in _OPERATORS.items() if op.form == k + "({})")
 _MAX_DEPTH = 150  # parsed trees and brackets nest at most this deep
 _INFLATION = 1e-6  # relative outward margin of sampled envelope bounds
+_ENVELOPE_SAMPLES = 10001  # points per window where no closed form exists
 
 
 class ExprSyntaxError(ValueError):
@@ -61,9 +83,9 @@ class ExprSyntaxError(ValueError):
 class CoefficientExpr:
     """Expression tree over the time variable t.
 
-    Node kinds: constant, variable t, sum, difference, product, sin, cos,
-    exp, negation. Evaluation is total for all finite t and vectorises over
-    numpy arrays. `parse_expr(str(e))` evaluates identically to e.
+    Node kinds: the leaves const and t, and the operators of _OPERATORS over
+    one or two subtrees. Evaluation is total for all finite t and vectorises
+    over numpy arrays. `parse_expr(str(e))` evaluates identically to e.
     """
 
     kind: str
@@ -71,7 +93,7 @@ class CoefficientExpr:
     args: tuple["CoefficientExpr", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _OPERATORS and self.kind not in ("const", "t"):
             raise ValueError(f"unknown node kind {self.kind!r}")
         # leaves have depth 1; the parser bounds it
         object.__setattr__(self, "_depth", 1 + max((a._depth for a in self.args), default=0))
@@ -114,20 +136,10 @@ class CoefficientExpr:
             return np.full(t.shape, self.value)
         if k == "t":
             return t
-        a = self.args
-        if k == "add":
-            return a[0]._eval(t) + a[1]._eval(t)
-        if k == "sub":
-            return a[0]._eval(t) - a[1]._eval(t)
-        if k == "mul":
-            return a[0]._eval(t) * a[1]._eval(t)
-        if k == "neg":
-            return -a[0]._eval(t)
-        if k == "sin":
-            return np.sin(a[0]._eval(t))
-        if k == "cos":
-            return np.cos(a[0]._eval(t))
-        return np.exp(a[0]._eval(t))
+        a, fn = self.args, _OPERATORS[k].array
+        if len(a) == 1:
+            return fn(a[0]._eval(t))
+        return fn(a[0]._eval(t), a[1]._eval(t))
 
     # -- printing ----------------------------------------------------------------
 
@@ -138,16 +150,7 @@ class CoefficientExpr:
             return repr(v) if v >= 0 else f"(-{-v!r})"
         if k == "t":
             return "t"
-        a = self.args
-        if k == "add":
-            return f"({a[0]}+{a[1]})"
-        if k == "sub":
-            return f"({a[0]}-{a[1]})"
-        if k == "mul":
-            return f"({a[0]}*{a[1]})"
-        if k == "neg":
-            return f"(-{a[0]})"
-        return f"{k}({a[0]})"
+        return _OPERATORS[k].form.format(*self.args)
 
 
 def _as_expr(v) -> CoefficientExpr:
@@ -501,16 +504,7 @@ def _constant_value(e: CoefficientExpr) -> float | None:
     parts = [_constant_value(c) for c in e.args]
     if any(p is None for p in parts):
         return None
-    if e.kind == "add":
-        return parts[0] + parts[1]
-    if e.kind == "sub":
-        return parts[0] - parts[1]
-    if e.kind == "mul":
-        return parts[0] * parts[1]
-    if e.kind == "neg":
-        return -parts[0]
-    fn = {"sin": math.sin, "cos": math.cos, "exp": math.exp}[e.kind]
-    return fn(parts[0])
+    return _OPERATORS[e.kind].scalar(*parts)
 
 
 def _affine_parts(e: CoefficientExpr) -> tuple[float, float, float, float] | None:
@@ -521,19 +515,10 @@ def _affine_parts(e: CoefficientExpr) -> tuple[float, float, float, float] | Non
     k = e.kind
     if k == "t":
         return (0.0, 1.0, 0.0, 0.0)
-    if k in ("sin", "cos"):
-        if e.args[0].kind == "t":
-            return (0.0, 0.0, 1.0, 0.0) if k == "sin" else (0.0, 0.0, 0.0, 1.0)
-        return None
-    if k == "neg":
-        p = _affine_parts(e.args[0])
-        return None if p is None else tuple(-x for x in p)
-    if k in ("add", "sub"):
-        pa, pb = _affine_parts(e.args[0]), _affine_parts(e.args[1])
-        if pa is None or pb is None:
-            return None
-        sgn = 1.0 if k == "add" else -1.0
-        return tuple(x + sgn * y for x, y in zip(pa, pb))
+    if k == "sin" and e.args[0].kind == "t":
+        return (0.0, 0.0, 1.0, 0.0)
+    if k == "cos" and e.args[0].kind == "t":
+        return (0.0, 0.0, 0.0, 1.0)
     if k == "mul":
         ca, cb = _constant_value(e.args[0]), _constant_value(e.args[1])
         if ca is not None:
@@ -543,7 +528,13 @@ def _affine_parts(e: CoefficientExpr) -> tuple[float, float, float, float] | Non
             p = _affine_parts(e.args[0])
             return None if p is None else tuple(cb * x for x in p)
         return None
-    return None
+    if k in _FUNCTIONS:
+        return None
+    # the other operators are linear: they act on the parts one by one
+    parts = [_affine_parts(c) for c in e.args]
+    if any(p is None for p in parts):
+        return None
+    return tuple(map(_OPERATORS[k].scalar, *parts))
 
 
 def _exact_range(e: CoefficientExpr, lo: float, hi: float) -> tuple[float, float] | None:
@@ -559,6 +550,9 @@ def _exact_range(e: CoefficientExpr, lo: float, hi: float) -> tuple[float, float
         # critical points of ct*t + r*sin(t + phase): cos(t + phase) = -ct/r
         phase = math.atan2(cc, cs)
         if abs(ct) <= r:
+            # one candidate per period and base: count the periods as points
+            check_grid_size((hi - lo) / (2 * math.pi),
+                            f"the critical-point scan of an envelope over [{lo:g}, {hi:g}]")
             psi = math.acos(max(-1.0, min(1.0, -ct / r)))
             for base in (psi, -psi):
                 k0 = math.floor((lo + phase - base) / (2 * math.pi))
@@ -570,20 +564,18 @@ def _exact_range(e: CoefficientExpr, lo: float, hi: float) -> tuple[float, float
     return (min(cands), max(cands))
 
 
-def extract_bounds(spec: ProblemSpec, window: tuple[float, float],
-                   samples: int = 10001) -> Bounds:
+def extract_bounds(spec: ProblemSpec, window: tuple[float, float]) -> Bounds:
     """Envelope constants for the autonomous-style criteria.
 
     Ranges of a, b, t-g(t) and h(t)-t over the window. Expressions affine in
     {1, t, sin t, cos t} get closed-form extrema (no inflation); anything else
-    is sampled and inflated outward by the relative margin _INFLATION.
-    Assumes validate_spec passed on the window.
+    is sampled at _ENVELOPE_SAMPLES points and inflated outward by the
+    relative margin _INFLATION. Assumes validate_spec passed on the window. A
+    closed form over more than MAX_GRID_POINTS periods raises ValueError.
     """
     lo, hi = window
     if not hi > lo:
         raise ValueError("window must be nonempty")
-    if samples < 2:
-        raise ValueError("window too short: need at least 2 samples")
     t = CoefficientExpr.var_t()
     ranges = {}
     all_exact = True
@@ -594,7 +586,7 @@ def extract_bounds(spec: ProblemSpec, window: tuple[float, float],
             ranges[key] = exact
             continue
         all_exact = False
-        vals = expr(np.linspace(lo, hi, samples))
+        vals = expr(np.linspace(lo, hi, _ENVELOPE_SAMPLES))
         vlo, vhi = float(np.min(vals)), float(np.max(vals))
         pad_lo = _INFLATION * max(1.0, abs(vlo))
         pad_hi = _INFLATION * max(1.0, abs(vhi))

@@ -38,6 +38,7 @@ __all__ = [
 CAVEAT_COARSE_STEP = "step-larger-than-min-delay"
 CAVEAT_AMPLIFYING = "amplifying-advance-feedback"
 _SIGN_TOL = 1e-9  # classify_trajectory's sign threshold, relative to max|x|
+_GAIN_ITERS = 48  # power iterations of relax's gain estimate, at most
 
 
 # A vectorised run costs about a dozen numpy calls, about as much as stepping a
@@ -260,7 +261,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     x0 = float(ivp.x0)
     zeros = np.zeros(n)
 
-    def dominant_gain(max_iters: int = 48) -> float:
+    def dominant_gain() -> float:
         """Rayleigh estimate of the sweep map's leading error-mode gain.
 
         The sweep map is affine; its error dynamics equal the sweep with zero
@@ -271,7 +272,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
         e = np.ones(n)
         e[0] = 0.0
         mu = 0.0
-        for k in range(max_iters):
+        for k in range(_GAIN_ITERS):
             ke = sweep(e, 0.0, zeros)
             denom = float(e @ e)
             if denom == 0.0 or not np.all(np.isfinite(ke)):

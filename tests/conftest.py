@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -107,3 +108,104 @@ def _where_eval(self, t):
 def _bits(x):
     """Bit patterns, so that signed zeros and NaN payloads count too."""
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+# -- CoefficientExpr's walks as first written, the oracles of its operator table --
+# Copied from the if-chains over node kinds that the table replaced; only the
+# recursive calls are renamed, so that they reach these copies.
+
+def _chain_eval(self, t: np.ndarray):
+    """CoefficientExpr._eval as first written."""
+    k = self.kind
+    if k == "const":
+        return np.full(t.shape, self.value)
+    if k == "t":
+        return t
+    a = self.args
+    if k == "add":
+        return _chain_eval(a[0], t) + _chain_eval(a[1], t)
+    if k == "sub":
+        return _chain_eval(a[0], t) - _chain_eval(a[1], t)
+    if k == "mul":
+        return _chain_eval(a[0], t) * _chain_eval(a[1], t)
+    if k == "neg":
+        return -_chain_eval(a[0], t)
+    if k == "sin":
+        return np.sin(_chain_eval(a[0], t))
+    if k == "cos":
+        return np.cos(_chain_eval(a[0], t))
+    return np.exp(_chain_eval(a[0], t))
+
+
+def _chain_str(self) -> str:
+    """CoefficientExpr.__str__ as first written."""
+    k = self.kind
+    if k == "const":
+        v = self.value
+        return repr(v) if v >= 0 else f"(-{-v!r})"
+    if k == "t":
+        return "t"
+    a = self.args
+    if k == "add":
+        return f"({_chain_str(a[0])}+{_chain_str(a[1])})"
+    if k == "sub":
+        return f"({_chain_str(a[0])}-{_chain_str(a[1])})"
+    if k == "mul":
+        return f"({_chain_str(a[0])}*{_chain_str(a[1])})"
+    if k == "neg":
+        return f"(-{_chain_str(a[0])})"
+    return f"{k}({_chain_str(a[0])})"
+
+
+def _chain_constant_value(e) -> float | None:
+    """model._constant_value as first written."""
+    if e.kind == "t":
+        return None
+    if e.kind == "const":
+        return e.value
+    parts = [_chain_constant_value(c) for c in e.args]
+    if any(p is None for p in parts):
+        return None
+    if e.kind == "add":
+        return parts[0] + parts[1]
+    if e.kind == "sub":
+        return parts[0] - parts[1]
+    if e.kind == "mul":
+        return parts[0] * parts[1]
+    if e.kind == "neg":
+        return -parts[0]
+    fn = {"sin": math.sin, "cos": math.cos, "exp": math.exp}[e.kind]
+    return fn(parts[0])
+
+
+def _chain_affine_parts(e) -> tuple[float, float, float, float] | None:
+    """model._affine_parts as first written."""
+    c = _chain_constant_value(e)
+    if c is not None:
+        return (c, 0.0, 0.0, 0.0)
+    k = e.kind
+    if k == "t":
+        return (0.0, 1.0, 0.0, 0.0)
+    if k in ("sin", "cos"):
+        if e.args[0].kind == "t":
+            return (0.0, 0.0, 1.0, 0.0) if k == "sin" else (0.0, 0.0, 0.0, 1.0)
+        return None
+    if k == "neg":
+        p = _chain_affine_parts(e.args[0])
+        return None if p is None else tuple(-x for x in p)
+    if k in ("add", "sub"):
+        pa, pb = _chain_affine_parts(e.args[0]), _chain_affine_parts(e.args[1])
+        if pa is None or pb is None:
+            return None
+        sgn = 1.0 if k == "add" else -1.0
+        return tuple(x + sgn * y for x, y in zip(pa, pb))
+    if k == "mul":
+        ca, cb = _chain_constant_value(e.args[0]), _chain_constant_value(e.args[1])
+        if ca is not None:
+            p = _chain_affine_parts(e.args[1])
+            return None if p is None else tuple(ca * x for x in p)
+        if cb is not None:
+            p = _chain_affine_parts(e.args[0])
+            return None if p is None else tuple(cb * x for x in p)
+        return None
+    return None

@@ -270,6 +270,8 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
     (["check", "{ex3}", "--step", "1e-9"], "the limit of"),
     (["simulate", "{ex3}", "--step", "1e-9"], "the limit of"),
     (["validate", "{ex3}", "--samples", "2000000000"], "the limit of"),
+    # about 1.6e11 periods, each with critical points of ex3's sinusoids
+    (["region", "{ex3}", "--axes", "x,y", "--T", "1e12"], "the limit of"),
     # out-of-range numeric options, rejected by the library functions behind them
     (["construct", "{ex1}", "--T", "2", "--tol", "inf"], "tol must be positive and finite"),
     (["construct", "{ex1}", "--T", "2", "--tol", "nan"], "tol must be positive and finite"),
@@ -290,6 +292,7 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
         "region-too-many-cells", "check-brackets", "validate-signs", "construct-sum",
         "roots-scan-overflow", "roots-scan-too-long", "check-too-many-nodes",
         "simulate-too-many-nodes", "validate-too-many-samples",
+        "region-envelope-too-many-periods",
         "construct-tol-inf", "construct-tol-nan", "construct-max-iter-negative",
         "simulate-tol-inf", "simulate-tol-nan", "simulate-tol-minus-inf",
         "simulate-t-from-nan", "roots-max-roots-0", "roots-max-roots-negative",

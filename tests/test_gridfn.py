@@ -54,13 +54,14 @@ def test_bounds_out_of_order():
         f.integrate(0.7, 0.3)
 
 
-def test_extrapolation_flag():
+def test_integral_off_the_grid_uses_clamped_values():
     f = GridFunction.constant(2.0, 0.0, 1.0, 0.1)
-    value, flagged = f.integrate_flagged(-1.0, 2.0)
-    assert flagged
-    assert value == pytest.approx(6.0, abs=1e-12)  # clamped constant
-    _, flagged = f.integrate_flagged(0.2, 0.8)
-    assert not flagged
+    assert f.integrate(-1.0, 2.0) == pytest.approx(6.0, abs=1e-12)  # clamped constant
+    # each end clamps to its own endpoint value; the grid part is 0.5 + 1.0
+    f = GridFunction(0.0, 0.5, np.array([2.0, 0.0, 4.0]))
+    assert f.integrate(-1.0, 3.0) == 1.0 * 2.0 + 1.5 + 2.0 * 4.0
+    assert f.integrate(-2.0, -1.0) == 2.0
+    assert f.integrate(2.0, 3.0) == 4.0
 
 
 def test_interpolation_and_clamping():

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from mixedde import model
 from mixedde.gridfn import MAX_GRID_POINTS, CumulativeIntegral, GridFunction, grid_cells
-from mixedde.model import (_MAX_DEPTH, Bounds, CoefficientExpr, ExprSyntaxError,
-                           ProblemSpec, SampledProblem, extract_bounds, parse_expr,
-                           read_ivp, read_spec, validate_spec)
+from mixedde.model import (_ENVELOPE_SAMPLES, _MAX_DEPTH, Bounds, CoefficientExpr,
+                           ExprSyntaxError, ProblemSpec, SampledProblem, extract_bounds,
+                           parse_expr, read_ivp, read_spec, validate_spec)
 
-from conftest import make_spec, spec_fields
+from conftest import (_bits, _chain_affine_parts, _chain_constant_value, _chain_eval,
+                      _chain_str, make_spec, spec_fields)
 
 
 def test_parse_sinusoid_coefficient():
@@ -137,6 +139,56 @@ def test_roundtrip_property_within_depth_limit(e):
     np.testing.assert_array_equal(parse_expr(str(e))(pts), e(pts))
 
 
+# t-free subtrees, whose constants fold, and affine-plus-sinusoid trees built
+# from them, which _affine_parts decomposes
+_SMALL = st.floats(-50.0, 50.0).map(CoefficientExpr.const)
+_T_FREE = st.recursive(_SMALL, extend, max_leaves=6)
+_FOLDED = st.builds(_unary, st.sampled_from(("sin", "cos", "exp")), _T_FREE)
+_SINUSOIDS = st.sampled_from((_T, _unary("sin", _T), _unary("cos", _T)))
+
+
+def _scaled(factor: CoefficientExpr, term: CoefficientExpr, left: bool) -> CoefficientExpr:
+    return _binary("mul", factor, term) if left else _binary("mul", term, factor)
+
+
+def _linear(kids):
+    return st.one_of(st.builds(_unary, st.just("neg"), kids),
+                     st.builds(_binary, st.sampled_from(("add", "sub")), kids, kids))
+
+
+_AFFINE = st.recursive(
+    st.one_of(_FOLDED, _SINUSOIDS,
+              st.builds(_scaled, st.one_of(_FOLDED, _T_FREE),
+                        st.one_of(_SINUSOIDS, _BUSHY), st.booleans())),
+    _linear, max_leaves=8)
+
+
+def _outcome(fn, e):
+    """fn(e) as bit patterns, None, or the type of the error it raised."""
+    try:
+        out = fn(e)
+    except (ArithmeticError, ValueError) as exc:  # math.exp(1000), math.sin(inf)
+        return type(exc)
+    return None if out is None else _bits(out).tolist()
+
+
+@seed(20091)
+@settings(deadline=None, database=None, max_examples=300)
+@given(st.one_of(_BUSHY, st.integers(1, _MAX_DEPTH).flatmap(_chains), _AFFINE))
+@example(_unary("exp", CoefficientExpr.const(10.66)))  # np.exp and math.exp differ on some CPUs
+@example(_unary("exp", CoefficientExpr.const(1000.0)))  # math.exp raises, np.exp gives inf
+@example(_binary("sub", _unary("neg", CoefficientExpr.const(0.0)), CoefficientExpr.const(0.0)))
+def test_operator_table_matches_the_if_chains(e):
+    assert str(e) == _chain_str(e)
+    pts = np.linspace(-20.0, 20.0, 41)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, want_0d = _chain_eval(e, pts), _chain_eval(e, np.asarray(0.7))
+    np.testing.assert_array_equal(_bits(e(pts)), _bits(want))
+    assert _bits(e(0.7)) == _bits(float(want_0d))
+    assert _outcome(model._constant_value, e) == _outcome(_chain_constant_value, e)
+    assert _outcome(model._affine_parts, e) == _outcome(_chain_affine_parts, e)
+
+
 # over t, printing keeps every level; a negated constant at the bottom would
 # parse back as one constant, a level shallower
 @settings(deadline=None, database=None, max_examples=30)
@@ -214,7 +266,7 @@ def test_validation_monotone_in_window():
 
 
 def test_extract_bounds_example3(ex3_spec):
-    b = extract_bounds(ex3_spec, (0.0, 100.0), 10001)
+    b = extract_bounds(ex3_spec, (0.0, 100.0))
     assert b.a1 == pytest.approx(1.2, abs=1e-6)
     assert b.a2 == pytest.approx(1.4, abs=1e-6)
     assert b.b1 == pytest.approx(1.6, abs=1e-6)
@@ -244,18 +296,26 @@ def test_extract_bounds_envelope_contains_samples():
     spec = make_spec(a="1+0.3*sin(0.7*t)*cos(t)", b="0.5",
                      g="t-0.2-0.1*sin(3*t)", h="t+0.1")
     window = (0.0, 30.0)
-    b = extract_bounds(spec, window, 4001)
+    b = extract_bounds(spec, window)
     assert not b.exact
-    ts = np.linspace(*window, 4001)
+    ts = np.linspace(*window, _ENVELOPE_SAMPLES)
     eps = 1e-9
     assert np.all(spec.a(ts) >= b.a1 - eps) and np.all(spec.a(ts) <= b.a2 + eps)
     assert np.all(ts - spec.g(ts) <= b.tau + eps)
     assert np.all(spec.h(ts) - ts <= b.sigma + eps)
 
 
-def test_extract_bounds_too_few_samples(ex1_spec):
-    with pytest.raises(ValueError):
-        extract_bounds(ex1_spec, (0.0, 1.0), samples=1)
+def test_envelope_scan_over_too_many_periods_is_rejected():
+    # sin and cos terms have critical points in every period of the window
+    spec = make_spec(a="1.3+0.1*sin(t)", b="1.7+0.1*cos(t)", g="t-0.2", h="t+0.3",
+                     delta1=-1, delta2=1)
+    with pytest.raises(ValueError, match="the limit of"):
+        extract_bounds(spec, (0.0, 1e12))
+    # closed forms without critical points need no scan, however long the window
+    spec = make_spec(a="1", b="2*t+sin(t)", g="t-0.2", h="t+0.3")
+    b = extract_bounds(spec, (0.0, 1e12))
+    assert (b.a1, b.a2, b.b1, b.b2) == (1.0, 1.0, 0.0, 2e12 + math.sin(1e12))
+    assert b.exact
 
 
 def test_bounds_invariants():
