@@ -7,20 +7,24 @@ two conventions:
     plus_exponent   x = e^{lt}:   F(l) =  l + delta1*a*e^{-l*tau} + delta2*b*e^{l*sigma}
     minus_exponent  x = e^{-lt}:  F(l) = -l + delta1*a*e^{l*tau}  + delta2*b*e^{-l*sigma}
 
-The two conventions' root sets are negatives of each other. Roots are located
-by a sign-change scan followed by bisection; tangential (double) roots produce
-no sign change and are only reported as suspected, via near-zero dips of |F|.
+The two conventions' root sets are negatives of each other. Roots come from
+the shape of F, not from a scan: F'' is a sum of two exponentials, so it has at
+most one zero; F' is monotone on each side of it and has at most two zeros; F
+is monotone between those and has at most three (Rolle's theorem; Polya &
+Szego, Problems and Theorems in Analysis II, Part V). Each root is bisected on
+its monotone piece, and a zero of F' where |F| <= 1e-12 is a double root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from itertools import pairwise
+from typing import Callable, TextIO
 
 import numpy as np
 
-from .gridfn import check_grid_size
+from .model import _exp
 
 __all__ = [
     "CharProblem",
@@ -32,9 +36,9 @@ __all__ = [
 
 _CONVENTIONS = ("plus_exponent", "minus_exponent")
 _EXP_CAP = 700.0  # e^700 is finite; saturate instead of overflowing
+_EDGE = 2.0**1022  # roots beyond are not sought: wider brackets overflow their midpoints
 _ROOT_RESIDUAL_TARGET = 1e-12
 _MAX_BISECTIONS = 200
-_TANGENCY_DIP = 1e-6
 _SCAN_STEP = 1e-3
 _ZERO_EXPONENT = 1e-12  # solution exponents within this of 0 classify as constant
 DEFAULT_SCAN = (-60.0, 60.0)
@@ -85,8 +89,8 @@ class CharRootSet:
     residuals: tuple[float, ...]
     classifications: tuple[str, ...]  # growing | decaying | constant
     brackets_scanned: tuple[float, float]
-    truncated: bool = False
-    tangency_suspected: tuple[float, ...] = ()
+    truncated: bool = False  # never set: F has at most three real roots
+    tangency_suspected: tuple[float, ...] = ()  # never set: double roots are roots
 
 
 def _classify_exponent(exponent: float) -> str:
@@ -97,9 +101,9 @@ def _classify_exponent(exponent: float) -> str:
     return "constant"
 
 
-def _bisect(p: CharProblem, x1: float, x2: float) -> float:
-    f1 = p.value(x1)
-    f2 = p.value(x2)
+def _bisect(f: Callable[[float], float], x1: float, x2: float) -> float:
+    f1 = f(x1)
+    f2 = f(x2)
     if f1 == 0.0:
         return x1
     if f2 == 0.0:
@@ -107,7 +111,7 @@ def _bisect(p: CharProblem, x1: float, x2: float) -> float:
     best_x, best_f = (x1, abs(f1)) if abs(f1) < abs(f2) else (x2, abs(f2))
     for _ in range(_MAX_BISECTIONS):
         xm = 0.5 * (x1 + x2)
-        fm = p.value(xm)
+        fm = f(xm)
         if abs(fm) < best_f:
             best_x, best_f = xm, abs(fm)
         if abs(fm) <= _ROOT_RESIDUAL_TARGET:
@@ -121,65 +125,102 @@ def _bisect(p: CharProblem, x1: float, x2: float) -> float:
     return best_x
 
 
-def find_real_roots(p: CharProblem, scan: tuple[float, float] = DEFAULT_SCAN,
-                    max_roots: int = 32) -> CharRootSet:
-    """Sign-change scan over the interval at step 1e-3, then bisection per bracket.
+def _zeros(f: Callable[[float], float], knots: list[float]) -> list[float]:
+    """Zeros of f in [-_EDGE, _EDGE], given knots between which f is monotone.
 
-    The scan is one array pass over the grid (120 001 points on DEFAULT_SCAN):
-    F is evaluated once, and sign changes and |F| dips are read off boolean
-    masks of basic slices. Scalar bisection runs only inside the sign-change
-    brackets. Repeated roots at tangencies are found only if the scan sees a sign
-    change; cells where |F| dips below 1e-6 without one are reported in
-    tangency_suspected. max_roots below 1, or a scan of more than
-    MAX_GRID_POINTS points, raises ValueError before anything is allocated.
+    0 and +-_EDGE join the knots that lie between them. A knot where |f| <= 1
+    is a zero. Each pair of consecutive knots of opposite signs brackets one
+    more zero, bisected once a walk from the knot nearer 0, doubling its step,
+    has found the sign change: the bracket is then about as wide as the zero
+    is far from 0.
+    """
+    knots = sorted({-_EDGE, 0.0, _EDGE, *(x for x in knots if abs(x) < _EDGE)})
+    signs = [0.0 if abs(v) <= 1.0 else v for v in map(f, knots)]
+    found = [x for x, v in zip(knots, signs) if v == 0.0]
+    for (x1, v1), (x2, v2) in pairwise(zip(knots, signs)):
+        if not (v1 < 0.0 < v2 or v2 < 0.0 < v1):
+            continue
+        x, fx, far, out = (x1, v1, x2, 1.0) if x1 >= 0.0 else (x2, v2, x1, -1.0)
+        step = 1.0
+        while out * (far - (y := x + out * step)) > 0.0:
+            fy = f(y)
+            if fy == 0.0 or (fy < 0.0) != (fx < 0.0):
+                break
+            x, fx, step = y, fy, 2.0 * step
+        else:
+            y = far
+        found.append(_bisect(f, *sorted((x, y))))
+    return sorted(found)
+
+
+def _real_roots(p: CharProblem, window: tuple[float, float]) -> list[float]:
+    """Every real root of F in [-_EDGE, _EDGE], increasing.
+
+    A root within a cell of the window is bisected again on the cell of the
+    window's 1e-3 grid that holds it, or on a neighbour when F changes sign
+    there and not in it, so it gets the bits a sign-change scan of that grid
+    gives it. Node i is i*d + lo and the last node hi, as np.linspace places
+    them.
+    """
+    # F(l) = G(s*l) for G(x) = x + c1*e^{-x*tau} + c2*e^{x*sigma}, with s = 1 for
+    # plus_exponent and -1 for minus_exponent
+    s = 1.0 if p.convention == "plus_exponent" else -1.0
+    # Python floats: numpy scalars would warn where a term overflows to inf
+    c1, c2, tau, sigma = map(float, (p.delta1 * p.a, p.delta2 * p.b, p.tau, p.sigma))
+    # c*e^y without saturation, so that G has the shape of F; 0*e^y is 0, not 0*inf
+    e = lambda c, y: c * _exp(y) if c else 0.0
+    # G and G' in units of the residual target: a zero of G' where |G| <= 1 is a
+    # double root, and bisection runs every zero to the last bit
+    g = lambda x: (x + e(c1, -x * tau) + e(c2, x * sigma)) / _ROOT_RESIDUAL_TARGET
+    dg = lambda x: (1.0 - e(c1 * tau, -x * tau) + e(c2 * sigma, x * sigma)) \
+        / _ROOT_RESIDUAL_TARGET
+    split = []
+    if p.delta1 != p.delta2 and min(p.a, p.b, tau, sigma) > 0.0:
+        # the zero of G'' = c1*tau^2*e^{-x*tau} + c2*sigma^2*e^{x*sigma}, from a
+        # sum of logs, since tau^2 or sigma^2 can underflow
+        split = [(math.log(p.a) + 2.0 * math.log(tau) - math.log(p.b)
+                  - 2.0 * math.log(sigma)) / (tau + sigma)]
+    xs = _zeros(g, _zeros(dg, split))
+
+    lo, hi = window
+    cells = math.ceil((hi - lo) / _SCAN_STEP)
+    d = (hi - lo) / cells
+    roots = set()
+    for lam in (s * x for x in xs):
+        if lo - d <= lam <= hi + d:
+            i = min(max(math.floor((lam - lo) / d), 0), cells - 1)
+            for j in (j for j in (i, i - 1, i + 1) if 0 <= j < cells):
+                x1, x2 = j * d + lo, (hi if j + 1 == cells else (j + 1) * d + lo)
+                f1, f2 = p.value(x1), p.value(x2)
+                if min(f1, f2) <= 0.0 <= max(f1, f2):
+                    lam = _bisect(p.value, x1, x2)
+                    break
+        roots.add(lam)
+    return sorted(roots)
+
+
+def find_real_roots(p: CharProblem, scan: tuple[float, float] = DEFAULT_SCAN) -> CharRootSet:
+    """The real roots of F inside the reporting window `scan`, with residuals.
+
+    Nothing is sampled, so the window may be as wide as the floats allow; each
+    root in it has the bits of a sign-change scan of the window at step 1e-3.
+    A window that is non-finite, empty, or so wide that hi - lo overflows
+    raises ValueError.
     """
     lo, hi = scan
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ValueError("scan interval must be finite and nonempty")
-    if max_roots < 1:
-        raise ValueError("max_roots must be at least 1")
-    spans = (hi - lo) / _SCAN_STEP
-    check_grid_size(spans, f"a scan over [{lo:g}, {hi:g}] at step {_SCAN_STEP:g}")
-    n = int(math.ceil(spans)) + 1
-    grid = np.linspace(lo, hi, n)
-    vals = p.value(grid)
-
-    roots: list[float] = []
-    exact = np.flatnonzero(vals == 0.0)
-    roots.extend(float(grid[i]) for i in exact)
-    neg, pos = vals < 0.0, vals > 0.0  # both False at an exact zero
-    change = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
-    for i in change:
-        roots.append(_bisect(p, float(grid[i]), float(grid[i + 1])))
-    roots.sort()
-
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-
-    truncated = len(deduped) > max_roots
-    deduped = deduped[:max_roots]
-
-    # near-tangency: interior local minima of |F| below the dip threshold,
-    # same sign on both neighbours (an actual crossing is excluded)
-    absv = np.abs(vals)
-    mid = absv[1:-1]
-    local_min = (mid <= absv[:-2]) & (mid <= absv[2:])
-    small = mid < _TANGENCY_DIP
-    same_sign = (pos[:-2] == pos[1:-1]) & (pos[2:] == pos[1:-1]) & (vals[1:-1] != 0.0)
-    sus = grid[1:-1][local_min & small & same_sign]
-    sus = tuple(float(s) for s in sus
-                if all(abs(s - r) > 10 * _SCAN_STEP for r in deduped))
-
-    residuals = tuple(abs(p.value(r)) for r in deduped)
-    tags = tuple(_classify_exponent(p.solution_exponent(r)) for r in deduped)
-    return CharRootSet(tuple(deduped), residuals, tags, (lo, hi), truncated, sus)
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo
+            and math.isfinite((hi - lo) / _SCAN_STEP)):
+        raise ValueError("scan interval must be finite and nonempty, with a finite width")
+    roots = tuple(r for r in _real_roots(p, scan) if lo <= r <= hi)
+    residuals = tuple(abs(p.value(r)) for r in roots)
+    tags = tuple(_classify_exponent(p.solution_exponent(r)) for r in roots)
+    return CharRootSet(roots, residuals, tags, (lo, hi))
 
 
 def positive_root_exists(p: CharProblem) -> float | None:
-    """Smallest root above 1e-12 in DEFAULT_SCAN, or None."""
-    for r in find_real_roots(p).roots:
+    """Smallest root above 1e-12 on the real line (up to 2^1022), or None. One
+    inside DEFAULT_SCAN has the bits find_real_roots gives it."""
+    for r in _real_roots(p, DEFAULT_SCAN):
         if r > 1e-12:
             return r
     return None

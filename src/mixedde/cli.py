@@ -175,8 +175,7 @@ def cmd_roots(args) -> int:
         problem = charroots.CharProblem(
             args.a, args.b, args.tau, args.sigma, args.delta1, args.delta2,
             args.convention or "minus_exponent")
-    rs = charroots.find_real_roots(problem, scan=(args.scan_lo, args.scan_hi),
-                                   max_roots=args.max_roots)
+    rs = charroots.find_real_roots(problem, scan=(args.scan_lo, args.scan_hi))
     with _open_out(args.out) as out:
         if args.format == "csv":
             charroots.write_roots_csv(rs, out)
@@ -186,10 +185,6 @@ def cmd_roots(args) -> int:
                 out.write("no real roots found\n")
             for r, res, tag in zip(rs.roots, rs.residuals, rs.classifications):
                 out.write(f"root: {_fmt(r)} residual={_fmt(res)} class={tag}\n")
-            if rs.truncated:
-                out.write("truncated: yes\n")
-            for s in rs.tangency_suspected:
-                out.write(f"tangency_suspected: {_fmt(s)}\n")
     return 0 if rs.roots else 1
 
 
@@ -298,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None)
     r.add_argument("--scan-lo", type=float, default=-60.0)
     r.add_argument("--scan-hi", type=float, default=60.0)
-    r.add_argument("--max-roots", type=int, default=32)
     _add_io_args(r)
     r.set_defaults(fn=cmd_roots)
 

@@ -196,7 +196,6 @@ def _cor_x_3(sp: SampledProblem, case: str) -> Certificate:
     root = charroots.positive_root_exists(problem)
     witness = {"a": a, "b": b, "tau": bounds.tau, "sigma": bounds.sigma}
     if root is None:
-        witness.update(scan_lo=charroots.DEFAULT_SCAN[0], scan_hi=charroots.DEFAULT_SCAN[1])
         return Certificate(condition_id, FAILS, window, witness, (CAVEAT_WINDOW_LIMITED,))
     witness["lambda"] = root
     return Certificate(condition_id, HOLDS, window, witness, (CAVEAT_WINDOW_LIMITED,))

@@ -181,7 +181,16 @@ class CumulativeIntegral:
         if p.grid != (f.t_start, f.step, len(v)):
             raise ValueError("points were placed on another grid")
         idx, frac = p.idx, p.frac
-        out = nodes[idx] + f.step * (v[idx] * frac + 0.5 * (v[idx + 1] - v[idx]) * frac * frac)
+        # nodes[idx] + step*(v[idx]*frac + 0.5*(v[idx+1]-v[idx])*frac*frac), op by op in place
+        out, d = v[idx], v[idx + 1]
+        d -= out
+        d *= 0.5
+        d *= frac
+        d *= frac
+        out *= frac
+        out += d
+        out *= f.step
+        out += nodes[idx]
         out[p.below] = v[0] * (p.t_below - f.t_start)
         out[p.above] = nodes[-1] + v[-1] * (p.t_above - f.t_end)
         return out

@@ -55,6 +55,14 @@ class _Operator(NamedTuple):
     form: str  # printed form, a format string over the printed arguments
 
 
+def _exp(x: float) -> float:
+    """math.exp, giving inf where math.exp raises OverflowError, as np.exp does."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 _OPERATORS = {
     "add": _Operator(np.add, operator.add, "({}+{})"),
     "sub": _Operator(np.subtract, operator.sub, "({}-{})"),
@@ -62,7 +70,7 @@ _OPERATORS = {
     "neg": _Operator(np.negative, operator.neg, "(-{})"),
     "sin": _Operator(np.sin, math.sin, "sin({})"),
     "cos": _Operator(np.cos, math.cos, "cos({})"),
-    "exp": _Operator(np.exp, math.exp, "exp({})"),
+    "exp": _Operator(np.exp, _exp, "exp({})"),
 }
 # operators printed as calls are the function names the parser accepts
 _FUNCTIONS = frozenset(k for k, op in _OPERATORS.items() if op.form == k + "({})")
@@ -571,7 +579,8 @@ def extract_bounds(spec: ProblemSpec, window: tuple[float, float]) -> Bounds:
     {1, t, sin t, cos t} get closed-form extrema (no inflation); anything else
     is sampled at _ENVELOPE_SAMPLES points and inflated outward by the
     relative margin _INFLATION. Assumes validate_spec passed on the window. A
-    closed form over more than MAX_GRID_POINTS periods raises ValueError.
+    closed form over more than MAX_GRID_POINTS periods, or a range that is not
+    finite, raises ValueError.
     """
     lo, hi = window
     if not hi > lo:
@@ -581,16 +590,17 @@ def extract_bounds(spec: ProblemSpec, window: tuple[float, float]) -> Bounds:
     all_exact = True
     for key, expr in (("a", spec.a), ("b", spec.b),
                       ("delay", t - spec.g), ("advance", spec.h - t)):
-        exact = _exact_range(expr, lo, hi)
-        if exact is not None:
-            ranges[key] = exact
-            continue
-        all_exact = False
-        vals = expr(np.linspace(lo, hi, _ENVELOPE_SAMPLES))
-        vlo, vhi = float(np.min(vals)), float(np.max(vals))
-        pad_lo = _INFLATION * max(1.0, abs(vlo))
-        pad_hi = _INFLATION * max(1.0, abs(vhi))
-        ranges[key] = (vlo - pad_lo, vhi + pad_hi)
+        rng = _exact_range(expr, lo, hi)
+        if rng is None:
+            all_exact = False
+            vals = expr(np.linspace(lo, hi, _ENVELOPE_SAMPLES))
+            vlo, vhi = float(np.min(vals)), float(np.max(vals))
+            pad_lo = _INFLATION * max(1.0, abs(vlo))
+            pad_hi = _INFLATION * max(1.0, abs(vhi))
+            rng = (vlo - pad_lo, vhi + pad_hi)
+        if not all(map(math.isfinite, rng)):
+            raise ValueError(f"the range of {key} on the window is not finite")
+        ranges[key] = rng
     return Bounds(
         a1=ranges["a"][0], a2=ranges["a"][1],
         b1=ranges["b"][0], b2=ranges["b"][1],

@@ -157,8 +157,16 @@ def _chain_str(self) -> str:
     return f"{k}({_chain_str(a[0])})"
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _chain_constant_value(e) -> float | None:
-    """model._constant_value as first written."""
+    """model._constant_value as first written, with exp giving inf past the range
+    where math.exp raises OverflowError."""
     if e.kind == "t":
         return None
     if e.kind == "const":
@@ -174,7 +182,7 @@ def _chain_constant_value(e) -> float | None:
         return parts[0] * parts[1]
     if e.kind == "neg":
         return -parts[0]
-    fn = {"sin": math.sin, "cos": math.cos, "exp": math.exp}[e.kind]
+    fn = {"sin": math.sin, "cos": math.cos, "exp": _exp_or_inf}[e.kind]
     return fn(parts[0])
 
 

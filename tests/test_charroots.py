@@ -90,23 +90,6 @@ def test_classify_root_zero_constant():
     assert rs.classifications[rs.roots.index(0.0)] == "constant"
 
 
-def test_truncation_flag():
-    rs = find_real_roots(ex1_problem(), max_roots=2)
-    assert rs.truncated
-    assert len(rs.roots) == 2
-
-
-def test_tangency_suspected_flag():
-    # coefficient tuned so the curve dips to ~1e-7 above zero near l = 1.833
-    # (tangency at a = 1.4904737285986343 for tau = sigma = 0.3, b = 1.3)
-    lam_t = 1.8332069502372645
-    a = 1.4904737285986343 + 1e-7 * math.exp(-0.3 * lam_t)
-    p = CharProblem(a, 1.3, 0.3, 0.3, 1, -1, "minus_exponent")
-    rs = find_real_roots(p)
-    assert all(abs(r - lam_t) > 0.5 for r in rs.roots)  # no sign change there
-    assert any(abs(s - lam_t) < 0.01 for s in rs.tangency_suspected)
-
-
 def test_guarded_exponentials_no_overflow():
     p = CharProblem(5.0, 5.0, 5.0, 5.0, 1, -1, "minus_exponent")
     vals = p.value(np.linspace(-60.0, 60.0, 1001))
@@ -123,15 +106,13 @@ def test_roots_csv():
     assert lines[1].endswith("growing")
 
 
-# -- the scan against its fancy-indexed predecessor ------------------------------
+# -- the roots against the scan they replaced -------------------------------------
 
-def _fancy_index_scan(p: CharProblem, scan=charroots.DEFAULT_SCAN,
-                      max_roots: int = 32) -> CharRootSet:
-    """The scan as first written (sign products, an index array and fancy-indexed
-    neighbours), kept as the oracle the sliced scan must reproduce exactly."""
+def _fancy_index_scan(p: CharProblem, scan=charroots.DEFAULT_SCAN) -> CharRootSet:
+    """The sign-change scan as first written (sign products, an index array,
+    bisection of each bracket and a 1e-9 dedupe), kept as the oracle whose bits
+    the roots inside its window must reproduce."""
     lo, hi = scan
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ValueError("scan interval must be finite and nonempty")
     spans = (hi - lo) / charroots._SCAN_STEP
     check_grid_size(spans, f"a scan over [{lo:g}, {hi:g}] at step {charroots._SCAN_STEP:g}")
     n = int(math.ceil(spans)) + 1
@@ -143,7 +124,7 @@ def _fancy_index_scan(p: CharProblem, scan=charroots.DEFAULT_SCAN,
     roots.extend(float(grid[i]) for i in exact)
     change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
     for i in change:
-        roots.append(charroots._bisect(p, float(grid[i]), float(grid[i + 1])))
+        roots.append(charroots._bisect(p.value, float(grid[i]), float(grid[i + 1])))
     roots.sort()
 
     deduped: list[float] = []
@@ -151,22 +132,9 @@ def _fancy_index_scan(p: CharProblem, scan=charroots.DEFAULT_SCAN,
         if not deduped or r - deduped[-1] > 1e-9:
             deduped.append(r)
 
-    truncated = len(deduped) > max_roots
-    deduped = deduped[:max_roots]
-
-    absv = np.abs(vals)
-    interior = np.arange(1, n - 1)
-    local_min = (absv[interior] <= absv[interior - 1]) & (absv[interior] <= absv[interior + 1])
-    small = absv[interior] < charroots._TANGENCY_DIP
-    same_sign = ((vals[interior - 1] > 0) == (vals[interior] > 0)) & \
-                ((vals[interior + 1] > 0) == (vals[interior] > 0)) & (vals[interior] != 0.0)
-    sus = grid[interior[local_min & small & same_sign]]
-    sus = tuple(float(s) for s in sus
-                if all(abs(s - r) > 10 * charroots._SCAN_STEP for r in deduped))
-
     residuals = tuple(abs(p.value(r)) for r in deduped)
     tags = tuple(charroots._classify_exponent(p.solution_exponent(r)) for r in deduped)
-    return CharRootSet(tuple(deduped), residuals, tags, (lo, hi), truncated, sus)
+    return CharRootSet(tuple(deduped), residuals, tags, (lo, hi))
 
 
 _COEFFICIENTS = st.one_of(st.just(0.0), st.floats(0.0, 5.0),
@@ -179,23 +147,22 @@ def _scan_cases(draw):
     p = CharProblem(draw(_COEFFICIENTS), draw(_COEFFICIENTS), draw(_SHIFTS), draw(_SHIFTS),
                     draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1])),
                     draw(st.sampled_from(["plus_exponent", "minus_exponent"])))
-    kw = {}
+    scan = charroots.DEFAULT_SCAN
     if draw(st.booleans()):
         lo = draw(st.floats(-80.0, 70.0))
-        kw["scan"] = (lo, lo + draw(st.floats(0.01, 40.0)))
-    if draw(st.booleans()):
-        kw["max_roots"] = draw(st.integers(1, 3))
-    return p, kw
+        scan = (lo, lo + draw(st.floats(0.01, 40.0)))
+    return p, scan
 
 
 # a*tau = 1/e: the pure-delay double root l = 1/tau
 _DOUBLE = CharProblem(1.0 / (math.e * 0.3), 0.0, 0.3, 0.0, 1, -1, "minus_exponent")
-# the near-tangency of test_tangency_suspected_flag
+# a near-tangency: F dips to ~1e-7 above zero at l = 1.833 (it touches zero at
+# a = 1.4904737285986343 for tau = sigma = 0.3, b = 1.3)
 _NEAR = CharProblem(1.4904737285986343 + 1e-7 * math.exp(-0.3 * 1.8332069502372645),
                     1.3, 0.3, 0.3, 1, -1, "minus_exponent")
 # a double root at l = 2^20, where rounding leaves F exactly 0 or tied between nodes
 _FLAT = CharProblem(2.0**20 / math.e, 0.0, 2.0**-20, 0.0, 1, -1, "minus_exponent")
-# ex1 retuned to cross 1e-7 past or before the node l = 3: the root max_roots=2 drops
+# ex1 retuned to cross 1e-7 past or before the node l = 3
 _NODE = [CharProblem(a, 1.3, 0.3, 0.3, 1, -1, "minus_exponent")
          for a in (1.4345975250822427, 1.4345975427374764)]
 
@@ -203,14 +170,92 @@ _NODE = [CharProblem(a, 1.3, 0.3, 0.3, 1, -1, "minus_exponent")
 @seed(20091)
 @settings(max_examples=80, deadline=None, database=None)
 @given(_scan_cases())
-@example((_DOUBLE, {}))
-@example((_NEAR, {}))
-@example((ex1_problem(), {"max_roots": 2}))
-@example((CharProblem(1e300, 1e300, 1.0, 1.0, 1, -1, "minus_exponent"), {}))
-@example((_FLAT, {"scan": (2.0**20 - 0.05, 2.0**20 + 0.05), "max_roots": 3}))
-@example((_NODE[0], {"max_roots": 2}))
-@example((_NODE[1], {"max_roots": 2}))
+@example((ex1_problem(), charroots.DEFAULT_SCAN))
+@example((CharProblem(1e300, 1e300, 1.0, 1.0, 1, -1, "minus_exponent"), charroots.DEFAULT_SCAN))
+@example((_NODE[0], charroots.DEFAULT_SCAN))
+@example((_NODE[1], charroots.DEFAULT_SCAN))
+# roots on the window's edge and within rounding of a node, where F reads exactly 0
+# or changes sign in the neighbouring cell
+@example((CharProblem(0.0, 0.12805124506308443, 0.0, 0.0, -1, -1, "plus_exponent"),
+          (0.12805124506308443, 1.1280512450630844)))
+@example((CharProblem(1.0, 1.0, 0.0, 0.0, -1, 1, "plus_exponent"), (1.28e-90, 1.0)))
+@example((CharProblem(0.0, 2.2250738585e-313, 0.0, 0.0, -1, -1, "minus_exponent"),
+          charroots.DEFAULT_SCAN))
 def test_scan_matches_the_fancy_indexed_scan_exactly(case):
-    p, kw = case
+    p, scan = case
+    got, want = find_real_roots(p, scan), _fancy_index_scan(p, scan)
     # repr round-trips every non-nan float64, so equal reprs mean equal bit patterns
-    assert repr(find_real_roots(p, **kw)) == repr(_fancy_index_scan(p, **kw))
+    assert repr((got.roots, got.residuals, got.classifications, got.brackets_scanned)) == \
+        repr((want.roots, want.residuals, want.classifications, want.brackets_scanned))
+
+
+def _term_sizes(p: CharProblem, lam):
+    """|l| + a*e^{..} + b*e^{..}: the size of the terms that cancel at a root of F."""
+    s = 1.0 if p.convention == "plus_exponent" else -1.0
+    with np.errstate(over="ignore"):
+        return (np.abs(lam) + p.a * np.exp(np.minimum(-s * lam * p.tau, charroots._EXP_CAP))
+                + p.b * np.exp(np.minimum(s * lam * p.sigma, charroots._EXP_CAP)))
+
+
+@seed(20092)
+@settings(max_examples=80, deadline=None, database=None)
+@given(_scan_cases())
+@example((_DOUBLE, charroots.DEFAULT_SCAN))
+@example((_NEAR, charroots.DEFAULT_SCAN))
+@example((CharProblem(0.1, 0.412, 0.00643, 0.00962, 1, -1, "plus_exponent"), (-60.0, 1e300)))
+def test_roots_are_at_most_three_and_split_the_window_into_constant_sign(case):
+    p, scan = case
+    assert len(charroots._real_roots(p, scan)) <= 3
+    rs = find_real_roots(p, scan)
+    for r, res in zip(rs.roots, rs.residuals):
+        # relative to the terms that cancel: 1e300 terms leave no absolute 1e-12
+        assert res <= charroots._ROOT_RESIDUAL_TARGET * max(1.0, _term_sizes(p, r))
+    lo, hi = scan
+    grid = np.linspace(lo, min(hi, lo + 200.0), 20001)
+    vals = p.value(grid)
+    for left, right in zip((-math.inf, *rs.roots), (*rs.roots, math.inf)):
+        between = vals[(grid > left) & (grid < right)]
+        assert not (np.any(between > 0.0) and np.any(between < 0.0)), (left, right)
+
+
+def test_double_near_and_flat_cases():
+    # where the scan bisected no sign change it reported no root: a double root
+    # now is one, and the near-tangency stays none
+    rs = find_real_roots(_DOUBLE)
+    assert rs.roots == pytest.approx((1 / 0.3,), abs=1e-13)
+    assert rs.residuals[0] <= charroots._ROOT_RESIDUAL_TARGET
+    assert all(abs(r - 1.8332069502372645) > 0.5 for r in find_real_roots(_NEAR).roots)
+    # rounding leaves F flat at 2^20: one root, not each node where F reads 0
+    flat = find_real_roots(_FLAT, (2.0**20 - 0.05, 2.0**20 + 0.05))
+    assert len(flat.roots) == 1 and flat.residuals[0] <= 1e-9  # 1e-9: about 4 ulp of F
+    assert flat.roots[0] == pytest.approx(2.0**20, abs=1e-3)
+
+
+def test_cancellation_to_zero_gives_the_root_of_the_exact_function():
+    # F(l) = l - 1e100 + 1e100 rounds to 0 on the whole window; the scan
+    # reported its first 32 nodes, the exact F has its one root at 0
+    rs = find_real_roots(CharProblem(1e100, 1e100, 0.0, 0.0, -1, 1, "plus_exponent"))
+    assert rs.roots == (0.0,) and rs.residuals == (0.0,)
+    # F(l) = (l - a) + b with a - b = -59 and ulp(a) = 2^-8: F reads 0 at the nodes
+    # -59.001 and -59, which the scan both reported
+    rs = find_real_roots(CharProblem(17592186044357.0, 17592186044416.0, 0.0, 0.0, -1, 1,
+                                     "plus_exponent"))
+    assert rs.roots == (-59.0,)
+
+
+def test_roots_outside_the_default_window():
+    # the only roots of this (+,-) problem besides 0.3134 lie at -1494.9 and 785.1
+    p = CharProblem(0.1, 0.412, 0.00643, 0.00962, 1, -1, "plus_exponent")
+    assert find_real_roots(p).roots == (pytest.approx(0.3134455400072051, abs=1e-12),)
+    wide = find_real_roots(p, (-1e300, 1e300)).roots
+    assert wide == pytest.approx((-1494.9334464302, 0.3134455400072, 785.0858434617), rel=1e-12)
+    # each window polishes on its own grid, so the bits may differ in the last place
+    assert find_real_roots(p, (0.5, 1e300)).roots == pytest.approx((wide[2],), rel=1e-15)
+    assert positive_root_exists(CharProblem(0.1, 0.412, 0.00643, 0.00962, 1, -1,
+                                            "minus_exponent")) == -wide[0]
+
+
+def test_window_whose_width_overflows_is_rejected():
+    for scan in ((-1e308, 1e308), (0.0, 1e308), (0.0, math.inf), (1.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="scan interval"):
+            find_real_roots(ex1_problem(), scan)

@@ -148,6 +148,21 @@ def test_roots_no_roots_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, roots", [
+    # a*tau = 1/e: a double root, where F changes no sign
+    (["--a", "1.2262648039048079", "--b", "0", "--tau", "0.3", "--sigma", "0"],
+     [("3.33333333333", "decaying")]),
+    # a window reaching 1e300 samples nothing
+    (["--a", "0.1", "--b", "0.412", "--tau", "0.00643", "--sigma", "0.00962",
+      "--convention", "plus_exponent", "--scan-hi", "1e300"],
+     [("0.313445540007", "growing"), ("785.085843462", "growing")]),
+], ids=["double-root", "window-to-1e300"])
+def test_roots_without_a_scan_grid(argv, roots, capsys):
+    assert main(["roots", *argv]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(root, tag) for _, root, _, tag in lines] == [(r, f"class={c}") for r, c in roots]
+
+
 def test_region_fig1(ex3_file, tmp_path):
     dest = tmp_path / "region.csv"
     code = main(["region", ex3_file, "--T", "40", "--axes", "x,y",
@@ -261,12 +276,11 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
     (["check", "{deep}"], "deeper than"),
     (["validate", "{signs}"], "deeper than"),
     (["construct", "{sum}"], "deeper than"),
-    # 1-D grids over the point limit, each rejected before allocating: about
-    # 1e305 and 1.2e10 scan points, 1e11 nodes, 2e9 samples (16 GB)
+    # a roots window whose width overflows
     (["roots", "--a", "1", "--b", "1", "--tau", "0.3", "--sigma", "0.3",
-      "--scan-hi", "1e300"], "the limit of"),
-    (["roots", "--a", "1", "--b", "1", "--tau", "0.3", "--sigma", "0.3",
-      "--scan-hi", "1e7"], "the limit of"),
+      "--scan-lo=-1e308", "--scan-hi", "1e308"], "scan interval must be finite"),
+    # 1-D grids over the point limit, each rejected before allocating: 1e11
+    # nodes, 2e9 samples (16 GB)
     (["check", "{ex3}", "--step", "1e-9"], "the limit of"),
     (["simulate", "{ex3}", "--step", "1e-9"], "the limit of"),
     (["validate", "{ex3}", "--samples", "2000000000"], "the limit of"),
@@ -281,8 +295,12 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
     (["simulate", "{ex1}", "--T", "1", "--tol=-inf"], "tol must be positive and finite"),
     (["simulate", "{ex1}", "--T", "1", "--step", "0.01", "--t-from", "nan"],
      "t_from outside the trajectory domain"),
-    (["roots", "{ex1}", "--max-roots", "0"], "max_roots must be at least 1"),
-    (["roots", "{ex1}", "--max-roots=-1"], "max_roots must be at least 1"),
+    # constants that fold to nan or inf: roots and region run no validation, so
+    # extract_bounds rejects them
+    (["roots", "{exp_overflow}"], "the range of a on the window is not finite"),
+    (["region", "{exp_overflow}", "--axes", "x,y"], "the range of a on the window is not finite"),
+    (["roots", "{inf_product}"], "the range of a on the window is not finite"),
+    (["region", "{inf_product}", "--axes", "x,y"], "the range of a on the window is not finite"),
     (["check", "{ex1}", "--T", "2", "--threshold", "nan"], "threshold must be finite"),
     (["check", "{ex1}", "--T", "2", "--threshold", "inf"], "threshold must be finite"),
     (["check", "{ex1}", "--T", "2", "--threshold=-inf"], "threshold must be finite"),
@@ -290,18 +308,23 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
         "region-res-nan", "region-res-inf", "region-res-0", "region-hi-inf",
         "region-res-subnormal", "region-span-overflow",
         "region-too-many-cells", "check-brackets", "validate-signs", "construct-sum",
-        "roots-scan-overflow", "roots-scan-too-long", "check-too-many-nodes",
+        "roots-scan-overflow", "check-too-many-nodes",
         "simulate-too-many-nodes", "validate-too-many-samples",
         "region-envelope-too-many-periods",
         "construct-tol-inf", "construct-tol-nan", "construct-max-iter-negative",
         "simulate-tol-inf", "simulate-tol-nan", "simulate-tol-minus-inf",
-        "simulate-t-from-nan", "roots-max-roots-0", "roots-max-roots-negative",
+        "simulate-t-from-nan", "roots-exp-overflow", "region-exp-overflow",
+        "roots-inf-product", "region-inf-product",
         "check-threshold-nan", "check-threshold-inf", "check-threshold-minus-inf"])
 def test_out_of_range_input_exits_two(tmp_path, ex1_file, ex3_file, argv, message, capsys):
     files = {"ex1": ex1_file, "ex3": ex3_file,
              "deep": write_spec_file(tmp_path / "deep.json", a="(" * 400 + "1" + ")" * 400),
              "signs": write_spec_file(tmp_path / "signs.json", a="-" * 3000 + "1"),
-             "sum": write_spec_file(tmp_path / "sum.json", a="1.4" + "+0" * 3000)}
+             "sum": write_spec_file(tmp_path / "sum.json", a="1.4" + "+0" * 3000),
+             "exp_overflow": write_spec_file(tmp_path / "nan.json", **{
+                 **EXAMPLES["ex4"], "a": "1+exp(1000)*0", "b": "2"}),
+             "inf_product": write_spec_file(tmp_path / "inf.json", **{
+                 **EXAMPLES["ex4"], "a": "1e308*10", "b": "2"})}
     assert main([arg.format(**files) for arg in argv]) == 2
     assert message in capsys.readouterr().err
 

@@ -325,15 +325,17 @@ def test_auto_construct_samples_the_window_once(ex1_spec, sampled_builds, monkey
 
 def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, monkeypatch):
     scans = []
-    real_scan = charroots.find_real_roots
+    real_scan = charroots._real_roots  # what positive_root_exists calls
 
     def counting(*args, **kw):
         scans.append(args)
         return real_scan(*args, **kw)
 
-    monkeypatch.setattr(charroots, "find_real_roots", counting)
+    monkeypatch.setattr(charroots, "_real_roots", counting)
     assert auto_construct(ex1_spec, (0.0, 10.0)).converged  # on the COR_1_2 seed
     assert scans == []
+    assert check_cor_1_3(ex1_spec, (0.0, 10.0)).holds  # the count sees a root search
+    assert len(scans) == 1
 
 
 def test_auto_construct_builds_the_root_seed_after_the_first_fails(ex1_spec, monkeypatch):
@@ -391,3 +393,26 @@ def test_kernel_iterates_are_bit_identical_to_where_apply(example, case):
         u, want = kernel.apply(u), _where_apply(sampled, case, want)
         np.testing.assert_array_equal(_bits(u), _bits(want))
     assert np.all(np.isfinite(u))
+
+
+def test_constant_construction_matches_the_smallest_positive_characteristic_root():
+    """Cross-route oracle: with constant coefficients the constructed u settles,
+    past the transient at the left boundary, on the exponent of the solution
+    x = e^{-/+ lambda t}, the smallest positive characteristic root."""
+    rng = np.random.default_rng(2009)
+    matched = 0
+    for _ in range(12):
+        a, b, tau, sigma = (float(v) for v in rng.uniform((0.05, 0.05, 0.0, 0.0),
+                                                          (2.0, 2.0, 0.6, 0.6)))
+        spec = make_spec(a=repr(a), b=repr(b), g=f"t-{tau!r}", h=f"t+{sigma!r}")
+        try:
+            result = auto_construct(spec, (0.0, 20.0))
+        except ValueError:  # no admissible seed
+            continue
+        problem = charroots.CharProblem(a, b, tau, sigma, 1, -1,
+                                        "minus_exponent" if a >= b else "plus_exponent")
+        assert result.converged
+        assert result.u_limit(10.0) == pytest.approx(charroots.positive_root_exists(problem),
+                                                     abs=1e-5)
+        matched += 1
+    assert matched >= 5

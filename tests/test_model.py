@@ -177,6 +177,7 @@ def _outcome(fn, e):
 @given(st.one_of(_BUSHY, st.integers(1, _MAX_DEPTH).flatmap(_chains), _AFFINE))
 @example(_unary("exp", CoefficientExpr.const(10.66)))  # np.exp and math.exp differ on some CPUs
 @example(_unary("exp", CoefficientExpr.const(1000.0)))  # math.exp raises, np.exp gives inf
+@example(_binary("mul", _unary("exp", CoefficientExpr.const(1000.0)), CoefficientExpr.const(0.0)))
 @example(_binary("sub", _unary("neg", CoefficientExpr.const(0.0)), CoefficientExpr.const(0.0)))
 def test_operator_table_matches_the_if_chains(e):
     assert str(e) == _chain_str(e)
