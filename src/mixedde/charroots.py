@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _CONVENTIONS = ("plus_exponent", "minus_exponent")
-_EXP_CAP = 700.0  # e^700 is finite; saturate instead of overflowing
 _EDGE = 2.0**1022  # roots beyond are not sought: wider brackets overflow their midpoints
 _ROOT_RESIDUAL_TARGET = 1e-12
 _MAX_BISECTIONS = 200
@@ -67,13 +66,16 @@ class CharProblem:
             raise ValueError(f"convention must be one of {_CONVENTIONS}")
 
     def value(self, lam):
-        """Characteristic function, saturating instead of overflowing."""
+        """Characteristic function. A term that overflows is +-inf; a zero
+        coefficient contributes 0, also where its exponential is inf."""
         lam_arr = np.asarray(lam, dtype=float)
         sign = -1.0 if self.convention == "minus_exponent" else 1.0
-        e1 = np.exp(np.minimum(-sign * lam_arr * self.tau, _EXP_CAP))
-        e2 = np.exp(np.minimum(sign * lam_arr * self.sigma, _EXP_CAP))
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge a or b gives +-inf
-            out = sign * lam_arr + self.delta1 * self.a * e1 + self.delta2 * self.b * e2
+        out = sign * lam_arr
+        with np.errstate(over="ignore", invalid="ignore"):
+            for coef, exponent in ((self.delta1 * self.a, -sign * lam_arr * self.tau),
+                                   (self.delta2 * self.b, sign * lam_arr * self.sigma)):
+                if coef:
+                    out = out + coef * np.exp(exponent)
         if lam_arr.ndim == 0:
             return float(out)
         return out

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -82,6 +82,9 @@ _WITNESS_SLACK = 1e-12
 _MAX_CELLS = 10**6        # sweep_region grid size, checked before allocating
 _SYS30_MAX = 50.0         # check_sys30 searches x, y in (0, _SYS30_MAX]
 _SYS30_RESOLUTION = 0.01  # spacing of check_sys30's fallback grid
+_SYS30_BLOCK = 1 << 16    # grid points per array in one block of _sys30_routes
+# _sys30_routes' verdicts: the routes of check_sys30 in the order it tries them
+_DEGENERATE, _INVERSION, _SWEEP, _NO_ROUTE = range(4)
 
 
 @dataclass(frozen=True)
@@ -115,16 +118,19 @@ class FeasibilityRegion:
         return bool(np.any(self.feasible))
 
     def to_csv(self, dest: TextIO) -> None:
+        """One row per cell, axis 2 varying fastest; axis values by repr."""
         header = f"{self.axis1_name},{self.axis2_name},feasible"
+        flags, text = self.feasible.astype(int), ("0", "1")
         if self.reference is not None:
             header += ",reference"
-        dest.write(header + "\n")
-        for i, v1 in enumerate(self.axis1_values):
-            for j, v2 in enumerate(self.axis2_values):
-                row = f"{float(v1)!r},{float(v2)!r},{int(self.feasible[i, j])}"
-                if self.reference is not None:
-                    row += f",{int(self.reference[i, j])}"
-                dest.write(row + "\n")
+            flags = 2 * flags + self.reference
+            text = ("0,0", "0,1", "1,0", "1,1")
+        v2 = [repr(float(v)) for v in self.axis2_values]
+        lines = [header]
+        for v1, row in zip(self.axis1_values, flags.tolist()):
+            x = repr(float(v1))
+            lines += [f"{x},{y},{text[k]}" for y, k in zip(v2, row)]
+        dest.write("\n".join(lines) + "\n")
 
 
 def _inapplicable(condition_id: str, window: tuple[float, float],
@@ -292,8 +298,9 @@ def _nested_one_over_e(condition_id: str, sp: SampledProblem, weight,
 
 def sys30_values(bounds: Bounds, x, y):
     """(g(y), f(x)) = (a2 e^{y tau} - b1 e^{-y sigma}, b2 e^{x sigma} - a1 e^{-x tau}),
-    elementwise; the only place either side of the system is written. An
-    exponential that overflows saturates its side to inf without a warning."""
+    elementwise, also over fields of bounds that are arrays; the only place
+    either side of the system is written. An exponential that overflows
+    saturates its side to inf without a warning."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         gv = bounds.a2 * np.exp(y * bounds.tau) - bounds.b1 * np.exp(-y * bounds.sigma)
@@ -330,11 +337,11 @@ def check_cor_3_1(bounds: Bounds) -> list[Certificate]:
     ]
 
 
-def _sys30_witness_ok(bounds: Bounds, x: float, y: float) -> bool:
-    if not (x > 0.0 and y > 0.0):
-        return False
+def _sys30_witness_ok(bounds, x, y):
+    """Whether x, y > 0 satisfy both inequalities of the system, within
+    _WITNESS_SLACK; elementwise where bounds, x or y are arrays."""
     gv, fv = sys30_values(bounds, x, y)
-    return gv <= x + _WITNESS_SLACK and fv <= y + _WITNESS_SLACK
+    return (x > 0.0) & (y > 0.0) & (gv <= x + _WITNESS_SLACK) & (fv <= y + _WITNESS_SLACK)
 
 
 def _g_inverse_vec(bounds: Bounds, xs: np.ndarray) -> np.ndarray:
@@ -354,12 +361,96 @@ def _g_inverse_vec(bounds: Bounds, xs: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _inversion_grid(x_lo):
+    """The inversion route's x grid on [x_lo, _SYS30_MAX], along the last axis;
+    one row per entry of x_lo. Unsorted, with the geometric part first."""
+    return np.concatenate([np.geomspace(x_lo, _SYS30_MAX, 160, axis=-1),
+                           np.linspace(x_lo, _SYS30_MAX, 480, axis=-1)], axis=-1)
+
+
+def _sweep_grid() -> np.ndarray:
+    """The fallback sweep's grid, res, 2 res, ..., _SYS30_MAX, for both x and y."""
+    res = _SYS30_RESOLUTION
+    return res * (1.0 + np.arange(int(math.floor((_SYS30_MAX - res) / res + 0.5)) + 1))
+
+
+def _sweep_candidates(bounds, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each y in the grid xs, the least x in xs with g(y) <= x, and whether
+    f(x) <= y there; along the last axis, one row per cell of bounds."""
+    gys, fxs = sys30_values(bounds, xs, xs)
+    idx = np.searchsorted(xs, gys, side="left")
+    cand = np.minimum(idx, len(xs) - 1)
+    hit = (idx < len(xs)) & (np.take_along_axis(fxs, cand, axis=-1) <= xs)
+    return xs[cand], hit
+
+
+class _Cells(NamedTuple):
+    """The envelope fields of many cells, as columns that broadcast over a grid."""
+    a1: np.ndarray
+    a2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    tau: float
+    sigma: float
+
+
+def _blocks(cells: np.ndarray, points: int):
+    """cells in slices whose grids of `points` each total at most _SYS30_BLOCK."""
+    size = max(1, _SYS30_BLOCK // points)
+    return (cells[k:k + size] for k in range(0, len(cells), size))
+
+
+def _sys30_routes(a1, a2, b1, b2, tau: float, sigma: float) -> np.ndarray:
+    """The SYS_30 verdict of every cell of arrays of envelope bounds that share
+    tau and sigma: per cell, the first route (_DEGENERATE, _INVERSION, _SWEEP)
+    that finds the system feasible, or _NO_ROUTE.
+
+    The routes are those of check_sys30, in its order: the degenerate witness
+    when tau = sigma = 0; the inversion route's sign test, since its slack
+    g^{-1}(x) - f(x) is positive exactly when f(x) < _SYS30_MAX and
+    g(f(x)) < x, on each cell's own grid; then the fallback sweep, only for
+    the cells the first two reject. Each route runs over its cells in blocks,
+    so memory does not grow with their number beyond one entry per cell.
+    """
+    a1, a2, b1, b2 = (np.array(v, dtype=float, ndmin=1) for v in (a1, a2, b1, b2))
+    routes = np.full(a1.shape, _NO_ROUTE, dtype=np.int8)
+
+    def cells(idx):  # the envelopes of a block of cells, as columns
+        return _Cells(a1[idx, None], a2[idx, None], b1[idx, None], b2[idx, None], tau, sigma)
+
+    if tau == 0.0 and sigma == 0.0:
+        x = np.maximum(a2 - b1, 0.0) + 1.0
+        y = np.maximum(b2 - a1, 0.0) + 1.0
+        routes[_sys30_witness_ok(_Cells(a1, a2, b1, b2, tau, sigma), x, y)] = _DEGENERATE
+
+    x_lo = np.maximum(a2 - b1, 0.0) + 1e-9
+    todo = np.flatnonzero((routes == _NO_ROUTE) & (x_lo < _SYS30_MAX))
+    for idx in _blocks(todo, 160 + 480):  # the points of _inversion_grid
+        env = cells(idx)
+        xs = _inversion_grid(x_lo[idx])
+        _, fx = sys30_values(env, xs, 0.0)
+        gfx, _ = sys30_values(env, 0.0, fx)
+        positive = np.any((fx < _SYS30_MAX) & (gfx < xs), axis=1)
+        routes[idx[positive]] = _INVERSION
+
+    ys = _sweep_grid()
+    for idx in _blocks(np.flatnonzero(routes == _NO_ROUTE), len(ys)):
+        env = cells(idx)
+        xs, hit = _sweep_candidates(env, ys)
+        found = np.any(hit & _sys30_witness_ok(env, xs, ys), axis=1)
+        routes[idx[found]] = _SWEEP
+    return routes
+
+
 def check_sys30(bounds: Bounds) -> Certificate:
     """Search for x, y > 0 with g(y) <= x and f(x) <= y, the sides of sys30_values.
 
-    First the monotone-inversion route from the closed-form analysis (scan the
-    slack g^{-1}(x) - f(x) over x, bisecting the inverse); if that finds
-    nothing, a square grid sweep over (0, 50]^2 at spacing 0.01.
+    The verdict is _sys30_routes' on this one cell. The witness comes from the
+    route it names, tried as follows: the degenerate point when tau = sigma = 0;
+    the monotone-inversion route from the closed-form analysis (scan the slack
+    g^{-1}(x) - f(x) over x, bisecting the inverse, and take its argmax); the
+    first point of a square grid sweep over (0, 50]^2 at spacing 0.01. A
+    witness that fails _sys30_witness_ok passes the search to the next route.
     """
     window = bounds.window
     caveats = (CAVEAT_WINDOW_LIMITED, CAVEAT_EQUICONTINUITY)
@@ -372,20 +463,17 @@ def check_sys30(bounds: Bounds) -> Certificate:
             witness.update(extra)
         return Certificate("SYS_30_FEASIBLE", HOLDS, window, witness, caveats)
 
-    if bounds.tau == 0.0 and bounds.sigma == 0.0:
+    route = int(_sys30_routes(bounds.a1, bounds.a2, bounds.b1, bounds.b2,
+                              bounds.tau, bounds.sigma)[0])
+    if route == _DEGENERATE:
         x = max(bounds.a2 - bounds.b1, 0.0) + 1.0
         y = max(bounds.b2 - bounds.a1, 0.0) + 1.0
         if _sys30_witness_ok(bounds, x, y):
             return holds(x, y, "degenerate")
 
-    # monotone-inversion route
-    g0 = bounds.a2 - bounds.b1
-    x_lo = max(g0, 0.0) + 1e-9
-    if x_lo < _SYS30_MAX:
-        xs = np.unique(np.concatenate([
-            np.geomspace(x_lo, _SYS30_MAX, 160),
-            np.linspace(x_lo, _SYS30_MAX, 480),
-        ]))
+    x_lo = max(bounds.a2 - bounds.b1, 0.0) + 1e-9
+    if route <= _INVERSION and x_lo < _SYS30_MAX:
+        xs = np.unique(_inversion_grid(x_lo))
         ginv = _g_inverse_vec(bounds, xs)
         _, fx = sys30_values(bounds, xs, 0.0)
         slack = ginv - fx
@@ -402,22 +490,17 @@ def check_sys30(bounds: Bounds) -> Certificate:
             if _sys30_witness_ok(bounds, x_st, y_st):
                 return holds(x_st, y_st, "monotone-inversion", extra)
 
-    # fallback sweep over one grid for both x and y
-    res = _SYS30_RESOLUTION
-    xs = ys = res * (1.0 + np.arange(int(math.floor((_SYS30_MAX - res) / res + 0.5)) + 1))
-    gys, fxs = sys30_values(bounds, xs, ys)
-    idx = np.searchsorted(xs, gys, side="left")
-    usable = idx < len(xs)
-    cand = np.clip(idx, 0, len(xs) - 1)
-    feasible_j = usable & (fxs[cand] <= ys)
-    hits = np.flatnonzero(feasible_j)
-    for j in hits:
-        x_st, y_st = float(xs[idx[j]]), float(ys[j])
-        if _sys30_witness_ok(bounds, x_st, y_st):
-            return holds(x_st, y_st, "grid-sweep")
+    if route <= _SWEEP:
+        ys = _sweep_grid()
+        xs, hit = _sweep_candidates(bounds, ys)
+        for j in np.flatnonzero(hit):
+            x_st, y_st = float(xs[j]), float(ys[j])
+            if _sys30_witness_ok(bounds, x_st, y_st):
+                return holds(x_st, y_st, "grid-sweep")
     return Certificate(
         "SYS_30_FEASIBLE", FAILS, window,
-        {"searched_x_max": _SYS30_MAX, "searched_y_max": _SYS30_MAX, "resolution": res},
+        {"searched_x_max": _SYS30_MAX, "searched_y_max": _SYS30_MAX,
+         "resolution": _SYS30_RESOLUTION},
         caveats)
 
 
@@ -451,8 +534,9 @@ def sweep_region(bounds_template: Bounds, axis1: str, axis2: str,
 
     axes ("x", "y"): fix the bounds, test the system's two inequalities on an
     (x, y) grid directly. axes ("a", "b"): sweep constant coefficients with the
-    template's tau/sigma, running check_sys30 per cell; also emits the
-    reference indicator a*tau + b*sigma < 1/e. Grids of more than _MAX_CELLS
+    template's tau/sigma, deciding all cells by check_sys30's verdict in one
+    array pass (_sys30_routes); also emits the reference indicator
+    a*tau + b*sigma < 1/e. Grids of more than _MAX_CELLS
     cells raise ValueError before anything is allocated.
     """
     if not (resolution > 0 and math.isfinite(resolution)):
@@ -471,12 +555,10 @@ def sweep_region(bounds_template: Bounds, axis1: str, axis2: str,
         vals1 = vals1[vals1 > 0.0]
         vals2 = vals2[vals2 > 0.0]
         tau, sigma = bounds_template.tau, bounds_template.sigma
-        feas = np.zeros((len(vals1), len(vals2)), dtype=bool)
-        for i, av in enumerate(vals1):
-            for j, bv in enumerate(vals2):
-                cell = Bounds(float(av), float(av), float(bv), float(bv),
-                              tau, sigma, bounds_template.window)
-                feas[i, j] = check_sys30(cell).holds
+        a = np.repeat(vals1, len(vals2))
+        b = np.tile(vals2, len(vals1))
+        feas = (_sys30_routes(a, a, b, b, tau, sigma) != _NO_ROUTE).reshape(
+            len(vals1), len(vals2))
         ref = (vals1[:, None] * tau + vals2[None, :] * sigma) < ONE_OVER_E
         return FeasibilityRegion("a", "b", vals1, vals2, feas, ref)
     raise ValueError("axes must be ('x', 'y') or ('a', 'b')")

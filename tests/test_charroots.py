@@ -192,9 +192,12 @@ def test_scan_matches_the_fancy_indexed_scan_exactly(case):
 def _term_sizes(p: CharProblem, lam):
     """|l| + a*e^{..} + b*e^{..}: the size of the terms that cancel at a root of F."""
     s = 1.0 if p.convention == "plus_exponent" else -1.0
+    size = np.abs(lam)
     with np.errstate(over="ignore"):
-        return (np.abs(lam) + p.a * np.exp(np.minimum(-s * lam * p.tau, charroots._EXP_CAP))
-                + p.b * np.exp(np.minimum(s * lam * p.sigma, charroots._EXP_CAP)))
+        for c, exponent in ((p.a, -s * lam * p.tau), (p.b, s * lam * p.sigma)):
+            if c:  # a zero coefficient adds nothing, also where its exponential is inf
+                size = size + c * np.exp(exponent)
+    return size
 
 
 @seed(20092)

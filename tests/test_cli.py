@@ -163,6 +163,15 @@ def test_roots_without_a_scan_grid(argv, roots, capsys):
     assert [(root, tag) for _, root, _, tag in lines] == [(r, f"class={c}") for r, c in roots]
 
 
+def test_roots_residual_where_an_exponent_passes_700(capsys):
+    # the root near 35.29 has e^{l*tau} = e^706: the residual is that of F itself
+    assert main(["roots", "--a", "1e-305", "--b", "0", "--tau", "20", "--sigma", "0"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [root for _, root, *_ in lines][1:] == ["35.2926063427"]
+    for _, _, residual, _ in lines:
+        assert float(residual.removeprefix("residual=")) <= 1e-9
+
+
 def test_region_fig1(ex3_file, tmp_path):
     dest = tmp_path / "region.csv"
     code = main(["region", ex3_file, "--T", "40", "--axes", "x,y",

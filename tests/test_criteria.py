@@ -329,23 +329,118 @@ def test_sys30_infeasible():
     assert cert.witness["resolution"] == 0.01
 
 
-def test_sys30_witness_validity_random():
-    rng = np.random.default_rng(31)
-    found = 0
-    for _ in range(40):
+def _witness_draws(rng):
+    """Seeded envelopes whose SYS_30 witnesses come from every route."""
+    for _ in range(40):  # mostly the monotone-inversion route
         a = rng.uniform(0.2, 3.0)
         b = a * rng.uniform(1.02, 1.6)
         spread_a = rng.uniform(0.0, 0.15) * a
         spread_b = rng.uniform(0.0, 0.15) * b
-        bounds = Bounds(a - spread_a, a + spread_a, b - spread_b, b + spread_b,
-                        rng.uniform(0.01, 0.4), rng.uniform(0.01, 0.4), WINDOW)
+        yield Bounds(a - spread_a, a + spread_a, b - spread_b, b + spread_b,
+                     rng.uniform(0.01, 0.4), rng.uniform(0.01, 0.4), WINDOW)
+    for _ in range(10):  # tau = sigma = 0
+        a1, a2 = np.sort(rng.uniform(0.0, 5.0, size=2))
+        b1, b2 = np.sort(rng.uniform(0.0, 5.0, size=2))
+        yield Bounds(a1, a2, b1, b2, 0.0, 0.0, WINDOW)
+    for _ in range(60):  # a short delay, a long advance: a narrow feasible x-range
+        a = rng.uniform(0.2, 0.35)
+        b = rng.uniform(8.0, 14.0)
+        yield Bounds(a, a * rng.uniform(1.0, 1.05), b, b * rng.uniform(1.0, 1.05),
+                     0.0, rng.uniform(3.5, 5.5), WINDOW)
+
+
+def test_sys30_witness_validity_random():
+    routes = set()
+    for bounds in _witness_draws(np.random.default_rng(31)):
         cert = check_sys30(bounds)
         if cert.holds:
-            found += 1
+            routes.add(cert.witness["route"])
             x, y = cert.witness["x"], cert.witness["y"]
             gv, fv = sys30_values(bounds, x, y)
-            assert gv - x <= 1e-9 and fv - y <= 1e-9
-    assert found > 0
+            assert x > 0 and y > 0
+            assert gv - x <= criteria._WITNESS_SLACK and fv - y <= criteria._WITNESS_SLACK
+    assert routes == {"degenerate", "monotone-inversion", "grid-sweep"}
+
+
+def _sys30_oracle(bounds):
+    """check_sys30's verdict as it was decided one cell at a time: the degenerate
+    witness; the argmax of the slack g^{-1}(x) - f(x), inverting g by an 80-step
+    bisection on [0, 50]; the first hit of the 0.01 grid sweep whose witness
+    checks."""
+    def ok(x, y):
+        if not (x > 0.0 and y > 0.0):
+            return False
+        gv, fv = sys30_values(bounds, x, y)
+        return gv <= x + 1e-12 and fv <= y + 1e-12
+
+    if bounds.tau == 0.0 and bounds.sigma == 0.0:
+        if ok(max(bounds.a2 - bounds.b1, 0.0) + 1.0, max(bounds.b2 - bounds.a1, 0.0) + 1.0):
+            return True
+    x_lo = max(bounds.a2 - bounds.b1, 0.0) + 1e-9
+    if x_lo < 50.0:
+        xs = np.unique(np.concatenate([np.geomspace(x_lo, 50.0, 160),
+                                       np.linspace(x_lo, 50.0, 480)]))
+        lo, hi = np.zeros_like(xs), np.full_like(xs, 50.0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            too_big = sys30_values(bounds, 0.0, mid)[0] > xs
+            hi, lo = np.where(too_big, mid, hi), np.where(too_big, lo, mid)
+        ginv = 0.5 * (lo + hi)
+        fx = sys30_values(bounds, xs, 0.0)[1]
+        k = int(np.argmax(ginv - fx))
+        if ginv[k] - fx[k] > 0.0 and ok(float(xs[k]),
+                                        0.5 * (max(float(fx[k]), 0.0) + float(ginv[k]))):
+            return True
+    grid = 0.01 * (1.0 + np.arange(5000))
+    gys, fxs = sys30_values(bounds, grid, grid)
+    idx = np.searchsorted(grid, gys, side="left")
+    cand = np.clip(idx, 0, len(grid) - 1)
+    hits = np.flatnonzero((idx < len(grid)) & (fxs[cand] <= grid))
+    return any(ok(float(grid[idx[j]]), float(grid[j])) for j in hits)
+
+
+_INV, _SWEEP = "monotone-inversion", "grid-sweep"
+
+
+@pytest.mark.parametrize("tau, sigma, ranges, res, routes", [
+    (0.2, 0.3, ((0.0, 3.0), (0.0, 3.0)), 0.5, {_INV, "fails"}),            # example 4
+    (0.0, 0.0, ((0.0, 3.0), (0.0, 3.0)), 1.0, {"degenerate"}),
+    (16.0, 0.1, ((0.0, 0.1), (0.0, 1.0)), 0.05, {_INV, "fails"}),
+    (0.0, 4.378, ((0.0, 1.0), (0.0, 15.0)), 0.25, {_INV, _SWEEP, "fails"}),  # many blocks
+    (0.0, 0.01, ((48.0, 52.0), (0.0, 2.0)), 1.0, {_INV, "fails"}),  # a - b >= 50: skipped
+], ids=["ex4", "degenerate", "long-delay", "narrow-x-range", "wide-gap"])
+def test_sweep_ab_matches_the_per_cell_oracle(tau, sigma, ranges, res, routes):
+    template = Bounds(1.0, 1.0, 1.0, 1.0, tau, sigma, WINDOW)
+    region = sweep_region(template, "a", "b", ranges, res)
+    seen = set()
+    for i, av in enumerate(region.axis1_values):
+        for j, bv in enumerate(region.axis2_values):
+            cell = Bounds(float(av), float(av), float(bv), float(bv), tau, sigma, WINDOW)
+            want = _sys30_oracle(cell)
+            cert = check_sys30(cell)
+            assert region.feasible[i, j] == want, (av, bv)
+            assert cert.holds == want, (av, bv)
+            seen.add(cert.witness.get("route", "fails"))
+    assert seen == routes
+
+
+def test_sys30_routes_on_general_bounds_match_the_per_cell_oracle():
+    rng = np.random.default_rng(34)
+    decided = set()
+    for tau, sigma in [(0.0, 0.0), (0.0, 0.0), *rng.uniform(0.0, 1.0, size=(3, 2)),
+                       *rng.uniform(0.0, 20.0, size=(3, 2)), (0.0, 15.5), (17.0, 0.0),
+                       (0.0, 0.01)]:
+        a = np.sort(rng.uniform(0.0, 5.0, size=(24, 2)), axis=1)
+        b = np.sort(rng.uniform(0.0, 5.0, size=(24, 2)), axis=1)
+        a[:4] += 55.0  # a2 - b1 >= 50
+        cells = [Bounds(*a[k], *b[k], float(tau), float(sigma), WINDOW) for k in range(24)]
+        routes = criteria._sys30_routes(a[:, 0], a[:, 1], b[:, 0], b[:, 1], tau, sigma)
+        for cell, route in zip(cells, routes):
+            want = _sys30_oracle(cell)
+            assert (route != criteria._NO_ROUTE) == want, cell
+            assert check_sys30(cell).holds == want, cell
+            decided.add(int(route))
+    assert decided == {criteria._DEGENERATE, criteria._INVERSION, criteria._NO_ROUTE}
 
 
 def test_cor_3_1_implies_sys30():
