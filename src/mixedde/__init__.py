@@ -15,12 +15,9 @@ from .charroots import CharProblem, CharRootSet, find_real_roots, positive_root_
 from .construct import (ConstructionResult, GeneratingCandidate, auto_construct,
                         ineq_residual, iterate, synthesize_solution,
                         witness_candidate)
-from .criteria import (ALL_CONDITION_IDS, Certificate, FeasibilityRegion,
-                       check_all, check_cor_1_2, check_cor_1_3,
-                       check_cor_1_4_remark, check_cor_2_x, check_cor_3_1,
-                       check_divergence, check_sys30, check_thm_A_explicit,
-                       check_thm_B_explicit, subequation_one_over_e_note,
-                       sweep_region, sys30_values)
+from .criteria import (ALL_CONDITION_IDS, Certificate, FeasibilityRegion, check,
+                       check_all, check_cor_3_1, check_sys30,
+                       subequation_one_over_e_note, sweep_region, sys30_values)
 from .gridfn import GridFunction
 from .model import (IVP, Bounds, CoefficientExpr, ExprSyntaxError, ProblemSpec,
                     ValidationReport, extract_bounds, parse_expr, read_ivp,
@@ -33,10 +30,8 @@ __all__ = [
     "CharProblem", "CharRootSet", "find_real_roots", "positive_root_exists",
     "ConstructionResult", "GeneratingCandidate", "auto_construct",
     "ineq_residual", "iterate", "synthesize_solution", "witness_candidate",
-    "ALL_CONDITION_IDS", "Certificate", "FeasibilityRegion", "check_all",
-    "check_cor_1_2", "check_cor_1_3", "check_cor_1_4_remark", "check_cor_2_x",
-    "check_cor_3_1", "check_divergence", "check_sys30", "check_thm_A_explicit",
-    "check_thm_B_explicit", "subequation_one_over_e_note", "sweep_region",
+    "ALL_CONDITION_IDS", "Certificate", "FeasibilityRegion", "check", "check_all",
+    "check_cor_3_1", "check_sys30", "subequation_one_over_e_note", "sweep_region",
     "sys30_values",
     "GridFunction",
     "IVP", "Bounds", "CoefficientExpr", "ExprSyntaxError", "ProblemSpec",

@@ -105,8 +105,7 @@ def cmd_check(args) -> int:
     if not report.passed:
         bad = ", ".join(c.hypothesis for c in report.failures())
         raise ValueError(f"spec violates standing hypotheses on the window: {bad}")
-    certs = criteria.check_all(spec, window, step=args.step,
-                               divergence_threshold=args.threshold)
+    certs = criteria.check_all(spec, window, step=args.step)
     with _open_out(args.out) as out:
         if args.format == "csv":
             _certificates_csv(certs, out)
@@ -265,8 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("spec")
     _add_window_args(c)
     c.add_argument("--step", type=float, default=1e-3)
-    c.add_argument("--threshold", type=float, default=5.0,
-                   help="divergence threshold for the integral heuristics")
     _add_io_args(c)
     c.set_defaults(fn=cmd_check)
 
@@ -291,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta2", type=int, choices=(-1, 1), default=-1)
     r.add_argument("--convention", choices=("plus_exponent", "minus_exponent"),
                    default=None)
-    r.add_argument("--scan-lo", type=float, default=-60.0)
-    r.add_argument("--scan-hi", type=float, default=60.0)
+    r.add_argument("--scan-lo", type=float, default=charroots.DEFAULT_SCAN[0])
+    r.add_argument("--scan-hi", type=float, default=charroots.DEFAULT_SCAN[1])
     _add_io_args(r)
     r.set_defaults(fn=cmd_roots)
 

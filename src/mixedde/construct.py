@@ -25,7 +25,7 @@ import numpy as np
 
 from . import criteria
 from .gridfn import GridFunction, GridPoints
-from .model import ProblemSpec, SampledProblem
+from .model import ProblemSpec, SampledProblem, _exp
 from .simulate import _equation_residual
 
 __all__ = [
@@ -104,9 +104,10 @@ class IterationKernel:
         cum = GridFunction(sp.window[0], sp.step, u_vals).cumulative()
         at_nodes, at_g, at_h = (cum.at(p) for p in self._points)
         int_delay, int_advance = at_nodes - at_g, at_h - at_nodes
-        if self.case == "delay":
-            return sp.a * np.exp(int_delay) - sp.b * np.exp(-int_advance)
-        return sp.b * np.exp(int_advance) - sp.a * np.exp(-int_delay)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow saturates to inf
+            if self.case == "delay":
+                return sp.a * np.exp(int_delay) - sp.b * np.exp(-int_advance)
+            return sp.b * np.exp(int_advance) - sp.a * np.exp(-int_delay)
 
 
 def _require_pattern(spec: ProblemSpec, who: str) -> None:
@@ -142,8 +143,8 @@ def ineq_residual(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
     adv = u.u.integrate(t, float(spec.h(t)))
     a, b = float(spec.a(t)), float(spec.b(t))
     if u.case == "delay":
-        return a * math.exp(d) - b * math.exp(-adv) - u.u(t)
-    return b * math.exp(adv) - a * math.exp(-d) - u.u(t)
+        return a * _exp(d) - b * _exp(-adv) - u.u(t)
+    return b * _exp(adv) - a * _exp(-d) - u.u(t)
 
 
 def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
@@ -205,7 +206,8 @@ def synthesize_solution(u: GridFunction, case: str) -> GridFunction:
         raise ValueError("u must be nonnegative")
     cum = u.cumulative()
     integral = cum(u.times()) - cum(u.t_start)
-    vals = np.exp(-integral) if case == "delay" else np.exp(integral)
+    with np.errstate(over="ignore"):  # overflow saturates to inf
+        vals = np.exp(-integral) if case == "delay" else np.exp(integral)
     return GridFunction(u.t_start, u.step, vals)
 
 
@@ -265,15 +267,14 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
         raise ValueError("neither dominance hypothesis holds: a-b changes sign "
                          "on the window")
 
-    base, remark = (("COR_1_2", "COR_1_4_REMARK") if case == "delay"
-                    else ("COR_2_2", "COR_2_4_REMARK"))
+    base, envelope, remark = (("COR_1_2", "COR_1_3", "COR_1_4_REMARK") if case == "delay"
+                              else ("COR_2_2", "COR_2_3", "COR_2_4_REMARK"))
 
     def seeds():
         yield witness_candidate(base, spec, window, step)
-        root = criteria._cor_x_3(sampled, case)
+        root = criteria._run(envelope, sampled)
         if root.holds:
-            yield witness_candidate(root.condition_id, spec, window, step,
-                                    lam=root.witness["lambda"])
+            yield witness_candidate(envelope, spec, window, step, lam=root.witness["lambda"])
         yield witness_candidate(remark, spec, window, step)
 
     kernel = IterationKernel(sampled, case)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import charroots
 from .gridfn import GridFunction
-from .model import Bounds, ProblemSpec, SampledProblem, extract_bounds
+from .model import Bounds, ProblemSpec, SampledProblem
 
 __all__ = [
     "Certificate",
@@ -46,17 +46,11 @@ __all__ = [
     "INAPPLICABLE",
     "CAVEAT_WINDOW_LIMITED",
     "CAVEAT_EQUICONTINUITY",
-    "check_cor_1_2",
-    "check_cor_1_3",
-    "check_cor_1_4_remark",
-    "check_cor_2_x",
-    "check_thm_A_explicit",
-    "check_thm_B_explicit",
+    "check",
     "check_cor_3_1",
     "check_sys30",
     "sys30_values",
     "sweep_region",
-    "check_divergence",
     "subequation_one_over_e_note",
     "check_all",
 ]
@@ -68,17 +62,11 @@ INAPPLICABLE = "inapplicable"
 CAVEAT_WINDOW_LIMITED = "window-limited"
 CAVEAT_EQUICONTINUITY = "unverified-equicontinuity"
 
-ALL_CONDITION_IDS = (
-    "COR_1_2", "COR_1_3", "COR_1_4_REMARK", "COR_1_5", "COR_1_6",
-    "COR_2_2", "COR_2_3", "COR_2_4_REMARK", "COR_2_5",
-    "THM_A_EXPLICIT", "THM_B_EXPLICIT",
-    "COR_3_1_C1", "COR_3_1_C2", "SYS_30_FEASIBLE",
-)
-
 ONE_OVER_E = 1.0 / math.e
 _STRICT_MARGIN = 1e-9     # strict "< 1/e" tested as <= 1/e - margin
 _SLACK = 1e-12            # nonstrict comparisons absorb this much grid noise
 _WITNESS_SLACK = 1e-12
+_DIVERGENCE_THRESHOLD = 5.0  # the refinements' gap integral must exceed this
 _MAX_CELLS = 10**6        # sweep_region grid size, checked before allocating
 _SYS30_MAX = 50.0         # check_sys30 searches x, y in (0, _SYS30_MAX]
 _SYS30_RESOLUTION = 0.01  # spacing of check_sys30's fallback grid
@@ -152,18 +140,11 @@ def _sup_witness(ts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 # (COR_1_x), case "advance" is b >= a (COR_2_x, the mirror images)
 # ---------------------------------------------------------------------------
 
-def check_cor_1_2(spec: ProblemSpec, window: tuple[float, float],
-                  step: float = 1e-3) -> Certificate:
-    """Pointwise test: a >= b and b(t) >= a(t)*(e^{int_g^t a} - 1)*e^{int_t^h a}."""
-    return _cor_x_2(SampledProblem(spec, window, step), "delay")
-
-
 def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
+    """Pointwise test: a >= b and b(t) >= a(t)*(e^{int_g^t a} - 1)*e^{int_t^h a};
+    mirrored for the advance case."""
     delay = case == "delay"
-    condition_id = "COR_1_2" if delay else "COR_2_2"
     m, o = ("a", "b") if delay else ("b", "a")  # dominant and other coefficient
-    if sp.spec.sign_pattern != (1, -1):
-        return _inapplicable(condition_id, sp.window, _needs((1, -1)))
     main, other = getattr(sp, m), getattr(sp, o)
     back, ahead = ((sp.int_a_over_delay, sp.int_a_over_advance) if delay
                    else (sp.int_b_over_advance, sp.int_b_over_delay))
@@ -172,27 +153,20 @@ def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
     gap = float(np.min(main - other))
     ok = gap >= -_SLACK and margin <= _SLACK
     witness = {f"sup_rhs_minus_{o}": margin, "t_at_sup": t_at, f"min_{m}_minus_{o}": gap}
-    return Certificate(condition_id, HOLDS if ok else FAILS, sp.window, witness,
-                       (CAVEAT_WINDOW_LIMITED,))
-
-
-def check_cor_1_3(spec: ProblemSpec, window: tuple[float, float],
-                  step: float = 1e-3) -> Certificate:
-    """Characteristic-root test on the envelope constants (a2 on top, b1 below)."""
-    return _cor_x_3(SampledProblem(spec, window, step), "delay")
+    return Certificate("COR_1_2" if delay else "COR_2_2", HOLDS if ok else FAILS,
+                       sp.window, witness, (CAVEAT_WINDOW_LIMITED,))
 
 
 def _cor_x_3(sp: SampledProblem, case: str) -> Certificate:
-    """The root found is the witness; the advance case uses the envelope a1, b2."""
+    """Characteristic-root test on the envelope constants (a2 on top, b1 below;
+    a1, b2 in the advance case). The root found is the witness."""
     delay = case == "delay"
     condition_id, window = ("COR_1_3" if delay else "COR_2_3"), sp.window
-    if sp.spec.sign_pattern != (1, -1):
-        return _inapplicable(condition_id, window, _needs((1, -1)))
     if float(np.min(sp.a - sp.b if delay else sp.b - sp.a)) < -_SLACK:
         need = "b(t) <= a(t)" if delay else "a(t) <= b(t)"
         return _inapplicable(condition_id, window,
                              f"envelope hypothesis {need} fails on the window")
-    bounds = extract_bounds(sp.spec, window)
+    bounds = sp.bounds
     a, b = (bounds.a2, bounds.b1) if delay else (bounds.a1, bounds.b2)
     if (b if delay else a) <= 0.0:
         return _inapplicable(condition_id, window,
@@ -207,49 +181,28 @@ def _cor_x_3(sp: SampledProblem, case: str) -> Certificate:
     return Certificate(condition_id, HOLDS, window, witness, (CAVEAT_WINDOW_LIMITED,))
 
 
-def check_cor_1_4_remark(spec: ProblemSpec, window: tuple[float, float],
-                         step: float = 1e-3) -> Certificate:
-    """1/e test for the delayed part: a >= b and sup_t int_g^t a <= 1/e."""
-    return _cor_x_4_remark(SampledProblem(spec, window, step), "delay")
-
-
 def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
+    """1/e test for the delayed part: a >= b and sup_t int_g^t a <= 1/e;
+    mirrored for the advance case."""
     delay = case == "delay"
-    condition_id = "COR_1_4_REMARK" if delay else "COR_2_4_REMARK"
     m, o = ("a", "b") if delay else ("b", "a")
-    if sp.spec.sign_pattern != (1, -1):
-        return _inapplicable(condition_id, sp.window, _needs((1, -1)))
     sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay if delay
                              else sp.int_b_over_advance)
     gap = float(np.min(getattr(sp, m) - getattr(sp, o)))
     ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
     witness = {f"sup_{case}_integral": sup, "t_at_sup": t_at,
                "one_over_e": ONE_OVER_E, f"min_{m}_minus_{o}": gap}
-    return Certificate(condition_id, HOLDS if ok else FAILS, sp.window, witness,
+    return Certificate("COR_1_4_REMARK" if delay else "COR_2_4_REMARK",
+                       HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED,))
-
-
-def check_cor_2_x(spec: ProblemSpec, window: tuple[float, float],
-                  step: float = 1e-3) -> list[Certificate]:
-    """COR_2_2, COR_2_3 and COR_2_4_REMARK: mirror images of the 1.x checks."""
-    sp = SampledProblem(spec, window, step)
-    return [_cor_x_2(sp, "advance"), _cor_x_3(sp, "advance"),
-            _cor_x_4_remark(sp, "advance")]
 
 
 # ---------------------------------------------------------------------------
 # Same-sign patterns: explicit 1/e parts of the reduction theorems
 # ---------------------------------------------------------------------------
 
-def check_thm_A_explicit(spec: ProblemSpec, window: tuple[float, float],
-                         step: float = 1e-3) -> Certificate:
-    """sup_t int_g^t a(s) e^{int_{g(s)}^{s} b} ds < 1/e for the (+,+) pattern."""
-    return _thm_A_explicit(SampledProblem(spec, window, step))
-
-
 def _thm_A_explicit(sp: SampledProblem) -> Certificate:
-    if sp.spec.sign_pattern != (1, 1):
-        return _inapplicable("THM_A_EXPLICIT", sp.window, _needs((1, 1)))
+    """sup_t int_g^t a(s) e^{int_{g(s)}^{s} b} ds < 1/e for the (+,+) pattern."""
     spec, (t1, T), step = sp.spec, sp.window, sp.step
     return _nested_one_over_e(
         "THM_A_EXPLICIT", sp,
@@ -257,15 +210,8 @@ def _thm_A_explicit(sp: SampledProblem) -> Certificate:
         (t1 - sp.tau - step, T), sp.g, sp.ts)
 
 
-def check_thm_B_explicit(spec: ProblemSpec, window: tuple[float, float],
-                         step: float = 1e-3) -> Certificate:
-    """sup_t int_t^h b(s) e^{int_{s}^{h(s)} a} ds < 1/e for the (-,-) pattern."""
-    return _thm_B_explicit(SampledProblem(spec, window, step))
-
-
 def _thm_B_explicit(sp: SampledProblem) -> Certificate:
-    if sp.spec.sign_pattern != (-1, -1):
-        return _inapplicable("THM_B_EXPLICIT", sp.window, _needs((-1, -1)))
+    """sup_t int_t^h b(s) e^{int_{s}^{h(s)} a} ds < 1/e for the (-,-) pattern."""
     spec, (t1, T), step = sp.spec, sp.window, sp.step
     return _nested_one_over_e(
         "THM_B_EXPLICIT", sp,
@@ -579,27 +525,14 @@ def _axis_count(rng: tuple[float, float], resolution: float) -> int:
 # Divergent-integral refinements
 # ---------------------------------------------------------------------------
 
-def check_divergence(spec: ProblemSpec, window: tuple[float, float],
-                     condition_id: str = "COR_1_5", threshold: float = 5.0,
-                     step: float = 1e-3) -> Certificate:
+def _divergence(sp: SampledProblem, condition_id: str) -> Certificate:
     """Window heuristic for a divergent coefficient-gap integral.
 
     I(T') = int_{t1}^{T'} (a-b) (or (b-a) for COR_2_5) at the four quarter
-    checkpoints must be increasing and exceed the threshold at the window end.
-    COR_1_6 additionally requires the delayed 1/e test. Always window-limited.
-    A threshold that is not finite raises ValueError.
+    checkpoints must be increasing and exceed _DIVERGENCE_THRESHOLD at the
+    window end. COR_1_6 additionally requires the delayed 1/e test.
     """
-    if condition_id not in ("COR_1_5", "COR_1_6", "COR_2_5"):
-        raise ValueError(f"unsupported divergence condition {condition_id!r}")
-    if not math.isfinite(threshold):
-        raise ValueError("divergence threshold must be finite")
-    return _divergence(SampledProblem(spec, window, step), condition_id, threshold)
-
-
-def _divergence(sp: SampledProblem, condition_id: str, threshold: float) -> Certificate:
     window = sp.window
-    if sp.spec.sign_pattern != (1, -1):
-        return _inapplicable(condition_id, window, _needs((1, -1)))
     delay_side = condition_id in ("COR_1_5", "COR_1_6")
     gap = sp.a - sp.b if delay_side else sp.b - sp.a
     if float(np.min(gap)) < -_SLACK:
@@ -611,9 +544,9 @@ def _divergence(sp: SampledProblem, condition_id: str, threshold: float) -> Cert
     checkpoints = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
     integrals = tuple(float(cum(c) - cum(t1)) for c in checkpoints)
     increasing = all(b > a for a, b in zip(integrals, integrals[1:]))
-    ok = increasing and integrals[-1] > threshold
+    ok = increasing and integrals[-1] > _DIVERGENCE_THRESHOLD
     witness = {"checkpoints": tuple(zip(checkpoints, integrals)),
-               "threshold": threshold}
+               "threshold": _DIVERGENCE_THRESHOLD}
     if condition_id == "COR_1_6":
         sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay)
         witness["sup_delay_integral"] = sup
@@ -622,18 +555,59 @@ def _divergence(sp: SampledProblem, condition_id: str, threshold: float) -> Cert
                        (CAVEAT_WINDOW_LIMITED,))
 
 
-def _refinement(sp: SampledProblem, condition_id: str, threshold: float,
-                bases: list[Certificate]) -> Certificate:
-    """The divergence condition, inapplicable unless one of bases holds.
+# ---------------------------------------------------------------------------
+# The condition table
+# ---------------------------------------------------------------------------
 
-    A divergent gap integral pins the limit of a solution some base
-    certificate constructs; on its own it does not show that one exists.
+# condition id -> (sign pattern (delta1, delta2), test on a SampledProblem), in
+# catalog order; a wrapper bound to check_cor_3_1 or check_sys30 sees every call
+_CHECKS = {
+    "COR_1_2": ((1, -1), lambda sp: _cor_x_2(sp, "delay")),
+    "COR_1_3": ((1, -1), lambda sp: _cor_x_3(sp, "delay")),
+    "COR_1_4_REMARK": ((1, -1), lambda sp: _cor_x_4_remark(sp, "delay")),
+    "COR_1_5": ((1, -1), lambda sp: _divergence(sp, "COR_1_5")),
+    "COR_1_6": ((1, -1), lambda sp: _divergence(sp, "COR_1_6")),
+    "COR_2_2": ((1, -1), lambda sp: _cor_x_2(sp, "advance")),
+    "COR_2_3": ((1, -1), lambda sp: _cor_x_3(sp, "advance")),
+    "COR_2_4_REMARK": ((1, -1), lambda sp: _cor_x_4_remark(sp, "advance")),
+    "COR_2_5": ((1, -1), lambda sp: _divergence(sp, "COR_2_5")),
+    "THM_A_EXPLICIT": ((1, 1), _thm_A_explicit),
+    "THM_B_EXPLICIT": ((-1, -1), _thm_B_explicit),
+    "COR_3_1_C1": ((-1, 1), lambda sp: check_cor_3_1(sp.bounds)[0]),
+    "COR_3_1_C2": ((-1, 1), lambda sp: check_cor_3_1(sp.bounds)[1]),
+    "SYS_30_FEASIBLE": ((-1, 1), lambda sp: check_sys30(sp.bounds)),
+}
+ALL_CONDITION_IDS = tuple(_CHECKS)
+
+# A divergent gap integral pins the limit of a solution some base certificate
+# constructs; on its own it does not show that one exists. So in check_all a
+# refinement is inapplicable unless one of its bases holds.
+_REFINES = {
+    "COR_1_5": ("COR_1_2", "COR_1_3", "COR_1_4_REMARK"),
+    "COR_1_6": ("COR_1_2", "COR_1_3", "COR_1_4_REMARK"),
+    "COR_2_5": ("COR_2_2", "COR_2_3", "COR_2_4_REMARK"),
+}
+
+
+def _run(condition_id: str, sp: SampledProblem) -> Certificate:
+    """One row of _CHECKS: inapplicable unless sp's spec has the row's pattern."""
+    pattern, body = _CHECKS[condition_id]
+    if sp.spec.sign_pattern != pattern:
+        return _inapplicable(condition_id, sp.window, _needs(pattern))
+    return body(sp)
+
+
+def check(condition_id: str, spec: ProblemSpec, window: tuple[float, float],
+          step: float = 1e-3) -> Certificate:
+    """The one condition condition_id of ALL_CONDITION_IDS on the window.
+
+    A refinement (COR_1_5, COR_1_6, COR_2_5) checked alone needs no base
+    certificate. An unknown condition_id raises ValueError before anything
+    is sampled.
     """
-    cert = _divergence(sp, condition_id, threshold)
-    if cert.verdict == INAPPLICABLE or any(b.holds for b in bases):
-        return cert
-    names = "/".join(b.condition_id for b in bases)
-    return _inapplicable(condition_id, sp.window, f"needs one of {names} to hold")
+    if condition_id not in _CHECKS:
+        raise ValueError(f"unknown condition {condition_id!r}")
+    return _run(condition_id, SampledProblem(spec, window, step))
 
 
 # ---------------------------------------------------------------------------
@@ -664,32 +638,22 @@ def subequation_one_over_e_note(certs: list[Certificate]) -> dict:
     }
 
 
-def check_all(spec: ProblemSpec, window: tuple[float, float], step: float = 1e-3,
-              divergence_threshold: float = 5.0) -> list[Certificate]:
+def check_all(spec: ProblemSpec, window: tuple[float, float],
+              step: float = 1e-3) -> list[Certificate]:
     """Run every condition; mismatched sign patterns yield inapplicable verdicts.
 
     Conditions are independent sufficient tests and never short-circuit each
     other, except that a divergent-integral refinement is inapplicable unless a
     base certificate of its case holds; the list is returned in the fixed
-    catalog order. All window checks read one SampledProblem, which rejects
-    non-finite samples for every pattern. A divergence_threshold that is not
-    finite raises ValueError before anything is sampled.
+    catalog order. All conditions read one SampledProblem, which rejects
+    non-finite samples for every pattern.
     """
-    if not math.isfinite(divergence_threshold):
-        raise ValueError("divergence threshold must be finite")
     sp = SampledProblem(spec, window, step)
-    out = []
-    for case, refinements in (("delay", ("COR_1_5", "COR_1_6")), ("advance", ("COR_2_5",))):
-        bases = [_cor_x_2(sp, case), _cor_x_3(sp, case), _cor_x_4_remark(sp, case)]
-        out += bases
-        out += [_refinement(sp, cid, divergence_threshold, bases) for cid in refinements]
-    out += [_thm_A_explicit(sp), _thm_B_explicit(sp)]
-
-    if spec.sign_pattern == (-1, 1):
-        bounds = extract_bounds(spec, window)
-        out.extend(check_cor_3_1(bounds))
-        out.append(check_sys30(bounds))
-    else:
-        for cid in ("COR_3_1_C1", "COR_3_1_C2", "SYS_30_FEASIBLE"):
-            out.append(_inapplicable(cid, window, _needs((-1, 1))))
-    return out
+    out: dict[str, Certificate] = {}
+    for cid in _CHECKS:
+        cert = _run(cid, sp)
+        bases = _REFINES.get(cid, ())
+        if bases and cert.verdict != INAPPLICABLE and not any(out[b].holds for b in bases):
+            cert = _inapplicable(cid, sp.window, f"needs one of {'/'.join(bases)} to hold")
+        out[cid] = cert
+    return list(out.values())

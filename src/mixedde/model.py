@@ -408,6 +408,11 @@ class SampledProblem:
         """Largest advance h(t) - t on the grid, at least 0."""
         return max(float(np.max(self.h - self.ts)), 0.0)
 
+    @cached_property
+    def bounds(self) -> Bounds:
+        """extract_bounds on the window."""
+        return extract_bounds(self.spec, self.window)
+
     def _extended_cumulative(self, name: str) -> CumulativeIntegral:
         t1, T = self.window
         lo, hi = t1 - 2.0 * self.tau - self.step, T + 2.0 * self.sigma + self.step

@@ -375,10 +375,11 @@ def _equation_residual(x: GridFunction, sampled: SampledProblem) -> float:
     if inner.size == 0:
         raise ValueError("window too short: no interior nodes outside the margins")
     v = x.values
-    dx = (v[inner + 1] - v[inner - 1]) / (2.0 * x.step)
-    xg = np.interp(sampled.g[inner], ts, v)
-    xh = np.interp(sampled.h[inner], ts, v)
-    res = dx + spec.delta1 * sampled.a[inner] * xg + spec.delta2 * sampled.b[inner] * xh
+    with np.errstate(over="ignore", invalid="ignore"):  # an x at inf gives nan
+        dx = (v[inner + 1] - v[inner - 1]) / (2.0 * x.step)
+        xg = np.interp(sampled.g[inner], ts, v)
+        xh = np.interp(sampled.h[inner], ts, v)
+        res = dx + spec.delta1 * sampled.a[inner] * xg + spec.delta2 * sampled.b[inner] * xh
     return float(np.max(np.abs(res)))
 
 

@@ -13,10 +13,8 @@ from mixedde.charroots import CharProblem, find_real_roots
 from mixedde.cli import main
 from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
                                ineq_residual, iterate)
-from mixedde.criteria import (check_all, check_cor_1_2, check_cor_1_3, check_cor_1_4_remark,
-                              check_cor_2_x, check_divergence, check_sys30,
-                              subequation_one_over_e_note, sweep_region,
-                              sys30_values)
+from mixedde.criteria import (check, check_all, check_sys30, subequation_one_over_e_note,
+                              sweep_region, sys30_values)
 from mixedde.gridfn import GridFunction
 from mixedde.model import IVP, Bounds, ProblemSpec, SampledProblem, parse_expr
 from mixedde.simulate import classify_trajectory, equation_residual, relax
@@ -64,7 +62,7 @@ def test_criterion_04_example2_pipeline(ex2_spec, tmp_path):
     window = (0.0, 20.0)
     built = iterate(GeneratingCandidate.constant(1.0, "delay", window, STEP),
                     ex2_spec, window)
-    divergence = check_divergence(ex2_spec, (0.0, 100.0), "COR_1_5", step=STEP)
+    divergence = check("COR_1_5", ex2_spec, (0.0, 100.0), step=STEP)
     i100 = dict(divergence.witness["checkpoints"])[100.0]
     ok = (exit_code == 0
           and built.converged
@@ -250,8 +248,8 @@ def test_criterion_11_comparison_property():
                             b=f"{base_b * rng.uniform(0.7, 1.0)}",
                             g=f"t-{tau + rng.uniform(0.0, 0.1)}",
                             h=f"t+{sigma + rng.uniform(0.0, 0.1)}")
-            checks = (check_cor_1_2, check_cor_1_3, check_cor_1_4_remark)
-            results = [(chk(dom, window), chk(sub, window)) for chk in checks]
+            checks = ("COR_1_2", "COR_1_3", "COR_1_4_REMARK")
+            results = [(check(cid, dom, window), check(cid, sub, window)) for cid in checks]
         else:
             # advance-dominant family: dominating spec has smaller a, larger b
             base_b = rng.uniform(0.9, 1.3)
@@ -263,8 +261,8 @@ def test_criterion_11_comparison_property():
                             b=f"{base_b + rng.uniform(0.0, 0.1)}",
                             g=f"t-{tau + rng.uniform(0.0, 0.05)}",
                             h=f"t+{sigma + rng.uniform(0.0, 0.05)}")
-            results = list(zip(check_cor_2_x(dom, window),
-                               check_cor_2_x(sub, window)))
+            results = [(check(cid, dom, window), check(cid, sub, window))
+                       for cid in ("COR_2_2", "COR_2_3", "COR_2_4_REMARK")]
         for dominating, dominated in results:
             if dominating.holds and not dominated.holds:
                 ok = False

@@ -9,7 +9,7 @@ from mixedde import charroots, construct
 from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
                                ineq_residual, iterate, synthesize_solution,
                                witness_candidate)
-from mixedde.criteria import check_cor_1_3
+from mixedde.criteria import check
 from mixedde.gridfn import GridFunction
 from mixedde.model import SampledProblem
 from mixedde.simulate import equation_residual
@@ -63,6 +63,12 @@ def test_advance_residual_zero_candidate():
     spec = make_spec(a="1", b="1.2")
     u = const_candidate(0.0, "advance")
     assert ineq_residual(u, spec, 5.0) == pytest.approx(0.2, abs=1e-12)
+
+
+def test_residual_saturates_where_the_exponential_overflows():
+    spec = make_spec(a="1e200", b="0.5", g="t-0.3", h="t+0.001")
+    u = witness_candidate("COR_1_2", spec, (0.0, 2.0), STEP)
+    assert ineq_residual(u, spec, 1.0) == math.inf
 
 
 def test_residual_sign_pattern_guard(ex3_spec):
@@ -334,7 +340,7 @@ def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, m
     monkeypatch.setattr(charroots, "_real_roots", counting)
     assert auto_construct(ex1_spec, (0.0, 10.0)).converged  # on the COR_1_2 seed
     assert scans == []
-    assert check_cor_1_3(ex1_spec, (0.0, 10.0)).holds  # the count sees a root search
+    assert check("COR_1_3", ex1_spec, (0.0, 10.0)).holds  # the count sees a root search
     assert len(scans) == 1
 
 
@@ -353,7 +359,7 @@ def test_auto_construct_builds_the_root_seed_after_the_first_fails(ex1_spec, mon
     result = auto_construct(ex1_spec, window)
     monkeypatch.undo()
 
-    lam = check_cor_1_3(ex1_spec, window).witness["lambda"]
+    lam = check("COR_1_3", ex1_spec, window).witness["lambda"]
     assert lam == pytest.approx(LAM2, abs=1e-9)
     assert len(tried) == 2 and tried[1].case == "delay"
     assert np.all(tried[1].u.values == lam)  # the constant envelope-root candidate

@@ -8,17 +8,15 @@ import pytest
 from mixedde import criteria
 from mixedde.construct import iterate, witness_candidate
 from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
-                              CAVEAT_WINDOW_LIMITED, check_all, check_cor_1_2,
-                              check_cor_1_3, check_cor_1_4_remark, check_cor_2_x,
-                              check_cor_3_1, check_divergence, check_sys30,
-                              check_thm_A_explicit, check_thm_B_explicit,
-                              subequation_one_over_e_note, sweep_region,
+                              CAVEAT_WINDOW_LIMITED, check, check_all, check_cor_3_1,
+                              check_sys30, subequation_one_over_e_note, sweep_region,
                               sys30_values)
 from mixedde.model import Bounds
 
 from conftest import EX2_I100, EX3_PROBE, EXAMPLES, make_spec
 
 WINDOW = (0.0, 40.0)
+COR_2_X = ("COR_2_2", "COR_2_3", "COR_2_4_REMARK")
 ONE_OVER_E = 1.0 / math.e
 
 
@@ -26,13 +24,13 @@ ONE_OVER_E = 1.0 / math.e
 
 def test_cor_1_2_equality_case():
     spec = make_spec(a="0.7", b="0.7", g="t", h="t+0.4")
-    cert = check_cor_1_2(spec, WINDOW)
+    cert = check("COR_1_2", spec, WINDOW)
     assert cert.holds
     assert CAVEAT_WINDOW_LIMITED in cert.caveats
 
 
 def test_cor_1_2_example1(ex1_spec):
-    cert = check_cor_1_2(ex1_spec, WINDOW)
+    cert = check("COR_1_2", ex1_spec, WINDOW)
     assert cert.holds
     # scalar oracle: 1.4*(e^0.42 - 1)*e^0.42 - 1.3
     assert cert.witness["sup_rhs_minus_b"] == pytest.approx(
@@ -41,12 +39,12 @@ def test_cor_1_2_example1(ex1_spec):
 
 def test_cor_1_2_pure_delay_fails():
     spec = make_spec(a="1", b="0", g="t-1", h="t+1")
-    cert = check_cor_1_2(spec, WINDOW)
+    cert = check("COR_1_2", spec, WINDOW)
     assert cert.verdict == "fails_on_window"
 
 
 def test_cor_1_2_wrong_pattern(ex3_spec):
-    cert = check_cor_1_2(ex3_spec, WINDOW)
+    cert = check("COR_1_2", ex3_spec, WINDOW)
     assert cert.verdict == "inapplicable"
     assert "reason" in cert.witness
 
@@ -54,7 +52,7 @@ def test_cor_1_2_wrong_pattern(ex3_spec):
 # -- COR_1_3 -------------------------------------------------------------------
 
 def test_cor_1_3_example1(ex1_spec):
-    cert = check_cor_1_3(ex1_spec, WINDOW)
+    cert = check("COR_1_3", ex1_spec, WINDOW)
     assert cert.holds
     assert cert.witness["lambda"] == pytest.approx(0.5436, abs=1e-3)
 
@@ -62,46 +60,46 @@ def test_cor_1_3_example1(ex1_spec):
 def test_cor_1_3_vanishing_b_fails():
     # a*tau*e > 1 and nothing left from the advance side: no positive root
     spec = make_spec(a="1.4", b="0.000000001", g="t-0.3", h="t+0.3")
-    cert = check_cor_1_3(spec, WINDOW)
+    cert = check("COR_1_3", spec, WINDOW)
     assert cert.verdict == "fails_on_window"
 
 
 def test_cor_1_3_equal_coefficients_has_root():
     # a = b = 1, tau = sigma = 0.3: -l + 2 sinh(0.3 l) crosses zero at l ~ 6.13
     spec = make_spec(a="1", b="1", g="t-0.3", h="t+0.3")
-    cert = check_cor_1_3(spec, WINDOW)
+    cert = check("COR_1_3", spec, WINDOW)
     assert cert.holds
     assert cert.witness["lambda"] == pytest.approx(6.128642382167871, abs=1e-3)
 
 
 def test_cor_1_3_inapplicable_cases(ex3_spec):
-    assert check_cor_1_3(ex3_spec, WINDOW).verdict == "inapplicable"
+    assert check("COR_1_3", ex3_spec, WINDOW).verdict == "inapplicable"
     # a < b somewhere: envelope hypothesis fails
     spec = make_spec(a="1", b="1.2", h="t+0.1")
-    assert check_cor_1_3(spec, WINDOW).verdict == "inapplicable"
+    assert check("COR_1_3", spec, WINDOW).verdict == "inapplicable"
     # b identically zero: no positive lower envelope
     spec = make_spec(b="0")
-    assert check_cor_1_3(spec, WINDOW).verdict == "inapplicable"
+    assert check("COR_1_3", spec, WINDOW).verdict == "inapplicable"
 
 
 # -- COR_1_4_REMARK --------------------------------------------------------------
 
 def test_cor_1_4_example1_fails(ex1_spec):
-    cert = check_cor_1_4_remark(ex1_spec, WINDOW)
+    cert = check("COR_1_4_REMARK", ex1_spec, WINDOW)
     assert cert.verdict == "fails_on_window"
     assert cert.witness["sup_delay_integral"] == pytest.approx(0.42, abs=1e-9)
 
 
 def test_cor_1_4_small_delay_holds():
     spec = make_spec(a="1", b="0.5", g="t-0.3", h="t+0.3")
-    cert = check_cor_1_4_remark(spec, WINDOW)
+    cert = check("COR_1_4_REMARK", spec, WINDOW)
     assert cert.holds
     assert cert.witness["sup_delay_integral"] == pytest.approx(0.3, abs=1e-9)
 
 
 def test_cor_1_4_boundary_holds():
     spec = make_spec(a="1", b="0.5", g=f"t-{ONE_OVER_E!r}", h="t+0.1")
-    cert = check_cor_1_4_remark(spec, WINDOW)
+    cert = check("COR_1_4_REMARK", spec, WINDOW)
     assert cert.holds  # the comparison is nonstrict at 1/e
 
 
@@ -109,7 +107,7 @@ def test_cor_1_4_boundary_holds():
 
 def test_cor_2_x_pure_advance():
     spec = make_spec(a="0", b="1", g="t-0.1", h="t+0.3")
-    c22, c23, c24 = check_cor_2_x(spec, WINDOW)
+    c22, c23, c24 = (check(cid, spec, WINDOW) for cid in COR_2_X)
     assert c24.holds  # 0.3 <= 1/e
     assert c22.verdict == "fails_on_window"  # 0 >= (e^0.3 - 1) fails
     assert c23.verdict == "inapplicable"  # needs positive lower envelope for a
@@ -117,34 +115,34 @@ def test_cor_2_x_pure_advance():
 
 def test_cor_2_3_characteristic_root():
     spec = make_spec(a="1.2", b="1.3", g="t-0.2", h="t+0.1")
-    c22, c23, c24 = check_cor_2_x(spec, WINDOW)
+    c23 = check("COR_2_3", spec, WINDOW)
     assert c23.holds
     assert c23.witness["lambda"] == pytest.approx(0.15804760708022156, abs=1e-3)
 
 
 def test_cor_2_2_equal_coefficients_reduction():
     spec = make_spec(a="0.5", b="0.5", g="t-0.2", h="t+0.2")
-    c22, _, _ = check_cor_2_x(spec, WINDOW)
+    c22 = check("COR_2_2", spec, WINDOW)
     # a >= a*(e^{0.1} - 1)*e^{0.1} pointwise
     assert c22.holds
 
 
 def test_cor_2_x_wrong_pattern(ex3_spec):
-    assert all(c.verdict == "inapplicable" for c in check_cor_2_x(ex3_spec, WINDOW))
+    assert all(check(cid, ex3_spec, WINDOW).verdict == "inapplicable" for cid in COR_2_X)
 
 
 # -- THM_A / THM_B ------------------------------------------------------------------
 
 def test_thm_a_pure_delay_reduction():
     spec = make_spec(a="0.5", b="0", g="t-0.4", h="t+0.1", delta2=1)
-    cert = check_thm_A_explicit(spec, WINDOW)
+    cert = check("THM_A_EXPLICIT", spec, WINDOW)
     assert cert.holds
     assert cert.witness["sup_nested_integral"] == pytest.approx(0.2, abs=1e-9)
 
 
 def test_thm_a_nested_integral():
     spec = make_spec(a="0.5", b="0.5", g="t-0.4", h="t+0.1", delta2=1)
-    cert = check_thm_A_explicit(spec, WINDOW)
+    cert = check("THM_A_EXPLICIT", spec, WINDOW)
     assert cert.holds
     # closed form: 0.5 * 0.4 * e^{0.5*0.4}
     assert cert.witness["sup_nested_integral"] == pytest.approx(
@@ -154,32 +152,32 @@ def test_thm_a_nested_integral():
 
 def test_thm_a_fails_past_one_over_e():
     spec = make_spec(a="1", b="0", g="t-1", h="t+1", delta2=1)
-    assert check_thm_A_explicit(spec, WINDOW).verdict == "fails_on_window"
+    assert check("THM_A_EXPLICIT", spec, WINDOW).verdict == "fails_on_window"
 
 
 def test_thm_a_pattern_guard(ex1_spec):
-    assert check_thm_A_explicit(ex1_spec, WINDOW).verdict == "inapplicable"
+    assert check("THM_A_EXPLICIT", ex1_spec, WINDOW).verdict == "inapplicable"
 
 
 def test_thm_b_mirror():
     spec = make_spec(a="0.5", b="0.5", g="t-0.1", h="t+0.4", delta1=-1, delta2=-1)
-    cert = check_thm_B_explicit(spec, WINDOW)
+    cert = check("THM_B_EXPLICIT", spec, WINDOW)
     assert cert.holds
     assert cert.witness["sup_nested_integral"] == pytest.approx(
         0.244280551632034, abs=1e-7)
-    assert check_thm_B_explicit(make_spec(), WINDOW).verdict == "inapplicable"
+    assert check("THM_B_EXPLICIT", make_spec(), WINDOW).verdict == "inapplicable"
 
 
-@pytest.mark.parametrize("check, overrides", [
-    (check_thm_A_explicit, dict(a="0.3", b="1e300", g="t-0.4", h="t+0.2", delta2=1)),
-    (check_thm_B_explicit, dict(a="1e300", b="0.3", g="t-0.4", h="t+0.2",
-                                delta1=-1, delta2=-1)),
+@pytest.mark.parametrize("condition_id, overrides", [
+    ("THM_A_EXPLICIT", dict(a="0.3", b="1e300", g="t-0.4", h="t+0.2", delta2=1)),
+    ("THM_B_EXPLICIT", dict(a="1e300", b="0.3", g="t-0.4", h="t+0.2",
+                            delta1=-1, delta2=-1)),
 ], ids=["thm-a-huge-b", "thm-b-huge-a"])
-def test_thm_nested_integral_saturates_on_overflow(check, overrides):
+def test_thm_nested_integral_saturates_on_overflow(condition_id, overrides):
     # the weight's exponential overflows; the integral saturates to inf and fails
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert = check(make_spec(**overrides), (0.0, 20.0))
+        cert = check(condition_id, make_spec(**overrides), (0.0, 20.0))
     assert cert.verdict == "fails_on_window"
     assert cert.witness["sup_nested_integral"] == math.inf
     assert cert.witness["t_at_sup"] == 0.0
@@ -508,7 +506,7 @@ def test_sweep_region_errors():
 # -- divergence heuristics -----------------------------------------------------------
 
 def test_divergence_example2(ex2_spec):
-    cert = check_divergence(ex2_spec, (0.0, 100.0), "COR_1_5")
+    cert = check("COR_1_5", ex2_spec, (0.0, 100.0))
     assert cert.holds
     checkpoints = dict(cert.witness["checkpoints"])
     assert checkpoints[100.0] == pytest.approx(EX2_I100, abs=1e-6)
@@ -517,39 +515,39 @@ def test_divergence_example2(ex2_spec):
 
 def test_divergence_equal_coefficients_fails():
     spec = make_spec(a="1", b="1")
-    cert = check_divergence(spec, (0.0, 100.0), "COR_1_5")
+    cert = check("COR_1_5", spec, (0.0, 100.0))
     assert cert.verdict == "fails_on_window"
 
 
 def test_divergence_bounded_integral_fails():
     # gap integral e^{-t} accumulates less than 1: never reaches the threshold
     spec = make_spec(a="1+exp(-1*t)", b="1")
-    cert = check_divergence(spec, (0.0, 100.0), "COR_1_5")
+    cert = check("COR_1_5", spec, (0.0, 100.0))
     assert cert.verdict == "fails_on_window"
 
 
 def test_divergence_cor_1_6_requires_delay_test(ex2_spec):
     # Example 2's delayed integral ~0.41 exceeds 1/e, so 1_6 fails while 1_5 holds
-    cert = check_divergence(ex2_spec, (0.0, 100.0), "COR_1_6")
+    cert = check("COR_1_6", ex2_spec, (0.0, 100.0))
     assert cert.verdict == "fails_on_window"
     spec = make_spec(a="0.6", b="0.5", g="t-0.3", h="t+0.3")
-    cert = check_divergence(spec, (0.0, 100.0), "COR_1_6")
+    cert = check("COR_1_6", spec, (0.0, 100.0))
     assert cert.holds  # 0.18 <= 1/e and int(a-b) = 10 > 5
 
 
 def test_divergence_cor_2_5():
     spec = make_spec(a="1.325+0.025*cos(t)", b="1.375+0.025*sin(t)")
-    cert = check_divergence(spec, (0.0, 100.0), "COR_2_5")
+    cert = check("COR_2_5", spec, (0.0, 100.0))
     assert cert.holds
     # dominance b >= a fails for Example-2 ordering
-    cert = check_divergence(make_spec(a="1.375", b="1.325"), (0.0, 100.0), "COR_2_5")
+    cert = check("COR_2_5", make_spec(a="1.375", b="1.325"), (0.0, 100.0))
     assert cert.verdict == "inapplicable"
 
 
 def test_divergence_argument_guard(ex3_spec):
-    assert check_divergence(ex3_spec, WINDOW, "COR_1_5").verdict == "inapplicable"
-    with pytest.raises(ValueError):
-        check_divergence(make_spec(), WINDOW, "COR_9_9")
+    assert check("COR_1_5", ex3_spec, WINDOW).verdict == "inapplicable"
+    with pytest.raises(ValueError, match="unknown condition 'COR_9_9'"):
+        check("COR_9_9", make_spec(), WINDOW)
 
 
 # -- comparison monotonicity (dominance pairs) ----------------------------------------
@@ -578,9 +576,9 @@ def test_comparison_monotone_delay_family():
     for _ in range(10):
         spec, spec_dom = _dominating_delay_pair(rng)
         pairs = [
-            (check_cor_1_2(spec_dom, window), check_cor_1_2(spec, window)),
-            (check_cor_1_3(spec_dom, window), check_cor_1_3(spec, window)),
-            (check_cor_1_4_remark(spec_dom, window), check_cor_1_4_remark(spec, window)),
+            (check("COR_1_2", spec_dom, window), check("COR_1_2", spec, window)),
+            (check("COR_1_3", spec_dom, window), check("COR_1_3", spec, window)),
+            (check("COR_1_4_REMARK", spec_dom, window), check("COR_1_4_REMARK", spec, window)),
         ]
         for dominating, dominated in pairs:
             if dominating.holds:
@@ -600,8 +598,8 @@ def test_comparison_monotone_advance_family():
                              b=f"{base_b + rng.uniform(0.0, 0.1)}",
                              g=f"t-{tau + rng.uniform(0.0, 0.05)}",
                              h=f"t+{sigma + rng.uniform(0.0, 0.05)}")
-        for dom, sub in zip(check_cor_2_x(spec_dom, window),
-                            check_cor_2_x(spec, window)):
+        for dom, sub in ((check(cid, spec_dom, window), check(cid, spec, window))
+                         for cid in COR_2_X):
             if dom.holds:
                 assert sub.holds
 
@@ -613,9 +611,9 @@ def test_certificates_are_constructive(ex1_spec, ex2_spec):
     step = 2e-3
     for spec in (ex1_spec, ex2_spec):
         certs = {
-            "COR_1_2": check_cor_1_2(spec, window, step),
-            "COR_1_3": check_cor_1_3(spec, window, step),
-            "COR_1_4_REMARK": check_cor_1_4_remark(spec, window, step),
+            "COR_1_2": check("COR_1_2", spec, window, step),
+            "COR_1_3": check("COR_1_3", spec, window, step),
+            "COR_1_4_REMARK": check("COR_1_4_REMARK", spec, window, step),
         }
         for cid, cert in certs.items():
             if not cert.holds:
@@ -631,8 +629,8 @@ def test_advance_certificates_are_constructive():
     spec = make_spec(a="1.2", b="1.3", g="t-0.2", h="t+0.1")
     window = (0.0, 12.0)
     step = 2e-3
-    c22, c23, c24 = check_cor_2_x(spec, window, step)
-    for cid, cert in (("COR_2_2", c22), ("COR_2_3", c23), ("COR_2_4_REMARK", c24)):
+    for cid in COR_2_X:
+        cert = check(cid, spec, window, step)
         if not cert.holds:
             continue
         lam = (cert.witness or {}).get("lambda")
@@ -643,6 +641,36 @@ def test_advance_certificates_are_constructive():
 
 
 # -- master runner ----------------------------------------------------------------------
+
+# reports list certificates in this order, and their goldens with them
+CATALOG_ORDER = (
+    "COR_1_2", "COR_1_3", "COR_1_4_REMARK", "COR_1_5", "COR_1_6",
+    "COR_2_2", "COR_2_3", "COR_2_4_REMARK", "COR_2_5",
+    "THM_A_EXPLICIT", "THM_B_EXPLICIT",
+    "COR_3_1_C1", "COR_3_1_C2", "SYS_30_FEASIBLE",
+)
+
+
+def test_catalog_order_is_fixed():
+    assert ALL_CONDITION_IDS == CATALOG_ORDER
+
+
+@pytest.mark.parametrize("overrides", [
+    EXAMPLES["ex1"],
+    EXAMPLES["ex2"],
+    EXAMPLES["ex3"],
+    dict(a="0.3", b="0.1", g="t-0.4", h="t+0.2", delta2=1),
+    dict(a="0.3", b="0.1", g="t-0.4", h="t+0.2", delta1=-1, delta2=-1),
+], ids=["ex1", "ex2", "ex3", "plus-plus", "minus-minus"])
+def test_check_matches_check_all_on_every_condition(overrides):
+    spec = make_spec(**overrides)
+    by_id = {c.condition_id: c for c in check_all(spec, WINDOW)}
+    for cid, cert in by_id.items():
+        bases = criteria._REFINES.get(cid, ())
+        if bases and not any(by_id[b].holds for b in bases):
+            continue  # check_all gates this refinement behind its failing bases
+        assert check(cid, spec, WINDOW) == cert, cid
+
 
 def test_check_all_order_and_routing(ex1_spec):
     certs = check_all(ex1_spec, WINDOW)
@@ -688,14 +716,14 @@ def test_check_all_refinements_need_a_base_certificate(case, refinements, bases)
         assert by_id[cid].verdict == "inapplicable"
         assert by_id[cid].witness["reason"] == f"needs one of {bases} to hold"
     # called on its own, the divergence check keeps reporting the integral
-    assert check_divergence(spec, (0.0, 100.0), refinements[0]).holds
+    assert check(refinements[0], spec, (0.0, 100.0)).holds
 
 
 def test_check_all_keeps_refinements_behind_a_holding_base(ex2_spec):
     by_id = {c.condition_id: c for c in check_all(ex2_spec, (0.0, 100.0))}
     assert by_id["COR_1_2"].holds
-    assert by_id["COR_1_5"] == check_divergence(ex2_spec, (0.0, 100.0), "COR_1_5")
-    assert by_id["COR_1_6"] == check_divergence(ex2_spec, (0.0, 100.0), "COR_1_6")
+    assert by_id["COR_1_5"] == check("COR_1_5", ex2_spec, (0.0, 100.0))
+    assert by_id["COR_1_6"] == check("COR_1_6", ex2_spec, (0.0, 100.0))
 
 
 def test_check_all_example3(ex3_spec):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mixedde.charroots import CharProblem, find_real_roots
 from mixedde.cli import main
 from mixedde.construct import IterationKernel
-from mixedde.criteria import check_all, check_cor_1_2
+from mixedde.criteria import check, check_all
 from mixedde.gridfn import GridFunction
 from mixedde.model import SampledProblem
 
@@ -99,7 +99,7 @@ def _cor_1_2_constant_specs(draw):
 def test_monotone_iteration_invariants(spec_and_gap):
     spec, gap = spec_and_gap
     window, step = (0.0, 3.0), 0.01
-    assume(check_cor_1_2(spec, window, step).holds)
+    assume(check("COR_1_2", spec, window, step).holds)
     kernel = IterationKernel(SampledProblem(spec, window, step), "delay")
     u = kernel.sampled.a.copy()  # the COR_1_2 witness u_0 = a
     for _ in range(100):
