@@ -41,6 +41,16 @@ _MAX_BISECTIONS = 200
 _SCAN_STEP = 1e-3
 _ZERO_EXPONENT = 1e-12  # solution exponents within this of 0 classify as constant
 DEFAULT_SCAN = (-60.0, 60.0)
+_EXP_SAFE = 709.0  # np.exp of a float up to this does not overflow
+
+
+def _np_exp(y: float) -> float:
+    """np.exp(y) as a Python float (numpy's bits, which math.exp need not
+    share), inf without a warning where it overflows."""
+    if y > _EXP_SAFE:
+        with np.errstate(over="ignore"):
+            return float(np.exp(y))
+    return float(np.exp(y))
 
 
 @dataclass(frozen=True)
@@ -68,8 +78,18 @@ class CharProblem:
     def value(self, lam):
         """Characteristic function. A term that overflows is +-inf; a zero
         coefficient contributes 0, also where its exponential is inf."""
-        lam_arr = np.asarray(lam, dtype=float)
         sign = -1.0 if self.convention == "minus_exponent" else 1.0
+        if isinstance(lam, (int, float)):
+            # the bisections' scalar calls, on Python floats: the same
+            # operations as below, without the array set-up that costs more
+            x = float(lam)
+            out = sign * x
+            for coef, exponent in ((self.delta1 * self.a, -sign * x * self.tau),
+                                   (self.delta2 * self.b, sign * x * self.sigma)):
+                if coef:
+                    out += coef * _np_exp(exponent)
+            return out
+        lam_arr = np.asarray(lam, dtype=float)
         out = sign * lam_arr
         with np.errstate(over="ignore", invalid="ignore"):
             for coef, exponent in ((self.delta1 * self.a, -sign * lam_arr * self.tau),

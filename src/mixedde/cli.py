@@ -1,7 +1,8 @@
 """Command-line front end: validate, check, construct, roots, region, simulate.
 
 Exit codes: 0 success (certificate found / converged / hypotheses pass),
-1 negative outcome (no certificate, non-convergence, hypothesis failure),
+1 negative outcome (no certificate, non-convergence, a constructed solution
+that overflows, hypothesis failure),
 2 usage or input error. Machine-readable output carries no timestamps, so
 identical inputs produce byte-identical reports.
 """
@@ -139,7 +140,7 @@ def cmd_construct(args) -> int:
             out.write(f"max_eq_residual: {_fmt(result.max_eq_residual)}\n")
             out.write(f"caveats: {' '.join(result.caveats) or '-'}\n")
             out.write(f"x_end: {_fmt(float(result.x.values[-1]))}\n")
-    return 0 if result.converged else 1
+    return 0 if result.converged and construct.CAVEAT_NONFINITE not in result.caveats else 1
 
 
 def _constant_problem_from_spec(args) -> charroots.CharProblem:

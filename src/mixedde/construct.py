@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 CAVEAT_EXTRAPOLATED = "extrapolation-flagged"
+CAVEAT_NONFINITE = "non-finite-solution"  # x overflows, so its residual says nothing
 _CASES = ("delay", "advance")
 _NEG_TOL = 1e-12
 
@@ -180,6 +181,8 @@ def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
     x = synthesize_solution(u_limit, case)
     eq_res = _equation_residual(x, sp)  # x lies on the kernel's grid
     caveats = (CAVEAT_EXTRAPOLATED,) if kernel.extrapolates else ()
+    if not (math.isfinite(eq_res) and np.all(np.isfinite(x.values))):
+        caveats += (CAVEAT_NONFINITE,)
     return ConstructionResult(u_limit, x, iterations, defect, eq_res, converged, caveats)
 
 

@@ -525,6 +525,18 @@ def _axis_count(rng: tuple[float, float], resolution: float) -> int:
 # Divergent-integral refinements
 # ---------------------------------------------------------------------------
 
+def _dominance_gate(sp: SampledProblem, condition_id: str) -> Certificate | None:
+    """The refinement's inapplicable verdict when its dominance hypothesis
+    fails on the window, else None."""
+    delay_side = condition_id in ("COR_1_5", "COR_1_6")
+    gap = sp.a - sp.b if delay_side else sp.b - sp.a
+    if float(np.min(gap)) >= -_SLACK:
+        return None
+    need = "a(t) >= b(t)" if delay_side else "b(t) >= a(t)"
+    return _inapplicable(condition_id, sp.window,
+                         f"dominance hypothesis {need} fails on the window")
+
+
 def _divergence(sp: SampledProblem, condition_id: str) -> Certificate:
     """Window heuristic for a divergent coefficient-gap integral.
 
@@ -532,26 +544,19 @@ def _divergence(sp: SampledProblem, condition_id: str) -> Certificate:
     checkpoints must be increasing and exceed _DIVERGENCE_THRESHOLD at the
     window end. COR_1_6 additionally requires the delayed 1/e test.
     """
-    window = sp.window
-    delay_side = condition_id in ("COR_1_5", "COR_1_6")
-    gap = sp.a - sp.b if delay_side else sp.b - sp.a
-    if float(np.min(gap)) < -_SLACK:
-        need = "a(t) >= b(t)" if delay_side else "b(t) >= a(t)"
-        return _inapplicable(condition_id, window,
-                             f"dominance hypothesis {need} fails on the window")
-    t1, T = window
-    cum = GridFunction(t1, sp.step, gap).cumulative()
-    checkpoints = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
-    integrals = tuple(float(cum(c) - cum(t1)) for c in checkpoints)
+    gate = _dominance_gate(sp, condition_id)
+    if gate is not None:
+        return gate
+    checkpoints = sp.gap_integrals("advance" if condition_id == "COR_2_5" else "delay")
+    integrals = [i for _, i in checkpoints]
     increasing = all(b > a for a, b in zip(integrals, integrals[1:]))
     ok = increasing and integrals[-1] > _DIVERGENCE_THRESHOLD
-    witness = {"checkpoints": tuple(zip(checkpoints, integrals)),
-               "threshold": _DIVERGENCE_THRESHOLD}
+    witness = {"checkpoints": checkpoints, "threshold": _DIVERGENCE_THRESHOLD}
     if condition_id == "COR_1_6":
         sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay)
         witness["sup_delay_integral"] = sup
         ok = ok and sup <= ONE_OVER_E + _SLACK
-    return Certificate(condition_id, HOLDS if ok else FAILS, window, witness,
+    return Certificate(condition_id, HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED,))
 
 
@@ -589,11 +594,21 @@ _REFINES = {
 }
 
 
-def _run(condition_id: str, sp: SampledProblem) -> Certificate:
-    """One row of _CHECKS: inapplicable unless sp's spec has the row's pattern."""
+def _run(condition_id: str, sp: SampledProblem,
+         held: dict[str, Certificate] | None = None) -> Certificate:
+    """One row of _CHECKS: inapplicable unless sp's spec has the row's pattern.
+
+    Given held, the certificates of the rows before it, a refinement none of
+    whose bases holds is inapplicable without being evaluated, unless its
+    dominance hypothesis fails first, which it reports instead.
+    """
     pattern, body = _CHECKS[condition_id]
     if sp.spec.sign_pattern != pattern:
         return _inapplicable(condition_id, sp.window, _needs(pattern))
+    bases = _REFINES.get(condition_id, ()) if held is not None else ()
+    if bases and not any(held[b].holds for b in bases):
+        return _dominance_gate(sp, condition_id) or _inapplicable(
+            condition_id, sp.window, f"needs one of {'/'.join(bases)} to hold")
     return body(sp)
 
 
@@ -644,16 +659,14 @@ def check_all(spec: ProblemSpec, window: tuple[float, float],
 
     Conditions are independent sufficient tests and never short-circuit each
     other, except that a divergent-integral refinement is inapplicable unless a
-    base certificate of its case holds; the list is returned in the fixed
-    catalog order. All conditions read one SampledProblem, which rejects
-    non-finite samples for every pattern.
+    base certificate of its case holds: without one it is not evaluated, and
+    its verdict gives the failed sign pattern or dominance hypothesis, if any,
+    before the missing base. The list is returned in the fixed catalog order.
+    All conditions read one SampledProblem, which rejects non-finite samples
+    for every pattern.
     """
     sp = SampledProblem(spec, window, step)
-    out: dict[str, Certificate] = {}
+    held: dict[str, Certificate] = {}
     for cid in _CHECKS:
-        cert = _run(cid, sp)
-        bases = _REFINES.get(cid, ())
-        if bases and cert.verdict != INAPPLICABLE and not any(out[b].holds for b in bases):
-            cert = _inapplicable(cid, sp.window, f"needs one of {'/'.join(bases)} to hold")
-        out[cid] = cert
-    return list(out.values())
+        held[cid] = _run(cid, sp, held)
+    return list(held.values())

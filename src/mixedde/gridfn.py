@@ -162,12 +162,14 @@ class CumulativeIntegral:
         self.f = f
         v = f.values
         # extended-precision accumulation: differences of far-apart node sums
-        # (the short deviated integrals) must stay accurate to ~1e-13
+        # (the short deviated integrals) must stay accurate to ~1e-13; the
+        # trapezoid sums are cast into the nodes in place, and 0.5 * step is
+        # exact, so one scaling rounds as the two it stands for
         nodes = np.zeros(len(v), dtype=np.longdouble)
         cells = nodes[1:]
-        np.add(v[:-1], v[1:], out=cells, dtype=np.longdouble)
-        cells *= 0.5
-        cells *= np.longdouble(f.step)
+        cells[...] = v[1:]
+        cells += v[:-1]
+        cells *= np.longdouble(0.5) * np.longdouble(f.step)
         np.cumsum(cells, out=cells)
         self._nodes = nodes.astype(float)
 

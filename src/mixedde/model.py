@@ -30,7 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gridfn import CumulativeIntegral, GridFunction, check_grid_size, grid_cells
+from .gridfn import (CumulativeIntegral, GridFunction, GridPoints, check_grid_size,
+                     grid_cells)
 
 __all__ = [
     "CoefficientExpr",
@@ -380,10 +381,12 @@ class SampledProblem:
     Certificate checks, the iteration kernel, relax and equation_residual take
     their samples from it. The cumulative integrals of a and b on the grid
     widened by 2*tau + step and 2*sigma + step (enough for every deviated
-    integral) and the four deviated integrals per window node are built once,
-    on first use, so their points are placed on each grid once. A step that is
-    not positive and finite, a grid of more than MAX_GRID_POINTS nodes, and any
-    non-finite sample raise ValueError.
+    integral) are built once, on first use. The four deviated integrals per
+    window node are built together on first use of any of them: ts, g and h
+    are placed once each on the widened grid, which a and b share, and each
+    cumulative integral is evaluated at ts once. A step that is not positive
+    and finite, a grid of more than MAX_GRID_POINTS nodes, and any non-finite
+    sample raise ValueError.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
@@ -397,6 +400,7 @@ class SampledProblem:
         self.a, self.b, self.g, self.h = (
             _require_finite(name, getattr(spec, name)(self.ts), self.ts)
             for name in "abgh")
+        self._gap_integrals: dict[str, tuple[tuple[float, float], ...]] = {}
 
     @cached_property
     def tau(self) -> float:
@@ -429,21 +433,64 @@ class SampledProblem:
         return self._extended_cumulative("b")
 
     @cached_property
+    def _deviated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """int_g^t a, int_t^h a, int_g^t b and int_t^h b per window node.
+
+        cum_a and cum_b share their grid, so ts, g and h are placed on it once
+        each, and each integral is evaluated at ts once. Differences are taken
+        into the buffers already held, so no more than four window-sized
+        results are alive besides one placement.
+        """
+        cum_a, cum_b = self.cum_a, self.cum_b
+        f = cum_a.f
+
+        def place(t) -> GridPoints:
+            return GridPoints(f.t_start, f.step, len(f.values), t)
+
+        def both(p: GridPoints) -> tuple[np.ndarray, np.ndarray]:
+            return cum_a.at(p), cum_b.at(p)
+
+        a_t, b_t = both(place(self.ts))
+        a_g, b_g = both(place(self.g))
+        np.subtract(a_t, a_g, out=a_g)
+        np.subtract(b_t, b_g, out=b_g)
+        p_h = place(self.h)
+        np.subtract(cum_a.at(p_h), a_t, out=a_t)
+        np.subtract(cum_b.at(p_h), b_t, out=b_t)
+        return a_g, a_t, b_g, b_t
+
+    def gap_integrals(self, case: str) -> tuple[tuple[float, float], ...]:
+        """(c, int_{t1}^{c} gap) at the window's quarter points c = t1 + k*(T - t1)/4,
+        k = 1..4, where the gap is a - b for case "delay" and b - a for "advance",
+        by the trapezoid rule on the window grid. Computed once per case, with
+        t1 and the four points placed on the grid in one call."""
+        if case not in self._gap_integrals:
+            gap = self.a - self.b if case == "delay" else self.b - self.a
+            t1, T = self.window
+            points = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
+            at = GridFunction(t1, self.step, gap).cumulative()(np.array((t1, *points)))
+            self._gap_integrals[case] = tuple(zip(points, (at[1:] - at[0]).tolist()))
+        return self._gap_integrals[case]
+
+    @property
     def int_a_over_delay(self) -> np.ndarray:
         """int_{g(t)}^{t} a per window node."""
-        return self.cum_a(self.ts) - self.cum_a(self.g)
+        return self._deviated[0]
 
-    @cached_property
+    @property
     def int_a_over_advance(self) -> np.ndarray:
-        return self.cum_a(self.h) - self.cum_a(self.ts)
+        """int_{t}^{h(t)} a per window node."""
+        return self._deviated[1]
 
-    @cached_property
+    @property
     def int_b_over_delay(self) -> np.ndarray:
-        return self.cum_b(self.ts) - self.cum_b(self.g)
+        """int_{g(t)}^{t} b per window node."""
+        return self._deviated[2]
 
-    @cached_property
+    @property
     def int_b_over_advance(self) -> np.ndarray:
-        return self.cum_b(self.h) - self.cum_b(self.ts)
+        """int_{t}^{h(t)} b per window node."""
+        return self._deviated[3]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from mixedde.charroots import (CharProblem, CharRootSet, find_real_roots,
                                positive_root_exists, write_roots_csv)
 from mixedde.gridfn import check_grid_size
 
-from conftest import EX1_ROOTS
+from conftest import EX1_ROOTS, _bits
 
 
 def ex1_problem() -> CharProblem:
@@ -262,3 +262,27 @@ def test_window_whose_width_overflows_is_rejected():
     for scan in ((-1e308, 1e308), (0.0, 1e308), (0.0, math.inf), (1.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="scan interval"):
             find_real_roots(ex1_problem(), scan)
+
+
+# -- the scalar path of CharProblem.value against its array path ------------------
+
+_LAMBDAS = st.one_of(st.floats(-80.0, 80.0), st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from([0.0, -0.0, 709.0, 709.5, 709.8, 710.0, -710.0,
+                                      2.0 ** 1022, -(2.0 ** 1022)]))
+
+
+@seed(20143)
+@settings(max_examples=3000, deadline=None, database=None)
+@given(_scan_cases(), _LAMBDAS, st.sampled_from([1.0, 1e3, 1e6]))
+@example((CharProblem(1.0, 1.0, 1.0, 1.0, 1, -1, "plus_exponent"), charroots.DEFAULT_SCAN),
+         709.5, 1.0)  # inf - inf: both exponentials overflow, F is nan
+@example((CharProblem(1.0, 0.0, 0.0, 2.0, -1, 1, "minus_exponent"), charroots.DEFAULT_SCAN),
+         -400.0, 1.0)  # a zero coefficient contributes 0, not 0 * inf
+def test_scalar_value_is_bit_identical_to_the_array_value(case, lam, scale):
+    p, _ = case
+    lam *= scale  # exponents past 709, where exp overflows
+    got = p.value(lam)
+    assert type(got) is float
+    want = p.value(np.array([lam]))[0]
+    assert _bits(got) == _bits(want)  # NaN payloads and signed zeros too
+    assert _bits(p.value(np.float64(lam))) == _bits(got)

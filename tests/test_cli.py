@@ -251,7 +251,7 @@ def test_non_finite_deviation_exits_two(tmp_path, command, capsys):
     (["check", "{huge_a_minus_minus}", "--T", "20"], 1,
      "witness: sup_nested_integral=inf t_at_sup=0 one_over_e=0.367879441171"),
     # x = exp(-int u) overflows, and the equation residual reads inf - inf
-    (["construct", "{x_overflows}", "--T", "20"], 0, "x_end: inf"),
+    (["construct", "{x_overflows}", "--T", "20"], 1, "x_end: inf"),
     (["construct", "{kernel_overflows}", "--T", "2"], 2,
      "error: no admissible starter candidate found: u0 is not a supersolution: "
      "inequality residual inf > 1.0e-08 at t=0.001"),
@@ -277,6 +277,17 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
     assert line in (err if code == 2 else out).splitlines()
     assert err == (line + "\n" if code == 2 else "")
 
+
+def test_construct_whose_solution_overflows_exits_1_with_a_caveat(tmp_path, capsys):
+    # the iteration converges, but x = exp(-int u) leaves the float range
+    path = write_spec_file(tmp_path / "x.json", a="0", b="100", h="t+0.001")
+    assert main(["construct", path, "--T", "20"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    for line in ("converged: yes", "max_eq_residual: nan", "x_end: inf",
+                 "caveats: extrapolation-flagged non-finite-solution"):
+        assert line in lines
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -422,3 +422,10 @@ def test_constant_construction_matches_the_smallest_positive_characteristic_root
                                                      abs=1e-5)
         matched += 1
     assert matched >= 5
+
+
+def test_solution_that_overflows_is_flagged_non_finite():
+    res = auto_construct(make_spec(a="0", b="100", h="t+0.001"), (0.0, 20.0))
+    assert res.converged
+    assert not np.isfinite(res.x.values[-1]) and math.isnan(res.max_eq_residual)
+    assert res.caveats == ("extrapolation-flagged", "non-finite-solution")

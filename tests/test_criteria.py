@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from mixedde import criteria
 from mixedde.construct import iterate, witness_candidate
@@ -11,7 +13,8 @@ from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
                               CAVEAT_WINDOW_LIMITED, check, check_all, check_cor_3_1,
                               check_sys30, subequation_one_over_e_note, sweep_region,
                               sys30_values)
-from mixedde.model import Bounds
+from mixedde.gridfn import CumulativeIntegral, GridFunction, GridPoints
+from mixedde.model import Bounds, SampledProblem
 
 from conftest import EX2_I100, EX3_PROBE, EXAMPLES, make_spec
 
@@ -769,3 +772,106 @@ def test_check_all_samples_the_window_once(ex2_spec, monkeypatch):
     certs = check_all(ex2_spec, (0.0, 30.0))
     assert len(built) == 1
     assert [c.condition_id for c in certs] == list(ALL_CONDITION_IDS)
+
+
+# -- work counts: what one check_all builds and places -------------------------
+
+@pytest.mark.parametrize("overrides, gap_builds", [
+    (dict(a="1", b="3"), 0),  # no base holds: COR_2_5 is gated, COR_1_x fail dominance
+    (EXAMPLES["ex1"], 1),     # COR_1_2 holds: COR_1_5 and COR_1_6 share one gap build
+], ids=["no-base-holds", "cor-1-2-holds"])
+def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_builds,
+                                                         monkeypatch):
+    builds, placements = [], []
+    build, place = CumulativeIntegral.__init__, GridPoints.__init__
+    monkeypatch.setattr(CumulativeIntegral, "__init__",
+                        lambda self, f: builds.append(f) or build(self, f))
+    monkeypatch.setattr(GridPoints, "__init__",
+                        lambda self, *args: placements.append(args) or place(self, *args))
+    certs = check_all(make_spec(**overrides), WINDOW)
+    window_grid = [f for f in builds if f.t_start == WINDOW[0]]
+    # a and b on the widened grid, where ts, g and h are placed once each
+    assert len(builds) == 2 + gap_builds and len(window_grid) == gap_builds
+    widened = [(f.t_start, f.step, len(f.values)) for f in builds[:2]]
+    assert widened[0] == widened[1]
+    assert [args[:3] for args in placements[:3]] == widened[:1] * 3
+    # the gap integral at t1 and the four checkpoints, in one placement
+    assert len(placements) == 3 + gap_builds
+    assert all(np.size(args[3]) == 5 for args in placements[3:])
+    assert any(c.holds for c in certs) == bool(gap_builds)
+
+
+# -- check_all against the loop it replaced --------------------------------------
+
+def _divergence_as_first_written(sp, condition_id):
+    """criteria._divergence before the gap integrals were shared: a fresh
+    cumulative integral per refinement, evaluated point by point."""
+    window = sp.window
+    delay_side = condition_id in ("COR_1_5", "COR_1_6")
+    gap = sp.a - sp.b if delay_side else sp.b - sp.a
+    if float(np.min(gap)) < -criteria._SLACK:
+        need = "a(t) >= b(t)" if delay_side else "b(t) >= a(t)"
+        return criteria._inapplicable(condition_id, window,
+                                      f"dominance hypothesis {need} fails on the window")
+    t1, T = window
+    cum = GridFunction(t1, sp.step, gap).cumulative()
+    checkpoints = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
+    integrals = tuple(float(cum(c) - cum(t1)) for c in checkpoints)
+    increasing = all(b > a for a, b in zip(integrals, integrals[1:]))
+    ok = increasing and integrals[-1] > criteria._DIVERGENCE_THRESHOLD
+    witness = {"checkpoints": tuple(zip(checkpoints, integrals)),
+               "threshold": criteria._DIVERGENCE_THRESHOLD}
+    if condition_id == "COR_1_6":
+        sup, t_at = criteria._sup_witness(sp.ts, sp.int_a_over_delay)
+        witness["sup_delay_integral"] = sup
+        ok = ok and sup <= criteria.ONE_OVER_E + criteria._SLACK
+    return criteria.Certificate(condition_id, criteria.HOLDS if ok else criteria.FAILS,
+                                window, witness, (CAVEAT_WINDOW_LIMITED,))
+
+
+def _check_all_as_first_written(spec, window, step=1e-3):
+    """check_all before gated refinements were skipped: every row runs, and a
+    refinement without a holding base is replaced afterwards."""
+    sp = SampledProblem(spec, window, step)
+    out = {}
+    for cid in criteria._CHECKS:
+        if cid in criteria._REFINES and spec.sign_pattern == (1, -1):
+            cert = _divergence_as_first_written(sp, cid)
+        else:
+            cert = criteria._run(cid, sp)
+        bases = criteria._REFINES.get(cid, ())
+        if bases and cert.verdict != criteria.INAPPLICABLE and not any(
+                out[b].holds for b in bases):
+            cert = criteria._inapplicable(cid, sp.window,
+                                          f"needs one of {'/'.join(bases)} to hold")
+        out[cid] = cert
+    return list(out.values())
+
+
+@st.composite
+def _dominance_specs(draw):
+    """Seeded (+,-) specs, constant or periodic, with a >= b or b >= a."""
+    big, small = draw(st.floats(0.2, 2.0)), draw(st.floats(0.0, 1.0))
+    small = max(min(small, big - draw(st.floats(0.0, 0.3))), 0.0)
+    amp = draw(st.sampled_from([0.0, 0.0, 0.02, 0.1]))
+    # periodic parts that keep the dominant coefficient on top
+    dom, sub = (f"{big!r}+{amp!r}*sin(t)", f"{max(small - amp, 0.0)!r}+{amp!r}*cos(t)")
+    a, b = (dom, sub) if draw(st.booleans()) else (sub, dom)
+    tau, sigma = draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 0.6))
+    wiggle = draw(st.sampled_from([0.0, 0.05]))
+    g = f"t-{tau + wiggle!r}-{wiggle!r}*cos(t)"
+    h = f"t+{sigma + wiggle!r}+{wiggle!r}*sin(t)"
+    return make_spec(a=a, b=b, g=g, h=h), (0.0, draw(st.sampled_from([6.0, 25.0, 60.0])))
+
+
+@seed(20141)
+@settings(max_examples=60, deadline=None, database=None)
+@given(_dominance_specs())
+def test_check_all_matches_the_loop_that_ran_every_refinement(case):
+    spec, window = case
+    got, want = check_all(spec, window), _check_all_as_first_written(spec, window)
+    assert len(got) == len(want)
+    for new, old in zip(got, want):
+        for field in ("condition_id", "verdict", "window", "witness", "caveats"):
+            assert repr(getattr(new, field)) == repr(getattr(old, field)), (
+                new.condition_id, field)

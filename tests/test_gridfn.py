@@ -184,3 +184,43 @@ def test_points_placed_on_another_grid_are_rejected():
     cum = GridFunction(0.0, 0.1, np.ones(5)).cumulative()
     with pytest.raises(ValueError, match="another grid"):
         cum.at(GridPoints(0.0, 0.1, 6, [0.2]))
+
+
+# -- node sums cast in place against the np.add build they replaced -------------
+
+def _np_add_nodes(f):
+    """CumulativeIntegral's node sums before the in-place cast: np.add into
+    longdouble, then 0.5 and the step applied one after the other."""
+    v = f.values
+    nodes = np.zeros(len(v), dtype=np.longdouble)
+    cells = nodes[1:]
+    np.add(v[:-1], v[1:], out=cells, dtype=np.longdouble)
+    cells *= 0.5
+    cells *= np.longdouble(f.step)
+    np.cumsum(cells, out=cells)
+    return nodes.astype(float)
+
+
+_EDGE_VALUES = [0.0, -0.0, math.inf, -math.inf, 1e300, -1e300, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-310, 1.0, -3.5]
+
+
+@st.composite
+def _grids_with_edge_values(draw):
+    size = draw(st.integers(2, 40))
+    values = draw(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES),
+                                     st.floats(allow_nan=False, allow_infinity=True)),
+                           min_size=size, max_size=size))
+    step = draw(st.one_of(st.sampled_from([2.0 ** -7, 1e-3, 0.01, 0.3, 5e-324, 1e300]),
+                          st.floats(1e-300, 1e300)))
+    return GridFunction(draw(st.floats(-50.0, 50.0)), step, np.array(values))
+
+
+@seed(20142)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_grids_with_edge_values())
+def test_node_sums_are_bit_identical_to_the_np_add_build(f):
+    with np.errstate(all="ignore"):  # inf - inf and sums past the float range
+        want = _np_add_nodes(f)
+        got = f.cumulative()._nodes
+    np.testing.assert_array_equal(_bits(got), _bits(want))

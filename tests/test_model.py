@@ -7,7 +7,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedde import model
-from mixedde.gridfn import MAX_GRID_POINTS, CumulativeIntegral, GridFunction, grid_cells
+from mixedde.gridfn import MAX_GRID_POINTS, GridFunction, GridPoints, grid_cells
 from mixedde.model import (_ENVELOPE_SAMPLES, _MAX_DEPTH, Bounds, CoefficientExpr,
                            ExprSyntaxError, ProblemSpec, SampledProblem, extract_bounds,
                            parse_expr, read_ivp, read_spec, validate_spec)
@@ -391,17 +391,29 @@ def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):
         sp.cum_a
 
 
-def test_deviated_integrals_are_computed_once_per_sampled_problem(ex1_spec, monkeypatch):
-    sp = SampledProblem(ex1_spec, (0.0, 5.0), 1e-3)
-    want = sp.cum_a(sp.ts) - sp.cum_a(sp.g)
-    calls = []
-    evaluate = CumulativeIntegral.__call__
-    monkeypatch.setattr(CumulativeIntegral, "__call__",
-                        lambda self, t: calls.append(t) or evaluate(self, t))
-    first = sp.int_a_over_delay
-    assert len(calls) == 2
-    assert sp.int_a_over_delay is first
-    assert len(calls) == 2
-    np.testing.assert_array_equal(first, want)
-    assert SampledProblem(ex1_spec, (0.0, 5.0), 1e-3).int_a_over_delay is not first
-    assert len(calls) == 4
+def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
+    spec = make_spec(a="1.4+0.2*sin(t)", b="1.3+0.1*cos(t)", g="t-0.3-0.1*cos(t)",
+                     h="t+0.2+0.1*sin(t)")
+    sp = SampledProblem(spec, (0.0, 5.0), 1e-3)
+    cum_a, cum_b = sp.cum_a, sp.cum_b
+    placed = []
+    place = GridPoints.__init__
+    monkeypatch.setattr(GridPoints, "__init__",
+                        lambda self, *args: placed.append(args) or place(self, *args))
+    names = ("int_a_over_delay", "int_a_over_advance", "int_b_over_delay",
+             "int_b_over_advance")
+    first = [getattr(sp, name) for name in names]
+    # ts, g and h, once each, on the widened grid that a and b share
+    grid = (cum_a.f.t_start, cum_a.f.step, len(cum_a.f.values))
+    assert grid == (cum_b.f.t_start, cum_b.f.step, len(cum_b.f.values))
+    assert [args[:3] for args in placed] == [grid] * 3
+    for args, t in zip(placed, (sp.ts, sp.g, sp.h)):
+        assert args[3] is t
+    assert all(getattr(sp, name) is arr for name, arr in zip(names, first))  # cached
+    assert len(placed) == 3
+    monkeypatch.undo()
+    want = [cum_a(sp.ts) - cum_a(sp.g), cum_a(sp.h) - cum_a(sp.ts),
+            cum_b(sp.ts) - cum_b(sp.g), cum_b(sp.h) - cum_b(sp.ts)]
+    for got, exact in zip(first, want):
+        np.testing.assert_array_equal(_bits(got), _bits(exact))
+    assert SampledProblem(spec, (0.0, 5.0), 1e-3).int_a_over_delay is not first[0]
