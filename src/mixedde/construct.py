@@ -24,7 +24,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import criteria
-from .gridfn import GridFunction, GridPoints
+from .gridfn import GridFunction, GridPoints, _node_sums, _placed_integral
 from .model import ProblemSpec, SampledProblem, _exp
 from .simulate import _equation_residual
 
@@ -86,7 +86,12 @@ class ConstructionResult:
 
 
 class IterationKernel:
-    """One application of the generating-function map on a sampled window grid."""
+    """One application of the generating-function map on a sampled window grid.
+
+    The kernel owns the working arrays of `apply`, allocated once here, so an
+    application allocates only the iterate it returns; a kernel therefore runs
+    one application at a time.
+    """
 
     def __init__(self, sampled: SampledProblem, case: str):
         if case not in _CASES:
@@ -94,21 +99,54 @@ class IterationKernel:
         self.sampled = sampled
         self.case = case
         t1, step, ts = sampled.window[0], sampled.step, sampled.ts
+        n = ts.size
         # u vanishes before t1, so delay integrals start no earlier than t1;
         # u lives on the window grid, so each point set is placed on it once
-        self._points = tuple(GridPoints(t1, step, ts.size, t)
+        self._points = tuple(GridPoints(t1, step, n, t)
                              for t in (ts, np.maximum(sampled.g, t1), sampled.h))
         self.extrapolates = bool(np.any(sampled.h > ts[-1] + 1e-12 * step))
+        self._nodes_ld = np.empty(n, dtype=np.longdouble)
+        self._cast = np.empty(n, dtype=np.longdouble)
+        self._nodes = np.empty(n)
+        self._half = np.empty(n - 1)  # (u[k+1] - u[k]) * 0.5
+        self._at = tuple(np.empty(n) for _ in self._points)
+        self._scratch = np.empty(n)
 
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
         sp = self.sampled
-        cum = GridFunction(sp.window[0], sp.step, u_vals).cumulative()
-        at_nodes, at_g, at_h = (cum.at(p) for p in self._points)
-        int_delay, int_advance = at_nodes - at_g, at_h - at_nodes
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow saturates to inf
-            if self.case == "delay":
-                return sp.a * np.exp(int_delay) - sp.b * np.exp(-int_advance)
-            return sp.b * np.exp(int_advance) - sp.a * np.exp(-int_delay)
+        u = np.asarray(u_vals, dtype=float)
+        if u.shape != self._nodes.shape:
+            raise ValueError(f"u has shape {u.shape}, the kernel's grid "
+                             f"{self._nodes.shape}")
+        nodes, half, scratch = self._nodes, self._half, self._scratch
+        # overflow saturates to inf, and an iterate holding inf maps to inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            _node_sums(u, sp.step, self._nodes_ld, self._cast, nodes)
+            np.subtract(u[1:], u[:-1], out=half)
+            half *= 0.5
+            # idx is already in [0, n - 2]; with mode="clip" take writes into out
+            # directly, where the default mode="raise" goes through a buffer
+            for p, out in zip(self._points, self._at):
+                np.take(u, p.idx, out=out, mode="clip")
+                np.take(half, p.idx, out=scratch, mode="clip")
+                _placed_integral(p, u, nodes, out, scratch)
+            at_nodes, int_delay, int_advance = self._at
+            np.subtract(at_nodes, int_delay, out=int_delay)
+            np.subtract(int_advance, at_nodes, out=int_advance)
+            # delay: a*e^{int_delay} - b*e^{-int_advance}; advance: the mirror
+            grow, shrink, c_grow, c_shrink = (
+                (int_delay, int_advance, sp.a, sp.b) if self.case == "delay"
+                else (int_advance, int_delay, sp.b, sp.a))
+            np.negative(shrink, out=shrink)
+            for x, c in ((grow, c_grow), (shrink, c_shrink)):
+                np.exp(x, out=x)
+                np.multiply(c, x, out=x)
+            return np.subtract(grow, shrink)
+
+    def _distance(self, u: np.ndarray, w: np.ndarray) -> float:
+        """max |u - w|, computed in the kernel's scratch array."""
+        diff = np.subtract(u, w, out=self._scratch)
+        return float(np.max(np.abs(diff, out=diff)))
 
 
 def _require_pattern(spec: ProblemSpec, who: str) -> None:
@@ -168,16 +206,16 @@ def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
 
     u = first
     iterations = 1
-    delta = float(np.max(np.abs(u - u_prev)))
+    delta = kernel._distance(u, u_prev)
     while delta > tol and iterations < max_iter:
         nxt = kernel.apply(u)
         iterations += 1
-        delta = float(np.max(np.abs(nxt - u)))
+        delta = kernel._distance(nxt, u)
         u = nxt
     converged = delta <= tol
 
     u_limit = GridFunction(sp.window[0], sp.step, u)
-    defect = float(np.max(np.abs(kernel.apply(u) - u)))
+    defect = kernel._distance(kernel.apply(u), u)
     x = synthesize_solution(u_limit, case)
     eq_res = _equation_residual(x, sp)  # x lies on the kernel's grid
     caveats = (CAVEAT_EXTRAPOLATED,) if kernel.extrapolates else ()

@@ -149,6 +149,52 @@ class GridPoints:
         self.t_below, self.t_above = tt[self.below], tt[self.above]
 
 
+_CAST_CHUNK = 4096  # cells cast to longdouble per chunk by a one-off node-sum build
+
+
+def _node_sums(v: np.ndarray, step: float, nodes: np.ndarray, cast: np.ndarray,
+               out: np.ndarray) -> None:
+    """The trapezoid running integral of the grid values v at every node, into out.
+
+    It is accumulated in the longdouble array `nodes` (len(v)): differences of
+    far-apart node sums (the short deviated integrals) must stay accurate to
+    ~1e-13. v reaches longdouble through `cast`, len(cast) - 1 cells at a time,
+    so a small `cast` keeps a one-off build to one full-size longdouble array.
+    0.5 * step is exact, so one scaling rounds as the two it stands for.
+    """
+    width = cast.size - 1
+    nodes[0] = 0.0
+    for lo in range(0, v.size - 1, width):
+        hi = min(lo + width, v.size - 1)
+        chunk = cast[:hi - lo + 1]
+        chunk[...] = v[lo:hi + 1]
+        np.add(chunk[1:], chunk[:-1], out=nodes[lo + 1:hi + 1])
+    cells = nodes[1:]
+    cells *= np.longdouble(0.5) * np.longdouble(step)
+    np.cumsum(cells, out=cells)
+    out[...] = nodes
+
+
+def _placed_integral(p: GridPoints, v: np.ndarray, nodes: np.ndarray, out: np.ndarray,
+                     half: np.ndarray) -> np.ndarray:
+    """The running integral of the grid values v (node sums `nodes`) at the placed
+    points p, computed in place in out, which enters holding v[idx], while half
+    enters holding (v[idx+1] - v[idx]) * 0.5 and is left as scratch:
+    nodes[idx] + step*(v[idx]*frac + half*frac*frac), op by op."""
+    t_start, step, size = p.grid
+    frac = p.frac
+    half *= frac
+    half *= frac
+    out *= frac
+    out += half
+    out *= step
+    np.take(nodes, p.idx, out=half, mode="clip")
+    out += half
+    out[p.below] = v[0] * (p.t_below - t_start)
+    out[p.above] = nodes[-1] + v[-1] * (p.t_above - (t_start + step * (size - 1)))
+    return out
+
+
 class CumulativeIntegral:
     """Running integral C(t) = int_{t_start}^{t} of a GridFunction's interpolant.
 
@@ -160,18 +206,11 @@ class CumulativeIntegral:
 
     def __init__(self, f: GridFunction):
         self.f = f
-        v = f.values
-        # extended-precision accumulation: differences of far-apart node sums
-        # (the short deviated integrals) must stay accurate to ~1e-13; the
-        # trapezoid sums are cast into the nodes in place, and 0.5 * step is
-        # exact, so one scaling rounds as the two it stands for
-        nodes = np.zeros(len(v), dtype=np.longdouble)
-        cells = nodes[1:]
-        cells[...] = v[1:]
-        cells += v[:-1]
-        cells *= np.longdouble(0.5) * np.longdouble(f.step)
-        np.cumsum(cells, out=cells)
-        self._nodes = nodes.astype(float)
+        n = len(f.values)
+        nodes = np.empty(n, dtype=np.longdouble)
+        cast = np.empty(min(n, _CAST_CHUNK + 1), dtype=np.longdouble)
+        self._nodes = np.empty(n)
+        _node_sums(f.values, f.step, nodes, cast, self._nodes)
 
     def __call__(self, t):
         f = self.f
@@ -179,20 +218,10 @@ class CumulativeIntegral:
         return float(out) if out.ndim == 0 else out
 
     def at(self, p: GridPoints) -> np.ndarray:
-        f, v, nodes = self.f, self.f.values, self._nodes
+        f, v = self.f, self.f.values
         if p.grid != (f.t_start, f.step, len(v)):
             raise ValueError("points were placed on another grid")
-        idx, frac = p.idx, p.frac
-        # nodes[idx] + step*(v[idx]*frac + 0.5*(v[idx+1]-v[idx])*frac*frac), op by op in place
-        out, d = v[idx], v[idx + 1]
-        d -= out
-        d *= 0.5
-        d *= frac
-        d *= frac
-        out *= frac
-        out += d
-        out *= f.step
-        out += nodes[idx]
-        out[p.below] = v[0] * (p.t_below - f.t_start)
-        out[p.above] = nodes[-1] + v[-1] * (p.t_above - f.t_end)
-        return out
+        out, half = v[p.idx], v[p.idx + 1]
+        half -= out
+        half *= 0.5
+        return _placed_integral(p, v, self._nodes, out, half)

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -399,6 +400,68 @@ def test_kernel_iterates_are_bit_identical_to_where_apply(example, case):
         u, want = kernel.apply(u), _where_apply(sampled, case, want)
         np.testing.assert_array_equal(_bits(u), _bits(want))
     assert np.all(np.isfinite(u))
+
+
+# name -> (spec fields, window, step, case, applies)
+_EDGE_KERNELS = {
+    # h = t + 0.5 ends five cells past the last node: the `above` points
+    "h-past-the-grid": (dict(h="t+0.5"), (0.0, 3.0), 0.1, "delay", 4),
+    # g = t - 5 is clamped at t1 on the first five of eight units
+    "g-clamped-at-t1": (dict(g="t-5"), (0.0, 8.0), 1e-2, "delay", 4),
+    # exp(int_g^t a) overflows to inf, and the next iterates hold inf and nan
+    "exp-saturates": (dict(a="1e200"), (0.0, 2.0), 1e-2, "delay", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_KERNELS))
+def test_kernel_is_bit_identical_to_where_apply_at_the_edges(name):
+    fields, window, step, case, applies = _EDGE_KERNELS[name]
+    sampled = SampledProblem(make_spec(**fields), window, step)
+    kernel = IterationKernel(sampled, case)
+    ts, at_g, at_h = kernel._points
+    edge = {"h-past-the-grid": at_h.above.size > 1,
+            "g-clamped-at-t1": np.count_nonzero(sampled.g < window[0]) > ts.idx.size // 2}
+    assert edge.get(name, True)
+    u = want = sampled.a
+    saturated = set()
+    for _ in range(applies):
+        # once u holds NaN, a NaN result takes its sign from the first of two
+        # NaN operands, and the np.where form adds node sums first: NaN
+        # positions are compared then, and the bits of every other value
+        nan_free = not np.isnan(u).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = kernel.apply(u)
+        with np.errstate(all="ignore"):
+            want = _where_apply(sampled, case, want)
+        np.testing.assert_array_equal(np.isnan(u), np.isnan(want))
+        keep = slice(None) if nan_free else ~np.isnan(want)
+        np.testing.assert_array_equal(_bits(u[keep]), _bits(want[keep]))
+        saturated |= {kind for kind, hit in (("inf", np.isinf(u)), ("nan", np.isnan(u)))
+                      if hit.any()}
+    if name == "exp-saturates":
+        assert saturated == {"inf", "nan"}
+
+
+def test_apply_returns_a_fresh_array_it_does_not_keep(ex1_spec):
+    """`_iterate` reads its step size from the last two iterates: an iterate
+    that was a buffer of the kernel would be overwritten by the next apply,
+    and the step would read 0 after one step."""
+    sampled = SampledProblem(ex1_spec, (0.0, 5.0), 1e-2)
+    kernel = IterationKernel(sampled, "delay")
+    buffers = [a for v in vars(kernel).values()
+               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    assert len(buffers) >= 6
+    u0 = sampled.a.copy()
+    first = kernel.apply(u0)
+    kept = first.copy()
+    second = kernel.apply(first)
+    for result, given in ((first, u0), (second, first)):
+        assert result.flags.writeable and result.shape == u0.shape
+        assert not np.shares_memory(result, given)
+        assert not any(np.shares_memory(result, buf) for buf in buffers)
+    np.testing.assert_array_equal(_bits(first), _bits(kept))
+    assert not np.array_equal(first, second)
 
 
 def test_constant_construction_matches_the_smallest_positive_characteristic_root():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde.gridfn import GridFunction, GridPoints
+from mixedde.gridfn import _CAST_CHUNK, GridFunction, GridPoints, _node_sums
 
 from conftest import _bits, _where_eval, _where_nodes
 
@@ -218,9 +218,33 @@ def _grids_with_edge_values(draw):
 
 @seed(20142)
 @settings(max_examples=300, deadline=None, database=None)
-@given(_grids_with_edge_values())
-def test_node_sums_are_bit_identical_to_the_np_add_build(f):
+@given(_grids_with_edge_values(), st.data())
+def test_node_sums_are_bit_identical_to_the_np_add_build(f, data):
     with np.errstate(all="ignore"):  # inf - inf and sums past the float range
         want = _np_add_nodes(f)
         got = f.cumulative()._nodes
     np.testing.assert_array_equal(_bits(got), _bits(want))
+    # the kernel's path: _node_sums into buffers it reuses, here NaN-filled and
+    # loaded with two vectors in turn, cast whole (as the kernel does) or a few
+    # cells at a time
+    n = len(f.values)
+    other = GridFunction(f.t_start, f.step, np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False)),
+        min_size=n, max_size=n))))
+    for width in (n - 1, 1, 2, 3):
+        nodes = np.full(n, np.nan, np.longdouble)
+        cast = np.full(width + 1, np.nan, np.longdouble)
+        out = np.full(n, np.nan)
+        for g in (f, other):
+            with np.errstate(all="ignore"):
+                want = _np_add_nodes(g)
+                _node_sums(g.values, g.step, nodes, cast, out)
+            np.testing.assert_array_equal(_bits(out), _bits(want))
+
+
+@pytest.mark.parametrize("cells", [_CAST_CHUNK - 1, _CAST_CHUNK, _CAST_CHUNK + 1,
+                                   2 * _CAST_CHUNK + 3])
+def test_one_off_node_sums_cast_in_chunks_with_the_same_bits(cells):
+    values = np.random.default_rng(cells).standard_normal(cells + 1)
+    f = GridFunction(-1.0, 1e-3, values)
+    np.testing.assert_array_equal(_bits(f.cumulative()._nodes), _bits(_np_add_nodes(f)))
