@@ -142,8 +142,10 @@ class GridPoints:
     def __init__(self, t_start: float, step: float, size: int, t):
         tt = np.asarray(t, dtype=float).ravel()
         self.grid = (t_start, step, size)
-        pos = (tt - t_start) / step
-        self.idx = np.clip(np.floor(pos).astype(int), 0, size - 2)
+        with np.errstate(over="ignore"):  # a position past the float range is +/-inf
+            pos = (tt - t_start) / step
+        # clipped before the cast: positions past 2**63 do not fit an int
+        self.idx = np.floor(np.clip(pos, 0.0, size - 2.0)).astype(int)
         self.frac = pos - self.idx
         self.below, self.above = np.flatnonzero(pos < 0.0), np.flatnonzero(pos > size - 1.0)
         self.t_below, self.t_above = tt[self.below], tt[self.above]
@@ -180,7 +182,12 @@ def _placed_integral(p: GridPoints, v: np.ndarray, nodes: np.ndarray, out: np.nd
     """The running integral of the grid values v (node sums `nodes`) at the placed
     points p, computed in place in out, which enters holding v[idx], while half
     enters holding (v[idx+1] - v[idx]) * 0.5 and is left as scratch:
-    nodes[idx] + step*(v[idx]*frac + half*frac*frac), op by op."""
+    nodes[idx] + step*(v[idx]*frac + half*frac*frac), op by op.
+
+    At a point on a node (frac == 0) the added term is a signed zero, so the
+    result is nodes[idx] itself wherever v[idx] and half are finite and
+    nodes[idx] is not -0.0; `IterationKernel` reads such points directly.
+    """
     t_start, step, size = p.grid
     frac = p.frac
     half *= frac
@@ -221,7 +228,9 @@ class CumulativeIntegral:
         f, v = self.f, self.f.values
         if p.grid != (f.t_start, f.step, len(v)):
             raise ValueError("points were placed on another grid")
-        out, half = v[p.idx], v[p.idx + 1]
-        half -= out
-        half *= 0.5
-        return _placed_integral(p, v, self._nodes, out, half)
+        # overflow saturates to inf, and values holding inf give inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, half = v[p.idx], v[p.idx + 1]
+            half -= out
+            half *= 0.5
+            return _placed_integral(p, v, self._nodes, out, half)

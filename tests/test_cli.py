@@ -255,9 +255,12 @@ def test_non_finite_deviation_exits_two(tmp_path, command, capsys):
     (["construct", "{kernel_overflows}", "--T", "2"], 2,
      "error: no admissible starter candidate found: u0 is not a supersolution: "
      "inequality residual inf > 1.0e-08 at t=0.001"),
+    # u = a overflows every integral, and CumulativeIntegral.at reads inf - inf
+    (["construct", "{huge_a_and_b}", "--T", "5"], 1,
+     "caveats: extrapolation-flagged non-finite-solution"),
 ], ids=["check-huge-a", "check-long-advance", "roots-huge-a", "roots-huge-b",
         "check-thm-a-huge-b", "check-thm-b-huge-a", "construct-x-overflows",
-        "construct-kernel-overflows"])
+        "construct-kernel-overflows", "construct-huge-a-and-b"])
 def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code, line,
                                                              capsys):
     same_sign = dict(g="t-0.4", h="t+0.2")
@@ -271,11 +274,23 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
              "x_overflows": write_spec_file(tmp_path / "x.json", a="0", b="100",
                                             h="t+0.001"),
              "kernel_overflows": write_spec_file(tmp_path / "k.json", a="1e200", b="0.5",
-                                                 h="t+0.001")}
+                                                 h="t+0.001"),
+             "huge_a_and_b": write_spec_file(tmp_path / "ab.json", a="1e308", b="1e308")}
     assert main([arg.format(**files) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert line in (err if code == 2 else out).splitlines()
     assert err == (line + "\n" if code == 2 else "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h", ["t+1e300", "1e300+t", "t+1e19", "1.7e308+t"])
+def test_construct_places_far_advances_without_warnings(tmp_path, h, capsys):
+    # h(t) lies past 2**63 grid steps, and for 1.7e308 past the float range
+    path = write_spec_file(tmp_path / "far.json", h=h)
+    assert main(["construct", path, "--T", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ("error: no admissible starter candidate found: u0 is not a "
+                   "supersolution: inequality residual 5.792e-01 > 1.0e-08 at t=4.1\n")
 
 
 def test_construct_whose_solution_overflows_exits_1_with_a_caveat(tmp_path, capsys):

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from mixedde import charroots, construct
 from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
@@ -402,6 +404,74 @@ def test_kernel_iterates_are_bit_identical_to_where_apply(example, case):
     assert np.all(np.isfinite(u))
 
 
+def _shift(kind, span, frac, step):
+    """A deviation of about `span` as whole steps, as whole steps plus frac of
+    a step, or varying with t between half and one and a half times that."""
+    cells = max(1, round(span / step))
+    if kind == "whole":
+        return repr(cells * step)
+    if kind == "fraction":
+        return repr((cells + frac) * step)
+    return f"{cells * step!r}*(1+0.5*cos(t))"
+
+
+# spans up to 0.3 keep three applies of the map well inside the float range
+_SHIFTS = st.tuples(st.sampled_from(["whole", "fraction", "varying"]),
+                    st.floats(0.01, 0.3), st.floats(0.05, 0.95))
+
+
+@seed(20160)
+@settings(max_examples=60, deadline=None, database=None)
+@given(t1=st.sampled_from([0.0, 0.7, -2.9, 1000.1]),
+       step=st.sampled_from([0.01, 0.03, 2.0 ** -6, 0.1]),
+       g_shift=_SHIFTS, h_shift=_SHIFTS, case=st.sampled_from(["delay", "advance"]))
+# every point set on the all-points formula (ts placed off its nodes at 1000.1)
+@example(t1=1000.1, step=0.01, g_shift=("fraction", 0.3, 0.5),
+         h_shift=("varying", 0.3, 0.5), case="delay")
+# every point set read on its nodes (whole steps of 2**-6 are exact)
+@example(t1=0.0, step=2.0 ** -6, g_shift=("whole", 0.3, 0.5),
+         h_shift=("whole", 0.3, 0.5), case="advance")
+def test_kernel_on_and_off_node_paths_are_bit_identical_to_where_apply(t1, step, g_shift,
+                                                                      h_shift, case):
+    spec = make_spec(**EXAMPLES["ex2"], g=f"t-{_shift(*g_shift, step)}",
+                     h=f"t+{_shift(*h_shift, step)}")
+    sampled = SampledProblem(spec, (t1, t1 + 4.0), step)
+    kernel = IterationKernel(sampled, case)
+    u = want = sampled.a if case == "delay" else sampled.b
+    for _ in range(3):
+        u, want = kernel.apply(u), _where_apply(sampled, case, want)
+        np.testing.assert_array_equal(_bits(u), _bits(want))
+
+
+def test_kernel_runs_the_formula_on_the_off_node_points_only(ex1_spec, ex3_spec,
+                                                             monkeypatch):
+    """The work-count guard: `_placed_integral` sees the points of each set that
+    are off a node, all points of a set mostly off its nodes, and every point
+    of an apply whose node sums could differ from the formula."""
+    placed = []
+    formula = construct._placed_integral
+
+    def counting(p, *args):
+        placed.append(p.idx.size)
+        return formula(p, *args)
+
+    monkeypatch.setattr(construct, "_placed_integral", counting)
+    ex1 = SampledProblem(ex1_spec, (0.0, 100.0), 1e-3)
+    kernel = IterationKernel(ex1, "delay")
+    n = ex1.ts.size
+    assert [int(np.count_nonzero(p.frac)) for p in kernel._points] == [1496, 28726, 28205]
+    u = kernel.apply(ex1.a)
+    assert placed == [1496, 28726, 28205]
+    for bad, value in ((7, np.inf), (n // 2, np.nan), (0, -0.0)):
+        placed.clear()
+        kernel.apply(np.where(np.arange(n) == bad, value, u))
+        assert placed == [n, n, n]
+    placed.clear()
+    ex3 = SampledProblem(ex3_spec, (0.0, 100.0), 1e-3)
+    IterationKernel(ex3, "delay").apply(ex3.a)
+    assert placed == [1496, n, n]
+
+
 # name -> (spec fields, window, step, case, applies)
 _EDGE_KERNELS = {
     # h = t + 0.5 ends five cells past the last node: the `above` points
@@ -410,6 +480,21 @@ _EDGE_KERNELS = {
     "g-clamped-at-t1": (dict(g="t-5"), (0.0, 8.0), 1e-2, "delay", 4),
     # exp(int_g^t a) overflows to inf, and the next iterates hold inf and nan
     "exp-saturates": (dict(a="1e200"), (0.0, 2.0), 1e-2, "delay", 3),
+    # u starts with -0.0 on five nodes, so the first node sums are -0.0
+    "u-starts-with-minus-zero": (dict(), (0.0, 3.0), 1e-2, "delay", 3),
+    # u alternates +/-1.7e308: the half-differences overflow, the node sums
+    # are 0, and the formula gives nan where a node read would give 0
+    "half-differences-overflow": (dict(), (0.0, 3.0), 1e-2, "delay", 2),
+    # whole steps of 2**-4: every point set is read on its nodes, and h's
+    # points past the grid are among the few that run the formula
+    "on-node-with-above": (dict(g="t-0.25", h="t+0.5"), (0.0, 3.0), 2.0 ** -4, "advance", 4),
+}
+
+# name -> the first iterate, where it is not sampled.a
+_EDGE_STARTS = {
+    "u-starts-with-minus-zero": lambda sp: np.where(sp.ts < 0.045, -0.0, sp.a),
+    "half-differences-overflow": lambda sp: np.where(np.arange(sp.ts.size) % 2, -1.7e308,
+                                                     1.7e308),
 }
 
 
@@ -420,9 +505,11 @@ def test_kernel_is_bit_identical_to_where_apply_at_the_edges(name):
     kernel = IterationKernel(sampled, case)
     ts, at_g, at_h = kernel._points
     edge = {"h-past-the-grid": at_h.above.size > 1,
-            "g-clamped-at-t1": np.count_nonzero(sampled.g < window[0]) > ts.idx.size // 2}
+            "g-clamped-at-t1": np.count_nonzero(sampled.g < window[0]) > ts.idx.size // 2,
+            "on-node-with-above": (at_h.above.size > 1
+                                   and all(s is not None for s in kernel._off_node))}
     assert edge.get(name, True)
-    u = want = sampled.a
+    u = want = _EDGE_STARTS.get(name, lambda sp: sp.a)(sampled)
     saturated = set()
     for _ in range(applies):
         # once u holds NaN, a NaN result takes its sign from the first of two

@@ -186,6 +186,33 @@ def test_points_placed_on_another_grid_are_rejected():
         cum.at(GridPoints(0.0, 0.1, 6, [0.2]))
 
 
+# positions past 2**63, and past the float range at small steps
+_FAR_POINTS = [1e19, -1e19, 2.0 ** 63, 1e300, -1e300, 1.7e308, -1.7e308]
+
+
+@seed(20161)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_grids_and_points(), st.lists(st.sampled_from(_FAR_POINTS), min_size=1, max_size=4))
+def test_far_points_are_placed_without_a_warning(case, far):
+    """Positions are clipped to the grid's cells before the int cast, which
+    warned "invalid value encountered in cast" past 2**63 (an error in
+    tier-1); points in int range keep the placement of the unclipped cast."""
+    f, pts = case
+    size = len(f.values)
+    p = GridPoints(f.t_start, f.step, size, np.concatenate([pts, far]))
+    near = slice(0, pts.size)
+    pos = (pts - f.t_start) / f.step
+    idx = np.clip(np.floor(pos).astype(int), 0, size - 2)
+    np.testing.assert_array_equal(p.idx[near], idx)
+    np.testing.assert_array_equal(_bits(p.frac[near]), _bits(pos - idx))
+    far_below = [t < f.t_start for t in far]
+    assert p.below.tolist() == (np.flatnonzero(pos < 0.0).tolist()
+                                + [pts.size + i for i, b in enumerate(far_below) if b])
+    assert p.above.tolist() == (np.flatnonzero(pos > size - 1.0).tolist()
+                                + [pts.size + i for i, b in enumerate(far_below) if not b])
+    assert np.all(p.idx[pts.size:] == np.where(far_below, 0, size - 2))
+
+
 # -- node sums cast in place against the np.add build they replaced -------------
 
 def _np_add_nodes(f):
