@@ -124,8 +124,7 @@ class IterationKernel:
         self._points = tuple(GridPoints(t1, step, n, t) for t in point_sets)
         self._off_node = tuple(_off_node(p, t) for p, t in zip(self._points, point_sets))
         self.extrapolates = bool(np.any(sampled.h > ts[-1] + 1e-12 * step))
-        self._nodes_ld = np.empty(n, dtype=np.longdouble)
-        self._cast = np.empty(n, dtype=np.longdouble)
+        self._nodes_ld = np.empty(n, dtype=np.longdouble)  # one chunk of n - 1 cells
         self._nodes = np.empty(n)
         self._half = np.empty(n - 1)  # (u[k+1] - u[k]) * 0.5
         self._at = tuple(np.empty(n) for _ in self._points)
@@ -140,7 +139,7 @@ class IterationKernel:
         nodes, half = self._nodes, self._half
         # overflow saturates to inf, and an iterate holding inf maps to inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            _node_sums(u, sp.step, self._nodes_ld, self._cast, nodes)
+            _node_sums(u, sp.step, self._nodes_ld, nodes)
             np.subtract(u[1:], u[:-1], out=half)
             half *= 0.5
             read_nodes = (math.isfinite(np.sum(half))

@@ -149,7 +149,11 @@ def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
     back, ahead = ((sp.int_a_over_delay, sp.int_a_over_advance) if delay
                    else (sp.int_b_over_advance, sp.int_b_over_delay))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow saturates to inf
-        margin, t_at = _sup_witness(sp.ts, main * np.expm1(back) * np.exp(ahead) - other)
+        rhs = np.expm1(back)  # main * (e^back - 1) * e^ahead - other, in place
+        np.multiply(main, rhs, out=rhs)
+        rhs *= np.exp(ahead)
+        rhs -= other
+        margin, t_at = _sup_witness(sp.ts, rhs)
     gap = float(np.min(main - other))
     ok = gap >= -_SLACK and margin <= _SLACK
     witness = {f"sup_rhs_minus_{o}": margin, "t_at_sup": t_at, f"min_{m}_minus_{o}": gap}

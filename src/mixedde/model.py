@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gridfn import (CumulativeIntegral, GridFunction, GridPoints, check_grid_size,
-                     grid_cells)
+                     grid_cells, integral_at)
 
 __all__ = [
     "CoefficientExpr",
@@ -78,6 +78,7 @@ _FUNCTIONS = frozenset(k for k, op in _OPERATORS.items() if op.form == k + "({})
 _MAX_DEPTH = 150  # parsed trees and brackets nest at most this deep
 _INFLATION = 1e-6  # relative outward margin of sampled envelope bounds
 _ENVELOPE_SAMPLES = 10001  # points per window where no closed form exists
+_BLOCK = 1 << 15  # window nodes per block of the deviated integrals
 
 
 class ExprSyntaxError(ValueError):
@@ -381,12 +382,11 @@ class SampledProblem:
     Certificate checks, the iteration kernel, relax and equation_residual take
     their samples from it. The cumulative integrals of a and b on the grid
     widened by 2*tau + step and 2*sigma + step (enough for every deviated
-    integral) are built once, on first use. The four deviated integrals per
-    window node are built together on first use of any of them: ts, g and h
-    are placed once each on the widened grid, which a and b share, and each
-    cumulative integral is evaluated at ts once. A step that is not positive
-    and finite, a grid of more than MAX_GRID_POINTS nodes, and any non-finite
-    sample raise ValueError.
+    integral) are built once, on first use, for THM_A and THM_B. The four
+    deviated integrals per window node are built together on first use of any
+    of them, on cumulative integrals of their own on the same grid, which do
+    not outlive the build. A step that is not positive and finite, a grid of
+    more than MAX_GRID_POINTS nodes, and any non-finite sample raise ValueError.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
@@ -421,7 +421,8 @@ class SampledProblem:
         t1, T = self.window
         lo, hi = t1 - 2.0 * self.tau - self.step, T + 2.0 * self.sigma + self.step
         grid = GridFunction.from_callable(getattr(self.spec, name), lo, hi, self.step)
-        _require_finite(name, grid.values, grid.times())
+        if not np.all(np.isfinite(grid.values)):  # the grid's times name the culprit
+            _require_finite(name, grid.values, grid.times())
         return grid.cumulative()
 
     @cached_property
@@ -436,39 +437,53 @@ class SampledProblem:
     def _deviated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """int_g^t a, int_t^h a, int_g^t b and int_t^h b per window node.
 
-        cum_a and cum_b share their grid, so ts, g and h are placed on it once
-        each, and each integral is evaluated at ts once. Differences are taken
-        into the buffers already held, so no more than four window-sized
-        results are alive besides one placement.
+        Built block by block of _BLOCK window nodes on cumulative integrals of
+        a and b over the widened grid, which they share and which are freed on
+        return. ts, g and h of a block are placed on that grid once each, each
+        integral is evaluated at ts once, and every evaluation and difference
+        is written into the four outputs, so besides them and the two
+        cumulative integrals only block-sized arrays are alive. Where node sums
+        pass the float range, inf - inf saturates to +inf without a warning.
         """
-        cum_a, cum_b = self.cum_a, self.cum_b
+        cum_a, cum_b = self._extended_cumulative("a"), self._extended_cumulative("b")
         f = cum_a.f
+        n = self.ts.size
+        a_g, a_h, b_g, b_h = out = tuple(np.empty(n) for _ in range(4))
+        scratch = np.empty(min(n, _BLOCK))
 
-        def place(t) -> GridPoints:
+        def place(t: np.ndarray) -> GridPoints:
             return GridPoints(f.t_start, f.step, len(f.values), t)
 
-        def both(p: GridPoints) -> tuple[np.ndarray, np.ndarray]:
-            return cum_a.at(p), cum_b.at(p)
-
-        a_t, b_t = both(place(self.ts))
-        a_g, b_g = both(place(self.g))
-        np.subtract(a_t, a_g, out=a_g)
-        np.subtract(b_t, b_g, out=b_g)
-        p_h = place(self.h)
-        np.subtract(cum_a.at(p_h), a_t, out=a_t)
-        np.subtract(cum_b.at(p_h), b_t, out=b_t)
-        return a_g, a_t, b_g, b_t
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is fixed below
+            for lo in range(0, n, _BLOCK):
+                block = slice(lo, lo + _BLOCK)
+                p = place(self.ts[block])
+                a_t, b_t = cum_a.at(p, a_h[block]), cum_b.at(p, b_h[block])
+                del p  # one placement is alive at a time
+                p = place(self.g[block])
+                np.subtract(a_t, cum_a.at(p, a_g[block]), out=a_g[block])
+                np.subtract(b_t, cum_b.at(p, b_g[block]), out=b_g[block])
+                del p
+                p = place(self.h[block])
+                h = scratch[:a_t.size]
+                np.subtract(cum_a.at(p, h), a_t, out=a_t)
+                np.subtract(cum_b.at(p, h), b_t, out=b_t)
+                del p
+                for x in (a_g[block], a_t, b_g[block], b_t):
+                    x[np.isnan(x)] = np.inf
+        return out
 
     def gap_integrals(self, case: str) -> tuple[tuple[float, float], ...]:
         """(c, int_{t1}^{c} gap) at the window's quarter points c = t1 + k*(T - t1)/4,
         k = 1..4, where the gap is a - b for case "delay" and b - a for "advance",
         by the trapezoid rule on the window grid. Computed once per case, with
-        t1 and the four points placed on the grid in one call."""
+        t1 and the four points placed on the grid in one call and only the node
+        sums they read kept."""
         if case not in self._gap_integrals:
             gap = self.a - self.b if case == "delay" else self.b - self.a
             t1, T = self.window
             points = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
-            at = GridFunction(t1, self.step, gap).cumulative()(np.array((t1, *points)))
+            at = integral_at(GridFunction(t1, self.step, gap), np.array((t1, *points)))
             self._gap_integrals[case] = tuple(zip(points, (at[1:] - at[0]).tolist()))
         return self._gap_integrals[case]
 

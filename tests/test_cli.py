@@ -293,6 +293,33 @@ def test_construct_places_far_advances_without_warnings(tmp_path, h, capsys):
                    "supersolution: inequality residual 5.792e-01 > 1.0e-08 at t=4.1\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("window", [["--T", "5"], []], ids=["T5", "default-T"])
+def test_check_saturates_overflowing_deviated_integrals(tmp_path, window, capsys):
+    # the node sums of a = b = 1e308 leave the float range, so the deviated
+    # integrals read inf - inf; they saturate to inf, as the sups they feed do
+    path = write_spec_file(tmp_path / "ab.json", a="1e308", b="1e308")
+    assert main(["check", path, *window]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "nan" not in out and "holds_on_window" not in out
+    sups = [field for line in out.splitlines() if line.startswith("witness: sup_")
+            for field in line.split()[1:2]]
+    assert sups == ["sup_rhs_minus_b=inf", "sup_delay_integral=inf", "sup_rhs_minus_a=inf",
+                    "sup_advance_integral=inf"]
+    for case in ("delay", "advance"):
+        assert (f"  {case}: sup integral inf vs 1/e 0.367879441171 certified=no"
+                in out.splitlines())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_places_a_far_delay_without_warnings(tmp_path, capsys):
+    # (g - t0) / step passes the float range
+    path = write_spec_file(tmp_path / "far.json", g="t-1.7e308")
+    assert main(["simulate", path, "--T", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: window too short: no interior nodes outside the margins\n"
+
+
 def test_construct_whose_solution_overflows_exits_1_with_a_caveat(tmp_path, capsys):
     # the iteration converges, but x = exp(-int u) leaves the float range
     path = write_spec_file(tmp_path / "x.json", a="0", b="100", h="t+0.001")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde.gridfn import _CAST_CHUNK, GridFunction, GridPoints, _node_sums
+from mixedde import gridfn
+from mixedde.gridfn import (_CAST_CHUNK, GridFunction, GridPoints, _node_sums,
+                            integral_at)
 
 from conftest import _bits, _where_eval, _where_nodes
 
@@ -252,21 +254,43 @@ def test_node_sums_are_bit_identical_to_the_np_add_build(f, data):
         got = f.cumulative()._nodes
     np.testing.assert_array_equal(_bits(got), _bits(want))
     # the kernel's path: _node_sums into buffers it reuses, here NaN-filled and
-    # loaded with two vectors in turn, cast whole (as the kernel does) or a few
-    # cells at a time
+    # loaded with two vectors in turn, in one chunk (as the kernel does) or a
+    # few cells at a time
     n = len(f.values)
     other = GridFunction(f.t_start, f.step, np.array(data.draw(st.lists(
         st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False)),
         min_size=n, max_size=n))))
     for width in (n - 1, 1, 2, 3):
-        nodes = np.full(n, np.nan, np.longdouble)
-        cast = np.full(width + 1, np.nan, np.longdouble)
+        buf = np.full(width + 1, np.nan, np.longdouble)
         out = np.full(n, np.nan)
         for g in (f, other):
             with np.errstate(all="ignore"):
                 want = _np_add_nodes(g)
-                _node_sums(g.values, g.step, nodes, cast, out)
+                _node_sums(g.values, g.step, buf, out)
             np.testing.assert_array_equal(_bits(out), _bits(want))
+
+
+def _chunk_edge_values(cells, boundary):
+    """cells + 1 values: the first cell is -0.0, and the running sum turns inf at
+    node `boundary` and NaN two nodes later."""
+    values = np.random.default_rng(cells).standard_normal(cells + 1)
+    values[:2] = -0.0
+    values[boundary] = math.inf
+    values[boundary + 2] = -math.inf
+    return values
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_chunked_node_sums_keep_a_negative_zero_and_carry_inf_and_nan(width):
+    # inf at the last node of chunk 2, carried into chunk 3, NaN from there on
+    f = GridFunction(0.5, 0.25, _chunk_edge_values(4 * width + 3, 2 * width))
+    with np.errstate(all="ignore"):
+        want = _np_add_nodes(f)
+        out = np.full(f.values.size, np.nan)
+        _node_sums(f.values, f.step, np.full(width + 1, np.nan, np.longdouble), out)
+    assert _bits(want[1]) == _bits(-0.0)
+    assert want[2 * width] == math.inf and np.isnan(want[2 * width + 2])
+    np.testing.assert_array_equal(_bits(out), _bits(want))
 
 
 @pytest.mark.parametrize("cells", [_CAST_CHUNK - 1, _CAST_CHUNK, _CAST_CHUNK + 1,
@@ -275,3 +299,20 @@ def test_one_off_node_sums_cast_in_chunks_with_the_same_bits(cells):
     values = np.random.default_rng(cells).standard_normal(cells + 1)
     f = GridFunction(-1.0, 1e-3, values)
     np.testing.assert_array_equal(_bits(f.cumulative()._nodes), _bits(_np_add_nodes(f)))
+    # a -0.0 first cell, and inf and NaN carried across the first chunk
+    # boundary, where there is one
+    edge = GridFunction(-1.0, 1e-3, _chunk_edge_values(cells, min(_CAST_CHUNK, cells - 2)))
+    with np.errstate(all="ignore"):
+        want, got = _np_add_nodes(edge), edge.cumulative()._nodes
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@seed(20171)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_grids_and_points(), st.sampled_from([1, 2, 3, 5, _CAST_CHUNK]))
+def test_integral_at_few_points_is_bit_identical_to_the_cumulative_integral(case, chunk):
+    f, pts = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gridfn, "_CAST_CHUNK", chunk)  # cells per chunk of node sums
+        got = integral_at(f, pts)
+    np.testing.assert_array_equal(_bits(got), _bits(f.cumulative()(pts)))

@@ -392,28 +392,37 @@ def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):
 
 
 def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
+    """Block by block, every window node of ts, g and h is placed once, in order,
+    on the one widened grid; the cumulative integrals built for it are not kept."""
     spec = make_spec(a="1.4+0.2*sin(t)", b="1.3+0.1*cos(t)", g="t-0.3-0.1*cos(t)",
                      h="t+0.2+0.1*sin(t)")
-    sp = SampledProblem(spec, (0.0, 5.0), 1e-3)
-    cum_a, cum_b = sp.cum_a, sp.cum_b
-    placed = []
+    step = 2.0 ** -10
     place = GridPoints.__init__
-    monkeypatch.setattr(GridPoints, "__init__",
-                        lambda self, *args: placed.append(args) or place(self, *args))
     names = ("int_a_over_delay", "int_a_over_advance", "int_b_over_delay",
              "int_b_over_advance")
-    first = [getattr(sp, name) for name in names]
-    # ts, g and h, once each, on the widened grid that a and b share
-    grid = (cum_a.f.t_start, cum_a.f.step, len(cum_a.f.values))
-    assert grid == (cum_b.f.t_start, cum_b.f.step, len(cum_b.f.values))
-    assert [args[:3] for args in placed] == [grid] * 3
-    for args, t in zip(placed, (sp.ts, sp.g, sp.h)):
-        assert args[3] is t
-    assert all(getattr(sp, name) is arr for name, arr in zip(names, first))  # cached
-    assert len(placed) == 3
-    monkeypatch.undo()
-    want = [cum_a(sp.ts) - cum_a(sp.g), cum_a(sp.h) - cum_a(sp.ts),
-            cum_b(sp.ts) - cum_b(sp.g), cum_b(sp.h) - cum_b(sp.ts)]
-    for got, exact in zip(first, want):
-        np.testing.assert_array_equal(_bits(got), _bits(exact))
+    # one block, and two full blocks and 3 nodes
+    for cells in (5000, 2 * model._BLOCK + 2):
+        sp = SampledProblem(spec, (0.0, cells * step), step)
+        assert sp.ts.size == cells + 1
+        placed = []
+        monkeypatch.setattr(GridPoints, "__init__",
+                            lambda self, *args: placed.append(args) or place(self, *args))
+        first = [getattr(sp, name) for name in names]
+        assert all(getattr(sp, name) is arr for name, arr in zip(names, first))  # cached
+        monkeypatch.undo()
+        assert "cum_a" not in vars(sp) and "cum_b" not in vars(sp)
+        cum_a, cum_b = sp.cum_a, sp.cum_b
+        grid = (cum_a.f.t_start, cum_a.f.step, len(cum_a.f.values))
+        assert grid == (cum_b.f.t_start, cum_b.f.step, len(cum_b.f.values))
+        assert [args[:3] for args in placed] == [grid] * len(placed)
+        blocks = -(-sp.ts.size // model._BLOCK)
+        assert len(placed) == 3 * blocks
+        for k, t in enumerate((sp.ts, sp.g, sp.h)):
+            parts = [args[3] for args in placed[k::3]]
+            assert all(np.shares_memory(part, t) for part in parts)  # views, not copies
+            np.testing.assert_array_equal(_bits(np.concatenate(parts)), _bits(t))
+        want = [cum_a(sp.ts) - cum_a(sp.g), cum_a(sp.h) - cum_a(sp.ts),
+                cum_b(sp.ts) - cum_b(sp.g), cum_b(sp.h) - cum_b(sp.ts)]
+        for got, exact in zip(first, want):
+            np.testing.assert_array_equal(_bits(got), _bits(exact))
     assert SampledProblem(spec, (0.0, 5.0), 1e-3).int_a_over_delay is not first[0]
