@@ -151,60 +151,47 @@ class GridPoints:
         self.t_below, self.t_above = tt[self.below], tt[self.above]
 
 
-_CAST_CHUNK = 1 << 15  # cells per chunk of a one-off node-sum build
-
-
-def _node_sum_chunks(v: np.ndarray, step: float, buf: np.ndarray):
-    """The trapezoid running integral of the grid values v from the first node,
-    as chunks (lo, sums): sums[j] is the integral up to node lo + 1 + j.
-
-    The sums are longdouble, because differences of far-apart node sums (the
-    short deviated integrals) must stay accurate to ~1e-13. They are computed
-    in the longdouble array buf, len(buf) - 1 cells at a time, and a chunk is
-    overwritten by the next. 0.5 * step is exact, so one scaling rounds as the
-    two it stands for. Each chunk's first cell adds the running sum the last
-    chunk ended with, so every sum is rounded as one cumsum over all cells
-    rounds it; the first chunk adds nothing, so a -0.0 first cell keeps its sign.
-    """
-    width = buf.size - 1
-    half_step = np.longdouble(0.5) * np.longdouble(step)
-    for lo in range(0, v.size - 1, width):
-        hi = min(lo + width, v.size - 1)
-        chunk = buf[:hi - lo + 1]
-        chunk[...] = v[lo:hi + 1]
-        sums = chunk[:-1]
-        np.add(sums, chunk[1:], out=sums)  # forward in place, with no copy
-        sums *= half_step
-        if lo:
-            sums[0] = carry + sums[0]
-        np.cumsum(sums, out=sums)
-        carry = sums[-1]
-        yield lo, sums
+# elements per chunk of a long sweep: cells of a one-off node-sum build here,
+# window nodes of a block of deviated integrals in model (4096 page-faulted more)
+CHUNK = 1 << 15
 
 
 def _node_sums(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray) -> None:
-    """The node sums of `_node_sum_chunks` (chunks of len(buf) - 1 cells) as
-    floats, into out (len(v)); sums past the float range saturate to +/-inf."""
+    """The trapezoid running integral of the grid values v at every node, into out;
+    sums past the float range saturate to +/-inf.
+
+    It is accumulated in longdouble, because differences of far-apart node sums
+    (the short deviated integrals) must stay accurate to ~1e-13: in the
+    longdouble array buf, len(buf) - 1 cells at a time, a chunk overwriting the
+    last. 0.5 * step is exact, so one scaling rounds as the two it stands for.
+    Each chunk's first cell adds the running sum the last chunk ended with, so
+    every sum is rounded as one cumsum over all cells rounds it; the first chunk
+    adds nothing, so a -0.0 first cell keeps its sign.
+    """
+    width = buf.size - 1
+    half_step = np.longdouble(0.5) * np.longdouble(step)
     out[0] = 0.0
     with np.errstate(over="ignore"):
-        for lo, sums in _node_sum_chunks(v, step, buf):
-            out[lo + 1:lo + 1 + sums.size] = sums
-
-
-def _one_off_buffer(n: int) -> np.ndarray:
-    """The chunk buffer of a one-off node-sum build over n nodes."""
-    return np.empty(min(n, _CAST_CHUNK + 1), dtype=np.longdouble)
+        for lo in range(0, v.size - 1, width):
+            hi = min(lo + width, v.size - 1)
+            chunk = buf[:hi - lo + 1]
+            chunk[...] = v[lo:hi + 1]
+            sums = chunk[:-1]
+            np.add(sums, chunk[1:], out=sums)  # forward in place, with no copy
+            sums *= half_step
+            if lo:
+                sums[0] = carry + sums[0]
+            np.cumsum(sums, out=sums)
+            carry = sums[-1]
+            out[lo + 1:hi + 1] = sums
 
 
 def _placed_integral(p: GridPoints, v: np.ndarray, nodes: np.ndarray, out: np.ndarray,
-                     half: np.ndarray, node_at: np.ndarray | None = None) -> np.ndarray:
+                     half: np.ndarray) -> np.ndarray:
     """The running integral of the grid values v (node sums `nodes`) at the placed
     points p, computed in place in out, which enters holding v[idx], while half
     enters holding (v[idx+1] - v[idx]) * 0.5 and is left as scratch:
     nodes[idx] + step*(v[idx]*frac + half*frac*frac), op by op.
-
-    nodes may instead hold only the node sums read: at p.idx in nodes[node_at],
-    and at the last node in nodes[-1].
 
     At a point on a node (frac == 0) the added term is a signed zero, so the
     result is nodes[idx] itself wherever v[idx] and half are finite and
@@ -217,39 +204,11 @@ def _placed_integral(p: GridPoints, v: np.ndarray, nodes: np.ndarray, out: np.nd
     out *= frac
     out += half
     out *= step
-    np.take(nodes, p.idx if node_at is None else node_at, out=half, mode="clip")
+    np.take(nodes, p.idx, out=half, mode="clip")
     out += half
     out[p.below] = v[0] * (p.t_below - t_start)
     out[p.above] = nodes[-1] + v[-1] * (p.t_above - (t_start + step * (size - 1)))
     return out
-
-
-def _integral_at_points(p: GridPoints, v: np.ndarray, nodes: np.ndarray,
-                        node_at: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """`_placed_integral` at p, with v[idx] and the half-differences gathered
-    here, into out if given. Overflow saturates to inf, and values holding inf
-    give inf or nan, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.take(v, p.idx, out=out, mode="clip")  # idx is already clipped
-        half = np.take(v[1:], p.idx, mode="clip")
-        half -= out
-        half *= 0.5
-        return _placed_integral(p, v, nodes, out, half, node_at)
-
-
-def integral_at(f: GridFunction, t) -> np.ndarray:
-    """f.cumulative()(t) at the points t, flattened, bit for bit, holding the
-    node sums only a chunk at a time: for a few points on a long grid."""
-    v = f.values
-    p = GridPoints(f.t_start, f.step, v.size, t)
-    read = np.append(p.idx, v.size - 1)  # the node sums read, the last one last
-    nodes = np.zeros(read.size)
-    with np.errstate(over="ignore"):
-        for lo, sums in _node_sum_chunks(v, f.step, _one_off_buffer(v.size)):
-            hit = (read > lo) & (read <= lo + sums.size)
-            nodes[hit] = sums[read[hit] - (lo + 1)]
-    return _integral_at_points(p, v, nodes, np.arange(p.idx.size))
 
 
 class CumulativeIntegral:
@@ -263,17 +222,30 @@ class CumulativeIntegral:
 
     def __init__(self, f: GridFunction):
         self.f = f
-        self._nodes = np.empty(len(f.values))
-        _node_sums(f.values, f.step, _one_off_buffer(len(f.values)), self._nodes)
+        n = len(f.values)
+        self._nodes = np.empty(n)
+        _node_sums(f.values, f.step, np.empty(min(n, CHUNK + 1), dtype=np.longdouble),
+                   self._nodes)
 
     def __call__(self, t):
         f = self.f
         out = self.at(GridPoints(f.t_start, f.step, len(f.values), t)).reshape(np.shape(t))
         return float(out) if out.ndim == 0 else out
 
+    @property
+    def total(self) -> float:
+        """The integral over the whole grid: the last node sum."""
+        return float(self._nodes[-1])
+
     def at(self, p: GridPoints, out: np.ndarray | None = None) -> np.ndarray:
         """The integral at the placed points p, into out if given."""
-        f = self.f
-        if p.grid != (f.t_start, f.step, len(f.values)):
+        f, v = self.f, self.f.values
+        if p.grid != (f.t_start, f.step, len(v)):
             raise ValueError("points were placed on another grid")
-        return _integral_at_points(p, f.values, self._nodes, out=out)
+        # overflow saturates to inf, and values holding inf give inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.take(v, p.idx, out=out, mode="clip")  # idx is already clipped
+            half = np.take(v[1:], p.idx, mode="clip")
+            half -= out
+            half *= 0.5
+            return _placed_integral(p, v, self._nodes, out, half)

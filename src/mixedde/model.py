@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gridfn import (CumulativeIntegral, GridFunction, GridPoints, check_grid_size,
-                     grid_cells, integral_at)
+from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints,
+                     check_grid_size, grid_cells)
 
 __all__ = [
     "CoefficientExpr",
@@ -78,7 +78,6 @@ _FUNCTIONS = frozenset(k for k, op in _OPERATORS.items() if op.form == k + "({})
 _MAX_DEPTH = 150  # parsed trees and brackets nest at most this deep
 _INFLATION = 1e-6  # relative outward margin of sampled envelope bounds
 _ENVELOPE_SAMPLES = 10001  # points per window where no closed form exists
-_BLOCK = 1 << 15  # window nodes per block of the deviated integrals
 
 
 class ExprSyntaxError(ValueError):
@@ -437,53 +436,60 @@ class SampledProblem:
     def _deviated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """int_g^t a, int_t^h a, int_g^t b and int_t^h b per window node.
 
-        Built block by block of _BLOCK window nodes on cumulative integrals of
-        a and b over the widened grid, which they share and which are freed on
-        return. ts, g and h of a block are placed on that grid once each, each
-        integral is evaluated at ts once, and every evaluation and difference
-        is written into the four outputs, so besides them and the two
-        cumulative integrals only block-sized arrays are alive. Where node sums
-        pass the float range, inf - inf saturates to +inf without a warning.
+        Built block by block of gridfn.CHUNK window nodes on cumulative
+        integrals of a and b over the widened grid, which they share and which
+        are freed on return. ts, g and h of a block are placed on that grid once
+        each, each integral is evaluated at ts once, and every evaluation and
+        difference is written into the four outputs, so besides them and the two
+        cumulative integrals only block-sized arrays are alive.
+
+        Where the last node sum of a or b is +inf (past the float range; for a
+        nonnegative coefficient it is wherever any is), a difference of two
+        +inf integrals saturates to +inf without a warning. Any other nan stays.
         """
         cum_a, cum_b = self._extended_cumulative("a"), self._extended_cumulative("b")
         f = cum_a.f
         n = self.ts.size
         a_g, a_h, b_g, b_h = out = tuple(np.empty(n) for _ in range(4))
-        scratch = np.empty(min(n, _BLOCK))
+        scratch = np.empty(min(n, CHUNK))
 
         def place(t: np.ndarray) -> GridPoints:
             return GridPoints(f.t_start, f.step, len(f.values), t)
 
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is fixed below
-            for lo in range(0, n, _BLOCK):
-                block = slice(lo, lo + _BLOCK)
+        def subtract(x: np.ndarray, y: np.ndarray, out: np.ndarray, saturate: bool) -> None:
+            both = (x == math.inf) & (y == math.inf) if saturate else None
+            np.subtract(x, y, out=out)
+            if both is not None:
+                out[both] = math.inf
+
+        sat_a, sat_b = cum_a.total == math.inf, cum_b.total == math.inf
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: see subtract
+            for lo in range(0, n, CHUNK):
+                block = slice(lo, lo + CHUNK)
                 p = place(self.ts[block])
                 a_t, b_t = cum_a.at(p, a_h[block]), cum_b.at(p, b_h[block])
                 del p  # one placement is alive at a time
                 p = place(self.g[block])
-                np.subtract(a_t, cum_a.at(p, a_g[block]), out=a_g[block])
-                np.subtract(b_t, cum_b.at(p, b_g[block]), out=b_g[block])
+                subtract(a_t, cum_a.at(p, a_g[block]), a_g[block], sat_a)
+                subtract(b_t, cum_b.at(p, b_g[block]), b_g[block], sat_b)
                 del p
                 p = place(self.h[block])
                 h = scratch[:a_t.size]
-                np.subtract(cum_a.at(p, h), a_t, out=a_t)
-                np.subtract(cum_b.at(p, h), b_t, out=b_t)
+                subtract(cum_a.at(p, h), a_t, a_t, sat_a)
+                subtract(cum_b.at(p, h), b_t, b_t, sat_b)
                 del p
-                for x in (a_g[block], a_t, b_g[block], b_t):
-                    x[np.isnan(x)] = np.inf
         return out
 
     def gap_integrals(self, case: str) -> tuple[tuple[float, float], ...]:
         """(c, int_{t1}^{c} gap) at the window's quarter points c = t1 + k*(T - t1)/4,
         k = 1..4, where the gap is a - b for case "delay" and b - a for "advance",
         by the trapezoid rule on the window grid. Computed once per case, with
-        t1 and the four points placed on the grid in one call and only the node
-        sums they read kept."""
+        t1 and the four points placed on the grid in one call."""
         if case not in self._gap_integrals:
             gap = self.a - self.b if case == "delay" else self.b - self.a
             t1, T = self.window
             points = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
-            at = integral_at(GridFunction(t1, self.step, gap), np.array((t1, *points)))
+            at = GridFunction(t1, self.step, gap).cumulative()(np.array((t1, *points)))
             self._gap_integrals[case] = tuple(zip(points, (at[1:] - at[0]).tolist()))
         return self._gap_integrals[case]
 

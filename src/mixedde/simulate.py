@@ -69,9 +69,9 @@ class _HeunSweep:
         # grid positions of the deviated arguments, in units of step
         idx = np.arange(n, dtype=float)
         with np.errstate(over="ignore"):  # a position past the float range is +/-inf
-            dpos, apos = (sampled.g - t0) / step, (sampled.h - t0) / step
-        dpos = np.minimum(dpos, idx)   # delayed, never ahead of its node
-        apos = np.clip(apos, idx, float(n - 1))  # advanced, clamped at horizon
+            # delayed, never ahead of its node; advanced, clamped at the horizon
+            dpos = np.minimum((sampled.g - t0) / step, idx)
+            apos = np.clip((sampled.h - t0) / step, idx, float(n - 1))
         self.n, self.step, self.half = n, step, 0.5 * step
         ca = -float(spec.delta1) * sampled.a
         self._cb = -float(spec.delta2) * sampled.b

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde import criteria, model
+from mixedde import criteria
 from mixedde.construct import iterate, witness_candidate
 from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
                               CAVEAT_WINDOW_LIMITED, check, check_all, check_cor_3_1,
                               check_sys30, subequation_one_over_e_note, sweep_region,
                               sys30_values)
-from mixedde.gridfn import CumulativeIntegral, GridFunction, GridPoints, grid_cells
+from mixedde.gridfn import CHUNK, CumulativeIntegral, GridFunction, GridPoints, grid_cells
 from mixedde.model import Bounds, SampledProblem
 
 from conftest import EX2_I100, EX3_PROBE, EXAMPLES, make_spec
@@ -777,11 +777,11 @@ def test_check_all_samples_the_window_once(ex2_spec, monkeypatch):
 
 # -- work counts: what one check_all builds and places -------------------------
 
-@pytest.mark.parametrize("overrides, gap_reads", [
+@pytest.mark.parametrize("overrides, gap_builds", [
     (dict(a="1", b="3"), 0),  # no base holds: COR_2_5 is gated, COR_1_x fail dominance
-    (EXAMPLES["ex1"], 1),     # COR_1_2 holds: COR_1_5 and COR_1_6 share one gap read
+    (EXAMPLES["ex1"], 1),     # COR_1_2 holds: COR_1_5 and COR_1_6 share one gap build
 ], ids=["no-base-holds", "cor-1-2-holds"])
-def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_reads,
+def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_builds,
                                                          monkeypatch):
     builds, placements = [], []
     build, place = CumulativeIntegral.__init__, GridPoints.__init__
@@ -791,30 +791,30 @@ def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_reads,
                         lambda self, *args: placements.append(args) or place(self, *args))
     certs = check_all(make_spec(**overrides), WINDOW)
     sp = SampledProblem(make_spec(**overrides), WINDOW, 1e-3)
+    window_grid = [f for f in builds if f.t_start == WINDOW[0]]
     # a and b on one widened grid, where every window node of ts, g and h is
     # placed once, block by block (the window is two blocks)
-    assert len(builds) == 2
-    widened = {(f.t_start, f.step, len(f.values)) for f in builds}
+    assert len(builds) == 2 + gap_builds and len(window_grid) == gap_builds
+    widened = {(f.t_start, f.step, len(f.values)) for f in builds[:2]}
     assert len(widened) == 1
-    blocks = -(-sp.ts.size // model._BLOCK)
+    blocks = -(-sp.ts.size // CHUNK)
     assert blocks == 2
     assert [args[:3] for args in placements[:3 * blocks]] == list(widened) * (3 * blocks)
     for k, t in enumerate((sp.ts, sp.g, sp.h)):
         placed = np.concatenate([args[3] for args in placements[k:3 * blocks:3]])
         np.testing.assert_array_equal(placed, t)
-    # the gap integral at t1 and the four checkpoints, in one placement on the
-    # window grid, and no cumulative integral of the gap
-    assert len(placements) == 3 * blocks + gap_reads
+    # the gap integral at t1 and the four checkpoints, in one placement
+    assert len(placements) == 3 * blocks + gap_builds
     assert all(args[:3] == (WINDOW[0], 1e-3, sp.ts.size) and np.size(args[3]) == 5
                for args in placements[3 * blocks:])
-    assert any(c.holds for c in certs) == bool(gap_reads)
+    assert any(c.holds for c in certs) == bool(gap_builds)
 
 
 def test_check_all_holds_a_bounded_working_set(ex2_spec):
     """The traced peak of check_all on ex2 over (0, 100), in window-sized float
     arrays: at the peak, the five samples, the four deviated integrals and the
     two cumulative integrals they are built from, and block-sized temporaries
-    (14.45; 18.06 when node sums and placements were full-length)."""
+    (14.46; 18.06 when node sums and placements were full-length)."""
     check_all(ex2_spec, (0.0, 10.0))  # anything built once per process
     n = grid_cells(0.0, 100.0, 1e-3) + 1
     tracemalloc.start()

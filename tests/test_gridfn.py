@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde import gridfn
-from mixedde.gridfn import (_CAST_CHUNK, GridFunction, GridPoints, _node_sums,
-                            integral_at)
+from mixedde.gridfn import CHUNK, GridFunction, GridPoints, _node_sums
 
 from conftest import _bits, _where_eval, _where_nodes
 
@@ -293,26 +291,15 @@ def test_chunked_node_sums_keep_a_negative_zero_and_carry_inf_and_nan(width):
     np.testing.assert_array_equal(_bits(out), _bits(want))
 
 
-@pytest.mark.parametrize("cells", [_CAST_CHUNK - 1, _CAST_CHUNK, _CAST_CHUNK + 1,
-                                   2 * _CAST_CHUNK + 3])
+@pytest.mark.parametrize("cells", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 def test_one_off_node_sums_cast_in_chunks_with_the_same_bits(cells):
     values = np.random.default_rng(cells).standard_normal(cells + 1)
     f = GridFunction(-1.0, 1e-3, values)
     np.testing.assert_array_equal(_bits(f.cumulative()._nodes), _bits(_np_add_nodes(f)))
     # a -0.0 first cell, and inf and NaN carried across the first chunk
     # boundary, where there is one
-    edge = GridFunction(-1.0, 1e-3, _chunk_edge_values(cells, min(_CAST_CHUNK, cells - 2)))
+    edge = GridFunction(-1.0, 1e-3, _chunk_edge_values(cells, min(CHUNK, cells - 2)))
     with np.errstate(all="ignore"):
         want, got = _np_add_nodes(edge), edge.cumulative()._nodes
     np.testing.assert_array_equal(_bits(got), _bits(want))
 
-
-@seed(20171)
-@settings(max_examples=150, deadline=None, database=None)
-@given(_grids_and_points(), st.sampled_from([1, 2, 3, 5, _CAST_CHUNK]))
-def test_integral_at_few_points_is_bit_identical_to_the_cumulative_integral(case, chunk):
-    f, pts = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gridfn, "_CAST_CHUNK", chunk)  # cells per chunk of node sums
-        got = integral_at(f, pts)
-    np.testing.assert_array_equal(_bits(got), _bits(f.cumulative()(pts)))

@@ -7,7 +7,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedde import model
-from mixedde.gridfn import MAX_GRID_POINTS, GridFunction, GridPoints, grid_cells
+from mixedde.gridfn import CHUNK, MAX_GRID_POINTS, GridFunction, GridPoints, grid_cells
 from mixedde.model import (_ENVELOPE_SAMPLES, _MAX_DEPTH, Bounds, CoefficientExpr,
                            ExprSyntaxError, ProblemSpec, SampledProblem, extract_bounds,
                            parse_expr, read_ivp, read_spec, validate_spec)
@@ -401,7 +401,7 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
     names = ("int_a_over_delay", "int_a_over_advance", "int_b_over_delay",
              "int_b_over_advance")
     # one block, and two full blocks and 3 nodes
-    for cells in (5000, 2 * model._BLOCK + 2):
+    for cells in (5000, 2 * CHUNK + 2):
         sp = SampledProblem(spec, (0.0, cells * step), step)
         assert sp.ts.size == cells + 1
         placed = []
@@ -415,7 +415,7 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
         grid = (cum_a.f.t_start, cum_a.f.step, len(cum_a.f.values))
         assert grid == (cum_b.f.t_start, cum_b.f.step, len(cum_b.f.values))
         assert [args[:3] for args in placed] == [grid] * len(placed)
-        blocks = -(-sp.ts.size // model._BLOCK)
+        blocks = -(-sp.ts.size // CHUNK)
         assert len(placed) == 3 * blocks
         for k, t in enumerate((sp.ts, sp.g, sp.h)):
             parts = [args[3] for args in placed[k::3]]
@@ -426,3 +426,18 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
         for got, exact in zip(first, want):
             np.testing.assert_array_equal(_bits(got), _bits(exact))
     assert SampledProblem(spec, (0.0, 5.0), 1e-3).int_a_over_delay is not first[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deviated_integrals_saturate_only_a_difference_of_two_positive_infs():
+    # the node sums of 1e308 reach +inf and those of -1e308 reach -inf about
+    # 1800 nodes in; +inf - +inf saturates to +inf, -inf - -inf stays nan
+    spec = make_spec(a="-1e308", b="1e308", g="t-0.3", h="t+0.3")
+    sp = SampledProblem(spec, (0.0, 5.0), 1e-3)
+    assert sp.cum_b.total == math.inf and sp.cum_a.total == -math.inf
+    for name in ("int_b_over_delay", "int_b_over_advance"):
+        got = getattr(sp, name)
+        assert not np.isnan(got).any() and np.isposinf(got).any()
+    for name in ("int_a_over_delay", "int_a_over_advance"):
+        got = getattr(sp, name)
+        assert np.isnan(got).any() and not np.isposinf(got).any()
