@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class GeneratingCandidate:
     def __post_init__(self):
         if self.case not in _CASES:
             raise ValueError(f"case must be one of {_CASES}")
+        if not np.all(np.isfinite(self.u.values)):
+            raise ValueError("generating candidate must be finite")
         if float(np.min(self.u.values)) < -_NEG_TOL:
             raise ValueError("generating candidate must be nonnegative")
 
@@ -62,11 +64,6 @@ class GeneratingCandidate:
     def constant(cls, value: float, case: str, window: tuple[float, float],
                  step: float) -> "GeneratingCandidate":
         return cls(GridFunction.constant(value, *window, step), case)
-
-    @classmethod
-    def from_callable(cls, fn: Callable, case: str, window: tuple[float, float],
-                      step: float) -> "GeneratingCandidate":
-        return cls(GridFunction.from_callable(fn, *window, step), case)
 
 
 @dataclass(frozen=True)
@@ -229,24 +226,23 @@ def ineq_residual(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
 def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
              max_iter: int) -> ConstructionResult:
     case, sp = kernel.case, kernel.sampled
-    dom = sp.a - sp.b if case == "delay" else sp.b - sp.a
-    if float(np.min(dom)) < -_NEG_TOL:
-        i = int(np.argmin(dom))
+    least, i = sp.margin(case)
+    if least < -_NEG_TOL:
         need = "a(t) >= b(t)" if case == "delay" else "b(t) >= a(t)"
         raise ValueError(f"dominance hypothesis {need} fails at t={sp.ts[i]:.6g}")
 
     u_prev = _candidate_values(u0, sp)
-    first = kernel.apply(u_prev)
-    worst = float(np.max(first - u_prev))
+    u = kernel.apply(u_prev)
+    worst = float(np.max(u - u_prev))
     if worst > tol:
-        i = int(np.argmax(first - u_prev))
+        i = int(np.argmax(u - u_prev))
         raise ValueError(
             f"u0 is not a supersolution: inequality residual {worst:.3e} > {tol:.1e} "
             f"at t={sp.ts[i]:.6g}")
 
-    u = first
     iterations = 1
     delta = kernel._distance(u, u_prev)
+    del u_prev  # the seed is not needed again
     while delta > tol and iterations < max_iter:
         nxt = kernel.apply(u)
         iterations += 1
@@ -296,30 +292,26 @@ def synthesize_solution(u: GridFunction, case: str) -> GridFunction:
 # Starter candidates
 # ---------------------------------------------------------------------------
 
-def witness_candidate(condition_id: str, spec: ProblemSpec,
-                      window: tuple[float, float], step: float,
+def witness_candidate(condition_id: str, sampled: SampledProblem,
                       lam: float | None = None) -> GeneratingCandidate:
-    """The constructive witness u0 behind an explicit sufficient condition.
+    """The constructive witness u0 behind an explicit sufficient condition, on
+    the grid of `sampled` and built from its samples of a and b.
 
     COR_1_2 -> u = a, COR_1_4_REMARK -> u = e*a, COR_1_3 -> the constant
     characteristic root; mirrored with b for the COR_2_x family.
     """
-    t1, T = window
-    delay = {"COR_1_2": 1.0, "COR_1_4_REMARK": math.e}
-    advance = {"COR_2_2": 1.0, "COR_2_4_REMARK": math.e}
-    if condition_id in delay:
-        scale = delay[condition_id]
-        return GeneratingCandidate.from_callable(
-            lambda t: scale * spec.a(t), "delay", window, step)
-    if condition_id in advance:
-        scale = advance[condition_id]
-        return GeneratingCandidate.from_callable(
-            lambda t: scale * spec.b(t), "advance", window, step)
+    scaled = {"COR_1_2": ("delay", 1.0), "COR_1_4_REMARK": ("delay", math.e),
+              "COR_2_2": ("advance", 1.0), "COR_2_4_REMARK": ("advance", math.e)}
+    if condition_id in scaled:
+        case, scale = scaled[condition_id]
+        coefficient = sampled.a if case == "delay" else sampled.b
+        return GeneratingCandidate(
+            GridFunction(sampled.window[0], sampled.step, scale * coefficient), case)
     if condition_id in ("COR_1_3", "COR_2_3"):
         if lam is None:
             raise ValueError(f"{condition_id} witness needs its characteristic root")
         case = "delay" if condition_id == "COR_1_3" else "advance"
-        return GeneratingCandidate.constant(lam, case, window, step)
+        return GeneratingCandidate.constant(lam, case, sampled.window, sampled.step)
     raise ValueError(f"no constructive witness for {condition_id}")
 
 
@@ -339,12 +331,8 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     _require_pattern(spec, "auto_construct")
     _require_stopping_rule(tol, max_iter)
     sampled = SampledProblem(spec, window, step)
-    gap = sampled.a - sampled.b
-    if float(np.min(gap)) >= -_NEG_TOL:
-        case = "delay"
-    elif float(np.max(gap)) <= _NEG_TOL:
-        case = "advance"
-    else:
+    case = next((c for c in _CASES if sampled.margin(c)[0] >= -_NEG_TOL), None)
+    if case is None:
         raise ValueError("neither dominance hypothesis holds: a-b changes sign "
                          "on the window")
 
@@ -352,11 +340,11 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
                               else ("COR_2_2", "COR_2_3", "COR_2_4_REMARK"))
 
     def seeds():
-        yield witness_candidate(base, spec, window, step)
+        yield witness_candidate(base, sampled)
         root = criteria._run(envelope, sampled)
         if root.holds:
-            yield witness_candidate(envelope, spec, window, step, lam=root.witness["lambda"])
-        yield witness_candidate(remark, spec, window, step)
+            yield witness_candidate(envelope, sampled, lam=root.witness["lambda"])
+        yield witness_candidate(remark, sampled)
 
     kernel = IterationKernel(sampled, case)
     last_error: Exception | None = None

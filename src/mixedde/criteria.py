@@ -34,7 +34,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from . import charroots
-from .gridfn import GridFunction
+from .gridfn import GridFunction, node_times
 from .model import Bounds, ProblemSpec, SampledProblem
 
 __all__ = [
@@ -145,16 +145,15 @@ def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
     mirrored for the advance case."""
     delay = case == "delay"
     m, o = ("a", "b") if delay else ("b", "a")  # dominant and other coefficient
-    main, other = getattr(sp, m), getattr(sp, o)
-    back, ahead = ((sp.int_a_over_delay, sp.int_a_over_advance) if delay
-                   else (sp.int_b_over_advance, sp.int_b_over_delay))
+    a_g, a_h, b_g, b_h = sp.deviated
+    main, other, back, ahead = (sp.a, sp.b, a_g, a_h) if delay else (sp.b, sp.a, b_h, b_g)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow saturates to inf
         rhs = np.expm1(back)  # main * (e^back - 1) * e^ahead - other, in place
         np.multiply(main, rhs, out=rhs)
         rhs *= np.exp(ahead)
         rhs -= other
         margin, t_at = _sup_witness(sp.ts, rhs)
-    gap = float(np.min(main - other))
+    gap = sp.margin(case)[0]
     ok = gap >= -_SLACK and margin <= _SLACK
     witness = {f"sup_rhs_minus_{o}": margin, "t_at_sup": t_at, f"min_{m}_minus_{o}": gap}
     return Certificate("COR_1_2" if delay else "COR_2_2", HOLDS if ok else FAILS,
@@ -166,7 +165,7 @@ def _cor_x_3(sp: SampledProblem, case: str) -> Certificate:
     a1, b2 in the advance case). The root found is the witness."""
     delay = case == "delay"
     condition_id, window = ("COR_1_3" if delay else "COR_2_3"), sp.window
-    if float(np.min(sp.a - sp.b if delay else sp.b - sp.a)) < -_SLACK:
+    if sp.margin(case)[0] < -_SLACK:
         need = "b(t) <= a(t)" if delay else "a(t) <= b(t)"
         return _inapplicable(condition_id, window,
                              f"envelope hypothesis {need} fails on the window")
@@ -190,9 +189,8 @@ def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
     mirrored for the advance case."""
     delay = case == "delay"
     m, o = ("a", "b") if delay else ("b", "a")
-    sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay if delay
-                             else sp.int_b_over_advance)
-    gap = float(np.min(getattr(sp, m) - getattr(sp, o)))
+    sup, t_at = _sup_witness(sp.ts, sp.deviated[0 if delay else 3])
+    gap = sp.margin(case)[0]
     ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
     witness = {f"sup_{case}_integral": sup, "t_at_sup": t_at,
                "one_over_e": ONE_OVER_E, f"min_{m}_minus_{o}": gap}
@@ -208,18 +206,20 @@ def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
 def _thm_A_explicit(sp: SampledProblem) -> Certificate:
     """sup_t int_g^t a(s) e^{int_{g(s)}^{s} b} ds < 1/e for the (+,+) pattern."""
     spec, (t1, T), step = sp.spec, sp.window, sp.step
+    cum_b = sp.widened_cumulative("b")
     return _nested_one_over_e(
         "THM_A_EXPLICIT", sp,
-        lambda s: spec.a(s) * np.exp(sp.cum_b(s) - sp.cum_b(spec.g(s))),
+        lambda s: spec.a(s) * np.exp(cum_b(s) - cum_b(spec.g(s))),
         (t1 - sp.tau - step, T), sp.g, sp.ts)
 
 
 def _thm_B_explicit(sp: SampledProblem) -> Certificate:
     """sup_t int_t^h b(s) e^{int_{s}^{h(s)} a} ds < 1/e for the (-,-) pattern."""
     spec, (t1, T), step = sp.spec, sp.window, sp.step
+    cum_a = sp.widened_cumulative("a")
     return _nested_one_over_e(
         "THM_B_EXPLICIT", sp,
-        lambda s: spec.b(s) * np.exp(sp.cum_a(spec.h(s)) - sp.cum_a(s)),
+        lambda s: spec.b(s) * np.exp(cum_a(spec.h(s)) - cum_a(s)),
         (t1, T + sp.sigma + step), sp.ts, sp.h)
 
 
@@ -496,7 +496,7 @@ def sweep_region(bounds_template: Bounds, axis1: str, axis2: str,
     if counts[0] * counts[1] > _MAX_CELLS:
         raise ValueError(f"{counts[0]} x {counts[1]} cells exceed the limit of "
                          f"{_MAX_CELLS}; use a coarser resolution")
-    vals1, vals2 = (lo + resolution * np.arange(n) for (lo, _), n in zip(ranges, counts))
+    vals1, vals2 = (node_times(lo, resolution, n) for (lo, _), n in zip(ranges, counts))
     if axes == ("x", "y"):
         gv, fv = sys30_values(bounds_template, vals1, vals2)
         feas = (gv[None, :] <= vals1[:, None]) & (fv[:, None] <= vals2[None, :])
@@ -533,8 +533,7 @@ def _dominance_gate(sp: SampledProblem, condition_id: str) -> Certificate | None
     """The refinement's inapplicable verdict when its dominance hypothesis
     fails on the window, else None."""
     delay_side = condition_id in ("COR_1_5", "COR_1_6")
-    gap = sp.a - sp.b if delay_side else sp.b - sp.a
-    if float(np.min(gap)) >= -_SLACK:
+    if sp.margin("delay" if delay_side else "advance")[0] >= -_SLACK:
         return None
     need = "a(t) >= b(t)" if delay_side else "b(t) >= a(t)"
     return _inapplicable(condition_id, sp.window,
@@ -557,7 +556,7 @@ def _divergence(sp: SampledProblem, condition_id: str) -> Certificate:
     ok = increasing and integrals[-1] > _DIVERGENCE_THRESHOLD
     witness = {"checkpoints": checkpoints, "threshold": _DIVERGENCE_THRESHOLD}
     if condition_id == "COR_1_6":
-        sup, t_at = _sup_witness(sp.ts, sp.int_a_over_delay)
+        sup, t_at = _sup_witness(sp.ts, sp.deviated[0])
         witness["sup_delay_integral"] = sup
         ok = ok and sup <= ONE_OVER_E + _SLACK
     return Certificate(condition_id, HOLDS if ok else FAILS, sp.window, witness,

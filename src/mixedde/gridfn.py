@@ -39,6 +39,14 @@ def grid_cells(t_start: float, t_end: float, step: float) -> int:
     return max(1, int(math.ceil(spans - 1e-9)))
 
 
+def node_times(t_start: float, step: float, n: int) -> np.ndarray:
+    """t_start + step * np.arange(n) bit for bit, built in place in one float array."""
+    ts = np.arange(n, dtype=float)
+    ts *= step
+    ts += t_start
+    return ts
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """A function sampled at t_start + k*step, evaluated by linear interpolation.
@@ -69,8 +77,7 @@ class GridFunction:
         node is >= t_end; a result of another shape raises ValueError."""
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
-        cells = grid_cells(t_start, t_end, step)
-        ts = t_start + step * np.arange(cells + 1)
+        ts = node_times(t_start, step, grid_cells(t_start, t_end, step) + 1)
         vals = np.asarray(fn(ts), dtype=float)
         if vals.shape != ts.shape:
             raise ValueError(f"fn returned shape {vals.shape} on {ts.size} grid nodes")
@@ -88,7 +95,7 @@ class GridFunction:
         return self.t_start + self.step * (len(self.values) - 1)
 
     def times(self) -> np.ndarray:
-        return self.t_start + self.step * np.arange(len(self.values))
+        return node_times(self.t_start, self.step, len(self.values))
 
     # -- evaluation ------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints,
-                     check_grid_size, grid_cells)
+                     check_grid_size, grid_cells, node_times)
 
 __all__ = [
     "CoefficientExpr",
@@ -378,14 +378,12 @@ def _require_finite(name: str, vals, ts: np.ndarray) -> np.ndarray:
 class SampledProblem:
     """a, b, g, h sampled once on the window grid ts = t1 + k*step, k = 0..cells.
 
-    Certificate checks, the iteration kernel, relax and equation_residual take
-    their samples from it. The cumulative integrals of a and b on the grid
-    widened by 2*tau + step and 2*sigma + step (enough for every deviated
-    integral) are built once, on first use, for THM_A and THM_B. The four
-    deviated integrals per window node are built together on first use of any
-    of them, on cumulative integrals of their own on the same grid, which do
-    not outlive the build. A step that is not positive and finite, a grid of
-    more than MAX_GRID_POINTS nodes, and any non-finite sample raise ValueError.
+    Certificate checks, the seeds and the iteration kernel of the construction,
+    relax and equation_residual take their samples from it, and each quantity
+    they read off the window is derived here once: the dominance margin, the
+    four deviated integrals per window node and the gap integrals. A step that
+    is not positive and finite, a grid of more than MAX_GRID_POINTS nodes, and
+    any non-finite sample raise ValueError.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
@@ -395,7 +393,7 @@ class SampledProblem:
         self.spec = spec
         self.window = (t1, T)
         self.step = step
-        self.ts = t1 + step * np.arange(grid_cells(t1, T, step) + 1)
+        self.ts = node_times(t1, step, grid_cells(t1, T, step) + 1)
         self.a, self.b, self.g, self.h = (
             _require_finite(name, getattr(spec, name)(self.ts), self.ts)
             for name in "abgh")
@@ -416,7 +414,22 @@ class SampledProblem:
         """extract_bounds on the window."""
         return extract_bounds(self.spec, self.window)
 
-    def _extended_cumulative(self, name: str) -> CumulativeIntegral:
+    @cached_property
+    def _margins(self) -> dict[str, tuple[float, int]]:
+        # fl(b - a) = -fl(a - b): the least b - a sits at the first argmax of a - b
+        gap = self.a - self.b
+        lo, hi = int(np.argmin(gap)), int(np.argmax(gap))
+        return {"delay": (float(gap[lo]), lo),
+                "advance": (float(self.b[hi] - self.a[hi]), hi)}
+
+    def margin(self, case: str) -> tuple[float, int]:
+        """(least value, first node where it occurs) of a - b on the grid for case
+        "delay", of b - a for case "advance"; negative where dominance fails."""
+        return self._margins[case]
+
+    def widened_cumulative(self, name: str) -> CumulativeIntegral:
+        """The cumulative integral of coefficient `name` on the window grid widened
+        by 2*tau + step and 2*sigma + step, built anew: every deviated integral."""
         t1, T = self.window
         lo, hi = t1 - 2.0 * self.tau - self.step, T + 2.0 * self.sigma + self.step
         grid = GridFunction.from_callable(getattr(self.spec, name), lo, hi, self.step)
@@ -425,15 +438,7 @@ class SampledProblem:
         return grid.cumulative()
 
     @cached_property
-    def cum_a(self) -> CumulativeIntegral:
-        return self._extended_cumulative("a")
-
-    @cached_property
-    def cum_b(self) -> CumulativeIntegral:
-        return self._extended_cumulative("b")
-
-    @cached_property
-    def _deviated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def deviated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """int_g^t a, int_t^h a, int_g^t b and int_t^h b per window node.
 
         Built block by block of gridfn.CHUNK window nodes on cumulative
@@ -447,7 +452,7 @@ class SampledProblem:
         nonnegative coefficient it is wherever any is), a difference of two
         +inf integrals saturates to +inf without a warning. Any other nan stays.
         """
-        cum_a, cum_b = self._extended_cumulative("a"), self._extended_cumulative("b")
+        cum_a, cum_b = self.widened_cumulative("a"), self.widened_cumulative("b")
         f = cum_a.f
         n = self.ts.size
         a_g, a_h, b_g, b_h = out = tuple(np.empty(n) for _ in range(4))
@@ -492,26 +497,6 @@ class SampledProblem:
             at = GridFunction(t1, self.step, gap).cumulative()(np.array((t1, *points)))
             self._gap_integrals[case] = tuple(zip(points, (at[1:] - at[0]).tolist()))
         return self._gap_integrals[case]
-
-    @property
-    def int_a_over_delay(self) -> np.ndarray:
-        """int_{g(t)}^{t} a per window node."""
-        return self._deviated[0]
-
-    @property
-    def int_a_over_advance(self) -> np.ndarray:
-        """int_{t}^{h(t)} a per window node."""
-        return self._deviated[1]
-
-    @property
-    def int_b_over_delay(self) -> np.ndarray:
-        """int_{g(t)}^{t} b per window node."""
-        return self._deviated[2]
-
-    @property
-    def int_b_over_advance(self) -> np.ndarray:
-        """int_{t}^{h(t)} b per window node."""
-        return self._deviated[3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ def ex3_spec() -> ProblemSpec:
 def write_spec_file(path, **kw) -> str:
     path.write_text(json.dumps(spec_fields(**kw)))
     return str(path)
+
+
+def peak_window_arrays(run, n: int) -> float:
+    """The traced peak of run(), in float arrays of a window grid of n nodes."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n)
 
 
 @pytest.fixture

@@ -13,12 +13,12 @@ from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_constr
                                ineq_residual, iterate, synthesize_solution,
                                witness_candidate)
 from mixedde.criteria import check
-from mixedde.gridfn import GridFunction
-from mixedde.model import SampledProblem
+from mixedde.gridfn import GridFunction, grid_cells
+from mixedde.model import CoefficientExpr, SampledProblem
 from mixedde.simulate import equation_residual
 
 from conftest import (EX1_INEQ_VALUE, EX2_RESIDUAL_T0, EXAMPLES, LAM2, _bits, _where_eval,
-                      _where_nodes, make_spec)
+                      _where_nodes, make_spec, peak_window_arrays)
 
 STEP = 1e-3
 
@@ -37,7 +37,7 @@ def test_delay_residual_example1(ex1_spec):
 
 def test_delay_residual_equality_case():
     spec = make_spec(a="0.7", b="0", g="t", h="t+0.5")
-    u = GeneratingCandidate.from_callable(spec.a, "delay", (0.0, 10.0), STEP)
+    u = witness_candidate("COR_1_2", SampledProblem(spec, (0.0, 10.0), STEP))
     assert ineq_residual(u, spec, 4.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -50,7 +50,7 @@ def test_delay_residual_example2_full_history(ex2_spec):
 
 def test_advance_residual_equality_case():
     spec = make_spec(a="0", b="0.7", g="t-0.5", h="t")
-    u = GeneratingCandidate.from_callable(spec.b, "advance", (0.0, 10.0), STEP)
+    u = witness_candidate("COR_2_2", SampledProblem(spec, (0.0, 10.0), STEP))
     assert ineq_residual(u, spec, 4.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -70,7 +70,7 @@ def test_advance_residual_zero_candidate():
 
 def test_residual_saturates_where_the_exponential_overflows():
     spec = make_spec(a="1e200", b="0.5", g="t-0.3", h="t+0.001")
-    u = witness_candidate("COR_1_2", spec, (0.0, 2.0), STEP)
+    u = witness_candidate("COR_1_2", SampledProblem(spec, (0.0, 2.0), STEP))
     assert ineq_residual(u, spec, 1.0) == math.inf
 
 
@@ -101,7 +101,7 @@ def test_iterate_delay_example1(ex1_spec):
 
 def test_iterate_delay_pure_delay_fixed_seed():
     spec = make_spec(a="0.8", b="0", g="t", h="t+0.3")
-    u0 = GeneratingCandidate.from_callable(spec.a, "delay", (0.0, 5.0), STEP)
+    u0 = witness_candidate("COR_1_2", SampledProblem(spec, (0.0, 5.0), STEP))
     res = iterate(u0, spec, (0.0, 5.0))
     assert res.converged
     assert res.iterations == 1
@@ -131,7 +131,7 @@ def test_iterate_delay_rejects_wrong_dominance():
 
 def test_iterate_advance_pure_advance_fixed_seed():
     spec = make_spec(a="0", b="0.6", g="t-0.3", h="t")
-    u0 = GeneratingCandidate.from_callable(spec.b, "advance", (0.0, 5.0), STEP)
+    u0 = witness_candidate("COR_2_2", SampledProblem(spec, (0.0, 5.0), STEP))
     res = iterate(u0, spec, (0.0, 5.0))
     assert res.converged
     assert res.iterations == 1
@@ -155,6 +155,16 @@ def test_iterate_advance_constant_fixed_point():
 def test_iterate_advance_rejects_delay_dominant(ex1_spec):
     with pytest.raises(ValueError, match="dominance"):
         iterate(const_candidate(1.0, "advance"), ex1_spec, (0.0, 10.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_generating_candidate_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="must be finite"):
+        const_candidate(value, window=(0.0, 2.0))
+    vals = np.full(2001, 0.5)
+    vals[1000] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        GeneratingCandidate(GridFunction(0.0, STEP, vals), "advance")
 
 
 # -- solution synthesis ---------------------------------------------------------
@@ -273,18 +283,32 @@ def test_equation_residual_shrinks_with_step(ex1_spec):
 
 # -- starter candidates ----------------------------------------------------------
 
-def test_witness_candidates(ex1_spec):
+def test_witness_candidates(ex1_spec, ex2_spec):
     window = (0.0, 10.0)
+    sp = SampledProblem(ex1_spec, window, STEP)
     for cid, scale in (("COR_1_2", 1.0), ("COR_1_4_REMARK", math.e)):
-        cand = witness_candidate(cid, ex1_spec, window, STEP)
+        cand = witness_candidate(cid, sp)
         assert cand.case == "delay"
         assert np.allclose(cand.u.values, scale * 1.4)
-    cand = witness_candidate("COR_1_3", ex1_spec, window, STEP, lam=LAM2)
+    cand = witness_candidate("COR_1_3", sp, lam=LAM2)
     assert np.allclose(cand.u.values, LAM2)
     with pytest.raises(ValueError):
-        witness_candidate("COR_1_3", ex1_spec, window, STEP)
+        witness_candidate("COR_1_3", sp)
     with pytest.raises(ValueError):
-        witness_candidate("SYS_30_FEASIBLE", ex1_spec, window, STEP)
+        witness_candidate("SYS_30_FEASIBLE", sp)
+    # the seeds read from the samples are the coefficient evaluated again on
+    # the window grid, bit for bit, and leave the samples as they were
+    advance = make_spec(a="1.2+0.1*sin(t)", b="1.3+0.1*cos(t)", g="t-0.2", h="t+0.1")
+    for spec, name, family in ((ex2_spec, "a", ("COR_1_2", "COR_1_4_REMARK")),
+                               (advance, "b", ("COR_2_2", "COR_2_4_REMARK"))):
+        sp = SampledProblem(spec, window, STEP)
+        for cid, scale in zip(family, (1.0, math.e)):
+            cand = witness_candidate(cid, sp)
+            again = GridFunction.from_callable(
+                lambda t: scale * getattr(spec, name)(t), *window, STEP)
+            assert (cand.u.t_start, cand.u.step) == (again.t_start, again.step)
+            np.testing.assert_array_equal(_bits(cand.u.values), _bits(again.values))
+            assert not np.shares_memory(cand.u.values, getattr(sp, name))
 
 
 def test_auto_construct_delay(ex1_spec):
@@ -332,6 +356,43 @@ def test_auto_construct_samples_the_window_once(ex1_spec, sampled_builds, monkey
 
 
 
+def test_auto_construct_evaluates_each_coefficient_once_on_the_window_grid(ex1_spec,
+                                                                          monkeypatch):
+    """The seeds read a and b from the window's samples, so a, b, g and h are
+    evaluated on the window grid once each, also when all three seeds run."""
+    window = (0.0, 10.0)
+    ts = SampledProblem(ex1_spec, window, STEP).ts
+    names = {id(getattr(ex1_spec, name)): name for name in "abgh"}
+    on_grid = dict.fromkeys("abgh", 0)
+    real_call = CoefficientExpr.__call__
+    tried = []
+
+    def counting(self, t):
+        if id(self) in names and np.shape(t) == ts.shape and np.array_equal(t, ts):
+            on_grid[names[id(self)]] += 1
+        return real_call(self, t)
+
+    def rejected(kernel, seed, tol, max_iter):
+        tried.append(seed)
+        raise ValueError("seed rejected")
+
+    monkeypatch.setattr(CoefficientExpr, "__call__", counting)
+    monkeypatch.setattr(construct, "_iterate", rejected)
+    with pytest.raises(ValueError, match="no admissible starter candidate"):
+        auto_construct(ex1_spec, window)
+    assert len(tried) == 3
+    assert on_grid == dict.fromkeys("abgh", 1)
+
+
+def test_auto_construct_holds_a_bounded_working_set(ex1_spec):
+    """The traced peak of auto_construct on ex1 over (0, 20), in window-sized
+    float arrays (32.18; 36.19 while the window-sized dominance gaps, the seed
+    and the first iterate stayed alive through the construction)."""
+    auto_construct(ex1_spec, (0.0, 2.0))  # anything built once per process
+    n = grid_cells(0.0, 20.0, STEP) + 1
+    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 20.0)), n) <= 33
+
+
 def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, monkeypatch):
     scans = []
     real_scan = charroots._real_roots  # what positive_root_exists calls
@@ -366,7 +427,8 @@ def test_auto_construct_builds_the_root_seed_after_the_first_fails(ex1_spec, mon
     assert lam == pytest.approx(LAM2, abs=1e-9)
     assert len(tried) == 2 and tried[1].case == "delay"
     assert np.all(tried[1].u.values == lam)  # the constant envelope-root candidate
-    direct = iterate(witness_candidate("COR_1_3", ex1_spec, window, STEP, lam=lam),
+    direct = iterate(witness_candidate("COR_1_3", SampledProblem(ex1_spec, window, STEP),
+                                       lam=lam),
                      ex1_spec, window)
     assert result.iterations == direct.iterations
     assert np.array_equal(result.u_limit.values, direct.u_limit.values)

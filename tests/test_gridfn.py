@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde.gridfn import CHUNK, GridFunction, GridPoints, _node_sums
+from mixedde.gridfn import CHUNK, GridFunction, GridPoints, _node_sums, node_times
 
 from conftest import _bits, _where_eval, _where_nodes
 
@@ -41,6 +41,14 @@ def test_from_callable_evaluates_once_on_the_grid_array():
     with pytest.raises(ValueError, match="own error"):
         GridFunction.from_callable(failing, 0.0, 1.0, 0.25)
     assert calls == [(5,)]  # not retried point by point
+
+
+@settings(deadline=None, database=None, max_examples=50)
+@given(st.floats(-1e6, -1e-6), st.floats(1e-6, 10.0), st.integers(2, 3 * CHUNK))
+@example(-3.7, 1e-3, 2 * CHUNK + 3)
+def test_node_times_are_the_bits_of_the_expression_they_replace(t_start, step, n):
+    want = t_start + step * np.arange(n)
+    np.testing.assert_array_equal(_bits(node_times(t_start, step, n)), _bits(want))
 
 
 def test_sine_quadrature():

@@ -7,7 +7,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedde import model
-from mixedde.gridfn import CHUNK, MAX_GRID_POINTS, GridFunction, GridPoints, grid_cells
+from mixedde.gridfn import (CHUNK, MAX_GRID_POINTS, CumulativeIntegral, GridFunction,
+                            GridPoints, grid_cells)
 from mixedde.model import (_ENVELOPE_SAMPLES, _MAX_DEPTH, Bounds, CoefficientExpr,
                            ExprSyntaxError, ProblemSpec, SampledProblem, extract_bounds,
                            parse_expr, read_ivp, read_spec, validate_spec)
@@ -388,7 +389,7 @@ def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):
     # the extended grid behind the cumulative integral of a reaches
     sp = SampledProblem(make_spec(a="exp(exp(t))"), (0.0, 6.5), 1e-3)
     with pytest.raises(ValueError, match=r"a\(t\) is not finite at t=6.56"):
-        sp.cum_a
+        sp.widened_cumulative("a")
 
 
 def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
@@ -398,8 +399,6 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
                      h="t+0.2+0.1*sin(t)")
     step = 2.0 ** -10
     place = GridPoints.__init__
-    names = ("int_a_over_delay", "int_a_over_advance", "int_b_over_delay",
-             "int_b_over_advance")
     # one block, and two full blocks and 3 nodes
     for cells in (5000, 2 * CHUNK + 2):
         sp = SampledProblem(spec, (0.0, cells * step), step)
@@ -407,11 +406,11 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
         placed = []
         monkeypatch.setattr(GridPoints, "__init__",
                             lambda self, *args: placed.append(args) or place(self, *args))
-        first = [getattr(sp, name) for name in names]
-        assert all(getattr(sp, name) is arr for name, arr in zip(names, first))  # cached
+        first = sp.deviated
+        assert sp.deviated is first  # cached
         monkeypatch.undo()
-        assert "cum_a" not in vars(sp) and "cum_b" not in vars(sp)
-        cum_a, cum_b = sp.cum_a, sp.cum_b
+        assert not any(isinstance(v, CumulativeIntegral) for v in vars(sp).values())
+        cum_a, cum_b = sp.widened_cumulative("a"), sp.widened_cumulative("b")
         grid = (cum_a.f.t_start, cum_a.f.step, len(cum_a.f.values))
         assert grid == (cum_b.f.t_start, cum_b.f.step, len(cum_b.f.values))
         assert [args[:3] for args in placed] == [grid] * len(placed)
@@ -425,7 +424,7 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
                 cum_b(sp.ts) - cum_b(sp.g), cum_b(sp.h) - cum_b(sp.ts)]
         for got, exact in zip(first, want):
             np.testing.assert_array_equal(_bits(got), _bits(exact))
-    assert SampledProblem(spec, (0.0, 5.0), 1e-3).int_a_over_delay is not first[0]
+    assert SampledProblem(spec, (0.0, 5.0), 1e-3).deviated is not first
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -434,10 +433,27 @@ def test_deviated_integrals_saturate_only_a_difference_of_two_positive_infs():
     # 1800 nodes in; +inf - +inf saturates to +inf, -inf - -inf stays nan
     spec = make_spec(a="-1e308", b="1e308", g="t-0.3", h="t+0.3")
     sp = SampledProblem(spec, (0.0, 5.0), 1e-3)
-    assert sp.cum_b.total == math.inf and sp.cum_a.total == -math.inf
-    for name in ("int_b_over_delay", "int_b_over_advance"):
-        got = getattr(sp, name)
+    assert sp.widened_cumulative("b").total == math.inf
+    assert sp.widened_cumulative("a").total == -math.inf
+    a_g, a_h, b_g, b_h = sp.deviated
+    for got in (b_g, b_h):
         assert not np.isnan(got).any() and np.isposinf(got).any()
-    for name in ("int_a_over_delay", "int_a_over_advance"):
-        got = getattr(sp, name)
+    for got in (a_g, a_h):
         assert np.isnan(got).any() and not np.isposinf(got).any()
+
+
+_SAMPLE = st.one_of(st.sampled_from((0.0, -0.0, 1.3, 1.4)), st.floats(-1e3, 1e3))
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(st.lists(st.tuples(_SAMPLE, _SAMPLE), min_size=2, max_size=40), st.booleans())
+def test_margin_is_the_least_explicit_difference_at_its_first_node(pairs, equal):
+    a, b = (np.array(column) for column in zip(*pairs))
+    if equal:
+        b = a.copy()
+    sp = SampledProblem(make_spec(), (0.0, a.size - 1.0), 1.0)
+    assert sp.ts.size == a.size
+    sp.a, sp.b = a, b  # before the margin's first use, which reads them
+    for case, gap in (("delay", a - b), ("advance", b - a)):
+        value, node = sp.margin(case)
+        assert value == np.min(gap) and node == np.argmin(gap)
