@@ -24,7 +24,7 @@ from typing import TextIO
 import numpy as np
 
 from . import criteria
-from .gridfn import GridFunction, GridPoints, _node_sums, _placed_integral
+from .gridfn import CHUNK, GridFunction, GridPoints, _node_sums, _placed_integral
 from .model import ProblemSpec, SampledProblem, _exp
 from .simulate import _equation_residual
 
@@ -106,6 +106,12 @@ class IterationKernel:
     runs the formula. A node sum that underflows to -0.0 from tiny negative
     values of u can still differ from the formula in the sign of a zero, which
     the map cannot see: x - (+/-0) = x and exp(+/-0) = 1.
+
+    The window's own points, when so split and each on-node one on its own
+    node, keep no placement and no integral array: the node sums become their
+    integral in place, once the formula's results for the off-node ones are
+    written over them. Where every point runs the formula, they are placed
+    again for that application.
     """
 
     def __init__(self, sampled: SampledProblem, case: str):
@@ -115,16 +121,21 @@ class IterationKernel:
         self.case = case
         t1, step, ts = sampled.window[0], sampled.step, sampled.ts
         n = ts.size
+        self._grid = (t1, step, n)
         # u vanishes before t1, so delay integrals start no earlier than t1;
         # u lives on the window grid, so each point set is placed on it once
         point_sets = (ts, np.maximum(sampled.g, t1), sampled.h)
-        self._points = tuple(GridPoints(t1, step, n, t) for t in point_sets)
-        self._off_node = tuple(_off_node(p, t) for p, t in zip(self._points, point_sets))
+        points = [GridPoints(t1, step, n, t) for t in point_sets]
+        self._off_node = tuple(_off_node(p, t) for p, t in zip(points, point_sets))
+        if self._off_node[0] is not None and np.all(
+                (points[0].idx == np.arange(n)) | (points[0].frac != 0.0)):
+            points[0] = None  # every on-node window point is on its own node
+        self._points = tuple(points)
+        self._at = tuple(None if p is None else np.empty(n) for p in points)
         self.extrapolates = bool(np.any(sampled.h > ts[-1] + 1e-12 * step))
-        self._nodes_ld = np.empty(n, dtype=np.longdouble)  # one chunk of n - 1 cells
+        self._nodes_ld = np.empty(min(n, CHUNK + 1), dtype=np.longdouble)  # one chunk
         self._nodes = np.empty(n)
         self._half = np.empty(n - 1)  # (u[k+1] - u[k]) * 0.5
-        self._at = tuple(np.empty(n) for _ in self._points)
         self._scratch = np.empty(n)
 
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
@@ -141,14 +152,16 @@ class IterationKernel:
             half *= 0.5
             read_nodes = (math.isfinite(np.sum(half))
                           and not (u[0] == 0.0 and math.copysign(1.0, u[0]) < 0.0))
-            for p, split, out in zip(self._points, self._off_node, self._at):
-                if split is None or not read_nodes:
-                    self._formula(p, u, out, self._scratch)
-                else:
-                    off, off_points, off_out, off_half = split
-                    np.take(nodes, p.idx, out=out, mode="clip")
-                    out[off] = self._formula(off_points, u, off_out, off_half)
-            at_nodes, int_delay, int_advance = self._at
+            if self._points[0] is None and read_nodes:
+                # the off-node window points first: the node sums become theirs
+                off, off_points, off_out, off_half = self._off_node[0]
+                self._formula(off_points, u, off_out, off_half)
+                int_delay, int_advance = (self._integral(k, u, True) for k in (1, 2))
+                nodes[off] = off_out
+                at_nodes = nodes
+            else:
+                at_nodes, int_delay, int_advance = (self._integral(k, u, read_nodes)
+                                                    for k in range(3))
             np.subtract(at_nodes, int_delay, out=int_delay)
             np.subtract(int_advance, at_nodes, out=int_advance)
             # delay: a*e^{int_delay} - b*e^{-int_advance}; advance: the mirror
@@ -160,6 +173,20 @@ class IterationKernel:
                 np.exp(x, out=x)
                 np.multiply(c, x, out=x)
             return np.subtract(grow, shrink)
+
+    def _integral(self, k: int, u: np.ndarray, read_nodes: bool) -> np.ndarray:
+        """The integral of u at point set k: its on-node points read off the node
+        sums where read_nodes allows, the others by the formula. The window's own
+        points, if the kernel keeps no placement of them, are placed again."""
+        p, split, out = self._points[k], self._off_node[k], self._at[k]
+        if p is None:
+            p, out = GridPoints(*self._grid, self.sampled.ts), np.empty(self._grid[2])
+        if split is None or not read_nodes:
+            return self._formula(p, u, out, self._scratch)
+        off, off_points, off_out, off_half = split
+        np.take(self._nodes, p.idx, out=out, mode="clip")
+        out[off] = self._formula(off_points, u, off_out, off_half)
+        return out
 
     def _formula(self, p: GridPoints, u: np.ndarray, out: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
@@ -305,8 +332,9 @@ def witness_candidate(condition_id: str, sampled: SampledProblem,
     if condition_id in scaled:
         case, scale = scaled[condition_id]
         coefficient = sampled.a if case == "delay" else sampled.b
-        return GeneratingCandidate(
-            GridFunction(sampled.window[0], sampled.step, scale * coefficient), case)
+        with np.errstate(over="ignore"):  # an overflowing seed is rejected as not finite
+            values = scale * coefficient
+        return GeneratingCandidate(GridFunction(sampled.window[0], sampled.step, values), case)
     if condition_id in ("COR_1_3", "COR_2_3"):
         if lam is None:
             raise ValueError(f"{condition_id} witness needs its characteristic root")
@@ -339,18 +367,18 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     base, envelope, remark = (("COR_1_2", "COR_1_3", "COR_1_4_REMARK") if case == "delay"
                               else ("COR_2_2", "COR_2_3", "COR_2_4_REMARK"))
 
-    def seeds():
-        yield witness_candidate(base, sampled)
+    def seeds():  # a callable per seed; a seed that cannot be built is rejected
+        yield lambda: witness_candidate(base, sampled)
         root = criteria._run(envelope, sampled)
         if root.holds:
-            yield witness_candidate(envelope, sampled, lam=root.witness["lambda"])
-        yield witness_candidate(remark, sampled)
+            yield lambda: witness_candidate(envelope, sampled, lam=root.witness["lambda"])
+        yield lambda: witness_candidate(remark, sampled)
 
     kernel = IterationKernel(sampled, case)
     last_error: Exception | None = None
-    for seed in seeds():
+    for build in seeds():
         try:
-            return _iterate(kernel, seed, tol, max_iter)
+            return _iterate(kernel, build(), tol, max_iter)
         except ValueError as exc:
             last_error = exc
     raise ValueError(f"no admissible starter candidate found: {last_error}")

@@ -135,6 +135,11 @@ def _sup_witness(ts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     return float(values[i]), float(ts[i])
 
 
+def _at_node(sp: SampledProblem, sup: tuple[float, int]) -> tuple[float, float]:
+    """A sup of SampledProblem's, (value, node), as (value, t at that node)."""
+    return sup[0], float(sp.ts[sup[1]])
+
+
 # ---------------------------------------------------------------------------
 # Dominant-coefficient families (pattern +, -): case "delay" is a >= b
 # (COR_1_x), case "advance" is b >= a (COR_2_x, the mirror images)
@@ -145,14 +150,7 @@ def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
     mirrored for the advance case."""
     delay = case == "delay"
     m, o = ("a", "b") if delay else ("b", "a")  # dominant and other coefficient
-    a_g, a_h, b_g, b_h = sp.deviated
-    main, other, back, ahead = (sp.a, sp.b, a_g, a_h) if delay else (sp.b, sp.a, b_h, b_g)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow saturates to inf
-        rhs = np.expm1(back)  # main * (e^back - 1) * e^ahead - other, in place
-        np.multiply(main, rhs, out=rhs)
-        rhs *= np.exp(ahead)
-        rhs -= other
-        margin, t_at = _sup_witness(sp.ts, rhs)
+    margin, t_at = _at_node(sp, sp.rhs_sup(case))
     gap = sp.margin(case)[0]
     ok = gap >= -_SLACK and margin <= _SLACK
     witness = {f"sup_rhs_minus_{o}": margin, "t_at_sup": t_at, f"min_{m}_minus_{o}": gap}
@@ -189,7 +187,7 @@ def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
     mirrored for the advance case."""
     delay = case == "delay"
     m, o = ("a", "b") if delay else ("b", "a")
-    sup, t_at = _sup_witness(sp.ts, sp.deviated[0 if delay else 3])
+    sup, t_at = _at_node(sp, sp.deviated_sup(case))
     gap = sp.margin(case)[0]
     ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
     witness = {f"sup_{case}_integral": sup, "t_at_sup": t_at,
@@ -556,7 +554,7 @@ def _divergence(sp: SampledProblem, condition_id: str) -> Certificate:
     ok = increasing and integrals[-1] > _DIVERGENCE_THRESHOLD
     witness = {"checkpoints": checkpoints, "threshold": _DIVERGENCE_THRESHOLD}
     if condition_id == "COR_1_6":
-        sup, t_at = _sup_witness(sp.ts, sp.deviated[0])
+        sup = sp.deviated_sup("delay")[0]
         witness["sup_delay_integral"] = sup
         ok = ok and sup <= ONE_OVER_E + _SLACK
     return Certificate(condition_id, HOLDS if ok else FAILS, sp.window, witness,

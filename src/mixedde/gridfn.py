@@ -158,8 +158,9 @@ class GridPoints:
         self.t_below, self.t_above = tt[self.below], tt[self.above]
 
 
-# elements per chunk of a long sweep: cells of a one-off node-sum build here,
-# window nodes of a block of deviated integrals in model (4096 page-faulted more)
+# elements per chunk of a long sweep: cells of a node-sum build, here and in the
+# iteration kernel, and window nodes of a block of the deviated sups in model
+# (4096 page-faulted more; 2**15 builds 100 001 node sums as fast as one chunk)
 CHUNK = 1 << 15
 
 

@@ -135,20 +135,31 @@ class CoefficientExpr:
         arr = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._eval(arr)
+        if type(out) is float:  # a constant expression
+            out = np.full(arr.shape, out)
         if arr.ndim == 0:
             return float(out)
         return out
 
     def _eval(self, t: np.ndarray):
+        """The value on t: a float for a constant leaf, else t itself or an array
+        this evaluation owns, which the operator above writes its result into.
+
+        A float operand gives the bits of its np.full array: add, sub and mul
+        round each element alike either way. An operator over constants alone
+        runs on an np.full array of t's shape, since sin, cos and exp of a lone
+        float may take another numpy loop than they do on an array.
+        """
         k = self.kind
         if k == "const":
-            return np.full(t.shape, self.value)
+            return self.value
         if k == "t":
             return t
-        a, fn = self.args, _OPERATORS[k].array
-        if len(a) == 1:
-            return fn(a[0]._eval(t))
-        return fn(a[0]._eval(t), a[1]._eval(t))
+        args = [a._eval(t) for a in self.args]
+        if all(type(x) is float for x in args):
+            args[0] = np.full(t.shape, args[0])
+        own = next((x for x in args if isinstance(x, np.ndarray) and x is not t), None)
+        return _OPERATORS[k].array(*args, out=own)
 
     # -- printing ----------------------------------------------------------------
 
@@ -381,9 +392,9 @@ class SampledProblem:
     Certificate checks, the seeds and the iteration kernel of the construction,
     relax and equation_residual take their samples from it, and each quantity
     they read off the window is derived here once: the dominance margin, the
-    four deviated integrals per window node and the gap integrals. A step that
-    is not positive and finite, a grid of more than MAX_GRID_POINTS nodes, and
-    any non-finite sample raise ValueError.
+    sups of the deviated integrals and of the pointwise test, and the gap
+    integrals. A step that is not positive and finite, a grid of more than
+    MAX_GRID_POINTS nodes, and any non-finite sample raise ValueError.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
@@ -438,25 +449,14 @@ class SampledProblem:
         return grid.cumulative()
 
     @cached_property
-    def deviated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """int_g^t a, int_t^h a, int_g^t b and int_t^h b per window node.
-
-        Built block by block of gridfn.CHUNK window nodes on cumulative
-        integrals of a and b over the widened grid, which they share and which
-        are freed on return. ts, g and h of a block are placed on that grid once
-        each, each integral is evaluated at ts once, and every evaluation and
-        difference is written into the four outputs, so besides them and the two
-        cumulative integrals only block-sized arrays are alive.
-
-        Where the last node sum of a or b is +inf (past the float range; for a
-        nonnegative coefficient it is wherever any is), a difference of two
-        +inf integrals saturates to +inf without a warning. Any other nan stays.
-        """
+    def _deviated_sups(self) -> dict[tuple[str, str], tuple[float, int]]:
+        # over the window nodes, block by block of gridfn.CHUNK, on cumulative
+        # integrals of a and b over the widened grid, which are freed on return
         cum_a, cum_b = self.widened_cumulative("a"), self.widened_cumulative("b")
         f = cum_a.f
         n = self.ts.size
-        a_g, a_h, b_g, b_h = out = tuple(np.empty(n) for _ in range(4))
-        scratch = np.empty(min(n, CHUNK))
+        buffers = tuple(np.empty(min(n, CHUNK)) for _ in range(5))
+        sups: dict[tuple[str, str], tuple[float, int]] = {}
 
         def place(t: np.ndarray) -> GridPoints:
             return GridPoints(f.t_start, f.step, len(f.values), t)
@@ -467,23 +467,63 @@ class SampledProblem:
             if both is not None:
                 out[both] = math.inf
 
+        def reduce(key: tuple[str, str], values: np.ndarray, lo: int) -> None:
+            # np.argmax over the window: its first maximum, or its first nan
+            i = int(np.argmax(values))
+            value = float(values[i])
+            best = sups.get(key)
+            if best is None or (not math.isnan(best[0])
+                                and (math.isnan(value) or value > best[0])):
+                sups[key] = (value, lo + i)
+
         sat_a, sat_b = cum_a.total == math.inf, cum_b.total == math.inf
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: see subtract
             for lo in range(0, n, CHUNK):
                 block = slice(lo, lo + CHUNK)
+                a, b = self.a[block], self.b[block]
+                a_g, a_h, b_g, b_h, h = (x[:a.size] for x in buffers)
                 p = place(self.ts[block])
-                a_t, b_t = cum_a.at(p, a_h[block]), cum_b.at(p, b_h[block])
+                a_t, b_t = cum_a.at(p, a_h), cum_b.at(p, b_h)
                 del p  # one placement is alive at a time
                 p = place(self.g[block])
-                subtract(a_t, cum_a.at(p, a_g[block]), a_g[block], sat_a)
-                subtract(b_t, cum_b.at(p, b_g[block]), b_g[block], sat_b)
+                subtract(a_t, cum_a.at(p, a_g), a_g, sat_a)
+                subtract(b_t, cum_b.at(p, b_g), b_g, sat_b)
                 del p
                 p = place(self.h[block])
-                h = scratch[:a_t.size]
-                subtract(cum_a.at(p, h), a_t, a_t, sat_a)
-                subtract(cum_b.at(p, h), b_t, b_t, sat_b)
+                subtract(cum_a.at(p, h), a_t, a_h, sat_a)
+                subtract(cum_b.at(p, h), b_t, b_h, sat_b)
                 del p
-        return out
+                reduce(("integral", "delay"), a_g, lo)
+                reduce(("integral", "advance"), b_h, lo)
+                # main * (e^back - 1) * e^ahead - other, in place in back
+                for case, main, other, back, ahead in (("delay", a, b, a_g, a_h),
+                                                       ("advance", b, a, b_h, b_g)):
+                    np.expm1(back, out=back)
+                    np.multiply(main, back, out=back)
+                    back *= np.exp(ahead, out=ahead)
+                    back -= other
+                    reduce(("rhs", case), back, lo)
+        return sups
+
+    def deviated_sup(self, case: str) -> tuple[float, int]:
+        """(sup, first node where it occurs) over the window grid of int_g^t a for
+        case "delay", of int_t^h b for case "advance".
+
+        All four sups of the deviated integrals are reduced in one pass over the
+        window, a block at a time, so no window-sized integral is kept. Where the
+        last node sum of a or b is +inf (past the float range; for a nonnegative
+        coefficient it is wherever any is), a difference of two +inf integrals
+        saturates to +inf without a warning. Any other nan stays, and a nan is
+        the sup at the first node that holds one, as np.argmax reads it.
+        """
+        return self._deviated_sups[("integral", case)]
+
+    def rhs_sup(self, case: str) -> tuple[float, int]:
+        """(sup, first node) of the pointwise test's right-hand side minus the
+        other coefficient, a*(e^{int_g^t a} - 1)*e^{int_t^h a} - b for case
+        "delay" and b*(e^{int_t^h b} - 1)*e^{int_g^t b} - a for "advance";
+        overflow saturates to inf. Reduced with `deviated_sup`'s sups."""
+        return self._deviated_sups[("rhs", case)]
 
     def gap_integrals(self, case: str) -> tuple[tuple[float, float], ...]:
         """(c, int_{t1}^{c} gap) at the window's quarter points c = t1 + k*(T - t1)/4,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixedde import ProblemSpec, construct, criteria, model, parse_expr, simulate
+from mixedde.gridfn import CHUNK, GridPoints
 
 # frozen oracle values (independent computation: closed forms and bracketed
 # bisection at 1e-14, see individual tests for the defining equations)
@@ -115,6 +116,57 @@ def _where_eval(self, t):
     if tt.ndim == 0:
         return float(out)
     return out
+
+
+# -- SampledProblem's deviated integrals as full arrays, the oracle of its sups --
+
+def deviated_as_first_written(sp):
+    """int_g^t a, int_t^h a, int_g^t b and int_t^h b at every window node, as
+    SampledProblem built them before it kept only their sups: full arrays,
+    block by block, with +inf - +inf saturated where a node sum is +inf."""
+    cum_a, cum_b = sp.widened_cumulative("a"), sp.widened_cumulative("b")
+    f = cum_a.f
+    n = sp.ts.size
+    a_g, a_h, b_g, b_h = out = tuple(np.empty(n) for _ in range(4))
+    scratch = np.empty(min(n, CHUNK))
+
+    def place(t):
+        return GridPoints(f.t_start, f.step, len(f.values), t)
+
+    def subtract(x, y, out, saturate):
+        both = (x == math.inf) & (y == math.inf) if saturate else None
+        np.subtract(x, y, out=out)
+        if both is not None:
+            out[both] = math.inf
+
+    sat_a, sat_b = cum_a.total == math.inf, cum_b.total == math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, CHUNK):
+            block = slice(lo, lo + CHUNK)
+            p = place(sp.ts[block])
+            a_t, b_t = cum_a.at(p, a_h[block]), cum_b.at(p, b_h[block])
+            p = place(sp.g[block])
+            subtract(a_t, cum_a.at(p, a_g[block]), a_g[block], sat_a)
+            subtract(b_t, cum_b.at(p, b_g[block]), b_g[block], sat_b)
+            p = place(sp.h[block])
+            h = scratch[:a_t.size]
+            subtract(cum_a.at(p, h), a_t, a_t, sat_a)
+            subtract(cum_b.at(p, h), b_t, b_t, sat_b)
+    return out
+
+
+def rhs_as_first_written(sp, case, deviated):
+    """The pointwise test's right-hand side minus the other coefficient at every
+    window node, as criteria._cor_x_2 computed it from the four full arrays."""
+    a_g, a_h, b_g, b_h = deviated
+    main, other, back, ahead = ((sp.a, sp.b, a_g, a_h) if case == "delay"
+                                else (sp.b, sp.a, b_h, b_g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.expm1(back)
+        np.multiply(main, rhs, out=rhs)
+        rhs *= np.exp(ahead)
+        rhs -= other
+    return rhs
 
 
 def _bits(x):

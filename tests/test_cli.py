@@ -294,6 +294,16 @@ def test_construct_places_far_advances_without_warnings(tmp_path, h, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_construct_rejects_a_seed_that_overflows_like_any_other(tmp_path, capsys):
+    # the last seed, e*a, overflows: it is rejected, and no seed is left
+    path = write_spec_file(tmp_path / "huge.json", a="7e307", b="0")
+    assert main(["construct", path, "--T", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: no admissible starter candidate found: "
+                                 "generating candidate must be finite\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("window", [["--T", "5"], []], ids=["T5", "default-T"])
 def test_check_saturates_overflowing_deviated_integrals(tmp_path, window, capsys):
     # the node sums of a = b = 1e308 leave the float range, so the deviated

@@ -13,7 +13,7 @@ from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_constr
                                ineq_residual, iterate, synthesize_solution,
                                witness_candidate)
 from mixedde.criteria import check
-from mixedde.gridfn import GridFunction, grid_cells
+from mixedde.gridfn import CHUNK, GridFunction, grid_cells
 from mixedde.model import CoefficientExpr, SampledProblem
 from mixedde.simulate import equation_residual
 
@@ -386,11 +386,13 @@ def test_auto_construct_evaluates_each_coefficient_once_on_the_window_grid(ex1_s
 
 def test_auto_construct_holds_a_bounded_working_set(ex1_spec):
     """The traced peak of auto_construct on ex1 over (0, 20), in window-sized
-    float arrays (32.18; 36.19 while the window-sized dominance gaps, the seed
-    and the first iterate stayed alive through the construction)."""
+    float arrays (29.17; 32.18 while the kernel kept a window-sized longdouble
+    node-sum buffer and a placement and an integral of the window's own points,
+    36.19 while the window-sized dominance gaps, the seed and the first iterate
+    stayed alive through the construction)."""
     auto_construct(ex1_spec, (0.0, 2.0))  # anything built once per process
     n = grid_cells(0.0, 20.0, STEP) + 1
-    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 20.0)), n) <= 33
+    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 20.0)), n) <= 29.5
 
 
 def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, monkeypatch):
@@ -466,6 +468,17 @@ def test_kernel_iterates_are_bit_identical_to_where_apply(example, case):
     assert np.all(np.isfinite(u))
 
 
+def test_kernel_iterates_are_bit_identical_to_where_apply_across_node_sum_chunks():
+    # the kernel sums nodes a chunk of gridfn.CHUNK cells at a time
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 80.0), 2e-3)
+    assert sampled.ts.size > CHUNK + 1
+    kernel = IterationKernel(sampled, "delay")
+    u = want = sampled.a
+    for _ in range(5):
+        u, want = kernel.apply(u), _where_apply(sampled, "delay", want)
+        np.testing.assert_array_equal(_bits(u), _bits(want))
+
+
 def _shift(kind, span, frac, step):
     """A deviation of about `span` as whole steps, as whole steps plus frac of
     a step, or varying with t between half and one and a half times that."""
@@ -521,7 +534,8 @@ def test_kernel_runs_the_formula_on_the_off_node_points_only(ex1_spec, ex3_spec,
     ex1 = SampledProblem(ex1_spec, (0.0, 100.0), 1e-3)
     kernel = IterationKernel(ex1, "delay")
     n = ex1.ts.size
-    assert [int(np.count_nonzero(p.frac)) for p in kernel._points] == [1496, 28726, 28205]
+    assert kernel._points[0] is None  # the window's own points are read in place
+    assert [split[0].size for split in kernel._off_node] == [1496, 28726, 28205]
     u = kernel.apply(ex1.a)
     assert placed == [1496, 28726, 28205]
     for bad, value in ((7, np.inf), (n // 2, np.nan), (0, -0.0)):
@@ -550,6 +564,10 @@ _EDGE_KERNELS = {
     # whole steps of 2**-4: every point set is read on its nodes, and h's
     # points past the grid are among the few that run the formula
     "on-node-with-above": (dict(g="t-0.25", h="t+0.5"), (0.0, 3.0), 2.0 ** -4, "advance", 4),
+    # at 2**43 a float is a multiple of 2**-9, so odd window nodes round onto
+    # the even node after them: on a node, but not their own
+    "window-points-on-other-nodes": (dict(), (2.0 ** 43, 2.0 ** 43 + 4.0), 2.0 ** -10,
+                                     "delay", 3),
 }
 
 # name -> the first iterate, where it is not sampled.a
@@ -565,12 +583,17 @@ def test_kernel_is_bit_identical_to_where_apply_at_the_edges(name):
     fields, window, step, case, applies = _EDGE_KERNELS[name]
     sampled = SampledProblem(make_spec(**fields), window, step)
     kernel = IterationKernel(sampled, case)
-    ts, at_g, at_h = kernel._points
+    at_ts, at_g, at_h = kernel._points
     edge = {"h-past-the-grid": at_h.above.size > 1,
-            "g-clamped-at-t1": np.count_nonzero(sampled.g < window[0]) > ts.idx.size // 2,
+            "g-clamped-at-t1": np.count_nonzero(sampled.g < window[0]) > sampled.ts.size // 2,
             "on-node-with-above": (at_h.above.size > 1
-                                   and all(s is not None for s in kernel._off_node))}
+                                   and all(s is not None for s in kernel._off_node)),
+            # most are on a node, yet the kernel keeps their placement
+            "window-points-on-other-nodes": kernel._off_node[0] is not None}
     assert edge.get(name, True)
+    # the kernel keeps no placement of the window's own points unless some sit
+    # on another's node; where every point runs the formula, it places them again
+    assert (at_ts is None) == (name != "window-points-on-other-nodes")
     u = want = _EDGE_STARTS.get(name, lambda sp: sp.a)(sampled)
     saturated = set()
     for _ in range(applies):

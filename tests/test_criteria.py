@@ -16,7 +16,8 @@ from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
 from mixedde.gridfn import CHUNK, CumulativeIntegral, GridFunction, GridPoints, grid_cells
 from mixedde.model import Bounds, SampledProblem
 
-from conftest import EX2_I100, EX3_PROBE, EXAMPLES, make_spec, peak_window_arrays
+from conftest import (EX2_I100, EX3_PROBE, EXAMPLES, deviated_as_first_written, make_spec,
+                      peak_window_arrays)
 
 WINDOW = (0.0, 40.0)
 COR_2_X = ("COR_2_2", "COR_2_3", "COR_2_4_REMARK")
@@ -811,12 +812,21 @@ def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_builds,
 
 def test_check_all_holds_a_bounded_working_set(ex2_spec):
     """The traced peak of check_all on ex2 over (0, 100), in window-sized float
-    arrays: at the peak, the five samples, the four deviated integrals and the
-    two cumulative integrals they are built from, and block-sized temporaries
-    (14.46; 18.06 when node sums and placements were full-length)."""
+    arrays: at the peak, the five samples, the two cumulative integrals the
+    deviated sups are reduced from, and block-sized buffers (11.76; 14.45 while
+    the four deviated integrals were kept as window-sized arrays, 18.06 when
+    node sums and placements were full-length)."""
     check_all(ex2_spec, (0.0, 10.0))  # anything built once per process
     n = grid_cells(0.0, 100.0, 1e-3) + 1
-    assert peak_window_arrays(lambda: check_all(ex2_spec, (0.0, 100.0)), n) <= 15
+    assert peak_window_arrays(lambda: check_all(ex2_spec, (0.0, 100.0)), n) <= 12
+
+
+def test_check_all_on_one_block_holds_a_bounded_working_set(ex2_spec):
+    """The same on ex2 over (0, 25), the study's size, where the window is one
+    block and the block buffers are window-sized (17.56)."""
+    check_all(ex2_spec, (0.0, 10.0))
+    n = grid_cells(0.0, 25.0, 1e-3) + 1
+    assert peak_window_arrays(lambda: check_all(ex2_spec, (0.0, 25.0)), n) <= 17.6
 
 
 # -- check_all against the loop it replaced --------------------------------------
@@ -840,7 +850,7 @@ def _divergence_as_first_written(sp, condition_id):
     witness = {"checkpoints": tuple(zip(checkpoints, integrals)),
                "threshold": criteria._DIVERGENCE_THRESHOLD}
     if condition_id == "COR_1_6":
-        sup, t_at = criteria._sup_witness(sp.ts, sp.deviated[0])
+        sup, t_at = criteria._sup_witness(sp.ts, deviated_as_first_written(sp)[0])
         witness["sup_delay_integral"] = sup
         ok = ok and sup <= criteria.ONE_OVER_E + criteria._SLACK
     return criteria.Certificate(condition_id, criteria.HOLDS if ok else criteria.FAILS,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde import model
+from mixedde import criteria, model
 from mixedde.gridfn import (CHUNK, MAX_GRID_POINTS, CumulativeIntegral, GridFunction,
                             GridPoints, grid_cells)
 from mixedde.model import (_ENVELOPE_SAMPLES, _MAX_DEPTH, Bounds, CoefficientExpr,
@@ -14,7 +14,8 @@ from mixedde.model import (_ENVELOPE_SAMPLES, _MAX_DEPTH, Bounds, CoefficientExp
                            parse_expr, read_ivp, read_spec, validate_spec)
 
 from conftest import (_bits, _chain_affine_parts, _chain_constant_value, _chain_eval,
-                      _chain_str, make_spec, spec_fields)
+                      _chain_str, deviated_as_first_written, make_spec,
+                      rhs_as_first_written, spec_fields)
 
 
 def test_parse_sinusoid_coefficient():
@@ -189,6 +190,53 @@ def test_operator_table_matches_the_if_chains(e):
     assert _bits(e(0.7)) == _bits(float(want_0d))
     assert _outcome(model._constant_value, e) == _outcome(_chain_constant_value, e)
     assert _outcome(model._affine_parts, e) == _outcome(_chain_affine_parts, e)
+
+
+def _has_t(e: CoefficientExpr) -> bool:
+    return e.kind == "t" or any(_has_t(a) for a in e.args)
+
+
+# t at signed zeros, past the float range and at nan, besides a plain grid
+_POINTS = np.concatenate((np.linspace(-20.0, 20.0, 41),
+                          (-0.0, 1e-300, 1e300, -1.7e308, math.inf, -math.inf, math.nan)))
+
+
+@seed(20192)
+@settings(deadline=None, database=None, max_examples=300)
+@given(st.one_of(_BUSHY, st.integers(1, _MAX_DEPTH).flatmap(_chains), _AFFINE, _T_FREE))
+@example(CoefficientExpr.const(2.5))
+@example(_binary("mul", _unary("exp", CoefficientExpr.const(1000.0)), CoefficientExpr.const(0.0)))
+@example(_binary("sub", _unary("sin", _T), _binary("mul", _T, _unary("cos", _T))))
+def test_evaluation_is_the_full_leaf_evaluation_bit_for_bit(e):
+    """Constant leaves evaluate as floats and each operator writes into a
+    temporary of its own: the nan positions, and the bits of every other value,
+    are those of the evaluator that expanded every constant leaf with np.full,
+    on arrays and on 0-d input; t itself is never written (it is read-only
+    here). Of two nan operands the hardware keeps one, and which one depends
+    on the numpy loop, so a nan's sign and payload are not compared."""
+
+    def assert_same(got, want):
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+    pts = _POINTS.copy()
+    pts.setflags(write=False)
+    zero_d = (0.7, -0.0, math.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _chain_eval(e, pts)
+        want_0d = np.array([_chain_eval(e, np.asarray(x)) for x in zero_d], dtype=float)
+    got = e(pts)
+    assert_same(got, want)
+    got_0d = [e(x) for x in zero_d]
+    assert all(type(v) is float for v in got_0d)
+    assert_same(np.array(got_0d), want_0d)
+    if not _has_t(e):  # a fresh array of t's shape, also for a t of two axes
+        grid = pts.reshape(2, -1)
+        first, second = e(grid), e(grid)
+        assert first.shape == grid.shape and first.flags.writeable
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, grid)
+        assert_same(first.ravel(), want)
 
 
 # over t, printing keeps every level; a negated constant at the bottom would
@@ -392,9 +440,35 @@ def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):
         sp.widened_cumulative("a")
 
 
+def _sups(sp):
+    """SampledProblem's four sups, in the order of _sups_of_arrays."""
+    return [sp.deviated_sup("delay"), sp.deviated_sup("advance"),
+            sp.rhs_sup("delay"), sp.rhs_sup("advance")]
+
+
+def _sups_of_arrays(sp, deviated):
+    """criteria._sup_witness over the full arrays, as (value, node)."""
+    a_g, _, _, b_h = deviated
+    full = (a_g, b_h, rhs_as_first_written(sp, "delay", deviated),
+            rhs_as_first_written(sp, "advance", deviated))
+    out = []
+    for values in full:
+        value, t_at = criteria._sup_witness(sp.ts, values)
+        node = int(np.argmax(values))
+        assert t_at == sp.ts[node]
+        out.append((value, node))
+    return out
+
+
+def _assert_same_sups(got, want):
+    for (value, node), (want_value, want_node) in zip(got, want, strict=True):
+        assert _bits(value) == _bits(want_value) and node == want_node
+
+
 def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
     """Block by block, every window node of ts, g and h is placed once, in order,
-    on the one widened grid; the cumulative integrals built for it are not kept."""
+    on the one widened grid, for all four sups; the cumulative integrals built
+    for it are not kept."""
     spec = make_spec(a="1.4+0.2*sin(t)", b="1.3+0.1*cos(t)", g="t-0.3-0.1*cos(t)",
                      h="t+0.2+0.1*sin(t)")
     step = 2.0 ** -10
@@ -406,8 +480,8 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
         placed = []
         monkeypatch.setattr(GridPoints, "__init__",
                             lambda self, *args: placed.append(args) or place(self, *args))
-        first = sp.deviated
-        assert sp.deviated is first  # cached
+        got = _sups(sp)
+        assert _sups(sp) == got  # cached
         monkeypatch.undo()
         assert not any(isinstance(v, CumulativeIntegral) for v in vars(sp).values())
         cum_a, cum_b = sp.widened_cumulative("a"), sp.widened_cumulative("b")
@@ -420,11 +494,10 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
             parts = [args[3] for args in placed[k::3]]
             assert all(np.shares_memory(part, t) for part in parts)  # views, not copies
             np.testing.assert_array_equal(_bits(np.concatenate(parts)), _bits(t))
-        want = [cum_a(sp.ts) - cum_a(sp.g), cum_a(sp.h) - cum_a(sp.ts),
-                cum_b(sp.ts) - cum_b(sp.g), cum_b(sp.h) - cum_b(sp.ts)]
-        for got, exact in zip(first, want):
-            np.testing.assert_array_equal(_bits(got), _bits(exact))
-    assert SampledProblem(spec, (0.0, 5.0), 1e-3).deviated is not first
+        want = (cum_a(sp.ts) - cum_a(sp.g), cum_a(sp.h) - cum_a(sp.ts),
+                cum_b(sp.ts) - cum_b(sp.g), cum_b(sp.h) - cum_b(sp.ts))
+        _assert_same_sups(got, _sups_of_arrays(sp, want))
+    assert "_deviated_sups" not in vars(SampledProblem(spec, (0.0, 5.0), 1e-3))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -435,11 +508,54 @@ def test_deviated_integrals_saturate_only_a_difference_of_two_positive_infs():
     sp = SampledProblem(spec, (0.0, 5.0), 1e-3)
     assert sp.widened_cumulative("b").total == math.inf
     assert sp.widened_cumulative("a").total == -math.inf
-    a_g, a_h, b_g, b_h = sp.deviated
-    for got in (b_g, b_h):
-        assert not np.isnan(got).any() and np.isposinf(got).any()
-    for got in (a_g, a_h):
-        assert np.isnan(got).any() and not np.isposinf(got).any()
+    assert sp.deviated_sup("advance")[0] == math.inf  # of int_t^h b
+    assert sp.rhs_sup("advance")[0] == math.inf
+    # int_g^t a holds nan, and so does the delay test's right-hand side; each is
+    # the sup at its first nan node, as np.argmax reads it
+    deviated = deviated_as_first_written(sp)
+    for sup, full in ((sp.deviated_sup("delay"), deviated[0]),
+                      (sp.rhs_sup("delay"), rhs_as_first_written(sp, "delay", deviated))):
+        assert math.isnan(sup[0]) and sup[1] == np.flatnonzero(np.isnan(full))[0] > 0
+
+
+# a coefficient that is 0 up to about `onset` and 1.7e308 past it: its node
+# sums leave the float range there, in any block of the window
+def _late_overflow(sign: str, onset: float) -> str:
+    return f"{sign}1.7e308*exp(-exp({onset!r}-t))"
+
+
+@st.composite
+def _deviated_cases(draw):
+    """(spec fields, T): periodic, constant (the deviated integrals tie on most
+    nodes), overflowing to +inf (saturated) or to -inf (nan) at some onset."""
+    kind = draw(st.sampled_from(["periodic", "constant", "overflow"]))
+    if kind == "periodic":
+        fields = dict(a=f"{draw(st.floats(0.0, 2.0))!r}+{draw(st.floats(0.0, 0.5))!r}*sin(t)",
+                      b=f"{draw(st.floats(0.0, 2.0))!r}+{draw(st.floats(0.0, 0.5))!r}*cos(t)",
+                      g=f"t-{draw(st.floats(0.0, 0.6))!r}-0.05*cos(t)",
+                      h=f"t+{draw(st.floats(0.0, 0.6))!r}+0.05*sin(t)")
+    elif kind == "constant":
+        a, b = (draw(st.sampled_from(["0", "1", "1.4", "0.5"])) for _ in "ab")
+        fields = dict(a=a, b=b, g=f"t-{draw(st.sampled_from([0.0, 0.25, 0.3]))!r}",
+                      h=f"t+{draw(st.sampled_from([0.0, 0.25, 0.3]))!r}")
+    else:
+        onset = draw(st.floats(-5.0, 65.0))
+        fields = dict(a=_late_overflow(draw(st.sampled_from(["", "-"])), onset),
+                      b=draw(st.sampled_from(["1e308", "1", _late_overflow("", onset)])))
+    return fields, draw(st.sampled_from([20.0, 40.0, 70.0]))  # 1, 2 and 3 blocks
+
+
+@seed(20190)
+@settings(deadline=None, database=None, max_examples=40)
+@given(_deviated_cases())
+@example((dict(a="0", b="0"), 70.0))  # every node ties, in all three blocks
+@example((dict(a="1e308", b="1e308"), 40.0))  # +inf - +inf saturates to +inf
+@example((dict(a=_late_overflow("-", 50.0)), 70.0))  # nan first in the second block
+def test_deviated_sups_are_the_sups_of_the_full_arrays(case):
+    fields, T = case
+    sp = SampledProblem(make_spec(**fields), (0.0, T), 1e-3)
+    assert -(-sp.ts.size // CHUNK) == {20.0: 1, 40.0: 2, 70.0: 3}[T]
+    _assert_same_sups(_sups(sp), _sups_of_arrays(sp, deviated_as_first_written(sp)))
 
 
 _SAMPLE = st.one_of(st.sampled_from((0.0, -0.0, 1.3, 1.4)), st.floats(-1e3, 1e3))
