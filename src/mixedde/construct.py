@@ -107,11 +107,12 @@ class IterationKernel:
     values of u can still differ from the formula in the sign of a zero, which
     the map cannot see: x - (+/-0) = x and exp(+/-0) = 1.
 
-    The window's own points, when so split and each on-node one on its own
-    node, keep no placement and no integral array: the node sums become their
-    integral in place, once the formula's results for the off-node ones are
-    written over them. Where every point runs the formula, they are placed
-    again for that application.
+    The window's own points, when so split, keep no placement and no integral
+    array: grid_cells keeps the nodes more than a float spacing apart, so each
+    on-node one is on its own node, and the node sums become their integral in
+    place once the formula's results for the off-node ones are written over
+    them. Where every point runs the formula, they are placed again for that
+    application.
     """
 
     def __init__(self, sampled: SampledProblem, case: str):
@@ -127,9 +128,8 @@ class IterationKernel:
         point_sets = (ts, np.maximum(sampled.g, t1), sampled.h)
         points = [GridPoints(t1, step, n, t) for t in point_sets]
         self._off_node = tuple(_off_node(p, t) for p, t in zip(points, point_sets))
-        if self._off_node[0] is not None and np.all(
-                (points[0].idx == np.arange(n)) | (points[0].frac != 0.0)):
-            points[0] = None  # every on-node window point is on its own node
+        if self._off_node[0] is not None:
+            points[0] = None
         self._points = tuple(points)
         self._at = tuple(None if p is None else np.empty(n) for p in points)
         self.extrapolates = bool(np.any(sampled.h > ts[-1] + 1e-12 * step))

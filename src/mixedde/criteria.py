@@ -27,6 +27,7 @@ Naming of the condition catalog:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
@@ -70,7 +71,10 @@ _DIVERGENCE_THRESHOLD = 5.0  # the refinements' gap integral must exceed this
 _MAX_CELLS = 10**6        # sweep_region grid size, checked before allocating
 _SYS30_MAX = 50.0         # check_sys30 searches x, y in (0, _SYS30_MAX]
 _SYS30_RESOLUTION = 0.01  # spacing of check_sys30's fallback grid
-_SYS30_BLOCK = 1 << 16    # grid points per array in one block of _sys30_routes
+_SYS30_BLOCK = 1 << 16    # grid points per array in _sys30_routes
+_SYS30_W = 40             # points per block of a sorted grid; divides 160, 480 and 5000
+_SYS30_MARGIN = 1e-9      # relative slack on each exponential of a block's lower bound
+_TINY = np.finfo(float).tiny
 # _sys30_routes' verdicts: the routes of check_sys30 in the order it tries them
 _DEGENERATE, _INVERSION, _SWEEP, _NO_ROUTE = range(4)
 
@@ -311,25 +315,30 @@ def _g_inverse_vec(bounds: Bounds, xs: np.ndarray) -> np.ndarray:
 
 def _inversion_grid(x_lo):
     """The inversion route's x grid on [x_lo, _SYS30_MAX], along the last axis;
-    one row per entry of x_lo. Unsorted, with the geometric part first."""
+    one row per entry of x_lo. Unsorted: the geometric part, then the linear."""
     return np.concatenate([np.geomspace(x_lo, _SYS30_MAX, 160, axis=-1),
                            np.linspace(x_lo, _SYS30_MAX, 480, axis=-1)], axis=-1)
 
 
+@functools.cache
 def _sweep_grid() -> np.ndarray:
-    """The fallback sweep's grid, res, 2 res, ..., _SYS30_MAX, for both x and y."""
+    """The fallback sweep's grid, res, 2 res, ..., _SYS30_MAX, for both x and y;
+    read-only, and built on first use."""
     res = _SYS30_RESOLUTION
-    return res * (1.0 + np.arange(int(math.floor((_SYS30_MAX - res) / res + 0.5)) + 1))
+    grid = res * (1.0 + np.arange(int(math.floor((_SYS30_MAX - res) / res + 0.5)) + 1))
+    grid.setflags(write=False)
+    return grid
 
 
-def _sweep_candidates(bounds, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each y in the grid xs, the least x in xs with g(y) <= x, and whether
-    f(x) <= y there; along the last axis, one row per cell of bounds."""
-    gys, fxs = sys30_values(bounds, xs, xs)
-    idx = np.searchsorted(xs, gys, side="left")
-    cand = np.minimum(idx, len(xs) - 1)
-    hit = (idx < len(xs)) & (np.take_along_axis(fxs, cand, axis=-1) <= xs)
-    return xs[cand], hit
+def _sweep_candidates(bounds, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each y of ys, the least x of the sweep grid with g(y) <= x, and
+    whether f(x) <= y there; elementwise where bounds or ys are arrays."""
+    grid = _sweep_grid()
+    gys, _ = sys30_values(bounds, 0.0, ys)
+    idx = np.searchsorted(grid, gys, side="left")
+    xs = grid[np.minimum(idx, len(grid) - 1)]
+    _, fxs = sys30_values(bounds, xs, 0.0)
+    return xs, (idx < len(grid)) & (fxs <= ys)
 
 
 class _Cells(NamedTuple):
@@ -341,11 +350,96 @@ class _Cells(NamedTuple):
     tau: float
     sigma: float
 
+    def at(self, rows) -> _Cells:
+        """The cells that the index rows selects."""
+        return _Cells(self.a1[rows], self.a2[rows], self.b1[rows], self.b2[rows],
+                      self.tau, self.sigma)
+
 
 def _blocks(cells: np.ndarray, points: int):
     """cells in slices whose grids of `points` each total at most _SYS30_BLOCK."""
     size = max(1, _SYS30_BLOCK // points)
     return (cells[k:k + size] for k in range(0, len(cells), size))
+
+
+def _below(up, rate_up, down, rate_down, v):
+    """A lower bound of up e^{v' rate_up} - down e^{-v' rate_down}, as
+    sys30_values computes it, at every v' >= v where up, down and the rates
+    are >= 0; -inf where it is NaN, so that it drops nothing.
+
+    Rounding is monotone, and np.exp is within a few ulps of e^u, relatively
+    where the result is normal and absolutely below _TINY. So the margin, some
+    10^7 ulps on each exponential, with _TINY on top, covers both that and the
+    roundings of this bound: a block is dropped only where the bound reaches a
+    threshold of at least 1e-9, where any rounding below _TINY is negligible.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_up, e_down = np.exp(v * rate_up), np.exp(-v * rate_down)
+        lower = (up * (e_up * (1.0 - _SYS30_MARGIN) - _TINY)
+                 - down * (e_down * (1.0 + _SYS30_MARGIN) + _TINY))
+    return np.fmax(lower, -np.inf)
+
+
+def _inversion_hits(env: _Cells, xs: np.ndarray) -> np.ndarray:
+    """The inversion route's test at each x of xs: its slack g^{-1}(x) - f(x)
+    is positive exactly when f(x) < _SYS30_MAX and g(f(x)) < x."""
+    _, fx = sys30_values(env, xs, 0.0)
+    gfx, _ = sys30_values(env, 0.0, fx)
+    return (fx < _SYS30_MAX) & (gfx < xs)
+
+
+def _inversion_kept(env: _Cells, blocks: np.ndarray) -> np.ndarray:
+    """The blocks of x that may hold a hit of _inversion_hits if g and f
+    increase: not those where, from the first x on, f(x) >= _SYS30_MAX or
+    g(f(x)) >= the block's largest x by the _below bounds. A block whose first
+    x is not its least, which rounding could make of the geometric part, stays."""
+    x0 = blocks[..., 0]
+    fx = _below(env.b2, env.sigma, env.a1, env.tau, x0)
+    gfx = _below(env.a2, env.tau, env.b1, env.sigma, fx)
+    ordered = blocks.min(axis=-1) == x0
+    return ~(ordered & ((fx >= _SYS30_MAX) | (gfx >= blocks.max(axis=-1))))
+
+
+def _sweep_hits(env: _Cells, ys: np.ndarray) -> np.ndarray:
+    """The sweep's test at each y of ys: f(x) <= y at its candidate x from
+    _sweep_candidates, and then _sys30_witness_ok(x, y)."""
+    xs, hit = _sweep_candidates(env, ys)
+    rows, cols = np.nonzero(hit)
+    ys = np.broadcast_to(ys, hit.shape)
+    cells = env.at((rows, 0))  # one entry per hit, not a column
+    hit[rows, cols] = _sys30_witness_ok(cells, xs[rows, cols], ys[rows, cols])
+    return hit
+
+
+def _sweep_kept(env: _Cells, blocks: np.ndarray) -> np.ndarray:
+    """The blocks of y that may hold a hit of _sweep_hits if g and f increase.
+    From the first y on, g(y) is at least its _below bound, so the candidate x
+    is at least the least grid x above it, and f(x) at least its _below bound
+    there: a block is dropped where no such x exists or f's bound exceeds the
+    block's last y."""
+    grid = _sweep_grid()
+    gy = _below(env.a2, env.tau, env.b1, env.sigma, blocks[..., 0])
+    idx = np.searchsorted(grid, gy, side="left")
+    fx = _below(env.b2, env.sigma, env.a1, env.tau, grid[np.minimum(idx, len(grid) - 1)])
+    return (idx < len(grid)) & ~(fx > blocks[..., -1])
+
+
+def _coarse_to_fine(env: _Cells, blocks: np.ndarray, hits, kept) -> np.ndarray:
+    """Which cells (rows of env) have a point of their grid, in blocks of shape
+    (cells, blocks, _SYS30_W), where the elementwise test hits holds.
+
+    A hit at a block's first point decides its cell. The cells left run hits
+    on the blocks kept(env, blocks) keeps, all of them where an envelope bound
+    is negative, in arrays of at most _SYS30_BLOCK points.
+    """
+    found = np.any(hits(env, blocks[..., 0]), axis=1)
+    monotone = (env.a1 >= 0.0) & (env.a2 >= 0.0) & (env.b1 >= 0.0) & (env.b2 >= 0.0)
+    rows, cols = np.nonzero((kept(env, blocks) | ~monotone) & ~found[:, None])
+    size = _SYS30_BLOCK // _SYS30_W
+    for k in range(0, len(rows), size):
+        r, c = rows[k:k + size], cols[k:k + size]
+        found[r[np.any(hits(env.at(r), blocks[r, c]), axis=1)]] = True
+    return found
 
 
 def _sys30_routes(a1, a2, b1, b2, tau: float, sigma: float) -> np.ndarray:
@@ -354,17 +448,19 @@ def _sys30_routes(a1, a2, b1, b2, tau: float, sigma: float) -> np.ndarray:
     that finds the system feasible, or _NO_ROUTE.
 
     The routes are those of check_sys30, in its order: the degenerate witness
-    when tau = sigma = 0; the inversion route's sign test, since its slack
-    g^{-1}(x) - f(x) is positive exactly when f(x) < _SYS30_MAX and
-    g(f(x)) < x, on each cell's own grid; then the fallback sweep, only for
-    the cells the first two reject. Each route runs over its cells in blocks,
-    so memory does not grow with their number beyond one entry per cell.
+    when tau = sigma = 0; the inversion route's sign test (_inversion_hits) on
+    each cell's own grid; then the fallback sweep (_sweep_hits), only for the
+    cells the first two reject. The two grid routes run coarse to fine
+    (_coarse_to_fine) over blocks of _SYS30_W points of the sorted parts of
+    their grids: the geometric and the linear part of _inversion_grid, and the
+    sweep grid. Where g and f increase, lower bounds at a block's first point
+    drop the blocks that cannot hold a hit. Each cell still gets the verdict
+    of the test at every point, and no array holds more than _SYS30_BLOCK
+    points, whatever the number of cells.
     """
     a1, a2, b1, b2 = (np.array(v, dtype=float, ndmin=1) for v in (a1, a2, b1, b2))
     routes = np.full(a1.shape, _NO_ROUTE, dtype=np.int8)
-
-    def cells(idx):  # the envelopes of a block of cells, as columns
-        return _Cells(a1[idx, None], a2[idx, None], b1[idx, None], b2[idx, None], tau, sigma)
+    env = _Cells(a1[:, None], a2[:, None], b1[:, None], b2[:, None], tau, sigma)  # columns
 
     if tau == 0.0 and sigma == 0.0:
         x = np.maximum(a2 - b1, 0.0) + 1.0
@@ -374,18 +470,14 @@ def _sys30_routes(a1, a2, b1, b2, tau: float, sigma: float) -> np.ndarray:
     x_lo = np.maximum(a2 - b1, 0.0) + 1e-9
     todo = np.flatnonzero((routes == _NO_ROUTE) & (x_lo < _SYS30_MAX))
     for idx in _blocks(todo, 160 + 480):  # the points of _inversion_grid
-        env = cells(idx)
-        xs = _inversion_grid(x_lo[idx])
-        _, fx = sys30_values(env, xs, 0.0)
-        gfx, _ = sys30_values(env, 0.0, fx)
-        positive = np.any((fx < _SYS30_MAX) & (gfx < xs), axis=1)
-        routes[idx[positive]] = _INVERSION
+        blocks = _inversion_grid(x_lo[idx]).reshape(len(idx), -1, _SYS30_W)
+        found = _coarse_to_fine(env.at(idx), blocks, _inversion_hits, _inversion_kept)
+        routes[idx[found]] = _INVERSION
 
-    ys = _sweep_grid()
-    for idx in _blocks(np.flatnonzero(routes == _NO_ROUTE), len(ys)):
-        env = cells(idx)
-        xs, hit = _sweep_candidates(env, ys)
-        found = np.any(hit & _sys30_witness_ok(env, xs, ys), axis=1)
+    sweep = _sweep_grid().reshape(-1, _SYS30_W)
+    for idx in _blocks(np.flatnonzero(routes == _NO_ROUTE), len(sweep)):
+        blocks = np.broadcast_to(sweep, (len(idx), *sweep.shape))  # a view, no copy
+        found = _coarse_to_fine(env.at(idx), blocks, _sweep_hits, _sweep_kept)
         routes[idx[found]] = _SWEEP
     return routes
 
@@ -482,9 +574,9 @@ def sweep_region(bounds_template: Bounds, axis1: str, axis2: str,
 
     axes ("x", "y"): fix the bounds, test the system's two inequalities on an
     (x, y) grid directly. axes ("a", "b"): sweep constant coefficients with the
-    template's tau/sigma, deciding all cells by check_sys30's verdict in one
-    array pass (_sys30_routes); also emits the reference indicator
-    a*tau + b*sigma < 1/e. Grids of more than _MAX_CELLS
+    template's tau/sigma, giving every cell check_sys30's verdict from one call
+    of _sys30_routes, which searches each grid coarse to fine; also emits the
+    reference indicator a*tau + b*sigma < 1/e. Grids of more than _MAX_CELLS
     cells raise ValueError before anything is allocated.
     """
     if not (resolution > 0 and math.isfinite(resolution)):

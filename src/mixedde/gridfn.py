@@ -31,12 +31,22 @@ def check_grid_size(spans: float, what: str) -> None:
 
 
 def grid_cells(t_start: float, t_end: float, step: float) -> int:
-    """Cells of the uniform grid from t_start whose last node is >= t_end."""
+    """Cells of the uniform grid from t_start whose last node is >= t_end.
+
+    A step that does not exceed the float spacing of the grid's times, plus
+    the rounding of k*step, raises ValueError: there t_start + k*step stops
+    increasing and nodes repeat.
+    """
     if not (step > 0 and math.isfinite(step)):
         raise ValueError("step must be positive and finite")
     spans = (t_end - t_start) / step
     check_grid_size(spans, f"a grid over [{t_start:g}, {t_end:g}] at step {step:g}")
-    return max(1, int(math.ceil(spans - 1e-9)))
+    cells = max(1, int(math.ceil(spans - 1e-9)))
+    top = max(abs(t_start), abs(t_start + cells * step))
+    if not step > math.ulp(top) + math.ulp(cells * step):
+        raise ValueError(f"step {step:g} is too fine for times near {top:g}: "
+                         "grid nodes would repeat")
+    return cells
 
 
 def node_times(t_start: float, step: float, n: int) -> np.ndarray:

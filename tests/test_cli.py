@@ -217,6 +217,23 @@ def test_bad_step_exits_two(ex1_file, command, step, capsys):
     assert "step must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{ex1}", "--t1", "8796093022208", "--T", "8796093022212"],
+    ["construct", "{ex1}", "--t1", "8796093022208", "--T", "8796093022212"],
+    ["simulate", "{far}", "--T", "8796093022212"],
+], ids=["check", "construct", "simulate"])
+def test_a_step_below_the_float_spacing_of_the_window_exits_two(tmp_path, ex1_file, argv,
+                                                                capsys):
+    # floats near 2**43 are 2**-9 apart, so t1 + k * 2**-10 would repeat nodes
+    files = {"ex1": ex1_file,
+             "far": write_spec_file(tmp_path / "far.json", t0=8796093022208.0)}
+    argv = [arg.format(**files) for arg in argv]
+    assert main([*argv, "--step", "0.0009765625"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: step 0.000976562 is too fine for times near "
+                              "8.79609e+12: grid nodes would repeat\n")
+
+
 def _step_option(command):
     return [] if command == "validate" else ["--step", "0.004"]
 
@@ -280,6 +297,21 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
     out, err = capsys.readouterr()
     assert line in (err if code == 2 else out).splitlines()
     assert err == (line + "\n" if code == 2 else "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ranges, code, report", [
+    (["--lo1", "1e300", "--hi1", "1.00000001e300", "--lo2", "1e300", "--hi2",
+      "1.00000001e300", "--res", "1e292"], 1, "cells: 4\nfeasible_cells: 0\nnonempty: no\n"),
+    (["--lo1", "0", "--hi1", "1e-300", "--lo2", "0", "--hi2", "1e-300", "--res", "1e-301"],
+     0, "cells: 100\nfeasible_cells: 100\nnonempty: yes\n"),
+], ids=["huge", "tiny"])
+def test_region_ab_at_extreme_coefficients_without_warnings(tmp_path, ranges, code, report,
+                                                            capsys):
+    # the block bounds of the SYS_30 routes overflow, and underflow to subnormals
+    path = write_spec_file(tmp_path / "ex4.json", **EXAMPLES["ex4"])
+    assert main(["region", path, "--axes", "a,b", *ranges]) == code
+    assert capsys.readouterr().out == "axes: a b\n" + report
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

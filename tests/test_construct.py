@@ -564,10 +564,6 @@ _EDGE_KERNELS = {
     # whole steps of 2**-4: every point set is read on its nodes, and h's
     # points past the grid are among the few that run the formula
     "on-node-with-above": (dict(g="t-0.25", h="t+0.5"), (0.0, 3.0), 2.0 ** -4, "advance", 4),
-    # at 2**43 a float is a multiple of 2**-9, so odd window nodes round onto
-    # the even node after them: on a node, but not their own
-    "window-points-on-other-nodes": (dict(), (2.0 ** 43, 2.0 ** 43 + 4.0), 2.0 ** -10,
-                                     "delay", 3),
 }
 
 # name -> the first iterate, where it is not sampled.a
@@ -587,13 +583,11 @@ def test_kernel_is_bit_identical_to_where_apply_at_the_edges(name):
     edge = {"h-past-the-grid": at_h.above.size > 1,
             "g-clamped-at-t1": np.count_nonzero(sampled.g < window[0]) > sampled.ts.size // 2,
             "on-node-with-above": (at_h.above.size > 1
-                                   and all(s is not None for s in kernel._off_node)),
-            # most are on a node, yet the kernel keeps their placement
-            "window-points-on-other-nodes": kernel._off_node[0] is not None}
+                                   and all(s is not None for s in kernel._off_node))}
     assert edge.get(name, True)
-    # the kernel keeps no placement of the window's own points unless some sit
-    # on another's node; where every point runs the formula, it places them again
-    assert (at_ts is None) == (name != "window-points-on-other-nodes")
+    # the kernel keeps no placement of the window's own points; where every
+    # point runs the formula, it places them again
+    assert at_ts is None
     u = want = _EDGE_STARTS.get(name, lambda sp: sp.a)(sampled)
     saturated = set()
     for _ in range(applies):

@@ -445,6 +445,124 @@ def test_sys30_routes_on_general_bounds_match_the_per_cell_oracle():
     assert decided == {criteria._DEGENERATE, criteria._INVERSION, criteria._NO_ROUTE}
 
 
+def _dense_sys30_routes(a1, a2, b1, b2, tau, sigma):
+    """criteria._sys30_routes as it was before it decided cells coarse to fine:
+    each route's test at every point of every grid, for every cell."""
+    a1, a2, b1, b2 = (np.array(v, dtype=float, ndmin=1) for v in (a1, a2, b1, b2))
+    routes = np.full(a1.shape, criteria._NO_ROUTE, dtype=np.int8)
+
+    def cells(idx):
+        return criteria._Cells(a1[idx, None], a2[idx, None], b1[idx, None], b2[idx, None],
+                               tau, sigma)
+
+    if tau == 0.0 and sigma == 0.0:
+        x = np.maximum(a2 - b1, 0.0) + 1.0
+        y = np.maximum(b2 - a1, 0.0) + 1.0
+        ok = criteria._sys30_witness_ok(criteria._Cells(a1, a2, b1, b2, tau, sigma), x, y)
+        routes[ok] = criteria._DEGENERATE
+
+    x_lo = np.maximum(a2 - b1, 0.0) + 1e-9
+    todo = np.flatnonzero((routes == criteria._NO_ROUTE) & (x_lo < 50.0))
+    for idx in criteria._blocks(todo, 160 + 480):
+        env = cells(idx)
+        xs = criteria._inversion_grid(x_lo[idx])
+        _, fx = sys30_values(env, xs, 0.0)
+        gfx, _ = sys30_values(env, 0.0, fx)
+        routes[idx[np.any((fx < 50.0) & (gfx < xs), axis=1)]] = criteria._INVERSION
+
+    ys = 0.01 * (1.0 + np.arange(5000))
+    for idx in criteria._blocks(np.flatnonzero(routes == criteria._NO_ROUTE), len(ys)):
+        env = cells(idx)
+        gys, fxs = sys30_values(env, ys, ys)
+        j = np.searchsorted(ys, gys, side="left")
+        cand = np.minimum(j, len(ys) - 1)
+        hit = (j < len(ys)) & (np.take_along_axis(fxs, cand, axis=-1) <= ys)
+        found = np.any(hit & criteria._sys30_witness_ok(env, ys[cand], ys), axis=1)
+        routes[idx[found]] = criteria._SWEEP
+    return routes
+
+
+@pytest.fixture
+def coarse_counts(monkeypatch):
+    """Counts, over every call of criteria._coarse_to_fine: the cells a block's
+    first point accepts, the blocks dropped in each sorted grid, and the cells
+    left with a block for the point-by-point tests."""
+    counts = dict.fromkeys(["accepted", "geometric", "linear", "sweep", "refined"], 0)
+    parts = {16: {"geometric": slice(0, 4), "linear": slice(4, 16)},  # _inversion_grid
+             125: {"sweep": slice(None)}}
+    coarse_to_fine = criteria._coarse_to_fine
+
+    def counting(env, blocks, hits, kept):
+        accepted = np.any(hits(env, blocks[..., 0]), axis=1)
+        monotone = np.all([v >= 0.0 for v in (env.a1, env.a2, env.b1, env.b2)], axis=0)
+        dropped = ~kept(env, blocks) & monotone & ~accepted[:, None]
+        counts["accepted"] += int(accepted.sum())
+        for name, part in parts[blocks.shape[1]].items():
+            counts[name] += int(dropped[:, part].sum())
+        counts["refined"] += int(np.sum(~accepted & ~np.all(dropped, axis=1)))
+        return coarse_to_fine(env, blocks, hits, kept)
+
+    monkeypatch.setattr(criteria, "_coarse_to_fine", counting)
+    return counts
+
+
+@pytest.mark.parametrize("res", [0.3, 0.05])
+def test_sys30_routes_match_the_dense_oracle_on_example4(res, coarse_counts):
+    template = Bounds(1.0, 1.0, 1.0, 1.0, 0.2, 0.3, WINDOW)
+    region = sweep_region(template, "a", "b", ((0.0, 3.0), (0.0, 3.0)), res)
+    a = np.repeat(region.axis1_values, len(region.axis2_values))
+    b = np.tile(region.axis2_values, len(region.axis1_values))
+    want = _dense_sys30_routes(a, a, b, b, 0.2, 0.3)
+    np.testing.assert_array_equal(criteria._sys30_routes(a, a, b, b, 0.2, 0.3), want)
+    np.testing.assert_array_equal(region.feasible.ravel(), want != criteria._NO_ROUTE)
+    assert set(want.tolist()) == {criteria._INVERSION, criteria._NO_ROUTE}
+    assert all(coarse_counts[k] > 0 for k in ("accepted", "linear", "sweep", "refined"))
+
+
+_RATES = st.one_of(st.just(0.0), st.just(0.01), st.floats(0.0, 1.0), st.floats(0.0, 20.0))
+
+
+@st.composite
+def _envelope_batches(draw):
+    """Envelopes of up to 12 cells that share tau and sigma. Scales run from
+    1e-3 to 1e3. Some lower bounds are negative, and in "signed" batches most
+    bounds are, so that g or f need not increase. In "overflow" batches tau is
+    20 and some a2 >= 1e300, so that exponentials overflow; "narrow" batches
+    are _witness_draws' narrow x-ranges, where g(f(x)) - x sits near 0."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["general", "signed", "overflow", "narrow"]))
+    if kind == "narrow":
+        sigma = draw(st.floats(3.5, 5.5))
+        a = [draw(st.floats(0.2, 0.35)) for _ in range(n)]
+        b = [draw(st.floats(8.0, 14.0)) for _ in range(n)]
+        stretch = [draw(st.floats(1.0, 1.05)) for _ in range(2 * n)]
+        return (np.array(a), np.array(a) * stretch[:n], np.array(b), np.array(b) * stretch[n:],
+                0.0, sigma)
+    tau, sigma = (20.0 if kind == "overflow" else draw(_RATES)), draw(_RATES)
+    low, high = (-3.0, 1.0) if kind == "signed" else (-0.3, 3.0)
+    cells = []
+    for _ in range(n):
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        a1, a2 = sorted(scale * draw(st.floats(low, high)) for _ in range(2))
+        b1, b2 = sorted(scale * draw(st.floats(low, high)) for _ in range(2))
+        if kind == "overflow" and draw(st.booleans()):
+            a2 = draw(st.floats(1e300, 1e306))
+        cells.append((a1, a2, b1, b2))
+    return (*np.array(cells).T, tau, sigma)
+
+
+def test_sys30_routes_match_the_dense_oracle_on_general_bounds(coarse_counts):
+    @seed(20200)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_envelope_batches())
+    def match(batch):
+        np.testing.assert_array_equal(criteria._sys30_routes(*batch),
+                                      _dense_sys30_routes(*batch))
+
+    match()
+    assert all(v > 0 for v in coarse_counts.values()), coarse_counts
+
+
 def test_cor_3_1_implies_sys30():
     rng = np.random.default_rng(32)
     checked = 0

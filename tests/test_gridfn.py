@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde.gridfn import CHUNK, GridFunction, GridPoints, _node_sums, node_times
+from mixedde.gridfn import CHUNK, GridFunction, GridPoints, _node_sums, grid_cells, node_times
+from mixedde.model import SampledProblem
 
 from conftest import _bits, _where_eval, _where_nodes
 
@@ -49,6 +50,17 @@ def test_from_callable_evaluates_once_on_the_grid_array():
 def test_node_times_are_the_bits_of_the_expression_they_replace(t_start, step, n):
     want = t_start + step * np.arange(n)
     np.testing.assert_array_equal(_bits(node_times(t_start, step, n)), _bits(want))
+
+
+def test_a_step_below_the_float_spacing_of_its_times_is_rejected(ex1_spec):
+    # floats near 2**43 are 2**-9 apart: t1 + k * 2**-10 would give 4097 node
+    # times of which 2049 are distinct
+    with pytest.raises(ValueError, match="grid nodes would repeat"):
+        SampledProblem(ex1_spec, (2.0**43, 2.0**43 + 4), 2.0**-10)
+    with pytest.raises(ValueError, match="grid nodes would repeat"):
+        GridFunction.constant(1.0, 2.0**43, 2.0**43 + 4, 2.0**-10)
+    ts = node_times(2.0**43, 2.0**-8, grid_cells(2.0**43, 2.0**43 + 4, 2.0**-8) + 1)
+    assert len(ts) == 1025 and np.all(np.diff(ts) > 0)
 
 
 def test_sine_quadrature():
