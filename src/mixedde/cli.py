@@ -68,18 +68,6 @@ def _window(spec: model.ProblemSpec, args) -> tuple[float, float]:
     return (t1, T)
 
 
-def _add_window_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t1", type=float, default=None,
-                   help="window start (default: the spec's t0)")
-    p.add_argument("--T", type=float, default=None,
-                   help="window end (default: t1 + 100)")
-
-
-def _add_io_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("report", "csv"), default="report")
-    p.add_argument("--out", default=None, help="write output to this path")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -244,83 +232,74 @@ def cmd_simulate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: per subcommand, its help, handler and arguments in --help order
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="mixedde",
-        description="Nonoscillation certificates and positive-solution "
-                    "construction for mixed delay-advanced equations.")
-    sub = p.add_subparsers(dest="command", required=True)
+_SPEC = ("spec", {})
+_WINDOW = (("--t1", {"type": float, "help": "window start (default: the spec's t0)"}),
+           ("--T", {"type": float, "help": "window end (default: t1 + 100)"}))
+_STEP = ("--step", {"type": float, "default": 1e-3})
+_IO = (("--format", {"choices": ("report", "csv"), "default": "report"}),
+       ("--out", {"help": "write output to this path"}))
 
-    v = sub.add_parser("validate", help="check the standing hypotheses by sampling")
-    v.add_argument("spec")
-    _add_window_args(v)
-    v.add_argument("--samples", type=int, default=10001)
-    v.add_argument("--out", default=None)
-    v.set_defaults(fn=cmd_validate)
-
-    c = sub.add_parser("check", help="run every sufficient condition")
-    c.add_argument("spec")
-    _add_window_args(c)
-    c.add_argument("--step", type=float, default=1e-3)
-    _add_io_args(c)
-    c.set_defaults(fn=cmd_check)
-
-    k = sub.add_parser("construct", help="build a positive monotone solution")
-    k.add_argument("spec")
-    _add_window_args(k)
-    k.add_argument("--step", type=float, default=1e-3)
-    k.add_argument("--tol", type=float, default=1e-8)
-    k.add_argument("--max-iter", type=int, default=10000)
-    _add_io_args(k)
-    k.set_defaults(fn=cmd_construct)
-
-    r = sub.add_parser("roots", help="real characteristic roots of an autonomous equation")
-    r.add_argument("spec", nargs="?", default=None,
-                   help="constant-coefficient spec file (optional)")
-    _add_window_args(r)
-    r.add_argument("--a", type=float, default=None)
-    r.add_argument("--b", type=float, default=None)
-    r.add_argument("--tau", type=float, default=None)
-    r.add_argument("--sigma", type=float, default=None)
-    r.add_argument("--delta1", type=int, choices=(-1, 1), default=1)
-    r.add_argument("--delta2", type=int, choices=(-1, 1), default=-1)
-    r.add_argument("--convention", choices=("plus_exponent", "minus_exponent"),
-                   default=None)
-    r.add_argument("--scan-lo", type=float, default=charroots.DEFAULT_SCAN[0])
-    r.add_argument("--scan-hi", type=float, default=charroots.DEFAULT_SCAN[1])
-    _add_io_args(r)
-    r.set_defaults(fn=cmd_roots)
-
-    g = sub.add_parser("region", help="feasibility-region sweep (CSV for plotting)")
-    g.add_argument("spec")
-    _add_window_args(g)
-    g.add_argument("--axes", default="x,y", help="x,y or a,b")
-    g.add_argument("--res", type=float, default=0.05)
-    g.add_argument("--lo1", type=float, default=None)
-    g.add_argument("--hi1", type=float, default=None)
-    g.add_argument("--lo2", type=float, default=None)
-    g.add_argument("--hi2", type=float, default=None)
-    _add_io_args(g)
-    g.set_defaults(fn=cmd_region)
-
-    s = sub.add_parser("simulate", help="direct numerical integration of the IVP")
-    s.add_argument("spec")
-    s.add_argument("--T", type=float, default=None)
-    s.add_argument("--step", type=float, default=1e-3)
-    s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--max-sweeps", type=int, default=200)
-    s.add_argument("--t-from", type=float, default=None,
-                   help="classification start time (default: t0)")
-    _add_io_args(s)
-    s.set_defaults(fn=cmd_simulate)
-    return p
+_COMMANDS = {
+    "validate": ("check the standing hypotheses by sampling", cmd_validate, (
+        _SPEC, *_WINDOW,
+        ("--samples", {"type": int, "default": 10001}),
+        ("--out", {}))),
+    "check": ("run every sufficient condition", cmd_check, (_SPEC, *_WINDOW, _STEP, *_IO)),
+    "construct": ("build a positive monotone solution", cmd_construct, (
+        _SPEC, *_WINDOW, _STEP,
+        ("--tol", {"type": float, "default": 1e-8}),
+        ("--max-iter", {"type": int, "default": 10000}),
+        *_IO)),
+    "roots": ("real characteristic roots of an autonomous equation", cmd_roots, (
+        ("spec", {"nargs": "?", "help": "constant-coefficient spec file (optional)"}),
+        *_WINDOW,
+        ("--a", {"type": float}),
+        ("--b", {"type": float}),
+        ("--tau", {"type": float}),
+        ("--sigma", {"type": float}),
+        ("--delta1", {"type": int, "choices": (-1, 1), "default": 1}),
+        ("--delta2", {"type": int, "choices": (-1, 1), "default": -1}),
+        ("--convention", {"choices": ("plus_exponent", "minus_exponent")}),
+        ("--scan-lo", {"type": float, "default": charroots.DEFAULT_SCAN[0]}),
+        ("--scan-hi", {"type": float, "default": charroots.DEFAULT_SCAN[1]}),
+        *_IO)),
+    "region": ("feasibility-region sweep (CSV for plotting)", cmd_region, (
+        _SPEC, *_WINDOW,
+        ("--axes", {"default": "x,y", "help": "x,y or a,b"}),
+        ("--res", {"type": float, "default": 0.05}),
+        ("--lo1", {"type": float}),
+        ("--hi1", {"type": float}),
+        ("--lo2", {"type": float}),
+        ("--hi2", {"type": float}),
+        *_IO)),
+    "simulate": ("direct numerical integration of the IVP", cmd_simulate, (
+        _SPEC,
+        ("--T", {"type": float}),
+        _STEP,
+        ("--tol", {"type": float}),
+        ("--max-sweeps", {"type": int, "default": 200}),
+        ("--t-from", {"type": float, "help": "classification start time (default: t0)"}),
+        *_IO)),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse's subcommand is the first token without a leading '-', as -h is
+    # the only top-level option; only that subcommand gets its arguments
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = argparse.ArgumentParser(prog="mixedde", description=(
+        "Nonoscillation certificates and positive-solution construction for mixed "
+        "delay-advanced equations."))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, fn, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(fn=fn)
+        for arg, kwargs in arguments if name == chosen else ():
+            p.add_argument(arg, **kwargs)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -719,7 +719,7 @@ def _load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read problem file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # json.load recurses per level
         raise ValueError(f"malformed problem file {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"problem file {path!r} must hold a JSON object")
@@ -729,6 +729,8 @@ def _load_document(path: str) -> dict:
 def _number(doc: dict, field: str, origin: str, default: float | None = None) -> float:
     value = doc.get(field, default)
     try:
+        if isinstance(value, bool):  # float(True) is 1.0
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{field} in {origin!r} must be a number, got {value!r}") from None
@@ -743,7 +745,7 @@ def _spec_from_document(doc: dict, origin: str) -> ProblemSpec:
     except ExprSyntaxError as exc:
         raise ValueError(f"bad expression in {origin!r}: {exc}") from exc
     d1, d2 = doc["delta1"], doc["delta2"]
-    if d1 not in (-1, 1) or d2 not in (-1, 1):
+    if any(isinstance(d, bool) or d not in (-1, 1) for d in (d1, d2)):  # True == 1
         raise ValueError(f"delta1/delta2 in {origin!r} must be +1 or -1")
     return ProblemSpec(exprs["a"], exprs["b"], exprs["g"], exprs["h"],
                        int(d1), int(d2), _number(doc, "t0", origin))

@@ -258,6 +258,22 @@ def test_roots_outside_the_default_window():
                                             "minus_exponent")) == -wide[0]
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1.0, 1.0, 0.3, 0.3, 1, -1), "coefficients a, b must be nonnegative"),
+    ((1.0, -1.0, 0.3, 0.3, 1, -1), "coefficients a, b must be nonnegative"),
+    ((1.0, 1.0, -0.3, 0.3, 1, -1), "tau and sigma must be nonnegative"),
+    ((1.0, 1.0, 0.3, -0.3, 1, -1), "tau and sigma must be nonnegative"),
+    ((1.0, 1.0, 0.3, 0.3, 0, -1), r"delta1 and delta2 must be \+1 or -1"),
+    ((1.0, 1.0, 0.3, 0.3, 1, 2), r"delta1 and delta2 must be \+1 or -1"),
+], ids=["a-negative", "b-negative", "tau-negative", "sigma-negative", "delta1-zero",
+        "delta2-two"])
+def test_char_problem_rejects_out_of_range_parameters(args, message):
+    with pytest.raises(ValueError, match=message):
+        CharProblem(*args, "minus_exponent")
+    with pytest.raises(ValueError, match="convention must be one of"):
+        CharProblem(1.0, 1.0, 0.3, 0.3, 1, -1, "no_exponent")
+
+
 def test_window_whose_width_overflows_is_rejected():
     for scan in ((-1e308, 1e308), (0.0, 1e308), (0.0, math.inf), (1.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="scan interval"):

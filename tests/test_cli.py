@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import mixedde
-from mixedde import simulate
-from mixedde.cli import _build_parser, main
+from mixedde import charroots, simulate
+from mixedde.cli import (_COMMANDS, cmd_check, cmd_construct, cmd_region, cmd_roots,
+                         cmd_simulate, cmd_validate, main)
 
 from conftest import EXAMPLES, write_spec_file
 
@@ -86,13 +87,16 @@ def test_check_no_certificate(tmp_path, capsys):
 
 def test_check_rejects_bad_input(tmp_path, capsys):
     missing = tmp_path / "nope.json"
-    assert main(["check", str(missing)]) == 2
     broken = tmp_path / "broken.json"
     broken.write_text("{")
-    assert main(["check", str(broken)]) == 2
+    deep = tmp_path / "deep.json"  # too deep for json.load's recursion
+    deep.write_text("[" * 100000 + "]" * 100000)
     invalid = write_spec_file(tmp_path / "invalid.json", b="-1")
-    assert main(["check", invalid]) == 2
-    assert "error:" in capsys.readouterr().err
+    for argv in (["check", str(missing)], ["check", str(broken)], ["check", str(deep)],
+                 ["validate", str(deep)], ["simulate", str(deep)], ["check", invalid]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_check_csv_format(ex2_file, capsys):
@@ -416,6 +420,11 @@ def test_construct_whose_solution_overflows_exits_1_with_a_caveat(tmp_path, caps
     (["region", "{exp_overflow}", "--axes", "x,y"], "the range of a on the window is not finite"),
     (["roots", "{inf_product}"], "the range of a on the window is not finite"),
     (["region", "{inf_product}", "--axes", "x,y"], "the range of a on the window is not finite"),
+    # what cmd_roots and cmd_region check themselves
+    (["roots", "{varying_delay}"], "roots needs a constant delay"),
+    (["roots", "--a", "1"], "roots needs either a spec file or all of --a --b --tau --sigma"),
+    (["region", "{ex3}", "--axes", "a"], "--axes must name two axes"),
+    (["region", "{ex3}", "--axes", "x,b"], "--axes must be x,y or a,b"),
 ], ids=["roots-tau-nan", "roots-a-inf", "roots-b-inf", "roots-sigma-nan",
         "region-res-nan", "region-res-inf", "region-res-0", "region-hi-inf",
         "region-res-subnormal", "region-span-overflow",
@@ -426,7 +435,8 @@ def test_construct_whose_solution_overflows_exits_1_with_a_caveat(tmp_path, caps
         "construct-tol-inf", "construct-tol-nan", "construct-max-iter-negative",
         "simulate-tol-inf", "simulate-tol-nan", "simulate-tol-minus-inf",
         "simulate-t-from-nan", "roots-exp-overflow", "region-exp-overflow",
-        "roots-inf-product", "region-inf-product"])
+        "roots-inf-product", "region-inf-product", "roots-varying-delay",
+        "roots-missing-parameters", "region-one-axis", "region-mixed-axes"])
 def test_out_of_range_input_exits_two(tmp_path, ex1_file, ex3_file, argv, message, capsys):
     files = {"ex1": ex1_file, "ex3": ex3_file,
              "deep": write_spec_file(tmp_path / "deep.json", a="(" * 400 + "1" + ")" * 400),
@@ -435,18 +445,19 @@ def test_out_of_range_input_exits_two(tmp_path, ex1_file, ex3_file, argv, messag
              "exp_overflow": write_spec_file(tmp_path / "nan.json", **{
                  **EXAMPLES["ex4"], "a": "1+exp(1000)*0", "b": "2"}),
              "inf_product": write_spec_file(tmp_path / "inf.json", **{
-                 **EXAMPLES["ex4"], "a": "1e308*10", "b": "2"})}
+                 **EXAMPLES["ex4"], "a": "1e308*10", "b": "2"}),
+             "varying_delay": write_spec_file(tmp_path / "delay.json", g="t-0.3-0.1*cos(t)")}
     assert main([arg.format(**files) for arg in argv]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 def _options(kind: type) -> list[tuple[str, str]]:
     """(subcommand, option) for every option parsed as kind, choices excluded."""
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return [(name, action.option_strings[0])
-            for name, parser in sub.choices.items() for action in parser._actions
-            if action.type is kind and action.choices is None]
+    return [(name, arg) for name, (_, _, arguments) in _COMMANDS.items()
+            for arg, kwargs in arguments
+            if kwargs.get("type") is kind and "choices" not in kwargs]
 
 
 # short windows and coarse steps; the swept option is appended, and argparse
@@ -485,12 +496,28 @@ def test_argv_sweep_rejects_non_finite_and_non_positive_options(
     ("validate", "t0", None), ("check", "t0", None), ("simulate", "t0", None),
     ("validate", "t0", [1]), ("check", "t0", "zero"), ("simulate", "x0", None),
     ("simulate", "x0", [1]), ("simulate", "x0", {"x": 1}),
+    ("check", "t0", True), ("simulate", "x0", False),
 ], ids=["validate-t0-null", "check-t0-null", "simulate-t0-null", "validate-t0-list",
-        "check-t0-text", "simulate-x0-null", "simulate-x0-list", "simulate-x0-object"])
+        "check-t0-text", "simulate-x0-null", "simulate-x0-list", "simulate-x0-object",
+        "check-t0-true", "simulate-x0-false"])
 def test_non_numeric_t0_or_x0_exits_two(tmp_path, command, field, value, capsys):
     path = write_spec_file(tmp_path / "bad.json", **{field: value})
     assert main([command, path, "--T", "2"]) == 2
     assert f"error: {field} in {path!r} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["delta1", "delta2"])
+def test_boolean_signs_exit_two(tmp_path, field, capsys):
+    path = write_spec_file(tmp_path / "bool.json", **{field: True})  # True == 1
+    assert main(["check", path, "--T", "2"]) == 2
+    assert capsys.readouterr().err == f"error: delta1/delta2 in {path!r} must be +1 or -1\n"
+
+
+def test_whole_floats_are_still_numbers(tmp_path, capsys):
+    path = write_spec_file(tmp_path / "floats.json", delta1=1.0, delta2=-1.0, t0=0, x0=1)
+    assert main(["simulate", path, "--T", "1", "--step", "0.01"]) == 0
+    assert main(["check", path, "--T", "2", "--step", "0.01"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_samples_the_window_once(ex2_file, sampled_builds, capsys):
@@ -520,3 +547,158 @@ def test_out_of_range_t_from_is_rejected_before_relax(ex1_file, monkeypatch, cap
     for t_from in ("0", "10", "-1e-13", "10.0000000000001"):
         with pytest.raises(AssertionError, match="relax ran"):
             main(["simulate", ex1_file, f"--t-from={t_from}"])
+
+
+# -- the CLI parser as first written, the oracle of the _COMMANDS table --------
+# Copied from the function the table replaced, with its two helpers; only its
+# name is changed. It builds every subcommand's arguments on every call.
+
+def _add_window_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--t1", type=float, default=None,
+                   help="window start (default: the spec's t0)")
+    p.add_argument("--T", type=float, default=None,
+                   help="window end (default: t1 + 100)")
+
+
+def _add_io_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("report", "csv"), default="report")
+    p.add_argument("--out", default=None, help="write output to this path")
+
+
+def _parser_as_first_written() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="mixedde",
+        description="Nonoscillation certificates and positive-solution "
+                    "construction for mixed delay-advanced equations.")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    v = sub.add_parser("validate", help="check the standing hypotheses by sampling")
+    v.add_argument("spec")
+    _add_window_args(v)
+    v.add_argument("--samples", type=int, default=10001)
+    v.add_argument("--out", default=None)
+    v.set_defaults(fn=cmd_validate)
+
+    c = sub.add_parser("check", help="run every sufficient condition")
+    c.add_argument("spec")
+    _add_window_args(c)
+    c.add_argument("--step", type=float, default=1e-3)
+    _add_io_args(c)
+    c.set_defaults(fn=cmd_check)
+
+    k = sub.add_parser("construct", help="build a positive monotone solution")
+    k.add_argument("spec")
+    _add_window_args(k)
+    k.add_argument("--step", type=float, default=1e-3)
+    k.add_argument("--tol", type=float, default=1e-8)
+    k.add_argument("--max-iter", type=int, default=10000)
+    _add_io_args(k)
+    k.set_defaults(fn=cmd_construct)
+
+    r = sub.add_parser("roots", help="real characteristic roots of an autonomous equation")
+    r.add_argument("spec", nargs="?", default=None,
+                   help="constant-coefficient spec file (optional)")
+    _add_window_args(r)
+    r.add_argument("--a", type=float, default=None)
+    r.add_argument("--b", type=float, default=None)
+    r.add_argument("--tau", type=float, default=None)
+    r.add_argument("--sigma", type=float, default=None)
+    r.add_argument("--delta1", type=int, choices=(-1, 1), default=1)
+    r.add_argument("--delta2", type=int, choices=(-1, 1), default=-1)
+    r.add_argument("--convention", choices=("plus_exponent", "minus_exponent"),
+                   default=None)
+    r.add_argument("--scan-lo", type=float, default=charroots.DEFAULT_SCAN[0])
+    r.add_argument("--scan-hi", type=float, default=charroots.DEFAULT_SCAN[1])
+    _add_io_args(r)
+    r.set_defaults(fn=cmd_roots)
+
+    g = sub.add_parser("region", help="feasibility-region sweep (CSV for plotting)")
+    g.add_argument("spec")
+    _add_window_args(g)
+    g.add_argument("--axes", default="x,y", help="x,y or a,b")
+    g.add_argument("--res", type=float, default=0.05)
+    g.add_argument("--lo1", type=float, default=None)
+    g.add_argument("--hi1", type=float, default=None)
+    g.add_argument("--lo2", type=float, default=None)
+    g.add_argument("--hi2", type=float, default=None)
+    _add_io_args(g)
+    g.set_defaults(fn=cmd_region)
+
+    s = sub.add_parser("simulate", help="direct numerical integration of the IVP")
+    s.add_argument("spec")
+    s.add_argument("--T", type=float, default=None)
+    s.add_argument("--step", type=float, default=1e-3)
+    s.add_argument("--tol", type=float, default=None)
+    s.add_argument("--max-sweeps", type=int, default=200)
+    s.add_argument("--t-from", type=float, default=None,
+                   help="classification start time (default: t0)")
+    _add_io_args(s)
+    s.set_defaults(fn=cmd_simulate)
+    return p
+
+
+def _main_as_first_written(argv):
+    args = _parser_as_first_written().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+_ORACLE_ARGVS = [
+    *([name, *help_] for name in _COMMANDS for help_ in (["--help"], ["-h"], [])),
+    [], ["--help"], ["-h"], ["-h", "check"],
+    ["bogus"], ["--foo", "check", "{ex1}"], ["--foo=1", "check", "{ex1}"],
+    # the first token without a leading '-' names the subcommand
+    ["-1", "check"], ["--", "check", "{ex1}", "--T", "2", "--step", "0.01"],
+    ["check", "{ex1}", "--step", "x"], ["roots", "--delta1", "3"],
+    ["check", "{ex1}", "--T", "2", "--bogus"], ["region", "{ex3}", "--res"],
+    ["validate", "{ex1}", "--T", "2", "--samples", "101"],
+    ["check", "{ex1}", "--T", "2", "--step", "0.01"],
+    ["construct", "{ex1}", "--T", "2", "--step", "0.01"],
+    ["roots", "--a", "1.4", "--b", "1.3", "--tau", "0.3", "--sigma", "0.3"],
+    ["region", "{ex3}", "--T", "2", "--res", "0.5"],
+    ["simulate", "{ex1}", "--T", "1", "--step", "0.01"],
+]
+
+
+def _outcome(run, argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # --help, and argparse's own errors
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _ORACLE_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_main_matches_the_parser_as_first_written(ex1_file, ex3_file, argv, monkeypatch,
+                                                   capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [arg.format(ex1=ex1_file, ex3=ex3_file) for arg in argv]
+    assert _outcome(main, argv, capsys) == _outcome(_main_as_first_written, argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{ex1}", "--samples", "101"],
+    ["check", "{ex1}", "--format", "csv"],
+    ["construct", "{ex1}", "--T", "2", "--max-iter", "5"],
+    ["roots", "--a", "1", "--b", "1", "--tau", "0.3", "--sigma", "0.3", "--delta1=-1"],
+    ["region", "{ex3}", "--axes", "a,b", "--lo1", "0.5"],
+    ["simulate", "{ex1}", "--t-from", "1"],
+], ids=lambda argv: argv[0])
+def test_parsed_namespace_matches_the_parser_as_first_written(ex1_file, ex3_file, argv,
+                                                               monkeypatch):
+    argv = [arg.format(ex1=ex1_file, ex3=ex3_file) for arg in argv]
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    help_, fn, arguments = _COMMANDS[argv[0]]
+    monkeypatch.setitem(_COMMANDS, argv[0], (help_, record, arguments))
+    assert main(argv) == 0
+    want = _parser_as_first_written().parse_args(argv)
+    assert want.fn is fn
+    assert vars(seen[0]) == {**vars(want), "fn": record}

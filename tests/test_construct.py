@@ -167,6 +167,31 @@ def test_generating_candidate_rejects_non_finite_values(value):
         GeneratingCandidate(GridFunction(0.0, STEP, vals), "advance")
 
 
+_CONSTRUCT_REJECTIONS = {
+    "candidate-case": (lambda spec: const_candidate(0.5, "mixed"), "case must be one of"),
+    "candidate-negative": (lambda spec: const_candidate(-1e-9),
+                           "generating candidate must be nonnegative"),
+    "kernel-case": (lambda spec: IterationKernel(SampledProblem(spec, (0.0, 2.0), STEP),
+                                                 "mixed"), "case must be one of"),
+    "kernel-shape": (lambda spec: IterationKernel(SampledProblem(spec, (0.0, 2.0), STEP),
+                                                  "delay").apply(np.zeros(3)),
+                     r"u has shape \(3,\), the kernel's grid \(2001,\)"),
+    "iterate-activation": (lambda spec: iterate(const_candidate(0.5, window=(1.0, 3.0)),
+                                                spec, (0.0, 2.0)),
+                           "candidate activation time must match the window start"),
+    "residual-before-activation": (
+        lambda spec: ineq_residual(const_candidate(0.5, window=(1.0, 3.0)), spec, 0.5),
+        "t must not precede the candidate's activation time"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCT_REJECTIONS))
+def test_construct_rejects_inconsistent_input(ex1_spec, name):
+    run, message = _CONSTRUCT_REJECTIONS[name]
+    with pytest.raises(ValueError, match=message):
+        run(ex1_spec)
+
+
 # -- solution synthesis ---------------------------------------------------------
 
 def test_synthesize_zero():

@@ -213,6 +213,14 @@ def test_cor_3_1_strict_boundary_fails():
     assert c2.verdict == "fails_on_window"
 
 
+def test_cor_3_1_without_deviations_has_no_log_bound():
+    # tau = sigma = 0: each sub-condition reduces to its two comparisons
+    c1, c2 = check_cor_3_1(Bounds(2.0, 2.0, 1.0, 1.0, 0.0, 0.0, WINDOW))
+    assert c1.holds
+    assert c2.verdict == "fails_on_window"
+    assert c1.witness["log_bound"] == c2.witness["log_bound"] == math.inf
+
+
 def test_cor_3_1_nonpositive_inapplicable():
     bounds = Bounds(0.0, 1.0, 0.5, 1.0, 0.1, 0.1, WINDOW)
     assert all(c.verdict == "inapplicable" for c in check_cor_3_1(bounds))
@@ -623,6 +631,8 @@ def test_sweep_region_errors():
         sweep_region(bounds, "x", "y", ((0.0, 1.0), (0.0, 1.0)), 0.0)
     with pytest.raises(ValueError):
         sweep_region(bounds, "x", "b", ((0.0, 1.0), (0.0, 1.0)), 0.1)
+    with pytest.raises(ValueError, match="does not match the axis resolutions"):
+        criteria.FeasibilityRegion("x", "y", np.zeros(2), np.zeros(3), np.zeros((3, 2), bool))
 
 
 # -- divergence heuristics -----------------------------------------------------------

@@ -56,6 +56,16 @@ def test_report_is_byte_identical(name, tmp_path):
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_spaced_expressions_print_the_same_report(tmp_path):
+    path = tmp_path / "ex2_spaced.json"
+    path.write_text(json.dumps(spec_fields(a=" 1.375 + 0.025 * sin( t ) ",
+                                           b="1.325 +\t0.025*cos (t)\n")))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", str(path)]) == 0
+    assert out.getvalue() == (GOLDEN / "check_ex2.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):

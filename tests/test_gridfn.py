@@ -33,6 +33,9 @@ def test_from_callable_evaluates_once_on_the_grid_array():
     assert np.array_equal(f.values, np.cos(0.25 * np.arange(5)))
     with pytest.raises(ValueError, match="shape"):
         GridFunction.from_callable(lambda t: 1.0, 0.0, 1.0, 0.25)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_end must exceed t_start"):
+            GridFunction.from_callable(fn, 0.0, t_end, 0.25)
 
     def failing(t):
         calls.append(np.shape(t))

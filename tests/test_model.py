@@ -15,12 +15,22 @@ from mixedde.model import (_ENVELOPE_SAMPLES, _MAX_DEPTH, Bounds, CoefficientExp
 
 from conftest import (_bits, _chain_affine_parts, _chain_constant_value, _chain_eval,
                       _chain_str, deviated_as_first_written, make_spec,
-                      rhs_as_first_written, spec_fields)
+                      rhs_as_first_written, spec_fields, write_spec_file)
 
 
 def test_parse_sinusoid_coefficient():
     e = parse_expr("1.375+0.025*sin(t)")
     assert e(math.pi / 2) == pytest.approx(1.4, abs=1e-15)
+
+
+@pytest.mark.parametrize("spaced", [" 1.375 + 0.025 * sin( t ) ",
+                                    "\t1.375\n+\t0.025 *\nsin(\tt )\n"],
+                         ids=["spaces", "tabs-and-newlines"])
+def test_whitespace_between_tokens_changes_nothing(spaced):
+    ts = np.linspace(-10.0, 10.0, 2001)
+    tight = parse_expr("1.375+0.025*sin(t)")
+    assert parse_expr(spaced) == tight
+    assert np.array_equal(_bits(parse_expr(spaced)(ts)), _bits(tight(ts)))
 
 
 def test_parse_identity():
@@ -409,6 +419,28 @@ def test_read_spec_errors(tmp_path):
     badexpr.write_text(json.dumps(spec_fields(a="log(t)")))
     with pytest.raises(ValueError):
         read_spec(str(badexpr))
+
+
+_MODEL_REJECTIONS = {
+    "node-kind": (lambda tmp: CoefficientExpr("log"), "unknown node kind 'log'"),
+    "call-without-bracket": (lambda tmp: parse_expr("sin t"), "expected '\\(' after 'sin'"),
+    "t0-infinite": (lambda tmp: make_spec(t0=math.inf), "t0 must be finite"),
+    "x0-nan": (lambda tmp: model.IVP(make_spec(), CoefficientExpr.const(1.0), math.nan),
+               "x0 must be finite"),
+    "validation-window-empty": (lambda tmp: validate_spec(make_spec(), (1.0, 1.0), 11),
+                                "validation window must be nonempty"),
+    "bounds-window-reversed": (lambda tmp: extract_bounds(make_spec(), (2.0, 1.0)),
+                               "window must be nonempty"),
+    "phi-syntax": (lambda tmp: read_ivp(write_spec_file(tmp / "phi.json", phi="sin t")),
+                   "bad phi expression in .*expected '\\(' after 'sin'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MODEL_REJECTIONS))
+def test_model_rejects_malformed_input(tmp_path, name):
+    build, message = _MODEL_REJECTIONS[name]
+    with pytest.raises(ValueError, match=message):
+        build(tmp_path)
 
 
 def test_grid_sizes_and_steps_are_checked_before_allocating(ex1_spec):
