@@ -294,8 +294,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="mixedde", description=(
         "Nonoscillation certificates and positive-solution construction for mixed "
         "delay-advanced equations."))
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, fn, arguments) in _COMMANDS.items():
+    if argv[:1] and argv[0] in _COMMANDS:
+        # nothing before the subcommand can print the top-level help, so only
+        # its parser is built; the metavar argparse would derive from all six
+        # keeps the top-level usage line, printed for an unrecognized argument
+        names = argv[:1]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        names = _COMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_, fn, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         for arg, kwargs in arguments if name == chosen else ():

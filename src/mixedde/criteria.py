@@ -118,11 +118,15 @@ class FeasibilityRegion:
             flags = 2 * flags + self.reference
             text = ("0,0", "0,1", "1,0", "1,1")
         v2 = [repr(float(v)) for v in self.axis2_values]
+        # every "value2,flags" tail once; a grid row picks its tails by flag
+        tails = np.array([[f"{y},{t}" for y in v2] for t in text], dtype=object)
+        rows = tails[flags, np.arange(len(v2))].tolist() if v2 else []
         lines = [header]
-        for v1, row in zip(self.axis1_values, flags.tolist()):
-            x = repr(float(v1))
-            lines += [f"{x},{y},{text[k]}" for y, k in zip(v2, row)]
-        dest.write("\n".join(lines) + "\n")
+        for v1, row in zip(self.axis1_values, rows):
+            head = repr(float(v1)) + ","
+            lines.append(head + ("\n" + head).join(row))
+        lines.append("")  # the final newline, joined in, not appended to a copy
+        dest.write("\n".join(lines))
 
 
 def _inapplicable(condition_id: str, window: tuple[float, float],

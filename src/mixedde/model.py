@@ -728,12 +728,13 @@ def _load_document(path: str) -> dict:
 
 def _number(doc: dict, field: str, origin: str, default: float | None = None) -> float:
     value = doc.get(field, default)
-    try:
-        if isinstance(value, bool):  # float(True) is 1.0
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field} in {origin!r} must be a number, got {value!r}") from None
+    # JSON numbers only: float() would also read "1.5", and float(True) is 1.0
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ValueError(f"{field} in {origin!r} must be a number, got {value!r}")
 
 
 def _spec_from_document(doc: dict, origin: str) -> ProblemSpec:

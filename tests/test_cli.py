@@ -497,13 +497,18 @@ def test_argv_sweep_rejects_non_finite_and_non_positive_options(
     ("validate", "t0", [1]), ("check", "t0", "zero"), ("simulate", "x0", None),
     ("simulate", "x0", [1]), ("simulate", "x0", {"x": 1}),
     ("check", "t0", True), ("simulate", "x0", False),
+    ("validate", "t0", "1.5"), ("check", "t0", "1.5"), ("simulate", "t0", "0"),
+    ("simulate", "x0", " 2 "), ("check", "t0", 10**400),
 ], ids=["validate-t0-null", "check-t0-null", "simulate-t0-null", "validate-t0-list",
         "check-t0-text", "simulate-x0-null", "simulate-x0-list", "simulate-x0-object",
-        "check-t0-true", "simulate-x0-false"])
+        "check-t0-true", "simulate-x0-false", "validate-t0-numeric-string",
+        "check-t0-numeric-string", "simulate-t0-numeric-string",
+        "simulate-x0-spaced-numeric-string", "check-t0-integer-beyond-float"])
 def test_non_numeric_t0_or_x0_exits_two(tmp_path, command, field, value, capsys):
     path = write_spec_file(tmp_path / "bad.json", **{field: value})
     assert main([command, path, "--T", "2"]) == 2
-    assert f"error: {field} in {path!r} must be a number" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {field} in {path!r} must be a number, got {value!r}\n")
 
 
 @pytest.mark.parametrize("field", ["delta1", "delta2"])
@@ -654,6 +659,9 @@ _ORACLE_ARGVS = [
     ["-1", "check"], ["--", "check", "{ex1}", "--T", "2", "--step", "0.01"],
     ["check", "{ex1}", "--step", "x"], ["roots", "--delta1", "3"],
     ["check", "{ex1}", "--T", "2", "--bogus"], ["region", "{ex3}", "--res"],
+    # a subcommand given first whose argv still reaches an error
+    ["check", "{ex1}", "extra"], ["region", "{ex3}", "--axes", "a,b", "--nope"],
+    ["check", "--T", "2"],
     ["validate", "{ex1}", "--T", "2", "--samples", "101"],
     ["check", "{ex1}", "--T", "2", "--step", "0.01"],
     ["construct", "{ex1}", "--T", "2", "--step", "0.01"],
@@ -702,3 +710,25 @@ def test_parsed_namespace_matches_the_parser_as_first_written(ex1_file, ex3_file
     want = _parser_as_first_written().parse_args(argv)
     assert want.fn is fn
     assert vars(seen[0]) == {**vars(want), "fn": record}
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["check", "{ex1}"], True), (["region", "{ex3}", "--nope"], True),
+    (["-h", "check"], False), (["--foo", "check", "{ex1}"], False),
+    (["--", "check", "{ex1}"], False),
+], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None)
+def test_a_subcommand_given_first_is_the_only_parser_built(ex1_file, ex3_file, argv, first,
+                                                            monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    help_, _, arguments = _COMMANDS["check"]
+    monkeypatch.setitem(_COMMANDS, "check", (help_, lambda args: 0, arguments))
+    argv = [arg.format(ex1=ex1_file, ex3=ex3_file) for arg in argv]
+    _outcome(main, argv, capsys)
+    assert built == ([argv[0]] if first else list(_COMMANDS))

@@ -625,6 +625,57 @@ def test_sweep_region_csv():
     assert len(lines) == 1 + region.feasible.size
 
 
+def _region_csv_as_first_written(self, dest):
+    """FeasibilityRegion.to_csv as first written, one f-string per cell."""
+    header = f"{self.axis1_name},{self.axis2_name},feasible"
+    flags, text = self.feasible.astype(int), ("0", "1")
+    if self.reference is not None:
+        header += ",reference"
+        flags = 2 * flags + self.reference
+        text = ("0,0", "0,1", "1,0", "1,1")
+    v2 = [repr(float(v)) for v in self.axis2_values]
+    lines = [header]
+    for v1, row in zip(self.axis1_values, flags.tolist()):
+        x = repr(float(v1))
+        lines += [f"{x},{y},{text[k]}" for y, k in zip(v2, row)]
+    dest.write("\n".join(lines) + "\n")
+
+
+_AXIS_VALUES = st.one_of(
+    # a signed zero, the least subnormal, a float past 2**53, and two whose
+    # repr needs all 17 significant digits
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0.30000000000000004, 1.0000000000000002]),
+    st.floats())
+
+
+@st.composite
+def _feasibility_regions(draw):
+    n1, n2 = draw(st.one_of(st.just((1, 1)), st.tuples(st.just(1), st.integers(0, 9)),
+                            st.tuples(st.integers(0, 9), st.just(1)),
+                            st.tuples(st.integers(0, 9), st.integers(0, 9))))
+
+    def matrix():
+        cells = draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))
+        return np.array(cells, dtype=bool).reshape(n1, n2)
+
+    names = draw(st.sampled_from([("x", "y"), ("a", "b")]))
+    vals1, vals2 = (np.array(draw(st.lists(_AXIS_VALUES, min_size=n, max_size=n)),
+                             dtype=float) for n in (n1, n2))
+    feasible = matrix()
+    reference = matrix() if draw(st.booleans()) else None
+    return criteria.FeasibilityRegion(*names, vals1, vals2, feasible, reference)
+
+
+@seed(20220)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_feasibility_regions())
+def test_region_csv_matches_the_writer_as_first_written(region):
+    got, want = io.StringIO(), io.StringIO()
+    region.to_csv(got)
+    _region_csv_as_first_written(region, want)
+    assert got.getvalue() == want.getvalue()
+
+
 def test_sweep_region_errors():
     bounds = Bounds(1.0, 1.0, 1.0, 1.0, 0.2, 0.3, WINDOW)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ CHANGES.md; any other difference is a regression.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -54,6 +55,28 @@ def test_report_is_byte_identical(name, tmp_path):
     code, text = run_case(name, tmp_path)
     assert code == CASES[name][3]
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# region CSVs pinned by size and md5, the larger ones too large to keep as
+# files; the res-0.5 a,b grid is also region_ex4_ab.csv
+REGION_CSV_MD5 = {
+    ("ex3", "x,y", "0.05"): (416671, "bf5f2b6d0ff7bc33e63fc08d4f964996"),
+    ("ex4", "a,b", "0.05"): (85463, "31b9e284f214eb5c82eeb8ba09b802ef"),
+    ("ex4", "a,b", "0.3"): (2123, "aac3ca2946ed9c055717c0e370548579"),
+    ("ex4", "a,b", "0.5"): (455, "d136cb4402ab86081f910e1ad36a2554"),
+}
+
+
+@pytest.mark.parametrize("example, axes, res", sorted(REGION_CSV_MD5))
+def test_region_csv_md5_is_pinned(example, axes, res, tmp_path):
+    path = tmp_path / f"{example}.json"
+    path.write_text(json.dumps(spec_fields(**EXAMPLES[example])))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["region", str(path), "--axes", axes, "--res", res, "--format", "csv"])
+    data = out.getvalue().encode("utf-8")
+    assert code == 0
+    assert (len(data), hashlib.md5(data).hexdigest()) == REGION_CSV_MD5[example, axes, res]
 
 
 def test_spaced_expressions_print_the_same_report(tmp_path):
