@@ -384,7 +384,7 @@ def _below(up, rate_up, down, rate_down, v):
     return np.fmax(lower, -np.inf)
 
 
-def _inversion_hits(env: _Cells, xs: np.ndarray) -> np.ndarray:
+def _inversion_hits(env: _Cells | Bounds, xs) -> np.ndarray:
     """The inversion route's test at each x of xs: its slack g^{-1}(x) - f(x)
     is positive exactly when f(x) < _SYS30_MAX and g(f(x)) < x."""
     _, fx = sys30_values(env, xs, 0.0)
@@ -406,13 +406,9 @@ def _inversion_kept(env: _Cells, blocks: np.ndarray) -> np.ndarray:
 
 def _sweep_hits(env: _Cells, ys: np.ndarray) -> np.ndarray:
     """The sweep's test at each y of ys: f(x) <= y at its candidate x from
-    _sweep_candidates, and then _sys30_witness_ok(x, y)."""
-    xs, hit = _sweep_candidates(env, ys)
-    rows, cols = np.nonzero(hit)
-    ys = np.broadcast_to(ys, hit.shape)
-    cells = env.at((rows, 0))  # one entry per hit, not a column
-    hit[rows, cols] = _sys30_witness_ok(cells, xs[rows, cols], ys[rows, cols])
-    return hit
+    _sweep_candidates. Each hit passes _sys30_witness_ok, which recomputes
+    g(y) <= x and f(x) <= y by the same operations, with _WITNESS_SLACK more."""
+    return _sweep_candidates(env, ys)[1]
 
 
 def _sweep_kept(env: _Cells, blocks: np.ndarray) -> np.ndarray:
@@ -433,16 +429,14 @@ def _coarse_to_fine(env: _Cells, blocks: np.ndarray, hits, kept) -> np.ndarray:
     (cells, blocks, _SYS30_W), where the elementwise test hits holds.
 
     A hit at a block's first point decides its cell. The cells left run hits
-    on the blocks kept(env, blocks) keeps, all of them where an envelope bound
-    is negative, in arrays of at most _SYS30_BLOCK points.
+    once, on the blocks kept(env, blocks) keeps, all of them where an envelope
+    bound is negative; callers pass blocks of at most _SYS30_BLOCK points.
     """
     found = np.any(hits(env, blocks[..., 0]), axis=1)
     monotone = (env.a1 >= 0.0) & (env.a2 >= 0.0) & (env.b1 >= 0.0) & (env.b2 >= 0.0)
     rows, cols = np.nonzero((kept(env, blocks) | ~monotone) & ~found[:, None])
-    size = _SYS30_BLOCK // _SYS30_W
-    for k in range(0, len(rows), size):
-        r, c = rows[k:k + size], cols[k:k + size]
-        found[r[np.any(hits(env.at(r), blocks[r, c]), axis=1)]] = True
+    if rows.size:
+        found[rows[np.any(hits(env.at(rows), blocks[rows, cols]), axis=1)]] = True
     return found
 
 
@@ -489,12 +483,12 @@ def _sys30_routes(a1, a2, b1, b2, tau: float, sigma: float) -> np.ndarray:
 def check_sys30(bounds: Bounds) -> Certificate:
     """Search for x, y > 0 with g(y) <= x and f(x) <= y, the sides of sys30_values.
 
-    The verdict is _sys30_routes' on this one cell. The witness comes from the
-    route it names, tried as follows: the degenerate point when tau = sigma = 0;
-    the monotone-inversion route from the closed-form analysis (scan the slack
-    g^{-1}(x) - f(x) over x, bisecting the inverse, and take its argmax); the
-    first point of a square grid sweep over (0, 50]^2 at spacing 0.01. A
-    witness that fails _sys30_witness_ok passes the search to the next route.
+    The verdict is _sys30_routes' on this one cell, and the witness comes from
+    the route it names: the degenerate point when tau = sigma = 0; the
+    monotone-inversion route from the closed-form analysis (scan the slack
+    g^{-1}(x) - f(x) over x, bisecting the inverse, and take its argmax), which
+    passes the search on if its witness fails _sys30_witness_ok; the first
+    point of a square grid sweep over (0, 50]^2 at spacing 0.01.
     """
     window = bounds.window
     caveats = (CAVEAT_WINDOW_LIMITED, CAVEAT_EQUICONTINUITY)
@@ -509,15 +503,12 @@ def check_sys30(bounds: Bounds) -> Certificate:
 
     route = int(_sys30_routes(bounds.a1, bounds.a2, bounds.b1, bounds.b2,
                               bounds.tau, bounds.sigma)[0])
-    if route == _DEGENERATE:
-        x = max(bounds.a2 - bounds.b1, 0.0) + 1.0
-        y = max(bounds.b2 - bounds.a1, 0.0) + 1.0
-        if _sys30_witness_ok(bounds, x, y):
-            return holds(x, y, "degenerate")
+    if route == _DEGENERATE:  # the route tested this very point
+        return holds(max(bounds.a2 - bounds.b1, 0.0) + 1.0,
+                     max(bounds.b2 - bounds.a1, 0.0) + 1.0, "degenerate")
 
-    x_lo = max(bounds.a2 - bounds.b1, 0.0) + 1e-9
-    if route <= _INVERSION and x_lo < _SYS30_MAX:
-        xs = np.unique(_inversion_grid(x_lo))
+    if route == _INVERSION:
+        xs = np.unique(_inversion_grid(max(bounds.a2 - bounds.b1, 0.0) + 1e-9))
         ginv = _g_inverse_vec(bounds, xs)
         _, fx = sys30_values(bounds, xs, 0.0)
         slack = ginv - fx
@@ -534,13 +525,12 @@ def check_sys30(bounds: Bounds) -> Certificate:
             if _sys30_witness_ok(bounds, x_st, y_st):
                 return holds(x_st, y_st, "monotone-inversion", extra)
 
-    if route <= _SWEEP:
+    if route != _NO_ROUTE:
         ys = _sweep_grid()
         xs, hit = _sweep_candidates(bounds, ys)
-        for j in np.flatnonzero(hit):
-            x_st, y_st = float(xs[j]), float(ys[j])
-            if _sys30_witness_ok(bounds, x_st, y_st):
-                return holds(x_st, y_st, "grid-sweep")
+        j = int(np.argmax(hit))
+        if hit[j]:
+            return holds(float(xs[j]), float(ys[j]), "grid-sweep")
     return Certificate(
         "SYS_30_FEASIBLE", FAILS, window,
         {"searched_x_max": _SYS30_MAX, "searched_y_max": _SYS30_MAX,
@@ -549,20 +539,12 @@ def check_sys30(bounds: Bounds) -> Certificate:
 
 
 def _bisect_slack_root(bounds: Bounds, x1: float, x2: float) -> float:
-    """Boundary of the feasible x-range: sign change of the slack g^{-1}(x) - f(x).
-
-    The slack is positive exactly when f(x) < _SYS30_MAX and g(f(x)) < x,
-    because g increases and _g_inverse_vec saturates at _SYS30_MAX.
-    """
-    def slack_positive(x: float) -> bool:
-        _, fv = sys30_values(bounds, x, 0.0)
-        gv, _ = sys30_values(bounds, x, fv)
-        return bool(fv < _SYS30_MAX and gv < x)
-
-    positive_at_x1 = slack_positive(x1)
+    """Boundary of the feasible x-range: where the sign of the slack
+    g^{-1}(x) - f(x), which _inversion_hits gives, changes."""
+    positive_at_x1 = bool(_inversion_hits(bounds, x1))
     for _ in range(60):
         xm = 0.5 * (x1 + x2)
-        if slack_positive(xm) == positive_at_x1:
+        if bool(_inversion_hits(bounds, xm)) == positive_at_x1:
             x1 = xm
         else:
             x2 = xm

@@ -713,10 +713,24 @@ def extract_bounds(spec: ProblemSpec, window: tuple[float, float]) -> Bounds:
 # Problem spec files
 # ---------------------------------------------------------------------------
 
+class _LongInteger(str):
+    """An integer literal with more digits than int() reads, as their number:
+    an error that names its field prints this, not the digits."""
+
+    __repr__ = str.__str__
+
+
+def _json_int(text: str) -> int | _LongInteger:
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return _LongInteger(f"an integer of {len(text.lstrip('-'))} digits")
+
+
 def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ValueError(f"cannot read problem file {path!r}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # json.load recurses per level

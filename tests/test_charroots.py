@@ -258,6 +258,17 @@ def test_roots_outside_the_default_window():
                                             "minus_exponent")) == -wide[0]
 
 
+@pytest.mark.xfail(strict=True, reason="b*sigma underflows to 0 in _real_roots' F', which "
+                   "then has no zero, so no sign change of F is bracketed")
+def test_roots_survive_an_underflowing_slope():
+    # F(l) = -l - a e^{l tau} - b e^{-l sigma} is -a - b < 0 at 0 and > 0 at -0.17,
+    # and falls to -inf again as l -> -inf, since b > 0: two real roots
+    p = CharProblem(0.17681665460700915, 5e-324, 0.5092633485117991, 0.17681665460700915,
+                    -1, -1, "minus_exponent")
+    assert p.value(0.0) < 0.0 < p.value(-0.17)
+    assert find_real_roots(p).roots == (pytest.approx(-0.16275232279486682, rel=1e-12),)
+
+
 @pytest.mark.parametrize("args, message", [
     ((-1.0, 1.0, 0.3, 0.3, 1, -1), "coefficients a, b must be nonnegative"),
     ((1.0, -1.0, 0.3, 0.3, 1, -1), "coefficients a, b must be nonnegative"),

@@ -511,6 +511,22 @@ def test_non_numeric_t0_or_x0_exits_two(tmp_path, command, field, value, capsys)
         f"error: {field} in {path!r} must be a number, got {value!r}\n")
 
 
+@pytest.mark.parametrize("command, field", [
+    ("validate", "t0"), ("check", "t0"), ("simulate", "t0"),
+    ("validate", "delta1"), ("check", "delta1"), ("simulate", "delta1"),
+    ("simulate", "x0"),  # simulate alone reads x0
+])
+def test_integer_past_the_digit_limit_exits_two(tmp_path, command, field, capsys):
+    # 5000 digits: more than int() reads by default (4300), so json.dumps
+    # cannot write the literal either
+    path = write_spec_file(tmp_path / "long.json", **{field: "@"})
+    Path(path).write_text(Path(path).read_text().replace('"@"', "7" * 5000))
+    assert main([command, path, "--T", "2"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and repr(path) in line and field in line
+    assert "7777" not in line and "sys." not in line
+
+
 @pytest.mark.parametrize("field", ["delta1", "delta2"])
 def test_boolean_signs_exit_two(tmp_path, field, capsys):
     path = write_spec_file(tmp_path / "bool.json", **{field: True})  # True == 1

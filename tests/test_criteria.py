@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde import criteria
+from mixedde import charroots, criteria
 from mixedde.construct import iterate, witness_candidate
 from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
                               CAVEAT_WINDOW_LIMITED, check, check_all, check_cor_3_1,
@@ -571,6 +571,114 @@ def test_sys30_routes_match_the_dense_oracle_on_general_bounds(coarse_counts):
     assert all(v > 0 for v in coarse_counts.values()), coarse_counts
 
 
+def test_every_sweep_hit_passes_the_witness_test():
+    # the invariant on which _sweep_hits and check_sys30 take a hit of
+    # _sweep_candidates as a witness without testing it again
+    tested = []
+
+    @seed(20230)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_envelope_batches())
+    def hits_pass(batch):
+        env = criteria._Cells(*(v[:, None] for v in batch[:4]), *batch[4:])
+        ys = criteria._sweep_grid()
+        xs, hit = criteria._sweep_candidates(env, ys)
+        rows, cols = np.nonzero(hit)
+        tested.append(rows.size)
+        assert np.all(criteria._sys30_witness_ok(env.at((rows, 0)), xs[rows, cols], ys[cols]))
+
+    hits_pass()
+    assert sum(tested) > 0
+
+
+def _slack_root_as_first_written(bounds, x1, x2):
+    """criteria._bisect_slack_root with its own test of the slack's sign."""
+    def slack_positive(x):
+        _, fv = sys30_values(bounds, x, 0.0)
+        gv, _ = sys30_values(bounds, x, fv)
+        return bool(fv < 50.0 and gv < x)
+
+    positive_at_x1 = slack_positive(x1)
+    for _ in range(60):
+        xm = 0.5 * (x1 + x2)
+        if slack_positive(xm) == positive_at_x1:
+            x1 = xm
+        else:
+            x2 = xm
+        if x2 - x1 <= 1e-10 * max(1.0, abs(xm)):
+            break
+    return 0.5 * (x1 + x2)
+
+
+def _check_sys30_as_first_written(bounds):
+    """check_sys30 before it took each witness from the route that found it:
+    the verdict of _dense_sys30_routes, and each route's witness tested by
+    _sys30_witness_ok before it is returned, every sweep hit in turn."""
+    caveats = (CAVEAT_WINDOW_LIMITED, CAVEAT_EQUICONTINUITY)
+
+    def holds(x, y, route, extra=None):
+        gv, fv = sys30_values(bounds, x, y)
+        witness = {"x": x, "y": y, "constraint_delay_side": float(gv),
+                   "constraint_advance_side": float(fv), "route": route, **(extra or {})}
+        return criteria.Certificate("SYS_30_FEASIBLE", criteria.HOLDS, bounds.window,
+                                    witness, caveats)
+
+    route = int(_dense_sys30_routes(bounds.a1, bounds.a2, bounds.b1, bounds.b2,
+                                    bounds.tau, bounds.sigma)[0])
+    if route == criteria._DEGENERATE:
+        x = max(bounds.a2 - bounds.b1, 0.0) + 1.0
+        y = max(bounds.b2 - bounds.a1, 0.0) + 1.0
+        if criteria._sys30_witness_ok(bounds, x, y):
+            return holds(x, y, "degenerate")
+    x_lo = max(bounds.a2 - bounds.b1, 0.0) + 1e-9
+    if route <= criteria._INVERSION and x_lo < 50.0:
+        xs = np.unique(criteria._inversion_grid(x_lo))
+        ginv = criteria._g_inverse_vec(bounds, xs)
+        _, fx = sys30_values(bounds, xs, 0.0)
+        slack = ginv - fx
+        k = int(np.argmax(slack))
+        if slack[k] > 0.0:
+            x_st = float(xs[k])
+            y_st = 0.5 * (max(float(fx[k]), 0.0) + float(ginv[k]))
+            extra = {}
+            after = np.flatnonzero(slack[k:] < 0.0)
+            if after.size:
+                j = k + int(after[0])
+                extra["boundary_x"] = _slack_root_as_first_written(
+                    bounds, float(xs[j - 1]), float(xs[j]))
+            if criteria._sys30_witness_ok(bounds, x_st, y_st):
+                return holds(x_st, y_st, "monotone-inversion", extra)
+    if route <= criteria._SWEEP:
+        ys = criteria._sweep_grid()
+        xs, hit = criteria._sweep_candidates(bounds, ys)
+        for j in np.flatnonzero(hit):
+            if criteria._sys30_witness_ok(bounds, float(xs[j]), float(ys[j])):
+                return holds(float(xs[j]), float(ys[j]), "grid-sweep")
+    return criteria.Certificate(
+        "SYS_30_FEASIBLE", criteria.FAILS, bounds.window,
+        {"searched_x_max": 50.0, "searched_y_max": 50.0, "resolution": 0.01}, caveats)
+
+
+def test_check_sys30_matches_the_witness_code_as_first_written():
+    seen = {}
+
+    @seed(20231)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(_envelope_batches())
+    def match(batch):
+        for cell in zip(*batch[:4]):
+            for tau, sigma in (batch[4:], (0.0, 0.0)):  # and undeviated
+                bounds = Bounds(*map(float, cell), tau, sigma, WINDOW)
+                got = check_sys30(bounds)  # tier-1 turns numpy's warnings into errors
+                assert repr(got) == repr(_check_sys30_as_first_written(bounds))
+                route = got.witness.get("route", "fails")
+                seen[route] = seen.get(route, 0) + 1
+
+    match()
+    assert sum(seen.values()) >= 300, seen
+    assert set(seen) == {"degenerate", "monotone-inversion", "grid-sweep", "fails"}, seen
+
+
 def test_cor_3_1_implies_sys30():
     rng = np.random.default_rng(32)
     checked = 0
@@ -821,6 +929,58 @@ def test_advance_certificates_are_constructive():
         result = iterate(seed, spec, window, tol=1e-8)
         assert result.converged, cid
         assert result.max_eq_residual <= 1e-3
+
+
+# -- constant coefficients: the characteristic equation decides ----------------------
+
+@st.composite
+def _constant_specs(draw):
+    """Constant coefficients a, b in {0} or [1e-3, 2] of the four sign
+    patterns, with deviations tau, sigma in {0} or [1e-3, 1]. No product of a
+    coefficient and a deviation underflows, where _real_roots loses roots
+    (test_charroots.py::test_roots_survive_an_underflowing_slope)."""
+    coef = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+    rate = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    pattern = draw(st.sampled_from([(1, -1), (-1, 1), (1, 1), (-1, -1)]))
+    return draw(coef), draw(coef), draw(rate), draw(rate), pattern
+
+
+def test_no_certificate_holds_where_every_solution_oscillates():
+    """Every solution of x' + d1 a x(t - tau) + d2 b x(t + sigma) = 0 with
+    constant coefficients oscillates if and only if F(l) = -l + d1 a e^{l tau}
+    + d2 b e^{-l sigma} has no real root (Ladas & Stavroulakis, J. Differential
+    Equations 44, 1982). A certificate that holds where _real_roots finds no
+    root is an overclaim. The roots of COR_1_3 and COR_2_3 must be roots of F,
+    the latter with its sign flipped (its convention is plus_exponent)."""
+    table = {}  # pattern -> [specs, with a real root, certified]
+    faults = []
+
+    @seed(20232)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_constant_specs())
+    def decide(case):
+        a, b, tau, sigma, (d1, d2) = case
+        spec = make_spec(a=repr(a), b=repr(b), g=f"t-{tau!r}", h=f"t+{sigma!r}",
+                         delta1=d1, delta2=d2)
+        roots = charroots._real_roots(charroots.CharProblem(a, b, tau, sigma, d1, d2),
+                                      charroots.DEFAULT_SCAN)
+        held = {c.condition_id: c for c in check_all(spec, (0.0, 10.0)) if c.holds}
+        row = table.setdefault(f"({d1:+d},{d2:+d})", [0, 0, 0])
+        row[0] += 1
+        row[1] += bool(roots)
+        row[2] += bool(held)
+        if held and not roots:
+            faults.append(f"overclaim by {sorted(held)}: {case}")
+        for cid, sign in (("COR_1_3", 1.0), ("COR_2_3", -1.0)):
+            if cid in held:
+                lam = sign * held[cid].witness["lambda"]
+                if not any(abs(r - lam) <= 1e-9 * max(1.0, abs(lam)) for r in roots):
+                    faults.append(f"{cid}'s root {lam!r} is not among {roots}: {case}")
+
+    decide()
+    lines = ["pattern  specs  nonoscillatory  certified", *(
+        f"{p:7}  {n:5}  {k:14}  {c:9}" for p, (n, k, c) in sorted(table.items()))]
+    assert not faults and len(table) == 4, "\n".join(faults + lines)
 
 
 # -- master runner ----------------------------------------------------------------------
