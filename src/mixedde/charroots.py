@@ -192,9 +192,10 @@ def _real_roots(p: CharProblem, window: tuple[float, float]) -> list[float]:
     # c*e^y without saturation, so that G has the shape of F; 0*e^y is 0, not 0*inf
     e = lambda c, y: c * _exp(y) if c else 0.0
     # G and G' in units of the residual target: a zero of G' where |G| <= 1 is a
-    # double root, and bisection runs every zero to the last bit
+    # double root, and bisection runs every zero to the last bit. G' scales each
+    # term after the exponential: c2*sigma can underflow where c2*e^{x*sigma} does not
     g = lambda x: (x + e(c1, -x * tau) + e(c2, x * sigma)) / _ROOT_RESIDUAL_TARGET
-    dg = lambda x: (1.0 - e(c1 * tau, -x * tau) + e(c2 * sigma, x * sigma)) \
+    dg = lambda x: (1.0 - tau * e(c1, -x * tau) + sigma * e(c2, x * sigma)) \
         / _ROOT_RESIDUAL_TARGET
     split = []
     if p.delta1 != p.delta2 and min(p.a, p.b, tau, sigma) > 0.0:

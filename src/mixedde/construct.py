@@ -24,7 +24,8 @@ from typing import TextIO
 import numpy as np
 
 from . import criteria
-from .gridfn import CHUNK, GridFunction, GridPoints, _node_sums, _placed_integral
+from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _node_sums,
+                     _placed_integral)
 from .model import ProblemSpec, SampledProblem, _exp
 from .simulate import _equation_residual
 
@@ -308,7 +309,7 @@ def synthesize_solution(u: GridFunction, case: str) -> GridFunction:
         raise ValueError(f"case must be one of {_CASES}")
     if float(np.min(u.values)) < -_NEG_TOL:
         raise ValueError("u must be nonnegative")
-    cum = u.cumulative()
+    cum = CumulativeIntegral(u)
     integral = cum(u.times()) - cum(u.t_start)
     with np.errstate(over="ignore"):  # overflow saturates to inf
         vals = np.exp(-integral) if case == "delay" else np.exp(integral)
@@ -327,19 +328,17 @@ def witness_candidate(condition_id: str, sampled: SampledProblem,
     COR_1_2 -> u = a, COR_1_4_REMARK -> u = e*a, COR_1_3 -> the constant
     characteristic root; mirrored with b for the COR_2_x family.
     """
-    scaled = {"COR_1_2": ("delay", 1.0), "COR_1_4_REMARK": ("delay", math.e),
-              "COR_2_2": ("advance", 1.0), "COR_2_4_REMARK": ("advance", math.e)}
-    if condition_id in scaled:
-        case, scale = scaled[condition_id]
-        coefficient = sampled.a if case == "delay" else sampled.b
-        with np.errstate(over="ignore"):  # an overflowing seed is rejected as not finite
-            values = scale * coefficient
-        return GeneratingCandidate(GridFunction(sampled.window[0], sampled.step, values), case)
-    if condition_id in ("COR_1_3", "COR_2_3"):
-        if lam is None:
-            raise ValueError(f"{condition_id} witness needs its characteristic root")
-        case = "delay" if condition_id == "COR_1_3" else "advance"
-        return GeneratingCandidate.constant(lam, case, sampled.window, sampled.step)
+    for case, (base, root, remark) in criteria._FAMILIES.items():
+        if condition_id in (base, remark):
+            coefficient = sampled.a if case == "delay" else sampled.b
+            with np.errstate(over="ignore"):  # an overflowing seed is rejected as not finite
+                values = (1.0 if condition_id == base else math.e) * coefficient
+            u = GridFunction(sampled.window[0], sampled.step, values)
+            return GeneratingCandidate(u, case)
+        if condition_id == root:
+            if lam is None:
+                raise ValueError(f"{condition_id} witness needs its characteristic root")
+            return GeneratingCandidate.constant(lam, case, sampled.window, sampled.step)
     raise ValueError(f"no constructive witness for {condition_id}")
 
 
@@ -364,8 +363,7 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
         raise ValueError("neither dominance hypothesis holds: a-b changes sign "
                          "on the window")
 
-    base, envelope, remark = (("COR_1_2", "COR_1_3", "COR_1_4_REMARK") if case == "delay"
-                              else ("COR_2_2", "COR_2_3", "COR_2_4_REMARK"))
+    base, envelope, remark = criteria._FAMILIES[case]
 
     def seeds():  # a callable per seed; a seed that cannot be built is rejected
         yield lambda: witness_candidate(base, sampled)

@@ -35,7 +35,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from . import charroots
-from .gridfn import GridFunction, node_times
+from .gridfn import CumulativeIntegral, GridFunction, node_times
 from .model import Bounds, ProblemSpec, SampledProblem
 
 __all__ = [
@@ -153,6 +153,12 @@ def _at_node(sp: SampledProblem, sup: tuple[float, int]) -> tuple[float, float]:
 # (COR_1_x), case "advance" is b >= a (COR_2_x, the mirror images)
 # ---------------------------------------------------------------------------
 
+# case -> its base, characteristic-root and 1/e condition ids, in the order
+# construct.auto_construct tries their seeds
+_FAMILIES = {"delay": ("COR_1_2", "COR_1_3", "COR_1_4_REMARK"),
+             "advance": ("COR_2_2", "COR_2_3", "COR_2_4_REMARK")}
+
+
 def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
     """Pointwise test: a >= b and b(t) >= a(t)*(e^{int_g^t a} - 1)*e^{int_t^h a};
     mirrored for the advance case."""
@@ -162,15 +168,15 @@ def _cor_x_2(sp: SampledProblem, case: str) -> Certificate:
     gap = sp.margin(case)[0]
     ok = gap >= -_SLACK and margin <= _SLACK
     witness = {f"sup_rhs_minus_{o}": margin, "t_at_sup": t_at, f"min_{m}_minus_{o}": gap}
-    return Certificate("COR_1_2" if delay else "COR_2_2", HOLDS if ok else FAILS,
-                       sp.window, witness, (CAVEAT_WINDOW_LIMITED,))
+    return Certificate(_FAMILIES[case][0], HOLDS if ok else FAILS, sp.window, witness,
+                       (CAVEAT_WINDOW_LIMITED,))
 
 
 def _cor_x_3(sp: SampledProblem, case: str) -> Certificate:
     """Characteristic-root test on the envelope constants (a2 on top, b1 below;
     a1, b2 in the advance case). The root found is the witness."""
     delay = case == "delay"
-    condition_id, window = ("COR_1_3" if delay else "COR_2_3"), sp.window
+    condition_id, window = _FAMILIES[case][1], sp.window
     if sp.margin(case)[0] < -_SLACK:
         need = "b(t) <= a(t)" if delay else "a(t) <= b(t)"
         return _inapplicable(condition_id, window,
@@ -200,8 +206,7 @@ def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
     ok = gap >= -_SLACK and sup <= ONE_OVER_E + _SLACK
     witness = {f"sup_{case}_integral": sup, "t_at_sup": t_at,
                "one_over_e": ONE_OVER_E, f"min_{m}_minus_{o}": gap}
-    return Certificate("COR_1_4_REMARK" if delay else "COR_2_4_REMARK",
-                       HOLDS if ok else FAILS, sp.window, witness,
+    return Certificate(_FAMILIES[case][2], HOLDS if ok else FAILS, sp.window, witness,
                        (CAVEAT_WINDOW_LIMITED,))
 
 
@@ -238,7 +243,7 @@ def _nested_one_over_e(condition_id: str, sp: SampledProblem, weight,
     saturates to inf, which fails the test; numpy prints no warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        cum_w = GridFunction.from_callable(weight, *span, sp.step).cumulative()
+        cum_w = CumulativeIntegral(GridFunction.from_callable(weight, *span, sp.step))
         nested = cum_w(upper) - cum_w(lower)
     nested[~np.isfinite(nested)] = np.inf
     sup, t_at = _sup_witness(sp.ts, nested)
@@ -277,7 +282,7 @@ def check_cor_3_1(bounds: Bounds) -> list[Certificate]:
     def log_bound(num: float, den: float) -> float:
         if denom == 0.0:
             return math.inf
-        return math.log(num / den) / denom
+        return (math.log(num) - math.log(den)) / denom
 
     c1_bound = log_bound(bounds.a1, bounds.b2)
     c1 = bounds.b2 < bounds.a1 and 0.0 < bounds.a2 - bounds.b1 < c1_bound
@@ -605,15 +610,10 @@ def _axis_count(rng: tuple[float, float], resolution: float) -> int:
 # Divergent-integral refinements
 # ---------------------------------------------------------------------------
 
-def _dominance_gate(sp: SampledProblem, condition_id: str) -> Certificate | None:
-    """The refinement's inapplicable verdict when its dominance hypothesis
-    fails on the window, else None."""
-    delay_side = condition_id in ("COR_1_5", "COR_1_6")
-    if sp.margin("delay" if delay_side else "advance")[0] >= -_SLACK:
-        return None
-    need = "a(t) >= b(t)" if delay_side else "b(t) >= a(t)"
-    return _inapplicable(condition_id, sp.window,
-                         f"dominance hypothesis {need} fails on the window")
+# refinement -> the case whose _FAMILIES ids are its bases: a divergent gap
+# integral pins the limit of a solution a base certificate constructs, and on
+# its own does not show that one exists, so check_all needs a base to hold
+_REFINES = {"COR_1_5": "delay", "COR_1_6": "delay", "COR_2_5": "advance"}
 
 
 def _divergence(sp: SampledProblem, condition_id: str) -> Certificate:
@@ -623,10 +623,7 @@ def _divergence(sp: SampledProblem, condition_id: str) -> Certificate:
     checkpoints must be increasing and exceed _DIVERGENCE_THRESHOLD at the
     window end. COR_1_6 additionally requires the delayed 1/e test.
     """
-    gate = _dominance_gate(sp, condition_id)
-    if gate is not None:
-        return gate
-    checkpoints = sp.gap_integrals("advance" if condition_id == "COR_2_5" else "delay")
+    checkpoints = sp.gap_integrals(_REFINES[condition_id])
     integrals = [i for _, i in checkpoints]
     increasing = all(b > a for a, b in zip(integrals, integrals[1:]))
     ok = increasing and integrals[-1] > _DIVERGENCE_THRESHOLD
@@ -663,31 +660,26 @@ _CHECKS = {
 }
 ALL_CONDITION_IDS = tuple(_CHECKS)
 
-# A divergent gap integral pins the limit of a solution some base certificate
-# constructs; on its own it does not show that one exists. So in check_all a
-# refinement is inapplicable unless one of its bases holds.
-_REFINES = {
-    "COR_1_5": ("COR_1_2", "COR_1_3", "COR_1_4_REMARK"),
-    "COR_1_6": ("COR_1_2", "COR_1_3", "COR_1_4_REMARK"),
-    "COR_2_5": ("COR_2_2", "COR_2_3", "COR_2_4_REMARK"),
-}
-
 
 def _run(condition_id: str, sp: SampledProblem,
          held: dict[str, Certificate] | None = None) -> Certificate:
     """One row of _CHECKS: inapplicable unless sp's spec has the row's pattern.
 
-    Given held, the certificates of the rows before it, a refinement none of
-    whose bases holds is inapplicable without being evaluated, unless its
-    dominance hypothesis fails first, which it reports instead.
+    A refinement is also inapplicable, without being evaluated, where its
+    dominance hypothesis fails, and, given held, the certificates of the rows
+    before it, where none of its bases holds.
     """
     pattern, body = _CHECKS[condition_id]
     if sp.spec.sign_pattern != pattern:
         return _inapplicable(condition_id, sp.window, _needs(pattern))
-    bases = _REFINES.get(condition_id, ()) if held is not None else ()
-    if bases and not any(held[b].holds for b in bases):
-        return _dominance_gate(sp, condition_id) or _inapplicable(
-            condition_id, sp.window, f"needs one of {'/'.join(bases)} to hold")
+    case = _REFINES.get(condition_id)
+    if case and not sp.margin(case)[0] >= -_SLACK:
+        need = "a(t) >= b(t)" if case == "delay" else "b(t) >= a(t)"
+        return _inapplicable(condition_id, sp.window,
+                             f"dominance hypothesis {need} fails on the window")
+    if case and held is not None and not any(held[b].holds for b in _FAMILIES[case]):
+        return _inapplicable(condition_id, sp.window,
+                             f"needs one of {'/'.join(_FAMILIES[case])} to hold")
     return body(sp)
 
 

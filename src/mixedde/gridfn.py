@@ -148,9 +148,6 @@ class GridFunction:
         ys = np.concatenate(([self(lo)], v[i0:i1 + 1], [self(hi)]))
         return float(np.sum(np.diff(xs) * (ys[:-1] + ys[1:])) * 0.5)
 
-    def cumulative(self) -> "CumulativeIntegral":
-        return CumulativeIntegral(self)
-
 
 class GridPoints:
     """Where each point of t, flattened, falls on the grid t_start + k*step, k < size:

@@ -446,7 +446,7 @@ class SampledProblem:
         grid = GridFunction.from_callable(getattr(self.spec, name), lo, hi, self.step)
         if not np.all(np.isfinite(grid.values)):  # the grid's times name the culprit
             _require_finite(name, grid.values, grid.times())
-        return grid.cumulative()
+        return CumulativeIntegral(grid)
 
     @cached_property
     def _deviated_sups(self) -> dict[tuple[str, str], tuple[float, int]]:
@@ -534,7 +534,7 @@ class SampledProblem:
             gap = self.a - self.b if case == "delay" else self.b - self.a
             t1, T = self.window
             points = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
-            at = GridFunction(t1, self.step, gap).cumulative()(np.array((t1, *points)))
+            at = CumulativeIntegral(GridFunction(t1, self.step, gap))(np.array((t1, *points)))
             self._gap_integrals[case] = tuple(zip(points, (at[1:] - at[0]).tolist()))
         return self._gap_integrals[case]
 
@@ -755,10 +755,12 @@ def _spec_from_document(doc: dict, origin: str) -> ProblemSpec:
     for field in ("a", "b", "g", "h", "delta1", "delta2", "t0"):
         if field not in doc:
             raise ValueError(f"problem file {origin!r} is missing field {field!r}")
-    try:
-        exprs = {k: parse_expr(str(doc[k])) for k in ("a", "b", "g", "h")}
-    except ExprSyntaxError as exc:
-        raise ValueError(f"bad expression in {origin!r}: {exc}") from exc
+    exprs = {}
+    for field in ("a", "b", "g", "h"):
+        try:
+            exprs[field] = parse_expr(str(doc[field]))
+        except ExprSyntaxError as exc:
+            raise ValueError(f"bad expression for {field!r} in {origin!r}: {exc}") from exc
     d1, d2 = doc["delta1"], doc["delta2"]
     if any(isinstance(d, bool) or d not in (-1, 1) for d in (d1, d2)):  # True == 1
         raise ValueError(f"delta1/delta2 in {origin!r} must be +1 or -1")

@@ -55,11 +55,8 @@ class _HeunSweep:
     x_prev stays at its last value past the horizon. Where the delay is under
     one step, the second stage reads x(g) from the Euler predictor instead.
 
-    The read geometry is fixed, so the grid is split once into a plan: runs
-    [s, e] in which every node after s reads x(g) at or before node s, advanced
-    with array operations, and the nodes between them, stepped one at a time.
-    Either way each node gets the same operations in the same order, so the
-    result does not depend on the plan.
+    The read geometry is fixed, so the grid is split once into the plan of the
+    method of steps in the module docstring; the result does not depend on it.
     """
 
     def __init__(self, sampled: SampledProblem):
@@ -214,15 +211,8 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     x' = -delta1*a*x(g) - delta2*b*x(h) by Heun's method, reading x(g) from the
     nodes already computed this sweep and x(h) from sweep k. Stops when the
     max node change drops below tol (default 1e-10 * max(|x0|, 1)); an explicit
-    tol that is not positive and finite raises ValueError.
-
-    Each sweep runs by the method of steps (_HeunSweep): all advanced values
-    are read from sweep k at once, and each run of nodes that reads x(g) only
-    at or before its first node is advanced with array operations, its Heun
-    increments added in node order by a cumulative sum. Those are the same
-    floating-point operations, in the same order, as stepping node by node, so
-    the sweeps, and hence every trajectory and report, are bit-identical to
-    that loop's. The run plan is made once per call.
+    tol that is not positive and finite raises ValueError. Each sweep is a
+    _HeunSweep, by the method of steps in the module docstring, planned once.
 
     When the advance coupling makes the pure iteration amplify with a
     sign-alternating leading mode (gain measured by a short power iteration on
@@ -304,11 +294,9 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     x_prev = np.full(n, x0)  # sweep 0: every node lies at or after t0
     history: list[float] = []
     converged = False
-    sweeps = 0
     grow_streak = 0
 
-    while sweeps < max_sweeps:
-        sweeps += 1
+    while len(history) < max_sweeps:
         raw = sweep(x_prev, x0, hist)
         # the reported residual is the raw sweep defect, independent of
         # damping; np.max propagates a NaN, which Python's max would skip
@@ -347,7 +335,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     eq_res = _equation_residual(traj_x, report)
     return Trajectory(
         x=traj_x,
-        relaxation_iterations=sweeps,
+        relaxation_iterations=len(history),
         relaxation_residual=history[-1],
         equation_residual=eq_res,
         converged=converged,

@@ -258,8 +258,6 @@ def test_roots_outside_the_default_window():
                                             "minus_exponent")) == -wide[0]
 
 
-@pytest.mark.xfail(strict=True, reason="b*sigma underflows to 0 in _real_roots' F', which "
-                   "then has no zero, so no sign change of F is bracketed")
 def test_roots_survive_an_underflowing_slope():
     # F(l) = -l - a e^{l tau} - b e^{-l sigma} is -a - b < 0 at 0 and > 0 at -0.17,
     # and falls to -inf again as l -> -inf, since b > 0: two real roots

@@ -527,6 +527,27 @@ def test_integer_past_the_digit_limit_exits_two(tmp_path, command, field, capsys
     assert "7777" not in line and "sys." not in line
 
 
+@pytest.mark.parametrize("field", ["a", "b", "g", "h"])
+def test_bad_expression_names_its_field(tmp_path, field, capsys):
+    path = write_spec_file(tmp_path / "bad.json", **{field: "sin t"})
+    assert main(["check", path, "--T", "2"]) == 2
+    assert capsys.readouterr().err == (f"error: bad expression for {field!r} in {path!r}: "
+                                       "expected '(' after 'sin' (at position 4)\n")
+
+
+def test_check_survives_an_envelope_ratio_that_underflows(tmp_path, capsys):
+    # a1/b2 = 5e-324/1000 underflows to 0 and b1/a2 overflows, so COR_3_1 takes
+    # each log bound as a difference of logs over tau + sigma = 0.5
+    path = write_spec_file(tmp_path / "tiny.json", a="5e-324", b="1000", g="t-0.2",
+                           h="t+0.3", delta1=-1, delta2=1)
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert ("condition: COR_3_1_C1\nverdict: fails_on_window\nwindow: 0 .. 100\n"
+            "witness: b2_lt_a1=no gap=-1000 log_bound=-1502.6956544\n") in out
+    assert ("condition: COR_3_1_C2\nverdict: holds_on_window\nwindow: 0 .. 100\n"
+            "witness: a2_lt_b1=yes gap=1000 log_bound=1502.6956544\n") in out
+
+
 @pytest.mark.parametrize("field", ["delta1", "delta2"])
 def test_boolean_signs_exit_two(tmp_path, field, capsys):
     path = write_spec_file(tmp_path / "bool.json", **{field: True})  # True == 1

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedde import charroots, criteria
@@ -219,6 +219,17 @@ def test_cor_3_1_without_deviations_has_no_log_bound():
     assert c1.holds
     assert c2.verdict == "fails_on_window"
     assert c1.witness["log_bound"] == c2.witness["log_bound"] == math.inf
+
+
+def test_cor_3_1_log_bound_of_a_quotient_that_overflows():
+    # b1/a2 = 1e10/1e-300 overflows to inf; the bound is the difference of the
+    # logs over tau + sigma = 0.5, which the gap 1e10 exceeds (the underflowing
+    # quotient is test_cli.py's test_check_survives_an_envelope_ratio_that_underflows)
+    c1, c2 = check_cor_3_1(Bounds(1e-300, 1e-300, 1e10, 1e10, 0.2, 0.3, WINDOW))
+    want = (math.log(1e10) - math.log(1e-300)) / 0.5  # 1427.6
+    assert c1.witness["log_bound"] == pytest.approx(-want, rel=1e-15)
+    assert c2.witness["log_bound"] == pytest.approx(want, rel=1e-15)
+    assert c2.verdict == "fails_on_window"
 
 
 def test_cor_3_1_nonpositive_inapplicable():
@@ -935,12 +946,17 @@ def test_advance_certificates_are_constructive():
 
 @st.composite
 def _constant_specs(draw):
-    """Constant coefficients a, b in {0} or [1e-3, 2] of the four sign
-    patterns, with deviations tau, sigma in {0} or [1e-3, 1]. No product of a
-    coefficient and a deviation underflows, where _real_roots loses roots
-    (test_charroots.py::test_roots_survive_an_underflowing_slope)."""
-    coef = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
-    rate = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    """Constant coefficients a, b in {0}, [5e-324, 1e-3], [1e-3, 2] or
+    [2, 1e3] of the four sign patterns, with deviations tau, sigma in {0},
+    [5e-324, 1e-3], [1e-3, 1] or [1, 10]. Products of a tiny coefficient and a
+    deviation underflow, as in test_charroots.py's
+    test_roots_survive_an_underflowing_slope, and so do ratios of envelope
+    bounds, as in test_cli.py's
+    test_check_survives_an_envelope_ratio_that_underflows."""
+    coef = st.one_of(st.just(0.0), st.floats(5e-324, 1e-3), st.floats(1e-3, 2.0),
+                     st.floats(2.0, 1e3))
+    rate = st.one_of(st.just(0.0), st.floats(5e-324, 1e-3), st.floats(1e-3, 1.0),
+                     st.floats(1.0, 10.0))
     pattern = draw(st.sampled_from([(1, -1), (-1, 1), (1, 1), (-1, -1)]))
     return draw(coef), draw(coef), draw(rate), draw(rate), pattern
 
@@ -958,6 +974,7 @@ def test_no_certificate_holds_where_every_solution_oscillates():
     @seed(20232)
     @settings(max_examples=200, deadline=None, database=None)
     @given(_constant_specs())
+    @example((5e-324, 1e3, 0.2, 0.3, (-1, 1)))  # a1/b2 underflows in COR_3_1's log bound
     def decide(case):
         a, b, tau, sigma, (d1, d2) = case
         spec = make_spec(a=repr(a), b=repr(b), g=f"t-{tau!r}", h=f"t+{sigma!r}",
@@ -1009,8 +1026,8 @@ def test_check_matches_check_all_on_every_condition(overrides):
     spec = make_spec(**overrides)
     by_id = {c.condition_id: c for c in check_all(spec, WINDOW)}
     for cid, cert in by_id.items():
-        bases = criteria._REFINES.get(cid, ())
-        if bases and not any(by_id[b].holds for b in bases):
+        case = criteria._REFINES.get(cid)
+        if case and not any(by_id[b].holds for b in criteria._FAMILIES[case]):
             continue  # check_all gates this refinement behind its failing bases
         assert check(cid, spec, WINDOW) == cert, cid
 
@@ -1181,7 +1198,7 @@ def _divergence_as_first_written(sp, condition_id):
         return criteria._inapplicable(condition_id, window,
                                       f"dominance hypothesis {need} fails on the window")
     t1, T = window
-    cum = GridFunction(t1, sp.step, gap).cumulative()
+    cum = CumulativeIntegral(GridFunction(t1, sp.step, gap))
     checkpoints = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
     integrals = tuple(float(cum(c) - cum(t1)) for c in checkpoints)
     increasing = all(b > a for a, b in zip(integrals, integrals[1:]))
@@ -1206,7 +1223,8 @@ def _check_all_as_first_written(spec, window, step=1e-3):
             cert = _divergence_as_first_written(sp, cid)
         else:
             cert = criteria._run(cid, sp)
-        bases = criteria._REFINES.get(cid, ())
+        case = criteria._REFINES.get(cid)
+        bases = criteria._FAMILIES[case] if case else ()
         if bases and cert.verdict != criteria.INAPPLICABLE and not any(
                 out[b].holds for b in bases):
             cert = criteria._inapplicable(cid, sp.window,

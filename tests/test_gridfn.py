@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde.gridfn import CHUNK, GridFunction, GridPoints, _node_sums, grid_cells, node_times
+from mixedde.gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _node_sums,
+                            grid_cells, node_times)
 from mixedde.model import SampledProblem
 
 from conftest import _bits, _where_eval, _where_nodes
@@ -146,7 +147,7 @@ def test_cumulative_matches_integrate():
     rng = np.random.default_rng(5)
     vals = rng.normal(size=100)
     f = GridFunction(1.0, 0.01, vals)
-    cum = f.cumulative()
+    cum = CumulativeIntegral(f)
     for q in rng.uniform(1.0, f.t_end, size=25):
         direct = f.integrate(1.0, float(q))
         assert abs(cum(float(q)) - direct) <= 1e-12 * max(1.0, abs(direct))
@@ -188,7 +189,7 @@ def _grids_and_points(draw):
 @given(_grids_and_points())
 def test_placed_evaluation_is_bit_identical_to_where_evaluation(case):
     f, pts = case
-    cum = f.cumulative()
+    cum = CumulativeIntegral(f)
     np.testing.assert_array_equal(_bits(cum._nodes), _bits(_where_nodes(f)))
     want = _where_eval(cum, pts)
     placed = GridPoints(f.t_start, f.step, len(f.values), pts)
@@ -204,7 +205,7 @@ def test_placed_evaluation_is_bit_identical_to_where_evaluation(case):
 
 
 def test_points_placed_on_another_grid_are_rejected():
-    cum = GridFunction(0.0, 0.1, np.ones(5)).cumulative()
+    cum = CumulativeIntegral(GridFunction(0.0, 0.1, np.ones(5)))
     with pytest.raises(ValueError, match="another grid"):
         cum.at(GridPoints(0.0, 0.1, 6, [0.2]))
 
@@ -272,7 +273,7 @@ def _grids_with_edge_values(draw):
 def test_node_sums_are_bit_identical_to_the_np_add_build(f, data):
     with np.errstate(all="ignore"):  # inf - inf and sums past the float range
         want = _np_add_nodes(f)
-        got = f.cumulative()._nodes
+        got = CumulativeIntegral(f)._nodes
     np.testing.assert_array_equal(_bits(got), _bits(want))
     # the kernel's path: _node_sums into buffers it reuses, here NaN-filled and
     # loaded with two vectors in turn, in one chunk (as the kernel does) or a
@@ -318,11 +319,11 @@ def test_chunked_node_sums_keep_a_negative_zero_and_carry_inf_and_nan(width):
 def test_one_off_node_sums_cast_in_chunks_with_the_same_bits(cells):
     values = np.random.default_rng(cells).standard_normal(cells + 1)
     f = GridFunction(-1.0, 1e-3, values)
-    np.testing.assert_array_equal(_bits(f.cumulative()._nodes), _bits(_np_add_nodes(f)))
+    np.testing.assert_array_equal(_bits(CumulativeIntegral(f)._nodes), _bits(_np_add_nodes(f)))
     # a -0.0 first cell, and inf and NaN carried across the first chunk
     # boundary, where there is one
     edge = GridFunction(-1.0, 1e-3, _chunk_edge_values(cells, min(CHUNK, cells - 2)))
     with np.errstate(all="ignore"):
-        want, got = _np_add_nodes(edge), edge.cumulative()._nodes
+        want, got = _np_add_nodes(edge), CumulativeIntegral(edge)._nodes
     np.testing.assert_array_equal(_bits(got), _bits(want))
 

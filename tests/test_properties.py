@@ -14,7 +14,7 @@ from mixedde.charroots import CharProblem, find_real_roots
 from mixedde.cli import main
 from mixedde.construct import IterationKernel
 from mixedde.criteria import check, check_all
-from mixedde.gridfn import GridFunction
+from mixedde.gridfn import CumulativeIntegral, GridFunction
 from mixedde.model import SampledProblem
 
 from conftest import make_spec, spec_fields
@@ -69,7 +69,7 @@ def test_fuzzed_spec_documents_exit_with_0_1_or_2(tmp_path, doc):
 def test_quadrature_is_additive_and_both_paths_agree(values, t_start, step, fractions):
     f = GridFunction(t_start, step, np.array(values))
     lo, mid, hi = sorted(min(t_start + q * (f.t_end - t_start), f.t_end) for q in fractions)
-    cum = f.cumulative()
+    cum = CumulativeIntegral(f)
 
     def c(x, y):
         return cum(y) - cum(x)
