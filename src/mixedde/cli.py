@@ -133,21 +133,17 @@ def cmd_construct(args) -> int:
 
 def _constant_problem_from_spec(args) -> charroots.CharProblem:
     spec = model.read_spec(args.spec)
-    window = _window(spec, args)
-    bounds = model.extract_bounds(spec, window)
-    if bounds.a2 - bounds.a1 > 1e-9 or bounds.b2 - bounds.b1 > 1e-9:
+    a, b, g, h = map(model._affine_parts, (spec.a, spec.b, spec.g, spec.h))
+    if not (a and b and a[1:] == b[1:] == (0.0, 0.0, 0.0)):
         raise ValueError("roots needs constant coefficients; pass --a/--b/--tau/--sigma "
                          "explicitly for a variable-coefficient equation's envelope")
-    t = model.CoefficientExpr.var_t()
-    dly = model._exact_range(t - spec.g, *window)
-    adv = model._exact_range(spec.h - t, *window)
-    for rng, name in ((dly, "delay"), (adv, "advance")):
-        if rng is None or rng[1] - rng[0] > 1e-9:
+    for parts, name in ((g, "delay"), (h, "advance")):
+        if not (parts and parts[1:] == (1.0, 0.0, 0.0)):  # t plus a constant
             raise ValueError(f"roots needs a constant {name}; pass the parameters "
                              "explicitly instead")
     convention = args.convention or (
         "minus_exponent" if (spec.delta1, spec.delta2) == (1, -1) else "plus_exponent")
-    return charroots.CharProblem(bounds.a2, bounds.b2, dly[1], adv[1],
+    return charroots.CharProblem(a[0], b[0], 0.0 - g[0], h[0],  # tau as t - g's parts give it
                                  spec.delta1, spec.delta2, convention)
 
 
@@ -255,7 +251,6 @@ _COMMANDS = {
         *_IO)),
     "roots": ("real characteristic roots of an autonomous equation", cmd_roots, (
         ("spec", {"nargs": "?", "help": "constant-coefficient spec file (optional)"}),
-        *_WINDOW,
         ("--a", {"type": float}),
         ("--b", {"type": float}),
         ("--tau", {"type": float}),

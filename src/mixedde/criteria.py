@@ -391,10 +391,17 @@ def _below(up, rate_up, down, rate_down, v):
 
 def _inversion_hits(env: _Cells | Bounds, xs) -> np.ndarray:
     """The inversion route's test at each x of xs: its slack g^{-1}(x) - f(x)
-    is positive exactly when f(x) < _SYS30_MAX and g(f(x)) < x."""
+    is positive exactly when f(x) < _SYS30_MAX and g(f(x)) < x, here by more
+    than a bound on the rounding of g(f(x)): each term of a side is at most
+    |side| + 2 |its coefficients|, and f's error enters through g's slope,
+    at most tau + sigma times g's terms."""
     _, fx = sys30_values(env, xs, 0.0)
     gfx, _ = sys30_values(env, 0.0, fx)
-    return (fx < _SYS30_MAX) & (gfx < xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # fx may be inf, and g's terms 0
+        g_terms = np.abs(gfx) + 2.0 * (np.abs(env.a2) + np.abs(env.b1))
+        f_terms = np.abs(fx) + 2.0 * (np.abs(env.a1) + np.abs(env.b2))
+        noise = 4 * np.finfo(float).eps * g_terms * (1.0 + (env.tau + env.sigma) * f_terms)
+    return (fx < _SYS30_MAX) & (gfx < xs - noise)
 
 
 def _inversion_kept(env: _Cells, blocks: np.ndarray) -> np.ndarray:

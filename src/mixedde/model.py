@@ -117,18 +117,6 @@ class CoefficientExpr:
     def var_t(cls) -> "CoefficientExpr":
         return cls("t")
 
-    def __add__(self, other):
-        return CoefficientExpr("add", args=(self, _as_expr(other)))
-
-    def __sub__(self, other):
-        return CoefficientExpr("sub", args=(self, _as_expr(other)))
-
-    def __mul__(self, other):
-        return CoefficientExpr("mul", args=(self, _as_expr(other)))
-
-    def __neg__(self):
-        return CoefficientExpr("neg", args=(self,))
-
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, t):
@@ -171,12 +159,6 @@ class CoefficientExpr:
         if k == "t":
             return "t"
         return _OPERATORS[k].form.format(*self.args)
-
-
-def _as_expr(v) -> CoefficientExpr:
-    if isinstance(v, CoefficientExpr):
-        return v
-    return CoefficientExpr.const(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +634,17 @@ def _exact_range(e: CoefficientExpr, lo: float, hi: float) -> tuple[float, float
     val = lambda t: c0 + ct * t + cs * math.sin(t) + cc * math.cos(t)
     cands = [val(lo), val(hi)]
     r = math.hypot(cs, cc)
-    if r > 0.0:
-        # critical points of ct*t + r*sin(t + phase): cos(t + phase) = -ct/r
+    if 0.0 < r and abs(ct) <= r:
+        # at the critical points t = base - phase + 2*pi*k of ct*t + r*sin(t + phase),
+        # val = c0 + ct*t + r*sin(base), monotone in k: the first and last in [lo, hi]
         phase = math.atan2(cc, cs)
-        if abs(ct) <= r:
-            # one candidate per period and base: count the periods as points
-            check_grid_size((hi - lo) / (2 * math.pi),
-                            f"the critical-point scan of an envelope over [{lo:g}, {hi:g}]")
-            psi = math.acos(max(-1.0, min(1.0, -ct / r)))
-            for base in (psi, -psi):
-                k0 = math.floor((lo + phase - base) / (2 * math.pi))
-                t = base - phase + 2 * math.pi * k0
-                while t <= hi:
-                    if t >= lo:
-                        cands.append(val(t))
-                    t += 2 * math.pi
+        psi = math.acos(max(-1.0, min(1.0, -ct / r)))
+        for base in (psi, -psi):
+            for k in (math.ceil((lo + phase - base) / (2 * math.pi)),
+                      math.floor((hi + phase - base) / (2 * math.pi))):
+                t = base - phase + 2 * math.pi * k
+                if lo <= t <= hi:  # sin(base), not sin(t): t far out is off by ulps
+                    cands.append(c0 + ct * t + r * math.sin(base))
     return (min(cands), max(cands))
 
 
@@ -677,8 +655,7 @@ def extract_bounds(spec: ProblemSpec, window: tuple[float, float]) -> Bounds:
     {1, t, sin t, cos t} get closed-form extrema (no inflation); anything else
     is sampled at _ENVELOPE_SAMPLES points and inflated outward by the
     relative margin _INFLATION. Assumes validate_spec passed on the window. A
-    closed form over more than MAX_GRID_POINTS periods, or a range that is not
-    finite, raises ValueError.
+    range that is not finite raises ValueError.
     """
     lo, hi = window
     if not hi > lo:
@@ -687,7 +664,8 @@ def extract_bounds(spec: ProblemSpec, window: tuple[float, float]) -> Bounds:
     ranges = {}
     all_exact = True
     for key, expr in (("a", spec.a), ("b", spec.b),
-                      ("delay", t - spec.g), ("advance", spec.h - t)):
+                      ("delay", CoefficientExpr("sub", args=(t, spec.g))),
+                      ("advance", CoefficientExpr("sub", args=(spec.h, t)))):
         rng = _exact_range(expr, lo, hi)
         if rng is None:
             all_exact = False

@@ -146,6 +146,22 @@ def test_roots_requires_constants(ex2_file, capsys):
     assert "constant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--t1", "--T"])
+def test_roots_takes_no_window(ex1_file, option, capsys):
+    # a constant spec reads the same on every window
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", ex1_file, option, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 5" in capsys.readouterr().err
+
+
+def test_region_envelope_over_1e12_periods_is_the_one_over_100(ex3_file, capsys):
+    # the closed-form extremes take no scan over the window's periods
+    assert main(["region", ex3_file, "--axes", "x,y", "--T", "1e12"]) == 0
+    golden = Path(__file__).parent / "golden" / "region_ex3_xy.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_roots_no_roots_exit_one(capsys):
     code = main(["roots", "--a", "1.4", "--b", "0", "--tau", "0.3",
                  "--sigma", "0", "--scan-lo", "0.001"])
@@ -403,8 +419,6 @@ def test_construct_whose_solution_overflows_exits_1_with_a_caveat(tmp_path, caps
     (["check", "{ex3}", "--step", "1e-9"], "the limit of"),
     (["simulate", "{ex3}", "--step", "1e-9"], "the limit of"),
     (["validate", "{ex3}", "--samples", "2000000000"], "the limit of"),
-    # about 1.6e11 periods, each with critical points of ex3's sinusoids
-    (["region", "{ex3}", "--axes", "x,y", "--T", "1e12"], "the limit of"),
     # out-of-range numeric options, rejected by the library functions behind them
     (["construct", "{ex1}", "--T", "2", "--tol", "inf"], "tol must be positive and finite"),
     (["construct", "{ex1}", "--T", "2", "--tol", "nan"], "tol must be positive and finite"),
@@ -415,13 +429,15 @@ def test_construct_whose_solution_overflows_exits_1_with_a_caveat(tmp_path, caps
     (["simulate", "{ex1}", "--T", "1", "--step", "0.01", "--t-from", "nan"],
      "t_from outside the trajectory domain"),
     # constants that fold to nan or inf: roots and region run no validation, so
-    # extract_bounds rejects them
-    (["roots", "{exp_overflow}"], "the range of a on the window is not finite"),
+    # charroots.CharProblem and extract_bounds reject them
+    (["roots", "{exp_overflow}"], "a, b, tau and sigma must be finite"),
     (["region", "{exp_overflow}", "--axes", "x,y"], "the range of a on the window is not finite"),
-    (["roots", "{inf_product}"], "the range of a on the window is not finite"),
+    (["roots", "{inf_product}"], "a, b, tau and sigma must be finite"),
     (["region", "{inf_product}", "--axes", "x,y"], "the range of a on the window is not finite"),
     # what cmd_roots and cmd_region check themselves
     (["roots", "{varying_delay}"], "roots needs a constant delay"),
+    # a coefficient that varies at all, however little over a window
+    (["roots", "{slow_drift}"], "roots needs constant coefficients"),
     (["roots", "--a", "1"], "roots needs either a spec file or all of --a --b --tau --sigma"),
     (["region", "{ex3}", "--axes", "a"], "--axes must name two axes"),
     (["region", "{ex3}", "--axes", "x,b"], "--axes must be x,y or a,b"),
@@ -431,11 +447,10 @@ def test_construct_whose_solution_overflows_exits_1_with_a_caveat(tmp_path, caps
         "region-too-many-cells", "check-brackets", "validate-signs", "construct-sum",
         "roots-scan-overflow", "check-too-many-nodes",
         "simulate-too-many-nodes", "validate-too-many-samples",
-        "region-envelope-too-many-periods",
         "construct-tol-inf", "construct-tol-nan", "construct-max-iter-negative",
         "simulate-tol-inf", "simulate-tol-nan", "simulate-tol-minus-inf",
         "simulate-t-from-nan", "roots-exp-overflow", "region-exp-overflow",
-        "roots-inf-product", "region-inf-product", "roots-varying-delay",
+        "roots-inf-product", "region-inf-product", "roots-varying-delay", "roots-slow-drift",
         "roots-missing-parameters", "region-one-axis", "region-mixed-axes"])
 def test_out_of_range_input_exits_two(tmp_path, ex1_file, ex3_file, argv, message, capsys):
     files = {"ex1": ex1_file, "ex3": ex3_file,
@@ -446,7 +461,8 @@ def test_out_of_range_input_exits_two(tmp_path, ex1_file, ex3_file, argv, messag
                  **EXAMPLES["ex4"], "a": "1+exp(1000)*0", "b": "2"}),
              "inf_product": write_spec_file(tmp_path / "inf.json", **{
                  **EXAMPLES["ex4"], "a": "1e308*10", "b": "2"}),
-             "varying_delay": write_spec_file(tmp_path / "delay.json", g="t-0.3-0.1*cos(t)")}
+             "varying_delay": write_spec_file(tmp_path / "delay.json", g="t-0.3-0.1*cos(t)"),
+             "slow_drift": write_spec_file(tmp_path / "drift.json", a="1.4+1e-12*t")}
     assert main([arg.format(**files) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -470,7 +486,6 @@ _SWEEP_BASES = {
     "region": ["region", "{ex3}", "--T", "2", "--res", "0.5"],
     "simulate": ["simulate", "{ex1}", "--T", "1", "--step", "0.01"],
 }
-_WINDOW_OPTIONS = ("--t1", "--T")  # roots reads the window only from a spec file
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -480,10 +495,7 @@ _WINDOW_OPTIONS = ("--t1", "--T")  # roots reads the window only from a spec fil
 ])
 def test_argv_sweep_rejects_non_finite_and_non_positive_options(
         ex1_file, ex3_file, command, option, value, capsys):
-    base = _SWEEP_BASES[command]
-    if command == "roots" and option in _WINDOW_OPTIONS:
-        base = ["roots", "{ex1}"]
-    argv = [arg.format(ex1=ex1_file, ex3=ex3_file) for arg in base]
+    argv = [arg.format(ex1=ex1_file, ex3=ex3_file) for arg in _SWEEP_BASES[command]]
     try:
         code = main([*argv, f"{option}={value}"])
     except SystemExit as exc:  # argparse rejects the value itself
@@ -593,7 +605,8 @@ def test_out_of_range_t_from_is_rejected_before_relax(ex1_file, monkeypatch, cap
 
 # -- the CLI parser as first written, the oracle of the _COMMANDS table --------
 # Copied from the function the table replaced, with its two helpers; only its
-# name is changed. It builds every subcommand's arguments on every call.
+# name is changed, and roots has since lost its window options (--t1, --T). It
+# builds every subcommand's arguments on every call.
 
 def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t1", type=float, default=None,
@@ -640,7 +653,6 @@ def _parser_as_first_written() -> argparse.ArgumentParser:
     r = sub.add_parser("roots", help="real characteristic roots of an autonomous equation")
     r.add_argument("spec", nargs="?", default=None,
                    help="constant-coefficient spec file (optional)")
-    _add_window_args(r)
     r.add_argument("--a", type=float, default=None)
     r.add_argument("--b", type=float, default=None)
     r.add_argument("--tau", type=float, default=None)
@@ -695,6 +707,7 @@ _ORACLE_ARGVS = [
     # the first token without a leading '-' names the subcommand
     ["-1", "check"], ["--", "check", "{ex1}", "--T", "2", "--step", "0.01"],
     ["check", "{ex1}", "--step", "x"], ["roots", "--delta1", "3"],
+    ["roots", "{ex1}", "--T", "5"],
     ["check", "{ex1}", "--T", "2", "--bogus"], ["region", "{ex3}", "--res"],
     # a subcommand given first whose argv still reaches an error
     ["check", "{ex1}", "extra"], ["region", "{ex3}", "--axes", "a,b", "--nope"],

@@ -383,11 +383,40 @@ def test_sys30_witness_validity_random():
     assert routes == {"degenerate", "monotone-inversion", "grid-sweep"}
 
 
+@pytest.mark.parametrize("ab, tau, sigma", [(2.0, 0.2, 0.3), (1e4, 4e-5, 6e-5)],
+                         ids=["a-b-2", "a-b-1e4"])
+def test_sys30_takes_no_hit_from_rounding_noise(ab, tau, sigma):
+    # g(f(x)) - x > 0 on (0, 50], but two exponentials near ab cancel in it:
+    # on the inversion grid its float value is negative at some x
+    bounds = Bounds(ab, ab, ab, ab, tau, sigma, WINDOW)
+    xs = criteria._inversion_grid(1e-9)
+    _, fx = sys30_values(bounds, xs, 0.0)
+    gfx, _ = sys30_values(bounds, 0.0, fx)
+    assert np.any((fx < 50.0) & (gfx < xs))
+    assert not np.any(criteria._inversion_hits(bounds, xs))
+    assert not check_sys30(bounds).holds
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        a, t, s = mp.mpf(ab), mp.mpf(tau), mp.mpf(sigma)
+        for x in map(mp.mpf, np.geomspace(1e-12, 50.0, 3000)):
+            f = a * mp.exp(x * s) - a * mp.exp(-x * t)
+            assert a * mp.exp(f * t) - a * mp.exp(-f * s) > x
+
+
+def _rounding_margin(env, fx, gfx):
+    """How far below x g(f(x)) must be for the inversion route to count a hit:
+    4 eps times the size of g's terms, times 1 + (tau + sigma) times f's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_terms = np.abs(gfx) + 2.0 * (np.abs(env.a2) + np.abs(env.b1))
+        f_terms = np.abs(fx) + 2.0 * (np.abs(env.a1) + np.abs(env.b2))
+        return 4.0 * np.finfo(float).eps * g_terms * (1.0 + (env.tau + env.sigma) * f_terms)
+
+
 def _sys30_oracle(bounds):
     """check_sys30's verdict as it was decided one cell at a time: the degenerate
     witness; the argmax of the slack g^{-1}(x) - f(x), inverting g by an 80-step
-    bisection on [0, 50]; the first hit of the 0.01 grid sweep whose witness
-    checks."""
+    bisection on [0, 50], where some x has g(f(x)) below x by more than
+    _rounding_margin; the first hit of the 0.01 grid sweep whose witness checks."""
     def ok(x, y):
         if not (x > 0.0 and y > 0.0):
             return False
@@ -408,9 +437,11 @@ def _sys30_oracle(bounds):
             hi, lo = np.where(too_big, mid, hi), np.where(too_big, lo, mid)
         ginv = 0.5 * (lo + hi)
         fx = sys30_values(bounds, xs, 0.0)[1]
+        gfx = sys30_values(bounds, 0.0, fx)[0]
+        hit = np.any((fx < 50.0) & (gfx < xs - _rounding_margin(bounds, fx, gfx)))
         k = int(np.argmax(ginv - fx))
-        if ginv[k] - fx[k] > 0.0 and ok(float(xs[k]),
-                                        0.5 * (max(float(fx[k]), 0.0) + float(ginv[k]))):
+        if hit and ginv[k] - fx[k] > 0.0 and ok(float(xs[k]),
+                                                0.5 * (max(float(fx[k]), 0.0) + float(ginv[k]))):
             return True
     grid = 0.01 * (1.0 + np.arange(5000))
     gys, fxs = sys30_values(bounds, grid, grid)
@@ -466,7 +497,8 @@ def test_sys30_routes_on_general_bounds_match_the_per_cell_oracle():
 
 def _dense_sys30_routes(a1, a2, b1, b2, tau, sigma):
     """criteria._sys30_routes as it was before it decided cells coarse to fine:
-    each route's test at every point of every grid, for every cell."""
+    each route's test at every point of every grid, for every cell. An
+    inversion hit needs g(f(x)) below x by more than _rounding_margin."""
     a1, a2, b1, b2 = (np.array(v, dtype=float, ndmin=1) for v in (a1, a2, b1, b2))
     routes = np.full(a1.shape, criteria._NO_ROUTE, dtype=np.int8)
 
@@ -487,7 +519,8 @@ def _dense_sys30_routes(a1, a2, b1, b2, tau, sigma):
         xs = criteria._inversion_grid(x_lo[idx])
         _, fx = sys30_values(env, xs, 0.0)
         gfx, _ = sys30_values(env, 0.0, fx)
-        routes[idx[np.any((fx < 50.0) & (gfx < xs), axis=1)]] = criteria._INVERSION
+        hit = (fx < 50.0) & (gfx < xs - _rounding_margin(env, fx, gfx))
+        routes[idx[np.any(hit, axis=1)]] = criteria._INVERSION
 
     ys = 0.01 * (1.0 + np.arange(5000))
     for idx in criteria._blocks(np.flatnonzero(routes == criteria._NO_ROUTE), len(ys)):

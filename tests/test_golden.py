@@ -3,8 +3,9 @@
 Each case runs `mixedde.cli.main` in-process on an example written from
 `conftest.EXAMPLES` and compares stdout with `tests/golden/<name>`. A change
 that alters a report on purpose regenerates the affected file in the same
-diff (`PYTHONPATH=src python tests/test_golden.py`) and says so in
-CHANGES.md; any other difference is a regression.
+diff (`PYTHONPATH=src python tests/test_golden.py`, which also prints the
+(size, md5) of every REGION_CSV_MD5 case) and says so in CHANGES.md; any
+other difference is a regression.
 """
 
 import contextlib
@@ -61,22 +62,26 @@ def test_report_is_byte_identical(name, tmp_path):
 # files; the res-0.5 a,b grid is also region_ex4_ab.csv
 REGION_CSV_MD5 = {
     ("ex3", "x,y", "0.05"): (416671, "bf5f2b6d0ff7bc33e63fc08d4f964996"),
-    ("ex4", "a,b", "0.05"): (85463, "31b9e284f214eb5c82eeb8ba09b802ef"),
+    ("ex4", "a,b", "0.05"): (85463, "590f79fb6cabede8f948768851f12850"),
     ("ex4", "a,b", "0.3"): (2123, "aac3ca2946ed9c055717c0e370548579"),
-    ("ex4", "a,b", "0.5"): (455, "d136cb4402ab86081f910e1ad36a2554"),
+    ("ex4", "a,b", "0.5"): (455, "67b574f8fb0f3837e807027389cd3ae1"),
 }
 
 
-@pytest.mark.parametrize("example, axes, res", sorted(REGION_CSV_MD5))
-def test_region_csv_md5_is_pinned(example, axes, res, tmp_path):
-    path = tmp_path / f"{example}.json"
+def region_csv_md5(example: str, axes: str, res: str, workdir: Path) -> tuple[int, tuple]:
+    """The exit code and (size, md5) of the region CSV of a REGION_CSV_MD5 case."""
+    path = workdir / f"{example}.json"
     path.write_text(json.dumps(spec_fields(**EXAMPLES[example])))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["region", str(path), "--axes", axes, "--res", res, "--format", "csv"])
     data = out.getvalue().encode("utf-8")
-    assert code == 0
-    assert (len(data), hashlib.md5(data).hexdigest()) == REGION_CSV_MD5[example, axes, res]
+    return code, (len(data), hashlib.md5(data).hexdigest())
+
+
+@pytest.mark.parametrize("example, axes, res", sorted(REGION_CSV_MD5))
+def test_region_csv_md5_is_pinned(example, axes, res, tmp_path):
+    assert region_csv_md5(example, axes, res, tmp_path) == (0, REGION_CSV_MD5[example, axes, res])
 
 
 def test_spaced_expressions_print_the_same_report(tmp_path):
@@ -95,3 +100,6 @@ if __name__ == "__main__":
             code, text = run_case(name, Path(tmp))
             (GOLDEN / name).write_text(text, encoding="utf-8")
             print(f"{name}: exit {code}")
+        for case in sorted(REGION_CSV_MD5):  # pins to copy into REGION_CSV_MD5
+            code, pin = region_csv_md5(*case, Path(tmp))
+            print(f"{case}: {pin}, exit {code}")

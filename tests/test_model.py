@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -365,17 +366,83 @@ def test_extract_bounds_envelope_contains_samples():
     assert np.all(spec.h(ts) - ts <= b.sigma + eps)
 
 
-def test_envelope_scan_over_too_many_periods_is_rejected():
-    # sin and cos terms have critical points in every period of the window
-    spec = make_spec(a="1.3+0.1*sin(t)", b="1.7+0.1*cos(t)", g="t-0.2", h="t+0.3",
-                     delta1=-1, delta2=1)
-    with pytest.raises(ValueError, match="the limit of"):
-        extract_bounds(spec, (0.0, 1e12))
-    # closed forms without critical points need no scan, however long the window
+def test_envelope_over_many_periods_takes_no_scan():
+    # about 1.6e11 periods, each with critical points of ex3's sinusoids
+    spec = make_spec(a="1.3+0.1*sin(t)", b="1.7+0.1*cos(t)", g="t-0.1-0.1*cos(t)",
+                     h="t+0.2+0.1*sin(t)", delta1=-1, delta2=1)
+    far = extract_bounds(spec, (0.0, 1e12))
+    assert far == dataclasses.replace(extract_bounds(spec, (0.0, 100.0)), window=(0.0, 1e12))
+    # closed forms without critical points need none, however long the window
     spec = make_spec(a="1", b="2*t+sin(t)", g="t-0.2", h="t+0.3")
     b = extract_bounds(spec, (0.0, 1e12))
     assert (b.a1, b.a2, b.b1, b.b2) == (1.0, 1.0, 0.0, 2e12 + math.sin(1e12))
     assert b.exact
+
+
+def _closed_form(c0: float, ct: float, cs: float, cc: float) -> CoefficientExpr:
+    """c0 + ct*t + cs*sin(t) + cc*cos(t) as a tree."""
+    t = CoefficientExpr.var_t()
+    terms = [CoefficientExpr("mul", args=(CoefficientExpr.const(c), x)) for c, x in
+             ((ct, t), (cs, CoefficientExpr("sin", args=(t,))),
+              (cc, CoefficientExpr("cos", args=(t,))))]
+    node = CoefficientExpr.const(c0)
+    for term in terms:
+        node = CoefficientExpr("add", args=(node, term))
+    return node
+
+
+def _range_reference(parts, lo: float, hi: float) -> tuple[float, float]:
+    """The range of c0 + ct*t + cs*sin(t) + cc*cos(t) on [lo, hi] in 40 digits:
+    the endpoints and the critical points, every one where a base has at most
+    200 in the window, else its first and last three."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        c0, ct, cs, cc = map(mp.mpf, parts)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        val = lambda t: c0 + ct * t + cs * mp.sin(t) + cc * mp.cos(t)
+        cands = [val(lo), val(hi)]
+        r = mp.hypot(cs, cc)
+        if r > 0 and abs(ct) <= r:
+            phase, psi = mp.atan2(cc, cs), mp.acos(-ct / r)
+            for base in (psi, -psi):
+                first = int(mp.ceil((lo + phase - base) / (2 * mp.pi)))
+                last = int(mp.floor((hi + phase - base) / (2 * mp.pi)))
+                ks = (range(first, last + 1) if last - first <= 200 else
+                      [*range(first, first + 3), *range(last - 2, last + 1)])
+                cands += [val(base - phase + 2 * mp.pi * k) for k in ks]
+        return float(min(cands)), float(max(cands))
+
+
+_COEFFICIENTS = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _closed_forms(draw):
+    """(c0, ct, cs, cc, lo, hi): ct mostly within the sinusoid's amplitude,
+    so that the window holds critical points, and windows up to 1e12 long."""
+    c0, cs, cc = draw(_COEFFICIENTS), draw(_COEFFICIENTS), draw(_COEFFICIENTS)
+    ct = math.hypot(cs, cc) * draw(st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                                             st.floats(-1.2, 1.2)))
+    lo = draw(st.floats(-1e3, 1e3))
+    return c0, ct, cs, cc, lo, lo + draw(st.one_of(st.floats(1e-3, 50.0),
+                                                   st.floats(50.0, 1e12)))
+
+
+@seed(20250)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_closed_forms())
+# sin(t) at the last critical point, placed to a few ulps of t, is 8.8e-10 of
+# the terms' size off its extreme
+@example((0.0, -4.375070577533507e-13, 0.0, 416.9803508964967, 5.0, 710658809533.6027))
+def test_closed_form_range_matches_a_40_digit_reference(draw):
+    *coefficients, lo, hi = draw
+    e = _closed_form(*coefficients)
+    parts = model._affine_parts(e)
+    got, want = model._exact_range(e, lo, hi), _range_reference(parts, lo, hi)
+    c0, ct, cs, cc = parts
+    # the terms' size; subnormal terms round in steps of 5e-324
+    tol = 1e-12 * (abs(c0) + abs(ct) * max(abs(lo), abs(hi)) + math.hypot(cs, cc)) + 1e-320
+    assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol, (got, want)
 
 
 def test_bounds_invariants():
