@@ -15,7 +15,12 @@ with array operations and added in node order by a cumulative sum. Every node
 gets the same floating-point operations, in the same order, as a node-by-node
 loop would give it, so the trajectory is bit-identical to that loop's. Short
 runs, and nodes whose delay is under one step (where Heun's second stage reads
-its own predictor), are stepped one node at a time.
+its own predictor), are stepped one node at a time. A stepped node's slope F
+is worked out once: the second stage of the step into the node is the first
+stage of the step out of it, the same operations on the same values (Heun's
+first-same-as-last property), except after a predictor read, where it is
+worked out again from the new node. So the stepped nodes, too, stay
+bit-identical to the loop.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ _GAIN_ITERS = 48  # power iterations of relax's gain estimate, at most
 # dozen nodes in Python; shorter runs are stepped one node at a time.
 _MIN_RUN = 12
 
+# what x(g) the second stage of a Heun step reads: the history, the nodes
+# already computed, or the Euler predictor (a delay under one step)
+_HISTORY, _GRID, _PREDICTOR = 0, 1, 2
+
 
 class _HeunSweep:
     """One relax sweep on a sampled grid: the previous sweep x_prev -> the next.
@@ -56,7 +65,9 @@ class _HeunSweep:
     one step, the second stage reads x(g) from the Euler predictor instead.
 
     The read geometry is fixed, so the grid is split once into the plan of the
-    method of steps in the module docstring; the result does not depend on it.
+    method of steps in the module docstring, with the read tables of each
+    stepped stretch; the result does not depend on it. A stepped stretch
+    works out F once per node, except after a predictor read.
     """
 
     def __init__(self, sampled: SampledProblem):
@@ -70,7 +81,7 @@ class _HeunSweep:
             dpos = np.minimum((sampled.g - t0) / step, idx)
             apos = np.clip((sampled.h - t0) / step, idx, float(n - 1))
         self.n, self.step, self.half = n, step, 0.5 * step
-        ca = -float(spec.delta1) * sampled.a
+        self._ca = -float(spec.delta1) * sampled.a
         self._cb = -float(spec.delta2) * sampled.b
         past = dpos < 0.0
         self.history_nodes = np.flatnonzero(past)
@@ -89,20 +100,32 @@ class _HeunSweep:
         j = np.where(past, n + np.arange(n), dj)
         self._d_j, self._d_j1, self._d_w, self._d_exact = (
             j, np.where(exact, j, j + 1), w, exact)
-        self._ca, self._dpos_l, self._ca_l = ca, dpos.tolist(), ca.tolist()
         # the last and the first node that x(g) of node k reads (none for history)
         need = np.where(past, 0, np.where(exact, dj, dj + 1))
         lowest = np.where(past, np.arange(n), dj)
-        self._plan = self._plan_runs(need.tolist(), lowest)
+        # what the second stage of the step into node k reads
+        kind = np.where(past, _HISTORY, np.where(dpos > idx - 1.0, _PREDICTOR, _GRID))
+        self._plan = self._plan_runs(need.tolist(), lowest, kind)
 
-    def _plan_runs(self, need: list[int], lowest: np.ndarray) -> list[tuple]:
-        """(s, e, lo, run) in grid order, covering every step 0 -> n-1 once.
+    def _plan_runs(self, need: list[int], lowest: np.ndarray,
+                   kind: np.ndarray) -> list[tuple]:
+        """(s, e, run, steps) in grid order, covering every step 0 -> n-1 once.
 
-        run holds the read arrays of a vectorised run [s, e]; it is None for a
-        stretch stepped node by node, whose reads start at node lo.
+        run holds the read arrays of a vectorised run [s, e], and steps is None.
+        A stretch stepped node by node has run None, and steps holds its read
+        tables for nodes s..e, built here once: lo, the first node it reads;
+        then per node the kind of its second-stage read (history, grid node or
+        predictor), the local index j - lo of the node at or below g_k (or
+        k - s into the stretch's history values), the weight of the node
+        above, and ca.
         """
         def stepped(s: int, e: int) -> tuple:
-            return s, e, min(s, int(np.min(lowest[s:e + 1]))), None
+            nodes = slice(s, e + 1)
+            lo = min(s, int(np.min(lowest[nodes])))
+            kinds = kind[nodes]
+            j = np.where(kinds == _HISTORY, np.arange(e + 1 - s), self._d_j[nodes] - lo)
+            return s, e, None, (lo, kinds.tolist(), j.tolist(), self._d_w[nodes].tolist(),
+                                self._ca[nodes].tolist())
 
         n, plan = self.n, []
         s, first = 0, None
@@ -120,8 +143,8 @@ class _HeunSweep:
                 first = None
             nodes = slice(s, e + 1)
             exact = self._d_exact[nodes]
-            plan.append((s, e, s, (self._d_j[nodes], self._d_j1[nodes], self._d_w[nodes],
-                                   exact if exact.any() else None, self._ca[nodes])))
+            plan.append((s, e, (self._d_j[nodes], self._d_j1[nodes], self._d_w[nodes],
+                                exact if exact.any() else None, self._ca[nodes]), None))
             s = e
         if first is not None:
             plan.append(stepped(first, s))
@@ -140,9 +163,9 @@ class _HeunSweep:
             xh = x_prev[aj] + self._a_w * (x_prev[self._a_j1] - x_prev[aj])
             xh[self._a_clamp] = x_prev[n - 1]
             cbxh = self._cb * xh
-            for s, e, lo, run in self._plan:
+            for s, e, run, steps in self._plan:
                 if run is None:
-                    self._step_nodes(buf, cbxh, s, e, lo)
+                    self._step_nodes(buf, cbxh, s, e, steps)
                     continue
                 j, j1, w, exact, ca = run
                 xj = buf[j]
@@ -156,39 +179,43 @@ class _HeunSweep:
         return buf[:n]
 
     def _step_nodes(self, buf: np.ndarray, cbxh: np.ndarray, s: int, e: int,
-                    lo: int) -> None:
-        """Heun steps s -> e one node at a time, on a local list of nodes lo..e."""
-        n, step, half = self.n, self.step, self.half
-        dp, ca = self._dpos_l, self._ca_l
-        x = buf[lo:e + 1].tolist()
-        hl = buf[n + s:n + e + 1].tolist()
-        cbl = cbxh[s:e + 1].tolist()
-        for i in range(s, e):
-            xi = x[i - lo]
-            # stage 1 at ts[i]
-            p = dp[i]
-            if p < 0.0:
-                xg = hl[i - s]
+                    steps: tuple) -> None:
+        """Heun steps s -> e one node at a time, from the read tables of the plan.
+
+        F[k] is worked out once per node: the second stage of the step into
+        node k gives the first stage of the step out of it, with the same
+        operations on the same values, except where that second stage read
+        the Euler predictor; there F[k] is worked out again from the new node.
+        """
+        step, half = self.step, self.half
+        lo, kinds, js, ws, cas = steps
+        x = buf[lo:s + 1].tolist()  # nodes lo.., the stretch's nodes appended in turn
+        push = x.append
+        hl = buf[self.n + s:self.n + e + 1].tolist()
+        rows = zip(kinds, js, ws, cas, cbxh[s:e + 1].tolist())
+        kind, j, w, ca, cb = next(rows)
+        if kind == _HISTORY:
+            k1 = ca * hl[j] + cb
+        else:
+            k1 = ca * (x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])) + cb
+        xi = x[-1]
+        for kind, j, w, ca, cb in rows:
+            if kind == _GRID:
+                k2 = ca * (x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])) + cb
+            elif kind == _HISTORY:
+                k2 = ca * hl[j] + cb
             else:
-                j = int(p)
-                w = p - j
-                j -= lo
-                xg = x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])
-            k1 = ca[i] * xg + cbl[i - s]
-            pred = xi + step * k1
-            # stage 2 at ts[i+1]
-            p = dp[i + 1]
-            if p < 0.0:
-                xg = hl[i + 1 - s]
-            elif p > i:
-                xg = xi + (p - i) * (pred - xi)
-            else:
-                j = int(p)
-                w = p - j
-                j -= lo
-                xg = x[j] if w == 0.0 else x[j] + w * (x[j + 1] - x[j])
-            k2 = ca[i + 1] * xg + cbl[i + 1 - s]
-            x[i + 1 - lo] = xi + half * (k1 + k2)
+                # the predictor is read at p = i + w, or at i + 1 where w = 0
+                pred = xi + step * k1
+                k2 = ca * (xi + (w or 1.0) * (pred - xi)) + cb
+                xn = xi + half * (k1 + k2)
+                push(xn)
+                k1 = ca * (xn if w == 0.0 else xi + w * (xn - xi)) + cb
+                xi = xn
+                continue
+            xi = xi + half * (k1 + k2)
+            push(xi)
+            k1 = k2
         buf[s + 1:e + 1] = x[s + 1 - lo:]
 
 

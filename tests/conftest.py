@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixedde import ProblemSpec, construct, criteria, model, parse_expr, simulate
+# every mixedde module, cli too (`import mixedde` leaves it out): hypothesis
+# draws literals from the loaded modules, so a test file run alone draws what
+# it draws in the full suite
+from mixedde import ProblemSpec, cli, construct, criteria, model, parse_expr, simulate  # noqa: F401
 from mixedde.gridfn import CHUNK, GridPoints
 
 # frozen oracle values (independent computation: closed forms and bracketed

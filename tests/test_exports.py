@@ -3,12 +3,18 @@ package re-exports only names its modules export."""
 
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
 import mixedde
 
 MODULES = sorted(f"mixedde.{m.name}" for m in pkgutil.iter_modules(mixedde.__path__))
+
+
+def test_conftest_loads_every_module():
+    # first in this file: the tests below import every module themselves
+    assert [m for m in MODULES if m not in sys.modules] == []
 
 
 @pytest.mark.parametrize("name", ["mixedde", *MODULES])

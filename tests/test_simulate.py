@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedde.construct import GeneratingCandidate, iterate
 from mixedde.gridfn import GridFunction
 from mixedde.model import IVP, CoefficientExpr, SampledProblem, parse_expr
-from mixedde.simulate import (_MIN_RUN, Trajectory, _HeunSweep, classify_trajectory,
-                              equation_residual, relax)
+from mixedde.simulate import (_GRID, _HISTORY, _MIN_RUN, _PREDICTOR, Trajectory, _HeunSweep,
+                              classify_trajectory, equation_residual, relax)
 
 from conftest import EXAMPLES, LAM2, make_spec
 
@@ -264,18 +264,80 @@ def _sweep_cases(draw):
                      delta1=draw(st.sampled_from([1, -1])),
                      delta2=draw(st.sampled_from([1, -1])))
     T = draw(st.floats(0.5, 4.0))
-    return spec, T, step, draw(st.integers(0, 2**32 - 1))
+    return spec, T, step, draw(st.integers(0, 2**32 - 1)), {}
+
+
+def _pinned_case(delay, T, overwrite=None):
+    """A sweep case on the dyadic step 2^-6: (spec, T, step, seed, x_prev
+    entries to overwrite)."""
+    spec = make_spec(a="1.3+0.1*sin(t)", b="1.7+0.1*cos(t)", g=f"t-({delay})",
+                     h="t+(0.2)", delta1=-1, delta2=1)
+    return spec, T, 2.0 ** -6, 0, overwrite or {}
+
+
+# cases that reach each branch of the stepped path, checked by
+# test_the_pinned_sweep_cases_reach_their_branches
+_PINNED = {
+    # a delay reaching zero on the nodes t = 1 and 3: predictor and grid reads
+    # in one stretch, and predictor reads of the predictor itself (p = i + 1)
+    "predictor-and-grid": _pinned_case("0.1+0.1*cos(3.141592653589793*t)", 4.0),
+    # a delay of five steps: nodes 0-4 read the history inside a stepped stretch
+    "history": _pinned_case(repr(5 * 2.0 ** -6), 1.0),
+    # the grid ends next to t = pi, so the stretch's last node is a predictor read
+    "last-predictor": _pinned_case("0.1+0.1*cos(t)", math.pi),
+    # non-finite advanced values reach the stepped stretch
+    "non-finite": _pinned_case("0.1+0.1*cos(t)", 4.0, {100: math.inf, 180: math.nan}),
+}
+
+
+def _x_prev(sampled, seed, overwrite):
+    rng = np.random.default_rng(seed)
+    x_prev = rng.standard_normal(len(sampled.ts))
+    for k, v in overwrite.items():
+        x_prev[k] = v
+    return x_prev, float(rng.standard_normal())
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(_sweep_cases())
+@example(_PINNED["predictor-and-grid"])
+@example(_PINNED["history"])
+@example(_PINNED["last-predictor"])
+@example(_PINNED["non-finite"])
 def test_sweep_matches_the_node_by_node_loop_exactly(case):
-    spec, T, step, seed = case
+    spec, T, step, seed, overwrite = case
     sampled = SampledProblem(spec, (0.0, T), step)
-    rng = np.random.default_rng(seed)
-    x_prev = rng.standard_normal(len(sampled.ts))
-    _assert_sweeps_identical(sampled, x_prev, float(rng.standard_normal()),
-                             parse_expr("cos(3*t)+0.5*t"))
+    x_prev, x_init = _x_prev(sampled, seed, overwrite)
+    _assert_sweeps_identical(sampled, x_prev, x_init, parse_expr("cos(3*t)+0.5*t"))
+
+
+def _stepped(sweep):
+    """(s, e, (kind, weight) of the second-stage reads of nodes s+1..e) of each
+    stretch the plan steps node by node."""
+    return [(s, e, list(zip(steps[1], steps[3]))[1:])
+            for s, e, run, steps in sweep._plan if run is None]
+
+
+def test_the_pinned_sweep_cases_reach_their_branches():
+    reached = {}
+    for name, (spec, T, step, seed, overwrite) in _PINNED.items():
+        sampled = SampledProblem(spec, (0.0, T), step)
+        sweep = _HeunSweep(sampled)
+        stretches = _stepped(sweep)
+        if name == "predictor-and-grid":
+            reached[name] = any({_GRID, _PREDICTOR} <= {kind for kind, _ in k}
+                                and (_PREDICTOR, 0.0) in k[:-1] for _, _, k in stretches)
+        elif name == "history":
+            reached[name] = any(_HISTORY in {kind for kind, _ in k} for _, _, k in stretches)
+        elif name == "last-predictor":
+            s, e, k = stretches[-1]
+            reached[name] = e == sweep.n - 1 and k[-1][0] == _PREDICTOR
+        else:
+            x_prev, x_init = _x_prev(sampled, seed, overwrite)
+            x = sweep(x_prev, x_init, np.zeros(sweep.n))
+            reached[name] = any(np.isinf(x[s + 1:e + 1]).any() and np.isnan(x[s + 1:e + 1]).any()
+                                for s, e, _ in stretches)
+    assert reached == dict.fromkeys(_PINNED, True)
 
 
 @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3"])
@@ -285,17 +347,33 @@ def test_sweep_matches_the_loop_on_the_examples(example):
     _assert_sweeps_identical(sampled, x_prev, 1.0, parse_expr("1"))
 
 
-def _check_plan(sweep):
+def _delayed_positions(sampled):
+    """Grid positions of the delayed arguments, never ahead of their node."""
+    idx = np.arange(len(sampled.ts), dtype=float)
+    return np.minimum((sampled.g - sampled.window[0]) / sampled.step, idx)
+
+
+def _check_plan(sweep, sampled):
     """Returns the nodes stepped one at a time; asserts the plan covers every
-    step once, in order, with every vectorised run valid."""
-    dpos = np.asarray(sweep._dpos_l)
+    step once, in order, with every vectorised run valid and every stepped
+    stretch's tables reading what the node-by-node loop reads."""
+    dpos = _delayed_positions(sampled)
     need = np.where(dpos < 0.0, 0, np.ceil(dpos))
     stepped, at = [], 0
-    for s, e, lo, run in sweep._plan:
+    for s, e, run, steps in sweep._plan:
         assert s == at and e > s
+        assert (run is None) != (steps is None)
         if run is None:
+            lo, kinds, js, ws, _ = steps
             assert lo <= s
             stepped.extend(range(s + 1, e + 1))
+            for k, kind, j, w in zip(range(s, e + 1), kinds, js, ws):
+                p = dpos[k]
+                if p < 0.0:
+                    assert (kind, j) == (_HISTORY, k - s)
+                else:
+                    assert kind == (_PREDICTOR if p > k - 1 else _GRID)
+                    assert (j, w) == (int(p) - lo, p - int(p))
         else:
             assert e - s >= _MIN_RUN
             assert np.all(need[s + 1:e + 1] <= s)
@@ -306,16 +384,16 @@ def _check_plan(sweep):
 
 def test_sweep_plan_vectorises_constant_delays():
     sampled = SampledProblem(make_spec(**EXAMPLES["ex1"]), (0.0, 10.3), 0.004)
-    assert _check_plan(_HeunSweep(sampled)).size == 0
+    assert _check_plan(_HeunSweep(sampled), sampled).size == 0
 
 
 def test_sweep_plan_steps_the_predictor_nodes_one_at_a_time(ex3_spec):
     # ex3's delay 0.1 + 0.1 cos t vanishes at t = pi and 3 pi
     sampled = SampledProblem(ex3_spec, (0.0, 10.4), 0.004)
     sweep = _HeunSweep(sampled)
-    stepped = _check_plan(sweep)
+    stepped = _check_plan(sweep, sampled)
     k = np.arange(1, sweep.n)
-    predictor = k[np.asarray(sweep._dpos_l)[1:] > k - 1]
+    predictor = k[_delayed_positions(sampled)[1:] > k - 1]
     assert predictor.size > 0
     assert np.all(np.isin(predictor, stepped))
     assert stepped.size < sweep.n // 2
