@@ -12,7 +12,8 @@ the shape of F, not from a scan: F'' is a sum of two exponentials, so it has at
 most one zero; F' is monotone on each side of it and has at most two zeros; F
 is monotone between those and has at most three (Rolle's theorem; Polya &
 Szego, Problems and Theorems in Analysis II, Part V). Each root is bisected on
-its monotone piece, and a zero of F' where |F| <= 1e-12 is a double root.
+its monotone piece down to two neighbouring floats, and a zero of F' where
+|F| <= 1e-12 is a double root.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, TextIO
-
-import numpy as np
 
 from .model import _exp
 
@@ -38,19 +37,8 @@ _CONVENTIONS = ("plus_exponent", "minus_exponent")
 _EDGE = 2.0**1022  # roots beyond are not sought: wider brackets overflow their midpoints
 _ROOT_RESIDUAL_TARGET = 1e-12
 _MAX_BISECTIONS = 200
-_SCAN_STEP = 1e-3
 _ZERO_EXPONENT = 1e-12  # solution exponents within this of 0 classify as constant
 DEFAULT_SCAN = (-60.0, 60.0)
-_EXP_SAFE = 709.0  # np.exp of a float up to this does not overflow
-
-
-def _np_exp(y: float) -> float:
-    """np.exp(y) as a Python float (numpy's bits, which math.exp need not
-    share), inf without a warning where it overflows."""
-    if y > _EXP_SAFE:
-        with np.errstate(over="ignore"):
-            return float(np.exp(y))
-    return float(np.exp(y))
 
 
 @dataclass(frozen=True)
@@ -75,29 +63,17 @@ class CharProblem:
         if self.convention not in _CONVENTIONS:
             raise ValueError(f"convention must be one of {_CONVENTIONS}")
 
-    def value(self, lam):
-        """Characteristic function. A term that overflows is +-inf; a zero
-        coefficient contributes 0, also where its exponential is inf."""
+    def value(self, lam: float) -> float:
+        """Characteristic function at a real lam, as a Python float. A term that
+        overflows is +-inf; a zero coefficient contributes 0, also where its
+        exponential is inf."""
         sign = -1.0 if self.convention == "minus_exponent" else 1.0
-        if isinstance(lam, (int, float)):
-            # the bisections' scalar calls, on Python floats: the same
-            # operations as below, without the array set-up that costs more
-            x = float(lam)
-            out = sign * x
-            for coef, exponent in ((self.delta1 * self.a, -sign * x * self.tau),
-                                   (self.delta2 * self.b, sign * x * self.sigma)):
-                if coef:
-                    out += coef * _np_exp(exponent)
-            return out
-        lam_arr = np.asarray(lam, dtype=float)
-        out = sign * lam_arr
-        with np.errstate(over="ignore", invalid="ignore"):
-            for coef, exponent in ((self.delta1 * self.a, -sign * lam_arr * self.tau),
-                                   (self.delta2 * self.b, sign * lam_arr * self.sigma)):
-                if coef:
-                    out = out + coef * np.exp(exponent)
-        if lam_arr.ndim == 0:
-            return float(out)
+        x = float(lam)
+        out = sign * x
+        for coef, exponent in ((self.delta1 * self.a, -sign * x * self.tau),
+                               (self.delta2 * self.b, sign * x * self.sigma)):
+            if coef:
+                out += coef * _exp(exponent)
         return out
 
     def solution_exponent(self, root: float) -> float:
@@ -133,6 +109,8 @@ def _bisect(f: Callable[[float], float], x1: float, x2: float) -> float:
     best_x, best_f = (x1, abs(f1)) if abs(f1) < abs(f2) else (x2, abs(f2))
     for _ in range(_MAX_BISECTIONS):
         xm = 0.5 * (x1 + x2)
+        if not x1 < xm < x2:
+            break  # x1 and x2 are neighbouring floats
         fm = f(xm)
         if abs(fm) < best_f:
             best_x, best_f = xm, abs(fm)
@@ -142,8 +120,6 @@ def _bisect(f: Callable[[float], float], x1: float, x2: float) -> float:
             x1, f1 = xm, fm
         else:
             x2, f2 = xm, fm
-        if x2 - x1 <= 4e-16 * max(1.0, abs(xm)):
-            break
     return best_x
 
 
@@ -175,15 +151,9 @@ def _zeros(f: Callable[[float], float], knots: list[float]) -> list[float]:
     return sorted(found)
 
 
-def _real_roots(p: CharProblem, window: tuple[float, float]) -> list[float]:
-    """Every real root of F in [-_EDGE, _EDGE], increasing.
-
-    A root within a cell of the window is bisected again on the cell of the
-    window's 1e-3 grid that holds it, or on a neighbour when F changes sign
-    there and not in it, so it gets the bits a sign-change scan of that grid
-    gives it. Node i is i*d + lo and the last node hi, as np.linspace places
-    them.
-    """
+def _real_roots(p: CharProblem) -> list[float]:
+    """Every real root of F in [-_EDGE, _EDGE], increasing, each bisected to
+    the last bit on its monotone piece."""
     # F(l) = G(s*l) for G(x) = x + c1*e^{-x*tau} + c2*e^{x*sigma}, with s = 1 for
     # plus_exponent and -1 for minus_exponent
     s = 1.0 if p.convention == "plus_exponent" else -1.0
@@ -203,47 +173,30 @@ def _real_roots(p: CharProblem, window: tuple[float, float]) -> list[float]:
         # sum of logs, since tau^2 or sigma^2 can underflow
         split = [(math.log(p.a) + 2.0 * math.log(tau) - math.log(p.b)
                   - 2.0 * math.log(sigma)) / (tau + sigma)]
-    xs = _zeros(g, _zeros(dg, split))
-
-    lo, hi = window
-    cells = math.ceil((hi - lo) / _SCAN_STEP)
-    d = (hi - lo) / cells
-    roots = set()
-    for lam in (s * x for x in xs):
-        if lo - d <= lam <= hi + d:
-            i = min(max(math.floor((lam - lo) / d), 0), cells - 1)
-            for j in (j for j in (i, i - 1, i + 1) if 0 <= j < cells):
-                x1, x2 = j * d + lo, (hi if j + 1 == cells else (j + 1) * d + lo)
-                f1, f2 = p.value(x1), p.value(x2)
-                if min(f1, f2) <= 0.0 <= max(f1, f2):
-                    lam = _bisect(p.value, x1, x2)
-                    break
-        roots.add(lam)
-    return sorted(roots)
+    return sorted({s * x for x in _zeros(g, _zeros(dg, split))})
 
 
 def find_real_roots(p: CharProblem, scan: tuple[float, float] = DEFAULT_SCAN) -> CharRootSet:
     """The real roots of F inside the reporting window `scan`, with residuals.
 
-    Nothing is sampled, so the window may be as wide as the floats allow; each
-    root in it has the bits of a sign-change scan of the window at step 1e-3.
+    Nothing is sampled, so the window may be as wide as the floats allow, and
+    it only filters: a root has the same bits in every window that holds it.
     A window that is non-finite, empty, or so wide that hi - lo overflows
     raises ValueError.
     """
     lo, hi = scan
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo
-            and math.isfinite((hi - lo) / _SCAN_STEP)):
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and math.isfinite(hi - lo)):
         raise ValueError("scan interval must be finite and nonempty, with a finite width")
-    roots = tuple(r for r in _real_roots(p, scan) if lo <= r <= hi)
+    roots = tuple(r for r in _real_roots(p) if lo <= r <= hi)
     residuals = tuple(abs(p.value(r)) for r in roots)
     tags = tuple(_classify_exponent(p.solution_exponent(r)) for r in roots)
     return CharRootSet(roots, residuals, tags, (lo, hi))
 
 
 def positive_root_exists(p: CharProblem) -> float | None:
-    """Smallest root above 1e-12 on the real line (up to 2^1022), or None. One
-    inside DEFAULT_SCAN has the bits find_real_roots gives it."""
-    for r in _real_roots(p, DEFAULT_SCAN):
+    """Smallest root above 1e-12 on the real line (up to 2^1022), or None. It
+    has the bits find_real_roots gives it in any window."""
+    for r in _real_roots(p):
         if r > 1e-12:
             return r
     return None

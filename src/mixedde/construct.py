@@ -351,7 +351,7 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     then runs u0 = dominant coefficient, u0 = constant characteristic-envelope
     root and u0 = e * dominant coefficient through one kernel. Each seed is
     built only after the one before it fails, so the envelope bounds and the
-    root scan behind the second seed cost nothing when the first converges. A
+    root search behind the second seed cost nothing when the first converges. A
     caller with a seed of its own uses `iterate`. tol and max_iter are checked
     as in `iterate`, once, before any seed is tried.
     """

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedde import charroots
@@ -11,7 +11,7 @@ from mixedde.charroots import (CharProblem, CharRootSet, find_real_roots,
                                positive_root_exists, write_roots_csv)
 from mixedde.gridfn import check_grid_size
 
-from conftest import EX1_ROOTS, _bits
+from conftest import EX1_ROOTS
 
 
 def ex1_problem() -> CharProblem:
@@ -92,8 +92,19 @@ def test_classify_root_zero_constant():
 
 def test_guarded_exponentials_no_overflow():
     p = CharProblem(5.0, 5.0, 5.0, 5.0, 1, -1, "minus_exponent")
-    vals = p.value(np.linspace(-60.0, 60.0, 1001))
-    assert np.all(np.isfinite(vals))
+    for lam in np.linspace(-60.0, 60.0, 1001).tolist():
+        assert math.isfinite(p.value(lam))
+
+
+def test_value_is_a_python_float_and_keeps_its_edge_cases():
+    p = ex1_problem()
+    for lam in (1, 1.0, np.float64(1.0)):
+        got = p.value(lam)
+        assert type(got) is float and got == p.value(1.0)
+    # l - b*e^{l*sigma} at l = inf is inf - inf
+    assert math.isnan(CharProblem(1.0, 1.0, 1.0, 1.0, 1, -1, "plus_exponent").value(math.inf))
+    # b = 0 adds 0 where e^{-l*sigma} = e^{800} overflows, not 0*inf = nan
+    assert CharProblem(1.0, 0.0, 0.0, 2.0, -1, 1, "minus_exponent").value(-400.0) == 399.0
 
 
 def test_roots_csv():
@@ -108,16 +119,38 @@ def test_roots_csv():
 
 # -- the roots against the scan they replaced -------------------------------------
 
+def _char_value(p: CharProblem, lam) -> np.ndarray:
+    """F on an array, written out apart from CharProblem.value. A zero
+    coefficient adds 0, also where its exponential is inf."""
+    lam = np.asarray(lam, dtype=float)
+    s = 1.0 if p.convention == "plus_exponent" else -1.0
+    out = s * lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.a:
+            out = out + p.delta1 * p.a * np.exp(-s * lam * p.tau)
+        if p.b:
+            out = out + p.delta2 * p.b * np.exp(s * lam * p.sigma)
+    return out
+
+
+_SCAN_STEP = 1e-3
+_DEDUPE = 1e-9
+
+
+def _scan_grid(scan) -> np.ndarray:
+    lo, hi = scan
+    spans = (hi - lo) / _SCAN_STEP
+    check_grid_size(spans, f"a scan over [{lo:g}, {hi:g}] at step {_SCAN_STEP:g}")
+    return np.linspace(lo, hi, int(math.ceil(spans)) + 1)
+
+
 def _fancy_index_scan(p: CharProblem, scan=charroots.DEFAULT_SCAN) -> CharRootSet:
     """The sign-change scan as first written (sign products, an index array,
-    bisection of each bracket and a 1e-9 dedupe), kept as the oracle whose bits
-    the roots inside its window must reproduce."""
+    bisection of each bracket and a 1e-9 dedupe), kept as the oracle that the
+    roots inside its window must match."""
     lo, hi = scan
-    spans = (hi - lo) / charroots._SCAN_STEP
-    check_grid_size(spans, f"a scan over [{lo:g}, {hi:g}] at step {charroots._SCAN_STEP:g}")
-    n = int(math.ceil(spans)) + 1
-    grid = np.linspace(lo, hi, n)
-    vals = p.value(grid)
+    grid = _scan_grid(scan)
+    vals = _char_value(p, grid)
 
     roots: list[float] = []
     exact = np.flatnonzero(vals == 0.0)
@@ -129,7 +162,7 @@ def _fancy_index_scan(p: CharProblem, scan=charroots.DEFAULT_SCAN) -> CharRootSe
 
     deduped: list[float] = []
     for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
+        if not deduped or r - deduped[-1] > _DEDUPE:
             deduped.append(r)
 
     residuals = tuple(abs(p.value(r)) for r in deduped)
@@ -181,12 +214,22 @@ _NODE = [CharProblem(a, 1.3, 0.3, 0.3, 1, -1, "minus_exponent")
 @example((CharProblem(1.0, 1.0, 0.0, 0.0, -1, 1, "plus_exponent"), (1.28e-90, 1.0)))
 @example((CharProblem(0.0, 2.2250738585e-313, 0.0, 0.0, -1, -1, "minus_exponent"),
           charroots.DEFAULT_SCAN))
-def test_scan_matches_the_fancy_indexed_scan_exactly(case):
+def test_roots_match_the_fancy_indexed_scan_within_its_dedupe_width(case):
     p, scan = case
+    lo, hi = scan
+    # the scan takes a node where F rounds to 0 for a root: on a flat stretch it
+    # takes each (test_cancellation_to_zero_gives_the_root_of_the_exact_function),
+    # and at an edge it may take a root that lies just outside the window
+    vals = _char_value(p, _scan_grid(scan))
+    assume(not np.any((vals[:-1] == 0.0) & (vals[1:] == 0.0)))
     got, want = find_real_roots(p, scan), _fancy_index_scan(p, scan)
-    # repr round-trips every non-nan float64, so equal reprs mean equal bit patterns
-    assert repr((got.roots, got.residuals, got.classifications, got.brackets_scanned)) == \
-        repr((want.roots, want.residuals, want.classifications, want.brackets_scanned))
+    near = find_real_roots(p, (lo - _DEDUPE, hi + _DEDUPE))
+    assert got.roots == tuple(r for r in near.roots if lo <= r <= hi)
+    assert got.brackets_scanned == want.brackets_scanned
+    assert len(near.roots) == len(want.roots), (near.roots, want.roots)
+    assert near.classifications == want.classifications
+    for r, w in zip(near.roots, want.roots):
+        assert abs(r - w) <= _DEDUPE, (r, w)
 
 
 def _term_sizes(p: CharProblem, lam):
@@ -208,14 +251,14 @@ def _term_sizes(p: CharProblem, lam):
 @example((CharProblem(0.1, 0.412, 0.00643, 0.00962, 1, -1, "plus_exponent"), (-60.0, 1e300)))
 def test_roots_are_at_most_three_and_split_the_window_into_constant_sign(case):
     p, scan = case
-    assert len(charroots._real_roots(p, scan)) <= 3
+    assert len(charroots._real_roots(p)) <= 3
     rs = find_real_roots(p, scan)
     for r, res in zip(rs.roots, rs.residuals):
         # relative to the terms that cancel: 1e300 terms leave no absolute 1e-12
         assert res <= charroots._ROOT_RESIDUAL_TARGET * max(1.0, _term_sizes(p, r))
     lo, hi = scan
     grid = np.linspace(lo, min(hi, lo + 200.0), 20001)
-    vals = p.value(grid)
+    vals = _char_value(p, grid)
     for left, right in zip((-math.inf, *rs.roots), (*rs.roots, math.inf)):
         between = vals[(grid > left) & (grid < right)]
         assert not (np.any(between > 0.0) and np.any(between < 0.0)), (left, right)
@@ -252,8 +295,8 @@ def test_roots_outside_the_default_window():
     assert find_real_roots(p).roots == (pytest.approx(0.3134455400072051, abs=1e-12),)
     wide = find_real_roots(p, (-1e300, 1e300)).roots
     assert wide == pytest.approx((-1494.9334464302, 0.3134455400072, 785.0858434617), rel=1e-12)
-    # each window polishes on its own grid, so the bits may differ in the last place
-    assert find_real_roots(p, (0.5, 1e300)).roots == pytest.approx((wide[2],), rel=1e-15)
+    # the window only filters, so a root has the same bits in every window
+    assert find_real_roots(p, (0.5, 1e300)).roots == (wide[2],)
     assert positive_root_exists(CharProblem(0.1, 0.412, 0.00643, 0.00962, 1, -1,
                                             "minus_exponent")) == -wide[0]
 
@@ -284,30 +327,59 @@ def test_char_problem_rejects_out_of_range_parameters(args, message):
 
 
 def test_window_whose_width_overflows_is_rejected():
-    for scan in ((-1e308, 1e308), (0.0, 1e308), (0.0, math.inf), (1.0, 1.0), (math.nan, 1.0)):
+    # any finite window whose width is finite is accepted, however wide
+    assert find_real_roots(ex1_problem(), (0.0, 1e308)).roots == \
+        find_real_roots(ex1_problem()).roots[1:]
+    for scan in ((-1e308, 1e308), (0.0, math.inf), (1.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="scan interval"):
             find_real_roots(ex1_problem(), scan)
 
 
-# -- the scalar path of CharProblem.value against its array path ------------------
+# -- the roots against 50-digit roots ----------------------------------------------
 
-_LAMBDAS = st.one_of(st.floats(-80.0, 80.0), st.floats(allow_nan=True, allow_infinity=True),
-                     st.sampled_from([0.0, -0.0, 709.0, 709.5, 709.8, 710.0, -710.0,
-                                      2.0 ** 1022, -(2.0 ** 1022)]))
+def _exact_root(p: CharProblem, r: float):
+    """The root of F that Newton's method reaches from r, to 50 digits, and
+    |F'| there."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = 1 if p.convention == "plus_exponent" else -1
+        c1, c2 = p.delta1 * mpmath.mpf(p.a), p.delta2 * mpmath.mpf(p.b)
+        tau, sigma = mpmath.mpf(p.tau), mpmath.mpf(p.sigma)
+        f = lambda l: s * l + c1 * mpmath.exp(-s * l * tau) + c2 * mpmath.exp(s * l * sigma)
+        df = lambda l: s * (1 - tau * c1 * mpmath.exp(-s * l * tau)
+                            + sigma * c2 * mpmath.exp(s * l * sigma))
+        root = mpmath.findroot(f, mpmath.mpf(r), solver="newton", df=df, verify=False)
+        return root, abs(df(root))
 
 
-@seed(20143)
-@settings(max_examples=3000, deadline=None, database=None)
-@given(_scan_cases(), _LAMBDAS, st.sampled_from([1.0, 1e3, 1e6]))
-@example((CharProblem(1.0, 1.0, 1.0, 1.0, 1, -1, "plus_exponent"), charroots.DEFAULT_SCAN),
-         709.5, 1.0)  # inf - inf: both exponentials overflow, F is nan
-@example((CharProblem(1.0, 0.0, 0.0, 2.0, -1, 1, "minus_exponent"), charroots.DEFAULT_SCAN),
-         -400.0, 1.0)  # a zero coefficient contributes 0, not 0 * inf
-def test_scalar_value_is_bit_identical_to_the_array_value(case, lam, scale):
-    p, _ = case
-    lam *= scale  # exponents past 709, where exp overflows
-    got = p.value(lam)
-    assert type(got) is float
-    want = p.value(np.array([lam]))[0]
-    assert _bits(got) == _bits(want)  # NaN payloads and signed zeros too
-    assert _bits(p.value(np.float64(lam))) == _bits(got)
+@st.composite
+def _constant_problems(draw):
+    """Constant specs of the four sign patterns in both conventions. Each
+    coefficient is 0 or at least 1e-3: below, |F| can be within the residual
+    target 1e-12 at the knot 0, which is then taken for the root."""
+    coef = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+    return CharProblem(draw(coef), draw(coef), draw(_SHIFTS), draw(_SHIFTS),
+                       draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1])),
+                       draw(st.sampled_from(["plus_exponent", "minus_exponent"])))
+
+
+@seed(20270)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_constant_problems())
+def test_roots_are_within_their_forward_error_bound_of_the_exact_root(p):
+    # |r - r*| <= 4 eps S(r*)/|F'(r*)| + ulp(r*): F is worked out to a few
+    # rounding errors of the terms that cancel, S, and bisection runs to the last bit
+    for r in find_real_roots(p).roots:
+        exact, slope = _exact_root(p, r)
+        size = float(_term_sizes(p, float(exact)))
+        if slope < 1e-6 * size:
+            continue  # a near-double root: _DOUBLE pins that case
+        bound = 4.0 * np.finfo(float).eps * size / float(slope) + math.ulp(float(exact))
+        assert abs(float(exact - r)) <= bound, (r, exact, bound)
+
+
+def test_ex1_prints_each_root_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    p = ex1_problem()
+    for r in find_real_roots(p).roots:
+        assert f"{r:.12g}" == mpmath.nstr(_exact_root(p, r)[0], 12)

@@ -603,16 +603,46 @@ def _envelope_batches(draw):
     return (*np.array(cells).T, tau, sigma)
 
 
-def test_sys30_routes_match_the_dense_oracle_on_general_bounds(coarse_counts):
-    @seed(20200)
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(_envelope_batches())
-    def match(batch):
-        np.testing.assert_array_equal(criteria._sys30_routes(*batch),
-                                      _dense_sys30_routes(*batch))
+def _batch(cell, tau, sigma):
+    return (*(np.array([v]) for v in cell), tau, sigma)
 
-    match()
-    assert all(v > 0 for v in coarse_counts.values()), coarse_counts
+
+# one-cell batches, each with the _coarse_to_fine counters (see coarse_counts) and
+# the check_sys30 route it reaches, checked by
+# test_the_pinned_envelope_batches_reach_their_branches
+_PINNED_BATCHES = {
+    # example 4's a = b = 0.5: a block's first point accepts the cell
+    "accepted": (_batch((0.5, 0.5, 0.5, 0.5), 0.2, 0.3), {"accepted"}, _INV),
+    # infeasible: blocks dropped in both parts of the inversion grid and in the
+    # sweep, and the cell refined point by point
+    "dropped": (_batch((0.0, 0.1, 0.0, 10.0), 0.2, 0.3),
+                {"geometric", "linear", "sweep", "refined"}, "fails"),
+    # the narrow-x-range plane: only the sweep finds a witness
+    "sweep": (_batch((0.5, 0.5, 5.25, 5.25), 0.0, 4.378), {"accepted"}, _SWEEP),
+    "degenerate": (_batch((1.0, 1.0, 1.0, 1.0), 0.0, 0.0), set(), "degenerate"),
+}
+
+
+def test_the_pinned_envelope_batches_reach_their_branches(coarse_counts):
+    reached = {}
+    for name, (batch, counters, route) in _PINNED_BATCHES.items():
+        before = dict(coarse_counts)
+        criteria._sys30_routes(*batch)
+        grew = {k for k, v in coarse_counts.items() if v > before[k]}
+        cell = Bounds(*(float(v[0]) for v in batch[:4]), *batch[4:], WINDOW)
+        reached[name] = counters <= grew and check_sys30(cell).witness.get("route", "fails") == route
+    assert reached == dict.fromkeys(_PINNED_BATCHES, True)
+
+
+@seed(20200)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_envelope_batches())
+@example(_PINNED_BATCHES["accepted"][0])
+@example(_PINNED_BATCHES["dropped"][0])
+@example(_PINNED_BATCHES["sweep"][0])
+@example(_PINNED_BATCHES["degenerate"][0])
+def test_sys30_routes_match_the_dense_oracle_on_general_bounds(batch):
+    np.testing.assert_array_equal(criteria._sys30_routes(*batch), _dense_sys30_routes(*batch))
 
 
 def test_every_sweep_hit_passes_the_witness_test():
@@ -704,23 +734,25 @@ def _check_sys30_as_first_written(bounds):
 
 
 def test_check_sys30_matches_the_witness_code_as_first_written():
-    seen = {}
+    compared = []
 
     @seed(20231)
     @settings(max_examples=30, deadline=None, database=None)
     @given(_envelope_batches())
+    @example(_PINNED_BATCHES["accepted"][0])
+    @example(_PINNED_BATCHES["dropped"][0])
+    @example(_PINNED_BATCHES["sweep"][0])
+    @example(_PINNED_BATCHES["degenerate"][0])
     def match(batch):
         for cell in zip(*batch[:4]):
             for tau, sigma in (batch[4:], (0.0, 0.0)):  # and undeviated
                 bounds = Bounds(*map(float, cell), tau, sigma, WINDOW)
                 got = check_sys30(bounds)  # tier-1 turns numpy's warnings into errors
                 assert repr(got) == repr(_check_sys30_as_first_written(bounds))
-                route = got.witness.get("route", "fails")
-                seen[route] = seen.get(route, 0) + 1
+                compared.append(bounds)
 
     match()
-    assert sum(seen.values()) >= 300, seen
-    assert set(seen) == {"degenerate", "monotone-inversion", "grid-sweep", "fails"}, seen
+    assert len(compared) >= 300, len(compared)
 
 
 def test_cor_3_1_implies_sys30():
@@ -1012,8 +1044,7 @@ def test_no_certificate_holds_where_every_solution_oscillates():
         a, b, tau, sigma, (d1, d2) = case
         spec = make_spec(a=repr(a), b=repr(b), g=f"t-{tau!r}", h=f"t+{sigma!r}",
                          delta1=d1, delta2=d2)
-        roots = charroots._real_roots(charroots.CharProblem(a, b, tau, sigma, d1, d2),
-                                      charroots.DEFAULT_SCAN)
+        roots = charroots._real_roots(charroots.CharProblem(a, b, tau, sigma, d1, d2))
         held = {c.condition_id: c for c in check_all(spec, (0.0, 10.0)) if c.holds}
         row = table.setdefault(f"({d1:+d},{d2:+d})", [0, 0, 0])
         row[0] += 1
