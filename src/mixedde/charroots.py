@@ -36,7 +36,7 @@ __all__ = [
 _CONVENTIONS = ("plus_exponent", "minus_exponent")
 _EDGE = 2.0**1022  # roots beyond are not sought: wider brackets overflow their midpoints
 _ROOT_RESIDUAL_TARGET = 1e-12
-_MAX_BISECTIONS = 200
+_MAX_BISECTIONS = 1100  # enough to halve any bracket down to two neighbouring floats
 _ZERO_EXPONENT = 1e-12  # solution exponents within this of 0 classify as constant
 DEFAULT_SCAN = (-60.0, 60.0)
 
@@ -114,7 +114,7 @@ def _bisect(f: Callable[[float], float], x1: float, x2: float) -> float:
         fm = f(xm)
         if abs(fm) < best_f:
             best_x, best_f = xm, abs(fm)
-        if abs(fm) <= _ROOT_RESIDUAL_TARGET:
+        if fm == 0.0:
             return xm
         if (f1 < 0) == (fm < 0):
             x1, f1 = xm, fm
@@ -126,14 +126,17 @@ def _bisect(f: Callable[[float], float], x1: float, x2: float) -> float:
 def _zeros(f: Callable[[float], float], knots: list[float]) -> list[float]:
     """Zeros of f in [-_EDGE, _EDGE], given knots between which f is monotone.
 
-    0 and +-_EDGE join the knots that lie between them. A knot where |f| <= 1
-    is a zero. Each pair of consecutive knots of opposite signs brackets one
-    more zero, bisected once a walk from the knot nearer 0, doubling its step,
-    has found the sign change: the bracket is then about as wide as the zero
-    is far from 0.
+    0 and +-_EDGE join the knots that lie between them. A given knot where
+    |f| <= 1 is a zero (f touches 0 there), and so is any knot where f is 0.
+    Each pair of consecutive knots of opposite signs brackets one more zero,
+    bisected once a walk from the knot nearer 0, doubling its step, has found
+    the sign change: the bracket is then about as wide as the zero is far
+    from 0. So a zero next to 0 or +-_EDGE is bisected, however small f is there.
     """
-    knots = sorted({-_EDGE, 0.0, _EDGE, *(x for x in knots if abs(x) < _EDGE)})
-    signs = [0.0 if abs(v) <= 1.0 else v for v in map(f, knots)]
+    given = {x for x in knots if abs(x) < _EDGE}
+    knots = sorted({-_EDGE, 0.0, _EDGE, *given})
+    signs = [0.0 if v == 0.0 or (abs(v) <= 1.0 and x in given) else v
+             for x, v in zip(knots, map(f, knots))]
     found = [x for x, v in zip(knots, signs) if v == 0.0]
     for (x1, v1), (x2, v2) in pairwise(zip(knots, signs)):
         if not (v1 < 0.0 < v2 or v2 < 0.0 < v1):

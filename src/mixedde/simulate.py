@@ -21,6 +21,16 @@ stage of the step out of it, the same operations on the same values (Heun's
 first-same-as-last property), except after a predictor read, where it is
 worked out again from the new node. So the stepped nodes, too, stay
 bit-identical to the loop.
+
+Undamped sweeps are computed up to eight at a time, as a wavefront across
+sweeps (waveform relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli,
+IEEE Trans. CAD 1, 1982). Sweep k+1 reads sweep k only at advanced nodes, so
+it can start a run of the plan once sweep k has finished the run holding the
+farthest node it reads, a fixed number of plan entries ahead. At each stage
+every sweep in flight advances by one plan entry, and their vectorised runs
+share one set of 2-D array operations, row by row in node order. Each node
+still gets the same operations on the same values, so a batch of sweeps is
+bit-identical to the same sweeps one at a time.
 """
 
 from __future__ import annotations
@@ -54,9 +64,15 @@ _MIN_RUN = 12
 # already computed, or the Euler predictor (a delay under one step)
 _HISTORY, _GRID, _PREDICTOR = 0, 1, 2
 
+# _HeunSweep.batch computes at most _MAX_BATCH sweeps at once, and fewer where
+# their rows would pass _BATCH_FLOATS floats (256 KB), so a large grid runs one
+# sweep at a time
+_MAX_BATCH = 8
+_BATCH_FLOATS = 2**15
+
 
 class _HeunSweep:
-    """One relax sweep on a sampled grid: the previous sweep x_prev -> the next.
+    """Relax sweeps on a sampled grid: the previous sweep x_prev -> the next.
 
     Node i+1 gets x[i] + step/2 * (F[i] + F[i+1]) with
     F[k] = ca[k]*x(g_k) + cb[k]*x_prev(h_k); a deviated value between nodes is
@@ -65,9 +81,10 @@ class _HeunSweep:
     one step, the second stage reads x(g) from the Euler predictor instead.
 
     The read geometry is fixed, so the grid is split once into the plan of the
-    method of steps in the module docstring, with the read tables of each
-    stepped stretch; the result does not depend on it. A stepped stretch
-    works out F once per node, except after a predictor read.
+    method of steps in the module docstring, with the read tables of each plan
+    entry; the result does not depend on it. A stepped stretch works out F
+    once per node, except after a predictor read. `batch` computes up to
+    `depth` successive sweeps at once, as a wavefront.
     """
 
     def __init__(self, sampled: SampledProblem):
@@ -81,53 +98,88 @@ class _HeunSweep:
             dpos = np.minimum((sampled.g - t0) / step, idx)
             apos = np.clip((sampled.h - t0) / step, idx, float(n - 1))
         self.n, self.step, self.half = n, step, 0.5 * step
-        self._ca = -float(spec.delta1) * sampled.a
+        ca = -float(spec.delta1) * sampled.a
         self._cb = -float(spec.delta2) * sampled.b
         past = dpos < 0.0
         self.history_nodes = np.flatnonzero(past)
 
+        # x_prev(h) of node k is read at _a_j[k] and the node above, with weight
+        # _a_w[k], or at the last node where _a_clamp[k]
         aj = apos.astype(np.intp)
         self._a_w = apos - aj
         self._a_clamp = aj >= n - 1
         self._a_j = np.minimum(aj, n - 2)
-        self._a_j1 = self._a_j + 1
 
-        # x(g) of node k is read from buf[_d_j[k]] (and buf[_d_j1[k]] unless
-        # _d_exact[k]), where a sweep's buffer holds [x | history]
         dj = np.where(past, 0.0, dpos).astype(np.intp)
         w = np.where(past, 0.0, dpos - dj)
         exact = w == 0.0
-        j = np.where(past, n + np.arange(n), dj)
-        self._d_j, self._d_j1, self._d_w, self._d_exact = (
-            j, np.where(exact, j, j + 1), w, exact)
         # the last and the first node that x(g) of node k reads (none for history)
         need = np.where(past, 0, np.where(exact, dj, dj + 1))
         lowest = np.where(past, np.arange(n), dj)
         # what the second stage of the step into node k reads
         kind = np.where(past, _HISTORY, np.where(dpos > idx - 1.0, _PREDICTOR, _GRID))
-        self._plan = self._plan_runs(need.tolist(), lowest, kind)
+        bounds = self._plan_bounds(need.tolist())
+        runs = [p for p, (_, _, run) in enumerate(bounds) if run]
+        width = max((bounds[p][1] - bounds[p][0] for p in runs), default=0)
 
-    def _plan_runs(self, need: list[int], lowest: np.ndarray,
-                   kind: np.ndarray) -> list[tuple]:
-        """(s, e, run, steps) in grid order, covering every step 0 -> n-1 once.
+        # A sweep's row holds [x | slack | the history values | one more]: the
+        # slack takes what a batch writes past the last node, and every x(g)
+        # read also reads one place on (see batch).
+        self._hist = hb = n + width
+        self._stride = hb + len(self.history_nodes) + 1
+        self.depth = max(1, min(_MAX_BATCH, _BATCH_FLOATS // self._stride - 1))
+        if len(runs) * (width + 1) > 2 * n:
+            self.depth = 1  # a batch's tables pad every run to the widest
+        rank = np.cumsum(past) - past  # history nodes before node k
+        # x(g) of node k is read at row[j[k]] and the place above, with weight
+        # w[k], or at row[j[k]] alone where exact[k]
+        j = np.where(past, hb + rank, dj)
 
-        run holds the read arrays of a vectorised run [s, e], and steps is None.
-        A stretch stepped node by node has run None, and steps holds its read
-        tables for nodes s..e, built here once: lo, the first node it reads;
-        then per node the kind of its second-stage read (history, grid node or
-        predictor), the local index j - lo of the node at or below g_k (or
-        k - s into the stretch's history values), the weight of the node
-        above, and ca.
-        """
-        def stepped(s: int, e: int) -> tuple:
+        # Sweep L+1 reads sweep L up to node reach[p] in plan entry p, which
+        # sweep L finishes in entry q[p]; so it can run _lag entries behind
+        starts = np.array([s for s, _, _ in bounds])
+        ends = np.array([e for _, e, _ in bounds])
+        reach = np.maximum(np.maximum.reduceat(self._a_j, starts), self._a_j[ends]) + 1
+        self._lag = int(np.max(np.searchsorted(ends, reach) - np.arange(len(bounds)))) + 1
+        self._schedules: dict[int, list] = {}
+        self._buf = np.empty((0, self._stride))  # the rows of the last batch
+        self._idx = None
+        if self.depth > 1:
+            self._batch_tables(runs, starts, width, j, w, exact, ca)
+
+        # per plan entry (s, e, steps), steps None for a vectorised run, and the
+        # arguments of one sweep's pass over it: nodes, whether it reads past
+        # the horizon, then the run's delayed reads (from the batch tables where
+        # there are any) or the stretch's tables for _step_nodes
+        self._plan, self._entries = [], []
+        for s, e, run in bounds:
             nodes = slice(s, e + 1)
+            clamp = bool(self._a_clamp[nodes].any())
+            if run:
+                reads = (j[nodes], w[nodes], exact[nodes], ca[nodes])
+                if self._idx is not None:
+                    row, width = self._row[len(self._plan)], slice(0, e + 1 - s)
+                    reads = (self._idx[1, row, width], self._val[1, row, width],
+                             self._mask[1, row, width], self._val[3, row, width])
+                self._plan.append((s, e, None))
+                self._entries.append((nodes, clamp, (s, slice(s + 1, e + 1), reads[0], reads[1],
+                                                     reads[2] if reads[2].any() else None,
+                                                     reads[3]), None))
+                continue
             lo = min(s, int(np.min(lowest[nodes])))
             kinds = kind[nodes]
-            j = np.where(kinds == _HISTORY, np.arange(e + 1 - s), self._d_j[nodes] - lo)
-            return s, e, None, (lo, kinds.tolist(), j.tolist(), self._d_w[nodes].tolist(),
-                                self._ca[nodes].tolist())
+            js = np.where(kinds == _HISTORY, rank[nodes] - rank[s], dj[nodes] - lo)
+            steps = (lo, int(rank[s]), kinds.tolist(), js.tolist(), w[nodes].tolist(),
+                     ca[nodes].tolist())
+            self._plan.append((s, e, steps))
+            self._entries.append((nodes, clamp, None, (s, e, steps)))
 
-        n, plan = self.n, []
+    @staticmethod
+    def _plan_bounds(need: list[int]) -> list[tuple[int, int, bool]]:
+        """(s, e, run) in grid order, covering every step 0 -> n-1 once: run is
+        True for a vectorised run [s, e], whose nodes read x(g) at or before s,
+        and False for a stretch stepped node by node."""
+        n, plan = len(need), []
         s, first = 0, None
         while s < n - 1:
             e = s + 1
@@ -139,47 +191,159 @@ class _HeunSweep:
                 s = max(e, s + 1)
                 continue
             if first is not None:
-                plan.append(stepped(first, s))
+                plan.append((first, s, False))
                 first = None
-            nodes = slice(s, e + 1)
-            exact = self._d_exact[nodes]
-            plan.append((s, e, (self._d_j[nodes], self._d_j1[nodes], self._d_w[nodes],
-                                exact if exact.any() else None, self._ca[nodes]), None))
+            plan.append((s, e, True))
             s = e
         if first is not None:
-            plan.append(stepped(first, s))
+            plan.append((first, s, False))
         return plan
+
+    def _batch_tables(self, runs: list[int], starts: np.ndarray, width: int, j: np.ndarray,
+                      w: np.ndarray, exact: np.ndarray, ca: np.ndarray) -> None:
+        """The read tables of the vectorised runs for batch, one row per run,
+        padded to the widest: _idx holds a_j - stride (so that the offset of
+        sweep L's own row reads its input row, the one before), j and the node;
+        _val holds a_w, w, cb and ca; _mask clamp and exact. Rows are ordered by
+        plan entry modulo the lag, so the runs one stage computes are adjacent."""
+        lag = self._lag
+        order = sorted(runs, key=lambda p: (p % lag, p))
+        self._row = {p: i for i, p in enumerate(order)}
+        nodes = starts[order][:, None] + np.arange(width + 1)
+        at = np.minimum(nodes, self.n - 1)  # the padding reads the last node's tables
+        self._idx = np.empty((3,) + at.shape, np.intp)
+        self._val = np.empty((4,) + at.shape)
+        self._mask = np.empty((2,) + at.shape, bool)
+        for out, table in zip((*self._idx[:2], *self._val, *self._mask),
+                              (self._a_j, j, self._a_w, w, self._cb, ca, self._a_clamp, exact)):
+            np.take(table, at, out=out)
+        self._idx[0] -= self._stride
+        self._idx[2] = nodes
+
+    def _schedule(self, k: int) -> list[tuple]:
+        """The stages of a batch of k sweeps: per stage, the block of runs
+        computed together (table rows and width, row offsets, clamp, exact) or
+        None, then (sweep, plan entry) of the rest."""
+        if k in self._schedules:
+            return self._schedules[k]
+        plan, lag, entries = self._plan, self._lag, len(self._plan)
+        stages, offsets = [], {}
+        for t in range(entries + lag * (k - 1)):
+            active = [(L, t - lag * L)
+                      for L in range(max(0, (t - entries) // lag + 1), min(k - 1, t // lag) + 1)]
+            block = [(L, p) for L, p in active if plan[p][2] is None][::-1]  # as the table rows
+            if len(block) < 2 or self._idx is None:
+                stages.append((None, active))
+                continue
+            levels = tuple(L for L, _ in block)
+            if levels not in offsets:  # sweep L writes row L+1 of the batch
+                offsets[levels] = self._stride * (np.array(levels) + 1)[:, None]
+            first = self._row[block[0][1]]
+            ps = [p for _, p in block]
+            stages.append((((slice(None), slice(first, first + len(ps)),
+                             slice(0, max(plan[p][1] - plan[p][0] for p in ps) + 1)),
+                            offsets[levels],
+                            any(self._entries[p][1] for p in ps),
+                            any(self._entries[p][2][4] is not None for p in ps)),
+                           [(L, p) for L, p in active if plan[p][2] is not None]))
+        self._schedules[k] = stages
+        return stages
 
     def __call__(self, x_prev: np.ndarray, x_init: float, hist: np.ndarray) -> np.ndarray:
         """The sweep after x_prev, from x(t0) = x_init and the history values
         hist[k] at history_nodes (other entries of hist are not read)."""
-        n = self.n
-        buf = np.empty(2 * n)
-        buf[n:] = hist
-        buf[0] = x_init
-        half = self.half
-        with np.errstate(over="ignore", invalid="ignore"):
-            aj = self._a_j
-            xh = x_prev[aj] + self._a_w * (x_prev[self._a_j1] - x_prev[aj])
-            xh[self._a_clamp] = x_prev[n - 1]
-            cbxh = self._cb * xh
-            for s, e, run, steps in self._plan:
-                if run is None:
-                    self._step_nodes(buf, cbxh, s, e, steps)
-                    continue
-                j, j1, w, exact, ca = run
-                xj = buf[j]
-                xg = xj + w * (buf[j1] - xj)
-                if exact is not None:  # a node read exactly takes the node's value
-                    xg = np.where(exact, xj, xg)
-                f = ca * xg + cbxh[s:e + 1]
-                d = half * (f[:-1] + f[1:])
-                d[0] += buf[s]
-                np.add.accumulate(d, out=buf[s + 1:e + 1])  # in node order, as a loop adds
-        return buf[:n]
+        return self.batch(x_prev, x_init, hist, 1)[0][0].copy()
 
-    def _step_nodes(self, buf: np.ndarray, cbxh: np.ndarray, s: int, e: int,
-                    steps: tuple) -> None:
+    def batch(self, x_prev: np.ndarray, x_init: float, hist: np.ndarray,
+              k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k sweeps after x_prev, each read by the next: (raws, inputs), k
+        rows of n values each, inputs[0] holding x_prev and inputs[i] raws[i-1].
+        The rows are kept for the next batch to write over, x_prev's row too,
+        so the caller reads x_prev from inputs[0].
+
+        Sweep L+1 reads sweep L only at advanced nodes, so it can run _lag plan
+        entries behind it. At each stage every active sweep advances by one
+        plan entry: two or more vectorised runs share one set of 2-D array
+        operations on the flat rows, each row in node order, padded to the
+        widest run. The padding writes past its run's last node, and the row's
+        sweep writes there again before anything reads it. A lone run, and
+        each stepped stretch, is computed on its sweep's row. Each node gets
+        the same operations on the same values as in k batches of one, so the
+        sweeps are bit-identical.
+        """
+        n = self.n
+        if len(self._buf) < k + 1:
+            self._buf = np.empty((k + 1, self._stride))
+        buf = self._buf[:k + 1]  # row L+1 holds sweep L
+        buf[0, :n] = x_prev  # first: x_prev may be a row of the last batch
+        x_prev = buf[0, :n]
+        buf[1:, 0] = x_init
+        buf[1:, self._hist:-1] = hist[self.history_nodes]
+        rows, flat = list(buf), buf.ravel()
+        above = flat[1:]  # above[i] is flat[i + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cbxh = self._ahead(x_prev, self._a_j, self._a_w, self._a_clamp, self._cb,
+                               x_prev[n - 1])
+            for block, rest in self._schedule(k):
+                if block is not None:
+                    tab, off, clamp, exact = block
+                    at = self._idx[tab] + off
+                    x = flat[at[:2]]  # x_prev(h) and x(g), at the places below
+                    val = self._val[tab]
+                    # read above as well: an exact x(g) then takes the node alone
+                    xh, xg = x + val[:2] * (above[at[:2]] - x)
+                    if clamp:
+                        np.copyto(xh, flat[off + (n - 1 - self._stride)],
+                                  where=self._mask[tab][0])
+                    if exact:  # a node read exactly takes the node's value
+                        np.copyto(xg, x[1], where=self._mask[tab][1])
+                    self._advance(flat, np.s_[:, 0], at[2][:, 0], at[2][:, 1:],
+                                  val[3] * xg + val[2] * xh)
+                for L, p in rest:
+                    nodes, clamp, run, steps = self._entries[p]
+                    row = rows[L + 1]
+                    cb = cbxh[nodes] if L == 0 else self._ahead(
+                        rows[L], self._a_j[nodes], self._a_w[nodes],
+                        self._a_clamp[nodes] if clamp else None, self._cb[nodes], rows[L][n - 1])
+                    if steps is not None:
+                        self._step_nodes(row, *steps, cb)
+                        continue
+                    s, tail, j, w, exact, ca = run
+                    xj = row[j]
+                    xg = xj + w * (row[1:][j] - xj)  # as in a block
+                    if exact is not None:
+                        np.copyto(xg, xj, where=exact)
+                    self._advance(row, 0, s, tail, ca * xg + cb)
+        return buf[1:, :n], buf[:k, :n]
+
+    @staticmethod
+    def _ahead(x_prev, aj, aw, clamp, cb, last):
+        """cb*x_prev(h): x_prev read at aj and the place above with weight aw, or
+        last where clamp."""
+        xa = x_prev[aj]
+        xh = x_prev[1:][aj]
+        xh -= xa
+        xh *= aw
+        xh += xa  # xa + aw*(x_prev[aj+1] - xa), in place
+        if clamp is not None:
+            np.copyto(xh, last, where=clamp)
+        xh *= cb
+        return xh
+
+    def _advance(self, buf, lead, head, tail, f) -> None:
+        """Heun steps from the slopes f of a run's nodes: buf[tail] from
+        buf[head]. lead is the run's first increment: 0 for one run, [:, 0]
+        for a block of runs, one per row."""
+        d = self.half * (f[..., :-1] + f[..., 1:])
+        d[lead] += buf[head]
+        # in node order, as a loop adds
+        if isinstance(tail, slice):
+            np.add.accumulate(d, out=buf[tail])
+        else:
+            buf[tail] = np.add.accumulate(d, axis=-1)
+
+    def _step_nodes(self, buf: np.ndarray, s: int, e: int, steps: tuple,
+                    cbxh: np.ndarray) -> None:
         """Heun steps s -> e one node at a time, from the read tables of the plan.
 
         F[k] is worked out once per node: the second stage of the step into
@@ -188,11 +352,11 @@ class _HeunSweep:
         the Euler predictor; there F[k] is worked out again from the new node.
         """
         step, half = self.step, self.half
-        lo, kinds, js, ws, cas = steps
+        lo, h0, kinds, js, ws, cas = steps
         x = buf[lo:s + 1].tolist()  # nodes lo.., the stretch's nodes appended in turn
         push = x.append
-        hl = buf[self.n + s:self.n + e + 1].tolist()
-        rows = zip(kinds, js, ws, cas, cbxh[s:e + 1].tolist())
+        hl = buf[self._hist + h0:self._hist + h0 + e + 1 - s].tolist()
+        rows = zip(kinds, js, ws, cas, cbxh.tolist())
         kind, j, w, ca, cb = next(rows)
         if kind == _HISTORY:
             k1 = ca * hl[j] + cb
@@ -240,6 +404,9 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     max node change drops below tol (default 1e-10 * max(|x0|, 1)); an explicit
     tol that is not positive and finite raises ValueError. Each sweep is a
     _HeunSweep, by the method of steps in the module docstring, planned once.
+    Undamped sweeps come in batches of up to eight, computed as a wavefront;
+    where the loop stops or changes the weight, the rest of a batch is dropped,
+    so the sweeps, the residual history and the result are as one at a time.
 
     When the advance coupling makes the pure iteration amplify with a
     sign-alternating leading mode (gain measured by a short power iteration on
@@ -322,9 +489,16 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
     history: list[float] = []
     converged = False
     grow_streak = 0
+    batch: list[tuple] = []  # (raw, input) of the sweeps computed ahead, last first
 
     while len(history) < max_sweeps:
-        raw = sweep(x_prev, x0, hist)
+        if not batch:
+            # undamped sweeps run in batches; where they stop, or the weight
+            # changes, the rest of the batch is dropped
+            k = sweep.depth if advanced_coupling and weight == 1.0 else 1
+            batch = list(zip(*sweep.batch(x_prev, x0, hist, min(k, max_sweeps - len(history)))))
+            batch.reverse()
+        raw, x_prev = batch.pop()  # x_prev: the same values, in the batch's rows
         # the reported residual is the raw sweep defect, independent of
         # damping; np.max propagates a NaN, which Python's max would skip
         delta = float(np.max(np.abs(np.subtract(raw, x_prev))))
@@ -346,6 +520,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
             # safety net for drift past the measured gain: damp harder
             weight = max(0.5 * weight, min_weight)
             grow_streak = 0
+            batch = []
             if not np.all(np.isfinite(x_prev)):
                 x_prev = np.full(n, x0)
                 continue
@@ -359,6 +534,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
         caveats.append(f"damped-sweeps-{weight:g}")
 
     traj_x = GridFunction(t0, step, x_prev[:len(report.ts)].copy())
+    del sweep, batch, raw, x_prev  # the batch's rows and tables go before the residual's arrays
     eq_res = _equation_residual(traj_x, report)
     return Trajectory(
         x=traj_x,

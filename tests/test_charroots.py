@@ -354,10 +354,10 @@ def _exact_root(p: CharProblem, r: float):
 
 @st.composite
 def _constant_problems(draw):
-    """Constant specs of the four sign patterns in both conventions. Each
-    coefficient is 0 or at least 1e-3: below, |F| can be within the residual
-    target 1e-12 at the knot 0, which is then taken for the root."""
-    coef = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+    """Constant specs of the four sign patterns in both conventions, with
+    coefficients of 0, in [1e-3, 5], or tiny: there |F| at the knot 0 is
+    within the residual target 1e-12, and the root beside it is bisected."""
+    coef = st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(1e-80, 1e-10))
     return CharProblem(draw(coef), draw(coef), draw(_SHIFTS), draw(_SHIFTS),
                        draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1])),
                        draw(st.sampled_from(["plus_exponent", "minus_exponent"])))
@@ -366,6 +366,9 @@ def _constant_problems(draw):
 @seed(20270)
 @settings(max_examples=300, deadline=None, database=None)
 @given(_constant_problems())
+# F = lambda - b, whose |F(0)| is within the residual target: the root b is bisected
+@example(CharProblem(0.0, 1e-12, 0.0, 0.0, -1, -1, "plus_exponent"))
+@example(CharProblem(0.0, 3.7856322383829267e-75, 0.0, 0.0, -1, -1, "plus_exponent"))
 def test_roots_are_within_their_forward_error_bound_of_the_exact_root(p):
     # |r - r*| <= 4 eps S(r*)/|F'(r*)| + ulp(r*): F is worked out to a few
     # rounding errors of the terms that cancel, S, and bisection runs to the last bit

@@ -1,17 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from mixedde import simulate
 from mixedde.construct import GeneratingCandidate, iterate
 from mixedde.gridfn import GridFunction
 from mixedde.model import IVP, CoefficientExpr, SampledProblem, parse_expr
 from mixedde.simulate import (_GRID, _HISTORY, _MIN_RUN, _PREDICTOR, Trajectory, _HeunSweep,
                               classify_trajectory, equation_residual, relax)
 
-from conftest import EXAMPLES, LAM2, make_spec
+from conftest import EXAMPLES, LAM2, make_spec, peak_window_arrays
 
 
 def test_ode_reduction_single_sweep():
@@ -314,8 +316,8 @@ def test_sweep_matches_the_node_by_node_loop_exactly(case):
 def _stepped(sweep):
     """(s, e, (kind, weight) of the second-stage reads of nodes s+1..e) of each
     stretch the plan steps node by node."""
-    return [(s, e, list(zip(steps[1], steps[3]))[1:])
-            for s, e, run, steps in sweep._plan if run is None]
+    return [(s, e, list(zip(steps[2], steps[4]))[1:])
+            for s, e, steps in sweep._plan if steps is not None]
 
 
 def test_the_pinned_sweep_cases_reach_their_branches():
@@ -360,17 +362,16 @@ def _check_plan(sweep, sampled):
     dpos = _delayed_positions(sampled)
     need = np.where(dpos < 0.0, 0, np.ceil(dpos))
     stepped, at = [], 0
-    for s, e, run, steps in sweep._plan:
+    for s, e, steps in sweep._plan:
         assert s == at and e > s
-        assert (run is None) != (steps is None)
-        if run is None:
-            lo, kinds, js, ws, _ = steps
-            assert lo <= s
+        if steps is not None:
+            lo, h0, kinds, js, ws, _ = steps
+            assert lo <= s and h0 == np.count_nonzero(dpos[:s] < 0.0)
             stepped.extend(range(s + 1, e + 1))
             for k, kind, j, w in zip(range(s, e + 1), kinds, js, ws):
                 p = dpos[k]
-                if p < 0.0:
-                    assert (kind, j) == (_HISTORY, k - s)
+                if p < 0.0:  # the history values of the stretch, in node order
+                    assert (kind, j) == (_HISTORY, np.count_nonzero(dpos[s:k] < 0.0))
                 else:
                     assert kind == (_PREDICTOR if p > k - 1 else _GRID)
                     assert (j, w) == (int(p) - lo, p - int(p))
@@ -397,3 +398,184 @@ def test_sweep_plan_steps_the_predictor_nodes_one_at_a_time(ex3_spec):
     assert predictor.size > 0
     assert np.all(np.isin(predictor, stepped))
     assert stepped.size < sweep.n // 2
+
+
+# -- a batch of sweeps, computed as a wavefront, against one sweep at a time ---------
+
+def _one_at_a_time(sweep, x_prev, x_init, hist, k):
+    """k sweeps by the one-sweep path, each read by the next."""
+    raws = []
+    for _ in range(k):
+        x_prev = sweep(x_prev, x_init, hist)
+        raws.append(x_prev)
+    return raws
+
+
+@seed(2929)
+@settings(max_examples=40, deadline=None, database=None)
+@given(_sweep_cases(), st.booleans())
+@example(_PINNED["predictor-and-grid"], False)
+@example(_PINNED["history"], False)
+@example(_PINNED["last-predictor"], False)
+@example(_PINNED["non-finite"], False)
+@example(_PINNED["history"], True)
+def test_a_batch_of_sweeps_is_bit_identical_to_one_sweep_at_a_time(case, non_finite):
+    spec, T, step, case_seed, overwrite = case
+    sampled = SampledProblem(spec, (0.0, T), step)
+    sweep = _HeunSweep(sampled)
+    x_prev, x_init = _x_prev(sampled, case_seed, overwrite)
+    if non_finite:  # an inf and a nan, on drawn nodes
+        at = np.random.default_rng(case_seed).choice(sweep.n, 2, replace=False)
+        x_prev[at] = math.inf, math.nan
+    hist = np.zeros(sweep.n)
+    hist[sweep.history_nodes] = np.cos(3 * sampled.g[sweep.history_nodes])
+    want = _one_at_a_time(sweep, x_prev, x_init, hist, 8)
+    for k in sorted({1, 2, 8, 5, sweep.depth}):  # 5: a batch the sweep cap cuts short
+        raws, inputs = sweep.batch(x_prev, x_init, hist, k)
+        got = np.concatenate([inputs, raws[-1:]])
+        expected = np.asarray([x_prev] + want[:k])
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(raws.view(np.int64), expected[1:].view(np.int64))
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex3"])
+def test_a_batch_on_the_examples_is_bit_identical(example):
+    sampled = SampledProblem(make_spec(**EXAMPLES[example]), (0.0, 10.3), 0.004)
+    sweep = _HeunSweep(sampled)
+    assert sweep.depth == 8 and sweep._lag == {"ex1": 3, "ex3": 7}[example]
+    x_prev = np.random.default_rng(7).uniform(-1.0, 2.0, sweep.n)
+    hist = np.ones(sweep.n)
+    want = np.asarray(_one_at_a_time(sweep, x_prev, 1.0, hist, 8))
+    raws, _ = sweep.batch(x_prev, 1.0, hist, 8)  # the next batch writes over its rows
+    np.testing.assert_array_equal(raws.view(np.int64), want.view(np.int64))
+
+
+def test_a_large_grid_runs_one_sweep_at_a_time(ex1_spec):
+    # a batch's rows stay under a fixed budget: on 40 076 nodes one sweep is one row
+    ivp = IVP(ex1_spec, parse_expr("1"), 1.0)
+    sampled = SampledProblem(ex1_spec, (0.0, 160.3), 0.004)
+    assert _HeunSweep(sampled).depth == 1
+    peak = peak_window_arrays(lambda: relax(ivp, 160.0, 0.004, max_sweeps=3), len(sampled.ts))
+    # 30.5 here and 34.6 before sweeps were batched; eight in flight would add 9.5
+    assert peak <= 35.0
+
+
+# -- relax against its loop as written for one sweep at a time -----------------------
+
+def _relax_one_at_a_time(ivp, T, step, tol=None, max_sweeps=200):
+    """relax as written before sweeps were batched (the sweep loop and its
+    set-up verbatim), kept as the oracle of the batched loop."""
+    spec = ivp.spec
+    t0 = spec.t0
+    if tol is None:
+        tol = 1e-10 * max(abs(ivp.x0), 1.0)
+    report = SampledProblem(spec, (t0, T), step)
+    sampled = SampledProblem(spec, (t0, T + report.sigma), step)
+    n = len(sampled.ts)
+    caveats = []
+    delays = sampled.ts - sampled.g
+    positive = delays[delays > 1e-12]
+    if positive.size and step > float(np.min(positive)):
+        caveats.append(simulate.CAVEAT_COARSE_STEP)
+    sweep = _HeunSweep(sampled)
+    hist = np.zeros(n)
+    for i in sweep.history_nodes.tolist():
+        hist[i] = float(ivp.phi(sampled.g[i]))
+    x0 = float(ivp.x0)
+    zeros = np.zeros(n)
+
+    def dominant_gain():
+        e = np.ones(n)
+        e[0] = 0.0
+        mu = 0.0
+        for k in range(simulate._GAIN_ITERS):
+            ke = sweep(e, 0.0, zeros)
+            denom = float(e @ e)
+            if denom == 0.0 or not np.all(np.isfinite(ke)):
+                break
+            prev_mu, mu = mu, float(ke @ e) / denom
+            norm = float(np.max(np.abs(ke)))
+            if norm == 0.0:
+                break
+            e = ke / norm
+            if k >= 7 and abs(mu - prev_mu) <= 1e-2 * max(abs(mu), 1e-3):
+                break
+        return mu
+
+    advanced_coupling = bool(np.any(sampled.b != 0.0))
+    weight = 1.0
+    if advanced_coupling and max_sweeps > 1:
+        mu = dominant_gain()
+        if mu < -0.9:
+            weight = 1.0 / (1.0 + 1.15 * abs(mu))
+        elif mu > 1.02:
+            caveats.append(simulate.CAVEAT_AMPLIFYING)
+    min_weight = 1.0 / 64.0
+    x_prev = np.full(n, x0)
+    history = []
+    converged = False
+    grow_streak = 0
+    while len(history) < max_sweeps:
+        raw = sweep(x_prev, x0, hist)
+        delta = float(np.max(np.abs(np.subtract(raw, x_prev))))
+        history.append(delta)
+        if not advanced_coupling:
+            x_prev = raw
+            converged = math.isfinite(delta)
+            if converged:
+                history[-1] = 0.0
+            break
+        if delta <= tol:
+            x_prev = raw
+            converged = True
+            break
+        grow_streak = grow_streak + 1 if (
+            len(history) >= 2 and delta > history[-2]) else 0
+        if (not math.isfinite(delta) or grow_streak >= 8) and weight > min_weight:
+            weight = max(0.5 * weight, min_weight)
+            grow_streak = 0
+            if not np.all(np.isfinite(x_prev)):
+                x_prev = np.full(n, x0)
+                continue
+        if weight < 1.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_prev = (1.0 - weight) * x_prev + weight * raw
+        else:
+            x_prev = raw
+    if weight < 1.0:
+        caveats.append(f"damped-sweeps-{weight:g}")
+    return x_prev[:len(report.ts)], tuple(history), converged, tuple(caveats)
+
+
+_RELAX_CASES = {
+    # converges after 127 sweeps, at the seventh of the sixteenth batch of eight
+    "stop-mid-batch": (EXAMPLES["ex1"], 3.0, 0.01, None, 200, 127),
+    # ex2 stops at a cap of 13 sweeps: a batch of eight, then one of five
+    "cap-not-a-multiple-of-8": (EXAMPLES["ex2"], 4.0, 0.01, None, 13, 13),
+    # an amplifying mode: the grow streak halves the weight down to 1/64
+    "grow-streak-halving": (dict(a="1.4", b="2", delta1=1, delta2=-1), 3.0, 0.01, None, 60, 60),
+    # test_relax_overflowing_sweeps_do_not_converge's spec: sweeps overflow, and
+    # the non-finite iterate is reseeded
+    "non-finite-reseed": (dict(a="1e300"), 2.0, 0.004, None, 30, 30),
+    # no advanced term: one sweep
+    "no-advanced-coupling": (dict(b="0"), 4.0, 0.01, None, 200, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RELAX_CASES))
+def test_relax_is_bit_identical_to_its_loop_one_sweep_at_a_time(name):
+    fields, T, step, tol, max_sweeps, sweeps = _RELAX_CASES[name]
+    ivp = IVP(make_spec(**fields), parse_expr("1"), 1.0)
+    runs = []
+    for run in (relax, _relax_one_at_a_time):
+        # what each run warns of, with warnings recorded: sweeps a batch
+        # computes past the loop's stop must add none
+        with warnings.catch_warnings(record=True) as warned, np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            got = run(ivp, T, step, tol, max_sweeps)
+        runs.append((got, sorted(str(w.message) for w in warned)))
+    (tr, warned), ((x, history, converged, caveats), want_warned) = runs
+    assert len(history) == sweeps
+    for got, want in ((tr.x.values, x), (tr.residual_history, history)):  # nan counts too
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+    assert (tr.converged, tr.caveats, warned) == (converged, caveats, want_warned)
