@@ -26,7 +26,7 @@ import numpy as np
 from . import criteria
 from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _node_sums,
                      _placed_integral)
-from .model import ProblemSpec, SampledProblem, _exp
+from .model import ProblemSpec, SampledProblem, _ShortWindow, _exp
 from .simulate import _equation_residual
 
 __all__ = [
@@ -350,10 +350,11 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     Samples the window once, picks the dominant case from a and b on that grid,
     then runs u0 = dominant coefficient, u0 = constant characteristic-envelope
     root and u0 = e * dominant coefficient through one kernel. Each seed is
-    built only after the one before it fails, so the envelope bounds and the
-    root search behind the second seed cost nothing when the first converges. A
-    caller with a seed of its own uses `iterate`. tol and max_iter are checked
-    as in `iterate`, once, before any seed is tried.
+    built only after the one before it is rejected (not finite, or not a
+    supersolution), so the envelope root behind the second seed costs nothing
+    when the first converges; a window too short for the equation residual
+    raises. A caller with a seed of its own uses `iterate`. tol and max_iter
+    are checked as in `iterate`, once, before any seed is tried.
     """
     _require_pattern(spec, "auto_construct")
     _require_stopping_rule(tol, max_iter)
@@ -377,6 +378,8 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     for build in seeds():
         try:
             return _iterate(kernel, build(), tol, max_iter)
+        except _ShortWindow:
+            raise  # the window's fault, the same for every seed
         except ValueError as exc:
             last_error = exc
     raise ValueError(f"no admissible starter candidate found: {last_error}")

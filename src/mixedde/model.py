@@ -88,6 +88,10 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
+class _ShortWindow(ValueError):
+    """Raised where a window leaves no interior node outside its margins."""
+
+
 @dataclass(frozen=True)
 class CoefficientExpr:
     """Expression tree over the time variable t.

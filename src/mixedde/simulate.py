@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import GridFunction
-from .model import IVP, ProblemSpec, SampledProblem
+from .model import IVP, ProblemSpec, SampledProblem, _ShortWindow
 
 __all__ = [
     "Trajectory",
@@ -143,36 +143,26 @@ class _HeunSweep:
         self._lag = int(np.max(np.searchsorted(ends, reach) - np.arange(len(bounds)))) + 1
         self._schedules: dict[int, list] = {}
         self._buf = np.empty((0, self._stride))  # the rows of the last batch
-        self._idx = None
         if self.depth > 1:
             self._batch_tables(runs, starts, width, j, w, exact, ca)
 
-        # per plan entry (s, e, steps), steps None for a vectorised run, and the
-        # arguments of one sweep's pass over it: nodes, whether it reads past
-        # the horizon, then the run's delayed reads (from the batch tables where
-        # there are any) or the stretch's tables for _step_nodes
-        self._plan, self._entries = [], []
+        # per plan entry: s, e, its nodes, whether it reads past the horizon, then a
+        # run's delayed reads (tail, j, w, exact or None, ca) or a stretch's tables
+        self._plan = []
         for s, e, run in bounds:
             nodes = slice(s, e + 1)
             clamp = bool(self._a_clamp[nodes].any())
             if run:
-                reads = (j[nodes], w[nodes], exact[nodes], ca[nodes])
-                if self._idx is not None:
-                    row, width = self._row[len(self._plan)], slice(0, e + 1 - s)
-                    reads = (self._idx[1, row, width], self._val[1, row, width],
-                             self._mask[1, row, width], self._val[3, row, width])
-                self._plan.append((s, e, None))
-                self._entries.append((nodes, clamp, (s, slice(s + 1, e + 1), reads[0], reads[1],
-                                                     reads[2] if reads[2].any() else None,
-                                                     reads[3]), None))
+                reads = (slice(s + 1, e + 1), j[nodes], w[nodes],
+                         exact[nodes] if exact[nodes].any() else None, ca[nodes])
+                self._plan.append((s, e, nodes, clamp, reads, None))
                 continue
             lo = min(s, int(np.min(lowest[nodes])))
             kinds = kind[nodes]
             js = np.where(kinds == _HISTORY, rank[nodes] - rank[s], dj[nodes] - lo)
             steps = (lo, int(rank[s]), kinds.tolist(), js.tolist(), w[nodes].tolist(),
                      ca[nodes].tolist())
-            self._plan.append((s, e, steps))
-            self._entries.append((nodes, clamp, None, (s, e, steps)))
+            self._plan.append((s, e, nodes, clamp, None, steps))
 
     @staticmethod
     def _plan_bounds(need: list[int]) -> list[tuple[int, int, bool]]:
@@ -227,34 +217,32 @@ class _HeunSweep:
         if k in self._schedules:
             return self._schedules[k]
         plan, lag, entries = self._plan, self._lag, len(self._plan)
-        stages, offsets = [], {}
+        stages = []
         for t in range(entries + lag * (k - 1)):
             active = [(L, t - lag * L)
                       for L in range(max(0, (t - entries) // lag + 1), min(k - 1, t // lag) + 1)]
-            block = [(L, p) for L, p in active if plan[p][2] is None][::-1]  # as the table rows
-            if len(block) < 2 or self._idx is None:
+            block = [(L, p) for L, p in active if plan[p][4] is not None][::-1]  # as the table rows
+            if len(block) < 2 or self.depth == 1:
                 stages.append((None, active))
                 continue
-            levels = tuple(L for L, _ in block)
-            if levels not in offsets:  # sweep L writes row L+1 of the batch
-                offsets[levels] = self._stride * (np.array(levels) + 1)[:, None]
             first = self._row[block[0][1]]
             ps = [p for _, p in block]
             stages.append((((slice(None), slice(first, first + len(ps)),
                              slice(0, max(plan[p][1] - plan[p][0] for p in ps) + 1)),
-                            offsets[levels],
-                            any(self._entries[p][1] for p in ps),
-                            any(self._entries[p][2][4] is not None for p in ps)),
-                           [(L, p) for L, p in active if plan[p][2] is not None]))
+                            # sweep L writes row L+1 of the batch
+                            self._stride * (np.array([L for L, _ in block]) + 1)[:, None],
+                            any(plan[p][3] for p in ps),
+                            any(plan[p][4][3] is not None for p in ps)),
+                           [(L, p) for L, p in active if plan[p][4] is None]))
         self._schedules[k] = stages
         return stages
 
-    def __call__(self, x_prev: np.ndarray, x_init: float, hist: np.ndarray) -> np.ndarray:
+    def __call__(self, x_prev: np.ndarray, x_init: float, hist) -> np.ndarray:
         """The sweep after x_prev, from x(t0) = x_init and the history values
-        hist[k] at history_nodes (other entries of hist are not read)."""
+        hist at history_nodes (0.0 for a zero history)."""
         return self.batch(x_prev, x_init, hist, 1)[0][0].copy()
 
-    def batch(self, x_prev: np.ndarray, x_init: float, hist: np.ndarray,
+    def batch(self, x_prev: np.ndarray, x_init: float, hist,
               k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k sweeps after x_prev, each read by the next: (raws, inputs), k
         rows of n values each, inputs[0] holding x_prev and inputs[i] raws[i-1].
@@ -278,7 +266,7 @@ class _HeunSweep:
         buf[0, :n] = x_prev  # first: x_prev may be a row of the last batch
         x_prev = buf[0, :n]
         buf[1:, 0] = x_init
-        buf[1:, self._hist:-1] = hist[self.history_nodes]
+        buf[1:, self._hist:-1] = hist
         rows, flat = list(buf), buf.ravel()
         above = flat[1:]  # above[i] is flat[i + 1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -300,15 +288,15 @@ class _HeunSweep:
                     self._advance(flat, np.s_[:, 0], at[2][:, 0], at[2][:, 1:],
                                   val[3] * xg + val[2] * xh)
                 for L, p in rest:
-                    nodes, clamp, run, steps = self._entries[p]
+                    s, e, nodes, clamp, run, steps = self._plan[p]
                     row = rows[L + 1]
                     cb = cbxh[nodes] if L == 0 else self._ahead(
                         rows[L], self._a_j[nodes], self._a_w[nodes],
                         self._a_clamp[nodes] if clamp else None, self._cb[nodes], rows[L][n - 1])
-                    if steps is not None:
-                        self._step_nodes(row, *steps, cb)
+                    if run is None:
+                        self._step_nodes(row, s, e, steps, cb)
                         continue
-                    s, tail, j, w, exact, ca = run
+                    tail, j, w, exact, ca = run
                     xj = row[j]
                     xg = xj + w * (row[1:][j] - xj)  # as in a block
                     if exact is not None:
@@ -439,13 +427,11 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
         caveats.append(CAVEAT_COARSE_STEP)
 
     sweep = _HeunSweep(sampled)
-    hist = np.zeros(n)
-    for i in sweep.history_nodes.tolist():
-        hist[i] = float(ivp.phi(sampled.g[i]))
-        if not math.isfinite(hist[i]):
-            raise ValueError(f"history phi is not finite at t={sampled.g[i]:.6g}")
+    past = sampled.g[sweep.history_nodes]
+    hist = np.array([float(ivp.phi(t)) for t in past])
+    if not np.all(np.isfinite(hist)):
+        raise ValueError(f"history phi is not finite at t={past[~np.isfinite(hist)][0]:.6g}")
     x0 = float(ivp.x0)
-    zeros = np.zeros(n)
 
     def dominant_gain() -> float:
         """Rayleigh estimate of the sweep map's leading error-mode gain.
@@ -459,7 +445,7 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
         e[0] = 0.0
         mu = 0.0
         for k in range(_GAIN_ITERS):
-            ke = sweep(e, 0.0, zeros)
+            ke = sweep(e, 0.0, 0.0)
             denom = float(e @ e)
             if denom == 0.0 or not np.all(np.isfinite(ke)):
                 break
@@ -566,7 +552,7 @@ def _equation_residual(x: GridFunction, sampled: SampledProblem) -> float:
     inner = np.flatnonzero((ts >= lo) & (ts <= hi))
     inner = inner[(inner >= 1) & (inner <= len(ts) - 2)]
     if inner.size == 0:
-        raise ValueError("window too short: no interior nodes outside the margins")
+        raise _ShortWindow("window too short: no interior nodes outside the margins")
     v = x.values
     with np.errstate(over="ignore", invalid="ignore"):  # an x at inf gives nan
         dx = (v[inner + 1] - v[inner - 1]) / (2.0 * x.step)

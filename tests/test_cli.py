@@ -355,6 +355,14 @@ def test_construct_rejects_a_seed_that_overflows_like_any_other(tmp_path, capsys
                                  "generating candidate must be finite\n")
 
 
+def test_construct_on_a_window_shorter_than_the_margins_blames_the_window(ex1_file, capsys):
+    # tau + sigma = 0.6: the first seed converges, and its equation residual
+    # has no interior node; no other seed is tried
+    assert main(["construct", ex1_file, "--T", "0.001"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: window too short: no interior nodes outside the margins\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("window", [["--T", "5"], []], ids=["T5", "default-T"])
 def test_check_saturates_overflowing_deviated_integrals(tmp_path, window, capsys):

@@ -435,6 +435,23 @@ def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, m
     assert len(scans) == 1
 
 
+def test_auto_construct_raises_a_window_too_short_after_one_construction(ex1_spec,
+                                                                         monkeypatch):
+    # ex1's margins take tau + sigma = 0.6 of the window (0, 0.3): the first
+    # seed converges, and the equation residual finds no interior node
+    runs = []
+    real_iterate = construct._iterate
+
+    def counting(*args):
+        runs.append(args[1])
+        return real_iterate(*args)
+
+    monkeypatch.setattr(construct, "_iterate", counting)
+    with pytest.raises(ValueError, match="^window too short: no interior nodes"):
+        auto_construct(ex1_spec, (0.0, 0.3))
+    assert len(runs) == 1
+
+
 def test_auto_construct_builds_the_root_seed_after_the_first_fails(ex1_spec, monkeypatch):
     window = (0.0, 10.0)
     tried = []

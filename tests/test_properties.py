@@ -76,9 +76,9 @@ def test_quadrature_is_additive_and_both_paths_agree(values, t_start, step, frac
 
     tol = 1e-11 * max(1.0, max(map(abs, values))) * (f.t_end - t_start)
     assert c(lo, mid) + c(mid, hi) == pytest.approx(c(lo, hi), abs=tol)
-    assert c(lo, hi) == pytest.approx(f._integrate_core(lo, hi), abs=tol)
-    assert f._integrate_core(lo, mid) + f._integrate_core(mid, hi) == \
-        pytest.approx(f._integrate_core(lo, hi), abs=tol)
+    assert c(lo, hi) == pytest.approx(f.integrate(lo, hi), abs=tol)
+    assert f.integrate(lo, mid) + f.integrate(mid, hi) == \
+        pytest.approx(f.integrate(lo, hi), abs=tol)
 
 
 # -- monotone iteration ----------------------------------------------------------

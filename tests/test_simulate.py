@@ -234,9 +234,11 @@ def _assert_sweeps_identical(sampled, x_prev, x_init, phi):
     sweep = _HeunSweep(sampled)
     hist = np.zeros(len(sampled.ts))
     hist[sweep.history_nodes] = phi(sampled.g[sweep.history_nodes])
-    for init, past in ((x_init, hist), (0.0, np.zeros_like(hist))):
+    # the sweep takes the history nodes' values, the loop reads them by node
+    for init, past, hl in ((x_init, hist[sweep.history_nodes], hist),
+                           (0.0, 0.0, np.zeros_like(hist))):
         got = sweep(x_prev, init, past)
-        want = np.asarray(_loop_sweep(sampled, x_prev.tolist(), init, past.tolist()))
+        want = np.asarray(_loop_sweep(sampled, x_prev.tolist(), init, hl.tolist()))
         # bit patterns, so that signed zeros count too
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -317,7 +319,7 @@ def _stepped(sweep):
     """(s, e, (kind, weight) of the second-stage reads of nodes s+1..e) of each
     stretch the plan steps node by node."""
     return [(s, e, list(zip(steps[2], steps[4]))[1:])
-            for s, e, steps in sweep._plan if steps is not None]
+            for s, e, _, _, run, steps in sweep._plan if run is None]
 
 
 def test_the_pinned_sweep_cases_reach_their_branches():
@@ -336,7 +338,7 @@ def test_the_pinned_sweep_cases_reach_their_branches():
             reached[name] = e == sweep.n - 1 and k[-1][0] == _PREDICTOR
         else:
             x_prev, x_init = _x_prev(sampled, seed, overwrite)
-            x = sweep(x_prev, x_init, np.zeros(sweep.n))
+            x = sweep(x_prev, x_init, 0.0)
             reached[name] = any(np.isinf(x[s + 1:e + 1]).any() and np.isnan(x[s + 1:e + 1]).any()
                                 for s, e, _ in stretches)
     assert reached == dict.fromkeys(_PINNED, True)
@@ -362,9 +364,9 @@ def _check_plan(sweep, sampled):
     dpos = _delayed_positions(sampled)
     need = np.where(dpos < 0.0, 0, np.ceil(dpos))
     stepped, at = [], 0
-    for s, e, steps in sweep._plan:
+    for s, e, _, _, run, steps in sweep._plan:
         assert s == at and e > s
-        if steps is not None:
+        if run is None:
             lo, h0, kinds, js, ws, _ = steps
             assert lo <= s and h0 == np.count_nonzero(dpos[:s] < 0.0)
             stepped.extend(range(s + 1, e + 1))
@@ -427,8 +429,7 @@ def test_a_batch_of_sweeps_is_bit_identical_to_one_sweep_at_a_time(case, non_fin
     if non_finite:  # an inf and a nan, on drawn nodes
         at = np.random.default_rng(case_seed).choice(sweep.n, 2, replace=False)
         x_prev[at] = math.inf, math.nan
-    hist = np.zeros(sweep.n)
-    hist[sweep.history_nodes] = np.cos(3 * sampled.g[sweep.history_nodes])
+    hist = np.cos(3 * sampled.g[sweep.history_nodes])
     want = _one_at_a_time(sweep, x_prev, x_init, hist, 8)
     for k in sorted({1, 2, 8, 5, sweep.depth}):  # 5: a batch the sweep cap cuts short
         raws, inputs = sweep.batch(x_prev, x_init, hist, k)
@@ -444,7 +445,7 @@ def test_a_batch_on_the_examples_is_bit_identical(example):
     sweep = _HeunSweep(sampled)
     assert sweep.depth == 8 and sweep._lag == {"ex1": 3, "ex3": 7}[example]
     x_prev = np.random.default_rng(7).uniform(-1.0, 2.0, sweep.n)
-    hist = np.ones(sweep.n)
+    hist = np.ones(len(sweep.history_nodes))
     want = np.asarray(_one_at_a_time(sweep, x_prev, 1.0, hist, 8))
     raws, _ = sweep.batch(x_prev, 1.0, hist, 8)  # the next batch writes over its rows
     np.testing.assert_array_equal(raws.view(np.int64), want.view(np.int64))
@@ -458,6 +459,21 @@ def test_a_large_grid_runs_one_sweep_at_a_time(ex1_spec):
     peak = peak_window_arrays(lambda: relax(ivp, 160.0, 0.004, max_sweeps=3), len(sampled.ts))
     # 30.5 here and 34.6 before sweeps were batched; eight in flight would add 9.5
     assert peak <= 35.0
+
+
+# ex3 with a delay that varies widely: its 44 runs padded to the widest, 233
+# nodes, would fill 3.98 n places of tables, so its sweeps run one at a time
+_WIDE_DELAY = dict(EXAMPLES["ex3"], g="t-(0.5+0.45*sin(2*t))", h="t+0.2")
+
+
+def test_a_widely_varying_delay_runs_one_sweep_at_a_time():
+    sampled = SampledProblem(make_spec(**_WIDE_DELAY), (0.0, 10.3), 0.004)
+    sweep = _HeunSweep(sampled)
+    runs = [e - s for s, e, _, _, run, _ in sweep._plan if run is not None]
+    assert (len(runs), max(runs)) == (44, 232)
+    assert len(runs) * (max(runs) + 1) > 2 * sweep.n and sweep.depth == 1
+    x_prev = np.random.default_rng(7).uniform(-1.0, 2.0, sweep.n)
+    _assert_sweeps_identical(sampled, x_prev, 1.0, parse_expr("1"))
 
 
 # -- relax against its loop as written for one sweep at a time -----------------------
@@ -481,15 +497,15 @@ def _relax_one_at_a_time(ivp, T, step, tol=None, max_sweeps=200):
     hist = np.zeros(n)
     for i in sweep.history_nodes.tolist():
         hist[i] = float(ivp.phi(sampled.g[i]))
+    hist = hist[sweep.history_nodes]  # the sweep takes the history nodes' values
     x0 = float(ivp.x0)
-    zeros = np.zeros(n)
 
     def dominant_gain():
         e = np.ones(n)
         e[0] = 0.0
         mu = 0.0
         for k in range(simulate._GAIN_ITERS):
-            ke = sweep(e, 0.0, zeros)
+            ke = sweep(e, 0.0, 0.0)
             denom = float(e @ e)
             if denom == 0.0 or not np.all(np.isfinite(ke)):
                 break
@@ -559,6 +575,8 @@ _RELAX_CASES = {
     "non-finite-reseed": (dict(a="1e300"), 2.0, 0.004, None, 30, 30),
     # no advanced term: one sweep
     "no-advanced-coupling": (dict(b="0"), 4.0, 0.01, None, 200, 1),
+    # the padding rule: damped sweeps on a grid whose batches would run one at a time
+    "wide-delay-variation": (_WIDE_DELAY, 10.0, 0.004, None, 200, 40),
 }
 
 
@@ -579,3 +597,23 @@ def test_relax_is_bit_identical_to_its_loop_one_sweep_at_a_time(name):
     for got, want in ((tr.x.values, x), (tr.residual_history, history)):  # nan counts too
         np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
     assert (tr.converged, tr.caveats, warned) == (converged, caveats, want_warned)
+
+
+def test_relax_ends_the_gain_estimate_at_a_zero_homogeneous_sweep(monkeypatch):
+    # b = 5e-324: each Heun increment of the homogeneous sweep underflows to 0
+    ivp = IVP(make_spec(b="5e-324"), parse_expr("1"), 1.0)
+    x, history, _, _ = _relax_one_at_a_time(ivp, 4.0, 0.01)
+    homogeneous = []
+    real_call = _HeunSweep.__call__
+
+    def recording(self, *args):
+        homogeneous.append(real_call(self, *args))
+        return homogeneous[-1]
+
+    monkeypatch.setattr(_HeunSweep, "__call__", recording)  # relax calls it for the gain alone
+    tr = relax(ivp, 4.0, 0.01)
+    assert len(homogeneous) == 1 and not np.any(homogeneous[0])
+    assert tr.converged and tr.caveats == () and len(history) == 2
+    for got, want in ((tr.x.values, x), (tr.residual_history, history)):
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(want).view(np.int64))
