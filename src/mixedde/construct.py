@@ -17,9 +17,13 @@ result, and reported residuals exclude margins of width tau/sigma accordingly.
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -92,12 +96,30 @@ class ConstructionResult:
 _ON_NODE_SHARE = 0.5
 
 
+class _Block(NamedTuple):
+    """Window nodes lo..hi-1, whose points read node sums of the first `chunks`
+    chunks only, and per point set their placement (None for the window's own
+    points where the kernel keeps none) and their split (see `_off_node`)."""
+
+    chunks: int
+    lo: int
+    hi: int
+    points: tuple
+    off_node: tuple
+
+
 class IterationKernel:
     """One application of the generating-function map on a sampled window grid.
 
     The kernel owns the working arrays of `apply`, allocated once here, so an
     application allocates only the iterate it returns; a kernel therefore runs
     one application at a time.
+
+    An application maps the window block by block, each block as soon as the
+    node sums its points read are summed. A window of more than one chunk of
+    `gridfn.CHUNK` cells has its node sums summed a chunk at a time on a helper
+    thread (`_HelperSums`), while this thread maps the blocks already summed;
+    every value goes through the same operations as on one thread.
 
     Points on a node read the node sum, where `_placed_integral` would add a
     signed zero to it: in a point set with at least `_ON_NODE_SHARE` of its
@@ -110,10 +132,11 @@ class IterationKernel:
 
     The window's own points, when so split, keep no placement and no integral
     array: grid_cells keeps the nodes more than a float spacing apart, so each
-    on-node one is on its own node, and the node sums become their integral in
-    place once the formula's results for the off-node ones are written over
-    them. Where every point runs the formula, they are placed again for that
-    application.
+    on-node one is on its own node, and a block's integral at them is its node
+    sums with the formula's results for the off-node ones written over them:
+    in place in the last block, and in a copy before it, where later blocks'
+    delay points still read them. Where every point runs the formula, they
+    are placed again for that application.
     """
 
     def __init__(self, sampled: SampledProblem, case: str):
@@ -128,11 +151,10 @@ class IterationKernel:
         # u lives on the window grid, so each point set is placed on it once
         point_sets = (ts, np.maximum(sampled.g, t1), sampled.h)
         points = [GridPoints(t1, step, n, t) for t in point_sets]
-        self._off_node = tuple(_off_node(p, t) for p, t in zip(points, point_sets))
-        if self._off_node[0] is not None:
-            points[0] = None
-        self._points = tuple(points)
-        self._at = tuple(None if p is None else np.empty(n) for p in points)
+        off_node = [_off_node(p, t) for p, t in zip(points, point_sets)]
+        self._blocks = _block_plan(points, off_node, n)
+        self._at = tuple(None if k == 0 and off_node[0] is not None else np.empty(n)
+                         for k in range(3))
         self.extrapolates = bool(np.any(sampled.h > ts[-1] + 1e-12 * step))
         self._nodes_ld = np.empty(min(n, CHUNK + 1), dtype=np.longdouble)  # one chunk
         self._nodes = np.empty(n)
@@ -140,50 +162,76 @@ class IterationKernel:
         self._scratch = np.empty(n)
 
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
-        sp = self.sampled
         u = np.asarray(u_vals, dtype=float)
         if u.shape != self._nodes.shape:
             raise ValueError(f"u has shape {u.shape}, the kernel's grid "
                              f"{self._nodes.shape}")
-        nodes, half = self._nodes, self._half
+        out = np.empty(u.size)
+        half = self._half
         # overflow saturates to inf, and an iterate holding inf maps to inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            _node_sums(u, sp.step, self._nodes_ld, nodes)
-            np.subtract(u[1:], u[:-1], out=half)
-            half *= 0.5
-            read_nodes = (math.isfinite(np.sum(half))
-                          and not (u[0] == 0.0 and math.copysign(1.0, u[0]) < 0.0))
-            if self._points[0] is None and read_nodes:
-                # the off-node window points first: the node sums become theirs
-                off, off_points, off_out, off_half = self._off_node[0]
-                self._formula(off_points, u, off_out, off_half)
-                int_delay, int_advance = (self._integral(k, u, True) for k in (1, 2))
-                nodes[off] = off_out
-                at_nodes = nodes
-            else:
-                at_nodes, int_delay, int_advance = (self._integral(k, u, read_nodes)
-                                                    for k in range(3))
-            np.subtract(at_nodes, int_delay, out=int_delay)
-            np.subtract(int_advance, at_nodes, out=int_advance)
-            # delay: a*e^{int_delay} - b*e^{-int_advance}; advance: the mirror
-            grow, shrink, c_grow, c_shrink = (
-                (int_delay, int_advance, sp.a, sp.b) if self.case == "delay"
-                else (int_advance, int_delay, sp.b, sp.a))
-            np.negative(shrink, out=shrink)
-            for x, c in ((grow, c_grow), (shrink, c_shrink)):
-                np.exp(x, out=x)
-                np.multiply(c, x, out=x)
-            return np.subtract(grow, shrink)
+            sums = (u, self.sampled.step, self._nodes_ld, self._nodes)
+            # one chunk leaves nothing to overlap: it is summed here
+            helper = _HelperSums(sums) if self._blocks[-1].chunks > 1 else None
+            if helper is None:
+                _node_sums(*sums)
+            try:
+                np.subtract(u[1:], u[:-1], out=half)
+                half *= 0.5
+                read_nodes = (math.isfinite(np.sum(half))
+                              and not (u[0] == 0.0 and math.copysign(1.0, u[0]) < 0.0))
+                for block in self._blocks:
+                    if helper is not None:
+                        helper.wait(block.chunks)
+                    self._map(block, u, read_nodes, out[block.lo:block.hi])
+            finally:
+                if helper is not None:
+                    helper.end()
+        return out
 
-    def _integral(self, k: int, u: np.ndarray, read_nodes: bool) -> np.ndarray:
-        """The integral of u at point set k: its on-node points read off the node
-        sums where read_nodes allows, the others by the formula. The window's own
-        points, if the kernel keeps no placement of them, are placed again."""
-        p, split, out = self._points[k], self._off_node[k], self._at[k]
+    def _map(self, block: _Block, u: np.ndarray, read_nodes: bool, out: np.ndarray) -> None:
+        """The map at the block's nodes, into out."""
+        sp, lo, hi = self.sampled, block.lo, block.hi
+        if block.points[0] is None and read_nodes:
+            # the off-node window points, then the node sums become theirs:
+            # copied, unless no later block reads them
+            off, off_points, off_out, off_half = block.off_node[0]
+            self._formula(off_points, u, off_out, off_half)
+            int_delay, int_advance = (self._integral(block, k, u, True) for k in (1, 2))
+            at_nodes = self._nodes[lo:hi]
+            if hi < self._grid[2]:
+                at_nodes = self._scratch[lo:hi]
+                at_nodes[...] = self._nodes[lo:hi]
+            at_nodes[off] = off_out
+        else:
+            at_nodes, int_delay, int_advance = (self._integral(block, k, u, read_nodes)
+                                                for k in range(3))
+        np.subtract(at_nodes, int_delay, out=int_delay)
+        np.subtract(int_advance, at_nodes, out=int_advance)
+        # delay: a*e^{int_delay} - b*e^{-int_advance}; advance: the mirror
+        a, b = sp.a[lo:hi], sp.b[lo:hi]
+        grow, shrink, c_grow, c_shrink = ((int_delay, int_advance, a, b)
+                                          if self.case == "delay"
+                                          else (int_advance, int_delay, b, a))
+        np.negative(shrink, out=shrink)
+        for x, c in ((grow, c_grow), (shrink, c_shrink)):
+            np.exp(x, out=x)
+            np.multiply(c, x, out=x)
+        np.subtract(grow, shrink, out=out)
+
+    def _integral(self, block: _Block, k: int, u: np.ndarray, read_nodes: bool) -> np.ndarray:
+        """The integral of u at the block's points of set k: its on-node points
+        read off the node sums where read_nodes allows, the others by the
+        formula. The window's own points, if the kernel keeps no placement of
+        them, are placed again."""
+        lo, hi = block.lo, block.hi
+        p, split = block.points[k], block.off_node[k]
         if p is None:
-            p, out = GridPoints(*self._grid, self.sampled.ts), np.empty(self._grid[2])
+            p, out = GridPoints(*self._grid, self.sampled.ts[lo:hi]), np.empty(hi - lo)
+        else:
+            out = self._at[k][lo:hi]
         if split is None or not read_nodes:
-            return self._formula(p, u, out, self._scratch)
+            return self._formula(p, u, out, self._scratch[lo:hi])
         off, off_points, off_out, off_half = split
         np.take(self._nodes, p.idx, out=out, mode="clip")
         out[off] = self._formula(off_points, u, off_out, off_half)
@@ -212,6 +260,108 @@ def _off_node(p: GridPoints, t: np.ndarray):
     if off.size > (1.0 - _ON_NODE_SHARE) * p.frac.size:
         return None
     return off, GridPoints(*p.grid, t[off]), np.empty(off.size), np.empty(off.size)
+
+
+def _block_plan(points: list, off_node: list, n: int) -> tuple[_Block, ...]:
+    """The window's blocks, one per chunk of node sums that a block waits for,
+    empty ones left out. A node reads its own node sum, those at the cells of
+    its points and, for a point past the grid, the last; block c holds the
+    nodes after block c-1 whose reads, and those of every node before them,
+    lie in the first c chunks. Each block keeps its part of the placements and
+    splits, and the window's own points keep none when they are split."""
+    kept = (None if off_node[0] is not None else points[0], *points[1:])
+    if n - 1 <= CHUNK:  # one chunk: one block, with its placements whole
+        return (_Block(1, 0, n, kept, tuple(off_node)),)
+    reads = np.arange(n)
+    for p in points:
+        np.maximum(reads, p.idx, out=reads)
+        reads[p.above] = n - 1
+    np.maximum.accumulate(reads, out=reads)
+    last_nodes = np.minimum(np.arange(1, (n - 2) // CHUNK + 2) * CHUNK, n - 1)
+    ends = np.searchsorted(reads, last_nodes, side="right")
+    blocks, lo = [], 0
+    for chunks, hi in enumerate(ends.tolist(), start=1):
+        if hi > lo:
+            blocks.append(_Block(chunks, lo, hi,
+                                 tuple(None if p is None else p.part(lo, hi) for p in kept),
+                                 tuple(None if s is None else _split_part(s, lo, hi)
+                                       for s in off_node)))
+        lo = hi
+    return tuple(blocks)
+
+
+def _split_part(split, lo: int, hi: int):
+    """The part of an `_off_node` split at window nodes lo..hi-1, its `where`
+    counted from lo."""
+    off, points, out, scratch = split
+    j0, j1 = np.searchsorted(off, (lo, hi))
+    return off[j0:j1] - lo, points.part(j0, j1), out[j0:j1], scratch[j0:j1]
+
+
+_helper = None  # (pid, tasks, ready) of the helper thread, once started
+_helper_lock = threading.Lock()
+
+
+def _on_helper(task) -> None:
+    """Run task() on the helper thread, one daemon thread that runs tasks in
+    order, started on first need (and again in a forked child)."""
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper[0] != os.getpid():
+            helper = (os.getpid(), collections.deque(), threading.Semaphore(0))
+            threading.Thread(target=_serve, args=helper[1:], daemon=True,
+                             name="mixedde-node-sums").start()
+            _helper = helper
+        tasks, ready = _helper[1:]
+    tasks.append(task)
+    ready.release()
+
+
+def _serve(tasks: collections.deque, ready: threading.Semaphore) -> None:
+    while True:
+        ready.acquire()
+        tasks.popleft()()
+
+
+class _HelperSums:
+    """`_node_sums(*args)` on the helper thread, in a copy of the caller's
+    context (numpy keeps its errstate there), while the caller waits, in a
+    lock wait, for the chunks it reads."""
+
+    def __init__(self, args: tuple):
+        self._state = threading.Condition()
+        self._summed = 0  # chunks summed
+        self._ended = False
+        self._error: BaseException | None = None
+        context = contextvars.copy_context()
+        _on_helper(lambda: context.run(self._run, args))
+
+    def _run(self, args: tuple) -> None:
+        try:
+            _node_sums(*args, self._one_summed)
+        except BaseException as exc:  # raised by wait(), in the caller's thread
+            self._error = exc
+        with self._state:
+            self._ended = True
+            self._state.notify()
+
+    def _one_summed(self) -> None:
+        with self._state:
+            self._summed += 1
+            self._state.notify()
+
+    def wait(self, chunks: int) -> None:
+        """Return once the first `chunks` chunks are summed; raise what the
+        helper raised before that."""
+        with self._state:
+            self._state.wait_for(lambda: self._summed >= chunks or self._ended)
+        if self._summed < chunks:
+            raise self._error
+
+    def end(self) -> None:
+        """Return once the helper is done with the kernel's arrays."""
+        with self._state:
+            self._state.wait_for(lambda: self._ended)
 
 
 def _require_pattern(spec: ProblemSpec, who: str) -> None:

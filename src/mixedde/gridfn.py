@@ -146,6 +146,16 @@ class GridPoints:
         self.below, self.above = np.flatnonzero(pos < 0.0), np.flatnonzero(pos > size - 1.0)
         self.t_below, self.t_above = tt[self.below], tt[self.above]
 
+    def part(self, lo: int, hi: int) -> "GridPoints":
+        """Points lo..hi-1 of these, as views of their arrays where it can."""
+        part = object.__new__(GridPoints)
+        part.grid, part.idx, part.frac = self.grid, self.idx[lo:hi], self.frac[lo:hi]
+        b0, b1 = np.searchsorted(self.below, (lo, hi))
+        a0, a1 = np.searchsorted(self.above, (lo, hi))
+        part.below, part.t_below = self.below[b0:b1] - lo, self.t_below[b0:b1]
+        part.above, part.t_above = self.above[a0:a1] - lo, self.t_above[a0:a1]
+        return part
+
 
 # elements per chunk of a long sweep: cells of a node-sum build, here and in the
 # iteration kernel, and window nodes of a block of the deviated sups in model
@@ -153,34 +163,47 @@ class GridPoints:
 CHUNK = 1 << 15
 
 
-def _node_sums(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray) -> None:
+def _node_sums(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray,
+               summed: Callable[[], None] | None = None) -> None:
     """The trapezoid running integral of the grid values v at every node, into out;
     sums past the float range saturate to +/-inf.
 
     It is accumulated in longdouble, because differences of far-apart node sums
     (the short deviated integrals) must stay accurate to ~1e-13: in the
     longdouble array buf, len(buf) - 1 cells at a time, a chunk overwriting the
-    last. 0.5 * step is exact, so one scaling rounds as the two it stands for.
-    Each chunk's first cell adds the running sum the last chunk ended with, so
-    every sum is rounded as one cumsum over all cells rounds it; the first chunk
-    adds nothing, so a -0.0 first cell keeps its sign.
+    last (`_node_sums_chunk`). summed(), if given, is called after each chunk.
     """
-    width = buf.size - 1
-    half_step = np.longdouble(0.5) * np.longdouble(step)
-    out[0] = 0.0
+    carry = None
+    for lo in range(0, v.size - 1, buf.size - 1):
+        carry = _node_sums_chunk(v, step, lo, carry, buf, out)
+        if summed is not None:
+            summed()
+
+
+def _node_sums_chunk(v: np.ndarray, step: float, lo: int, carry: np.longdouble | None,
+                     buf: np.ndarray, out: np.ndarray) -> np.longdouble:
+    """The node sums of v past node lo, up to len(buf) - 1 cells, into out, given
+    carry, the sum at node lo; returns the sum at the chunk's last node.
+
+    0.5 * step is exact, so one scaling rounds as the two it stands for. The
+    first cell adds carry, so every sum is rounded as one cumsum over all cells
+    rounds it; the chunk at node 0 adds nothing, so a -0.0 first cell keeps its
+    sign.
+    """
+    hi = min(lo + buf.size - 1, v.size - 1)
+    chunk = buf[:hi - lo + 1]
+    chunk[...] = v[lo:hi + 1]
+    sums = chunk[:-1]
     with np.errstate(over="ignore"):
-        for lo in range(0, v.size - 1, width):
-            hi = min(lo + width, v.size - 1)
-            chunk = buf[:hi - lo + 1]
-            chunk[...] = v[lo:hi + 1]
-            sums = chunk[:-1]
-            np.add(sums, chunk[1:], out=sums)  # forward in place, with no copy
-            sums *= half_step
-            if lo:
-                sums[0] = carry + sums[0]
-            np.cumsum(sums, out=sums)
-            carry = sums[-1]
-            out[lo + 1:hi + 1] = sums
+        np.add(sums, chunk[1:], out=sums)  # forward in place, with no copy
+        sums *= np.longdouble(0.5) * np.longdouble(step)
+        if lo:
+            sums[0] = carry + sums[0]
+        else:
+            out[0] = 0.0
+        np.cumsum(sums, out=sums)
+        out[lo + 1:hi + 1] = sums
+    return sums[-1]
 
 
 def _placed_integral(p: GridPoints, v: np.ndarray, nodes: np.ndarray, out: np.ndarray,

@@ -5,7 +5,8 @@ differs from its frozen reference (perfbench/reference.json), or from the
 closed forms and oracles of perfbench/checker.py, as failed. Here each
 workload runs once, untimed, so that such a difference fails tier-1 too, and
 then once more with perfbench's tracer installed, as `run.py --trace 1` runs
-it, where a wrapped call must not change an output either.
+it, where a wrapped call must not change an output either, and certify's
+traced call counts must match its reports.
 """
 
 import sys
@@ -39,6 +40,10 @@ def test_one_benchmark_pass_has_no_failed_operation(tmp_path, workload):
     assert runner.attempted == len(runner.ops)
     assert runner.failed == 0, runner.mismatches
     # the traced pass's results are also compared with the first pass's
-    runner.run_pass(tracer=tracer.Tracer())
+    out = runner.run_pass(tracer=tracer.Tracer())
     assert runner.attempted == 2 * len(runner.ops)
     assert runner.failed == 0, runner.mismatches
+    if workload == "certify":
+        # one traced IterationKernel.apply per iteration and one more per
+        # construction (plane's cross-check counts calls no longer made)
+        assert out["layer"]["trace.crosscheck_failures"] == 0

@@ -1,5 +1,9 @@
+import hashlib
+import importlib
 import io
 import math
+import sys
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -7,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.internal.constants_ast import is_local_module_file
 
-from mixedde import charroots, construct
+from mixedde import charroots, construct, gridfn
 from mixedde.construct import (GeneratingCandidate, IterationKernel, auto_construct,
                                ineq_residual, iterate, synthesize_solution,
                                witness_candidate)
@@ -560,6 +565,36 @@ def test_kernel_on_and_off_node_paths_are_bit_identical_to_where_apply(t1, step,
         np.testing.assert_array_equal(_bits(u), _bits(want))
 
 
+def _seeded_draws():
+    """The cases the seeded test above draws, and their sha256, recorded by
+    swapping in a body that records its arguments."""
+    seeded = test_kernel_on_and_off_node_paths_are_bit_identical_to_where_apply
+    drawn = []
+    body = seeded.hypothesis.inner_test
+    seeded.hypothesis.inner_test = lambda **case: drawn.append(sorted(case.items()))
+    try:
+        seeded()
+    finally:
+        seeded.hypothesis.inner_test = body
+    return len(drawn), hashlib.sha256(repr(drawn).encode()).hexdigest()
+
+
+def test_seeded_draws_do_not_depend_on_the_loaded_modules(tmp_path, monkeypatch):
+    """tests/conftest.py pins hypothesis's pool of local constants empty, so a
+    module with new literals, loaded after the first draws, moves no draw."""
+    first = _seeded_draws()
+    assert first[0] >= 60
+    (tmp_path / "new_literals.py").write_text(
+        "LITERALS = (0.0123, 0.0456, 0.0789, 0.1234, 0.2345, 0.2876, 3, 17, 2**-6)\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    importlib.import_module("new_literals")
+    assert is_local_module_file(sys.modules["new_literals"].__file__)
+    try:
+        assert _seeded_draws() == first
+    finally:
+        del sys.modules["new_literals"]
+
+
 def test_kernel_runs_the_formula_on_the_off_node_points_only(ex1_spec, ex3_spec,
                                                              monkeypatch):
     """The work-count guard: `_placed_integral` sees the points of each set that
@@ -572,22 +607,28 @@ def test_kernel_runs_the_formula_on_the_off_node_points_only(ex1_spec, ex3_spec,
         placed.append(p.idx.size)
         return formula(p, *args)
 
+    def per_set():  # the points placed per point set, over the blocks
+        counts = np.reshape(placed, (-1, 3)).sum(axis=0).tolist()
+        placed.clear()
+        return counts
+
     monkeypatch.setattr(construct, "_placed_integral", counting)
     ex1 = SampledProblem(ex1_spec, (0.0, 100.0), 1e-3)
     kernel = IterationKernel(ex1, "delay")
     n = ex1.ts.size
-    assert kernel._points[0] is None  # the window's own points are read in place
-    assert [split[0].size for split in kernel._off_node] == [1496, 28726, 28205]
+    assert len(kernel._blocks) == 4  # one per chunk of node sums
+    # the window's own points are read in place
+    assert all(block.points[0] is None for block in kernel._blocks)
+    assert [sum(block.off_node[k][0].size for block in kernel._blocks)
+            for k in range(3)] == [1496, 28726, 28205]
     u = kernel.apply(ex1.a)
-    assert placed == [1496, 28726, 28205]
+    assert per_set() == [1496, 28726, 28205]
     for bad, value in ((7, np.inf), (n // 2, np.nan), (0, -0.0)):
-        placed.clear()
         kernel.apply(np.where(np.arange(n) == bad, value, u))
-        assert placed == [n, n, n]
-    placed.clear()
+        assert per_set() == [n, n, n]
     ex3 = SampledProblem(ex3_spec, (0.0, 100.0), 1e-3)
     IterationKernel(ex3, "delay").apply(ex3.a)
-    assert placed == [1496, n, n]
+    assert per_set() == [1496, n, n]
 
 
 # name -> (spec fields, window, step, case, applies)
@@ -621,11 +662,12 @@ def test_kernel_is_bit_identical_to_where_apply_at_the_edges(name):
     fields, window, step, case, applies = _EDGE_KERNELS[name]
     sampled = SampledProblem(make_spec(**fields), window, step)
     kernel = IterationKernel(sampled, case)
-    at_ts, at_g, at_h = kernel._points
+    (block,) = kernel._blocks
+    at_ts, at_g, at_h = block.points
     edge = {"h-past-the-grid": at_h.above.size > 1,
             "g-clamped-at-t1": np.count_nonzero(sampled.g < window[0]) > sampled.ts.size // 2,
             "on-node-with-above": (at_h.above.size > 1
-                                   and all(s is not None for s in kernel._off_node))}
+                                   and all(s is not None for s in block.off_node))}
     assert edge.get(name, True)
     # the kernel keeps no placement of the window's own points; where every
     # point runs the formula, it places them again
@@ -633,22 +675,140 @@ def test_kernel_is_bit_identical_to_where_apply_at_the_edges(name):
     u = want = _EDGE_STARTS.get(name, lambda sp: sp.a)(sampled)
     saturated = set()
     for _ in range(applies):
-        # once u holds NaN, a NaN result takes its sign from the first of two
-        # NaN operands, and the np.where form adds node sums first: NaN
-        # positions are compared then, and the bits of every other value
-        nan_free = not np.isnan(u).any()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            u = kernel.apply(u)
-        with np.errstate(all="ignore"):
-            want = _where_apply(sampled, case, want)
-        np.testing.assert_array_equal(np.isnan(u), np.isnan(want))
-        keep = slice(None) if nan_free else ~np.isnan(want)
-        np.testing.assert_array_equal(_bits(u[keep]), _bits(want[keep]))
+        u, want = _apply_both(kernel, sampled, case, u, want)
         saturated |= {kind for kind, hit in (("inf", np.isinf(u)), ("nan", np.isnan(u)))
                       if hit.any()}
     if name == "exp-saturates":
         assert saturated == {"inf", "nan"}
+
+
+def _apply_both(kernel, sampled, case, u, want):
+    """kernel.apply(u), with no RuntimeWarning, and _where_apply(want), checked
+    bit for bit and returned. Once u holds NaN, a NaN result takes its sign from
+    the first of two NaN operands, and the np.where form adds node sums first:
+    NaN positions are compared then, and the bits of every other value."""
+    nan_free = not np.isnan(u).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = kernel.apply(u)
+    with np.errstate(all="ignore"):
+        want = _where_apply(sampled, case, want)
+    np.testing.assert_array_equal(np.isnan(u), np.isnan(want))
+    keep = slice(None) if nan_free else ~np.isnan(want)
+    np.testing.assert_array_equal(_bits(u[keep]), _bits(want[keep]))
+    return u, want
+
+
+# windows of at least three chunks of node sums, mapped block by block while a
+# helper thread sums the next chunk: name -> (spec fields, window, first iterate)
+_STAGED_KERNELS = {
+    "ex2": (EXAMPLES["ex2"], (0.5, 140.0), None),
+    # fewer than half of the g and h points sit on a node: every one runs the formula
+    "ex3": ({k: v for k, v in EXAMPLES["ex3"].items() if k not in ("delta1", "delta2")},
+            (0.5, 140.0), None),
+    # every h point past T reads the last node sum, so the last block holds
+    # them all; h = t + 70 reaches past the first chunk, whose block is empty
+    "h-far-past-T": (dict(EXAMPLES["ex2"], h="t+70"), (0.0, 140.0), None),
+    # the node sums are read nowhere: an iterate holding +inf, one starting with -0.0
+    "u-holds-inf": (EXAMPLES["ex2"], (0.0, 140.0),
+                    lambda sp: np.where(np.arange(sp.ts.size) == 40000, np.inf, sp.a)),
+    "u-starts-with-minus-zero": (EXAMPLES["ex2"], (0.0, 140.0),
+                                 lambda sp: np.where(sp.ts < 0.045, -0.0, sp.a)),
+}
+
+
+@pytest.mark.parametrize("name", list(_STAGED_KERNELS))
+@pytest.mark.parametrize("case", ["delay", "advance"])
+def test_kernel_is_bit_identical_to_where_apply_across_three_node_sum_chunks(name, case):
+    fields, window, start = _STAGED_KERNELS[name]
+    sampled = SampledProblem(make_spec(**fields), window, 2e-3)
+    kernel = IterationKernel(sampled, case)
+    blocks = kernel._blocks
+    assert sampled.ts.size > 2 * CHUNK + 1
+    assert [b.chunks for b in blocks] == ([2, 3] if name == "h-far-past-T" else [1, 2, 3])
+    assert blocks[-1].hi == sampled.ts.size
+    assert blocks[-1].points[2].above.size == np.count_nonzero(sampled.h > sampled.ts[-1])
+    split = [s is not None for s in blocks[0].off_node]
+    assert split == {"ex2": [True, True, True], "ex3": [True, False, False]}.get(name, split)
+    u = want = (start or (lambda sp: sp.a if case == "delay" else sp.b))(sampled)
+    for _ in range(3):
+        u, want = _apply_both(kernel, sampled, case, u, want)
+
+
+def test_a_chunk_that_fails_on_the_helper_raises_from_apply(monkeypatch):
+    """The helper sums the second chunk of node sums; its error must reach
+    apply's caller at once, leave no task behind, and leave the kernel exact."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    kernel = IterationKernel(sampled, "delay")
+    real_chunk = gridfn._node_sums_chunk
+
+    def failing(v, step, lo, *args):
+        if lo == CHUNK:
+            raise ArithmeticError("the second chunk fails")
+        return real_chunk(v, step, lo, *args)
+
+    monkeypatch.setattr(gridfn, "_node_sums_chunk", failing)
+    raised = []
+
+    def call():
+        try:
+            kernel.apply(sampled.a)
+        except ArithmeticError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)  # so that a hang fails
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["the second chunk fails"]
+    assert not construct._helper[1]  # no task waits for the helper
+    monkeypatch.undo()
+    np.testing.assert_array_equal(_bits(kernel.apply(sampled.a)),
+                                  _bits(_where_apply(sampled, "delay", sampled.a)))
+
+
+def test_an_iterate_that_overflows_in_a_later_chunk_warns_nothing():
+    """The helper sums the third chunk in the caller's floating-point state:
+    sums past the float range and a cell of inf + -inf raise no RuntimeWarning
+    (`_apply_both` turns one into an error)."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    kernel = IterationKernel(sampled, "delay")
+    k = np.arange(sampled.ts.size)
+    u = np.where((k > 2 * CHUNK + 100) & (k < 2 * CHUNK + 1000), 1.7e308, sampled.a)
+    u[2 * CHUNK + 3000:2 * CHUNK + 3002] = np.inf, -np.inf
+    u, _ = _apply_both(kernel, sampled, "delay", u, u)
+    assert np.isnan(u).any() and np.isinf(u).any()
+
+
+def test_kernels_applied_from_four_threads_at_once_share_the_helper_exactly():
+    """Four callers, each with its own kernel and iterate, queue their node sums
+    on the one helper thread while the interpreter switches threads as often
+    as it can: each gets its own map, bit for bit."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    starts = [sampled.a * (1.0 + i / 8) for i in range(4)]
+    kernels = [IterationKernel(sampled, "delay") for _ in starts]
+    got = [[] for _ in starts]
+
+    def call(i):
+        for _ in range(3):
+            got[i].append(kernels[i].apply(starts[i]))
+
+    callers = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for start, maps in zip(starts, got):
+        want = _bits(_where_apply(sampled, "delay", start))
+        assert len(maps) == 3
+        for u in maps:
+            np.testing.assert_array_equal(_bits(u), want)
 
 
 def test_apply_returns_a_fresh_array_it_does_not_keep(ex1_spec):
