@@ -17,17 +17,15 @@ result, and reported residuals exclude margins of width tau/sigma accordingly.
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from . import criteria
+from . import criteria, gridfn
 from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _node_sums,
                      _placed_integral)
 from .model import ProblemSpec, SampledProblem, _ShortWindow, _exp
@@ -117,9 +115,9 @@ class IterationKernel:
 
     An application maps the window block by block, each block as soon as the
     node sums its points read are summed. A window of more than one chunk of
-    `gridfn.CHUNK` cells has its node sums summed a chunk at a time on a helper
-    thread (`_HelperSums`), while this thread maps the blocks already summed;
-    every value goes through the same operations as on one thread.
+    `gridfn.CHUNK` cells has its node sums summed a chunk at a time on one
+    worker thread (`_chunk_futures`), while this thread maps the blocks already
+    summed; every value goes through the same operations as on one thread.
 
     Points on a node read the node sum, where `_placed_integral` would add a
     signed zero to it: in a point set with at least `_ON_NODE_SHARE` of its
@@ -171,9 +169,8 @@ class IterationKernel:
         # overflow saturates to inf, and an iterate holding inf maps to inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             sums = (u, self.sampled.step, self._nodes_ld, self._nodes)
-            # one chunk leaves nothing to overlap: it is summed here
-            helper = _HelperSums(sums) if self._blocks[-1].chunks > 1 else None
-            if helper is None:
+            chunks = _chunk_futures(*sums) if self._blocks[-1].chunks > 1 else None
+            if chunks is None:  # one chunk, with nothing to overlap, or no worker
                 _node_sums(*sums)
             try:
                 np.subtract(u[1:], u[:-1], out=half)
@@ -181,12 +178,12 @@ class IterationKernel:
                 read_nodes = (math.isfinite(np.sum(half))
                               and not (u[0] == 0.0 and math.copysign(1.0, u[0]) < 0.0))
                 for block in self._blocks:
-                    if helper is not None:
-                        helper.wait(block.chunks)
+                    if chunks is not None:
+                        chunks[block.chunks - 1].result()  # raises a chunk's error
                     self._map(block, u, read_nodes, out[block.lo:block.hi])
             finally:
-                if helper is not None:
-                    helper.end()
+                if chunks is not None:  # the worker is done with the kernel's arrays
+                    chunks[-1].exception()
         return out
 
     def _map(self, block: _Block, u: np.ndarray, read_nodes: bool, out: np.ndarray) -> None:
@@ -298,70 +295,37 @@ def _split_part(split, lo: int, hi: int):
     return off[j0:j1] - lo, points.part(j0, j1), out[j0:j1], scratch[j0:j1]
 
 
-_helper = None  # (pid, tasks, ready) of the helper thread, once started
-_helper_lock = threading.Lock()
+_workers = {}  # pid -> the executor, of one thread, that sums node sums in that process
 
 
-def _on_helper(task) -> None:
-    """Run task() on the helper thread, one daemon thread that runs tasks in
-    order, started on first need (and again in a forked child)."""
-    global _helper
-    with _helper_lock:
-        if _helper is None or _helper[0] != os.getpid():
-            helper = (os.getpid(), collections.deque(), threading.Semaphore(0))
-            threading.Thread(target=_serve, args=helper[1:], daemon=True,
-                             name="mixedde-node-sums").start()
-            _helper = helper
-        tasks, ready = _helper[1:]
-    tasks.append(task)
-    ready.release()
+def _chunk_futures(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray):
+    """`_node_sums(v, step, buf, out)` as one future per chunk on this process's
+    worker, made on first need (so `import mixedde` starts no thread and imports
+    no `concurrent.futures`; a forked child makes its own), or None where no
+    thread takes them, as at interpreter shutdown. Each chunk runs in a copy of
+    the caller's context (numpy keeps its errstate there) and takes its carry
+    from the future before it, so it carries that chunk's error too, and the
+    last future ends after all the others."""
+    context, chunks = contextvars.copy_context(), []
+    try:
+        worker = _workers.get(os.getpid())
+        if worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            # of two threads here at once, one keeps its executor, and only that one starts
+            worker = _workers.setdefault(os.getpid(), ThreadPoolExecutor(1, "mixedde-node-sums"))
+        for lo in range(0, v.size - 1, buf.size - 1):
+            before = chunks[-1] if chunks else None
+            chunks.append(worker.submit(context.run, _sum_chunk, before, v, step, lo, buf, out))
+    except RuntimeError:
+        if chunks:
+            chunks[-1].exception()  # the worker is done with the arrays
+        return None
+    return chunks
 
 
-def _serve(tasks: collections.deque, ready: threading.Semaphore) -> None:
-    while True:
-        ready.acquire()
-        tasks.popleft()()
-
-
-class _HelperSums:
-    """`_node_sums(*args)` on the helper thread, in a copy of the caller's
-    context (numpy keeps its errstate there), while the caller waits, in a
-    lock wait, for the chunks it reads."""
-
-    def __init__(self, args: tuple):
-        self._state = threading.Condition()
-        self._summed = 0  # chunks summed
-        self._ended = False
-        self._error: BaseException | None = None
-        context = contextvars.copy_context()
-        _on_helper(lambda: context.run(self._run, args))
-
-    def _run(self, args: tuple) -> None:
-        try:
-            _node_sums(*args, self._one_summed)
-        except BaseException as exc:  # raised by wait(), in the caller's thread
-            self._error = exc
-        with self._state:
-            self._ended = True
-            self._state.notify()
-
-    def _one_summed(self) -> None:
-        with self._state:
-            self._summed += 1
-            self._state.notify()
-
-    def wait(self, chunks: int) -> None:
-        """Return once the first `chunks` chunks are summed; raise what the
-        helper raised before that."""
-        with self._state:
-            self._state.wait_for(lambda: self._summed >= chunks or self._ended)
-        if self._summed < chunks:
-            raise self._error
-
-    def end(self) -> None:
-        """Return once the helper is done with the kernel's arrays."""
-        with self._state:
-            self._state.wait_for(lambda: self._ended)
+def _sum_chunk(before, v, step: float, lo: int, buf, out) -> np.longdouble:
+    carry = None if before is None else before.result()
+    return gridfn._node_sums_chunk(v, step, lo, carry, buf, out)
 
 
 def _require_pattern(spec: ProblemSpec, who: str) -> None:

@@ -597,7 +597,8 @@ def sweep_region(bounds_template: Bounds, axis1: str, axis2: str,
         b = np.tile(vals2, len(vals1))
         feas = (_sys30_routes(a, a, b, b, tau, sigma) != _NO_ROUTE).reshape(
             len(vals1), len(vals2))
-        ref = (vals1[:, None] * tau + vals2[None, :] * sigma) < ONE_OVER_E
+        with np.errstate(over="ignore"):  # a reference sum past the float range is inf
+            ref = (vals1[:, None] * tau + vals2[None, :] * sigma) < ONE_OVER_E
         return FeasibilityRegion("a", "b", vals1, vals2, feas, ref)
     raise ValueError("axes must be ('x', 'y') or ('a', 'b')")
 

@@ -163,21 +163,17 @@ class GridPoints:
 CHUNK = 1 << 15
 
 
-def _node_sums(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray,
-               summed: Callable[[], None] | None = None) -> None:
+def _node_sums(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray) -> None:
     """The trapezoid running integral of the grid values v at every node, into out;
     sums past the float range saturate to +/-inf.
 
     It is accumulated in longdouble, because differences of far-apart node sums
-    (the short deviated integrals) must stay accurate to ~1e-13: in the
-    longdouble array buf, len(buf) - 1 cells at a time, a chunk overwriting the
-    last (`_node_sums_chunk`). summed(), if given, is called after each chunk.
+    (the short deviated integrals) must stay accurate to ~1e-13: in the longdouble
+    array buf, len(buf) - 1 cells at a time, each chunk over the last (`_node_sums_chunk`).
     """
     carry = None
     for lo in range(0, v.size - 1, buf.size - 1):
         carry = _node_sums_chunk(v, step, lo, carry, buf, out)
-        if summed is not None:
-            summed()
 
 
 def _node_sums_chunk(v: np.ndarray, step: float, lo: int, carry: np.longdouble | None,

@@ -449,7 +449,8 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
             denom = float(e @ e)
             if denom == 0.0 or not np.all(np.isfinite(ke)):
                 break
-            prev_mu, mu = mu, float(ke @ e) / denom
+            with np.errstate(over="ignore"):  # a dot product past the float range is +/-inf
+                prev_mu, mu = mu, float(ke @ e) / denom
             norm = float(np.max(np.abs(ke)))
             if norm == 0.0:
                 break
@@ -566,7 +567,8 @@ def classify_trajectory(tr: Trajectory, t_from: float) -> str:
     """oscillatory | nonoscillatory_positive | nonoscillatory_negative | undetermined.
 
     The sign threshold is 1e-9 * max|x| on [t_from, end]; a trajectory that
-    dips below the threshold without an actual sign change is undetermined.
+    dips below the threshold without an actual sign change is undetermined,
+    and so is one that is zero throughout.
     A t_from outside [start, end] of the trajectory, or NaN, raises ValueError.
     """
     x = tr.x
@@ -582,6 +584,6 @@ def classify_trajectory(tr: Trajectory, t_from: float) -> str:
         return "nonoscillatory_positive"
     if mx <= -eps and eps > 0:
         return "nonoscillatory_negative"
-    if m <= -eps and mx >= eps:
+    if m <= -eps and mx >= eps and eps > 0:
         return "oscillatory"
     return "undetermined"

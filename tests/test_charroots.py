@@ -35,6 +35,15 @@ def test_zero_coefficients_single_root():
         assert rs.classifications == ("constant",)
 
 
+def test_a_walk_that_lands_on_a_root_returns_it_from_either_end():
+    # F(l) = 1 - l and -1 - l: the walk from 0 along G(x) = F(-x) steps onto
+    # its zero, which is then the first or the second end of the bracket
+    for p, root in ((CharProblem(1.0, 0.0, 0.0, 0.0, 1, -1, "minus_exponent"), 1.0),
+                    (CharProblem(0.0, 1.0, 0.0, 0.0, 1, -1, "minus_exponent"), -1.0)):
+        rs = find_real_roots(p)
+        assert rs.roots == (root,) and rs.residuals == (0.0,)
+
+
 def test_mixed_pattern_has_root():
     # delta1=-1, delta2=+1: the function is strictly increasing from -inf to +inf
     p = CharProblem(2.0, 1.0, 0.5, 0.5, -1, 1, "plus_exponent")

@@ -295,9 +295,15 @@ def test_non_finite_deviation_exits_two(tmp_path, command, capsys):
     # u = a overflows every integral, and CumulativeIntegral.at reads inf - inf
     (["construct", "{huge_a_and_b}", "--T", "5"], 1,
      "caveats: extrapolation-flagged non-finite-solution"),
+    # relax's gain probe: the sweep map's Rayleigh quotient overflows
+    (["simulate", "{huge_b}", "--T", "1", "--step", "0.01"], 1,
+     "caveats: amplifying-advance-feedback damped-sweeps-0.015625"),
+    # the 1/e reference line a*tau + b*sigma overflows
+    (["region", "{far_advance}", "--axes", "a,b", "--res", "0.5"], 1, "feasible_cells: 0"),
 ], ids=["check-huge-a", "check-long-advance", "roots-huge-a", "roots-huge-b",
         "check-thm-a-huge-b", "check-thm-b-huge-a", "construct-x-overflows",
-        "construct-kernel-overflows", "construct-huge-a-and-b"])
+        "construct-kernel-overflows", "construct-huge-a-and-b", "simulate-gain-overflows",
+        "region-reference-overflows"])
 def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code, line,
                                                              capsys):
     same_sign = dict(g="t-0.4", h="t+0.2")
@@ -312,7 +318,10 @@ def test_overflowing_exponentials_saturate_without_warnings(tmp_path, argv, code
                                             h="t+0.001"),
              "kernel_overflows": write_spec_file(tmp_path / "k.json", a="1e200", b="0.5",
                                                  h="t+0.001"),
-             "huge_a_and_b": write_spec_file(tmp_path / "ab.json", a="1e308", b="1e308")}
+             "huge_a_and_b": write_spec_file(tmp_path / "ab.json", a="1e308", b="1e308"),
+             "huge_b": write_spec_file(tmp_path / "b.json", b="7e307", x0=1),
+             "far_advance": write_spec_file(tmp_path / "far.json",
+                                            **{**EXAMPLES["ex4"], "h": "t+7e307"})}
     assert main([arg.format(**files) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert line in (err if code == 2 else out).splitlines()

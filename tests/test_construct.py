@@ -2,8 +2,11 @@ import hashlib
 import importlib
 import io
 import math
+import os
+import signal
 import sys
 import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -700,7 +703,7 @@ def _apply_both(kernel, sampled, case, u, want):
 
 
 # windows of at least three chunks of node sums, mapped block by block while a
-# helper thread sums the next chunk: name -> (spec fields, window, first iterate)
+# worker thread sums the next chunk: name -> (spec fields, window, first iterate)
 _STAGED_KERNELS = {
     "ex2": (EXAMPLES["ex2"], (0.5, 140.0), None),
     # fewer than half of the g and h points sit on a node: every one runs the formula
@@ -736,8 +739,8 @@ def test_kernel_is_bit_identical_to_where_apply_across_three_node_sum_chunks(nam
 
 
 def test_a_chunk_that_fails_on_the_helper_raises_from_apply(monkeypatch):
-    """The helper sums the second chunk of node sums; its error must reach
-    apply's caller at once, leave no task behind, and leave the kernel exact."""
+    """The worker sums the second chunk of node sums; its error must reach
+    apply's caller at once, leave no chunk behind, and leave the kernel exact."""
     sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
     kernel = IterationKernel(sampled, "delay")
     real_chunk = gridfn._node_sums_chunk
@@ -761,14 +764,14 @@ def test_a_chunk_that_fails_on_the_helper_raises_from_apply(monkeypatch):
     caller.join(timeout=60.0)
     assert not caller.is_alive()
     assert [str(exc) for exc in raised] == ["the second chunk fails"]
-    assert not construct._helper[1]  # no task waits for the helper
+    assert construct._workers[os.getpid()]._work_queue.empty()  # no chunk is left queued
     monkeypatch.undo()
     np.testing.assert_array_equal(_bits(kernel.apply(sampled.a)),
                                   _bits(_where_apply(sampled, "delay", sampled.a)))
 
 
 def test_an_iterate_that_overflows_in_a_later_chunk_warns_nothing():
-    """The helper sums the third chunk in the caller's floating-point state:
+    """The worker sums the third chunk in the caller's floating-point state:
     sums past the float range and a cell of inf + -inf raise no RuntimeWarning
     (`_apply_both` turns one into an error)."""
     sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
@@ -782,7 +785,7 @@ def test_an_iterate_that_overflows_in_a_later_chunk_warns_nothing():
 
 def test_kernels_applied_from_four_threads_at_once_share_the_helper_exactly():
     """Four callers, each with its own kernel and iterate, queue their node sums
-    on the one helper thread while the interpreter switches threads as often
+    on the one worker thread while the interpreter switches threads as often
     as it can: each gets its own map, bit for bit."""
     sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
     starts = [sampled.a * (1.0 + i / 8) for i in range(4)]
@@ -809,6 +812,54 @@ def test_kernels_applied_from_four_threads_at_once_share_the_helper_exactly():
         assert len(maps) == 3
         for u in maps:
             np.testing.assert_array_equal(_bits(u), want)
+
+
+@pytest.mark.parametrize("refused", [0, 1, 2])
+def test_chunks_the_worker_refuses_are_summed_by_the_caller(monkeypatch, refused):
+    """At interpreter shutdown an executor takes no new work, and its submit
+    raises RuntimeError: the chunks it took finish, and apply sums every chunk
+    on its own thread, to the same bits."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    kernel = IterationKernel(sampled, "delay")
+    kernel.apply(sampled.a)  # this process's worker is made
+    worker, taken = construct._workers[os.getpid()], []
+
+    def submit(*args):
+        if len(taken) == refused:
+            raise RuntimeError("cannot schedule new futures after interpreter shutdown")
+        taken.append(worker.submit(*args))
+        return taken[-1]
+
+    monkeypatch.setitem(construct._workers, os.getpid(), SimpleNamespace(submit=submit))
+    np.testing.assert_array_equal(_bits(kernel.apply(sampled.a)),
+                                  _bits(_where_apply(sampled, "delay", sampled.a)))
+    assert len(taken) == refused and all(chunk.done() for chunk in taken)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_sums_its_node_sums_on_a_worker_of_its_own():
+    """The parent's worker thread does not run in a forked child: a child
+    that queued its chunks there would wait for them for ever."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    kernel = IterationKernel(sampled, "delay")
+    kernel.apply(sampled.a)  # the parent's worker is started
+    want = _bits(_where_apply(sampled, "delay", sampled.a))
+    pid = os.fork()
+    if pid == 0:  # the child exits here, whatever happens
+        code = 1
+        try:
+            code = 0 if np.array_equal(_bits(kernel.apply(sampled.a)), want) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done and time.monotonic() < deadline:
+        time.sleep(0.01)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
 
 
 def test_apply_returns_a_fresh_array_it_does_not_keep(ex1_spec):

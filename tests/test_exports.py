@@ -33,7 +33,7 @@ def test_package_exports_only_module_exports():
 
 
 def test_importing_mixedde_starts_no_thread_and_no_executor():
-    # the iteration kernel's helper thread starts on first need
+    # the iteration kernel's worker thread and its executor start on first need
     code = ("import sys, threading; n = threading.active_count(); import mixedde; "
             "print(threading.active_count() - n, 'concurrent.futures' in sys.modules)")
     src = str(Path(mixedde.__file__).resolve().parents[1])

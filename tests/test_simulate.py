@@ -82,6 +82,19 @@ def test_classify_undetermined_on_deep_dip():
     assert classify_trajectory(tr, 0.0) == "undetermined"
 
 
+def test_classify_undetermined_when_zero_throughout():
+    # no sign, so no sign change: the zero threshold must not read 0 as both signs
+    assert classify_trajectory(_constant_trajectory(np.zeros(201)), 0.0) == "undetermined"
+
+
+def test_classify_an_empty_segment_reads_the_last_value():
+    # t_from - 1e-12 rounds past t_end, so no node is at or after it
+    tr = Trajectory(GridFunction(0.0, 1.2259096130103334e-12, [1.0, 2.0]), 1, 0.0, 0.0, True)
+    t_from = tr.x.t_end + 1e-12
+    assert not np.any(tr.x.times() >= t_from - 1e-12)
+    assert classify_trajectory(tr, t_from) == "nonoscillatory_positive"
+
+
 def test_classify_start_time_restriction():
     ts = np.arange(0.0, 10.0, 0.01)
     vals = np.where(ts < 4.0, np.sin(5 * ts), 1.0)
