@@ -73,7 +73,7 @@ class CharProblem:
         for coef, exponent in ((self.delta1 * self.a, -sign * x * self.tau),
                                (self.delta2 * self.b, sign * x * self.sigma)):
             if coef:
-                out += coef * _exp(exponent)
+                out += _term(coef, exponent)
         return out
 
     def solution_exponent(self, root: float) -> float:
@@ -89,6 +89,16 @@ class CharRootSet:
     brackets_scanned: tuple[float, float]
     truncated: bool = False  # never set: F has at most three real roots
     tangency_suspected: tuple[float, ...] = ()  # never set: double roots are roots
+
+
+def _term(c: float, y: float) -> float:
+    """c*e^y, 0 where c is 0; where e^y overflows, e^(y + log|c|) with c's sign."""
+    if not c:
+        return 0.0
+    try:
+        return c * math.exp(y)
+    except OverflowError:
+        return math.copysign(_exp(y + math.log(abs(c))), c)
 
 
 def _classify_exponent(exponent: float) -> str:
@@ -162,13 +172,11 @@ def _real_roots(p: CharProblem) -> list[float]:
     s = 1.0 if p.convention == "plus_exponent" else -1.0
     # Python floats: numpy scalars would warn where a term overflows to inf
     c1, c2, tau, sigma = map(float, (p.delta1 * p.a, p.delta2 * p.b, p.tau, p.sigma))
-    # c*e^y without saturation, so that G has the shape of F; 0*e^y is 0, not 0*inf
-    e = lambda c, y: c * _exp(y) if c else 0.0
     # G and G' in units of the residual target: a zero of G' where |G| <= 1 is a
     # double root, and bisection runs every zero to the last bit. G' scales each
     # term after the exponential: c2*sigma can underflow where c2*e^{x*sigma} does not
-    g = lambda x: (x + e(c1, -x * tau) + e(c2, x * sigma)) / _ROOT_RESIDUAL_TARGET
-    dg = lambda x: (1.0 - tau * e(c1, -x * tau) + sigma * e(c2, x * sigma)) \
+    g = lambda x: (x + _term(c1, -x * tau) + _term(c2, x * sigma)) / _ROOT_RESIDUAL_TARGET
+    dg = lambda x: (1.0 - tau * _term(c1, -x * tau) + sigma * _term(c2, x * sigma)) \
         / _ROOT_RESIDUAL_TARGET
     split = []
     if p.delta1 != p.delta2 and min(p.a, p.b, tau, sigma) > 0.0:
@@ -176,7 +184,7 @@ def _real_roots(p: CharProblem) -> list[float]:
         # sum of logs, since tau^2 or sigma^2 can underflow
         split = [(math.log(p.a) + 2.0 * math.log(tau) - math.log(p.b)
                   - 2.0 * math.log(sigma)) / (tau + sigma)]
-    return sorted({s * x for x in _zeros(g, _zeros(dg, split))})
+    return sorted({s * x + 0.0 for x in _zeros(g, _zeros(dg, split))})  # no -0.0
 
 
 def find_real_roots(p: CharProblem, scan: tuple[float, float] = DEFAULT_SCAN) -> CharRootSet:

@@ -96,8 +96,8 @@ _ON_NODE_SHARE = 0.5
 
 class _Block(NamedTuple):
     """Window nodes lo..hi-1, whose points read node sums of the first `chunks`
-    chunks only, and per point set their placement (None for the window's own
-    points where the kernel keeps none) and their split (see `_off_node`)."""
+    chunks only, and per point set its placement, or None and its split (see
+    `_off_node`)."""
 
     chunks: int
     lo: int
@@ -119,22 +119,20 @@ class IterationKernel:
     worker thread (`_chunk_futures`), while this thread maps the blocks already
     summed; every value goes through the same operations as on one thread.
 
-    Points on a node read the node sum, where `_placed_integral` would add a
-    signed zero to it: in a point set with at least `_ON_NODE_SHARE` of its
-    points on a node, only the others run the formula. That is exact while u
-    and its half-differences are finite (their sum is) and the node sums are
-    not -0.0, which they can be when u starts with -0.0; otherwise every point
-    runs the formula. A node sum that underflows to -0.0 from tiny negative
-    values of u can still differ from the formula in the sign of a zero, which
-    the map cannot see: x - (+/-0) = x and exp(+/-0) = 1.
+    The map is defined on finite iterates: u whose half-differences do not sum
+    to a finite number raises ValueError. Points on a node then read the node
+    sum, where `_placed_integral` would add a zero to it: in a point set with
+    at least `_ON_NODE_SHARE` of its points on a node, only the others run the
+    formula, and the set keeps their placement and the cells of its points.
+    A read differs from the formula at most in the sign of a zero, which the
+    map cannot see: x - (+/-0) = x and exp(+/-0) = 1.
 
-    The window's own points, when so split, keep no placement and no integral
+    The window's own points, when so split, keep no cells and no integral
     array: grid_cells keeps the nodes more than a float spacing apart, so each
     on-node one is on its own node, and a block's integral at them is its node
     sums with the formula's results for the off-node ones written over them:
     in place in the last block, and in a copy before it, where later blocks'
-    delay points still read them. Where every point runs the formula, they
-    are placed again for that application.
+    delay points still read them.
     """
 
     def __init__(self, sampled: SampledProblem, case: str):
@@ -144,12 +142,13 @@ class IterationKernel:
         self.case = case
         t1, step, ts = sampled.window[0], sampled.step, sampled.ts
         n = ts.size
-        self._grid = (t1, step, n)
         # u vanishes before t1, so delay integrals start no earlier than t1;
         # u lives on the window grid, so each point set is placed on it once
         point_sets = (ts, np.maximum(sampled.g, t1), sampled.h)
         points = [GridPoints(t1, step, n, t) for t in point_sets]
         off_node = [_off_node(p, t) for p, t in zip(points, point_sets)]
+        if off_node[0] is not None:  # the own points' cells are their nodes
+            off_node[0] = (None, *off_node[0][1:])
         self._blocks = _block_plan(points, off_node, n)
         self._at = tuple(None if k == 0 and off_node[0] is not None else np.empty(n)
                          for k in range(3))
@@ -166,7 +165,8 @@ class IterationKernel:
                              f"{self._nodes.shape}")
         out = np.empty(u.size)
         half = self._half
-        # overflow saturates to inf, and an iterate holding inf maps to inf or nan
+        # overflow saturates to inf, and inf - inf is nan: in the half-differences
+        # of an iterate that raises, and in the map where node sums overflow
         with np.errstate(over="ignore", invalid="ignore"):
             sums = (u, self.sampled.step, self._nodes_ld, self._nodes)
             chunks = _chunk_futures(*sums) if self._blocks[-1].chunks > 1 else None
@@ -175,34 +175,24 @@ class IterationKernel:
             try:
                 np.subtract(u[1:], u[:-1], out=half)
                 half *= 0.5
-                read_nodes = (math.isfinite(np.sum(half))
-                              and not (u[0] == 0.0 and math.copysign(1.0, u[0]) < 0.0))
+                if not math.isfinite(np.sum(half)):
+                    raise ValueError("u must be finite, with half-differences "
+                                     "that sum to a finite number")
                 for block in self._blocks:
                     if chunks is not None:
                         chunks[block.chunks - 1].result()  # raises a chunk's error
-                    self._map(block, u, read_nodes, out[block.lo:block.hi])
+                    self._map(block, u, out[block.lo:block.hi])
             finally:
                 if chunks is not None:  # the worker is done with the kernel's arrays
                     chunks[-1].exception()
         return out
 
-    def _map(self, block: _Block, u: np.ndarray, read_nodes: bool, out: np.ndarray) -> None:
+    def _map(self, block: _Block, u: np.ndarray, out: np.ndarray) -> None:
         """The map at the block's nodes, into out."""
         sp, lo, hi = self.sampled, block.lo, block.hi
-        if block.points[0] is None and read_nodes:
-            # the off-node window points, then the node sums become theirs:
-            # copied, unless no later block reads them
-            off, off_points, off_out, off_half = block.off_node[0]
-            self._formula(off_points, u, off_out, off_half)
-            int_delay, int_advance = (self._integral(block, k, u, True) for k in (1, 2))
-            at_nodes = self._nodes[lo:hi]
-            if hi < self._grid[2]:
-                at_nodes = self._scratch[lo:hi]
-                at_nodes[...] = self._nodes[lo:hi]
-            at_nodes[off] = off_out
-        else:
-            at_nodes, int_delay, int_advance = (self._integral(block, k, u, read_nodes)
-                                                for k in range(3))
+        # the own points last: their node-sum copy is made in _scratch, which
+        # the other sets' formula uses
+        int_delay, int_advance, at_nodes = (self._integral(block, k, u) for k in (1, 2, 0))
         np.subtract(at_nodes, int_delay, out=int_delay)
         np.subtract(int_advance, at_nodes, out=int_advance)
         # delay: a*e^{int_delay} - b*e^{-int_advance}; advance: the mirror
@@ -216,21 +206,22 @@ class IterationKernel:
             np.multiply(c, x, out=x)
         np.subtract(grow, shrink, out=out)
 
-    def _integral(self, block: _Block, k: int, u: np.ndarray, read_nodes: bool) -> np.ndarray:
-        """The integral of u at the block's points of set k: its on-node points
-        read off the node sums where read_nodes allows, the others by the
-        formula. The window's own points, if the kernel keeps no placement of
-        them, are placed again."""
+    def _integral(self, block: _Block, k: int, u: np.ndarray) -> np.ndarray:
+        """The integral of u at the block's points of set k: a split set's
+        on-node points read off the node sums, the others by the formula."""
         lo, hi = block.lo, block.hi
-        p, split = block.points[k], block.off_node[k]
-        if p is None:
-            p, out = GridPoints(*self._grid, self.sampled.ts[lo:hi]), np.empty(hi - lo)
-        else:
+        split = block.off_node[k]
+        if split is None:
+            return self._formula(block.points[k], u, self._at[k][lo:hi], self._scratch[lo:hi])
+        idx, off, off_points, off_out, off_half = split
+        if idx is not None:
             out = self._at[k][lo:hi]
-        if split is None or not read_nodes:
-            return self._formula(p, u, out, self._scratch[lo:hi])
-        off, off_points, off_out, off_half = split
-        np.take(self._nodes, p.idx, out=out, mode="clip")
+            np.take(self._nodes, idx, out=out, mode="clip")
+        elif hi < u.size:  # the own points, before the last block
+            out = self._scratch[lo:hi]
+            out[...] = self._nodes[lo:hi]
+        else:
+            out = self._nodes[lo:hi]
         out[off] = self._formula(off_points, u, off_out, off_half)
         return out
 
@@ -250,13 +241,13 @@ class IterationKernel:
 
 
 def _off_node(p: GridPoints, t: np.ndarray):
-    """(where, points, out, scratch) for the points of p off a node, placed
-    again on p's grid with work arrays of their size; None when fewer than
-    `_ON_NODE_SHARE` of p's points sit on a node."""
+    """(idx, where, points, out, scratch): the cells of p's points, and the
+    points of p off a node, placed again on p's grid with work arrays of their
+    size; None when fewer than `_ON_NODE_SHARE` of p's points sit on a node."""
     off = np.flatnonzero(p.frac != 0.0)
     if off.size > (1.0 - _ON_NODE_SHARE) * p.frac.size:
         return None
-    return off, GridPoints(*p.grid, t[off]), np.empty(off.size), np.empty(off.size)
+    return p.idx, off, GridPoints(*p.grid, t[off]), np.empty(off.size), np.empty(off.size)
 
 
 def _block_plan(points: list, off_node: list, n: int) -> tuple[_Block, ...]:
@@ -264,9 +255,9 @@ def _block_plan(points: list, off_node: list, n: int) -> tuple[_Block, ...]:
     empty ones left out. A node reads its own node sum, those at the cells of
     its points and, for a point past the grid, the last; block c holds the
     nodes after block c-1 whose reads, and those of every node before them,
-    lie in the first c chunks. Each block keeps its part of the placements and
-    splits, and the window's own points keep none when they are split."""
-    kept = (None if off_node[0] is not None else points[0], *points[1:])
+    lie in the first c chunks. Each block keeps its part of the placements of
+    the sets not split and of the splits."""
+    kept = tuple(p if s is None else None for p, s in zip(points, off_node))
     if n - 1 <= CHUNK:  # one chunk: one block, with its placements whole
         return (_Block(1, 0, n, kept, tuple(off_node)),)
     reads = np.arange(n)
@@ -290,9 +281,10 @@ def _block_plan(points: list, off_node: list, n: int) -> tuple[_Block, ...]:
 def _split_part(split, lo: int, hi: int):
     """The part of an `_off_node` split at window nodes lo..hi-1, its `where`
     counted from lo."""
-    off, points, out, scratch = split
+    idx, off, points, out, scratch = split
     j0, j1 = np.searchsorted(off, (lo, hi))
-    return off[j0:j1] - lo, points.part(j0, j1), out[j0:j1], scratch[j0:j1]
+    return (None if idx is None else idx[lo:hi], off[j0:j1] - lo, points.part(j0, j1),
+            out[j0:j1], scratch[j0:j1])
 
 
 _workers = {}  # pid -> the executor, of one thread, that sums node sums in that process
@@ -376,7 +368,7 @@ def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
     u_prev = _candidate_values(u0, sp)
     u = kernel.apply(u_prev)
     worst = float(np.max(u - u_prev))
-    if worst > tol:
+    if not worst <= tol:  # a nan residual fails too
         i = int(np.argmax(u - u_prev))
         raise ValueError(
             f"u0 is not a supersolution: inequality residual {worst:.3e} > {tol:.1e} "

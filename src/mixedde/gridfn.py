@@ -209,9 +209,9 @@ def _placed_integral(p: GridPoints, v: np.ndarray, nodes: np.ndarray, out: np.nd
     enters holding (v[idx+1] - v[idx]) * 0.5 and is left as scratch:
     nodes[idx] + step*(v[idx]*frac + half*frac*frac), op by op.
 
-    At a point on a node (frac == 0) the added term is a signed zero, so the
-    result is nodes[idx] itself wherever v[idx] and half are finite and
-    nodes[idx] is not -0.0; `IterationKernel` reads such points directly.
+    At a point on a node (frac == 0) the added term is a zero wherever v[idx]
+    and half are finite: the result is the node sum as is, up to the sign of a
+    zero. `IterationKernel`, which maps finite iterates only, reads it directly.
     """
     t_start, step, size = p.grid
     frac = p.frac

@@ -93,10 +93,13 @@ def test_root_residuals_random():
 
 
 def test_classify_root_zero_constant():
-    p = CharProblem(1.0, 1.0, 0.2, 0.2, -1, 1, "plus_exponent")
-    rs = find_real_roots(p)
-    assert 0.0 in rs.roots  # a = b makes lambda = 0 a root
-    assert rs.classifications[rs.roots.index(0.0)] == "constant"
+    # a = b makes lambda = 0 a root; minus_exponent's roots are -1 times those
+    # of plus_exponent, and -1 * 0.0 is -0.0, which a root is not
+    for convention in ("plus_exponent", "minus_exponent"):
+        rs = find_real_roots(CharProblem(1.0, 1.0, 0.2, 0.2, -1, 1, convention))
+        (zero,) = (r for r in rs.roots if r == 0.0)
+        assert math.copysign(1.0, zero) == 1.0
+        assert rs.classifications[rs.roots.index(0.0)] == "constant"
 
 
 def test_guarded_exponentials_no_overflow():
@@ -395,3 +398,22 @@ def test_ex1_prints_each_root_correctly_rounded():
     p = ex1_problem()
     for r in find_real_roots(p).roots:
         assert f"{r:.12g}" == mpmath.nstr(_exact_root(p, r)[0], 12)
+
+
+@pytest.mark.parametrize("p, roots", [
+    # 1e-320*e^{l*1e300} = 1 at l = ln(1e320)/1e300, past e^{l*1e300}'s float range
+    (CharProblem(1e-320, 1.0, 1e300, 0.1, 1, -1),
+     [-35.77152063957297, -1.1183255915896297, 7.368272408909739e-298]),
+    # e^{2l} passes the float range at l = 354.9, below the root of
+    # -l + 1e-310*e^{2l} - e^{-0.1l}, which COR_1_3 would take for its seed
+    (CharProblem(1e-310, 1.0, 2.0, 0.1, 1, -1),
+     [-35.77152063957297, -1.1183255915896297, 359.84352405485555]),
+], ids=["tau-1e300", "a-1e-310"])
+def test_a_tiny_coefficient_scales_an_overflowing_exponential(p, roots):
+    """c*e^y is e^(y + log c) where e^y overflows: F finds no false root where
+    c*e^y would jump from finite to inf, and each root is the exact one,
+    correctly rounded."""
+    assert charroots._real_roots(p) == roots
+    assert [float(_exact_root(p, r)[0]) for r in roots] == roots
+    assert all(abs(p.value(r)) <= 1e-11 for r in roots)
+    assert positive_root_exists(p) == (roots[-1] if roots[-1] > 1e-12 else None)

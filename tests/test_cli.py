@@ -176,7 +176,13 @@ def test_roots_no_roots_exit_one(capsys):
     (["--a", "0.1", "--b", "0.412", "--tau", "0.00643", "--sigma", "0.00962",
       "--convention", "plus_exponent", "--scan-hi", "1e300"],
      [("0.313445540007", "growing"), ("785.085843462", "growing")]),
-], ids=["double-root", "window-to-1e300"])
+    # 1e-320*e^{l*1e300} = 1 where e^{l*1e300} is past the float range
+    (["--a", "1e-320", "--b", "1", "--tau", "1e300", "--sigma", "0.1"],
+     [("-35.7715206396", "growing"), ("-1.11832559159", "growing"),
+      ("7.36827240891e-298", "constant")]),
+    # x = 1 solves x' + 2x(t-1) - 2x(t+1) = 0: the root 0, printed without a sign
+    (["--a", "2", "--b", "2", "--tau", "1", "--sigma", "1"], [("0", "constant")]),
+], ids=["double-root", "window-to-1e300", "tiny-a-overflowing-exponential", "zero-root"])
 def test_roots_without_a_scan_grid(argv, roots, capsys):
     assert main(["roots", *argv]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
@@ -292,9 +298,10 @@ def test_non_finite_deviation_exits_two(tmp_path, command, capsys):
     (["construct", "{kernel_overflows}", "--T", "2"], 2,
      "error: no admissible starter candidate found: u0 is not a supersolution: "
      "inequality residual inf > 1.0e-08 at t=0.001"),
-    # u = a overflows every integral, and CumulativeIntegral.at reads inf - inf
-    (["construct", "{huge_a_and_b}", "--T", "5"], 1,
-     "caveats: extrapolation-flagged non-finite-solution"),
+    # u = a overflows the node sums and maps to inf and to nan (inf - inf), which
+    # the supersolution gate rejects; u = e*a is not finite
+    (["construct", "{huge_a_and_b}", "--T", "5"], 2,
+     "error: no admissible starter candidate found: generating candidate must be finite"),
     # relax's gain probe: the sweep map's Rayleigh quotient overflows
     (["simulate", "{huge_b}", "--T", "1", "--step", "0.01"], 1,
      "caveats: amplifying-advance-feedback damped-sweeps-0.015625"),

@@ -131,6 +131,15 @@ def test_iterate_delay_rejects_bad_seed(ex1_spec):
         iterate(const_candidate(0.01), ex1_spec, (0.0, 10.0))
 
 
+def test_iterate_rejects_a_seed_that_maps_to_nan():
+    # a = b = 1e307: the node sums overflow, and the first map reads inf - inf;
+    # a nan residual fails the gate, so no nan iterate is mapped again
+    spec = make_spec(a="1e307", b="1e307")
+    with pytest.raises(ValueError, match=r"^u0 is not a supersolution: inequality "
+                                         r"residual nan > 1\.0e-08 at t="):
+        iterate(const_candidate(1e307, window=(0.0, 20.0)), spec, (0.0, 20.0))
+
+
 def test_iterate_delay_rejects_wrong_dominance():
     spec = make_spec(a="1", b="1.2", h="t+0.1")
     with pytest.raises(ValueError, match="dominance"):
@@ -419,13 +428,14 @@ def test_auto_construct_evaluates_each_coefficient_once_on_the_window_grid(ex1_s
 
 def test_auto_construct_holds_a_bounded_working_set(ex1_spec):
     """The traced peak of auto_construct on ex1 over (0, 20), in window-sized
-    float arrays (29.17; 32.18 while the kernel kept a window-sized longdouble
-    node-sum buffer and a placement and an integral of the window's own points,
-    36.19 while the window-sized dominance gaps, the seed and the first iterate
+    float arrays (27.14; 29.17 while the kernel kept the offsets of the split
+    g and h points, 32.18 while it kept a window-sized longdouble node-sum
+    buffer and a placement and an integral of the window's own points, 36.19
+    while the window-sized dominance gaps, the seed and the first iterate
     stayed alive through the construction)."""
     auto_construct(ex1_spec, (0.0, 2.0))  # anything built once per process
     n = grid_cells(0.0, 20.0, STEP) + 1
-    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 20.0)), n) <= 29.5
+    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 20.0)), n) <= 27.5
 
 
 def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, monkeypatch):
@@ -601,8 +611,8 @@ def test_seeded_draws_do_not_depend_on_the_loaded_modules(tmp_path, monkeypatch)
 def test_kernel_runs_the_formula_on_the_off_node_points_only(ex1_spec, ex3_spec,
                                                              monkeypatch):
     """The work-count guard: `_placed_integral` sees the points of each set that
-    are off a node, all points of a set mostly off its nodes, and every point
-    of an apply whose node sums could differ from the formula."""
+    are off a node, all points of a set mostly off its nodes, and none of an
+    apply on an iterate that is not finite, which raises."""
     placed = []
     formula = construct._placed_integral
 
@@ -611,42 +621,50 @@ def test_kernel_runs_the_formula_on_the_off_node_points_only(ex1_spec, ex3_spec,
         return formula(p, *args)
 
     def per_set():  # the points placed per point set, over the blocks
-        counts = np.reshape(placed, (-1, 3)).sum(axis=0).tolist()
+        # a block integrates at its delay, its advance, then its own points
+        delay, advance, own = np.reshape(placed, (-1, 3)).sum(axis=0).tolist()
         placed.clear()
-        return counts
+        return [own, delay, advance]
 
     monkeypatch.setattr(construct, "_placed_integral", counting)
     ex1 = SampledProblem(ex1_spec, (0.0, 100.0), 1e-3)
     kernel = IterationKernel(ex1, "delay")
     n = ex1.ts.size
     assert len(kernel._blocks) == 4  # one per chunk of node sums
-    # the window's own points are read in place
-    assert all(block.points[0] is None for block in kernel._blocks)
-    assert [sum(block.off_node[k][0].size for block in kernel._blocks)
+    # every set is split: it keeps the cells of its points, the window's own
+    # points not even those, and the placement of its off-node points alone
+    for block in kernel._blocks:
+        assert block.points == (None, None, None)
+        assert block.off_node[0][0] is None
+        assert [block.off_node[k][0].size for k in (1, 2)] == [block.hi - block.lo] * 2
+    assert [sum(block.off_node[k][1].size for block in kernel._blocks)
             for k in range(3)] == [1496, 28726, 28205]
     u = kernel.apply(ex1.a)
     assert per_set() == [1496, 28726, 28205]
-    for bad, value in ((7, np.inf), (n // 2, np.nan), (0, -0.0)):
-        kernel.apply(np.where(np.arange(n) == bad, value, u))
-        assert per_set() == [n, n, n]
+    # node sums of -0.0 are read too: x - (+/-0) = x and exp(+/-0) = 1
+    kernel.apply(np.where(np.arange(n) < 5, -0.0, u))
+    assert per_set() == [1496, 28726, 28205]
+    for bad, value in ((7, np.inf), (n // 2, np.nan)):
+        with pytest.raises(ValueError, match="^u must be finite"):
+            kernel.apply(np.where(np.arange(n) == bad, value, u))
+        assert placed == []
     ex3 = SampledProblem(ex3_spec, (0.0, 100.0), 1e-3)
     IterationKernel(ex3, "delay").apply(ex3.a)
     assert per_set() == [1496, n, n]
 
 
-# name -> (spec fields, window, step, case, applies)
+# name -> (spec fields, window, step, case, applies of a finite iterate)
 _EDGE_KERNELS = {
     # h = t + 0.5 ends five cells past the last node: the `above` points
     "h-past-the-grid": (dict(h="t+0.5"), (0.0, 3.0), 0.1, "delay", 4),
     # g = t - 5 is clamped at t1 on the first five of eight units
-    "g-clamped-at-t1": (dict(g="t-5"), (0.0, 8.0), 1e-2, "delay", 4),
-    # exp(int_g^t a) overflows to inf, and the next iterates hold inf and nan
-    "exp-saturates": (dict(a="1e200"), (0.0, 2.0), 1e-2, "delay", 3),
+    "g-clamped-at-t1": (dict(g="t-5"), (0.0, 8.0), 1e-2, "delay", 2),
+    # exp(int_g^t a) overflows to inf, and the first iterate holds inf
+    "exp-saturates": (dict(a="1e200"), (0.0, 2.0), 1e-2, "delay", 1),
     # u starts with -0.0 on five nodes, so the first node sums are -0.0
     "u-starts-with-minus-zero": (dict(), (0.0, 3.0), 1e-2, "delay", 3),
-    # u alternates +/-1.7e308: the half-differences overflow, the node sums
-    # are 0, and the formula gives nan where a node read would give 0
-    "half-differences-overflow": (dict(), (0.0, 3.0), 1e-2, "delay", 2),
+    # u alternates +/-1.7e308: the half-differences overflow at once
+    "half-differences-overflow": (dict(), (0.0, 3.0), 1e-2, "delay", 0),
     # whole steps of 2**-4: every point set is read on its nodes, and h's
     # points past the grid are among the few that run the formula
     "on-node-with-above": (dict(g="t-0.25", h="t+0.5"), (0.0, 3.0), 2.0 ** -4, "advance", 4),
@@ -659,6 +677,10 @@ _EDGE_STARTS = {
                                                      1.7e308),
 }
 
+# the edge kernels whose last finite apply maps to an iterate that is not
+# finite, or starts with one whose half-differences overflow
+_EDGE_RAISES = {"g-clamped-at-t1", "exp-saturates", "half-differences-overflow"}
+
 
 @pytest.mark.parametrize("name", list(_EDGE_KERNELS))
 def test_kernel_is_bit_identical_to_where_apply_at_the_edges(name):
@@ -666,40 +688,51 @@ def test_kernel_is_bit_identical_to_where_apply_at_the_edges(name):
     sampled = SampledProblem(make_spec(**fields), window, step)
     kernel = IterationKernel(sampled, case)
     (block,) = kernel._blocks
-    at_ts, at_g, at_h = block.points
-    edge = {"h-past-the-grid": at_h.above.size > 1,
+    edge = {"h-past-the-grid": _above(block, 2) > 1,
             "g-clamped-at-t1": np.count_nonzero(sampled.g < window[0]) > sampled.ts.size // 2,
-            "on-node-with-above": (at_h.above.size > 1
+            "on-node-with-above": (_above(block, 2) > 1
                                    and all(s is not None for s in block.off_node))}
     assert edge.get(name, True)
-    # the kernel keeps no placement of the window's own points; where every
-    # point runs the formula, it places them again
-    assert at_ts is None
+    # a split set keeps the placement of its off-node points alone
+    assert [p is None for p in block.points] == [s is not None for s in block.off_node]
+    assert block.points[0] is None
     u = want = _EDGE_STARTS.get(name, lambda sp: sp.a)(sampled)
-    saturated = set()
     for _ in range(applies):
         u, want = _apply_both(kernel, sampled, case, u, want)
-        saturated |= {kind for kind, hit in (("inf", np.isinf(u)), ("nan", np.isnan(u)))
-                      if hit.any()}
+    if name in _EDGE_RAISES:
+        _raises_on(kernel, u)
     if name == "exp-saturates":
-        assert saturated == {"inf", "nan"}
+        assert np.isinf(u).any()
+
+
+def _above(block, k):
+    """How many of the block's points of set k lie past the grid: all off a
+    node, so all in the split's placement where the set is split."""
+    split = block.off_node[k]
+    return (block.points[k] if split is None else split[2]).above.size
 
 
 def _apply_both(kernel, sampled, case, u, want):
     """kernel.apply(u), with no RuntimeWarning, and _where_apply(want), checked
-    bit for bit and returned. Once u holds NaN, a NaN result takes its sign from
-    the first of two NaN operands, and the np.where form adds node sums first:
-    NaN positions are compared then, and the bits of every other value."""
-    nan_free = not np.isnan(u).any()
+    bit for bit and returned."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         u = kernel.apply(u)
     with np.errstate(all="ignore"):
         want = _where_apply(sampled, case, want)
-    np.testing.assert_array_equal(np.isnan(u), np.isnan(want))
-    keep = slice(None) if nan_free else ~np.isnan(want)
-    np.testing.assert_array_equal(_bits(u[keep]), _bits(want[keep]))
+    np.testing.assert_array_equal(_bits(u), _bits(want))
     return u, want
+
+
+def _raises_on(kernel, u):
+    """apply on u, which is not finite or has half-differences that overflow,
+    raises ValueError and warns nothing."""
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(np.sum(np.diff(u) * 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^u must be finite"):
+            kernel.apply(u)
 
 
 # windows of at least three chunks of node sums, mapped block by block while a
@@ -712,12 +745,18 @@ _STAGED_KERNELS = {
     # every h point past T reads the last node sum, so the last block holds
     # them all; h = t + 70 reaches past the first chunk, whose block is empty
     "h-far-past-T": (dict(EXAMPLES["ex2"], h="t+70"), (0.0, 140.0), None),
-    # the node sums are read nowhere: an iterate holding +inf, one starting with -0.0
+    # an iterate holding +inf raises at once
     "u-holds-inf": (EXAMPLES["ex2"], (0.0, 140.0),
                     lambda sp: np.where(np.arange(sp.ts.size) == 40000, np.inf, sp.a)),
+    # the first node sums are -0.0, and read as they are
     "u-starts-with-minus-zero": (EXAMPLES["ex2"], (0.0, 140.0),
                                  lambda sp: np.where(sp.ts < 0.045, -0.0, sp.a)),
 }
+
+# (name, case) -> the finite applies before one raises, where fewer than three:
+# h = t + 70 clamps the advance integrals, and the second iterate holds inf
+_STAGED_RAISES = {("h-far-past-T", "advance"): 2, ("u-holds-inf", "delay"): 0,
+                  ("u-holds-inf", "advance"): 0}
 
 
 @pytest.mark.parametrize("name", list(_STAGED_KERNELS))
@@ -730,12 +769,16 @@ def test_kernel_is_bit_identical_to_where_apply_across_three_node_sum_chunks(nam
     assert sampled.ts.size > 2 * CHUNK + 1
     assert [b.chunks for b in blocks] == ([2, 3] if name == "h-far-past-T" else [1, 2, 3])
     assert blocks[-1].hi == sampled.ts.size
-    assert blocks[-1].points[2].above.size == np.count_nonzero(sampled.h > sampled.ts[-1])
+    assert _above(blocks[-1], 2) == np.count_nonzero(sampled.h > sampled.ts[-1])
     split = [s is not None for s in blocks[0].off_node]
     assert split == {"ex2": [True, True, True], "ex3": [True, False, False]}.get(name, split)
+    assert all([p is None for p in b.points] == [s is not None for s in b.off_node]
+               for b in blocks)
     u = want = (start or (lambda sp: sp.a if case == "delay" else sp.b))(sampled)
-    for _ in range(3):
+    for _ in range(_STAGED_RAISES.get((name, case), 3)):
         u, want = _apply_both(kernel, sampled, case, u, want)
+    if (name, case) in _STAGED_RAISES:
+        _raises_on(kernel, u)
 
 
 def test_a_chunk_that_fails_on_the_helper_raises_from_apply(monkeypatch):
@@ -772,15 +815,34 @@ def test_a_chunk_that_fails_on_the_helper_raises_from_apply(monkeypatch):
 
 def test_an_iterate_that_overflows_in_a_later_chunk_warns_nothing():
     """The worker sums the third chunk in the caller's floating-point state:
-    sums past the float range and a cell of inf + -inf raise no RuntimeWarning
+    node sums of a finite iterate past the float range raise no RuntimeWarning
     (`_apply_both` turns one into an error)."""
     sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
     kernel = IterationKernel(sampled, "delay")
     k = np.arange(sampled.ts.size)
     u = np.where((k > 2 * CHUNK + 100) & (k < 2 * CHUNK + 1000), 1.7e308, sampled.a)
-    u[2 * CHUNK + 3000:2 * CHUNK + 3002] = np.inf, -np.inf
     u, _ = _apply_both(kernel, sampled, "delay", u, u)
     assert np.isnan(u).any() and np.isinf(u).any()
+
+
+@pytest.mark.parametrize("window", [(0.5, 12.0), (0.5, 140.0)],
+                         ids=["one-chunk", "three-chunks"])
+def test_apply_raises_on_an_iterate_that_is_not_finite(window):
+    """An iterate holding inf or nan, or one whose half-differences overflow,
+    raises before any point is mapped; the worker is left with no chunk
+    queued, and the kernel maps the next finite iterate exactly."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), window, 2e-3)
+    kernel = IterationKernel(sampled, "delay")
+    assert len(kernel._blocks) == (1 if window[1] < 20.0 else 3)
+    k = np.arange(sampled.ts.size)
+    want = _bits(_where_apply(sampled, "delay", sampled.a))
+    for u in (np.where(k == k.size // 2, np.inf, sampled.a),
+              np.where(k == k.size - 1, np.nan, sampled.a),
+              np.where(k % 2, -1.7e308, 1.7e308)):
+        _raises_on(kernel, u)
+        worker = construct._workers.get(os.getpid())
+        assert worker is None or worker._work_queue.empty()
+        np.testing.assert_array_equal(_bits(kernel.apply(sampled.a)), want)
 
 
 def test_kernels_applied_from_four_threads_at_once_share_the_helper_exactly():
