@@ -26,9 +26,10 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from . import criteria, gridfn
+from .charroots import _term
 from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _node_sums,
                      _placed_integral)
-from .model import ProblemSpec, SampledProblem, _ShortWindow, _exp
+from .model import ProblemSpec, SampledProblem, _ShortWindow
 from .simulate import _equation_residual
 
 __all__ = [
@@ -116,8 +117,17 @@ class IterationKernel:
     An application maps the window block by block, each block as soon as the
     node sums its points read are summed. A window of more than one chunk of
     `gridfn.CHUNK` cells has its node sums summed a chunk at a time on one
-    worker thread (`_chunk_futures`), while this thread maps the blocks already
+    worker thread (`_NodeSums`), while this thread maps the blocks already
     summed; every value goes through the same operations as on one thread.
+    Each iterate is the next one's input, so the worker sums the iterate an
+    application returns as it is mapped, a chunk as soon as the block holding
+    its last node is, into a second node-sum array: the next application,
+    handed that iterate, finds its sums summed or in flight. Any other array
+    has its sums queued afresh, once what the worker was summing ahead is
+    cancelled (its queued chunks skipped, the running one waited for), and so
+    is a forked child's, which cannot wait on its parent's worker. A returned
+    iterate is read-only; one made writeable again is summed afresh too, so an
+    iterate is always mapped from the values it holds.
 
     The map is defined on finite iterates: u whose half-differences do not sum
     to a finite number raises ValueError. Points on a node then read the node
@@ -150,13 +160,17 @@ class IterationKernel:
         if off_node[0] is not None:  # the own points' cells are their nodes
             off_node[0] = (None, *off_node[0][1:])
         self._blocks = _block_plan(points, off_node, n)
-        self._at = tuple(None if k == 0 and off_node[0] is not None else np.empty(n)
+        longest = max(block.hi - block.lo for block in self._blocks)  # the work arrays' size
+        self._at = tuple(None if k == 0 and off_node[0] is not None else np.empty(longest)
                          for k in range(3))
         self.extrapolates = bool(np.any(sampled.h > ts[-1] + 1e-12 * step))
         self._nodes_ld = np.empty(min(n, CHUNK + 1), dtype=np.longdouble)  # one chunk
         self._nodes = np.empty(n)
+        # where the worker sums the node sums of the iterate being returned
+        self._ahead = np.empty(n) if self._blocks[-1].chunks > 1 else None
+        self._look_ahead = None  # the _NodeSums summing into _ahead
         self._half = np.empty(n - 1)  # (u[k+1] - u[k]) * 0.5
-        self._scratch = np.empty(n)
+        self._scratch = np.empty(longest)
 
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
         u = np.asarray(u_vals, dtype=float)
@@ -168,10 +182,12 @@ class IterationKernel:
         # overflow saturates to inf, and inf - inf is nan: in the half-differences
         # of an iterate that raises, and in the map where node sums overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = (u, self.sampled.step, self._nodes_ld, self._nodes)
-            chunks = _chunk_futures(*sums) if self._blocks[-1].chunks > 1 else None
-            if chunks is None:  # one chunk, with nothing to overlap, or no worker
-                _node_sums(*sums)
+            sums = ahead = None
+            if self._ahead is None:  # one chunk, with nothing to overlap
+                _node_sums(u, self.sampled.step, self._nodes_ld, self._nodes)
+            else:
+                sums = self._sums_of(u)
+                ahead = _NodeSums(out, self.sampled.step, self._nodes_ld, self._ahead)
             try:
                 np.subtract(u[1:], u[:-1], out=half)
                 half *= 0.5
@@ -179,13 +195,47 @@ class IterationKernel:
                     raise ValueError("u must be finite, with half-differences "
                                      "that sum to a finite number")
                 for block in self._blocks:
-                    if chunks is not None:
-                        chunks[block.chunks - 1].result()  # raises a chunk's error
+                    if sums is not None:
+                        sums.chunks[block.chunks - 1].result()  # raises a chunk's error
                     self._map(block, u, out[block.lo:block.hi])
+                    if ahead is not None:
+                        ahead.submit(block.hi)  # the chunks of out mapped in full
+            except BaseException:
+                if ahead is not None:
+                    ahead.cancel()
+                raise
             finally:
-                if chunks is not None:  # the worker is done with the kernel's arrays
-                    chunks[-1].exception()
+                if sums is not None:  # the worker is done with the kernel's arrays
+                    sums.cancel()
+        self._look_ahead = ahead
+        out.setflags(write=False)
         return out
+
+    def _sums_of(self, u: np.ndarray) -> "_NodeSums | None":
+        """u's node sums into _nodes, as chunks summed or in flight: those summed
+        ahead where u is the iterate the last application returned, unchanged
+        since, or else queued afresh; None where the worker refused them and
+        this thread summed them."""
+        ahead = self._look_ahead
+        if (ahead is not None and ahead.pid == os.getpid() and ahead.v is u
+                and not u.flags.writeable and ahead.queued_all()):
+            self._look_ahead = None
+            self._nodes, self._ahead = ahead.out, self._nodes
+            return ahead
+        self._cancel_look_ahead()
+        sums = _NodeSums(u, self.sampled.step, self._nodes_ld, self._nodes)
+        if sums.submit(u.size):
+            return sums
+        sums.cancel()  # the worker is done with the arrays
+        _node_sums(u, self.sampled.step, self._nodes_ld, self._nodes)
+        return None
+
+    def _cancel_look_ahead(self) -> None:
+        """Sum nothing more ahead: the worker is then done with the kernel's
+        arrays. A forked child drops its parent's chunks without waiting."""
+        ahead, self._look_ahead = self._look_ahead, None
+        if ahead is not None and ahead.pid == os.getpid():
+            ahead.cancel()
 
     def _map(self, block: _Block, u: np.ndarray, out: np.ndarray) -> None:
         """The map at the block's nodes, into out."""
@@ -212,13 +262,14 @@ class IterationKernel:
         lo, hi = block.lo, block.hi
         split = block.off_node[k]
         if split is None:
-            return self._formula(block.points[k], u, self._at[k][lo:hi], self._scratch[lo:hi])
+            return self._formula(block.points[k], u, self._at[k][:hi - lo],
+                                 self._scratch[:hi - lo])
         idx, off, off_points, off_out, off_half = split
         if idx is not None:
-            out = self._at[k][lo:hi]
+            out = self._at[k][:hi - lo]
             np.take(self._nodes, idx, out=out, mode="clip")
         elif hi < u.size:  # the own points, before the last block
-            out = self._scratch[lo:hi]
+            out = self._scratch[:hi - lo]
             out[...] = self._nodes[lo:hi]
         else:
             out = self._nodes[lo:hi]
@@ -235,8 +286,9 @@ class IterationKernel:
         return _placed_integral(p, u, self._nodes, out, scratch)
 
     def _distance(self, u: np.ndarray, w: np.ndarray) -> float:
-        """max |u - w|, computed in the kernel's scratch array."""
-        diff = np.subtract(u, w, out=self._scratch)
+        """max |u - w|, computed in the node-sum array of the last application,
+        which the next one sums anew or swaps out."""
+        diff = np.subtract(u, w, out=self._nodes)
         return float(np.max(np.abs(diff, out=diff)))
 
 
@@ -290,34 +342,59 @@ def _split_part(split, lo: int, hi: int):
 _workers = {}  # pid -> the executor, of one thread, that sums node sums in that process
 
 
-def _chunk_futures(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray):
+class _NodeSums:
     """`_node_sums(v, step, buf, out)` as one future per chunk on this process's
     worker, made on first need (so `import mixedde` starts no thread and imports
-    no `concurrent.futures`; a forked child makes its own), or None where no
-    thread takes them, as at interpreter shutdown. Each chunk runs in a copy of
-    the caller's context (numpy keeps its errstate there) and takes its carry
-    from the future before it, so it carries that chunk's error too, and the
-    last future ends after all the others."""
-    context, chunks = contextvars.copy_context(), []
-    try:
-        worker = _workers.get(os.getpid())
-        if worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-            # of two threads here at once, one keeps its executor, and only that one starts
-            worker = _workers.setdefault(os.getpid(), ThreadPoolExecutor(1, "mixedde-node-sums"))
-        for lo in range(0, v.size - 1, buf.size - 1):
-            before = chunks[-1] if chunks else None
-            chunks.append(worker.submit(context.run, _sum_chunk, before, v, step, lo, buf, out))
-    except RuntimeError:
-        if chunks:
-            chunks[-1].exception()  # the worker is done with the arrays
-        return None
-    return chunks
+    no `concurrent.futures`; a forked child makes its own), queued as v's nodes
+    become final (`submit`). Each chunk runs in a copy of the caller's context
+    (numpy keeps its errstate there) and takes its carry from the future before
+    it, so it carries that chunk's error too, and the last future ends after
+    all the others."""
 
+    def __init__(self, v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray):
+        self.v, self.step, self.buf, self.out = v, step, buf, out
+        self.pid = os.getpid()
+        self.chunks = []
+        self._lo = 0  # the first node of the next chunk to queue
+        self._cancelled = False
+        self._context = contextvars.copy_context()
 
-def _sum_chunk(before, v, step: float, lo: int, buf, out) -> np.longdouble:
-    carry = None if before is None else before.result()
-    return gridfn._node_sums_chunk(v, step, lo, carry, buf, out)
+    def queued_all(self) -> bool:
+        return self._lo >= self.v.size - 1
+
+    def submit(self, final: int) -> bool:
+        """Queue, in order, the chunks not yet queued whose nodes all lie before
+        node `final`; False where the worker takes no more, as at interpreter
+        shutdown."""
+        width, last = self.buf.size - 1, self.v.size - 1
+        try:
+            worker = _workers.get(self.pid)
+            if worker is None:
+                from concurrent.futures import ThreadPoolExecutor
+                # of two threads here at once, one keeps its executor, and only that
+                # one starts
+                worker = _workers.setdefault(self.pid,
+                                             ThreadPoolExecutor(1, "mixedde-node-sums"))
+            while self._lo < last and min(self._lo + width, last) < final:
+                before = self.chunks[-1] if self.chunks else None
+                self.chunks.append(worker.submit(self._context.run, self._sum, before,
+                                                 self._lo))
+                self._lo += width
+        except RuntimeError:
+            return False
+        return True
+
+    def cancel(self) -> None:
+        """Skip the chunks still queued and wait for the one running."""
+        self._cancelled = True
+        if self.chunks:
+            self.chunks[-1].exception()  # ends last, and raises nothing
+
+    def _sum(self, before, lo: int) -> np.longdouble | None:
+        if self._cancelled:
+            return None
+        carry = None if before is None else before.result()
+        return gridfn._node_sums_chunk(self.v, self.step, lo, carry, self.buf, self.out)
 
 
 def _require_pattern(spec: ProblemSpec, who: str) -> None:
@@ -352,9 +429,9 @@ def ineq_residual(u: GeneratingCandidate, spec: ProblemSpec, t: float) -> float:
     d = u.u.integrate(max(float(spec.g(t)), u.u.t_start), t)
     adv = u.u.integrate(t, float(spec.h(t)))
     a, b = float(spec.a(t)), float(spec.b(t))
-    if u.case == "delay":
-        return a * _exp(d) - b * _exp(-adv) - u.u(t)
-    return b * _exp(adv) - a * _exp(-d) - u.u(t)
+    if u.case == "delay":  # a zero coefficient zeroes its term, even one past the float range
+        return _term(a, d) - _term(b, -adv) - u.u(t)
+    return _term(b, adv) - _term(a, -d) - u.u(t)
 
 
 def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
@@ -366,26 +443,29 @@ def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
         raise ValueError(f"dominance hypothesis {need} fails at t={sp.ts[i]:.6g}")
 
     u_prev = _candidate_values(u0, sp)
-    u = kernel.apply(u_prev)
-    worst = float(np.max(u - u_prev))
-    if not worst <= tol:  # a nan residual fails too
-        i = int(np.argmax(u - u_prev))
-        raise ValueError(
-            f"u0 is not a supersolution: inequality residual {worst:.3e} > {tol:.1e} "
-            f"at t={sp.ts[i]:.6g}")
+    try:
+        u = kernel.apply(u_prev)
+        worst = float(np.max(u - u_prev))
+        if not worst <= tol:  # a nan residual fails too
+            i = int(np.argmax(u - u_prev))
+            raise ValueError(
+                f"u0 is not a supersolution: inequality residual {worst:.3e} > "
+                f"{tol:.1e} at t={sp.ts[i]:.6g}")
 
-    iterations = 1
-    delta = kernel._distance(u, u_prev)
-    del u_prev  # the seed is not needed again
-    while delta > tol and iterations < max_iter:
-        nxt = kernel.apply(u)
-        iterations += 1
-        delta = kernel._distance(nxt, u)
-        u = nxt
-    converged = delta <= tol
+        iterations = 1
+        delta = kernel._distance(u, u_prev)
+        del u_prev  # the seed is not needed again
+        while delta > tol and iterations < max_iter:
+            nxt = kernel.apply(u)
+            iterations += 1
+            delta = kernel._distance(nxt, u)
+            u = nxt
+        converged = delta <= tol
+        defect = kernel._distance(kernel.apply(u), u)
+    finally:  # no map is applied again, so the worker sums nothing more ahead
+        kernel._cancel_look_ahead()
 
     u_limit = GridFunction(sp.window[0], sp.step, u)
-    defect = kernel._distance(kernel.apply(u), u)
     x = synthesize_solution(u_limit, case)
     eq_res = _equation_residual(x, sp)  # x lies on the kernel's grid
     caveats = (CAVEAT_EXTRAPOLATED,) if kernel.extrapolates else ()

@@ -122,13 +122,16 @@ class GridFunction:
         """Integral of the interpolant over [lo, hi], with the clamped endpoint
         value off the grid: the trapezoid rule on lo, the nodes inside (lo, hi)
         and hi, read by np.interp, which clamps. The clamped interpolant is
-        linear between those points, so the rule is exact."""
+        linear between those points, so the rule is exact. Each value is
+        halved before the pairs are added, so finite values near the float
+        range do not overflow; halving is exact but for subnormal halves."""
         if lo > hi:
             raise ValueError(f"integration bounds out of order: {lo} > {hi}")
         ts = self.times()
         xs = np.concatenate(([lo], ts[(ts > lo) & (ts < hi)], [hi]))
         ys = np.interp(xs, ts, self.values)
-        return float(np.sum(np.diff(xs) * (ys[:-1] + ys[1:])) * 0.5)
+        ys *= 0.5
+        return float(np.sum(np.diff(xs) * (ys[:-1] + ys[1:])))
 
 
 class GridPoints:

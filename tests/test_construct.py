@@ -82,6 +82,18 @@ def test_residual_saturates_where_the_exponential_overflows():
     assert ineq_residual(u, spec, 1.0) == math.inf
 
 
+@pytest.mark.parametrize("case, a, b", [("delay", "0", "1"), ("advance", "1", "0")])
+def test_residual_takes_a_zero_coefficient_times_an_overflowing_exponential_as_zero(case, a,
+                                                                                     b):
+    """On u = 1e308 the exponential of the integral over [t, h] (delay) or
+    [g, t] (advance) overflows, and its coefficient is 0: the term is 0, not
+    0 * inf = nan, and the residual is about -u(t). Nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = ineq_residual(const_candidate(1e308, case), make_spec(a=a, b=b), 5.0)
+    assert r == pytest.approx(-1e308, rel=1e-12)
+
+
 def test_residual_sign_pattern_guard(ex3_spec):
     u = const_candidate(1.0)
     with pytest.raises(ValueError):
@@ -436,6 +448,17 @@ def test_auto_construct_holds_a_bounded_working_set(ex1_spec):
     auto_construct(ex1_spec, (0.0, 2.0))  # anything built once per process
     n = grid_cells(0.0, 20.0, STEP) + 1
     assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 20.0)), n) <= 27.5
+
+
+def test_auto_construct_over_three_chunks_holds_a_bounded_working_set(ex1_spec):
+    """The traced peak of auto_construct on ex1 over (0, 70), whose node sums
+    are summed in three chunks, in window-sized float arrays (24.77 with the
+    second node-sum array the worker sums the next iterate into, and the
+    per-block work arrays sized to the longest block; 25.31 before either)."""
+    auto_construct(ex1_spec, (0.0, 2.0))  # anything built once per process
+    n = grid_cells(0.0, 70.0, STEP) + 1
+    assert n > 2 * CHUNK + 1
+    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 70.0)), n) <= 25.32
 
 
 def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, monkeypatch):
@@ -816,13 +839,19 @@ def test_a_chunk_that_fails_on_the_helper_raises_from_apply(monkeypatch):
 def test_an_iterate_that_overflows_in_a_later_chunk_warns_nothing():
     """The worker sums the third chunk in the caller's floating-point state:
     node sums of a finite iterate past the float range raise no RuntimeWarning
-    (`_apply_both` turns one into an error)."""
+    (`_apply_both` turns one into an error). Nor do those of the returned
+    iterate, which holds inf and nan and is summed ahead; the apply handed it
+    raises, with no chunk left queued."""
     sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
     kernel = IterationKernel(sampled, "delay")
     k = np.arange(sampled.ts.size)
     u = np.where((k > 2 * CHUNK + 100) & (k < 2 * CHUNK + 1000), 1.7e308, sampled.a)
     u, _ = _apply_both(kernel, sampled, "delay", u, u)
     assert np.isnan(u).any() and np.isinf(u).any()
+    assert kernel._look_ahead.v is u
+    _raises_on(kernel, u)
+    assert kernel._look_ahead is None
+    assert construct._workers[os.getpid()]._work_queue.empty()
 
 
 @pytest.mark.parametrize("window", [(0.5, 12.0), (0.5, 140.0)],
@@ -843,6 +872,155 @@ def test_apply_raises_on_an_iterate_that_is_not_finite(window):
         worker = construct._workers.get(os.getpid())
         assert worker is None or worker._work_queue.empty()
         np.testing.assert_array_equal(_bits(kernel.apply(sampled.a)), want)
+
+
+def _drain_worker() -> None:
+    """Wait until the worker has run every chunk queued so far, such as those
+    an earlier test's kernel summed ahead and left."""
+    worker = construct._workers.get(os.getpid())
+    if worker is not None:
+        worker.submit(int).result()
+
+
+def _chunks_summed(monkeypatch) -> list:
+    """The array of each node-sum chunk summed from now on, in order."""
+    _drain_worker()
+    summed = []
+    real_chunk = gridfn._node_sums_chunk
+
+    def counting(v, *args):
+        summed.append(v)
+        return real_chunk(v, *args)
+
+    monkeypatch.setattr(gridfn, "_node_sums_chunk", counting)
+    return summed
+
+
+@pytest.mark.parametrize("name", ["ex2", "u-starts-with-minus-zero"])
+@pytest.mark.parametrize("case", ["delay", "advance"])
+def test_chained_applies_sum_each_iterate_once_while_it_is_mapped(monkeypatch, name, case):
+    """Each iterate's node sums are summed on the worker while the apply that
+    returns it still maps; the next apply, handed that iterate, sums nothing
+    afresh. Every array of a chain is summed once, a chunk at a time, and
+    every iterate matches _where_apply bit for bit."""
+    fields, window, start = _STAGED_KERNELS[name]
+    sampled = SampledProblem(make_spec(**fields), window, 2e-3)
+    kernel = IterationKernel(sampled, case)
+    chunks = len(range(0, sampled.ts.size - 1, CHUNK))
+    assert chunks == 3
+    summed = _chunks_summed(monkeypatch)
+    u = want = (start or (lambda sp: sp.a if case == "delay" else sp.b))(sampled)
+    iterates = [u]
+    for _ in range(4):
+        u, want = _apply_both(kernel, sampled, case, u, want)
+        iterates.append(u)
+        assert kernel._look_ahead.v is u and kernel._look_ahead.queued_all()
+    kernel._cancel_look_ahead()
+    assert [sum(v is it for v in summed) for it in iterates[:-1]] == [chunks] * 4
+    assert sum(v is u for v in summed) <= chunks
+    assert len(summed) == sum(any(v is it for it in iterates) for v in summed)
+
+
+def test_an_iterate_written_into_is_mapped_from_what_it_holds():
+    """apply returns its iterate read-only; one made writeable, written into
+    and handed back is summed afresh, as is a copy of an iterate, and each is
+    mapped from the values it holds."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    kernel = IterationKernel(sampled, "delay")
+    u = kernel.apply(sampled.a)
+    with pytest.raises(ValueError, match="read-only"):
+        u[0] = 1.0
+    copy = u.copy()
+    np.testing.assert_array_equal(_bits(kernel.apply(copy)),
+                                  _bits(_where_apply(sampled, "delay", copy)))
+    u = kernel.apply(sampled.a)
+    u.setflags(write=True)
+    u[::1000] *= 0.5  # in every chunk, after its node sums were queued
+    np.testing.assert_array_equal(_bits(kernel.apply(u)),
+                                  _bits(_where_apply(sampled, "delay", u.copy())))
+
+
+@pytest.mark.parametrize("next_input", ["the-iterate", "another-array"])
+def test_a_chunk_summed_ahead_that_fails_raises_from_the_apply_that_reads_it(monkeypatch,
+                                                                            next_input):
+    """The second chunk of the returned iterate's node sums fails on the
+    worker. The apply handed that iterate raises its error and leaves no chunk
+    queued; an apply handed another array drops it, and no thread exception
+    goes unhandled (the suite's filters make one an error)."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    kernel = IterationKernel(sampled, "delay")
+    real_chunk = gridfn._node_sums_chunk
+    _drain_worker()
+
+    def failing(v, step, lo, *args):
+        if lo == CHUNK and v is not sampled.a:
+            raise ArithmeticError("a chunk summed ahead fails")
+        return real_chunk(v, step, lo, *args)
+
+    monkeypatch.setattr(gridfn, "_node_sums_chunk", failing)
+    u = kernel.apply(sampled.a)
+    want = _bits(_where_apply(sampled, "delay", sampled.a))
+    np.testing.assert_array_equal(_bits(u), want)
+    if next_input == "the-iterate":
+        with pytest.raises(ArithmeticError, match="a chunk summed ahead fails"):
+            kernel.apply(u)
+    else:
+        np.testing.assert_array_equal(_bits(kernel.apply(sampled.a)), want)
+    kernel._cancel_look_ahead()
+    assert kernel._look_ahead is None
+    assert construct._workers[os.getpid()]._work_queue.empty()
+    monkeypatch.undo()
+    np.testing.assert_array_equal(_bits(kernel.apply(u)),
+                                  _bits(_where_apply(sampled, "delay", u)))
+
+
+@pytest.mark.parametrize("end", ["converged", "max-iter", "seed-rejected"])
+def test_a_construction_leaves_no_chunk_on_the_worker(monkeypatch, ex1_spec, end):
+    """_iterate returns or raises with no node-sum chunk queued or running:
+    the chunks of the last iterate, summed ahead for an apply that never
+    comes, are skipped, so none runs into the caller's next operation."""
+    made = []
+
+    class Recorded(construct._NodeSums):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(construct, "_NodeSums", Recorded)
+    window = (0.0, 70.0)
+    if end == "converged":
+        assert auto_construct(ex1_spec, window).converged
+    elif end == "max-iter":
+        seed = witness_candidate("COR_1_2", SampledProblem(ex1_spec, window, STEP))
+        assert not iterate(seed, ex1_spec, window, max_iter=3).converged
+    else:
+        with pytest.raises(ValueError, match="not a supersolution"):
+            iterate(const_candidate(0.0, window=window), ex1_spec, window)
+    assert len(made) >= 2 and all(chunk.done() for sums in made for chunk in sums.chunks)
+    assert all(sums._cancelled for sums in made)  # each told to sum nothing more
+    assert construct._workers[os.getpid()]._work_queue.empty()
+
+
+def test_cancelled_node_sums_skip_their_queued_chunks(monkeypatch):
+    """cancel waits for the chunk running and skips those still queued: here
+    all three wait behind a task that holds the worker, and none is summed."""
+    sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    IterationKernel(sampled, "delay").apply(sampled.a)  # this process's worker is made
+    n = sampled.ts.size
+    sums = construct._NodeSums(sampled.a, sampled.step,
+                               np.empty(CHUNK + 1, dtype=np.longdouble), np.empty(n))
+    summed = _chunks_summed(monkeypatch)
+    gate = threading.Event()
+    holder = construct._workers[os.getpid()].submit(gate.wait, 60.0)
+    assert sums.submit(n) and len(sums.chunks) == 3
+    canceller = threading.Thread(target=sums.cancel, daemon=True)
+    canceller.start()
+    while not sums._cancelled:
+        time.sleep(0.001)
+    gate.set()
+    canceller.join(timeout=60.0)
+    assert not canceller.is_alive() and holder.result() is True
+    assert summed == [] and [chunk.result() for chunk in sums.chunks] == [None] * 3
 
 
 def test_kernels_applied_from_four_threads_at_once_share_the_helper_exactly():
@@ -876,11 +1054,13 @@ def test_kernels_applied_from_four_threads_at_once_share_the_helper_exactly():
             np.testing.assert_array_equal(_bits(u), want)
 
 
-@pytest.mark.parametrize("refused", [0, 1, 2])
+@pytest.mark.parametrize("refused", range(6))
 def test_chunks_the_worker_refuses_are_summed_by_the_caller(monkeypatch, refused):
     """At interpreter shutdown an executor takes no new work, and its submit
     raises RuntimeError: the chunks it took finish, and apply sums every chunk
-    on its own thread, to the same bits."""
+    on its own thread, to the same bits. From 3 on, the window's three chunks
+    are taken and a chunk of the returned iterate, summed ahead, is refused:
+    the apply handed that iterate sums it afresh."""
     sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
     kernel = IterationKernel(sampled, "delay")
     kernel.apply(sampled.a)  # this process's worker is made
@@ -893,24 +1073,43 @@ def test_chunks_the_worker_refuses_are_summed_by_the_caller(monkeypatch, refused
         return taken[-1]
 
     monkeypatch.setitem(construct._workers, os.getpid(), SimpleNamespace(submit=submit))
-    np.testing.assert_array_equal(_bits(kernel.apply(sampled.a)),
-                                  _bits(_where_apply(sampled, "delay", sampled.a)))
+    want = _where_apply(sampled, "delay", sampled.a)
+    u = kernel.apply(sampled.a)
+    np.testing.assert_array_equal(_bits(u), _bits(want))
+    np.testing.assert_array_equal(_bits(kernel.apply(u)),
+                                  _bits(_where_apply(sampled, "delay", want)))
     assert len(taken) == refused and all(chunk.done() for chunk in taken)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_sums_its_node_sums_on_a_worker_of_its_own():
+def test_a_forked_child_sums_its_node_sums_on_a_worker_of_its_own(monkeypatch):
     """The parent's worker thread does not run in a forked child: a child
-    that queued its chunks there would wait for them for ever."""
+    that queued its chunks there, or waited on the chunks the parent sums
+    ahead of the iterate it returned before the fork (here held on the
+    worker until the child is done), would wait for ever."""
     sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
     kernel = IterationKernel(sampled, "delay")
     kernel.apply(sampled.a)  # the parent's worker is started
-    want = _bits(_where_apply(sampled, "delay", sampled.a))
+    want = _where_apply(sampled, "delay", sampled.a)
+    want_next = _bits(_where_apply(sampled, "delay", want))
+    parent, gate = os.getpid(), threading.Event()
+    real_chunk = gridfn._node_sums_chunk
+    _drain_worker()
+
+    def held(v, *args):
+        if os.getpid() == parent and v is not sampled.a:
+            gate.wait(60.0)
+        return real_chunk(v, *args)
+
+    monkeypatch.setattr(gridfn, "_node_sums_chunk", held)
+    first = kernel.apply(sampled.a)
     pid = os.fork()
     if pid == 0:  # the child exits here, whatever happens
         code = 1
         try:
-            code = 0 if np.array_equal(_bits(kernel.apply(sampled.a)), want) else 3
+            same = (np.array_equal(_bits(kernel.apply(first)), want_next)
+                    and np.array_equal(_bits(kernel.apply(sampled.a)), _bits(want)))
+            code = 0 if same else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
@@ -921,13 +1120,16 @@ def test_a_forked_child_sums_its_node_sums_on_a_worker_of_its_own():
     if not done:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+    gate.set()
     assert done and os.waitstatus_to_exitcode(status) == 0
+    np.testing.assert_array_equal(_bits(kernel.apply(first)), want_next)
 
 
 def test_apply_returns_a_fresh_array_it_does_not_keep(ex1_spec):
     """`_iterate` reads its step size from the last two iterates: an iterate
     that was a buffer of the kernel would be overwritten by the next apply,
-    and the step would read 0 after one step."""
+    and the step would read 0 after one step. The iterate is read-only, so
+    the node sums a kernel sums ahead of it stay its own."""
     sampled = SampledProblem(ex1_spec, (0.0, 5.0), 1e-2)
     kernel = IterationKernel(sampled, "delay")
     buffers = [a for v in vars(kernel).values()
@@ -938,7 +1140,8 @@ def test_apply_returns_a_fresh_array_it_does_not_keep(ex1_spec):
     kept = first.copy()
     second = kernel.apply(first)
     for result, given in ((first, u0), (second, first)):
-        assert result.flags.writeable and result.shape == u0.shape
+        assert not result.flags.writeable and result.flags.owndata
+        assert result.shape == u0.shape
         assert not np.shares_memory(result, given)
         assert not any(np.shares_memory(result, buf) for buf in buffers)
     np.testing.assert_array_equal(_bits(first), _bits(kept))

@@ -88,6 +88,15 @@ def test_integral_off_the_grid_uses_clamped_values():
     assert f.integrate(2.0, 3.0) == 4.0
 
 
+def test_integral_of_values_near_the_float_range_does_not_overflow():
+    """Each value is halved before a pair is added: 1e308 + 1e308 overflows
+    (a RuntimeWarning, an error under the suite's filters), where the integral,
+    0.3 * 1e308, is a float."""
+    f = GridFunction.constant(1e308, 0.0, 10.0, 1e-3)
+    assert f.integrate(4.7, 5.0) == pytest.approx(3e307, rel=1e-12)
+    assert f.integrate(-1.0, 0.5) == pytest.approx(1.5e308, rel=1e-12)
+
+
 def test_interpolation_and_clamping():
     f = GridFunction(0.0, 0.5, np.array([0.0, 1.0, 0.0]))
     assert f(0.25) == pytest.approx(0.5)
