@@ -110,9 +110,9 @@ class _Block(NamedTuple):
 class IterationKernel:
     """One application of the generating-function map on a sampled window grid.
 
-    The kernel owns the working arrays of `apply`, allocated once here, so an
-    application allocates only the iterate it returns; a kernel therefore runs
-    one application at a time.
+    The kernel owns the working arrays of `apply`, allocated by the first
+    application and kept until `_release`, so an application allocates only
+    the iterate it returns; a kernel therefore runs one application at a time.
 
     An application maps the window block by block, each block as soon as the
     node sums its points read are summed. A window of more than one chunk of
@@ -160,19 +160,33 @@ class IterationKernel:
         if off_node[0] is not None:  # the own points' cells are their nodes
             off_node[0] = (None, *off_node[0][1:])
         self._blocks = _block_plan(points, off_node, n)
-        longest = max(block.hi - block.lo for block in self._blocks)  # the work arrays' size
-        self._at = tuple(None if k == 0 and off_node[0] is not None else np.empty(longest)
-                         for k in range(3))
+        self._own_split = off_node[0] is not None  # the own points keep no integral
         self.extrapolates = bool(np.any(sampled.h > ts[-1] + 1e-12 * step))
+        self._look_ahead = None  # the _NodeSums summing into _ahead
+        self._nodes = None  # the working arrays are not allocated (`_allocate`)
+
+    def _allocate(self) -> None:
+        n = self.sampled.n
+        longest = max(block.hi - block.lo for block in self._blocks)  # the work arrays' size
+        self._at = tuple(None if k == 0 and self._own_split else np.empty(longest)
+                         for k in range(3))
         self._nodes_ld = np.empty(min(n, CHUNK + 1), dtype=np.longdouble)  # one chunk
         self._nodes = np.empty(n)
         # where the worker sums the node sums of the iterate being returned
         self._ahead = np.empty(n) if self._blocks[-1].chunks > 1 else None
-        self._look_ahead = None  # the _NodeSums summing into _ahead
         self._half = np.empty(n - 1)  # (u[k+1] - u[k]) * 0.5
         self._scratch = np.empty(longest)
 
+    def _release(self) -> None:
+        """Free the working arrays, once the worker sums nothing more ahead; the
+        next application allocates them again."""
+        self._cancel_look_ahead()
+        self._at = self._nodes_ld = self._nodes = self._ahead = self._half = None
+        self._scratch = None
+
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
+        if self._nodes is None:
+            self._allocate()
         u = np.asarray(u_vals, dtype=float)
         if u.shape != self._nodes.shape:
             raise ValueError(f"u has shape {u.shape}, the kernel's grid "
@@ -464,6 +478,7 @@ def _iterate(kernel: IterationKernel, u0: GeneratingCandidate, tol: float,
         defect = kernel._distance(kernel.apply(u), u)
     finally:  # no map is applied again, so the worker sums nothing more ahead
         kernel._cancel_look_ahead()
+    kernel._release()  # allocated again if a later seed is tried
 
     u_limit = GridFunction(sp.window[0], sp.step, u)
     x = synthesize_solution(u_limit, case)
@@ -545,6 +560,7 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     _require_pattern(spec, "auto_construct")
     _require_stopping_rule(tol, max_iter)
     sampled = SampledProblem(spec, window, step)
+    sampled.sample()  # whole, as the kernel and the seeds read them, before the margins
     case = next((c for c in _CASES if sampled.margin(c)[0] >= -_NEG_TOL), None)
     if case is None:
         raise ValueError("neither dominance hypothesis holds: a-b changes sign "

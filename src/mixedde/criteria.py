@@ -36,7 +36,7 @@ import numpy as np
 
 from . import charroots
 from .gridfn import CumulativeIntegral, GridFunction, node_times
-from .model import Bounds, ProblemSpec, SampledProblem
+from .model import _SLACK, Bounds, ProblemSpec, SampledProblem
 
 __all__ = [
     "Certificate",
@@ -65,7 +65,6 @@ CAVEAT_EQUICONTINUITY = "unverified-equicontinuity"
 
 ONE_OVER_E = 1.0 / math.e
 _STRICT_MARGIN = 1e-9     # strict "< 1/e" tested as <= 1/e - margin
-_SLACK = 1e-12            # nonstrict comparisons absorb this much grid noise
 _WITNESS_SLACK = 1e-12
 _DIVERGENCE_THRESHOLD = 5.0  # the refinements' gap integral must exceed this
 _MAX_CELLS = 10**6        # sweep_region grid size, checked before allocating
@@ -145,7 +144,7 @@ def _sup_witness(ts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 
 def _at_node(sp: SampledProblem, sup: tuple[float, int]) -> tuple[float, float]:
     """A sup of SampledProblem's, (value, node), as (value, t at that node)."""
-    return sup[0], float(sp.ts[sup[1]])
+    return sup[0], float(node_times(sp.window[0], sp.step, sup[1] + 1, sup[1])[0])
 
 
 # ---------------------------------------------------------------------------

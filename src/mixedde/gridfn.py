@@ -49,9 +49,10 @@ def grid_cells(t_start: float, t_end: float, step: float) -> int:
     return cells
 
 
-def node_times(t_start: float, step: float, n: int) -> np.ndarray:
-    """t_start + step * np.arange(n) bit for bit, built in place in one float array."""
-    ts = np.arange(n, dtype=float)
+def node_times(t_start: float, step: float, n: int, lo: int = 0) -> np.ndarray:
+    """Nodes lo..n-1 of the grid t_start + step * np.arange(n), bit for bit, built
+    in place in one float array."""
+    ts = np.arange(lo, n, dtype=float)
     ts *= step
     ts += t_start
     return ts
@@ -166,17 +167,19 @@ class GridPoints:
 CHUNK = 1 << 15
 
 
-def _node_sums(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray) -> None:
-    """The trapezoid running integral of the grid values v at every node, into out;
-    sums past the float range saturate to +/-inf.
+def _node_sums(v: np.ndarray, step: float, buf: np.ndarray, out: np.ndarray,
+               lo: int = 0, carry: np.longdouble | None = None) -> np.longdouble | None:
+    """The trapezoid running integral of the grid values v at every node past lo,
+    into out, given carry, the sum at node lo (None at the grid's first node);
+    returns the sum at the last node. Sums past the float range saturate to +/-inf.
 
     It is accumulated in longdouble, because differences of far-apart node sums
     (the short deviated integrals) must stay accurate to ~1e-13: in the longdouble
     array buf, len(buf) - 1 cells at a time, each chunk over the last (`_node_sums_chunk`).
     """
-    carry = None
-    for lo in range(0, v.size - 1, buf.size - 1):
+    for lo in range(lo, v.size - 1, buf.size - 1):
         carry = _node_sums_chunk(v, step, lo, carry, buf, out)
+    return carry
 
 
 def _node_sums_chunk(v: np.ndarray, step: float, lo: int, carry: np.longdouble | None,
@@ -186,8 +189,8 @@ def _node_sums_chunk(v: np.ndarray, step: float, lo: int, carry: np.longdouble |
 
     0.5 * step is exact, so one scaling rounds as the two it stands for. The
     first cell adds carry, so every sum is rounded as one cumsum over all cells
-    rounds it; the chunk at node 0 adds nothing, so a -0.0 first cell keeps its
-    sign.
+    rounds it, wherever the chunks start; a chunk with no carry starts the grid
+    and adds nothing, so a -0.0 first cell keeps its sign.
     """
     hi = min(lo + buf.size - 1, v.size - 1)
     chunk = buf[:hi - lo + 1]
@@ -196,10 +199,10 @@ def _node_sums_chunk(v: np.ndarray, step: float, lo: int, carry: np.longdouble |
     with np.errstate(over="ignore"):
         np.add(sums, chunk[1:], out=sums)  # forward in place, with no copy
         sums *= np.longdouble(0.5) * np.longdouble(step)
-        if lo:
+        if carry is not None:
             sums[0] = carry + sums[0]
         else:
-            out[0] = 0.0
+            out[lo] = 0.0
         np.cumsum(sums, out=sums)
         out[lo + 1:hi + 1] = sums
     return sums[-1]
@@ -258,13 +261,57 @@ class CumulativeIntegral:
 
     def at(self, p: GridPoints, out: np.ndarray | None = None) -> np.ndarray:
         """The integral at the placed points p, into out if given."""
-        f, v = self.f, self.f.values
-        if p.grid != (f.t_start, f.step, len(v)):
+        f = self.f
+        if p.grid != (f.t_start, f.step, len(f.values)):
             raise ValueError("points were placed on another grid")
-        # overflow saturates to inf, and values holding inf give inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.take(v, p.idx, out=out, mode="clip")  # idx is already clipped
-            half = np.take(v[1:], p.idx, mode="clip")
-            half -= out
-            half *= 0.5
-            return _placed_integral(p, v, self._nodes, out, half)
+        return _integral_at(p, f.values, self._nodes, out)
+
+
+def _integral_at(p: GridPoints, v: np.ndarray, nodes: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The running integral at the placed points p of the grid values v, whose node
+    sums are nodes, into out if given; p's cells are counted from v[0]."""
+    # overflow saturates to inf, and values holding inf give inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.take(v, p.idx, out=out, mode="clip")  # idx is already clipped
+        half = np.take(v[1:], p.idx, mode="clip")
+        half -= out
+        half *= 0.5
+        return _placed_integral(p, v, nodes, out, half)
+
+
+class _Stretch:
+    """The values and node sums of nodes first..end-1 of a grid of `size` nodes,
+    walked forward a stretch at a time; node sums carry the longdouble sum
+    across extensions, so each has the bits of a build over the whole grid."""
+
+    def __init__(self, t_start: float, step: float, size: int):
+        self.grid = (t_start, step, size)
+        self.first = self.end = 0
+        self.values = self.nodes = np.empty(0)
+        self._carry = None
+
+    def extend(self, values: np.ndarray, first: int, buf: np.ndarray) -> None:
+        """Append the values of the nodes from `end` on (the first stretch keeps
+        values itself), and drop those before `first` but the last node held;
+        buf is `_node_sums`' longdouble work array."""
+        first = max(self.first, min(first, self.end - 1))
+        kept = self.end - first
+        if kept:
+            values = np.concatenate((self.values[first - self.first:], values))
+        nodes = np.empty(values.size)
+        nodes[:kept] = self.nodes[first - self.first:]
+        self._carry = _node_sums(values, self.grid[1], buf, nodes, max(kept - 1, 0),
+                                 self._carry)
+        self.first, self.end, self.values, self.nodes = first, first + values.size, values, nodes
+
+    def place(self, t) -> GridPoints:
+        """t placed on the whole grid, cells counted from node `first`, for `at`
+        of any stretch of the grid that holds them from that node (first == 0
+        for points before the grid, end == size for points past it)."""
+        p = GridPoints(*self.grid, t)
+        p.idx -= self.first
+        return p
+
+    def at(self, p: GridPoints, out: np.ndarray | None = None) -> np.ndarray:
+        return _integral_at(p, self.values, self.nodes, out)

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints,
+from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _Stretch,
                      check_grid_size, grid_cells, node_times)
 
 __all__ = [
@@ -78,6 +78,7 @@ _FUNCTIONS = frozenset(k for k, op in _OPERATORS.items() if op.form == k + "({})
 _MAX_DEPTH = 150  # parsed trees and brackets nest at most this deep
 _INFLATION = 1e-6  # relative outward margin of sampled envelope bounds
 _ENVELOPE_SAMPLES = 10001  # points per window where no closed form exists
+_SLACK = 1e-12  # nonstrict comparisons absorb this much grid noise
 
 
 class ExprSyntaxError(ValueError):
@@ -372,15 +373,29 @@ def _require_finite(name: str, vals, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
-class SampledProblem:
-    """a, b, g, h sampled once on the window grid ts = t1 + k*step, k = 0..cells.
+def _note_bad(bad: dict[str, float], key: str, vals: np.ndarray, ts: np.ndarray) -> None:
+    """Keep in bad, under key, the time of the first non-finite value in vals."""
+    if key not in bad and not np.isfinite(vals).all():
+        bad[key] = float(ts[np.flatnonzero(~np.isfinite(vals))[0]])
 
-    Certificate checks, the seeds and the iteration kernel of the construction,
-    relax and equation_residual take their samples from it, and each quantity
-    they read off the window is derived here once: the dominance margin, the
-    sups of the deviated integrals and of the pointwise test, and the gap
-    integrals. A step that is not positive and finite, a grid of more than
-    MAX_GRID_POINTS nodes, and any non-finite sample raise ValueError.
+
+class SampledProblem:
+    """a, b, g, h on the window grid ts = t1 + k*step, k = 0..n-1, and each
+    quantity read off them, derived here once: the dominance margins, tau and
+    sigma, the sups of the deviated integrals and of the pointwise test, and
+    the gap integrals.
+
+    Nothing is sampled before it is read. The first read of a, b, g or h
+    samples all four whole on ts, as the construction, relax and the same-sign
+    tests read them. The other quantities come from passes over blocks of
+    gridfn.CHUNK nodes, which slice the whole samples where they are taken
+    (always, on a window of one block) and sample block by block elsewhere, so
+    that `check` holds no array longer than a block and its halo: tau and
+    sigma from g and h, the rest from one pass (`_window`). A step that is not
+    positive and finite or a grid of more than MAX_GRID_POINTS nodes raises
+    ValueError here; a non-finite sample raises it from the first read that
+    meets one, naming a, b, g, h in that order, then a and b on the widened
+    grid, each at its first such node.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
@@ -390,43 +405,81 @@ class SampledProblem:
         self.spec = spec
         self.window = (t1, T)
         self.step = step
-        self.ts = node_times(t1, step, grid_cells(t1, T, step) + 1)
-        self.a, self.b, self.g, self.h = (
-            _require_finite(name, getattr(spec, name)(self.ts), self.ts)
-            for name in "abgh")
-        self._gap_integrals: dict[str, tuple[tuple[float, float], ...]] = {}
+        self.n = grid_cells(t1, T, step) + 1
 
     @cached_property
+    def ts(self) -> np.ndarray:
+        return node_times(self.window[0], self.step, self.n)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in ("a", "b", "g", "h"):
+            raise AttributeError(name)
+        self.sample()
+        return vars(self)[name]
+
+    def sample(self) -> None:
+        """Sample a, b, g and h whole, those not yet sampled, in that order."""
+        for k in "abgh":
+            if k not in vars(self):
+                setattr(self, k, _require_finite(k, getattr(self.spec, k)(self.ts), self.ts))
+
+    def _blocks(self, names: str, bad: dict[str, float]):
+        """(first node, ts, samples of each coefficient in names) per block; a
+        sample taken here, not sliced, that is not finite is noted in bad."""
+        n, whole = self.n, self.n <= CHUNK
+        for lo in range(0, n, CHUNK):
+            hi = min(lo + CHUNK, n)
+            ts = (self.ts[lo:hi] if whole or "ts" in vars(self)
+                  else node_times(self.window[0], self.step, hi, lo))
+            samples = []
+            for k in names:
+                if whole or k in vars(self):
+                    samples.append(getattr(self, k)[lo:hi])
+                else:
+                    samples.append(getattr(self.spec, k)(ts))
+                    _note_bad(bad, k, samples[-1], ts)
+            yield lo, ts, samples
+
+    @cached_property
+    def _reach(self) -> tuple[float, float, float, float]:
+        # tau, sigma, and how far any g or h lies behind or ahead of its node
+        tau = sigma = behind = ahead = -math.inf
+        bad: dict[str, float] = {}
+        for _, ts, (g, h) in self._blocks("gh", bad):
+            if bad:
+                self._window(False, {})  # raises, naming a non-finite a or b first
+            gap = ts - g
+            tau, ahead = max(tau, float(np.max(gap))), max(ahead, -float(np.min(gap)))
+            gap = np.subtract(h, ts, out=gap)
+            sigma, behind = max(sigma, float(np.max(gap))), max(behind, -float(np.min(gap)))
+        tau, sigma = max(tau, 0.0), max(sigma, 0.0)
+        return tau, sigma, max(tau, behind), max(sigma, ahead)
+
+    @property
     def tau(self) -> float:
         """Largest delay t - g(t) on the grid, at least 0."""
-        return max(float(np.max(self.ts - self.g)), 0.0)
+        return self._reach[0]
 
-    @cached_property
+    @property
     def sigma(self) -> float:
         """Largest advance h(t) - t on the grid, at least 0."""
-        return max(float(np.max(self.h - self.ts)), 0.0)
+        return self._reach[1]
 
     @cached_property
     def bounds(self) -> Bounds:
-        """extract_bounds on the window."""
+        """extract_bounds on the window, once its samples are found finite."""
+        self.margin("delay")
         return extract_bounds(self.spec, self.window)
-
-    @cached_property
-    def _margins(self) -> dict[str, tuple[float, int]]:
-        # fl(b - a) = -fl(a - b): the least b - a sits at the first argmax of a - b
-        gap = self.a - self.b
-        lo, hi = int(np.argmin(gap)), int(np.argmax(gap))
-        return {"delay": (float(gap[lo]), lo),
-                "advance": (float(self.b[hi] - self.a[hi]), hi)}
 
     def margin(self, case: str) -> tuple[float, int]:
         """(least value, first node where it occurs) of a - b on the grid for case
         "delay", of b - a for case "advance"; negative where dominance fails."""
-        return self._margins[case]
+        return self._found()["margins"][case]
 
     def widened_cumulative(self, name: str) -> CumulativeIntegral:
         """The cumulative integral of coefficient `name` on the window grid widened
-        by 2*tau + step and 2*sigma + step, built anew: every deviated integral."""
+        by 2*tau + step and 2*sigma + step, built anew once the window is sampled."""
+        self.sample()
         t1, T = self.window
         lo, hi = t1 - 2.0 * self.tau - self.step, T + 2.0 * self.sigma + self.step
         grid = GridFunction.from_callable(getattr(self.spec, name), lo, hi, self.step)
@@ -434,18 +487,49 @@ class SampledProblem:
             _require_finite(name, grid.values, grid.times())
         return CumulativeIntegral(grid)
 
-    @cached_property
-    def _deviated_sups(self) -> dict[tuple[str, str], tuple[float, int]]:
-        # over the window nodes, block by block of gridfn.CHUNK, on cumulative
-        # integrals of a and b over the widened grid, which are freed on return
-        cum_a, cum_b = self.widened_cumulative("a"), self.widened_cumulative("b")
-        f = cum_a.f
-        n = self.ts.size
-        buffers = tuple(np.empty(min(n, CHUNK)) for _ in range(5))
-        sups: dict[tuple[str, str], tuple[float, int]] = {}
+    def _found(self, deviated: bool = False, gap: str | None = None) -> dict:
+        """What the last pass found, after a pass where it lacks the sups (with
+        deviated) or gap's integral. The deviated pass sums the gap integral of
+        each case whose dominance holds to within _SLACK; any other gets a pass."""
+        found = vars(self).get("_last")
+        if found is None or deviated and "sups" not in found:
+            cases = ("delay", "advance") if deviated else ()
+            found = self._last = self._window(deviated, dict.fromkeys(cases, -_SLACK))
+        if gap is not None and gap not in found["gaps"]:
+            found["gaps"][gap] = self._window(False, {gap: -math.inf})["gaps"][gap]
+        return found
 
-        def place(t: np.ndarray) -> GridPoints:
-            return GridPoints(f.t_start, f.step, len(f.values), t)
+    def _window(self, deviated: bool, gaps: dict[str, float],
+                saturate: tuple[bool, bool] = (True, True)) -> dict:
+        """One pass over the window's blocks: the margins, and the gap integral of
+        each case in gaps while its margin stays >= gaps[case]; with deviated,
+        the four sups too, on the grid of `widened_cumulative`, walked a stretch
+        at a time (`gridfn._Stretch`) from `behind` each block to `ahead` of it.
+        Non-finite samples raise ValueError once the pass is over.
+
+        +inf - +inf saturates where the widened node sums end at +inf (see
+        `deviated_sup`). The pass assumes so wherever it meets +inf node sums,
+        and runs again where they end finite (a coefficient of both signs).
+        """
+        spec, step, n = self.spec, self.step, self.n
+        t1, T = self.window
+        bad: dict[str, float] = {}
+        low = top = None  # (least a - b, node), (most a - b, b - a there, node)
+        quarters = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
+        points = np.array((t1, *quarters))
+        cells = GridPoints(t1, step, n, points).idx if gaps else None
+        done = 0  # points read so far
+        stretches = {case: _Stretch(t1, step, n) for case in gaps}
+        at = {case: np.empty(points.size) for case in gaps}
+        width = n  # of the longest grid summed
+        if deviated:
+            tau, sigma, behind, ahead = self._reach
+            w0 = t1 - 2.0 * tau - step
+            m = width = grid_cells(w0, T + 2.0 * sigma + step, step) + 1
+            widened = [_Stretch(w0, step, m) for _ in "ab"]
+            buffers = tuple(np.empty(min(n, CHUNK)) for _ in range(5))
+            assumed = [False, False]
+            sups: dict[tuple[str, str], tuple[float, int]] = {}
 
         def subtract(x: np.ndarray, y: np.ndarray, out: np.ndarray, saturate: bool) -> None:
             both = (x == math.inf) & (y == math.inf) if saturate else None
@@ -462,34 +546,83 @@ class SampledProblem:
                                 and (math.isnan(value) or value > best[0])):
                 sups[key] = (value, lo + i)
 
-        sat_a, sat_b = cum_a.total == math.inf, cum_b.total == math.inf
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: see subtract
-            for lo in range(0, n, CHUNK):
-                block = slice(lo, lo + CHUNK)
-                a, b = self.a[block], self.b[block]
-                a_g, a_h, b_g, b_h, h = (x[:a.size] for x in buffers)
-                p = place(self.ts[block])
+        # overflow saturates to inf; inf - inf: see subtract; non-finite samples
+        # go through the pass before they raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, ts, (a, b, g, h) in self._blocks("abgh", bad):
+                hi = lo + ts.size
+                # the longdouble chunk of the block's node sums, freed before it is placed
+                buf = (np.empty(min(width, CHUNK) + 1, np.longdouble)
+                       if stretches or deviated else None)
+                # fl(b - a) = -fl(a - b): the least b - a sits at the first argmax of a - b
+                gap = a - b
+                i, j = int(np.argmin(gap)), int(np.argmax(gap))
+                if low is None or gap[i] < low[0]:
+                    low = (float(gap[i]), lo + i)
+                if top is None or gap[j] > top[0]:
+                    top = (float(gap[j]), float(b[j] - a[j]), lo + j)
+                last = n - 2 if hi == n else hi - 2  # the block's last cell
+                k = int(np.searchsorted(cells, last, "right")) if stretches else done
+                for case in list(stretches):
+                    stretch = stretches[case]
+                    if not (low[0] if case == "delay" else top[1]) >= gaps[case]:
+                        del stretches[case]
+                        continue
+                    stretch.extend(gap if case == "delay" else b - a, lo - 1, buf)
+                    if k > done:
+                        stretch.at(stretch.place(points[done:k]), at[case][done:k])
+                    stretch.extend(gap[:0], hi, buf)  # only the carried node stays
+                done = k
+                del gap
+                if not deviated:
+                    continue
+                first = max(0, math.floor((ts[0] - behind - w0) / step) - 2)
+                end = m if hi == n else min(m, math.floor((ts[-1] + ahead - w0) / step) + 4)
+                for name, stretch in zip("ab", widened):
+                    t = node_times(w0, step, max(end, stretch.end), stretch.end)
+                    vals = getattr(spec, name)(t)
+                    _note_bad(bad, "widened " + name, vals, t)
+                    del t
+                    stretch.extend(vals, first, buf)
+                del buf
+                cum_a, cum_b = widened
+                sat_a, sat_b = (ok and np.max(s.nodes) == math.inf
+                                for ok, s in zip(saturate, widened))
+                assumed = [assumed[0] or sat_a, assumed[1] or sat_b]
+                a_g, a_h, b_g, b_h, h_at = (x[:ts.size] for x in buffers)
+                p = cum_a.place(ts)
                 a_t, b_t = cum_a.at(p, a_h), cum_b.at(p, b_h)
                 del p  # one placement is alive at a time
-                p = place(self.g[block])
+                p = cum_a.place(g)
                 subtract(a_t, cum_a.at(p, a_g), a_g, sat_a)
                 subtract(b_t, cum_b.at(p, b_g), b_g, sat_b)
                 del p
-                p = place(self.h[block])
-                subtract(cum_a.at(p, h), a_t, a_h, sat_a)
-                subtract(cum_b.at(p, h), b_t, b_h, sat_b)
+                p = cum_a.place(h)
+                subtract(cum_a.at(p, h_at), a_t, a_h, sat_a)
+                subtract(cum_b.at(p, h_at), b_t, b_h, sat_b)
                 del p
                 reduce(("integral", "delay"), a_g, lo)
                 reduce(("integral", "advance"), b_h, lo)
                 # main * (e^back - 1) * e^ahead - other, in place in back
-                for case, main, other, back, ahead in (("delay", a, b, a_g, a_h),
-                                                       ("advance", b, a, b_h, b_g)):
+                for case, main, other, back, fwd in (("delay", a, b, a_g, a_h),
+                                                     ("advance", b, a, b_h, b_g)):
                     np.expm1(back, out=back)
                     np.multiply(main, back, out=back)
-                    back *= np.exp(ahead, out=ahead)
+                    back *= np.exp(fwd, out=fwd)
                     back -= other
                     reduce(("rhs", case), back, lo)
-        return sups
+        for key in ("a", "b", "g", "h", "widened a", "widened b"):
+            if key in bad:
+                raise ValueError(f"{key[-1]}(t) is not finite at t={bad[key]:.6g}")
+        found = {"margins": {"delay": low, "advance": top[1:]},
+                 "gaps": {case: tuple(zip(quarters, (at[case][1:] - at[case][0]).tolist()))
+                          for case in stretches}}
+        if deviated:
+            ends = tuple(s.nodes[-1] == math.inf for s in widened)
+            if assumed[0] > ends[0] or assumed[1] > ends[1]:
+                return self._window(deviated, gaps, ends)
+            found["sups"] = sups
+        return found
 
     def deviated_sup(self, case: str) -> tuple[float, int]:
         """(sup, first node where it occurs) over the window grid of int_g^t a for
@@ -502,27 +635,21 @@ class SampledProblem:
         saturates to +inf without a warning. Any other nan stays, and a nan is
         the sup at the first node that holds one, as np.argmax reads it.
         """
-        return self._deviated_sups[("integral", case)]
+        return self._found(True)["sups"][("integral", case)]
 
     def rhs_sup(self, case: str) -> tuple[float, int]:
         """(sup, first node) of the pointwise test's right-hand side minus the
         other coefficient, a*(e^{int_g^t a} - 1)*e^{int_t^h a} - b for case
         "delay" and b*(e^{int_t^h b} - 1)*e^{int_g^t b} - a for "advance";
         overflow saturates to inf. Reduced with `deviated_sup`'s sups."""
-        return self._deviated_sups[("rhs", case)]
+        return self._found(True)["sups"][("rhs", case)]
 
     def gap_integrals(self, case: str) -> tuple[tuple[float, float], ...]:
         """(c, int_{t1}^{c} gap) at the window's quarter points c = t1 + k*(T - t1)/4,
         k = 1..4, where the gap is a - b for case "delay" and b - a for "advance",
-        by the trapezoid rule on the window grid. Computed once per case, with
-        t1 and the four points placed on the grid in one call."""
-        if case not in self._gap_integrals:
-            gap = self.a - self.b if case == "delay" else self.b - self.a
-            t1, T = self.window
-            points = tuple(t1 + k * (T - t1) / 4.0 for k in (1, 2, 3, 4))
-            at = CumulativeIntegral(GridFunction(t1, self.step, gap))(np.array((t1, *points)))
-            self._gap_integrals[case] = tuple(zip(points, (at[1:] - at[0]).tolist()))
-        return self._gap_integrals[case]
+        by the trapezoid rule on the window grid, its node sums carried from block
+        to block."""
+        return self._found(gap=case)["gaps"][case]
 
 
 # ---------------------------------------------------------------------------

@@ -547,7 +547,7 @@ def equation_residual(x: GridFunction, spec: ProblemSpec) -> float:
 
 def _equation_residual(x: GridFunction, sampled: SampledProblem) -> float:
     """equation_residual with the problem already sampled on x's grid."""
-    spec, ts = sampled.spec, sampled.ts
+    spec, ts, g, h = sampled.spec, sampled.ts, sampled.g, sampled.h  # whole, before tau
     lo = x.t_start + sampled.tau - 1e-9 * x.step
     hi = x.t_end - sampled.sigma + 1e-9 * x.step
     inner = np.flatnonzero((ts >= lo) & (ts <= hi))
@@ -557,8 +557,8 @@ def _equation_residual(x: GridFunction, sampled: SampledProblem) -> float:
     v = x.values
     with np.errstate(over="ignore", invalid="ignore"):  # an x at inf gives nan
         dx = (v[inner + 1] - v[inner - 1]) / (2.0 * x.step)
-        xg = np.interp(sampled.g[inner], ts, v)
-        xh = np.interp(sampled.h[inner], ts, v)
+        xg = np.interp(g[inner], ts, v)
+        xh = np.interp(h[inner], ts, v)
         res = dx + spec.delta1 * sampled.a[inner] * xg + spec.delta2 * sampled.b[inner] * xh
     return float(np.max(np.abs(res)))
 

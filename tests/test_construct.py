@@ -440,25 +440,62 @@ def test_auto_construct_evaluates_each_coefficient_once_on_the_window_grid(ex1_s
 
 def test_auto_construct_holds_a_bounded_working_set(ex1_spec):
     """The traced peak of auto_construct on ex1 over (0, 20), in window-sized
-    float arrays (27.14; 29.17 while the kernel kept the offsets of the split
-    g and h points, 32.18 while it kept a window-sized longdouble node-sum
-    buffer and a placement and an integral of the window's own points, 36.19
-    while the window-sized dominance gaps, the seed and the first iterate
-    stayed alive through the construction)."""
+    float arrays (21.34 since the kernel's working arrays are freed before the
+    solution is synthesized and its residual taken; 27.14 before, 29.17 while
+    the kernel kept the offsets of the split g and h points, 32.18 while it
+    kept a window-sized longdouble node-sum buffer and a placement and an
+    integral of the window's own points, 36.19 while the window-sized dominance
+    gaps, the seed and the first iterate stayed alive through the
+    construction)."""
     auto_construct(ex1_spec, (0.0, 2.0))  # anything built once per process
     n = grid_cells(0.0, 20.0, STEP) + 1
-    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 20.0)), n) <= 27.5
+    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 20.0)), n) <= 21.4
 
 
 def test_auto_construct_over_three_chunks_holds_a_bounded_working_set(ex1_spec):
     """The traced peak of auto_construct on ex1 over (0, 70), whose node sums
-    are summed in three chunks, in window-sized float arrays (24.77 with the
-    second node-sum array the worker sums the next iterate into, and the
-    per-block work arrays sized to the longest block; 25.31 before either)."""
+    are summed in three chunks, in window-sized float arrays (19.82 since the
+    kernel's working arrays are freed before the solution is synthesized; 24.77
+    with the second node-sum array the worker sums the next iterate into, and
+    the per-block work arrays sized to the longest block; 25.31 before either)."""
     auto_construct(ex1_spec, (0.0, 2.0))  # anything built once per process
     n = grid_cells(0.0, 70.0, STEP) + 1
     assert n > 2 * CHUNK + 1
-    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 70.0)), n) <= 25.32
+    assert peak_window_arrays(lambda: auto_construct(ex1_spec, (0.0, 70.0)), n) <= 19.9
+
+
+def test_a_seed_rejected_after_the_kernel_is_released_is_followed_by_the_next(ex1_spec,
+                                                                             monkeypatch):
+    """A construction frees the kernel's working arrays before it synthesizes the
+    solution; a seed whose solution is then rejected leaves the kernel for the
+    next seed, which allocates them again and gives the same bits as its own
+    construction."""
+    window = (0.0, 40.0)  # two chunks of node sums: the second node-sum array too
+    kernels, limits = [], []
+    real_iterate, real_synthesize = construct._iterate, construct.synthesize_solution
+
+    def watching(kernel, seed, tol, max_iter):
+        kernels.append(kernel)
+        return real_iterate(kernel, seed, tol, max_iter)
+
+    def first_rejected(u, case):
+        limits.append(u)
+        if len(limits) == 1:
+            assert kernels[0]._nodes is None  # freed
+            raise ValueError("first limit rejected")
+        return real_synthesize(u, case)
+
+    monkeypatch.setattr(construct, "_iterate", watching)
+    monkeypatch.setattr(construct, "synthesize_solution", first_rejected)
+    result = auto_construct(ex1_spec, window)
+    monkeypatch.undo()
+    assert len(kernels) == 2 and kernels[0] is kernels[1] and kernels[0]._nodes is None
+    lam = check("COR_1_3", ex1_spec, window).witness["lambda"]
+    direct = iterate(witness_candidate("COR_1_3", SampledProblem(ex1_spec, window, STEP),
+                                       lam=lam), ex1_spec, window)
+    assert result.iterations == direct.iterations
+    np.testing.assert_array_equal(_bits(result.u_limit.values), _bits(direct.u_limit.values))
+    np.testing.assert_array_equal(_bits(result.x.values), _bits(direct.x.values))
 
 
 def test_auto_construct_scans_no_roots_when_the_first_seed_converges(ex1_spec, monkeypatch):
@@ -1132,6 +1169,7 @@ def test_apply_returns_a_fresh_array_it_does_not_keep(ex1_spec):
     the node sums a kernel sums ahead of it stay its own."""
     sampled = SampledProblem(ex1_spec, (0.0, 5.0), 1e-2)
     kernel = IterationKernel(sampled, "delay")
+    kernel._allocate()  # the working arrays, which the first application would allocate
     buffers = [a for v in vars(kernel).values()
                for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
     assert len(buffers) >= 6

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from mixedde import charroots, criteria
+from mixedde import charroots, criteria, gridfn
 from mixedde.construct import iterate, witness_candidate
 from mixedde.criteria import (ALL_CONDITION_IDS, CAVEAT_EQUICONTINUITY,
                               CAVEAT_WINDOW_LIMITED, check, check_all, check_cor_3_1,
                               check_sys30, subequation_one_over_e_note, sweep_region,
                               sys30_values)
 from mixedde.gridfn import CHUNK, CumulativeIntegral, GridFunction, GridPoints, grid_cells
-from mixedde.model import Bounds, SampledProblem
+from mixedde.model import Bounds, CoefficientExpr, SampledProblem
 
-from conftest import (EX2_I100, EX3_PROBE, EXAMPLES, deviated_as_first_written, make_spec,
-                      peak_window_arrays)
+from conftest import (EX2_I100, EX3_PROBE, EXAMPLES, _bits, deviated_as_first_written,
+                      make_spec, peak_window_arrays)
 
 WINDOW = (0.0, 40.0)
 COR_2_X = ("COR_2_2", "COR_2_3", "COR_2_4_REMARK")
@@ -1197,48 +1197,93 @@ def test_check_all_samples_the_window_once(ex2_spec, monkeypatch):
 
 # -- work counts: what one check_all builds and places -------------------------
 
-@pytest.mark.parametrize("overrides, gap_builds", [
-    (dict(a="1", b="3"), 0),  # no base holds: COR_2_5 is gated, COR_1_x fail dominance
-    (EXAMPLES["ex1"], 1),     # COR_1_2 holds: COR_1_5 and COR_1_6 share one gap build
+@pytest.mark.parametrize("overrides, gap_case", [
+    (dict(a="1", b="3"), "advance"),  # b >= a holds, though no base of it does
+    (EXAMPLES["ex1"], "delay"),       # a >= b holds, and so does COR_1_2
 ], ids=["no-base-holds", "cor-1-2-holds"])
-def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_builds,
-                                                         monkeypatch):
-    builds, placements = [], []
+def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_case, monkeypatch):
+    """One pass over the window's blocks (two here) samples, places and sums
+    each window node once, beside the widened grid of a and b, with nothing
+    built over the whole window; g and h are sampled once more, for tau and
+    sigma, in a pass of their own. The gap integral is summed for the case
+    whose dominance holds, the one that a refinement may read."""
+    spec = make_spec(**overrides)
+    builds, placements, samples, cells = [], [], [], []
     build, place = CumulativeIntegral.__init__, GridPoints.__init__
+    call, node_sums = CoefficientExpr.__call__, gridfn._node_sums
     monkeypatch.setattr(CumulativeIntegral, "__init__",
                         lambda self, f: builds.append(f) or build(self, f))
     monkeypatch.setattr(GridPoints, "__init__",
                         lambda self, *args: placements.append(args) or place(self, *args))
-    certs = check_all(make_spec(**overrides), WINDOW)
-    sp = SampledProblem(make_spec(**overrides), WINDOW, 1e-3)
-    window_grid = [f for f in builds if f.t_start == WINDOW[0]]
-    # a and b on one widened grid, where every window node of ts, g and h is
-    # placed once, block by block (the window is two blocks)
-    assert len(builds) == 2 + gap_builds and len(window_grid) == gap_builds
-    widened = {(f.t_start, f.step, len(f.values)) for f in builds[:2]}
-    assert len(widened) == 1
-    blocks = -(-sp.ts.size // CHUNK)
-    assert blocks == 2
-    assert [args[:3] for args in placements[:3 * blocks]] == list(widened) * (3 * blocks)
+    monkeypatch.setattr(CoefficientExpr, "__call__",
+                        lambda self, t: samples.append((self, np.size(t))) or call(self, t))
+    monkeypatch.setattr(gridfn, "_node_sums", lambda v, step, buf, out, lo, carry: cells.append(
+        v.size - 1 - lo) or node_sums(v, step, buf, out, lo, carry))
+    certs = check_all(spec, WINDOW)
+    monkeypatch.undo()
+    sp = SampledProblem(spec, WINDOW, 1e-3)
+    n, blocks = sp.ts.size, -(-sp.ts.size // CHUNK)
+    assert blocks == 2 and builds == []
+    widened = sp.widened_cumulative("a").f
+    m = len(widened.values)
+    # every window node of ts, g and h placed once on the widened grid, block by block
+    grid = (widened.t_start, widened.step, m)
+    on_widened = [args for args in placements if args[:3] == grid]
+    assert len(on_widened) == 3 * blocks
     for k, t in enumerate((sp.ts, sp.g, sp.h)):
-        placed = np.concatenate([args[3] for args in placements[k:3 * blocks:3]])
-        np.testing.assert_array_equal(placed, t)
-    # the gap integral at t1 and the four checkpoints, in one placement
-    assert len(placements) == 3 * blocks + gap_builds
-    assert all(args[:3] == (WINDOW[0], 1e-3, sp.ts.size) and np.size(args[3]) == 5
-               for args in placements[3 * blocks:])
-    assert any(c.holds for c in certs) == bool(gap_builds)
+        placed = np.concatenate([args[3] for args in on_widened[k::3]])
+        np.testing.assert_array_equal(_bits(placed), _bits(t))
+    # the gap integral's five points: their cells once, then each in its block
+    on_window = [args[3] for args in placements if args[:3] != grid]
+    assert [np.size(t) for t in on_window[:1]] == [5]
+    assert sum(np.size(t) for t in on_window[1:]) == 5
+    # a and b sampled once at each window and widened node, g and h twice a window node
+    for name, want in (("a", n + m), ("b", n + m), ("g", 2 * n), ("h", 2 * n)):
+        assert sum(size for expr, size in samples if expr is getattr(spec, name)) == want
+    # the node sums of the widened a and b and of the one gap, each cell once
+    assert sum(cells) == 2 * (m - 1) + (n - 1)
+    assert sp.margin(gap_case)[0] >= 0.0 > sp.margin({"delay": "advance",
+                                                      "advance": "delay"}[gap_case])[0]
+    refinements = [c for c in certs if c.condition_id in criteria._REFINES]
+    assert any(c.verdict != criteria.INAPPLICABLE for c in refinements) == (gap_case == "delay")
 
 
 def test_check_all_holds_a_bounded_working_set(ex2_spec):
     """The traced peak of check_all on ex2 over (0, 100), in window-sized float
-    arrays: at the peak, the five samples, the two cumulative integrals the
-    deviated sups are reduced from, and block-sized buffers (11.76; 14.45 while
-    the four deviated integrals were kept as window-sized arrays, 18.06 when
-    node sums and placements were full-length)."""
+    arrays: block-sized buffers and samples, and the stretch of the widened grid
+    of a and b that a block reads, all about a third of the window (7.25 since
+    the window was streamed block by block; 11.76 while the five samples and
+    the widened cumulative integrals were window-sized, 14.45 while the four
+    deviated integrals were kept as window-sized arrays, 18.06 when node sums
+    and placements were full-length)."""
     check_all(ex2_spec, (0.0, 10.0))  # anything built once per process
     n = grid_cells(0.0, 100.0, 1e-3) + 1
-    assert peak_window_arrays(lambda: check_all(ex2_spec, (0.0, 100.0)), n) <= 12
+    assert peak_window_arrays(lambda: check_all(ex2_spec, (0.0, 100.0)), n) <= 7.3
+
+
+def test_check_all_holds_memory_that_does_not_grow_with_the_window(ex2_spec):
+    """Streamed a block at a time, check_all's traced peak on ex2, in block-sized
+    float arrays, is the same over 300 as over 100 time units, up to one block,
+    and stays below 40 MB over 3000 (3 000 001 nodes; 22.1 blocks, 5.8 MB, at
+    each length, where the whole-window build peaked at 209 MB of RSS)."""
+    check_all(ex2_spec, (0.0, 10.0))  # anything built once per process
+    short, long, longest = (peak_window_arrays(lambda: check_all(ex2_spec, (0.0, T)), CHUNK)
+                            for T in (100.0, 300.0, 3000.0))
+    assert long <= short + 1.0
+    assert longest * 8 * CHUNK < 40e6
+
+
+@pytest.mark.parametrize("fields, message", [
+    # b is not finite from t = 35.4, a block before a is; a is named first
+    (dict(a="exp(10*t)", b="exp(20*t)", g="t-0.3", h="t+0.3"),
+     r"^a\(t\) is not finite at t=70\.979$"),
+    # a is finite on the window, and not on the widened grid's halo before it
+    (dict(a="exp(-800*t)", b="0.5", g="t-0.5", h="t+0.3"),
+     r"^a\(t\) is not finite at t=-1\.001$"),
+], ids=["a-before-b", "widened-halo"])
+def test_check_all_names_the_first_non_finite_sample_in_coefficient_order(fields, message):
+    with pytest.raises(ValueError, match=message):
+        check_all(make_spec(**fields), (0.0, 100.0))
 
 
 def test_check_all_on_one_block_holds_a_bounded_working_set(ex2_spec):

@@ -29,6 +29,10 @@ CASES = {
     "check_ex2.txt": ("check", "ex2", [], 0),
     "check_ex3.txt": ("check", "ex3", [], 0),
     "check_ex2.csv": ("check", "ex2", ["--format", "csv"], 0),
+    # ten blocks of the window, in both sign patterns
+    "check_ex2_T300.txt": ("check", "ex2", ["--T", "300"], 0),
+    "check_ex2_T300.csv": ("check", "ex2", ["--T", "300", "--format", "csv"], 0),
+    "check_ex3_T300.txt": ("check", "ex3", ["--T", "300"], 0),
     "construct_ex1_T20.txt": ("construct", "ex1", ["--T", "20"], 0),
     "construct_ex2_T20.txt": ("construct", "ex2", ["--T", "20"], 0),
     "roots_ex1.txt": ("roots", "ex1", [], 0),

@@ -6,7 +6,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedde.gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _node_sums,
-                            grid_cells, node_times)
+                            _Stretch, grid_cells, node_times)
 from mixedde.model import SampledProblem
 
 from conftest import _bits, _where_eval, _where_nodes
@@ -54,6 +54,8 @@ def test_from_callable_evaluates_once_on_the_grid_array():
 def test_node_times_are_the_bits_of_the_expression_they_replace(t_start, step, n):
     want = t_start + step * np.arange(n)
     np.testing.assert_array_equal(_bits(node_times(t_start, step, n)), _bits(want))
+    lo = n // 3  # a stretch of the grid, as a block of a long window builds it
+    np.testing.assert_array_equal(_bits(node_times(t_start, step, n, lo)), _bits(want[lo:]))
 
 
 def test_a_step_below_the_float_spacing_of_its_times_is_rejected(ex1_spec):
@@ -336,3 +338,32 @@ def test_one_off_node_sums_cast_in_chunks_with_the_same_bits(cells):
         want, got = _np_add_nodes(edge), CumulativeIntegral(edge)._nodes
     np.testing.assert_array_equal(_bits(got), _bits(want))
 
+
+
+# (end, first) of each extension; the last reaches the grid's last node
+@pytest.mark.parametrize("cells, pieces", [
+    (30, ((7, 0), (12, 5), (13, 12), (13, 13), (30, 11), (31, 40))),
+    (30, ((31, 0),)),
+    (2 * CHUNK + 3, ((CHUNK // 2, 0), (CHUNK + 100, CHUNK // 3), (2 * CHUNK + 4, CHUNK + 50))),
+], ids=["short-pieces", "one-piece", "over-chunks"])
+def test_a_grid_walked_a_stretch_at_a_time_has_the_bits_of_the_whole_grid(cells, pieces):
+    # a -0.0 first cell, and inf and then NaN in the running sum
+    values = _chunk_edge_values(cells, cells // 2)
+    with np.errstate(all="ignore"):
+        whole = CumulativeIntegral(GridFunction(0.5, 0.25, values))
+        stretch = _Stretch(0.5, 0.25, cells + 1)
+        for end, first in pieces:
+            kept_from = max(stretch.first, min(first, stretch.end - 1))
+            stretch.extend(values[stretch.end:end], first,
+                           np.full(min(cells, CHUNK) + 1, np.nan, np.longdouble))
+            lo = stretch.first
+            assert (lo, stretch.end) == (kept_from, end)
+            np.testing.assert_array_equal(_bits(stretch.values), _bits(values[lo:end]))
+            np.testing.assert_array_equal(_bits(stretch.nodes), _bits(whole._nodes[lo:end]))
+            if end - lo < 2:
+                continue  # a stretch of one node holds no cell
+            # points in every cell held, and before or past the grid where it is held
+            t = 0.5 + 0.25 * np.linspace(lo - (lo == 0), end - 1 + (end > cells), 97)
+            got = stretch.at(stretch.place(t))
+            want = whole.at(GridPoints(0.5, 0.25, cells + 1, t))
+            np.testing.assert_array_equal(_bits(got), _bits(want))

@@ -530,8 +530,12 @@ def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):
     for step in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="step must be positive and finite"):
             SampledProblem(ex1_spec, (0.0, 1.0), step)
-    with pytest.raises(ValueError, match=r"a\(t\) is not finite at t=0\b"):
-        SampledProblem(make_spec(a="1e400"), (0.0, 1.0), 1e-3)
+    # samples are taken on first read, and every read meets a non-finite one
+    sp = SampledProblem(make_spec(a="1e400"), (0.0, 1.0), 1e-3)
+    for read in (lambda: sp.a, lambda: sp.margin("delay"), lambda: sp.tau,
+                 lambda: sp.deviated_sup("delay"), lambda: sp.bounds):
+        with pytest.raises(ValueError, match=r"a\(t\) is not finite at t=0\b"):
+            read()
     # exp(exp(t)) overflows past t = log(log(max float)) = 6.5654, which only
     # the extended grid behind the cumulative integral of a reaches
     sp = SampledProblem(make_spec(a="exp(exp(t))"), (0.0, 6.5), 1e-3)
@@ -566,8 +570,9 @@ def _assert_same_sups(got, want):
 
 def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
     """Block by block, every window node of ts, g and h is placed once, in order,
-    on the one widened grid, for all four sups; the cumulative integrals built
-    for it are not kept."""
+    on the one widened grid, for all four sups, and nothing built over the
+    whole window is kept. A window of one block is sampled whole, and its
+    blocks are views of the samples; a longer one is sampled a block at a time."""
     spec = make_spec(a="1.4+0.2*sin(t)", b="1.3+0.1*cos(t)", g="t-0.3-0.1*cos(t)",
                      h="t+0.2+0.1*sin(t)")
     step = 2.0 ** -10
@@ -575,28 +580,30 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
     # one block, and two full blocks and 3 nodes
     for cells in (5000, 2 * CHUNK + 2):
         sp = SampledProblem(spec, (0.0, cells * step), step)
-        assert sp.ts.size == cells + 1
+        assert sp.n == cells + 1
         placed = []
         monkeypatch.setattr(GridPoints, "__init__",
                             lambda self, *args: placed.append(args) or place(self, *args))
         got = _sups(sp)
         assert _sups(sp) == got  # cached
         monkeypatch.undo()
-        assert not any(isinstance(v, CumulativeIntegral) for v in vars(sp).values())
+        assert not any(isinstance(v, (CumulativeIntegral, np.ndarray)) and np.size(v) > CHUNK
+                       for v in vars(sp).values())
         cum_a, cum_b = sp.widened_cumulative("a"), sp.widened_cumulative("b")
         grid = (cum_a.f.t_start, cum_a.f.step, len(cum_a.f.values))
         assert grid == (cum_b.f.t_start, cum_b.f.step, len(cum_b.f.values))
-        assert [args[:3] for args in placed] == [grid] * len(placed)
-        blocks = -(-sp.ts.size // CHUNK)
+        placed = [args for args in placed if args[:3] == grid]
+        blocks = -(-sp.n // CHUNK)
         assert len(placed) == 3 * blocks
         for k, t in enumerate((sp.ts, sp.g, sp.h)):
             parts = [args[3] for args in placed[k::3]]
-            assert all(np.shares_memory(part, t) for part in parts)  # views, not copies
+            # views of the whole samples on one block, block-sized samples on more
+            assert all(np.shares_memory(part, t) == (blocks == 1) for part in parts)
             np.testing.assert_array_equal(_bits(np.concatenate(parts)), _bits(t))
         want = (cum_a(sp.ts) - cum_a(sp.g), cum_a(sp.h) - cum_a(sp.ts),
                 cum_b(sp.ts) - cum_b(sp.g), cum_b(sp.h) - cum_b(sp.ts))
         _assert_same_sups(got, _sups_of_arrays(sp, want))
-    assert "_deviated_sups" not in vars(SampledProblem(spec, (0.0, 5.0), 1e-3))
+    assert "_last" not in vars(SampledProblem(spec, (0.0, 5.0), 1e-3))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -650,6 +657,12 @@ def _deviated_cases(draw):
 @example((dict(a="0", b="0"), 70.0))  # every node ties, in all three blocks
 @example((dict(a="1e308", b="1e308"), 40.0))  # +inf - +inf saturates to +inf
 @example((dict(a=_late_overflow("-", 50.0)), 70.0))  # nan first in the second block
+# node sums past +inf and back: the pass that assumed +inf - +inf saturates runs again
+@example((dict(a="1.7e308*cos(0.5*t)", b="1.7e308*cos(0.5*t)"), 70.0))
+# h far behind t, before the widened grid, and g far ahead: a block reads a
+# stretch that starts blocks before it, or that ends blocks past it
+@example((dict(a="1.4+0.2*sin(t)", b="1.3", g="t-0.3", h="t-40+cos(t)"), 70.0))
+@example((dict(a="1.4", b="1.3+0.1*cos(t)", g="t+35+sin(t)", h="t+0.3"), 70.0))
 def test_deviated_sups_are_the_sups_of_the_full_arrays(case):
     fields, T = case
     sp = SampledProblem(make_spec(**fields), (0.0, T), 1e-3)
