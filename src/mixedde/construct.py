@@ -148,6 +148,7 @@ class IterationKernel:
     def __init__(self, sampled: SampledProblem, case: str):
         if case not in _CASES:
             raise ValueError(f"case must be one of {_CASES}")
+        sampled.sample()
         self.sampled = sampled
         self.case = case
         t1, step, ts = sampled.window[0], sampled.step, sampled.ts
@@ -531,6 +532,7 @@ def witness_candidate(condition_id: str, sampled: SampledProblem,
     """
     for case, (base, root, remark) in criteria._FAMILIES.items():
         if condition_id in (base, remark):
+            sampled.sample()
             coefficient = sampled.a if case == "delay" else sampled.b
             with np.errstate(over="ignore"):  # an overflowing seed is rejected as not finite
                 values = (1.0 if condition_id == base else math.e) * coefficient
@@ -560,7 +562,7 @@ def auto_construct(spec: ProblemSpec, window: tuple[float, float],
     _require_pattern(spec, "auto_construct")
     _require_stopping_rule(tol, max_iter)
     sampled = SampledProblem(spec, window, step)
-    sampled.sample()  # whole, as the kernel and the seeds read them, before the margins
+    sampled.sample()  # the kernel and the seeds read a, b, g, h whole
     case = next((c for c in _CASES if sampled.margin(c)[0] >= -_NEG_TOL), None)
     if case is None:
         raise ValueError("neither dominance hypothesis holds: a-b changes sign "

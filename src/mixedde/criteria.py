@@ -36,7 +36,7 @@ import numpy as np
 
 from . import charroots
 from .gridfn import CumulativeIntegral, GridFunction, node_times
-from .model import _SLACK, Bounds, ProblemSpec, SampledProblem
+from .model import Bounds, ProblemSpec, SampledProblem
 
 __all__ = [
     "Certificate",
@@ -65,6 +65,7 @@ CAVEAT_EQUICONTINUITY = "unverified-equicontinuity"
 
 ONE_OVER_E = 1.0 / math.e
 _STRICT_MARGIN = 1e-9     # strict "< 1/e" tested as <= 1/e - margin
+_SLACK = 1e-12            # nonstrict comparisons absorb this much grid noise
 _WITNESS_SLACK = 1e-12
 _DIVERGENCE_THRESHOLD = 5.0  # the refinements' gap integral must exceed this
 _MAX_CELLS = 10**6        # sweep_region grid size, checked before allocating
@@ -216,6 +217,7 @@ def _cor_x_4_remark(sp: SampledProblem, case: str) -> Certificate:
 def _thm_A_explicit(sp: SampledProblem) -> Certificate:
     """sup_t int_g^t a(s) e^{int_{g(s)}^{s} b} ds < 1/e for the (+,+) pattern."""
     spec, (t1, T), step = sp.spec, sp.window, sp.step
+    sp.sample()
     cum_b = sp.widened_cumulative("b")
     return _nested_one_over_e(
         "THM_A_EXPLICIT", sp,
@@ -226,6 +228,7 @@ def _thm_A_explicit(sp: SampledProblem) -> Certificate:
 def _thm_B_explicit(sp: SampledProblem) -> Certificate:
     """sup_t int_t^h b(s) e^{int_{s}^{h(s)} a} ds < 1/e for the (-,-) pattern."""
     spec, (t1, T), step = sp.spec, sp.window, sp.step
+    sp.sample()
     cum_a = sp.widened_cumulative("a")
     return _nested_one_over_e(
         "THM_B_EXPLICIT", sp,
@@ -700,7 +703,11 @@ def check(condition_id: str, spec: ProblemSpec, window: tuple[float, float],
     """
     if condition_id not in _CHECKS:
         raise ValueError(f"unknown condition {condition_id!r}")
-    return _run(condition_id, SampledProblem(spec, window, step))
+    sp = SampledProblem(spec, window, step)
+    case = _REFINES.get(condition_id)
+    if case:  # the gap integral it reads where its dominance holds, found with the margin
+        sp.plan(condition_id == "COR_1_6", {case: -_SLACK})
+    return _run(condition_id, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +751,9 @@ def check_all(spec: ProblemSpec, window: tuple[float, float],
     for every pattern.
     """
     sp = SampledProblem(spec, window, step)
+    # the refinements' gap integrals, read where their dominance and a base hold,
+    # found with the sups the bases read
+    sp.plan(True, dict.fromkeys(_FAMILIES, -_SLACK))
     held: dict[str, Certificate] = {}
     for cid in _CHECKS:
         held[cid] = _run(cid, sp, held)

@@ -239,62 +239,29 @@ class CumulativeIntegral:
     Exact for the interpolant (quadratic inside each cell); outside the grid it
     continues linearly with the clamped endpoint value, matching the clamping
     convention of GridFunction. Vectorised over numpy arrays. A call places t on
-    the grid (GridPoints) and runs `at`, which callers reusing the points call.
+    the grid (`place`) and runs `at`, which callers reusing the points call.
+
+    Given size, f holds the first nodes of a grid of size nodes, which `extend`
+    walks forward a stretch at a time: the integral holds the values and node
+    sums of nodes first..end-1 only, and serves points inside them, or before
+    the grid while first == 0 and past it once end == size. The longdouble node
+    sum carries across extensions, so each node sum has the bits of a build
+    over the whole grid. buf is `_node_sums`' longdouble work array.
     """
 
-    def __init__(self, f: GridFunction):
-        self.f = f
+    def __init__(self, f: GridFunction, size: int | None = None,
+                 buf: np.ndarray | None = None):
         n = len(f.values)
-        self._nodes = np.empty(n)
-        _node_sums(f.values, f.step, np.empty(min(n, CHUNK + 1), dtype=np.longdouble),
-                   self._nodes)
-
-    def __call__(self, t):
-        f = self.f
-        out = self.at(GridPoints(f.t_start, f.step, len(f.values), t)).reshape(np.shape(t))
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def total(self) -> float:
-        """The integral over the whole grid: the last node sum."""
-        return float(self._nodes[-1])
-
-    def at(self, p: GridPoints, out: np.ndarray | None = None) -> np.ndarray:
-        """The integral at the placed points p, into out if given."""
-        f = self.f
-        if p.grid != (f.t_start, f.step, len(f.values)):
-            raise ValueError("points were placed on another grid")
-        return _integral_at(p, f.values, self._nodes, out)
-
-
-def _integral_at(p: GridPoints, v: np.ndarray, nodes: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The running integral at the placed points p of the grid values v, whose node
-    sums are nodes, into out if given; p's cells are counted from v[0]."""
-    # overflow saturates to inf, and values holding inf give inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.take(v, p.idx, out=out, mode="clip")  # idx is already clipped
-        half = np.take(v[1:], p.idx, mode="clip")
-        half -= out
-        half *= 0.5
-        return _placed_integral(p, v, nodes, out, half)
-
-
-class _Stretch:
-    """The values and node sums of nodes first..end-1 of a grid of `size` nodes,
-    walked forward a stretch at a time; node sums carry the longdouble sum
-    across extensions, so each has the bits of a build over the whole grid."""
-
-    def __init__(self, t_start: float, step: float, size: int):
-        self.grid = (t_start, step, size)
+        self.grid = (f.t_start, f.step, n if size is None else size)
         self.first = self.end = 0
         self.values = self.nodes = np.empty(0)
         self._carry = None
+        self.extend(f.values, 0,
+                    np.empty(min(n, CHUNK + 1), dtype=np.longdouble) if buf is None else buf)
 
     def extend(self, values: np.ndarray, first: int, buf: np.ndarray) -> None:
-        """Append the values of the nodes from `end` on (the first stretch keeps
-        values itself), and drop those before `first` but the last node held;
-        buf is `_node_sums`' longdouble work array."""
+        """Append the values of the nodes from `end` on, and drop those before
+        `first` but the last node held."""
         first = max(self.first, min(first, self.end - 1))
         kept = self.end - first
         if kept:
@@ -305,13 +272,31 @@ class _Stretch:
                                  self._carry)
         self.first, self.end, self.values, self.nodes = first, first + values.size, values, nodes
 
+    def __call__(self, t):
+        out = self.at(self.place(t)).reshape(np.shape(t))
+        return float(out) if out.ndim == 0 else out
+
+    @property
+    def total(self) -> float:
+        """The integral over the grid: the last node sum held."""
+        return float(self.nodes[-1])
+
     def place(self, t) -> GridPoints:
-        """t placed on the whole grid, cells counted from node `first`, for `at`
-        of any stretch of the grid that holds them from that node (first == 0
-        for points before the grid, end == size for points past it)."""
+        """t placed on the grid, cells counted from node `first`."""
         p = GridPoints(*self.grid, t)
-        p.idx -= self.first
+        if self.first:
+            p.idx -= self.first
         return p
 
     def at(self, p: GridPoints, out: np.ndarray | None = None) -> np.ndarray:
-        return _integral_at(p, self.values, self.nodes, out)
+        """The integral at the points p, placed by `place`, into out if given."""
+        if p.grid != self.grid:
+            raise ValueError("points were placed on another grid")
+        v = self.values
+        # overflow saturates to inf, and values holding inf give inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.take(v, p.idx, out=out, mode="clip")  # idx is already clipped
+            half = np.take(v[1:], p.idx, mode="clip")
+            half -= out
+            half *= 0.5
+            return _placed_integral(p, v, self.nodes, out, half)

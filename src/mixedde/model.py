@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _Stretch,
+from .gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints,
                      check_grid_size, grid_cells, node_times)
 
 __all__ = [
@@ -78,7 +78,6 @@ _FUNCTIONS = frozenset(k for k, op in _OPERATORS.items() if op.form == k + "({})
 _MAX_DEPTH = 150  # parsed trees and brackets nest at most this deep
 _INFLATION = 1e-6  # relative outward margin of sampled envelope bounds
 _ENVELOPE_SAMPLES = 10001  # points per window where no closed form exists
-_SLACK = 1e-12  # nonstrict comparisons absorb this much grid noise
 
 
 class ExprSyntaxError(ValueError):
@@ -379,23 +378,31 @@ def _note_bad(bad: dict[str, float], key: str, vals: np.ndarray, ts: np.ndarray)
         bad[key] = float(ts[np.flatnonzero(~np.isfinite(vals))[0]])
 
 
+def _raise_first(bad: dict[str, float]) -> None:
+    """ValueError for the first coefficient noted in bad, in the order a, b, g, h,
+    then a and b on the widened grid."""
+    for key in ("a", "b", "g", "h", "widened a", "widened b"):
+        if key in bad:
+            raise ValueError(f"{key[-1]}(t) is not finite at t={bad[key]:.6g}")
+
+
 class SampledProblem:
     """a, b, g, h on the window grid ts = t1 + k*step, k = 0..n-1, and each
     quantity read off them, derived here once: the dominance margins, tau and
     sigma, the sups of the deviated integrals and of the pointwise test, and
     the gap integrals.
 
-    Nothing is sampled before it is read. The first read of a, b, g or h
-    samples all four whole on ts, as the construction, relax and the same-sign
-    tests read them. The other quantities come from passes over blocks of
-    gridfn.CHUNK nodes, which slice the whole samples where they are taken
-    (always, on a window of one block) and sample block by block elsewhere, so
-    that `check` holds no array longer than a block and its halo: tau and
-    sigma from g and h, the rest from one pass (`_window`). A step that is not
-    positive and finite or a grid of more than MAX_GRID_POINTS nodes raises
-    ValueError here; a non-finite sample raises it from the first read that
-    meets one, naming a, b, g, h in that order, then a and b on the widened
-    grid, each at its first such node.
+    The construction, relax and the same-sign tests read a, b, g and h whole:
+    they call `sample` first, and reading one before it raises RuntimeError.
+    The other quantities come from passes over blocks of gridfn.CHUNK nodes,
+    which slice the whole samples where they are taken (always, on a window of
+    one block) and sample block by block elsewhere, so that `check` holds no
+    array longer than a block and its halo: tau and sigma from g and h, the
+    rest from passes over a, b, g, h (`_window`), each finding what is read and
+    what `plan` asks for. A step that is not positive and finite or a grid of
+    more than MAX_GRID_POINTS nodes raises ValueError here; a non-finite sample
+    raises it from the first read that meets one, naming a, b, g, h in that
+    order, then a and b on the widened grid, each at its first such node.
     """
 
     def __init__(self, spec: ProblemSpec, window: tuple[float, float], step: float):
@@ -406,39 +413,59 @@ class SampledProblem:
         self.window = (t1, T)
         self.step = step
         self.n = grid_cells(t1, T, step) + 1
+        self._samples = None  # a, b, g, h whole (`sample`)
+        self._finite = False  # a, b, g, h found finite on ts
+        self._last = None  # what the passes found (`_found`)
+        self._plan = (False, {})  # what the next pass finds ahead (`plan`)
 
     @cached_property
     def ts(self) -> np.ndarray:
         return node_times(self.window[0], self.step, self.n)
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name not in ("a", "b", "g", "h"):
-            raise AttributeError(name)
-        self.sample()
-        return vars(self)[name]
+    a = property(lambda self: self._whole(0), doc="a on ts, once sampled")
+    b = property(lambda self: self._whole(1), doc="b on ts, once sampled")
+    g = property(lambda self: self._whole(2), doc="g on ts, once sampled")
+    h = property(lambda self: self._whole(3), doc="h on ts, once sampled")
+
+    def _whole(self, k: int) -> np.ndarray:
+        if self._samples is None:
+            raise RuntimeError(f"{'abgh'[k]} is read before SampledProblem.sample()")
+        return self._samples[k]
 
     def sample(self) -> None:
-        """Sample a, b, g and h whole, those not yet sampled, in that order."""
-        for k in "abgh":
-            if k not in vars(self):
-                setattr(self, k, _require_finite(k, getattr(self.spec, k)(self.ts), self.ts))
+        """Sample a, b, g and h whole on ts, once."""
+        if self._samples is None:
+            self._samples = tuple(_require_finite(k, getattr(self.spec, k)(self.ts), self.ts)
+                                  for k in "abgh")
+            self._finite = True
 
     def _blocks(self, names: str, bad: dict[str, float]):
-        """(first node, ts, samples of each coefficient in names) per block; a
-        sample taken here, not sliced, that is not finite is noted in bad."""
-        n, whole = self.n, self.n <= CHUNK
-        for lo in range(0, n, CHUNK):
-            hi = min(lo + CHUNK, n)
-            ts = (self.ts[lo:hi] if whole or "ts" in vars(self)
+        """(first node, ts, samples of each coefficient in names) per block: views
+        of the whole samples, taken first on a window of one block, or the
+        block's own samples, a non-finite one noted in bad."""
+        if self.n <= CHUNK:
+            self.sample()
+        for lo in range(0, self.n, CHUNK):
+            hi = min(lo + CHUNK, self.n)
+            ts = (self.ts[lo:hi] if "ts" in vars(self)
                   else node_times(self.window[0], self.step, hi, lo))
             samples = []
             for k in names:
-                if whole or k in vars(self):
-                    samples.append(getattr(self, k)[lo:hi])
+                if self._samples is not None:
+                    samples.append(self._samples["abgh".index(k)][lo:hi])
                 else:
                     samples.append(getattr(self.spec, k)(ts))
                     _note_bad(bad, k, samples[-1], ts)
             yield lo, ts, samples
+
+    def _check_finite(self) -> None:
+        """ValueError where a, b, g or h is not finite on ts, unless found finite."""
+        if not self._finite:
+            bad: dict[str, float] = {}
+            for _ in self._blocks("abgh", bad):
+                pass
+            _raise_first(bad)
+            self._finite = True
 
     @cached_property
     def _reach(self) -> tuple[float, float, float, float]:
@@ -446,8 +473,8 @@ class SampledProblem:
         tau = sigma = behind = ahead = -math.inf
         bad: dict[str, float] = {}
         for _, ts, (g, h) in self._blocks("gh", bad):
-            if bad:
-                self._window(False, {})  # raises, naming a non-finite a or b first
+            if bad:  # g or h is not finite: raise, naming a non-finite a or b first
+                self._check_finite()
             gap = ts - g
             tau, ahead = max(tau, float(np.max(gap))), max(ahead, -float(np.min(gap)))
             gap = np.subtract(h, ts, out=gap)
@@ -468,7 +495,7 @@ class SampledProblem:
     @cached_property
     def bounds(self) -> Bounds:
         """extract_bounds on the window, once its samples are found finite."""
-        self.margin("delay")
+        self._check_finite()
         return extract_bounds(self.spec, self.window)
 
     def margin(self, case: str) -> tuple[float, int]:
@@ -478,8 +505,9 @@ class SampledProblem:
 
     def widened_cumulative(self, name: str) -> CumulativeIntegral:
         """The cumulative integral of coefficient `name` on the window grid widened
-        by 2*tau + step and 2*sigma + step, built anew once the window is sampled."""
-        self.sample()
+        by 2*tau + step and 2*sigma + step, built anew once the window's samples
+        are found finite."""
+        self._check_finite()
         t1, T = self.window
         lo, hi = t1 - 2.0 * self.tau - self.step, T + 2.0 * self.sigma + self.step
         grid = GridFunction.from_callable(getattr(self.spec, name), lo, hi, self.step)
@@ -487,24 +515,38 @@ class SampledProblem:
             _require_finite(name, grid.values, grid.times())
         return CumulativeIntegral(grid)
 
+    def plan(self, deviated: bool, gaps: dict[str, float]) -> None:
+        """Have the next pass find also the four sups (with deviated) and the gap
+        integral of each case in gaps while its margin stays >= gaps[case], for
+        reads that may follow, where that pass samples a, b, g and h afresh: on
+        a window of more than one block. One block is sampled whole, and each
+        quantity is found when it is read."""
+        self._plan = (deviated, gaps)
+
     def _found(self, deviated: bool = False, gap: str | None = None) -> dict:
-        """What the last pass found, after a pass where it lacks the sups (with
-        deviated) or gap's integral. The deviated pass sums the gap integral of
-        each case whose dominance holds to within _SLACK; any other gets a pass."""
-        found = vars(self).get("_last")
-        if found is None or deviated and "sups" not in found:
-            cases = ("delay", "advance") if deviated else ()
-            found = self._last = self._window(deviated, dict.fromkeys(cases, -_SLACK))
-        if gap is not None and gap not in found["gaps"]:
-            found["gaps"][gap] = self._window(False, {gap: -math.inf})["gaps"][gap]
-        return found
+        """What the passes found, after one more pass where they lack the margins,
+        the sups (with deviated) or gap's integral; it also finds what `plan`
+        asked for."""
+        found = self._last or {"gaps": {}}
+        sups = deviated and "sups" not in found
+        if "margins" in found and not sups and (gap is None or gap in found["gaps"]):
+            return found
+        ahead, gaps = self._plan if self.n > CHUNK else (False, {})
+        if gap is not None:
+            gaps = {**gaps, gap: -math.inf}
+        gaps = {case: least for case, least in gaps.items() if case not in found["gaps"]}
+        new = self._window((sups or ahead) and "sups" not in found, gaps)
+        self._plan = (False, {})
+        self._last = {**found, **new, "gaps": {**found["gaps"], **new["gaps"]}}
+        return self._last
 
     def _window(self, deviated: bool, gaps: dict[str, float],
                 saturate: tuple[bool, bool] = (True, True)) -> dict:
         """One pass over the window's blocks: the margins, and the gap integral of
         each case in gaps while its margin stays >= gaps[case]; with deviated,
         the four sups too, on the grid of `widened_cumulative`, walked a stretch
-        at a time (`gridfn._Stretch`) from `behind` each block to `ahead` of it.
+        at a time (`CumulativeIntegral.extend`) from `behind` each block to
+        `ahead` of it.
         Non-finite samples raise ValueError once the pass is over.
 
         +inf - +inf saturates where the widened node sums end at +inf (see
@@ -519,17 +561,25 @@ class SampledProblem:
         points = np.array((t1, *quarters))
         cells = GridPoints(t1, step, n, points).idx if gaps else None
         done = 0  # points read so far
-        stretches = {case: _Stretch(t1, step, n) for case in gaps}
+        stretches = dict.fromkeys(gaps)  # case -> its integral, from the first block
         at = {case: np.empty(points.size) for case in gaps}
         width = n  # of the longest grid summed
         if deviated:
             tau, sigma, behind, ahead = self._reach
             w0 = t1 - 2.0 * tau - step
             m = width = grid_cells(w0, T + 2.0 * sigma + step, step) + 1
-            widened = [_Stretch(w0, step, m) for _ in "ab"]
+            widened = [None, None]
             buffers = tuple(np.empty(min(n, CHUNK)) for _ in range(5))
             assumed = [False, False]
             sups: dict[tuple[str, str], tuple[float, int]] = {}
+
+        def walk(cum, t_start: float, size: int, values: np.ndarray, first: int,
+                 buf: np.ndarray) -> CumulativeIntegral:
+            # cum extended by values, or a grid of size nodes that starts with them
+            if cum is None:
+                return CumulativeIntegral(GridFunction(t_start, step, values), size, buf)
+            cum.extend(values, first, buf)
+            return cum
 
         def subtract(x: np.ndarray, y: np.ndarray, out: np.ndarray, saturate: bool) -> None:
             both = (x == math.inf) & (y == math.inf) if saturate else None
@@ -564,11 +614,12 @@ class SampledProblem:
                 last = n - 2 if hi == n else hi - 2  # the block's last cell
                 k = int(np.searchsorted(cells, last, "right")) if stretches else done
                 for case in list(stretches):
-                    stretch = stretches[case]
                     if not (low[0] if case == "delay" else top[1]) >= gaps[case]:
                         del stretches[case]
                         continue
-                    stretch.extend(gap if case == "delay" else b - a, lo - 1, buf)
+                    stretch = stretches[case] = walk(stretches[case], t1, n,
+                                                     gap if case == "delay" else b - a,
+                                                     lo - 1, buf)
                     if k > done:
                         stretch.at(stretch.place(points[done:k]), at[case][done:k])
                     stretch.extend(gap[:0], hi, buf)  # only the carried node stays
@@ -578,16 +629,17 @@ class SampledProblem:
                     continue
                 first = max(0, math.floor((ts[0] - behind - w0) / step) - 2)
                 end = m if hi == n else min(m, math.floor((ts[-1] + ahead - w0) / step) + 4)
-                for name, stretch in zip("ab", widened):
-                    t = node_times(w0, step, max(end, stretch.end), stretch.end)
+                for i, name in enumerate("ab"):
+                    start = 0 if widened[i] is None else widened[i].end
+                    t = node_times(w0, step, max(end, start), start)
                     vals = getattr(spec, name)(t)
                     _note_bad(bad, "widened " + name, vals, t)
                     del t
-                    stretch.extend(vals, first, buf)
-                del buf
+                    widened[i] = walk(widened[i], w0, m, vals, first, buf)
+                del buf, vals
                 cum_a, cum_b = widened
-                sat_a, sat_b = (ok and np.max(s.nodes) == math.inf
-                                for ok, s in zip(saturate, widened))
+                sat_a, sat_b = (ok and np.max(cum.nodes) == math.inf
+                                for ok, cum in zip(saturate, widened))
                 assumed = [assumed[0] or sat_a, assumed[1] or sat_b]
                 a_g, a_h, b_g, b_h, h_at = (x[:ts.size] for x in buffers)
                 p = cum_a.place(ts)
@@ -611,14 +663,13 @@ class SampledProblem:
                     back *= np.exp(fwd, out=fwd)
                     back -= other
                     reduce(("rhs", case), back, lo)
-        for key in ("a", "b", "g", "h", "widened a", "widened b"):
-            if key in bad:
-                raise ValueError(f"{key[-1]}(t) is not finite at t={bad[key]:.6g}")
+        _raise_first(bad)
+        self._finite = True
         found = {"margins": {"delay": low, "advance": top[1:]},
                  "gaps": {case: tuple(zip(quarters, (at[case][1:] - at[case][0]).tolist()))
                           for case in stretches}}
         if deviated:
-            ends = tuple(s.nodes[-1] == math.inf for s in widened)
+            ends = tuple(cum.total == math.inf for cum in widened)
             if assumed[0] > ends[0] or assumed[1] > ends[1]:
                 return self._window(deviated, gaps, ends)
             found["sups"] = sups

@@ -88,6 +88,7 @@ class _HeunSweep:
     """
 
     def __init__(self, sampled: SampledProblem):
+        sampled.sample()
         spec, step = sampled.spec, sampled.step
         n = len(sampled.ts)
         t0 = sampled.window[0]
@@ -416,8 +417,10 @@ def relax(ivp: IVP, T: float, step: float, tol: float | None = None,
         raise ValueError("tol must be positive and finite")
 
     report = SampledProblem(spec, (t0, T), step)
+    report.sample()  # a non-finite sample up to T is named first
     # nodes run sigma past T, so every advanced argument up to T is on the grid
     sampled = SampledProblem(spec, (t0, T + report.sigma), step)
+    sampled.sample()
     n = len(sampled.ts)
 
     caveats = []
@@ -547,7 +550,8 @@ def equation_residual(x: GridFunction, spec: ProblemSpec) -> float:
 
 def _equation_residual(x: GridFunction, sampled: SampledProblem) -> float:
     """equation_residual with the problem already sampled on x's grid."""
-    spec, ts, g, h = sampled.spec, sampled.ts, sampled.g, sampled.h  # whole, before tau
+    sampled.sample()
+    spec, ts = sampled.spec, sampled.ts
     lo = x.t_start + sampled.tau - 1e-9 * x.step
     hi = x.t_end - sampled.sigma + 1e-9 * x.step
     inner = np.flatnonzero((ts >= lo) & (ts <= hi))
@@ -557,8 +561,8 @@ def _equation_residual(x: GridFunction, sampled: SampledProblem) -> float:
     v = x.values
     with np.errstate(over="ignore", invalid="ignore"):  # an x at inf gives nan
         dx = (v[inner + 1] - v[inner - 1]) / (2.0 * x.step)
-        xg = np.interp(g[inner], ts, v)
-        xh = np.interp(h[inner], ts, v)
+        xg = np.interp(sampled.g[inner], ts, v)
+        xh = np.interp(sampled.h[inner], ts, v)
         res = dx + spec.delta1 * sampled.a[inner] * xg + spec.delta2 * sampled.b[inner] * xh
     return float(np.max(np.abs(res)))
 

@@ -117,17 +117,17 @@ def _where_nodes(f):
 def _where_eval(self, t):
     """CumulativeIntegral.__call__ as first written (two full-array np.where
     passes, positions recomputed per call), kept as the oracle of `at`."""
-    f = self.f
+    t_start, step, size = self.grid
     tt = np.asarray(t, dtype=float)
-    v = f.values
-    pos = (tt - f.t_start) / f.step
+    v = self.values
+    pos = (tt - t_start) / step
     idx = np.clip(np.floor(pos).astype(int), 0, len(v) - 2)
     frac = pos - idx
-    inside = self._nodes[idx] + f.step * (
+    inside = self.nodes[idx] + step * (
         v[idx] * frac + 0.5 * (v[idx + 1] - v[idx]) * frac * frac
     )
-    below = v[0] * (tt - f.t_start)
-    above = self._nodes[-1] + v[-1] * (tt - f.t_end)
+    below = v[0] * (tt - t_start)
+    above = self.nodes[-1] + v[-1] * (tt - (t_start + step * (size - 1)))
     out = np.where(pos < 0.0, below, np.where(pos > len(v) - 1.0, above, inside))
     if tt.ndim == 0:
         return float(out)
@@ -140,14 +140,14 @@ def deviated_as_first_written(sp):
     """int_g^t a, int_t^h a, int_g^t b and int_t^h b at every window node, as
     SampledProblem built them before it kept only their sups: full arrays,
     block by block, with +inf - +inf saturated where a node sum is +inf."""
+    sp.sample()
     cum_a, cum_b = sp.widened_cumulative("a"), sp.widened_cumulative("b")
-    f = cum_a.f
     n = sp.ts.size
     a_g, a_h, b_g, b_h = out = tuple(np.empty(n) for _ in range(4))
     scratch = np.empty(min(n, CHUNK))
 
     def place(t):
-        return GridPoints(f.t_start, f.step, len(f.values), t)
+        return GridPoints(*cum_a.grid, t)
 
     def subtract(x, y, out, saturate):
         both = (x == math.inf) & (y == math.inf) if saturate else None

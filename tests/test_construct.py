@@ -567,7 +567,8 @@ def _where_apply(sampled, case, u_vals):
     and a fresh np.where evaluation at each of its three point sets per call."""
     t1 = sampled.window[0]
     f = GridFunction(t1, sampled.step, u_vals)
-    cum = SimpleNamespace(f=f, _nodes=_where_nodes(f))
+    cum = SimpleNamespace(grid=(t1, f.step, len(f.values)), values=f.values,
+                          nodes=_where_nodes(f))
     at_nodes = _where_eval(cum, sampled.ts)
     int_delay = at_nodes - _where_eval(cum, np.maximum(sampled.g, t1))
     int_advance = _where_eval(cum, sampled.h) - at_nodes
@@ -1065,6 +1066,7 @@ def test_kernels_applied_from_four_threads_at_once_share_the_helper_exactly():
     on the one worker thread while the interpreter switches threads as often
     as it can: each gets its own map, bit for bit."""
     sampled = SampledProblem(make_spec(**EXAMPLES["ex2"]), (0.5, 140.0), 2e-3)
+    sampled.sample()
     starts = [sampled.a * (1.0 + i / 8) for i in range(4)]
     kernels = [IterationKernel(sampled, "delay") for _ in starts]
     got = [[] for _ in starts]

@@ -1197,55 +1197,90 @@ def test_check_all_samples_the_window_once(ex2_spec, monkeypatch):
 
 # -- work counts: what one check_all builds and places -------------------------
 
-@pytest.mark.parametrize("overrides, gap_case", [
-    (dict(a="1", b="3"), "advance"),  # b >= a holds, though no base of it does
-    (EXAMPLES["ex1"], "delay"),       # a >= b holds, and so does COR_1_2
+@pytest.mark.parametrize("overrides, gap_case, read", [
+    (dict(a="1", b="3"), "advance", False),  # b >= a holds, though no base of it does
+    (EXAMPLES["ex1"], "delay", True),        # a >= b holds, and so does COR_1_2
 ], ids=["no-base-holds", "cor-1-2-holds"])
-def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_case, monkeypatch):
-    """One pass over the window's blocks (two here) samples, places and sums
-    each window node once, beside the widened grid of a and b, with nothing
-    built over the whole window; g and h are sampled once more, for tau and
-    sigma, in a pass of their own. The gap integral is summed for the case
-    whose dominance holds, the one that a refinement may read."""
+def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_case, read, monkeypatch):
+    """Each window node of ts, g and h is placed once on the widened grid of a
+    and b, block by block, with nothing built over the whole window. On one
+    block, sampled whole, each coefficient is sampled once, and the gap
+    integral is summed only where a refinement reads it, as it was when the
+    window was not streamed. On two blocks, one pass samples and sums each
+    window node once; g and h are sampled once more, for tau and sigma; and the
+    pass sums the gap integral of the case whose dominance holds, which a
+    refinement reads where a base holds, so that a and b are not sampled again."""
     spec = make_spec(**overrides)
-    builds, placements, samples, cells = [], [], [], []
-    build, place = CumulativeIntegral.__init__, GridPoints.__init__
-    call, node_sums = CoefficientExpr.__call__, gridfn._node_sums
-    monkeypatch.setattr(CumulativeIntegral, "__init__",
-                        lambda self, f: builds.append(f) or build(self, f))
-    monkeypatch.setattr(GridPoints, "__init__",
-                        lambda self, *args: placements.append(args) or place(self, *args))
+    for window, blocks in (((0.0, 20.0), 1), (WINDOW, 2)):
+        builds, placements, samples, cells = [], [], [], []
+        build, place = CumulativeIntegral.__init__, GridPoints.__init__
+        call, node_sums = CoefficientExpr.__call__, gridfn._node_sums
+        monkeypatch.setattr(CumulativeIntegral, "__init__", lambda self, f, size=None, buf=None: (
+            builds.append((f.t_start, f.step, size))) or build(self, f, size, buf))
+        monkeypatch.setattr(GridPoints, "__init__",
+                            lambda self, *args: placements.append(args) or place(self, *args))
+        monkeypatch.setattr(CoefficientExpr, "__call__",
+                            lambda self, t: samples.append((self, np.size(t))) or call(self, t))
+        monkeypatch.setattr(gridfn, "_node_sums", lambda v, step, buf, out, lo, carry: cells.append(
+            v.size - 1 - lo) or node_sums(v, step, buf, out, lo, carry))
+        certs = check_all(spec, window)
+        monkeypatch.undo()
+        sp = SampledProblem(spec, window, 1e-3)
+        sp.sample()
+        n = sp.n
+        assert -(-n // CHUNK) == blocks
+        grid = sp.widened_cumulative("a").grid
+        m = grid[2]
+        summed = read or blocks > 1  # whether the gap integral is summed
+        # a and b on the one widened grid, and the gap on the window grid
+        assert sorted(builds) == sorted([grid] * 2 + [(window[0], 1e-3, n)] * summed)
+        # every window node of ts, g and h placed once on the widened grid
+        on_widened = [args for args in placements if args[:3] == grid]
+        assert len(on_widened) == 3 * blocks
+        for k, t in enumerate((sp.ts, sp.g, sp.h)):
+            placed = np.concatenate([args[3] for args in on_widened[k::3]])
+            np.testing.assert_array_equal(_bits(placed), _bits(t))
+        # the gap integral's five points: their cells once, then each in its block
+        on_window = [args[3] for args in placements if args[:3] != grid]
+        assert [np.size(t) for t in on_window[:1]] == [5] * summed
+        assert sum(np.size(t) for t in on_window[1:]) == 5 * summed
+        # a and b sampled once at each window and widened node, g and h at each
+        # window node once a block, and once more for tau and sigma on more
+        for name, want in (("a", n + m), ("b", n + m), ("g", n * min(blocks, 2)),
+                           ("h", n * min(blocks, 2))):
+            assert sum(size for expr, size in samples if expr is getattr(spec, name)) == want
+        # the node sums of the widened a and b, and of the gap where it is summed
+        assert sum(cells) == 2 * (m - 1) + (n - 1) * summed
+        assert sp.margin(gap_case)[0] >= 0.0 > sp.margin({"delay": "advance",
+                                                          "advance": "delay"}[gap_case])[0]
+        refinements = [c for c in certs if c.condition_id in criteria._REFINES]
+        assert any(c.verdict != criteria.INAPPLICABLE for c in refinements) == read
+
+
+@pytest.mark.parametrize("cid, deviated", [("COR_1_5", False), ("COR_1_6", True)])
+def test_check_of_one_refinement_makes_one_pass_over_a_long_window(ex2_spec, cid, deviated,
+                                                                    monkeypatch):
+    """A refinement checked alone asks before its first read for all it reads:
+    its dominance margin, its gap integral and, for COR_1_6, the deviated sups,
+    all found in one pass over the window's four blocks, in which a and b are
+    sampled once, and the verdict is the one check_all gives."""
+    window = (0.0, 100.0)
+    passes, samples = [], []
+    run, call = SampledProblem._window, CoefficientExpr.__call__
+    monkeypatch.setattr(SampledProblem, "_window",
+                        lambda self, *args: passes.append(args) or run(self, *args))
     monkeypatch.setattr(CoefficientExpr, "__call__",
                         lambda self, t: samples.append((self, np.size(t))) or call(self, t))
-    monkeypatch.setattr(gridfn, "_node_sums", lambda v, step, buf, out, lo, carry: cells.append(
-        v.size - 1 - lo) or node_sums(v, step, buf, out, lo, carry))
-    certs = check_all(spec, WINDOW)
+    cert = check(cid, ex2_spec, window)
     monkeypatch.undo()
-    sp = SampledProblem(spec, WINDOW, 1e-3)
-    n, blocks = sp.ts.size, -(-sp.ts.size // CHUNK)
-    assert blocks == 2 and builds == []
-    widened = sp.widened_cumulative("a").f
-    m = len(widened.values)
-    # every window node of ts, g and h placed once on the widened grid, block by block
-    grid = (widened.t_start, widened.step, m)
-    on_widened = [args for args in placements if args[:3] == grid]
-    assert len(on_widened) == 3 * blocks
-    for k, t in enumerate((sp.ts, sp.g, sp.h)):
-        placed = np.concatenate([args[3] for args in on_widened[k::3]])
-        np.testing.assert_array_equal(_bits(placed), _bits(t))
-    # the gap integral's five points: their cells once, then each in its block
-    on_window = [args[3] for args in placements if args[:3] != grid]
-    assert [np.size(t) for t in on_window[:1]] == [5]
-    assert sum(np.size(t) for t in on_window[1:]) == 5
-    # a and b sampled once at each window and widened node, g and h twice a window node
-    for name, want in (("a", n + m), ("b", n + m), ("g", 2 * n), ("h", 2 * n)):
-        assert sum(size for expr, size in samples if expr is getattr(spec, name)) == want
-    # the node sums of the widened a and b and of the one gap, each cell once
-    assert sum(cells) == 2 * (m - 1) + (n - 1)
-    assert sp.margin(gap_case)[0] >= 0.0 > sp.margin({"delay": "advance",
-                                                      "advance": "delay"}[gap_case])[0]
-    refinements = [c for c in certs if c.condition_id in criteria._REFINES]
-    assert any(c.verdict != criteria.INAPPLICABLE for c in refinements) == (gap_case == "delay")
+    assert len(passes) == 1 and passes[0][0] == deviated
+    sp = SampledProblem(ex2_spec, window, 1e-3)
+    m = sp.widened_cumulative("a").grid[2] if deviated else 0
+    assert -(-sp.n // CHUNK) == 4
+    for name in "ab":
+        assert sum(size for expr, size in samples if expr is getattr(ex2_spec, name)) == sp.n + m
+    assert cert.verdict != criteria.INAPPLICABLE
+    assert cert == next(c for c in check_all(ex2_spec, window) if c.condition_id == cid)
 
 
 def test_check_all_holds_a_bounded_working_set(ex2_spec):
@@ -1326,6 +1361,7 @@ def _check_all_as_first_written(spec, window, step=1e-3):
     """check_all before gated refinements were skipped: every row runs, and a
     refinement without a holding base is replaced afterwards."""
     sp = SampledProblem(spec, window, step)
+    sp.sample()
     out = {}
     for cid in criteria._CHECKS:
         if cid in criteria._REFINES and spec.sign_pattern == (1, -1):

@@ -6,7 +6,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedde.gridfn import (CHUNK, CumulativeIntegral, GridFunction, GridPoints, _node_sums,
-                            _Stretch, grid_cells, node_times)
+                            grid_cells, node_times)
 from mixedde.model import SampledProblem
 
 from conftest import _bits, _where_eval, _where_nodes
@@ -201,7 +201,7 @@ def _grids_and_points(draw):
 def test_placed_evaluation_is_bit_identical_to_where_evaluation(case):
     f, pts = case
     cum = CumulativeIntegral(f)
-    np.testing.assert_array_equal(_bits(cum._nodes), _bits(_where_nodes(f)))
+    np.testing.assert_array_equal(_bits(cum.nodes), _bits(_where_nodes(f)))
     want = _where_eval(cum, pts)
     placed = GridPoints(f.t_start, f.step, len(f.values), pts)
     np.testing.assert_array_equal(_bits(cum.at(placed)), _bits(want))
@@ -284,7 +284,7 @@ def _grids_with_edge_values(draw):
 def test_node_sums_are_bit_identical_to_the_np_add_build(f, data):
     with np.errstate(all="ignore"):  # inf - inf and sums past the float range
         want = _np_add_nodes(f)
-        got = CumulativeIntegral(f)._nodes
+        got = CumulativeIntegral(f).nodes
     np.testing.assert_array_equal(_bits(got), _bits(want))
     # the kernel's path: _node_sums into buffers it reuses, here NaN-filled and
     # loaded with two vectors in turn, in one chunk (as the kernel does) or a
@@ -330,12 +330,12 @@ def test_chunked_node_sums_keep_a_negative_zero_and_carry_inf_and_nan(width):
 def test_one_off_node_sums_cast_in_chunks_with_the_same_bits(cells):
     values = np.random.default_rng(cells).standard_normal(cells + 1)
     f = GridFunction(-1.0, 1e-3, values)
-    np.testing.assert_array_equal(_bits(CumulativeIntegral(f)._nodes), _bits(_np_add_nodes(f)))
+    np.testing.assert_array_equal(_bits(CumulativeIntegral(f).nodes), _bits(_np_add_nodes(f)))
     # a -0.0 first cell, and inf and NaN carried across the first chunk
     # boundary, where there is one
     edge = GridFunction(-1.0, 1e-3, _chunk_edge_values(cells, min(CHUNK, cells - 2)))
     with np.errstate(all="ignore"):
-        want, got = _np_add_nodes(edge), CumulativeIntegral(edge)._nodes
+        want, got = _np_add_nodes(edge), CumulativeIntegral(edge).nodes
     np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
@@ -351,15 +351,19 @@ def test_a_grid_walked_a_stretch_at_a_time_has_the_bits_of_the_whole_grid(cells,
     values = _chunk_edge_values(cells, cells // 2)
     with np.errstate(all="ignore"):
         whole = CumulativeIntegral(GridFunction(0.5, 0.25, values))
-        stretch = _Stretch(0.5, 0.25, cells + 1)
+        stretch = None
         for end, first in pieces:
-            kept_from = max(stretch.first, min(first, stretch.end - 1))
-            stretch.extend(values[stretch.end:end], first,
-                           np.full(min(cells, CHUNK) + 1, np.nan, np.longdouble))
+            buf = np.full(min(cells, CHUNK) + 1, np.nan, np.longdouble)
+            if stretch is None:  # the first piece starts the grid
+                stretch = CumulativeIntegral(GridFunction(0.5, 0.25, values[:end]), cells + 1, buf)
+                kept_from = 0
+            else:
+                kept_from = max(stretch.first, min(first, stretch.end - 1))
+                stretch.extend(values[stretch.end:end], first, buf)
             lo = stretch.first
             assert (lo, stretch.end) == (kept_from, end)
             np.testing.assert_array_equal(_bits(stretch.values), _bits(values[lo:end]))
-            np.testing.assert_array_equal(_bits(stretch.nodes), _bits(whole._nodes[lo:end]))
+            np.testing.assert_array_equal(_bits(stretch.nodes), _bits(whole.nodes[lo:end]))
             if end - lo < 2:
                 continue  # a stretch of one node holds no cell
             # points in every cell held, and before or past the grid where it is held

@@ -532,10 +532,20 @@ def test_sampled_problem_rejects_bad_steps_and_non_finite_samples(ex1_spec):
             SampledProblem(ex1_spec, (0.0, 1.0), step)
     # samples are taken on first read, and every read meets a non-finite one
     sp = SampledProblem(make_spec(a="1e400"), (0.0, 1.0), 1e-3)
-    for read in (lambda: sp.a, lambda: sp.margin("delay"), lambda: sp.tau,
-                 lambda: sp.deviated_sup("delay"), lambda: sp.bounds):
+    for read in (sp.sample, lambda: sp.margin("delay"), lambda: sp.tau,
+                 lambda: sp.deviated_sup("delay"), lambda: sp.bounds,
+                 lambda: sp.widened_cumulative("b")):
         with pytest.raises(ValueError, match=r"a\(t\) is not finite at t=0\b"):
             read()
+    # a, b, g and h are read whole only once sampled whole, though passes over
+    # more than one block have read them
+    sp = SampledProblem(ex1_spec, (0.0, 40.0), 1e-3)
+    sp.tau, sp.bounds, sp.deviated_sup("delay")
+    for name in "abgh":
+        with pytest.raises(RuntimeError, match=f"{name} is read before"):
+            getattr(sp, name)
+    sp.sample()
+    np.testing.assert_array_equal(sp.g, ex1_spec.g(sp.ts))
     # exp(exp(t)) overflows past t = log(log(max float)) = 6.5654, which only
     # the extended grid behind the cumulative integral of a reaches
     sp = SampledProblem(make_spec(a="exp(exp(t))"), (0.0, 6.5), 1e-3)
@@ -589,9 +599,10 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
         monkeypatch.undo()
         assert not any(isinstance(v, (CumulativeIntegral, np.ndarray)) and np.size(v) > CHUNK
                        for v in vars(sp).values())
+        sp.sample()
         cum_a, cum_b = sp.widened_cumulative("a"), sp.widened_cumulative("b")
-        grid = (cum_a.f.t_start, cum_a.f.step, len(cum_a.f.values))
-        assert grid == (cum_b.f.t_start, cum_b.f.step, len(cum_b.f.values))
+        grid = cum_a.grid
+        assert grid == cum_b.grid
         placed = [args for args in placed if args[:3] == grid]
         blocks = -(-sp.n // CHUNK)
         assert len(placed) == 3 * blocks
@@ -603,7 +614,7 @@ def test_deviated_integrals_are_computed_once_per_sampled_problem(monkeypatch):
         want = (cum_a(sp.ts) - cum_a(sp.g), cum_a(sp.h) - cum_a(sp.ts),
                 cum_b(sp.ts) - cum_b(sp.g), cum_b(sp.h) - cum_b(sp.ts))
         _assert_same_sups(got, _sups_of_arrays(sp, want))
-    assert "_last" not in vars(SampledProblem(spec, (0.0, 5.0), 1e-3))
+    assert SampledProblem(spec, (0.0, 5.0), 1e-3)._last is None
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -681,7 +692,7 @@ def test_margin_is_the_least_explicit_difference_at_its_first_node(pairs, equal)
         b = a.copy()
     sp = SampledProblem(make_spec(), (0.0, a.size - 1.0), 1.0)
     assert sp.ts.size == a.size
-    sp.a, sp.b = a, b  # before the margin's first use, which reads them
+    sp._samples = (a, b, sp.ts, sp.ts)  # before the margin's first use, which reads them
     for case, gap in (("delay", a - b), ("advance", b - a)):
         value, node = sp.margin(case)
         assert value == np.min(gap) and node == np.argmin(gap)

@@ -499,7 +499,9 @@ def _relax_one_at_a_time(ivp, T, step, tol=None, max_sweeps=200):
     if tol is None:
         tol = 1e-10 * max(abs(ivp.x0), 1.0)
     report = SampledProblem(spec, (t0, T), step)
+    report.sample()
     sampled = SampledProblem(spec, (t0, T + report.sigma), step)
+    sampled.sample()
     n = len(sampled.ts)
     caveats = []
     delays = sampled.ts - sampled.g
