@@ -705,8 +705,8 @@ def check(condition_id: str, spec: ProblemSpec, window: tuple[float, float],
         raise ValueError(f"unknown condition {condition_id!r}")
     sp = SampledProblem(spec, window, step)
     case = _REFINES.get(condition_id)
-    if case:  # the gap integral it reads where its dominance holds, found with the margin
-        sp.plan(condition_id == "COR_1_6", {case: -_SLACK})
+    if case:  # what it reads where its dominance holds, found with the margin
+        sp.plan(condition_id == "COR_1_6", {case: -_SLACK}, certain=True)
     return _run(condition_id, sp)
 
 
@@ -751,10 +751,18 @@ def check_all(spec: ProblemSpec, window: tuple[float, float],
     for every pattern.
     """
     sp = SampledProblem(spec, window, step)
-    # the refinements' gap integrals, read where their dominance and a base hold,
-    # found with the sups the bases read
-    sp.plan(True, dict.fromkeys(_FAMILIES, -_SLACK))
     held: dict[str, Certificate] = {}
+    if spec.sign_pattern == (1, -1):
+        # A refinement reads its case's gap integral where a base of the case
+        # holds; the pass the bases read sums it ahead where it may be read. The
+        # root tests read no sup, so they run first, and where one holds the
+        # gap integral of its case is certain to be read.
+        sp.plan(True, dict.fromkeys(_FAMILIES, -_SLACK))
+        for ids in _FAMILIES.values():
+            held[ids[1]] = _run(ids[1], sp)
+        sp.plan(True, {case: -_SLACK for case, ids in _FAMILIES.items()
+                       if held[ids[1]].holds}, certain=True)
     for cid in _CHECKS:
-        held[cid] = _run(cid, sp, held)
-    return list(held.values())
+        if cid not in held:
+            held[cid] = _run(cid, sp, held)
+    return [held[cid] for cid in _CHECKS]

@@ -416,7 +416,7 @@ class SampledProblem:
         self._samples = None  # a, b, g, h whole (`sample`)
         self._finite = False  # a, b, g, h found finite on ts
         self._last = None  # what the passes found (`_found`)
-        self._plan = (False, {})  # what the next pass finds ahead (`plan`)
+        self._plan = (False, {}, False)  # what the next pass finds ahead (`plan`)
 
     @cached_property
     def ts(self) -> np.ndarray:
@@ -515,13 +515,13 @@ class SampledProblem:
             _require_finite(name, grid.values, grid.times())
         return CumulativeIntegral(grid)
 
-    def plan(self, deviated: bool, gaps: dict[str, float]) -> None:
+    def plan(self, deviated: bool, gaps: dict[str, float], certain: bool = False) -> None:
         """Have the next pass find also the four sups (with deviated) and the gap
-        integral of each case in gaps while its margin stays >= gaps[case], for
-        reads that may follow, where that pass samples a, b, g and h afresh: on
-        a window of more than one block. One block is sampled whole, and each
-        quantity is found when it is read."""
-        self._plan = (deviated, gaps)
+        integral of each case in gaps while its margin stays >= gaps[case]. What
+        is certain to be read is found ahead on any window; what may be read,
+        only where that pass samples a, b, g and h afresh, on a window of more
+        than one block, as reading it later would sample them again."""
+        self._plan = (deviated, gaps, certain)
 
     def _found(self, deviated: bool = False, gap: str | None = None) -> dict:
         """What the passes found, after one more pass where they lack the margins,
@@ -531,12 +531,14 @@ class SampledProblem:
         sups = deviated and "sups" not in found
         if "margins" in found and not sups and (gap is None or gap in found["gaps"]):
             return found
-        ahead, gaps = self._plan if self.n > CHUNK else (False, {})
+        ahead, gaps, certain = self._plan
+        if not (certain or self.n > CHUNK):
+            ahead, gaps = False, {}
         if gap is not None:
             gaps = {**gaps, gap: -math.inf}
         gaps = {case: least for case, least in gaps.items() if case not in found["gaps"]}
         new = self._window((sups or ahead) and "sups" not in found, gaps)
-        self._plan = (False, {})
+        self._plan = (False, {}, False)
         self._last = {**found, **new, "gaps": {**found["gaps"], **new["gaps"]}}
         return self._last
 

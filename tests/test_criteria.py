@@ -1258,13 +1258,13 @@ def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_case, rea
 
 
 @pytest.mark.parametrize("cid, deviated", [("COR_1_5", False), ("COR_1_6", True)])
-def test_check_of_one_refinement_makes_one_pass_over_a_long_window(ex2_spec, cid, deviated,
-                                                                    monkeypatch):
+@pytest.mark.parametrize("window, blocks", [((0.0, 100.0), 4), ((0.0, 20.0), 1)])
+def test_check_of_one_refinement_makes_one_pass(ex2_spec, cid, deviated, window, blocks,
+                                                monkeypatch):
     """A refinement checked alone asks before its first read for all it reads:
     its dominance margin, its gap integral and, for COR_1_6, the deviated sups,
-    all found in one pass over the window's four blocks, in which a and b are
+    all found in one pass over the window's blocks, in which a and b are
     sampled once, and the verdict is the one check_all gives."""
-    window = (0.0, 100.0)
     passes, samples = [], []
     run, call = SampledProblem._window, CoefficientExpr.__call__
     monkeypatch.setattr(SampledProblem, "_window",
@@ -1276,7 +1276,7 @@ def test_check_of_one_refinement_makes_one_pass_over_a_long_window(ex2_spec, cid
     assert len(passes) == 1 and passes[0][0] == deviated
     sp = SampledProblem(ex2_spec, window, 1e-3)
     m = sp.widened_cumulative("a").grid[2] if deviated else 0
-    assert -(-sp.n // CHUNK) == 4
+    assert -(-sp.n // CHUNK) == blocks
     for name in "ab":
         assert sum(size for expr, size in samples if expr is getattr(ex2_spec, name)) == sp.n + m
     assert cert.verdict != criteria.INAPPLICABLE
