@@ -1209,11 +1209,17 @@ def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_case, rea
     window was not streamed. On two blocks, one pass samples and sums each
     window node once; g and h are sampled once more, for tau and sigma; and the
     pass sums the gap integral of the case whose dominance holds, which a
-    refinement reads where a base holds, so that a and b are not sampled again."""
+    refinement reads where a base holds, so that a and b are not sampled again.
+    On one block the root tests' margins come first, from a pass of their own,
+    and where a root test holds, the pass the other bases read sums its case's
+    gap integral."""
     spec = make_spec(**overrides)
     for window, blocks in (((0.0, 20.0), 1), (WINDOW, 2)):
-        builds, placements, samples, cells = [], [], [], []
+        builds, placements, samples, cells, passes = [], [], [], [], []
         build, place = CumulativeIntegral.__init__, GridPoints.__init__
+        run = SampledProblem._window
+        monkeypatch.setattr(SampledProblem, "_window",
+                            lambda self, *args: passes.append(args) or run(self, *args))
         call, node_sums = CoefficientExpr.__call__, gridfn._node_sums
         monkeypatch.setattr(CumulativeIntegral, "__init__", lambda self, f, size=None, buf=None: (
             builds.append((f.t_start, f.step, size))) or build(self, f, size, buf))
@@ -1232,6 +1238,7 @@ def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_case, rea
         grid = sp.widened_cumulative("a").grid
         m = grid[2]
         summed = read or blocks > 1  # whether the gap integral is summed
+        assert len(passes) == (2 if blocks == 1 else 1)
         # a and b on the one widened grid, and the gap on the window grid
         assert sorted(builds) == sorted([grid] * 2 + [(window[0], 1e-3, n)] * summed)
         # every window node of ts, g and h placed once on the widened grid
@@ -1258,7 +1265,8 @@ def test_check_all_builds_and_places_only_what_it_reads(overrides, gap_case, rea
 
 
 @pytest.mark.parametrize("cid, deviated", [("COR_1_5", False), ("COR_1_6", True)])
-@pytest.mark.parametrize("window, blocks", [((0.0, 100.0), 4), ((0.0, 20.0), 1)])
+@pytest.mark.parametrize("window, blocks", [((0.0, 100.0), 4), ((0.0, 20.0), 1)],
+                         ids=["four-blocks", "one-block"])
 def test_check_of_one_refinement_makes_one_pass(ex2_spec, cid, deviated, window, blocks,
                                                 monkeypatch):
     """A refinement checked alone asks before its first read for all it reads:
